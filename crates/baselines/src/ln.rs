@@ -160,8 +160,8 @@ impl LnChannel {
             outputs,
         };
         // 2-of-2: both signatures (exchanged during commitment signing).
-        tx.sign_input(0, &self.key_a.sk);
-        tx.sign_input(0, &self.key_b.sk);
+        tx.sign_input(0, &self.key_a);
+        tx.sign_input(0, &self.key_b);
         tx
     }
 
@@ -196,7 +196,7 @@ impl LnChannel {
                 script: ScriptPubKey::P2pk(self.key_b.pk),
             }],
         };
-        tx.sign_input(0, &self.rev_b.sk);
+        tx.sign_input(0, &self.rev_b);
         tx
     }
 
@@ -218,7 +218,7 @@ impl LnChannel {
                 script: ScriptPubKey::P2pk(self.key_a.pk),
             }],
         };
-        tx.sign_input(0, &self.key_a.sk);
+        tx.sign_input(0, &self.key_a);
         tx
     }
 
@@ -241,8 +241,8 @@ impl LnChannel {
             inputs: vec![TxIn::spend(self.funding)],
             outputs,
         };
-        tx.sign_input(0, &self.key_a.sk);
-        tx.sign_input(0, &self.key_b.sk);
+        tx.sign_input(0, &self.key_a);
+        tx.sign_input(0, &self.key_b);
         chain.submit(tx)?;
         chain.mine_blocks(1);
         Ok(())

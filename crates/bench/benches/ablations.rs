@@ -1,4 +1,5 @@
-//! Ablation benchmarks for DESIGN.md §6:
+//! Ablation benchmarks (listed in `docs/ARCHITECTURE.md`, *Substitutions and
+//! deviations*):
 //!
 //! * replication factor 0–2 — isolates the force-freeze overhead (C3);
 //! * per-message AEAD vs full Schnorr signatures — quantifies the

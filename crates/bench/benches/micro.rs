@@ -5,8 +5,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use teechain::testkit::Cluster;
 use teechain_crypto::aead::Aead;
+use teechain_crypto::point::{base_double_mul, base_mul};
 use teechain_crypto::schnorr::{self, Keypair};
 use teechain_crypto::sha256::sha256;
+use teechain_crypto::U256;
 
 fn crypto(c: &mut Criterion) {
     let mut g = c.benchmark_group("crypto");
@@ -25,6 +27,29 @@ fn crypto(c: &mut Criterion) {
     g.finish();
 }
 
+/// The primitives under `schnorr_sign` / `schnorr_verify`, one row each: a
+/// signature is one `base_mul` plus one `fe_inv`; a verification is one
+/// `double_mul`; ECDH is one `scalar_mul` plus one `fe_inv`.
+fn secp256k1(c: &mut Criterion) {
+    let mut g = c.benchmark_group("secp256k1");
+    let p = Keypair::from_seed(&[3; 32]).pk.0;
+    let (x, y) = (p.x, p.y);
+    g.bench_function("fe_mul", |b| b.iter(|| black_box(x) * black_box(y)));
+    g.bench_function("fe_sqr", |b| b.iter(|| black_box(x).sqr()));
+    g.bench_function("fe_inv", |b| b.iter(|| black_box(x).inv()));
+    // Full-width scalars (the x coordinates, as integers).
+    let (k1, k2): (U256, U256) = (x.to_u256(), y.to_u256());
+    base_mul(&k1); // Build the fixed-base table outside the timed region.
+    g.bench_function("base_mul", |b| b.iter(|| base_mul(black_box(&k1))));
+    g.bench_function("scalar_mul", |b| {
+        b.iter(|| p.to_jacobian().scalar_mul(black_box(&k1)))
+    });
+    g.bench_function("double_mul", |b| {
+        b.iter(|| base_double_mul(black_box(&k1), black_box(&k2), &p))
+    });
+    g.finish();
+}
+
 fn blockchain(c: &mut Criterion) {
     use teechain_blockchain::{Chain, ScriptPubKey, Transaction, TxIn, TxOut};
     let mut g = c.benchmark_group("blockchain");
@@ -39,7 +64,7 @@ fn blockchain(c: &mut Criterion) {
                 script: ScriptPubKey::P2pk(kp.pk),
             }],
         };
-        tx.sign_input(0, &kp.sk);
+        tx.sign_input(0, &kp);
         b.iter(|| chain.validate(black_box(&tx)).unwrap());
     });
     g.finish();
@@ -63,6 +88,6 @@ fn enclave_payment(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = crypto, blockchain, enclave_payment
+    targets = crypto, secp256k1, blockchain, enclave_payment
 );
 criterion_main!(benches);

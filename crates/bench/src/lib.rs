@@ -20,7 +20,7 @@
 //! tracked across PRs.
 //!
 //! `cargo bench` additionally runs Criterion micro-benchmarks of the
-//! substrates, the ablations listed in DESIGN.md §6, and the raw
+//! substrates, the ablations listed in `docs/ARCHITECTURE.md`, and the raw
 //! engine-overhead bench (`--bench engine`, which feeds
 //! `BENCH_engine_micro.json`).
 

@@ -403,7 +403,7 @@ mod tests {
                 script: ScriptPubKey::P2pk(*to),
             }],
         };
-        tx.sign_input(0, &key.sk);
+        tx.sign_input(0, key);
         tx
     }
 
@@ -491,7 +491,7 @@ mod tests {
                 script: ScriptPubKey::P2pk(kp(2).pk),
             }],
         };
-        tx.sign_all_inputs(&alice.sk);
+        tx.sign_all_inputs(&alice);
         assert!(matches!(
             chain.submit(tx),
             Err(SubmitError::Invalid(ValidationError::DuplicateInput(_)))
@@ -512,8 +512,8 @@ mod tests {
                 script: ScriptPubKey::P2pk(kp(7).pk),
             }],
         };
-        tx.sign_input(0, &committee[1].sk);
-        tx.sign_input(0, &committee[3].sk);
+        tx.sign_input(0, &committee[1]);
+        tx.sign_input(0, &committee[3]);
         chain.submit(tx).unwrap();
         chain.mine_block();
         assert_eq!(chain.balance_p2pk(&kp(7).pk), 1000);
@@ -532,7 +532,7 @@ mod tests {
                 script: ScriptPubKey::P2pk(kp(7).pk),
             }],
         };
-        tx.sign_input(0, &committee[0].sk);
+        tx.sign_input(0, &committee[0]);
         assert!(matches!(
             chain.submit(tx),
             Err(SubmitError::Invalid(ValidationError::BadWitness(_)))
@@ -590,7 +590,7 @@ mod tests {
                 script: ScriptPubKey::P2pk(key.pk),
             }],
         };
-        tx.sign_input(0, &key.sk);
+        tx.sign_input(0, key);
         tx
     }
 

@@ -59,7 +59,7 @@ mod tests {
                 script: ScriptPubKey::P2pk(kp(1).pk),
             }],
         };
-        tx.sign_input(0, &kp(2).sk);
+        tx.sign_input(0, &kp(2));
         assert_eq!(tx_cost(&tx), 1.0);
     }
 
@@ -86,7 +86,7 @@ mod tests {
                     script: ScriptPubKey::multisig(1, committee.clone()),
                 }],
             };
-            tx.sign_input(0, &kp(9).sk);
+            tx.sign_input(0, &kp(9));
             // tx places n pubkeys + 1 sig => (n+1)/2; the paper's extra 1/2
             // (the source pubkey) lives in the funding tx. The analytic
             // Table 4 model in `teechain-baselines` accounts for it.

@@ -1,7 +1,7 @@
 //! Transactions: inputs, outputs, identifiers, signature hashes.
 
 use crate::script::ScriptPubKey;
-use teechain_crypto::schnorr::{sign, PrivateKey, Signature};
+use teechain_crypto::schnorr::{sign, Keypair, Signature};
 use teechain_crypto::sha256::sha256;
 use teechain_util::codec::{Decode, Encode, Reader, WireError};
 use teechain_util::hex;
@@ -123,19 +123,24 @@ impl Transaction {
         self.txid().0
     }
 
-    /// Appends a signature from `key` to input `index`.
+    /// Appends a signature from `key` to input `index`. `key` is a
+    /// [`Keypair`]; a bare `PrivateKey` is also accepted and converted, which
+    /// derives its public half (as costly as the signature), so a caller
+    /// that signs more than once should hold the `Keypair`.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
-    pub fn sign_input(&mut self, index: usize, key: &PrivateKey) {
+    pub fn sign_input(&mut self, index: usize, key: &(impl Copy + Into<Keypair>)) {
         let digest = self.sighash();
-        self.inputs[index].witness.push(sign(key, &digest));
+        self.inputs[index]
+            .witness
+            .push(sign(&(*key).into(), &digest));
     }
 
     /// Appends a signature from `key` to every input (the common case for
     /// Teechain settlement transactions, where one enclave holds all keys).
-    pub fn sign_all_inputs(&mut self, key: &PrivateKey) {
+    pub fn sign_all_inputs(&mut self, key: &Keypair) {
         let digest = self.sighash();
         let sig = sign(key, &digest);
         for input in &mut self.inputs {
@@ -200,7 +205,7 @@ mod tests {
             outputs: vec![p2pk_out(50, 2)],
         };
         let before = tx.txid();
-        tx.sign_input(0, &k.sk);
+        tx.sign_input(0, &k);
         assert_eq!(tx.txid(), before);
     }
 
@@ -225,7 +230,7 @@ mod tests {
             inputs: vec![TxIn::spend(dummy_outpoint(1))],
             outputs: vec![p2pk_out(10, 4)],
         };
-        tx.sign_input(0, &k.sk);
+        tx.sign_input(0, &k);
         let script = ScriptPubKey::P2pk(k.pk);
         assert!(script.verify_witness(&tx.sighash(), &tx.inputs[0].witness));
     }
@@ -263,7 +268,7 @@ mod tests {
                 },
             ],
         };
-        tx.sign_input(0, &k.sk);
+        tx.sign_input(0, &k);
         let decoded = Transaction::decode_exact(&tx.encode_to_vec()).unwrap();
         assert_eq!(decoded, tx);
         assert_eq!(decoded.txid(), tx.txid());
@@ -279,7 +284,7 @@ mod tests {
             ],
             outputs: vec![p2pk_out(5, 1)],
         };
-        tx.sign_all_inputs(&k.sk);
+        tx.sign_all_inputs(&k);
         let script = ScriptPubKey::P2pk(k.pk);
         for input in &tx.inputs {
             assert!(script.verify_witness(&tx.sighash(), &input.witness));

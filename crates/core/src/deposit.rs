@@ -4,7 +4,7 @@
 use crate::types::{Deposit, ProtocolError};
 use std::collections::{HashMap, HashSet};
 use teechain_blockchain::OutPoint;
-use teechain_crypto::schnorr::{PrivateKey, PublicKey};
+use teechain_crypto::schnorr::{Keypair, PrivateKey, PublicKey};
 
 /// Where a deposit currently is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,8 +34,15 @@ pub struct DepositBook {
     pub i_approved: HashSet<(PublicKey, OutPoint)>,
 }
 
+/// The signing handle for `pk`, if `keys` holds its private half. The map
+/// key *is* the public half, so nothing is derived.
+pub(crate) fn keypair_in(keys: &HashMap<PublicKey, PrivateKey>, pk: &PublicKey) -> Option<Keypair> {
+    keys.get(pk).map(|&sk| Keypair { sk, pk: *pk })
+}
+
 impl DepositBook {
-    /// Registers a private key; returns its public key.
+    /// Registers a private key; returns its public key (derived here, once
+    /// per key, never per signature).
     pub fn insert_key(&mut self, sk: PrivateKey) -> PublicKey {
         let pk = sk.public_key();
         self.keys.insert(pk, sk);

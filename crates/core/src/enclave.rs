@@ -16,7 +16,7 @@ use crate::admit::{
     DEFER_DEADLINE_NS,
 };
 use crate::channel::Channel;
-use crate::deposit::{DepositBook, DepositStatus};
+use crate::deposit::{keypair_in, DepositBook, DepositStatus};
 use crate::durability::DurabilityBackend;
 use crate::msg::{ProtocolMsg, StateDelta, WireMsg};
 use crate::replication::{Replication, SigCollect};
@@ -715,6 +715,19 @@ impl TeechainEnclave {
         self.next_req_id
     }
 
+    /// A deposit we can resolve: from our own book, or replicated to us.
+    pub(crate) fn known_deposit(&self, op: &teechain_blockchain::OutPoint) -> Option<&Deposit> {
+        self.book
+            .deposit_of(op)
+            .or_else(|| self.rep.replica.deposits.get(op))
+    }
+
+    /// The signing handle for a blockchain key we hold, in our own book or
+    /// replicated to us.
+    pub(crate) fn signing_key(&self, pk: &PublicKey) -> Option<Keypair> {
+        keypair_in(&self.book.keys, pk).or_else(|| keypair_in(&self.rep.replica.keys, pk))
+    }
+
     /// Finishes a settlement: signs with every key we hold; broadcasts if
     /// thresholds are met, otherwise opens a co-sign collection and asks
     /// the host to gather committee signatures.
@@ -727,35 +740,12 @@ impl TeechainEnclave {
         // Sign every input with every key we can resolve: our own deposit
         // book, keys replicated to us, and our committee chain key — a
         // backup settling for a crashed primary needs all three (§6.1).
-        let sighash = tx.sighash();
-        for input in &mut tx.inputs {
-            let dep = self
-                .book
-                .deposit_of(&input.prevout)
-                .cloned()
-                .or_else(|| self.rep.replica.deposits.get(&input.prevout).cloned());
-            if let Some(dep) = dep {
-                for member in &dep.committee.member_keys {
-                    let sk = self
-                        .book
-                        .keys
-                        .get(member)
-                        .or_else(|| self.rep.replica.keys.get(member));
-                    if let Some(sk) = sk {
-                        let sig = teechain_crypto::schnorr::sign(sk, &sighash);
-                        if !input.witness.contains(&sig) {
-                            input.witness.push(sig);
-                        }
-                    }
-                }
-            }
-        }
-        let deposit_of = |op: &teechain_blockchain::OutPoint| {
-            self.book
-                .deposit_of(op)
-                .or_else(|| self.rep.replica.deposits.get(op))
-        };
-        if settle::threshold_met(&tx, deposit_of) {
+        settle::sign_inputs(
+            &mut tx,
+            |pk| self.signing_key(pk),
+            |op| self.known_deposit(op),
+        );
+        if settle::threshold_met(&tx, |op| self.known_deposit(op)) {
             effects.push(Effect::Event(HostEvent::SettlementBroadcast {
                 id,
                 txid: tx.txid(),
@@ -1841,7 +1831,7 @@ impl TeechainEnclave {
         let kp = *self.identity.as_ref().ok_or(ProtocolError::NoSession)?;
         let secret = state.secret.expect("initiator holds the secret");
         let outpoint = state.htlc_outpoint.expect("locked phase has the outpoint");
-        let claim = crate::swap::claim_tx(outpoint, state.alt_amount, &secret, kp.pk, &kp.sk);
+        let claim = crate::swap::claim_tx(outpoint, state.alt_amount, &secret, kp.pk, &kp);
         let msg = ProtocolMsg::SwapSecret { swap, secret };
         let eff = self.seal_to(&state.remote, &msg)?;
         // One atomic commit: the channel debit and the phase transition
@@ -2007,7 +1997,7 @@ impl TeechainEnclave {
                 let mut effects = Vec::new();
                 if confirmations >= state.timeout_blocks {
                     let kp = *self.identity.as_ref().ok_or(ProtocolError::NoSession)?;
-                    let refund = crate::swap::refund_tx(outpoint, state.alt_amount, kp.pk, &kp.sk);
+                    let refund = crate::swap::refund_tx(outpoint, state.alt_amount, kp.pk, &kp);
                     effects.push(Effect::BroadcastAlt(refund));
                 }
                 effects.push(Effect::Event(HostEvent::SwapCheckAt {
@@ -2028,8 +2018,7 @@ impl TeechainEnclave {
                     return Ok(vec![]);
                 };
                 let kp = *self.identity.as_ref().ok_or(ProtocolError::NoSession)?;
-                let claim =
-                    crate::swap::claim_tx(outpoint, state.alt_amount, &secret, kp.pk, &kp.sk);
+                let claim = crate::swap::claim_tx(outpoint, state.alt_amount, &secret, kp.pk, &kp);
                 let mut effects = vec![Effect::BroadcastAlt(claim)];
                 let msg = ProtocolMsg::SwapSecret { swap, secret };
                 if let Ok(eff) = self.seal_to(&state.remote, &msg) {
@@ -2069,8 +2058,7 @@ impl TeechainEnclave {
                         // Timeout: reclaim our HTLC on-chain.
                         let kp = *self.identity.as_ref().ok_or(ProtocolError::NoSession)?;
                         let outpoint = state.htlc_outpoint.expect("locked has outpoint");
-                        let refund =
-                            crate::swap::refund_tx(outpoint, state.alt_amount, kp.pk, &kp.sk);
+                        let refund = crate::swap::refund_tx(outpoint, state.alt_amount, kp.pk, &kp);
                         let st = self.swaps.get_mut(&swap).expect("checked");
                         st.phase = SwapPhase::Refunded;
                         let snap = Box::new(st.clone());
@@ -2879,10 +2867,7 @@ impl TeechainEnclave {
         let sk_bytes: Option<[u8; 32]> = r.read().map_err(|_| ProtocolError::BadMessage)?;
         if let Some(bytes) = sk_bytes {
             let sk = PrivateKey::from_bytes(&bytes).ok_or(ProtocolError::BadMessage)?;
-            self.identity = Some(Keypair {
-                sk,
-                pk: sk.public_key(),
-            });
+            self.identity = Some(Keypair::from(sk));
         }
         let chans: Vec<Channel> = r.read().map_err(|_| ProtocolError::BadMessage)?;
         for c in chans {
@@ -3076,10 +3061,7 @@ impl TeechainEnclave {
             if self.identity.is_none() {
                 if let Some(bytes) = identity {
                     let sk = PrivateKey::from_bytes(&bytes).ok_or(ProtocolError::BadMessage)?;
-                    self.identity = Some(Keypair {
-                        sk,
-                        pk: sk.public_key(),
-                    });
+                    self.identity = Some(Keypair::from(sk));
                 }
             }
             let deltas: Vec<StateDelta> = r.read().map_err(|_| ProtocolError::BadMessage)?;

@@ -401,8 +401,18 @@ impl Sched {
     /// Stops workers, timer and poller, joins them all, and returns the
     /// final nodes in id order.
     pub(crate) fn shutdown(mut self) -> Vec<TeechainNode> {
-        self.shared.stop.store(true, Ordering::Relaxed);
+        // A waiter checks `stop` and then parks while holding its mutex, so
+        // the flag must change with that mutex held: stored without it, the
+        // store and the notify can both fall between a worker's check and
+        // its wait, and the worker sleeps through the only wake-up.
+        {
+            let _runq = self.shared.runq.lock().expect("run queue");
+            self.shared.stop.store(true, Ordering::Relaxed);
+        }
         self.shared.runq_cv.notify_all();
+        // The timer thread checks under the heap mutex: passing through it
+        // orders this notify after any check that still read `false`.
+        drop(self.shared.timers.lock().expect("timer heap"));
         self.shared.timer_cv.notify_all();
         for w in self.workers.drain(..) {
             w.join().expect("scheduler worker panicked");
@@ -455,6 +465,40 @@ mod tests {
             .and_then(|p| p.channel(&chan))
             .expect("channel exists");
         assert_eq!((c.my_bal, c.remote_bal), (750, 250));
+    }
+
+    /// Regression: `shutdown` used to set the stop flag and notify without
+    /// the run-queue mutex, so a worker between its check and its wait
+    /// slept forever and the join never returned (the repo benchmark saw it
+    /// about once in 150 shutdowns). The window is a few instructions wide,
+    /// so this is a tripwire with a deadline, not a proof.
+    #[test]
+    fn immediate_shutdown_never_loses_the_wakeup() {
+        const CYCLES: usize = 500;
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let cycler = std::thread::spawn(move || {
+            for cycle in 0..CYCLES {
+                // Workers are still racing towards their first park when
+                // shutdown runs: the window the lost wake-up needed.
+                LiveCluster::over_reactor(LiveConfig {
+                    n: 2,
+                    workers: 2,
+                    ..LiveConfig::default()
+                })
+                .expect("bind reactor listener")
+                .shutdown();
+                done_tx.send(cycle).expect("test thread alive");
+            }
+        });
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        for expected in 0..CYCLES {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            match done_rx.recv_timeout(left) {
+                Ok(cycle) => assert_eq!(cycle, expected),
+                Err(e) => panic!("launch/shutdown cycle {expected} of {CYCLES} hung: {e}"),
+            }
+        }
+        cycler.join().expect("cycler panicked");
     }
 
     #[test]

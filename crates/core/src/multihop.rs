@@ -9,7 +9,8 @@
 //! it (as a PoPT) and settle their own channels *consistently* at the same
 //! logical state.
 //!
-//! Deviation noted in DESIGN.md: the mapping from a confirmed conflicting
+//! Deviation (also listed in `docs/ARCHITECTURE.md`, *Substitutions and
+//! deviations*): the mapping from a confirmed conflicting
 //! transaction to "pre" or "post" state is implemented by distributing the
 //! txids of every channel's two candidate settlements along the path
 //! during lock/sign (the `digests`), rather than by inspecting transaction

@@ -187,8 +187,11 @@ enum SwapTimerAction {
 /// deadlines, counter-throttle expiry, deferred-message drains).
 pub const PUMP_TOKEN: u64 = 0x7EE_C8A1_4E57;
 
-/// Cap on [`TeechainNode::events`]: reaching it drops the oldest half.
-pub const EVENT_LOG_CAP: usize = 65_536;
+/// Cap on [`TeechainNode::events`]: reaching it drops the oldest half. An
+/// entry is 264 bytes, so the log tops out near 4 MiB per node; under a
+/// simulated load nothing drains it, and it — not protocol state — is what
+/// a long run's resident set measures.
+pub const EVENT_LOG_CAP: usize = 16_384;
 
 /// High-16-bit timer-token tag for operation deadline timers (low 48
 /// bits carry the operation sequence number).

@@ -353,19 +353,12 @@ impl TeechainEnclave {
         let sighash = tx.sighash();
         let mut sigs = Vec::new();
         for (idx, input) in tx.inputs.iter().enumerate() {
-            let dep = self
-                .book
-                .deposit_of(&input.prevout)
-                .or_else(|| self.rep.replica.deposits.get(&input.prevout));
-            let Some(dep) = dep else { continue };
+            let Some(dep) = self.known_deposit(&input.prevout) else {
+                continue;
+            };
             for member in &dep.committee.member_keys {
-                let sk = self
-                    .book
-                    .keys
-                    .get(member)
-                    .or_else(|| self.rep.replica.keys.get(member));
-                if let Some(sk) = sk {
-                    sigs.push((idx as u32, teechain_crypto::schnorr::sign(sk, &sighash)));
+                if let Some(key) = self.signing_key(member) {
+                    sigs.push((idx as u32, teechain_crypto::schnorr::sign(&key, &sighash)));
                 }
             }
         }

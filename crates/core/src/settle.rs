@@ -9,11 +9,10 @@
 //! derive bit-identical transactions and can compare them by txid.
 
 use crate::channel::Channel;
-use crate::deposit::DepositBook;
+use crate::deposit::{keypair_in, DepositBook};
 use crate::types::Deposit;
-use std::collections::HashMap;
 use teechain_blockchain::{OutPoint, ScriptPubKey, Transaction, TxIn, TxOut};
-use teechain_crypto::schnorr::{PrivateKey, PublicKey};
+use teechain_crypto::schnorr::{Keypair, PublicKey};
 use teechain_util::codec::Encode;
 
 /// Builds the unsigned settlement transaction for a channel at explicit
@@ -62,11 +61,12 @@ pub fn canonicalize(mut tx: Transaction) -> Transaction {
 }
 
 /// Signs every input whose deposit committee includes a key we hold.
-/// Returns the number of signatures added. `deposit_of` resolves an
+/// Returns the number of signatures added. `keypair_of` resolves a
+/// committee member's public key to its signing handle, `deposit_of` an
 /// outpoint to its committee.
 pub fn sign_inputs<'a>(
     tx: &mut Transaction,
-    keys: &HashMap<PublicKey, PrivateKey>,
+    keypair_of: impl Fn(&PublicKey) -> Option<Keypair>,
     deposit_of: impl Fn(&OutPoint) -> Option<&'a Deposit>,
 ) -> usize {
     let sighash = tx.sighash();
@@ -75,13 +75,11 @@ pub fn sign_inputs<'a>(
         let Some(dep) = deposit_of(&input.prevout) else {
             continue;
         };
-        for member in &dep.committee.member_keys {
-            if let Some(sk) = keys.get(member) {
-                let sig = teechain_crypto::schnorr::sign(sk, &sighash);
-                if !input.witness.contains(&sig) {
-                    input.witness.push(sig);
-                    added += 1;
-                }
+        for key in dep.committee.member_keys.iter().filter_map(&keypair_of) {
+            let sig = teechain_crypto::schnorr::sign(&key, &sighash);
+            if !input.witness.contains(&sig) {
+                input.witness.push(sig);
+                added += 1;
             }
         }
     }
@@ -90,23 +88,11 @@ pub fn sign_inputs<'a>(
 
 /// Signs using a [`DepositBook`]'s keys and deposit records.
 pub fn sign_with_book(tx: &mut Transaction, book: &DepositBook) -> usize {
-    let sighash = tx.sighash();
-    let mut added = 0;
-    for input in &mut tx.inputs {
-        let Some(dep) = book.deposit_of(&input.prevout) else {
-            continue;
-        };
-        for member in &dep.committee.member_keys {
-            if let Some(sk) = book.keys.get(member) {
-                let sig = teechain_crypto::schnorr::sign(sk, &sighash);
-                if !input.witness.contains(&sig) {
-                    input.witness.push(sig);
-                    added += 1;
-                }
-            }
-        }
-    }
-    added
+    sign_inputs(
+        tx,
+        |pk| keypair_in(&book.keys, pk),
+        |op| book.deposit_of(op),
+    )
 }
 
 /// True if every input carries at least its committee threshold of
@@ -128,7 +114,6 @@ mod tests {
     use super::*;
     use crate::types::{ChannelId, CommitteeSpec};
     use teechain_blockchain::{Chain, TxId};
-    use teechain_crypto::schnorr::Keypair;
 
     fn kp(seed: u8) -> Keypair {
         Keypair::from_seed(&[seed; 32])
@@ -260,7 +245,7 @@ mod tests {
         let sighash = tx.sighash();
         tx.inputs[0]
             .witness
-            .push(teechain_crypto::schnorr::sign(&b.sk, &sighash));
+            .push(teechain_crypto::schnorr::sign(&b, &sighash));
         assert!(threshold_met(&tx, |op| book.deposit_of(op)));
     }
 }

@@ -40,7 +40,7 @@
 
 use crate::types::{ChannelId, SwapId};
 use teechain_blockchain::{OutPoint, ScriptPubKey, Transaction, TxIn, TxOut};
-use teechain_crypto::schnorr::{PrivateKey, PublicKey};
+use teechain_crypto::schnorr::{Keypair, PublicKey};
 use teechain_util::codec::{Decode, Encode, Reader, WireError};
 
 /// Where a swap stands. Phases only ever advance: `Init → Locked →`
@@ -184,7 +184,7 @@ pub fn claim_tx(
     value: u64,
     secret: &[u8; 32],
     dest: PublicKey,
-    key: &PrivateKey,
+    key: &Keypair,
 ) -> Transaction {
     let mut input = TxIn::spend(outpoint);
     input.preimage = secret.to_vec();
@@ -202,7 +202,7 @@ pub fn claim_tx(
 /// Builds the timelocked refund transaction returning the HTLC output to
 /// `dest`, signed by `key` (the refund key). Valid on-chain only once the
 /// HTLC has `timeout_blocks` confirmations.
-pub fn refund_tx(outpoint: OutPoint, value: u64, dest: PublicKey, key: &PrivateKey) -> Transaction {
+pub fn refund_tx(outpoint: OutPoint, value: u64, dest: PublicKey, key: &Keypair) -> Transaction {
     let mut tx = Transaction {
         inputs: vec![TxIn::spend(outpoint)],
         outputs: vec![TxOut {
@@ -217,7 +217,6 @@ pub fn refund_tx(outpoint: OutPoint, value: u64, dest: PublicKey, key: &PrivateK
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teechain_crypto::schnorr::Keypair;
     use teechain_crypto::sha256::sha256;
 
     #[test]
@@ -248,8 +247,8 @@ mod tests {
             vout: 0,
         };
         let secret = [9u8; 32];
-        let claim = claim_tx(op, 100, &secret, a.pk, &a.sk);
-        let refund = refund_tx(op, 100, b.pk, &b.sk);
+        let claim = claim_tx(op, 100, &secret, a.pk, &a);
+        let refund = refund_tx(op, 100, b.pk, &b);
         assert!(claim.conflicts_with(&refund));
         assert_eq!(claim.inputs[0].preimage, secret.to_vec());
         // Attaching the preimage does not change the signed digest.

@@ -199,7 +199,7 @@ fn bad_popt_rejected() {
             script: teechain_blockchain::ScriptPubKey::P2pk(alien_key.pk),
         }],
     };
-    alien.sign_input(0, &alien_key.sk);
+    alien.sign_input(0, &alien_key);
     let err = c
         .op_now(0, Command::EjectWithPopt { route, popt: alien })
         .unwrap_err();

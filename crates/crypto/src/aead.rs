@@ -5,7 +5,8 @@
 //! independent encryption and MAC keys derived from the session key via
 //! HKDF. The paper's implementation uses AES-GCM with AES-NI; the security
 //! contract consumed by Teechain (confidentiality + integrity under a shared
-//! session key) is identical. See DESIGN.md, *Substitutions*.
+//! session key) is identical. See `docs/ARCHITECTURE.md`, *Substitutions and
+//! deviations*.
 
 use crate::chacha20::ChaCha20;
 use crate::sha256::{ct_eq, hkdf, hmac_sha256};

@@ -9,23 +9,35 @@
 //! * [`sha256`](mod@sha256) — SHA-256, HMAC-SHA256 and HKDF.
 //! * [`chacha20`] — the ChaCha20 stream cipher (RFC 8439).
 //! * [`aead`] — authenticated encryption (ChaCha20 + HMAC, encrypt-then-MAC;
-//!   substituted for the paper's AES-GCM, see DESIGN.md).
-//! * [`u256`], [`modarith`] — 256-bit integers and modular arithmetic.
-//! * [`point`] — secp256k1 group operations.
+//!   substituted for the paper's AES-GCM, see `docs/ARCHITECTURE.md`,
+//!   *Substitutions and deviations*).
+//! * [`u256`] — 256-bit integers with 512-bit products.
+//! * [`field`] — the base field `F_p`, specialised for
+//!   `p = 2^256 − 0x1000003D1`: one-limb fold, dedicated squaring,
+//!   addition-chain inversion.
+//! * [`modarith`] — generic `2^256 − t` modular arithmetic, used for scalars
+//!   modulo the group order (and as the tests' reference for [`field`]).
+//! * [`point`] — secp256k1 group operations: mixed addition, an affine
+//!   fixed-base table, wNAF and double-scalar multiplication.
 //! * [`schnorr`] — Schnorr signatures over secp256k1 (the signature scheme
 //!   used for enclave identities, attestation quotes and blockchain
-//!   transactions).
+//!   transactions): one fixed-base multiplication and one inversion to sign,
+//!   one double multiplication and no inversion to verify.
 //! * [`ecdh`] — authenticated Diffie-Hellman key agreement for the secure
 //!   network channels of Alg. 1.
 //!
-//! None of this code attempts constant-time execution; the Teechain protocol
+//! None of this code attempts constant-time execution — windows, wNAF
+//! digits and table look-ups all depend on secrets. The Teechain protocol
 //! logic needs the algebra, and side-channel resistance of the substrate is
 //! out of scope for a simulator (the paper's committee chains exist exactly
 //! because TEE compromises — e.g. via side channels — are assumed possible).
+//! `docs/ARCHITECTURE.md`, *The secp256k1 kernel*, has the design; the crate
+//! contains no `unsafe` and no CPU intrinsics.
 
 pub mod aead;
 pub mod chacha20;
 pub mod ecdh;
+pub mod field;
 pub mod modarith;
 pub mod point;
 pub mod schnorr;

@@ -1,8 +1,11 @@
-//! Modular arithmetic over 256-bit near-power-of-two prime moduli.
+//! Generic modular arithmetic over 256-bit moduli of the form `2^256 - t`.
 //!
-//! Both secp256k1 moduli (the field prime `p` and the group order `n`) have
-//! the form `2^256 - t` with small `t`, so a 512-bit product is reduced by
-//! repeatedly folding the high half: `hi·2^256 + lo ≡ hi·t + lo (mod m)`.
+//! A 512-bit product is reduced by repeatedly folding the high half:
+//! `hi·2^256 + lo ≡ hi·t + lo (mod m)`. The curve code uses this only for
+//! scalars modulo the group order `n` (one multiplication and one addition
+//! per signature); the base field has its own specialised type,
+//! [`Fe`](crate::field::Fe), and the tests instantiate this module for `p`
+//! as the reference that type is checked against.
 
 use crate::u256::{add_into_512, U256};
 use std::sync::OnceLock;
@@ -88,13 +91,9 @@ impl ModArith {
         self.reduce512(a.mul_wide(b))
     }
 
-    /// `a^2 mod m`.
-    pub fn square(&self, a: &U256) -> U256 {
-        self.mul(a, a)
-    }
-
-    /// `base^exp mod m` by square-and-multiply.
-    pub fn pow(&self, base: &U256, exp: &U256) -> U256 {
+    /// `base^exp mod m` by square-and-multiply (reference for the tests).
+    #[cfg(test)]
+    pub(crate) fn pow(&self, base: &U256, exp: &U256) -> U256 {
         let mut result = U256::ONE;
         let Some(top) = exp.highest_bit() else {
             return result;
@@ -105,18 +104,16 @@ impl ModArith {
                 result = self.mul(&result, &acc);
             }
             if i != top {
-                acc = self.square(&acc);
+                acc = self.mul(&acc, &acc);
             }
         }
         result
     }
 
-    /// Modular inverse via Fermat's little theorem (the modulus is prime).
-    ///
-    /// # Panics
-    ///
-    /// Panics when inverting zero.
-    pub fn inv(&self, a: &U256) -> U256 {
+    /// Modular inverse via Fermat's little theorem, for a prime modulus
+    /// (reference for the tests).
+    #[cfg(test)]
+    pub(crate) fn inv(&self, a: &U256) -> U256 {
         assert!(!a.is_zero(), "inverse of zero");
         let exp = self.m.overflowing_sub(&U256::from_u64(2)).0;
         self.pow(a, &exp)
@@ -127,16 +124,6 @@ impl ModArith {
     pub fn from_bytes(&self, bytes: &[u8; 32]) -> U256 {
         self.reduce(U256::from_be_bytes(bytes))
     }
-}
-
-/// The secp256k1 base field prime `p = 2^256 - 2^32 - 977`.
-pub fn fp() -> &'static ModArith {
-    static FP: OnceLock<ModArith> = OnceLock::new();
-    FP.get_or_init(|| {
-        ModArith::new(U256::from_hex(
-            "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f",
-        ))
-    })
 }
 
 /// The secp256k1 group order `n`.
@@ -153,6 +140,12 @@ pub fn fn_order() -> &'static ModArith {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The generic arithmetic instantiated for the field prime.
+    fn fp() -> &'static ModArith {
+        static FP: OnceLock<ModArith> = OnceLock::new();
+        FP.get_or_init(|| ModArith::new(crate::field::P))
+    }
 
     #[test]
     fn constants_sane() {
@@ -187,7 +180,7 @@ mod tests {
         // (p-1)^2 ≡ 1 (mod p).
         let f = fp();
         let pm1 = f.neg(&U256::ONE);
-        assert_eq!(f.square(&pm1), U256::ONE);
+        assert_eq!(f.mul(&pm1, &pm1), U256::ONE);
     }
 
     #[test]

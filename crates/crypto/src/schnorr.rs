@@ -4,6 +4,12 @@
 //! nonces, challenge `e = H(R || P || m)`, response `s = k + e·x`) but keeps
 //! full 64-byte points instead of x-only keys — the simplification does not
 //! change any property Teechain relies on.
+//!
+//! Signing takes a [`Keypair`], never a bare private key: the nonce and the
+//! challenge both hash the public key, and deriving it costs as much as the
+//! signature itself. One signature is one fixed-base multiplication plus the
+//! one inversion that normalises `R`; one verification is one double-scalar
+//! multiplication compared against `R` projectively, with no inversion.
 
 use crate::modarith::fn_order;
 use crate::point::{base_double_mul, base_mul, Affine};
@@ -19,7 +25,9 @@ pub struct PrivateKey(pub(crate) U256);
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PublicKey(pub Affine);
 
-/// A key pair.
+/// A key pair: the signing handle. Build one with [`Keypair::from_seed`],
+/// or from a stored private key with `Keypair::from(sk)` (which derives the
+/// public half, once).
 #[derive(Clone, Copy)]
 pub struct Keypair {
     /// The private half.
@@ -93,16 +101,21 @@ impl PrivateKey {
 impl Keypair {
     /// Generates a key pair from seed bytes (see [`PrivateKey::from_seed`]).
     pub fn from_seed(seed: &[u8; 32]) -> Self {
-        let sk = PrivateKey::from_seed(seed);
-        Keypair {
-            sk,
-            pk: sk.public_key(),
-        }
+        PrivateKey::from_seed(seed).into()
     }
 
     /// Signs a message.
     pub fn sign(&self, msg: &[u8]) -> Signature {
-        sign(&self.sk, msg)
+        sign(self, msg)
+    }
+}
+
+impl From<PrivateKey> for Keypair {
+    fn from(sk: PrivateKey) -> Self {
+        Keypair {
+            sk,
+            pk: sk.public_key(),
+        }
     }
 }
 
@@ -129,9 +142,9 @@ fn challenge(r: &Affine, pk: &PublicKey, msg: &[u8]) -> U256 {
 }
 
 /// Signs `msg` with a deterministic (RFC 6979-style) nonce.
-pub fn sign(sk: &PrivateKey, msg: &[u8]) -> Signature {
+pub fn sign(key: &Keypair, msg: &[u8]) -> Signature {
     let f = fn_order();
-    let pk = sk.public_key();
+    let Keypair { sk, pk } = key;
     let mut nonce_seed = tagged_hash("teechain/nonce", &[&sk.to_bytes(), &pk.to_bytes(), msg]);
     loop {
         let k = f.from_bytes(&nonce_seed);
@@ -139,7 +152,7 @@ pub fn sign(sk: &PrivateKey, msg: &[u8]) -> Signature {
             let r = base_mul(&k)
                 .to_affine()
                 .expect("nonzero nonce times G is never infinity");
-            let e = challenge(&r, &pk, msg);
+            let e = challenge(&r, pk, msg);
             let s = f.add(&k, &f.mul(&e, &sk.0));
             return Signature { r, s };
         }
@@ -147,22 +160,15 @@ pub fn sign(sk: &PrivateKey, msg: &[u8]) -> Signature {
     }
 }
 
-/// Verifies a signature: checks `s·G == R + e·P`.
+/// Verifies a signature: checks `s·G − e·P == R`, which is `s·G == R + e·P`
+/// with `s·G` required to be a point (so `s = 0` never verifies).
 pub fn verify(pk: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
     let f = fn_order();
-    if sig.s >= f.m || !sig.r.is_on_curve() || !pk.0.is_on_curve() {
+    if sig.s.is_zero() || sig.s >= f.m || !sig.r.is_on_curve() || !pk.0.is_on_curve() {
         return false;
     }
     let e = challenge(&sig.r, pk, msg);
-    let lhs = base_mul(&sig.s);
-    let rhs = sig
-        .r
-        .to_jacobian()
-        .add(&base_double_mul(&U256::ZERO, &e, &pk.0));
-    match (lhs.to_affine(), rhs.to_affine()) {
-        (Some(a), Some(b)) => a == b,
-        _ => false,
-    }
+    base_double_mul(&sig.s, &f.neg(&e), &pk.0).eq_affine(&sig.r)
 }
 
 impl Signature {
@@ -174,11 +180,14 @@ impl Signature {
         out
     }
 
-    /// Parses 96 bytes; the `R` component must be a curve point.
+    /// Parses 96 bytes. Only the canonical encoding is accepted: `R` must
+    /// be a curve point with reduced coordinates and `s` must be below the
+    /// group order, so a blob [`verify`] would reject on range grounds never
+    /// becomes a `Signature`.
     pub fn from_bytes(bytes: &[u8; 96]) -> Option<Self> {
-        let r = Affine::from_bytes(&bytes[..64].try_into().unwrap())?;
-        let s = U256::from_be_bytes(&bytes[64..].try_into().unwrap());
-        Some(Signature { r, s })
+        let r = Affine::from_bytes(bytes[..64].try_into().unwrap())?;
+        let s = U256::from_be_bytes(bytes[64..].try_into().unwrap());
+        (s < fn_order().m).then_some(Signature { r, s })
     }
 }
 
@@ -245,6 +254,91 @@ mod tests {
         assert_eq!(sk2.public_key(), k.pk);
         assert_eq!(PrivateKey::from_bytes(&[0u8; 32]), None);
         assert_eq!(PrivateKey::from_bytes(&[0xff; 32]), None);
+    }
+
+    #[test]
+    fn keypair_from_private_key_derives_the_same_public_half() {
+        let k = kp(10);
+        let rebuilt = Keypair::from(k.sk);
+        assert_eq!(rebuilt.pk, k.pk);
+        assert_eq!(sign(&rebuilt, b"m"), k.sign(b"m"));
+    }
+
+    #[test]
+    fn non_canonical_signatures_do_not_parse() {
+        let k = kp(11);
+        let good = k.sign(b"canonical").to_bytes();
+        assert!(Signature::from_bytes(&good).is_some());
+        let n = fn_order().m;
+        let max = U256 {
+            limbs: [u64::MAX; 4],
+        };
+        for s in [n, n.overflowing_add(&U256::ONE).0, max] {
+            let mut bytes = good;
+            bytes[64..].copy_from_slice(&s.to_be_bytes());
+            assert_eq!(Signature::from_bytes(&bytes), None, "s = {s}");
+        }
+        // s = n − 1 is in range (it parses; it just does not verify).
+        let mut bytes = good;
+        bytes[64..].copy_from_slice(&n.overflowing_sub(&U256::ONE).0.to_be_bytes());
+        let parsed = Signature::from_bytes(&bytes).expect("s = n - 1 is canonical");
+        assert!(!verify(&k.pk, b"canonical", &parsed));
+        // R with x >= p.
+        for x in [crate::field::P, max] {
+            let mut bytes = good;
+            bytes[..32].copy_from_slice(&x.to_be_bytes());
+            assert_eq!(Signature::from_bytes(&bytes), None, "R.x = {x}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_s_rejected_by_verify_too() {
+        // `Signature` has public fields, so `verify` cannot rely on the parser.
+        let k = kp(12);
+        let mut sig = k.sign(b"msg");
+        sig.s = sig.s.overflowing_add(&fn_order().m).0;
+        assert!(!verify(&k.pk, b"msg", &sig));
+        sig.s = fn_order().m;
+        assert!(!verify(&k.pk, b"msg", &sig));
+        sig.s = U256::ZERO;
+        assert!(!verify(&k.pk, b"msg", &sig));
+    }
+
+    #[test]
+    fn negated_nonce_point_rejected() {
+        let k = kp(13);
+        let mut sig = k.sign(b"msg");
+        sig.r = sig.r.neg();
+        assert!(!verify(&k.pk, b"msg", &sig));
+    }
+
+    #[test]
+    fn combination_at_infinity_rejected() {
+        // Pick any R, then s = e·x so that s·G − e·P is the identity.
+        let k = kp(14);
+        let f = fn_order();
+        let r = kp(15).pk.0;
+        let e = challenge(&r, &k.pk, b"msg");
+        let sig = Signature {
+            r,
+            s: f.mul(&e, &k.sk.0),
+        };
+        assert!(base_double_mul(&sig.s, &f.neg(&e), &k.pk.0).is_infinity());
+        assert!(!verify(&k.pk, b"msg", &sig));
+    }
+
+    #[test]
+    fn off_curve_points_rejected() {
+        let k = kp(16);
+        let sig = k.sign(b"msg");
+        let mut bad_r = sig;
+        bad_r.r.y = bad_r.r.y + crate::field::Fe::ONE;
+        assert!(!bad_r.r.is_on_curve());
+        assert!(!verify(&k.pk, b"msg", &bad_r));
+        let mut bad_pk = k.pk;
+        bad_pk.0.x = bad_pk.0.x + crate::field::Fe::ONE;
+        assert!(!bad_pk.0.is_on_curve());
+        assert!(!verify(&bad_pk, b"msg", &sig));
     }
 
     #[test]

@@ -80,6 +80,18 @@ impl U256 {
         ((self.limbs[i / 16] >> ((i % 16) * 4)) & 0xf) as u8
     }
 
+    /// Returns the `width`-bit window starting at bit `at` (`width < 64`,
+    /// `at + width <= 256`); it may straddle two limbs.
+    pub fn bits(&self, at: usize, width: usize) -> u64 {
+        debug_assert!(width < 64 && at + width <= 256);
+        let (limb, shift) = (at / 64, at % 64);
+        let mut v = self.limbs[limb] >> shift;
+        if shift + width > 64 {
+            v |= self.limbs[limb + 1] << (64 - shift);
+        }
+        v & ((1 << width) - 1)
+    }
+
     /// Index of the highest set bit, or `None` for zero.
     pub fn highest_bit(&self) -> Option<usize> {
         for i in (0..4).rev() {
@@ -123,21 +135,56 @@ impl U256 {
 
     /// Full 256×256 → 512-bit schoolbook multiplication.
     /// Returns little-endian `u64` limbs.
+    #[inline]
     pub fn mul_wide(&self, rhs: &U256) -> [u64; 8] {
         let mut out = [0u64; 8];
         for i in 0..4 {
-            let mut carry: u64 = 0;
+            let mut carry = 0;
             for j in 0..4 {
-                let wide = (self.limbs[i] as u128) * (rhs.limbs[j] as u128)
-                    + out[i + j] as u128
-                    + carry as u128;
-                out[i + j] = wide as u64;
-                carry = (wide >> 64) as u64;
+                (out[i + j], carry) = mac(out[i + j], self.limbs[i], rhs.limbs[j], carry);
             }
             out[i + 4] = carry;
         }
         out
     }
+
+    /// `self²` as 512 bits: the six off-diagonal limb products are computed
+    /// once and doubled, then the four squares are added (10 limb products
+    /// against [`mul_wide`](Self::mul_wide)'s 16).
+    #[inline]
+    pub fn square_wide(&self) -> [u64; 8] {
+        let a = &self.limbs;
+        let mut out = [0u64; 8];
+        let mut carry;
+        (out[1], carry) = mac(0, a[0], a[1], 0);
+        (out[2], carry) = mac(0, a[0], a[2], carry);
+        (out[3], carry) = mac(0, a[0], a[3], carry);
+        out[4] = carry;
+        (out[3], carry) = mac(out[3], a[1], a[2], 0);
+        (out[4], carry) = mac(out[4], a[1], a[3], carry);
+        out[5] = carry;
+        (out[5], carry) = mac(out[5], a[2], a[3], 0);
+        out[6] = carry;
+        // Double: the off-diagonal sum is below 2^447, so nothing is lost.
+        for i in (1..8).rev() {
+            out[i] = (out[i] << 1) | (out[i - 1] >> 63);
+        }
+        let mut carry = 0;
+        for i in 0..4 {
+            (out[2 * i], carry) = mac(out[2 * i], a[i], a[i], carry);
+            let (sum, overflow) = out[2 * i + 1].overflowing_add(carry);
+            (out[2 * i + 1], carry) = (sum, u64::from(overflow));
+        }
+        out
+    }
+}
+
+/// Multiply-accumulate on limbs: `acc + a·b + carry` as `(low, high)`. The
+/// sum cannot exceed `2^128 − 1`, so nothing is lost.
+#[inline(always)]
+pub(crate) fn mac(acc: u64, a: u64, b: u64, carry: u64) -> (u64, u64) {
+    let wide = acc as u128 + (a as u128) * (b as u128) + carry as u128;
+    (wide as u64, (wide >> 64) as u64)
 }
 
 impl PartialOrd for U256 {
@@ -250,6 +297,21 @@ mod tests {
         assert_eq!(v.nibble(2), 0);
         assert_eq!(v.highest_bit(), Some(7));
         assert_eq!(U256::ZERO.highest_bit(), None);
+    }
+
+    #[test]
+    fn bit_windows_straddle_limbs() {
+        let v = U256::from_hex("0123456789abcdef0011223344556677deadbeefcafebabe8899aabbccddeeff");
+        assert_eq!(v.bits(0, 8), 0xff);
+        assert_eq!(v.bits(4, 5), 0x0f);
+        // Bits 62..67: top two of limb 0 (0b10) under the low three of limb 1 (0b110).
+        assert_eq!(v.bits(62, 5), 0b11010);
+        assert_eq!(v.bits(251, 5), 0);
+        assert_eq!(v.bits(248, 8), 0x01);
+        for at in 0..252 {
+            let expect = (0..5).fold(0, |acc, b| acc | (u64::from(v.bit(at + b)) << b));
+            assert_eq!(v.bits(at, 5), expect, "window at {at}");
+        }
     }
 
     proptest! {

@@ -42,7 +42,9 @@ impl Encode for Signature {
 impl Decode for Signature {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let bytes = r.read::<[u8; 96]>()?;
-        Signature::from_bytes(&bytes).ok_or(WireError::InvalidValue("signature R not on curve"))
+        Signature::from_bytes(&bytes).ok_or(WireError::InvalidValue(
+            "signature not canonical (R off curve or s out of range)",
+        ))
     }
 }
 
@@ -86,5 +88,14 @@ mod tests {
         let sig = k.sign(b"wire");
         let decoded = Signature::decode_exact(&sig.encode_to_vec()).unwrap();
         assert_eq!(decoded, sig);
+    }
+
+    #[test]
+    fn non_canonical_signature_is_a_codec_error() {
+        use crate::schnorr::Signature;
+        let k = Keypair::from_seed(&[2; 32]);
+        let mut bytes = k.sign(b"wire").to_bytes();
+        bytes[64..].copy_from_slice(&[0xff; 32]); // s = 2^256 − 1 ≥ n
+        assert!(Signature::decode_exact(&bytes.encode_to_vec()).is_err());
     }
 }
