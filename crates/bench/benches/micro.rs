@@ -1,10 +1,14 @@
 //! Criterion micro-benchmarks of the substrates: crypto primitives,
 //! transaction validation and a real end-to-end enclave payment.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
+use teechain::msg::{ProtocolMsg, WireMsg};
+use teechain::session::Session;
 use teechain::testkit::Cluster;
+use teechain::types::ChannelId;
 use teechain_crypto::aead::Aead;
+use teechain_crypto::chacha20::ChaCha20;
 use teechain_crypto::point::{base_double_mul, base_mul};
 use teechain_crypto::schnorr::{self, Keypair};
 use teechain_crypto::sha256::sha256;
@@ -23,6 +27,68 @@ fn crypto(c: &mut Criterion) {
     let aead = Aead::new(&[7; 32]);
     g.bench_function("aead_seal_256B", |b| {
         b.iter(|| aead.seal(1, b"", black_box(&data)))
+    });
+    g.finish();
+}
+
+/// The per-message symmetric path, one row per layer: the ChaCha20 block
+/// under the AEAD, the AEAD at the benchmark's probe size, and the session
+/// on a payment (codec + AEAD + envelope). A payment is two sealed messages:
+/// two `session_seal_pay` and two `session_open_pay`.
+fn symmetric(c: &mut Criterion) {
+    let mut g = c.benchmark_group("symmetric");
+    let cipher = ChaCha20::new(&[7; 32], &[9; 12]);
+    g.bench_function("chacha20_block", |b| b.iter(|| cipher.block(black_box(1))));
+    let aead = Aead::new(&[7; 32]);
+    let plain = [0x11u8; 128];
+    let mut nonce = 0u64;
+    g.bench_function("aead_seal_128B", |b| {
+        b.iter(|| {
+            nonce += 1;
+            aead.seal(nonce, b"aad", black_box(&plain))
+        })
+    });
+    let sealed = aead.seal(0, b"aad", &plain);
+    g.bench_function("aead_open_128B", |b| {
+        b.iter(|| aead.open(0, b"aad", black_box(&sealed)).unwrap())
+    });
+    // Poly1305 is private to the crypto crate. Sealing 1 KiB of associated
+    // data and no payload is 65 Poly1305 blocks plus the one ChaCha20 block
+    // that derives their key: subtract `chacha20_block`.
+    let aad = [0x22u8; 1024];
+    g.bench_function("poly1305_1KiB", |b| {
+        b.iter(|| {
+            nonce += 1;
+            aead.seal(nonce, black_box(&aad), b"")
+        })
+    });
+
+    let a = Keypair::from_seed(&[3; 32]).pk;
+    let peer = Keypair::from_seed(&[4; 32]).pk;
+    let pay = ProtocolMsg::Pay {
+        id: ChannelId::from_label("bench"),
+        amount: 5,
+        count: 1,
+    };
+    let mut tx = Session::derive(&[9; 32], &a, &peer);
+    g.bench_function("session_seal_pay", |b| {
+        b.iter(|| tx.seal(&a, black_box(&pay)))
+    });
+    // Sequence numbers are strict: every envelope opens once, in order, so
+    // a fresh pair seals them outside the timed region.
+    let mut tx = Session::derive(&[9; 32], &a, &peer);
+    let mut rx = Session::derive(&[9; 32], &peer, &a);
+    g.bench_function("session_open_pay", |b| {
+        b.iter_batched(
+            || tx.seal(&a, &pay),
+            |wire| {
+                let WireMsg::Sealed { seq, ct, .. } = wire else {
+                    unreachable!("seal produces sealed envelopes");
+                };
+                rx.open(seq, &ct).unwrap()
+            },
+            BatchSize::SmallInput,
+        )
     });
     g.finish();
 }
@@ -88,6 +154,6 @@ fn enclave_payment(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = crypto, secp256k1, blockchain, enclave_payment
+    targets = crypto, symmetric, secp256k1, blockchain, enclave_payment
 );
 criterion_main!(benches);

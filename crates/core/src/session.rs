@@ -9,7 +9,11 @@
 //! instances — the state-forking defence of §4.1.
 //!
 //! After the handshake, all traffic is AEAD-sealed under per-direction keys
-//! with strictly increasing sequence numbers as nonces (freshness).
+//! with strictly increasing sequence numbers as nonces (freshness). The
+//! sequence number is the only nonce source of a session key: `seal`
+//! increments it every time, and the keys die with the enclave instance, so
+//! no `(key, nonce)` pair ever seals twice (`teechain_crypto::aead`, *Nonce
+//! uniqueness*).
 
 use crate::msg::{Handshake, ProtocolMsg, WireMsg};
 use crate::types::ProtocolError;
@@ -32,6 +36,10 @@ pub struct Session {
     /// True once the handshake completed.
     pub established: bool,
 }
+
+/// Initial capacity of a sealed message: an encoded `Pay` is 50 bytes and its
+/// tag 16.
+const SEALED_RESERVE: usize = 96;
 
 impl Session {
     /// Derives directional session keys from the DH secret. Both sides
@@ -69,7 +77,11 @@ impl Session {
     pub fn seal(&mut self, me: &PublicKey, msg: &ProtocolMsg) -> WireMsg {
         let seq = self.send_seq;
         self.send_seq += 1;
-        let ct = self.send.seal(seq, &me.to_bytes(), &msg.encode_to_vec());
+        // One buffer per message: a payment and its tag fit the reservation,
+        // longer messages grow it while they encode.
+        let mut ct = Vec::with_capacity(SEALED_RESERVE);
+        msg.encode(&mut ct);
+        self.send.seal_in_place(seq, &me.to_bytes(), &mut ct);
         WireMsg::Sealed {
             from: *me,
             seq,
@@ -84,9 +96,9 @@ impl Session {
         if seq != self.recv_seq {
             return Err(ProtocolError::BadMessage);
         }
-        let plain = self
-            .recv
-            .open(seq, &self.remote.to_bytes(), ct)
+        let mut plain = ct.to_vec();
+        self.recv
+            .open_in_place(seq, &self.remote.to_bytes(), &mut plain)
             .map_err(|_| ProtocolError::BadMessage)?;
         let msg = ProtocolMsg::decode_exact(&plain).map_err(|_| ProtocolError::BadMessage)?;
         self.recv_seq += 1;
@@ -159,6 +171,8 @@ pub fn expected_quote_binding(identity: &PublicKey, eph: &PublicKey) -> [u8; 64]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::ChannelId;
+    use proptest::prelude::*;
     use teechain_tee::{Measurement, TrustRoot};
 
     const M: (&str, u32) = ("teechain", 1);
@@ -279,5 +293,128 @@ mod tests {
         };
         ct[0] ^= 1;
         assert!(matches!(bob.open(seq, &ct), Err(ProtocolError::BadMessage)));
+    }
+
+    fn established_pair() -> (PublicKey, Session, Session) {
+        let (a_id, a_eph, b_id, b_eph, _) = pair();
+        let secret = session_secret(&a_eph.sk, &b_eph.pk);
+        (
+            a_id.pk,
+            Session::derive(&secret, &a_id.pk, &b_id.pk),
+            Session::derive(&secret, &b_id.pk, &a_id.pk),
+        )
+    }
+
+    fn pay(amount: u64) -> ProtocolMsg {
+        ProtocolMsg::Pay {
+            id: ChannelId::from_label("hostile"),
+            amount,
+            count: 1,
+        }
+    }
+
+    fn sealed(session: &mut Session, me: &PublicKey, msg: &ProtocolMsg) -> (u64, Vec<u8>) {
+        match session.seal(me, msg) {
+            WireMsg::Sealed { seq, ct, .. } => (seq, ct),
+            _ => panic!("expected sealed"),
+        }
+    }
+
+    #[test]
+    fn a_sealed_payment_fits_the_reservation() {
+        let (me, mut alice, _) = established_pair();
+        let (_, ct) = sealed(&mut alice, &me, &pay(u64::MAX));
+        assert!(
+            ct.len() <= SEALED_RESERVE,
+            "payment + tag is {} B",
+            ct.len()
+        );
+    }
+
+    #[test]
+    fn hostile_envelopes_are_rejected_and_do_not_advance_the_sequence() {
+        let (me, mut alice, mut bob) = established_pair();
+        let (seq, ct) = sealed(&mut alice, &me, &pay(5));
+        let rejected = |bob: &mut Session, seq: u64, ct: &[u8]| {
+            assert!(matches!(bob.open(seq, ct), Err(ProtocolError::BadMessage)));
+        };
+        // Every truncation, the empty envelope included.
+        for len in 0..ct.len() {
+            rejected(&mut bob, seq, &ct[..len]);
+        }
+        // Every single flipped bit of ciphertext and tag.
+        for bit in 0..ct.len() * 8 {
+            let mut bad = ct.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            rejected(&mut bob, seq, &bad);
+        }
+        // Extended.
+        let mut longer = ct.clone();
+        longer.push(0);
+        rejected(&mut bob, seq, &longer);
+        // The right bytes under any other sequence number.
+        for bit in 0..64 {
+            rejected(&mut bob, seq ^ (1 << bit), &ct);
+        }
+        // None of that moved `recv_seq`: the genuine envelope still opens,
+        // and only once.
+        assert!(matches!(
+            bob.open(seq, &ct),
+            Ok(ProtocolMsg::Pay { amount: 5, .. })
+        ));
+        rejected(&mut bob, seq, &ct);
+    }
+
+    #[test]
+    fn authentic_bytes_that_are_not_a_message_are_rejected() {
+        // A peer with the key but a broken encoder: the AEAD accepts, the
+        // decoder does not, and the sequence number stays put.
+        let (me, mut alice, mut bob) = established_pair();
+        let garbage = alice.send.seal(alice.send_seq, &me.to_bytes(), &[0xff; 10]);
+        alice.send_seq += 1;
+        assert!(matches!(
+            bob.open(0, &garbage),
+            Err(ProtocolError::BadMessage)
+        ));
+        // Bob still waits for sequence number 0, so Alice's next one is early.
+        let (seq, ct) = sealed(&mut alice, &me, &pay(1));
+        assert_eq!(seq, 1);
+        assert!(matches!(bob.open(seq, &ct), Err(ProtocolError::BadMessage)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn prop_arbitrary_bytes_never_open(
+            seq in 0u64..3,
+            junk in proptest::collection::vec(any::<u8>(), 0..200),
+        ) {
+            let (me, mut alice, mut bob) = established_pair();
+            prop_assert!(matches!(bob.open(seq, &junk), Err(ProtocolError::BadMessage)));
+            let (seq, ct) = sealed(&mut alice, &me, &pay(9));
+            prop_assert!(bob.open(seq, &ct).is_ok());
+        }
+
+        #[test]
+        fn prop_corrupted_envelope_never_opens(
+            amounts in proptest::collection::vec(any::<u64>(), 1..4),
+            at in any::<usize>(),
+            xor in any::<u8>(),
+        ) {
+            prop_assume!(xor != 0);
+            let (me, mut alice, mut bob) = established_pair();
+            // Corrupt the last of a few messages: earlier ones open in order.
+            let mut envelopes: Vec<_> =
+                amounts.iter().map(|a| sealed(&mut alice, &me, &pay(*a))).collect();
+            let (last_seq, last) = envelopes.pop().unwrap();
+            for (seq, ct) in &envelopes {
+                prop_assert!(bob.open(*seq, ct).is_ok());
+            }
+            let mut bad = last.clone();
+            bad[at % last.len()] ^= xor;
+            prop_assert!(matches!(bob.open(last_seq, &bad), Err(ProtocolError::BadMessage)));
+            prop_assert!(bob.open(last_seq, &last).is_ok());
+        }
     }
 }

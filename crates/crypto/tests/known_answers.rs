@@ -1,6 +1,8 @@
 //! Known-answer tests: signature, public-key and ECDH bytes pinned before the
-//! kernel rewrite (see `known_answers.txt` for provenance and format).
+//! kernel rewrite, and the RFC 8439 ChaCha20 vectors pinned before the AEAD
+//! rewrite (see `known_answers.txt` for provenance and format).
 
+use teechain_crypto::chacha20::ChaCha20;
 use teechain_crypto::ecdh::shared_secret;
 use teechain_crypto::schnorr::{verify, Keypair, PublicKey, Signature};
 use teechain_util::hex;
@@ -46,4 +48,44 @@ fn ecdh_shared_secrets_are_unchanged() {
         seen += 1;
     }
     assert!(seen >= 2, "only {seen} ECDH vectors");
+}
+
+/// The fields of every row tagged `kind`.
+fn rows(kind: &str) -> impl Iterator<Item = Vec<&'static str>> + '_ {
+    VECTORS
+        .lines()
+        .map(|l| l.split(' ').collect::<Vec<_>>())
+        .filter(move |f| f[0] == kind)
+}
+
+#[test]
+fn chacha20_block_matches_rfc8439() {
+    let mut seen = 0;
+    for f in rows("chacha20-block") {
+        let cipher = ChaCha20::new(
+            &hex::decode_array(f[1]).expect("key"),
+            &hex::decode_array(f[2]).expect("nonce"),
+        );
+        let counter: u32 = f[3].parse().expect("counter");
+        assert_eq!(hex::encode(&cipher.block(counter)), f[4]);
+        seen += 1;
+    }
+    assert!(seen >= 1, "no ChaCha20 block vector");
+}
+
+#[test]
+fn chacha20_encryption_matches_rfc8439() {
+    let mut seen = 0;
+    for f in rows("chacha20-encrypt") {
+        let cipher = ChaCha20::new(
+            &hex::decode_array(f[1]).expect("key"),
+            &hex::decode_array(f[2]).expect("nonce"),
+        );
+        let counter: u32 = f[3].parse().expect("counter");
+        let mut data = hex::decode(f[4]).expect("plaintext");
+        cipher.apply_keystream(counter, &mut data);
+        assert_eq!(hex::encode(&data), f[5]);
+        seen += 1;
+    }
+    assert!(seen >= 1, "no ChaCha20 encryption vector");
 }
