@@ -20,14 +20,16 @@
 //! tracked across PRs.
 //!
 //! `cargo bench` additionally runs Criterion micro-benchmarks of the
-//! substrates, the ablations listed in `docs/ARCHITECTURE.md`, and the raw
+//! substrates (with heap traffic per row, through [`alloc_count`]), the ablations listed in `docs/ARCHITECTURE.md`, and the raw
 //! engine-overhead bench (`--bench engine`, which feeds
 //! `BENCH_engine_micro.json`).
 
+pub mod alloc_count;
 pub mod harness;
 pub mod report;
 pub mod scenarios;
 pub mod trace_out;
+pub mod turns;
 pub mod workload;
 
 pub use harness::{BenchCluster, BenchConfig, RunStats};

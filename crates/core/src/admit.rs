@@ -32,10 +32,11 @@
 //!   surfacing `ChannelLocked`. Re-dispatched on unlock; expired
 //!   entries are refused backward (`PayNack`/`MhAbort`) so the far
 //!   side's op completes with a typed error instead of retrying blind.
-//! * `inflight` — ack bookkeeping: one group per outbound wire `Pay`,
-//!   listing the `(amount, count)` of every local op merged into it, so a
-//!   single `PayAck`/`PayNack` fans back out to one event per op in
-//!   submission order (the `OpTracker` matches per-channel FIFO).
+//! * `inflight` — ack bookkeeping: one entry per local op behind an
+//!   outbound wire `Pay`, the ops merged into one message forming a run
+//!   that ends at the first entry not marked `more`, so a single
+//!   `PayAck`/`PayNack` fans back out to one event per op in submission
+//!   order (the `OpTracker` matches per-channel FIFO).
 //!
 //! All of this state is volatile by design: it never enters the sealed
 //! state image or the WAL. After a crash, queued-but-uncommitted ops are
@@ -166,13 +167,23 @@ impl AdmitStats {
     }
 }
 
-/// One ack fan-out group: the local ops merged into a single outbound
-/// wire `Pay`, in submission order. Each entry is
-/// `(submitted_channel, amount, count)` — the channel the caller named,
-/// which lock-aware selection may have swapped for an unlocked sibling
-/// on the wire. The ack event carries the submitted id so the op
-/// layer's correlation key still matches.
-pub type AckGroup = Vec<(ChannelId, u64, u32)>;
+/// One local op waiting for the ack of the outbound wire `Pay` it went
+/// into. The ops merged into one wire message sit next to each other in
+/// submission order, every one but the last marked `more` — a queue of
+/// these needs no allocation per payment where a queue of groups did.
+#[derive(Debug, Clone, Copy)]
+pub struct AckEntry {
+    /// The channel the caller named, which lock-aware selection may have
+    /// swapped for an unlocked sibling on the wire. The ack event carries
+    /// this id so the op layer's correlation key still matches.
+    pub id: ChannelId,
+    /// The op's amount.
+    pub amount: u64,
+    /// The op's batched count.
+    pub count: u32,
+    /// True if the next entry belongs to the same wire message.
+    pub more: bool,
+}
 
 /// Per-enclave admission state. Volatile: never sealed, never replayed.
 ///
@@ -188,14 +199,35 @@ pub struct AdmitState {
     pub queues: BTreeMap<ChannelId, VecDeque<QueueEntry>>,
     /// Deferred inbound messages per channel, FIFO.
     pub deferred: BTreeMap<ChannelId, VecDeque<DeferredMsg>>,
-    /// Ack fan-out groups per *wire* channel: front group matches the
-    /// oldest outstanding outbound wire `Pay`.
-    pub inflight: BTreeMap<ChannelId, VecDeque<AckGroup>>,
+    /// Ack fan-out per *wire* channel: the front run of entries matches
+    /// the oldest outstanding outbound wire `Pay`.
+    pub inflight: BTreeMap<ChannelId, VecDeque<AckEntry>>,
     /// Counters for benches and tests.
     pub stats: AdmitStats,
 }
 
 impl AdmitState {
+    /// Takes the ops behind the oldest outstanding wire `Pay` on `wire`
+    /// off the queue and turns each into an event. Empty if nothing is
+    /// recorded (a send from before a crash).
+    pub(crate) fn take_acked<T>(
+        &mut self,
+        wire: &ChannelId,
+        event: impl Fn(AckEntry) -> T,
+    ) -> Vec<T> {
+        let Some(q) = self.inflight.get_mut(wire) else {
+            return Vec::new();
+        };
+        let run = q
+            .iter()
+            .position(|entry| !entry.more)
+            .map_or(q.len(), |last| last + 1);
+        // Sized by hand: `collect` rounds a short run up to four.
+        let mut out = Vec::with_capacity(run);
+        out.extend(q.drain(..run).map(event));
+        out
+    }
+
     /// Earliest future wake time across all queued and deferred entries,
     /// if any — the time the host should pump admission next. A queued
     /// entry still inside its backoff wakes at `ready_ns`; everything

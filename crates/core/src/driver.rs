@@ -8,10 +8,9 @@
 //! the ≈34k tx/s single-replica row (≈11 µs per replication message);
 //! everything else in the evaluation *emerges* from the protocol.
 
-use crate::msg::CostClass;
-use crate::node::{NodeWire, TeechainNode};
+use crate::msg::{CostClass, WireView};
+use crate::node::{NodeWireView, TeechainNode};
 use teechain_net::{Ctx, NodeId, SimNode};
-use teechain_util::codec::Decode;
 
 /// Per-message-class CPU service times (nanoseconds).
 ///
@@ -100,34 +99,33 @@ impl SimHost {
         SimHost { node, costs }
     }
 
-    /// Charges the CPU cost for an incoming wire message.
-    fn charge(&self, ctx: &mut Ctx<'_>, bytes: &[u8]) {
-        let cost = match NodeWire::decode_exact(bytes) {
-            Ok(NodeWire::Enclave(wire)) => {
-                match crate::msg::WireMsg::decode_exact(&wire) {
-                    Ok(crate::msg::WireMsg::Sealed { class, .. }) => {
-                        self.costs.for_class(CostClass::from_byte(class))
-                    }
-                    // Handshake messages carry attestation verification.
-                    Ok(_) => self.costs.attestation_ns,
-                    Err(_) => 0,
+    /// The CPU cost of an incoming frame, read off its headers.
+    fn cost_of(&self, frame: &[u8], view: &NodeWireView) -> u64 {
+        match view {
+            NodeWireView::Enclave { at } => match WireView::parse(&frame[*at..]) {
+                Ok(WireView::Sealed { class, .. }) => {
+                    self.costs.for_class(CostClass::from_byte(class))
                 }
-            }
-            Ok(NodeWire::SigRequest { .. }) | Ok(NodeWire::SigResponse { .. }) => {
-                self.costs.signing_ns
-            }
-            Err(_) => 0,
-        };
-        if cost > 0 {
-            ctx.busy(cost);
+                // Handshake messages carry attestation verification.
+                Ok(_) => self.costs.attestation_ns,
+                Err(_) => 0,
+            },
+            NodeWireView::CoSign(_) => self.costs.signing_ns,
         }
     }
 }
 
 impl SimNode for SimHost {
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Vec<u8>) {
-        self.charge(ctx, &msg);
-        self.node.handle_wire(ctx, from, msg);
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Vec<u8>) {
+        // One parse serves the charge and the delivery.
+        let Ok(view) = NodeWireView::parse(&msg) else {
+            return; // Garbage from the network: free, and dropped.
+        };
+        let cost = self.cost_of(&msg, &view);
+        if cost > 0 {
+            ctx.busy(cost);
+        }
+        self.node.handle_frame(ctx, msg, view);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {

@@ -12,13 +12,13 @@
 //! replication and committees (Alg. 3, §6) in [`crate::replication`].
 
 use crate::admit::{
-    AdmitState, DeferredMsg, QueueEntry, QueuedOp, ADMIT_DEADLINE_NS, ADMIT_QUEUE_CAP,
+    AckEntry, AdmitState, DeferredMsg, QueueEntry, QueuedOp, ADMIT_DEADLINE_NS, ADMIT_QUEUE_CAP,
     DEFER_DEADLINE_NS,
 };
 use crate::channel::Channel;
 use crate::deposit::{keypair_in, DepositBook, DepositStatus};
 use crate::durability::DurabilityBackend;
-use crate::msg::{ProtocolMsg, StateDelta, WireMsg};
+use crate::msg::{ProtocolMsg, StateDelta, WireMsg, WireView};
 use crate::replication::{Replication, SigCollect};
 use crate::session::{self, Session};
 use crate::settle;
@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use teechain_crypto::schnorr::{Keypair, PrivateKey, PublicKey, Signature};
 use teechain_crypto::sha256::sha256;
 use teechain_tee::{EnclaveEnv, EnclaveProgram, Measurement};
-use teechain_util::codec::{Decode, Encode};
+use teechain_util::codec::Encode;
 
 /// Static enclave configuration, fixed at launch.
 #[derive(Clone)]
@@ -73,8 +73,13 @@ pub enum Command {
     },
     /// Delivers a raw network message.
     Deliver {
-        /// Encoded [`WireMsg`].
+        /// The buffer that arrived from the network. The enclave opens a
+        /// sealed message where it lies in it, so the host hands the buffer
+        /// over instead of cutting its own envelope off a copy.
         wire: Vec<u8>,
+        /// Offset in `wire` at which the encoded [`WireMsg`] starts; it
+        /// runs to the end of the buffer.
+        at: usize,
     },
     /// Generates a fresh blockchain address inside the TEE (Alg. 1
     /// `newAddr`); as an operation it completes with
@@ -564,11 +569,41 @@ const SWAP_CHECK_INTERVAL_NS: u64 = 200_000_000;
 /// while `confirmations + margin >= timeout_blocks` closes that window.
 const SWAP_REFUND_SAFETY_BLOCKS: u64 = 1;
 
+/// The established session with the peer whose encoded identity is `remote`.
+fn established<'a>(
+    sessions: &'a mut HashMap<[u8; 64], Session>,
+    remote: &[u8; 64],
+) -> Result<&'a mut Session, ProtocolError> {
+    match sessions.get_mut(remote) {
+        Some(s) if s.established => Ok(s),
+        _ => Err(ProtocolError::NoSession),
+    }
+}
+
+/// Seals `msg` for `remote` into a `Send` effect. Takes the two fields it
+/// needs rather than the enclave, so a handler can seal while it holds a
+/// channel it looked up.
+fn seal_for(
+    identity: Option<&Keypair>,
+    sessions: &mut HashMap<[u8; 64], Session>,
+    remote: &PublicKey,
+    msg: &ProtocolMsg,
+) -> Result<Effect, ProtocolError> {
+    let me = identity.ok_or(ProtocolError::NoSession)?.pk;
+    let wire = established(sessions, &remote.to_bytes())?.seal_frame(&me, msg);
+    Ok(Effect::Send { to: *remote, wire })
+}
+
 /// The Teechain enclave program state.
 pub struct TeechainEnclave {
     pub(crate) cfg: EnclaveConfig,
     pub(crate) identity: Option<Keypair>,
-    pub(crate) sessions: HashMap<PublicKey, Session>,
+    /// Sessions by the remote identity key *as encoded on the wire*: a
+    /// sealed envelope names its sender in 64 raw bytes, and the look-up
+    /// takes them as they are. Only identities that completed a handshake
+    /// (decoded, validated curve points) are ever inserted, so bytes that
+    /// are not a curve point find nothing.
+    pub(crate) sessions: HashMap<[u8; 64], Session>,
     /// Our ephemeral private keys for in-flight handshakes.
     pub(crate) pending_eph: HashMap<PublicKey, PrivateKey>,
     pub(crate) channels: HashMap<ChannelId, Channel>,
@@ -672,10 +707,7 @@ impl TeechainEnclave {
         &mut self,
         remote: &PublicKey,
     ) -> Result<&mut Session, ProtocolError> {
-        match self.sessions.get_mut(remote) {
-            Some(s) if s.established => Ok(s),
-            _ => Err(ProtocolError::NoSession),
-        }
+        established(&mut self.sessions, &remote.to_bytes())
     }
 
     /// Seals `msg` for `remote` into a `Send` effect.
@@ -684,13 +716,7 @@ impl TeechainEnclave {
         remote: &PublicKey,
         msg: &ProtocolMsg,
     ) -> Result<Effect, ProtocolError> {
-        let me = self.identity.as_ref().ok_or(ProtocolError::NoSession)?.pk;
-        let session = self.session_mut(remote)?;
-        let wire = session.seal(&me, msg);
-        Ok(Effect::Send {
-            to: *remote,
-            wire: wire.encode_to_vec(),
-        })
+        seal_for(self.identity.as_ref(), &mut self.sessions, remote, msg)
     }
 
     pub(crate) fn channel_mut(&mut self, id: &ChannelId) -> Result<&mut Channel, ProtocolError> {
@@ -1164,9 +1190,12 @@ impl TeechainEnclave {
     fn cmd_pay(&mut self, env: &mut EnclaveEnv, id: ChannelId, amount: u64, count: u32) -> Outcome {
         self.require_unfrozen()?;
         self.require_counter_ready(env)?;
-        let chan = self
+        // One look-up serves the checks, the seal and the debit; only a
+        // locked channel goes back to the map, for its sibling.
+        let mut wire = id;
+        let mut chan = self
             .channels
-            .get(&id)
+            .get_mut(&id)
             .ok_or(ProtocolError::UnknownChannel)?;
         if !chan.usable() {
             return Err(ProtocolError::ChannelNotOpen);
@@ -1176,11 +1205,15 @@ impl TeechainEnclave {
         // The op stays correlated to the channel it was *submitted* on —
         // the inflight group records that id, so the ack fans back out
         // under the caller's key.
-        let wire = if chan.locked() {
+        if chan.locked() {
             match self.sibling_unlocked(&id, amount) {
                 Some(sib) => {
                     self.admit.stats.rerouted += 1;
-                    sib
+                    wire = sib;
+                    chan = self
+                        .channels
+                        .get_mut(&sib)
+                        .ok_or(ProtocolError::UnknownChannel)?;
                 }
                 None => {
                     // Admission (vs the old `Err(ChannelLocked)` retry
@@ -1204,21 +1237,21 @@ impl TeechainEnclave {
                     return Ok(vec![Effect::Event(HostEvent::PumpAt(deadline_ns))]);
                 }
             }
-        } else {
-            id
-        };
-        let chan = &self.channels[&wire];
+        }
         if chan.my_bal < amount {
             return Err(ProtocolError::InsufficientBalance);
         }
-        let remote = chan.remote;
         let msg = ProtocolMsg::Pay {
             id: wire,
             amount,
             count,
         };
-        let eff = self.seal_to(&remote, &msg)?;
-        let chan = self.channels.get_mut(&wire).expect("checked");
+        let eff = seal_for(
+            self.identity.as_ref(),
+            &mut self.sessions,
+            &chan.remote,
+            &msg,
+        )?;
         chan.my_bal -= amount;
         chan.remote_bal += amount;
         self.stage_delta(StateDelta::Pay {
@@ -1233,7 +1266,12 @@ impl TeechainEnclave {
             .inflight
             .entry(wire)
             .or_default()
-            .push_back(vec![(id, amount, count)]);
+            .push_back(AckEntry {
+                id,
+                amount,
+                count,
+                more: false,
+            });
         Ok(vec![eff])
     }
 
@@ -1247,7 +1285,10 @@ impl TeechainEnclave {
     ) -> Outcome {
         self.require_unfrozen()?;
         self.require_counter_ready(env)?;
-        let chan = self.channel_mut(&id)?;
+        let chan = self
+            .channels
+            .get_mut(&id)
+            .ok_or(ProtocolError::UnknownChannel)?;
         if chan.remote != from || !chan.usable() {
             return Err(ProtocolError::BadMessage);
         }
@@ -1277,7 +1318,6 @@ impl TeechainEnclave {
             self.admit.stats.note_defer_depth(depth);
             return Ok(vec![Effect::Event(HostEvent::PumpAt(deadline_ns))]);
         }
-        let chan = self.channel_mut(&id)?;
         if chan.remote_bal < amount {
             return Err(ProtocolError::BadMessage); // Peer violated protocol.
         }
@@ -1305,23 +1345,17 @@ impl TeechainEnclave {
         // event per merged op, in queue order (the op layer matches
         // per-channel FIFO). A missing group (pre-crash send) degrades to
         // the single aggregate event.
-        match self.admit.inflight.get_mut(&id).and_then(|q| q.pop_front()) {
-            Some(group) => Ok(group
-                .into_iter()
-                .map(|(oid, amount, count)| {
-                    Effect::Event(HostEvent::PaymentAcked {
-                        id: oid,
-                        amount,
-                        count,
-                    })
-                })
-                .collect()),
-            None => Ok(vec![Effect::Event(HostEvent::PaymentAcked {
-                id,
-                amount,
-                count,
-            })]),
+        let mut acked = self.admit.take_acked(&id, |op| {
+            Effect::Event(HostEvent::PaymentAcked {
+                id: op.id,
+                amount: op.amount,
+                count: op.count,
+            })
+        });
+        if acked.is_empty() {
+            acked.push(Effect::Event(HostEvent::PaymentAcked { id, amount, count }));
         }
+        Ok(acked)
     }
 
     fn on_pay_nack(
@@ -1345,25 +1379,23 @@ impl TeechainEnclave {
             remote_delta: -(amount as i64),
         });
         let reason = ProtocolError::from_abort_code(reason);
-        match self.admit.inflight.get_mut(&id).and_then(|q| q.pop_front()) {
-            Some(group) => Ok(group
-                .into_iter()
-                .map(|(oid, amount, count)| {
-                    Effect::Event(HostEvent::PaymentNacked {
-                        id: oid,
-                        amount,
-                        count,
-                        reason: reason.clone(),
-                    })
-                })
-                .collect()),
-            None => Ok(vec![Effect::Event(HostEvent::PaymentNacked {
+        let mut nacked = self.admit.take_acked(&id, |op| {
+            Effect::Event(HostEvent::PaymentNacked {
+                id: op.id,
+                amount: op.amount,
+                count: op.count,
+                reason: reason.clone(),
+            })
+        });
+        if nacked.is_empty() {
+            nacked.push(Effect::Event(HostEvent::PaymentNacked {
                 id,
                 amount,
                 count,
                 reason,
-            })]),
+            }));
         }
+        Ok(nacked)
     }
 
     fn cmd_settle(&mut self, env: &mut EnclaveEnv, id: ChannelId) -> Outcome {
@@ -2196,7 +2228,7 @@ impl EnclaveProgram for TeechainEnclave {
                 Ok(vec![Effect::Event(HostEvent::Identity(kp.pk))])
             }
             Command::StartSession { remote } => self.cmd_start_session(env, remote),
-            Command::Deliver { wire } => self.cmd_deliver(env, wire),
+            Command::Deliver { wire, at } => self.cmd_deliver(env, wire, at),
             Command::NewAddress => {
                 let seed = env.random_bytes32();
                 let pk = self.book.insert_key(PrivateKey::from_seed(&seed));
@@ -2269,46 +2301,44 @@ impl EnclaveProgram for TeechainEnclave {
 }
 
 impl TeechainEnclave {
-    fn cmd_deliver(&mut self, env: &mut EnclaveEnv, wire: Vec<u8>) -> Outcome {
-        let msg = WireMsg::decode_exact(&wire).map_err(|_| ProtocolError::BadMessage)?;
-        match msg {
-            WireMsg::Hello(hs) => self.on_hello(env, hs),
-            WireMsg::HelloAck(hs) => self.on_hello_ack(env, hs),
-            WireMsg::Sealed { from, seq, ct, .. } => {
-                let session = self
-                    .sessions
-                    .get_mut(&from)
-                    .filter(|s| s.established)
-                    .ok_or(ProtocolError::NoSession)?;
-                let msg = session.open(seq, &ct)?;
-                // Persistent mode gates *before* dispatch: handlers
-                // mutate state and the commit in `finalize` must never
-                // fail after the fact. Stashed messages keep FIFO order
-                // behind anything already waiting.
-                if !self.pending_msgs.is_empty() {
-                    self.pending_msgs.push_back((from, msg));
-                    let id = self.ensure_counter(env);
-                    return Err(ProtocolError::CounterThrottled {
-                        ready_at: env.counter_ready_at(id),
-                    });
-                }
-                if let Err(e) = self.require_counter_ready(env) {
-                    self.pending_msgs.push_back((from, msg));
-                    return Err(e);
-                }
-                match self.dispatch_protocol(env, from, msg.clone()) {
-                    Err(ProtocolError::CounterThrottled { ready_at }) => {
-                        // Defensive: handlers re-check; stash the
-                        // decrypted message (its sequence number is
-                        // spent) and let the host re-dispatch it via
-                        // PumpAdmission.
-                        self.pending_msgs.push_back((from, msg));
-                        Err(ProtocolError::CounterThrottled { ready_at })
-                    }
-                    other => other,
-                }
-            }
+    fn cmd_deliver(&mut self, env: &mut EnclaveEnv, mut wire: Vec<u8>, at: usize) -> Outcome {
+        let bytes = wire.get_mut(at..).ok_or(ProtocolError::BadMessage)?;
+        let (from, seq, ct) = match WireView::parse(bytes).map_err(|_| ProtocolError::BadMessage)? {
+            WireView::Hello(hs) => return self.on_hello(env, *hs),
+            WireView::HelloAck(hs) => return self.on_hello_ack(env, *hs),
+            WireView::Sealed { from, seq, ct, .. } => (*from, seq, ct),
+        };
+        // `from` is only a hint for finding the session: the bytes are not
+        // checked to be a curve point because the map holds validated
+        // identities only, so anything else finds nothing. Who the message
+        // is from is what the session it authenticates under says.
+        let session = established(&mut self.sessions, &from)?;
+        let msg = session.open_in_place(seq, &mut bytes[ct])?;
+        let from = session.remote;
+        // Persistent mode gates *before* dispatch: handlers mutate state and
+        // the commit in `finalize` must never fail after the fact. Stashed
+        // messages keep FIFO order behind anything already waiting.
+        if !self.pending_msgs.is_empty() {
+            self.pending_msgs.push_back((from, msg));
+            let id = self.ensure_counter(env);
+            return Err(ProtocolError::CounterThrottled {
+                ready_at: env.counter_ready_at(id),
+            });
         }
+        if let Err(e) = self.require_counter_ready(env) {
+            self.pending_msgs.push_back((from, msg));
+            return Err(e);
+        }
+        // The message is handed over, not copied. A handler's own counter
+        // check reads what the gate just read — no commit happens in
+        // between — so it cannot throttle a message the gate let through
+        // (whose sequence number is spent, and which would be lost).
+        let result = self.dispatch_protocol(env, from, msg);
+        debug_assert!(
+            !matches!(result, Err(ProtocolError::CounterThrottled { .. })),
+            "a handler throttled behind an open gate"
+        );
+        result
     }
 
     // ---- Admission pump (queues, deferred messages, counter stash) ----
@@ -2685,11 +2715,22 @@ impl TeechainEnclave {
                     remote_delta: total as i64,
                 });
                 self.admit.stats.record_batch(batch.len() as u64);
+                let last = batch.len() - 1;
                 self.admit
                     .inflight
                     .entry(id)
                     .or_default()
-                    .push_back(batch.into_iter().map(|(a, c)| (id, a, c)).collect());
+                    .extend(
+                        batch
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &(amount, count))| AckEntry {
+                                id,
+                                amount,
+                                count,
+                                more: i < last,
+                            }),
+                    );
                 effects.push(eff);
             }
             Err(e) => {
@@ -2747,7 +2788,7 @@ impl TeechainEnclave {
     fn cmd_start_session(&mut self, env: &mut EnclaveEnv, remote: PublicKey) -> Outcome {
         self.require_unfrozen()?;
         let me = self.identity(env);
-        if let Some(s) = self.sessions.get(&remote) {
+        if let Some(s) = self.sessions.get(&remote.to_bytes()) {
             if s.established {
                 // Idempotent: the session already exists.
                 return Ok(vec![Effect::Event(HostEvent::SessionEstablished(remote))]);
@@ -2778,7 +2819,7 @@ impl TeechainEnclave {
         let secret = session::session_secret(&eph.sk, &hs.eph);
         let mut s = Session::derive(&secret, &me.pk, &hs.identity);
         s.established = true;
-        self.sessions.insert(hs.identity, s);
+        self.sessions.insert(hs.identity.to_bytes(), s);
         let quote = env.quote(session::expected_quote_binding(&me.pk, &eph.pk));
         let ack = session::make_handshake("teechain/hello-ack", &me, &eph, &hs.identity, quote);
         Ok(vec![
@@ -2806,7 +2847,7 @@ impl TeechainEnclave {
         let secret = session::session_secret(&my_eph, &hs.eph);
         let mut s = Session::derive(&secret, &me.pk, &hs.identity);
         s.established = true;
-        self.sessions.insert(hs.identity, s);
+        self.sessions.insert(hs.identity.to_bytes(), s);
         Ok(vec![Effect::Event(HostEvent::SessionEstablished(
             hs.identity,
         ))])
@@ -2920,27 +2961,28 @@ impl TeechainEnclave {
         Ok(())
     }
 
-    pub(crate) fn finalize(&mut self, env: &mut EnclaveEnv, effects: Vec<Effect>) -> Outcome {
-        let deltas = std::mem::take(&mut self.rep.staged);
-        if deltas.is_empty() {
+    pub(crate) fn finalize(&mut self, env: &mut EnclaveEnv, mut effects: Vec<Effect>) -> Outcome {
+        if self.rep.staged.is_empty() {
             return Ok(effects);
         }
-        let mut out = Vec::new();
+        let mut durable = None;
         if self.cfg.persist() {
             let id = self.ensure_counter(env);
             // Guaranteed ready: mutating handlers checked first.
-            let counter = env.increment_counter(id).map_err(|e| match e {
-                teechain_tee::CounterError::Throttled { ready_at } => {
-                    ProtocolError::CounterThrottled { ready_at }
+            let counter = match env.increment_counter(id) {
+                Ok(counter) => counter,
+                Err(teechain_tee::CounterError::Throttled { ready_at }) => {
+                    self.rep.staged.clear();
+                    return Err(ProtocolError::CounterThrottled { ready_at });
                 }
-            })?;
+            };
             self.commits = counter;
-            if counter % self.cfg.snapshot_every() == 0 {
+            durable = Some(if counter % self.cfg.snapshot_every() == 0 {
                 // Snapshot commit: the sealed full-state image carries
                 // this commit by itself (the host compacts the WAL), so
                 // no log record is needed — sealing the deltas too
                 // would only double the write.
-                out.push(Effect::Persist(env.seal(counter, &self.state_image())));
+                Effect::Persist(env.seal(counter, &self.state_image()))
             } else {
                 // One sealed WAL record carries the whole delta batch:
                 // a single counter increment and durability barrier per
@@ -2951,22 +2993,24 @@ impl TeechainEnclave {
                     .as_ref()
                     .map(|k| k.sk.to_bytes())
                     .encode(&mut record);
-                deltas.encode(&mut record);
-                out.push(Effect::AppendLog(env.seal(counter, &record)));
-            }
+                self.rep.staged.encode(&mut record);
+                Effect::AppendLog(env.seal(counter, &record))
+            });
         }
+        // The durable write goes first: the host performs effects in order.
         if let Some(backup) = self.rep.backup {
             // Force-freeze chain replication (Alg. 3 line 21): hold the
             // visible effects until the chain acknowledges the update.
             let seq = self.rep.send_seq;
             self.rep.send_seq += 1;
             self.rep.pending.insert(seq, effects);
-            let msg = ProtocolMsg::RepUpdate { seq, deltas };
-            out.push(self.seal_to(&backup, &msg)?);
-            Ok(out)
+            let deltas = std::mem::take(&mut self.rep.staged);
+            let send = self.seal_to(&backup, &ProtocolMsg::RepUpdate { seq, deltas })?;
+            Ok(durable.into_iter().chain([send]).collect())
         } else {
-            out.extend(effects);
-            Ok(out)
+            self.rep.staged.clear();
+            effects.splice(..0, durable);
+            Ok(effects)
         }
     }
 

@@ -156,6 +156,83 @@ impl Decode for WireMsg {
     }
 }
 
+/// Bytes of an encoded [`WireMsg::Sealed`] in front of its ciphertext: the
+/// tag, `from`, `seq`, `class` and the ciphertext's `u32` length.
+pub(crate) const SEALED_HEADER: usize = 1 + 64 + 8 + 1 + 4;
+
+/// Starts an encoded [`WireMsg::Sealed`] in the empty `out`: everything in
+/// front of the ciphertext, which the caller appends before it calls
+/// [`finish_sealed`]. The session seals into this buffer, so an envelope is
+/// never built as a value and then encoded.
+pub(crate) fn begin_sealed(out: &mut Vec<u8>, from: &[u8; 64], seq: u64, class: u8) {
+    debug_assert!(out.is_empty());
+    out.push(2);
+    out.extend_from_slice(from);
+    seq.encode(out);
+    out.push(class);
+    0u32.encode(out);
+}
+
+/// Writes the length of the ciphertext now behind the header into it.
+pub(crate) fn finish_sealed(out: &mut [u8]) {
+    let ct_len = (out.len() - SEALED_HEADER) as u32;
+    out[SEALED_HEADER - 4..SEALED_HEADER].copy_from_slice(&ct_len.to_le_bytes());
+}
+
+/// An encoded [`WireMsg`] read where it lies. A sealed envelope — every
+/// message after the handshake — yields its header fields and the place of
+/// its ciphertext, and nothing is copied; the two handshake messages are
+/// rare and are decoded whole.
+///
+/// `parse` accepts exactly the inputs [`WireMsg::decode_exact`] accepts, with
+/// one exception: `from` stays the 64 bytes that arrived and is *not* checked
+/// to be a curve point. It is a routing hint; whoever uses it as more than a
+/// look-up key has to validate it.
+#[derive(Debug)]
+pub(crate) enum WireView<'a> {
+    /// [`WireMsg::Hello`].
+    Hello(Box<Handshake>),
+    /// [`WireMsg::HelloAck`].
+    HelloAck(Box<Handshake>),
+    /// [`WireMsg::Sealed`].
+    Sealed {
+        /// The sender's identity key as encoded.
+        from: &'a [u8; 64],
+        /// Per-direction sequence number.
+        seq: u64,
+        /// Host-visible cost class.
+        class: u8,
+        /// Where the ciphertext (with its tag) lies in the parsed bytes.
+        ct: std::ops::Range<usize>,
+    },
+}
+
+impl<'a> WireView<'a> {
+    pub(crate) fn parse(bytes: &'a [u8]) -> Result<Self, WireError> {
+        let mut r = Reader::new(bytes);
+        let view = match r.read::<u8>()? {
+            0 => WireView::Hello(Box::new(r.read()?)),
+            1 => WireView::HelloAck(Box::new(r.read()?)),
+            2 => {
+                let from = r.take(64)?.try_into().expect("took 64 bytes");
+                let (seq, class) = (r.read()?, r.read()?);
+                let ct = r.take_prefixed()?;
+                WireView::Sealed {
+                    from,
+                    seq,
+                    class,
+                    ct: r.position() - ct.len()..r.position(),
+                }
+            }
+            _ => return Err(WireError::InvalidValue("wire tag")),
+        };
+        if r.remaining() != 0 {
+            return Err(WireError::TrailingBytes);
+        }
+        Ok(view)
+    }
+}
+
 /// A replicated state mutation (force-freeze chain replication, §6).
 #[derive(Debug, Clone)]
 pub enum StateDelta {
@@ -809,6 +886,123 @@ mod tests {
             }
             _ => panic!("wrong variant"),
         }
+    }
+
+    /// One encoded message of each `WireMsg` variant.
+    fn one_of_each_wire_msg() -> Vec<Vec<u8>> {
+        use teechain_tee::{Measurement, TrustRoot};
+        let id = Keypair::from_seed(&[1; 32]);
+        let eph = Keypair::from_seed(&[2; 32]);
+        let quote = TrustRoot::new(9)
+            .issue_device(1)
+            .quote(Measurement::of_program("teechain", 1), [7; 64]);
+        let hs = Handshake {
+            identity: id.pk,
+            eph: eph.pk,
+            quote,
+            sig: id.sign(b"transcript"),
+        };
+        vec![
+            WireMsg::Hello(hs.clone()).encode_to_vec(),
+            WireMsg::HelloAck(hs).encode_to_vec(),
+            WireMsg::Sealed {
+                from: id.pk,
+                seq: 0x0102_0304_0506_0708,
+                class: 3,
+                ct: (0..61).collect(),
+            }
+            .encode_to_vec(),
+            WireMsg::Sealed {
+                from: eph.pk,
+                seq: 0,
+                class: 0,
+                ct: vec![],
+            }
+            .encode_to_vec(),
+        ]
+    }
+
+    /// The view of `bytes`, rendered as the owned message it stands for.
+    fn view_as_owned(bytes: &[u8]) -> Result<WireMsg, WireError> {
+        Ok(match WireView::parse(bytes)? {
+            WireView::Hello(hs) => WireMsg::Hello(*hs),
+            WireView::HelloAck(hs) => WireMsg::HelloAck(*hs),
+            WireView::Sealed {
+                from,
+                seq,
+                class,
+                ct,
+            } => WireMsg::Sealed {
+                from: PublicKey::from_bytes(from).expect("test keys are curve points"),
+                seq,
+                class,
+                ct: bytes[ct].to_vec(),
+            },
+        })
+    }
+
+    #[test]
+    fn the_view_reads_what_the_decoder_decodes() {
+        for bytes in one_of_each_wire_msg() {
+            let owned = WireMsg::decode_exact(&bytes).unwrap();
+            let viewed = view_as_owned(&bytes).unwrap();
+            assert_eq!(viewed.encode_to_vec(), bytes);
+            assert_eq!(owned.encode_to_vec(), bytes);
+            // Every truncation fails both, and so does a byte too many.
+            for len in 0..bytes.len() {
+                assert!(WireMsg::decode_exact(&bytes[..len]).is_err());
+                assert!(WireView::parse(&bytes[..len]).is_err(), "cut at {len}");
+            }
+            let mut longer = bytes.clone();
+            longer.push(0);
+            assert!(WireMsg::decode_exact(&longer).is_err());
+            assert!(WireView::parse(&longer).is_err());
+        }
+    }
+
+    #[test]
+    fn the_view_rejects_the_tags_and_lengths_the_decoder_rejects() {
+        for bytes in one_of_each_wire_msg() {
+            // The tag byte and, on a sealed envelope, the four bytes of the
+            // ciphertext's length: the fields that say where things are.
+            let mut fields = vec![0];
+            if bytes[0] == 2 {
+                fields.extend(SEALED_HEADER - 4..SEALED_HEADER);
+            }
+            for at in fields {
+                for bit in 0..8 {
+                    let mut bad = bytes.clone();
+                    bad[at] ^= 1 << bit;
+                    let owned = WireMsg::decode_exact(&bad);
+                    let viewed = view_as_owned(&bad);
+                    assert_eq!(owned.is_ok(), viewed.is_ok(), "byte {at} bit {bit}");
+                    if let (Ok(o), Ok(v)) = (owned, viewed) {
+                        // A handshake tag flipped to the other handshake.
+                        assert_eq!(o.encode_to_vec(), v.encode_to_vec());
+                    }
+                }
+            }
+        }
+        // Short, unknown and oversized inputs index nothing out of range.
+        assert!(WireView::parse(&[]).is_err());
+        assert!(WireView::parse(&[2]).is_err());
+        assert!(WireView::parse(&[3; 200]).is_err());
+        let mut huge = one_of_each_wire_msg().remove(2);
+        huge[SEALED_HEADER - 4..SEALED_HEADER].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(WireView::parse(&huge).is_err());
+        assert!(WireMsg::decode_exact(&huge).is_err());
+    }
+
+    #[test]
+    fn the_view_leaves_the_routing_hint_unvalidated() {
+        // The one documented difference: bytes that are no curve point.
+        let mut bytes = one_of_each_wire_msg().remove(2);
+        bytes[1..65].copy_from_slice(&[3; 64]);
+        assert!(WireMsg::decode_exact(&bytes).is_err());
+        assert!(matches!(
+            WireView::parse(&bytes),
+            Ok(WireView::Sealed { from, .. }) if from == &[3; 64]
+        ));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! or drop traffic, which the protocol tolerates by construction.
 
 use crate::enclave::{Command, Effect, EnclaveConfig, HostEvent, TeechainEnclave};
+use crate::msg::WireView;
 use crate::ops::{self, Completion, OpError, OpId, OpJob, OpOutput, OpTracker};
 use crate::types::{Deposit, ProtocolError, SwapId};
 use parking_lot::Mutex;
@@ -87,6 +88,49 @@ impl Decode for NodeWire {
             },
             _ => return Err(WireError::InvalidValue("node wire tag")),
         })
+    }
+}
+
+/// Length of the host's envelope around an enclave message: the
+/// [`NodeWire::Enclave`] tag and the message's `u32` length.
+const ENVELOPE: usize = 1 + 4;
+
+/// [`NodeWire::Enclave`]`(wire).encode_to_vec()` without the second buffer:
+/// the envelope goes in front of the message where it is (a sealed frame
+/// arrives with the room to spare).
+fn enclave_frame(mut wire: Vec<u8>) -> Vec<u8> {
+    let mut envelope = [0u8; ENVELOPE];
+    envelope[1..].copy_from_slice(&(wire.len() as u32).to_le_bytes());
+    wire.splice(..0, envelope);
+    wire
+}
+
+/// A received frame read where it lies: enclave traffic — all of it but
+/// the co-signing of a settlement — is located, not copied out; the two
+/// co-signing messages are decoded. `parse` accepts exactly the frames
+/// [`NodeWire::decode_exact`] accepts.
+pub(crate) enum NodeWireView {
+    /// [`NodeWire::Enclave`]: the encoded [`crate::msg::WireMsg`] runs from
+    /// offset `at` to the end of the frame.
+    Enclave {
+        /// Where the enclave message starts.
+        at: usize,
+    },
+    /// [`NodeWire::SigRequest`] or [`NodeWire::SigResponse`], decoded.
+    CoSign(NodeWire),
+}
+
+impl NodeWireView {
+    pub(crate) fn parse(frame: &[u8]) -> Result<Self, WireError> {
+        if frame.first() != Some(&0) {
+            return NodeWire::decode_exact(frame).map(NodeWireView::CoSign);
+        }
+        let mut r = Reader::new(&frame[1..]);
+        r.take_prefixed()?;
+        if r.remaining() != 0 {
+            return Err(WireError::TrailingBytes);
+        }
+        Ok(NodeWireView::Enclave { at: ENVELOPE })
     }
 }
 
@@ -330,14 +374,24 @@ impl TeechainNode {
 
     /// Handles an incoming network message.
     pub fn handle_wire(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, bytes: Vec<u8>) {
-        let Ok(msg) = NodeWire::decode_exact(&bytes) else {
+        let Ok(view) = NodeWireView::parse(&bytes) else {
             return; // Garbage from the network: drop.
         };
-        match msg {
-            NodeWire::Enclave(wire) => {
-                self.trace_wire_recv(ctx.now_ns(), &wire);
+        self.handle_frame(ctx, bytes, view);
+    }
+
+    /// [`TeechainNode::handle_wire`] for a frame the caller has already
+    /// parsed (the simulator host reads the cost class off the same view).
+    pub(crate) fn handle_frame(&mut self, ctx: &mut Ctx<'_>, bytes: Vec<u8>, view: NodeWireView) {
+        match view {
+            NodeWireView::Enclave { at } => {
+                self.trace_wire_recv(ctx.now_ns(), &bytes[at..]);
                 let t = self.trace_ecall_begin(ctx.now_ns());
-                let result = self.enclave.call(ctx.now_ns(), Command::Deliver { wire });
+                // The buffer that arrived goes in whole: the enclave opens
+                // the message where it lies.
+                let result = self
+                    .enclave
+                    .call(ctx.now_ns(), Command::Deliver { wire: bytes, at });
                 self.trace_ecall_end(ctx.now_ns(), t);
                 match result {
                     Err(_) => {} // Crashed enclave drops traffic.
@@ -350,7 +404,7 @@ impl TeechainNode {
                     Ok(Err(e)) => self.delivery_errors.push(e),
                 }
             }
-            NodeWire::SigRequest { req_id, origin, tx } => {
+            NodeWireView::CoSign(NodeWire::SigRequest { req_id, origin, tx }) => {
                 if self.tracer.enabled() {
                     let s = span::sig_span(req_id, &origin.to_bytes(), 0);
                     self.tracer.record(
@@ -403,7 +457,7 @@ impl TeechainNode {
                     }
                 }
             }
-            NodeWire::SigResponse { req_id, sigs, .. } => {
+            NodeWireView::CoSign(NodeWire::SigResponse { req_id, sigs, .. }) => {
                 if self.tracer.enabled() {
                     // We are the origin the request named, so both ends
                     // derive the response span from our identity.
@@ -429,6 +483,8 @@ impl TeechainNode {
                     self.perform(ctx, effects);
                 }
             }
+            // `parse` locates enclave traffic; it never decodes it.
+            NodeWireView::CoSign(NodeWire::Enclave(_)) => {}
         }
     }
 
@@ -597,7 +653,7 @@ impl TeechainNode {
                 Effect::Send { to, wire } => {
                     if let Some(&node) = self.directory.get(&to) {
                         self.trace_wire_send(ctx.now_ns(), &to, &wire);
-                        ctx.send(node, NodeWire::Enclave(wire).encode_to_vec());
+                        ctx.send(node, enclave_frame(wire));
                     }
                 }
                 Effect::Broadcast(tx) => {
@@ -892,10 +948,8 @@ impl TeechainNode {
         let Some(me) = self.identity else {
             return;
         };
-        if let Ok(crate::msg::WireMsg::Sealed { from, seq, .. }) =
-            crate::msg::WireMsg::decode_exact(wire)
-        {
-            let s = span::wire_span(&from.to_bytes(), &me.to_bytes(), seq);
+        if let Ok(WireView::Sealed { from, seq, .. }) = WireView::parse(wire) {
+            let s = span::wire_span(from, &me.to_bytes(), seq);
             self.tracer
                 .record(now_ns, EventKind::WireRecv, s, 0, wire.len() as u64, 0);
             self.tracer.set_cause(s);
@@ -907,10 +961,8 @@ impl TeechainNode {
         if !self.tracer.enabled() {
             return;
         }
-        if let Ok(crate::msg::WireMsg::Sealed { from, seq, .. }) =
-            crate::msg::WireMsg::decode_exact(wire)
-        {
-            let s = span::wire_span(&from.to_bytes(), &to.to_bytes(), seq);
+        if let Ok(WireView::Sealed { from, seq, .. }) = WireView::parse(wire) {
+            let s = span::wire_span(from, &to.to_bytes(), seq);
             self.tracer.record(
                 now_ns,
                 EventKind::WireSend,
@@ -1280,5 +1332,122 @@ impl TeechainNode {
             },
         )?;
         Ok(deposit)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::msg::ProtocolMsg;
+    use crate::session::Session;
+    use crate::types::ChannelId;
+    use teechain_blockchain::{OutPoint, ScriptPubKey, TxId, TxIn, TxOut};
+    use teechain_crypto::schnorr::Keypair;
+
+    /// One encoded frame of each `NodeWire` variant.
+    fn one_of_each_node_wire() -> Vec<Vec<u8>> {
+        let kp = Keypair::from_seed(&[5; 32]);
+        let mut tx = Transaction {
+            inputs: vec![TxIn::spend(OutPoint {
+                txid: TxId([9; 32]),
+                vout: 1,
+            })],
+            outputs: vec![TxOut {
+                value: 3,
+                script: ScriptPubKey::P2pk(kp.pk),
+            }],
+        };
+        tx.sign_input(0, &kp);
+        vec![
+            NodeWire::Enclave((0..100).collect()).encode_to_vec(),
+            NodeWire::Enclave(vec![]).encode_to_vec(),
+            NodeWire::SigRequest {
+                req_id: 7,
+                origin: kp.pk,
+                tx,
+            }
+            .encode_to_vec(),
+            NodeWire::SigResponse {
+                req_id: 7,
+                sigs: vec![(0, kp.sign(b"a")), (4, kp.sign(b"b"))],
+                refused: false,
+            }
+            .encode_to_vec(),
+        ]
+    }
+
+    /// The view of `frame`, rendered as the owned message it stands for.
+    fn view_as_owned(frame: &[u8]) -> Result<NodeWire, WireError> {
+        Ok(match NodeWireView::parse(frame)? {
+            NodeWireView::Enclave { at } => NodeWire::Enclave(frame[at..].to_vec()),
+            NodeWireView::CoSign(msg) => {
+                assert!(!matches!(msg, NodeWire::Enclave(_)));
+                msg
+            }
+        })
+    }
+
+    #[test]
+    fn the_view_reads_what_the_decoder_decodes() {
+        for frame in one_of_each_node_wire() {
+            assert_eq!(view_as_owned(&frame).unwrap().encode_to_vec(), frame);
+            assert_eq!(
+                NodeWire::decode_exact(&frame).unwrap().encode_to_vec(),
+                frame
+            );
+            for len in 0..frame.len() {
+                assert!(NodeWire::decode_exact(&frame[..len]).is_err());
+                assert!(NodeWireView::parse(&frame[..len]).is_err(), "cut at {len}");
+            }
+            let mut longer = frame.clone();
+            longer.push(0);
+            assert!(NodeWire::decode_exact(&longer).is_err());
+            assert!(NodeWireView::parse(&longer).is_err());
+            // Every bit of the tag and of the envelope's length field.
+            for bit in 0..8 * ENVELOPE {
+                let mut bad = frame.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                let (owned, viewed) = (NodeWire::decode_exact(&bad), view_as_owned(&bad));
+                assert_eq!(owned.is_ok(), viewed.is_ok(), "bit {bit}");
+                if let (Ok(o), Ok(v)) = (owned, viewed) {
+                    assert_eq!(o.encode_to_vec(), v.encode_to_vec());
+                }
+            }
+        }
+        assert!(NodeWireView::parse(&[]).is_err());
+        assert!(NodeWireView::parse(&[0]).is_err());
+        assert!(NodeWireView::parse(&[0, 0xff, 0xff, 0xff, 0xff, 1]).is_err());
+        assert!(NodeWireView::parse(&[3; 64]).is_err());
+    }
+
+    #[test]
+    fn the_envelope_goes_around_a_sealed_frame_where_it_is() {
+        let (a, b) = (
+            Keypair::from_seed(&[1; 32]).pk,
+            Keypair::from_seed(&[2; 32]).pk,
+        );
+        let mut session = Session::derive(&[9; 32], &a, &b);
+        let pay = ProtocolMsg::Pay {
+            id: ChannelId::from_label("frame"),
+            amount: u64::MAX,
+            count: u32::MAX,
+        };
+        let wire = session.seal_frame(&a, &pay);
+        let (expect, buffer) = (
+            NodeWire::Enclave(wire.clone()).encode_to_vec(),
+            wire.as_ptr(),
+        );
+        let frame = enclave_frame(wire);
+        assert_eq!(frame, expect);
+        // A payment's frame was allocated with the envelope's room to
+        // spare: same buffer, shifted, not a second one.
+        assert_eq!(frame.as_ptr(), buffer);
+        // Any other message is wrapped the same way, room or no room.
+        for wire in [vec![], vec![1], (0..=255).collect::<Vec<u8>>()] {
+            assert_eq!(
+                enclave_frame(wire.clone()),
+                NodeWire::Enclave(wire).encode_to_vec()
+            );
+        }
     }
 }

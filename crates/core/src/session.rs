@@ -15,7 +15,9 @@
 //! no `(key, nonce)` pair ever seals twice (`teechain_crypto::aead`, *Nonce
 //! uniqueness*).
 
-use crate::msg::{Handshake, ProtocolMsg, WireMsg};
+use crate::msg::{
+    begin_sealed, finish_sealed, CostClass, Handshake, ProtocolMsg, WireMsg, SEALED_HEADER,
+};
 use crate::types::ProtocolError;
 use teechain_crypto::aead::Aead;
 use teechain_crypto::ecdh;
@@ -37,9 +39,15 @@ pub struct Session {
     pub established: bool,
 }
 
-/// Initial capacity of a sealed message: an encoded `Pay` is 50 bytes and its
+/// Initial capacity of a sealed message: an encoded `Pay` is 45 bytes and its
 /// tag 16.
 const SEALED_RESERVE: usize = 96;
+
+/// Initial capacity of a sealed frame: the envelope header, a payment, and
+/// the few bytes the host's own envelope puts in front of it on the way to
+/// the network, so that a payment is allocated once between here and the
+/// socket.
+const FRAME_RESERVE: usize = SEALED_HEADER + SEALED_RESERVE + 8;
 
 impl Session {
     /// Derives directional session keys from the DH secret. Both sides
@@ -75,32 +83,59 @@ impl Session {
 
     /// Seals a protocol message into a wire envelope.
     pub fn seal(&mut self, me: &PublicKey, msg: &ProtocolMsg) -> WireMsg {
-        let seq = self.send_seq;
-        self.send_seq += 1;
-        // One buffer per message: a payment and its tag fit the reservation,
-        // longer messages grow it while they encode.
         let mut ct = Vec::with_capacity(SEALED_RESERVE);
-        msg.encode(&mut ct);
-        self.send.seal_in_place(seq, &me.to_bytes(), &mut ct);
+        let seq = self.seal_onto(&me.to_bytes(), msg, &mut ct);
         WireMsg::Sealed {
             from: *me,
             seq,
-            class: crate::msg::CostClass::of(msg) as u8,
+            class: CostClass::of(msg) as u8,
             ct,
         }
+    }
+
+    /// [`Session::seal`] and `WireMsg::encode_to_vec` in one buffer: writes
+    /// the envelope's header, encodes `msg` behind it and seals it there.
+    /// The bytes are those of the encoded [`WireMsg::Sealed`].
+    pub fn seal_frame(&mut self, me: &PublicKey, msg: &ProtocolMsg) -> Vec<u8> {
+        let me = me.to_bytes();
+        let mut frame = Vec::with_capacity(FRAME_RESERVE);
+        begin_sealed(&mut frame, &me, self.send_seq, CostClass::of(msg) as u8);
+        self.seal_onto(&me, msg, &mut frame);
+        finish_sealed(&mut frame);
+        frame
+    }
+
+    /// Appends `msg` to `buf`, encrypted where it was encoded and tagged,
+    /// under the next sequence number, which it returns.
+    fn seal_onto(&mut self, me: &[u8; 64], msg: &ProtocolMsg, buf: &mut Vec<u8>) -> u64 {
+        let seq = self.send_seq;
+        self.send_seq += 1;
+        let start = buf.len();
+        msg.encode(buf);
+        let tag = self.send.seal_slice_in_place(seq, me, &mut buf[start..]);
+        buf.extend_from_slice(&tag);
+        seq
     }
 
     /// Opens a sealed envelope, enforcing strict sequence ordering (replay,
     /// reorder and drop all surface as authentication failures).
     pub fn open(&mut self, seq: u64, ct: &[u8]) -> Result<ProtocolMsg, ProtocolError> {
+        self.open_in_place(seq, &mut ct.to_vec())
+    }
+
+    /// [`Session::open`] without the copy: authenticates `ct`, decrypts it
+    /// where it lies — in the buffer it arrived in — and decodes the message
+    /// from there. No rejected envelope moves the expected sequence number,
+    /// and one that fails authentication leaves `ct` as it was.
+    pub fn open_in_place(&mut self, seq: u64, ct: &mut [u8]) -> Result<ProtocolMsg, ProtocolError> {
         if seq != self.recv_seq {
             return Err(ProtocolError::BadMessage);
         }
-        let mut plain = ct.to_vec();
-        self.recv
-            .open_in_place(seq, &self.remote.to_bytes(), &mut plain)
+        let plain = self
+            .recv
+            .open_slice_in_place(seq, &self.remote.to_bytes(), ct)
             .map_err(|_| ProtocolError::BadMessage)?;
-        let msg = ProtocolMsg::decode_exact(&plain).map_err(|_| ProtocolError::BadMessage)?;
+        let msg = ProtocolMsg::decode_exact(plain).map_err(|_| ProtocolError::BadMessage)?;
         self.recv_seq += 1;
         Ok(msg)
     }
@@ -171,6 +206,7 @@ pub fn expected_quote_binding(identity: &PublicKey, eph: &PublicKey) -> [u8; 64]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::WireView;
     use crate::types::ChannelId;
     use proptest::prelude::*;
     use teechain_tee::{Measurement, TrustRoot};
@@ -329,6 +365,47 @@ mod tests {
             "payment + tag is {} B",
             ct.len()
         );
+        // And its frame leaves the host's envelope its room.
+        let frame = alice.seal_frame(&me, &pay(u64::MAX));
+        assert_eq!(frame.capacity(), FRAME_RESERVE);
+        assert!(frame.len() + 5 <= FRAME_RESERVE);
+    }
+
+    #[test]
+    fn a_frame_is_the_encoded_envelope() {
+        // Twin senders: one seals and encodes in two steps, one in place.
+        let (me, mut two_step, mut bob) = established_pair();
+        let (_, mut in_place, _) = established_pair();
+        let msgs = [
+            pay(0),
+            pay(u64::MAX),
+            ProtocolMsg::RepAck { seq: 9 },
+            ProtocolMsg::RepFreeze,
+            ProtocolMsg::SwapSecret {
+                swap: crate::types::SwapId([4; 32]),
+                secret: [0xee; 32],
+            },
+            // Longer than the reservation: the frame grows while it encodes.
+            ProtocolMsg::SigResponse {
+                req_id: 1,
+                sigs: vec![(3, Keypair::from_seed(&[8; 32]).sign(b"x")); 4],
+                refused: false,
+            },
+        ];
+        for msg in &msgs {
+            let frame = in_place.seal_frame(&me, msg);
+            assert_eq!(frame, two_step.seal(&me, msg).encode_to_vec());
+            // The receiver opens it where it lies, behind its header.
+            let Ok(WireView::Sealed { from, seq, ct, .. }) = WireView::parse(&frame) else {
+                panic!("not a sealed envelope");
+            };
+            assert_eq!(from, &me.to_bytes());
+            assert_eq!(ct.start, SEALED_HEADER);
+            let mut arrived = frame.clone();
+            let opened = bob.open_in_place(seq, &mut arrived[ct]).unwrap();
+            assert_eq!(opened.encode_to_vec(), msg.encode_to_vec());
+            assert_eq!(arrived[..SEALED_HEADER], frame[..SEALED_HEADER]);
+        }
     }
 
     #[test]
@@ -337,6 +414,14 @@ mod tests {
         let (seq, ct) = sealed(&mut alice, &me, &pay(5));
         let rejected = |bob: &mut Session, seq: u64, ct: &[u8]| {
             assert!(matches!(bob.open(seq, ct), Err(ProtocolError::BadMessage)));
+            // In place, the rejected bytes stay as they arrived.
+            let mut arrived = ct.to_vec();
+            assert!(matches!(
+                bob.open_in_place(seq, &mut arrived),
+                Err(ProtocolError::BadMessage)
+            ));
+            assert_eq!(arrived, ct);
+            assert_eq!(bob.recv_seq, 0);
         };
         // Every truncation, the empty envelope included.
         for len in 0..ct.len() {
@@ -356,13 +441,20 @@ mod tests {
         for bit in 0..64 {
             rejected(&mut bob, seq ^ (1 << bit), &ct);
         }
-        // None of that moved `recv_seq`: the genuine envelope still opens,
-        // and only once.
+        // None of that moved `recv_seq`: the genuine envelope still opens
+        // in the buffer it arrived in, and only once.
+        let mut arrived = ct.clone();
         assert!(matches!(
-            bob.open(seq, &ct),
+            bob.open_in_place(seq, &mut arrived),
             Ok(ProtocolMsg::Pay { amount: 5, .. })
         ));
-        rejected(&mut bob, seq, &ct);
+        assert_eq!(bob.recv_seq, 1);
+        assert!(matches!(bob.open(seq, &ct), Err(ProtocolError::BadMessage)));
+        assert!(matches!(
+            bob.open_in_place(seq, &mut ct.clone()),
+            Err(ProtocolError::BadMessage)
+        ));
+        assert_eq!(bob.recv_seq, 1);
     }
 
     #[test]
@@ -376,6 +468,11 @@ mod tests {
             bob.open(0, &garbage),
             Err(ProtocolError::BadMessage)
         ));
+        assert!(matches!(
+            bob.open_in_place(0, &mut garbage.clone()),
+            Err(ProtocolError::BadMessage)
+        ));
+        assert_eq!(bob.recv_seq, 0);
         // Bob still waits for sequence number 0, so Alice's next one is early.
         let (seq, ct) = sealed(&mut alice, &me, &pay(1));
         assert_eq!(seq, 1);

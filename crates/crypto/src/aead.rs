@@ -100,23 +100,57 @@ impl Aead {
         self.open_with(&expand_nonce(nonce), aad, buf)
     }
 
+    /// [`Aead::seal_in_place`] for a message that lies inside a larger
+    /// buffer, behind a header it may name as `aad`: encrypts `msg` where it
+    /// lies and returns the tag to append to it.
+    pub fn seal_slice_in_place(&self, nonce: u64, aad: &[u8], msg: &mut [u8]) -> [u8; TAG_LEN] {
+        self.seal_slice_with(&expand_nonce(nonce), aad, msg)
+    }
+
+    /// [`Aead::open_in_place`] for a `ciphertext || tag` that lies inside a
+    /// larger buffer: verifies it, decrypts it where it lies and returns the
+    /// plaintext (`sealed` without its last 16 bytes). On failure `sealed`
+    /// is left exactly as it was, still encrypted.
+    pub fn open_slice_in_place<'a>(
+        &self,
+        nonce: u64,
+        aad: &[u8],
+        sealed: &'a mut [u8],
+    ) -> Result<&'a mut [u8], AeadError> {
+        self.open_slice_with(&expand_nonce(nonce), aad, sealed)
+    }
+
     fn seal_with(&self, nonce: &[u8; 12], aad: &[u8], buf: &mut Vec<u8>) {
-        let cipher = ChaCha20::new(&self.key, nonce);
-        cipher.apply_keystream(1, buf);
-        let tag = poly1305_tag(&cipher, aad, buf);
+        let tag = self.seal_slice_with(nonce, aad, buf);
         buf.extend_from_slice(&tag);
     }
 
     fn open_with(&self, nonce: &[u8; 12], aad: &[u8], buf: &mut Vec<u8>) -> Result<(), AeadError> {
-        let ct_len = buf.len().checked_sub(TAG_LEN).ok_or(AeadError)?;
+        let plain_len = self.open_slice_with(nonce, aad, buf)?.len();
+        buf.truncate(plain_len);
+        Ok(())
+    }
+
+    fn seal_slice_with(&self, nonce: &[u8; 12], aad: &[u8], msg: &mut [u8]) -> [u8; TAG_LEN] {
         let cipher = ChaCha20::new(&self.key, nonce);
-        let (ciphertext, sent_tag) = buf.split_at(ct_len);
+        cipher.apply_keystream(1, msg);
+        poly1305_tag(&cipher, aad, msg)
+    }
+
+    fn open_slice_with<'a>(
+        &self,
+        nonce: &[u8; 12],
+        aad: &[u8],
+        sealed: &'a mut [u8],
+    ) -> Result<&'a mut [u8], AeadError> {
+        let ct_len = sealed.len().checked_sub(TAG_LEN).ok_or(AeadError)?;
+        let cipher = ChaCha20::new(&self.key, nonce);
+        let (ciphertext, sent_tag) = sealed.split_at_mut(ct_len);
         if !ct_eq(&poly1305_tag(&cipher, aad, ciphertext), sent_tag) {
             return Err(AeadError);
         }
-        buf.truncate(ct_len);
-        cipher.apply_keystream(1, buf);
-        Ok(())
+        cipher.apply_keystream(1, ciphertext);
+        Ok(ciphertext)
     }
 }
 
@@ -218,6 +252,11 @@ mod tests {
         let mut buf = sealed.to_vec();
         assert_eq!(a.open_in_place(nonce, aad, &mut buf), Err(AeadError));
         assert_eq!(buf, sealed, "failed open_in_place modified its buffer");
+        assert!(a.open_slice_in_place(nonce, aad, &mut buf).is_err());
+        assert_eq!(
+            buf, sealed,
+            "failed open_slice_in_place modified its buffer"
+        );
     }
 
     #[test]
@@ -280,7 +319,21 @@ mod tests {
             prop_assert_eq!(&buf, &sealed);
             a.open_in_place(nonce, &aad, &mut buf).unwrap();
             prop_assert_eq!(&buf, &plain);
-            prop_assert_eq!(a.open(nonce, &aad, &sealed).unwrap(), plain);
+            prop_assert_eq!(a.open(nonce, &aad, &sealed).unwrap(), &plain[..]);
+            // The slice forms, on a message behind the header it binds and
+            // in front of bytes that are none of its business.
+            let mut frame = [&aad[..], &plain[..]].concat();
+            let (head, msg) = frame.split_at_mut(aad.len());
+            let tag = a.seal_slice_in_place(nonce, head, msg);
+            frame.extend_from_slice(&tag);
+            prop_assert_eq!(&frame[aad.len()..], &sealed[..]);
+            frame.push(0xa5);
+            let end = frame.len() - 1;
+            let (head, rest) = frame.split_at_mut(aad.len());
+            let opened = a.open_slice_in_place(nonce, head, &mut rest[..end - aad.len()]).unwrap();
+            prop_assert_eq!(&*opened, &plain[..]);
+            prop_assert_eq!(&frame[..aad.len()], &aad[..]);
+            prop_assert_eq!(frame[end], 0xa5);
         }
 
         #[test]

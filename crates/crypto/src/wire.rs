@@ -91,6 +91,31 @@ mod tests {
     }
 
     #[test]
+    fn vec_of_indexed_signatures_is_the_concatenation_of_its_elements() {
+        // `SigResponse.sigs`: the slice paths of `teechain_util::codec` must
+        // produce the element-wise format, and read it back.
+        use crate::schnorr::Signature;
+        let sigs: Vec<(u32, Signature)> = (0u8..5)
+            .map(|i| {
+                let k = Keypair::from_seed(&[i + 1; 32]);
+                (u32::from(i) * 7, k.sign(&[i; 9]))
+            })
+            .collect();
+        let mut expect = (sigs.len() as u32).encode_to_vec();
+        for (i, sig) in &sigs {
+            i.encode(&mut expect);
+            sig.encode(&mut expect);
+        }
+        let bytes = sigs.encode_to_vec();
+        assert_eq!(bytes, expect);
+        assert_eq!(bytes.len(), 4 + 5 * 100);
+        assert_eq!(Vec::<(u32, Signature)>::decode_exact(&bytes).unwrap(), sigs);
+        for len in 0..bytes.len() {
+            assert!(Vec::<(u32, Signature)>::decode_exact(&bytes[..len]).is_err());
+        }
+    }
+
+    #[test]
     fn non_canonical_signature_is_a_codec_error() {
         use crate::schnorr::Signature;
         let k = Keypair::from_seed(&[2; 32]);

@@ -58,6 +58,18 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    /// Takes a `u32` length and that many bytes: the encoding of a
+    /// `Vec<u8>`, borrowed from the input instead of copied out of it.
+    pub fn take_prefixed(&mut self) -> Result<&'a [u8], WireError> {
+        let len = self.read::<u32>()? as usize;
+        self.take(len)
+    }
+
+    /// Offset of the next unread byte from the start of the input.
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
     /// Decodes a value of type `T` from the current position.
     pub fn read<T: Decode>(&mut self) -> Result<T, WireError> {
         T::decode(self)
@@ -68,6 +80,19 @@ impl<'a> Reader<'a> {
 pub trait Encode {
     /// Appends the serialized form of `self` to `out`.
     fn encode(&self, out: &mut Vec<u8>);
+
+    /// Appends the serialized forms of `items`, one after another and with
+    /// no length prefix. A `Vec<T>` encodes its elements through this, so a
+    /// type whose slice is already its wire form (`u8`) overrides it with
+    /// one copy.
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(out);
+        }
+    }
 
     /// Serializes `self` into a fresh buffer.
     fn encode_to_vec(&self) -> Vec<u8> {
@@ -82,6 +107,18 @@ pub trait Decode: Sized {
     /// Decodes a value from `r`.
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError>;
 
+    /// Decodes `len` consecutive values: the elements of a `Vec<Self>`
+    /// after its length prefix. `len` comes from the input, so it bounds
+    /// nothing by itself: space is set aside only for as many elements as
+    /// the unread bytes could fill in memory, and `push` grows the rest.
+    fn decode_vec(r: &mut Reader<'_>, len: usize) -> Result<Vec<Self>, WireError> {
+        let mut out = Vec::with_capacity(prealloc::<Self>(len, r.remaining()));
+        for _ in 0..len {
+            out.push(r.read::<Self>()?);
+        }
+        Ok(out)
+    }
+
     /// Decodes a value that must consume the entire input.
     fn decode_exact(buf: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(buf);
@@ -91,6 +128,12 @@ pub trait Decode: Sized {
         }
         Ok(v)
     }
+}
+
+/// Elements to set aside for a claimed `len` with `remaining` bytes unread:
+/// never more memory than the input that is supposed to fill it.
+fn prealloc<T>(len: usize, remaining: usize) -> usize {
+    len.min(remaining / std::mem::size_of::<T>().max(1))
 }
 
 macro_rules! impl_int {
@@ -109,7 +152,27 @@ macro_rules! impl_int {
     )*};
 }
 
-impl_int!(u8, u16, u32, u64, u128, i64);
+impl_int!(u16, u32, u64, u128, i64);
+
+impl Encode for u8 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+
+    fn encode_slice(items: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+}
+
+impl Decode for u8 {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(r.take(1)?[0])
+    }
+
+    fn decode_vec(r: &mut Reader<'_>, len: usize) -> Result<Vec<u8>, WireError> {
+        Ok(r.take(len)?.to_vec())
+    }
+}
 
 impl Encode for bool {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -142,24 +205,18 @@ impl<const N: usize> Decode for [u8; N] {
 impl<T: Encode> Encode for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u32).encode(out);
-        for item in self {
-            item.encode(out);
-        }
+        T::encode_slice(self, out);
     }
 }
 
 impl<T: Decode> Decode for Vec<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = r.read::<u32>()? as usize;
-        // Guard against absurd allocations from corrupt input.
+        // Every element takes at least a byte: a longer claim is corrupt.
         if len > r.remaining() {
             return Err(WireError::InvalidValue("vec length"));
         }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(r.read::<T>()?);
-        }
-        Ok(out)
+        T::decode_vec(r, len)
     }
 }
 
@@ -194,8 +251,7 @@ impl Encode for String {
 
 impl Decode for String {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let len = r.read::<u32>()? as usize;
-        let bytes = r.take(len)?;
+        let bytes = r.take_prefixed()?;
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::InvalidValue("utf8"))
     }
 }
@@ -309,6 +365,50 @@ mod tests {
     }
 
     #[test]
+    fn a_length_claim_does_not_size_the_allocation() {
+        // 4 KiB elements: a claim the guard lets through (one byte of body
+        // per element) used to reserve `len * 4096` bytes up front.
+        assert_eq!(prealloc::<[u8; 4096]>(1 << 20, 1 << 20), 256);
+        assert_eq!(prealloc::<[u8; 4096]>(3, 1 << 20), 3);
+        assert_eq!(prealloc::<u64>(u32::MAX as usize, 7), 0);
+        let mut buf = (1u32 << 20).encode_to_vec();
+        buf.resize(4 + (1 << 20), 0);
+        assert_eq!(
+            Vec::<[u8; 4096]>::decode_exact(&buf[..buf.len() - 1]),
+            Err(WireError::InvalidValue("vec length"))
+        );
+        buf[..4].copy_from_slice(&((1u32 << 20) - 4095).to_le_bytes());
+        assert_eq!(
+            Vec::<[u8; 4096]>::decode_exact(&buf),
+            Err(WireError::UnexpectedEof)
+        );
+        // The byte path stops at the same guard.
+        assert_eq!(
+            Vec::<u8>::decode_exact(&buf[..buf.len() - 4096]),
+            Err(WireError::InvalidValue("vec length"))
+        );
+    }
+
+    #[test]
+    fn take_prefixed_borrows_what_a_byte_vector_decodes() {
+        let mut buf = vec![9u8, 8, 7].encode_to_vec();
+        buf.push(0xee);
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.take_prefixed().unwrap(), &[9, 8, 7]);
+        assert_eq!(r.position(), 7);
+        assert_eq!(r.remaining(), 1);
+        // A length past the end is an error, not a short slice.
+        assert_eq!(
+            Reader::new(&buf[..6]).take_prefixed(),
+            Err(WireError::UnexpectedEof)
+        );
+        assert_eq!(
+            Reader::new(&buf[..3]).take_prefixed(),
+            Err(WireError::UnexpectedEof)
+        );
+    }
+
+    #[test]
     fn map_roundtrip() {
         let mut m = BTreeMap::new();
         m.insert(3u32, "three".to_string());
@@ -317,7 +417,104 @@ mod tests {
         assert_eq!(decoded, m);
     }
 
+    /// The element-wise vector codec every `Vec<T>` went through before
+    /// `encode_slice` / `decode_vec`: the wire format's definition, and what
+    /// the slice paths are compared against.
+    fn reference_encode<T: Encode>(v: &[T]) -> Vec<u8> {
+        let mut out = Vec::new();
+        (v.len() as u32).encode(&mut out);
+        for item in v {
+            item.encode(&mut out);
+        }
+        out
+    }
+
+    fn reference_decode<T: Decode>(buf: &[u8]) -> Result<Vec<T>, WireError> {
+        let mut r = Reader::new(buf);
+        let len = r.read::<u32>()? as usize;
+        if len > r.remaining() {
+            return Err(WireError::InvalidValue("vec length"));
+        }
+        let mut out = Vec::new();
+        for _ in 0..len {
+            out.push(r.read::<T>()?);
+        }
+        if r.remaining() != 0 {
+            return Err(WireError::TrailingBytes);
+        }
+        Ok(out)
+    }
+
+    /// Byte-for-byte agreement with the reference on `v`, on every
+    /// truncation of its encoding and on every bit of its length prefix.
+    fn assert_matches_reference<T>(v: &Vec<T>) -> Result<(), proptest::TestCaseError>
+    where
+        T: Encode + Decode + PartialEq + std::fmt::Debug,
+    {
+        let bytes = v.encode_to_vec();
+        prop_assert_eq!(&bytes, &reference_encode(v));
+        prop_assert_eq!(Vec::<T>::decode_exact(&bytes).as_ref(), Ok(v));
+        prop_assert_eq!(reference_decode::<T>(&bytes).as_ref(), Ok(v));
+        for len in 0..bytes.len() {
+            prop_assert_eq!(
+                Vec::<T>::decode_exact(&bytes[..len]),
+                reference_decode(&bytes[..len])
+            );
+        }
+        for bit in 0..32 {
+            let mut bad = bytes.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            prop_assert_eq!(Vec::<T>::decode_exact(&bad), reference_decode(&bad));
+        }
+        Ok(())
+    }
+
     proptest! {
+        #[test]
+        fn prop_vec_u8_matches_reference(v in proptest::collection::vec(any::<u8>(), 0..300)) {
+            assert_matches_reference(&v)?;
+        }
+
+        #[test]
+        fn prop_vec_u64_matches_reference(v in proptest::collection::vec(any::<u64>(), 0..64)) {
+            assert_matches_reference(&v)?;
+        }
+
+        #[test]
+        fn prop_vec_of_pairs_matches_reference(
+            // The shape of `Vec<(u32, Signature)>`; the real thing is
+            // checked where `Signature` lives, in `teechain_crypto::wire`.
+            v in proptest::collection::vec(any::<[u8; 36]>(), 0..16),
+        ) {
+            let pairs: Vec<(u32, [u8; 32])> = v
+                .iter()
+                .map(|b| (u32::from_le_bytes([b[0], b[1], b[2], b[3]]), b[4..].try_into().unwrap()))
+                .collect();
+            assert_matches_reference(&pairs)?;
+        }
+
+        #[test]
+        fn prop_nested_and_optional_byte_vectors_match_reference(
+            v in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 0..8),
+        ) {
+            assert_matches_reference(&v)?;
+            // A leading zero byte stands for `None`.
+            let v: Vec<Option<Vec<u8>>> = v
+                .into_iter()
+                .map(|b| (b.first() != Some(&0)).then_some(b))
+                .collect();
+            assert_matches_reference(&v)?;
+            for item in &v {
+                let bytes = item.encode_to_vec();
+                let mut expect = vec![u8::from(item.is_some())];
+                if let Some(inner) = item {
+                    expect.extend(reference_encode(inner));
+                }
+                prop_assert_eq!(&bytes, &expect);
+                prop_assert_eq!(&Option::<Vec<u8>>::decode_exact(&bytes).unwrap(), item);
+            }
+        }
+
         #[test]
         fn prop_vec_u64_roundtrip(v in proptest::collection::vec(any::<u64>(), 0..64)) {
             let decoded = Vec::<u64>::decode_exact(&v.encode_to_vec()).unwrap();
