@@ -1,8 +1,8 @@
 //! Raw engine overhead: events/sec through empty nodes (no protocol, no
-//! CPU model) for the sequential and sharded engines, on a token-passing
-//! ring with 1 ns links.
+//! CPU model) at 1, 4 and 8 shards, on a token-passing ring with 1 ns
+//! links.
 //!
-//! `single_token` is the worst case for the sharded engine — every
+//! `single_token` is the worst case for several shards — every
 //! lookahead window holds exactly one event, so it prices the window
 //! machinery itself. `fanout_64` keeps 64 tokens circulating, the shape
 //! real workloads have. A custom `main` (not `criterion_main!`) persists
@@ -48,7 +48,6 @@ fn ring(kind: EngineKind, tokens: u32) -> AnyEngine<Forwarder> {
 
 fn engines() -> Vec<(&'static str, EngineKind)> {
     vec![
-        ("seq", EngineKind::Seq),
         ("sharded1", EngineKind::Sharded { shards: 1 }),
         ("sharded4", EngineKind::Sharded { shards: 4 }),
         ("sharded8", EngineKind::Sharded { shards: 8 }),

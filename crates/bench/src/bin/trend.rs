@@ -14,7 +14,7 @@
 //! removed. `scripts/bench_trend.sh` wraps this binary.
 //!
 //! The `--fail-*` flags turn the diff into a CI gate: exit nonzero when
-//! a named key *drops* (`--fail-drop`, e.g. `metrics.events_per_s_seq`)
+//! a named key *drops* (`--fail-drop`, e.g. `metrics.events_per_s_1shard`)
 //! or *rises* (`--fail-rise`, e.g. `metrics.channel_locked_total`) by
 //! more than the threshold, or disappears from the new artifact.
 
@@ -65,7 +65,7 @@ fn arg_vals(name: &str) -> Vec<String> {
 
 fn main() {
     // Positional args, skipping the value slots of known flags (gate
-    // keys like `metrics.events_per_s_seq` would otherwise parse as
+    // keys like `metrics.events_per_s_1shard` would otherwise parse as
     // file paths).
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut paths: Vec<String> = Vec::new();

@@ -472,9 +472,9 @@ pub struct BenchConfig {
     pub durability: DurabilityBackend,
     /// Seed.
     pub seed: u64,
-    /// Which event-loop engine hosts the cluster (see
+    /// How many shards the engine hosting the cluster runs at (see
     /// `teechain_net::EngineKind`). Defaults to the `TEECHAIN_ENGINE` /
-    /// `TEECHAIN_SHARDS` environment, sequential when unset.
+    /// `TEECHAIN_SHARDS` environment, one shard when unset.
     pub engine: EngineKind,
     /// Which pairs of nodes learn each other's enclave identity at
     /// startup. `None` registers the full mesh — O(n²) directory
@@ -628,16 +628,6 @@ impl BenchCluster {
             ids,
             stores,
         }
-    }
-
-    /// Converts the quiescent cluster to another engine kind (see
-    /// `AnyEngine::into_kind`): build one topology sequentially, then
-    /// measure every engine configuration on it.
-    pub fn set_engine(&mut self, kind: EngineKind) {
-        // Temporarily replace with an empty engine to take ownership.
-        let placeholder = AnyEngine::new(EngineKind::Seq, Vec::new(), LinkSpec::ideal(), 0);
-        let sim = std::mem::replace(&mut self.sim, placeholder);
-        self.sim = sim.into_kind(kind);
     }
 
     /// Runs the simulation to quiescence, then resolves every
@@ -911,7 +901,7 @@ impl BenchCluster {
         // the caller's event budget expired. Operations still pending
         // are dead *for this run's accounting*: turn them into counted
         // timeouts instead of silent losses. (A run is never resumed:
-        // `set_engine` requires a drained queue and a fresh `run` resets
+        // `repartition` requires a drained queue and a fresh `run` resets
         // the stats and completion bookkeeping.)
         self.resolve_dead_ops();
         self.collect()

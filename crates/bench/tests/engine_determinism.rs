@@ -4,7 +4,8 @@
 //!
 //! The compared shard counts come from `TEECHAIN_SHARDS` (a comma list,
 //! default `1,2,8`); CI runs a matrix over pairs so a regression names
-//! the offending count.
+//! the offending count. The list is read once and the variable cleared
+//! for the runs, since every harness reads it as a single shard count.
 
 use teechain::ops::Completion;
 use teechain_bench::report::fmt_thousands;
@@ -40,12 +41,10 @@ struct Fingerprint {
 }
 
 /// Builds the cluster AND runs the workload entirely under
-/// `sharded:<shards>` (via the env knob every harness honors) with the
-/// window scheduler's work stealing forced on or off, then fingerprints
-/// the world.
-fn run_at(shards: usize, steal: bool) -> Fingerprint {
+/// `sharded:<shards>` (via the env knob every harness honors), then
+/// fingerprints the world.
+fn run_at(shards: usize) -> Fingerprint {
     std::env::set_var("TEECHAIN_ENGINE", format!("sharded:{shards}"));
-    std::env::set_var("TEECHAIN_STEAL", if steal { "1" } else { "0" });
     // A shrunk Fig. 5 overlay (same three-tier shape as paper_default,
     // fewer leaves) so three full setups stay fast in debug builds.
     let hs = HubSpoke {
@@ -159,15 +158,21 @@ fn run_at(shards: usize, steal: bool) -> Fingerprint {
 
 #[test]
 fn fixed_seed_run_is_identical_across_shard_counts() {
-    let counts: Vec<usize> = std::env::var("TEECHAIN_SHARDS")
-        .ok()
-        .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 8]);
     let prev_engine = std::env::var("TEECHAIN_ENGINE").ok();
-    let prev_steal = std::env::var("TEECHAIN_STEAL").ok();
+    let prev_shards = std::env::var("TEECHAIN_SHARDS").ok();
+    let counts: Vec<usize> = match &prev_shards {
+        Some(v) => v
+            .split(',')
+            .map(|s| match s.trim().parse() {
+                Ok(n) if n > 0 => n,
+                _ => panic!("TEECHAIN_SHARDS={v:?}: expected a comma list of shard counts"),
+            })
+            .collect(),
+        None => vec![1, 2, 8],
+    };
+    std::env::remove_var("TEECHAIN_SHARDS");
 
-    let baseline = run_at(counts[0], true);
+    let baseline = run_at(counts[0]);
     assert!(
         baseline.completed >= 250,
         "workload barely ran: {} completed",
@@ -198,33 +203,23 @@ fn fixed_seed_run_is_identical_across_shard_counts() {
         baseline.queued,
         baseline.batches,
     );
-    // Every other shard count, with stealing both on and off: the
-    // claim-based pool is scheduling only, so the full fingerprint —
-    // completion stream, latency samples, balances, clocks — must be
-    // bit-for-bit identical in all four cells of the matrix.
+    // Every other shard count: the full fingerprint — completion
+    // stream, latency samples, balances, clocks — must be bit-for-bit
+    // identical.
     for &shards in &counts[1..] {
-        for steal in [true, false] {
-            let run = run_at(shards, steal);
-            assert_eq!(
-                run, baseline,
-                "sharded:{shards} (steal={steal}) diverged from sharded:{}",
-                counts[0]
-            );
-        }
+        assert_eq!(
+            run_at(shards),
+            baseline,
+            "sharded:{shards} diverged from sharded:{}",
+            counts[0]
+        );
     }
-    let run = run_at(counts[0], false);
-    assert_eq!(
-        run, baseline,
-        "sharded:{} without stealing diverged from itself with stealing",
-        counts[0]
-    );
 
     match prev_engine {
         Some(v) => std::env::set_var("TEECHAIN_ENGINE", v),
         None => std::env::remove_var("TEECHAIN_ENGINE"),
     }
-    match prev_steal {
-        Some(v) => std::env::set_var("TEECHAIN_STEAL", v),
-        None => std::env::remove_var("TEECHAIN_STEAL"),
+    if let Some(v) = prev_shards {
+        std::env::set_var("TEECHAIN_SHARDS", v);
     }
 }

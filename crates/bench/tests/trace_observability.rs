@@ -6,14 +6,14 @@
 //!    bytes both endpoints already see and never touches the simulated
 //!    clock, RNG lanes or wire framing, so the completion history is
 //!    identical with tracing on or off, at every shard count.
-//! 2. **Reproducibility** — under the sim engines the merged trace
+//! 2. **Reproducibility** — under the sim engine the merged trace
 //!    stream (ordered by `(ts_ns, node)`) encodes to byte-identical
 //!    buffers across reruns *and* across shard counts. A trace diff is
 //!    therefore a behavior diff, never scheduler noise.
 //! 3. **Causality** — a traced 3-hop multihop payment forms a single
-//!    tree rooted at its `op_span`, on all four substrates: the
-//!    sequential sim engine, the sharded sim engine, live OS threads,
-//!    and live TCP sockets.
+//!    tree rooted at its `op_span`, on every substrate: the sim engine
+//!    at one and at eight shards, live OS threads, live TCP sockets and
+//!    the live reactor.
 //!
 //! The chrome://tracing export is exercised end-to-end through the
 //! hand-rolled JSON parser so the artifact `--trace-out` writes is known
@@ -38,11 +38,8 @@ type CompletionFp = (u64, u32, u64, bool);
 /// fingerprint and the encoded trace bytes (empty when `tracing` is
 /// off).
 fn traced_run(engine: EngineKind, tracing: bool) -> (Vec<CompletionFp>, Vec<u8>) {
-    // Non-zero link latency: with ideal links everything lands at t=0,
-    // where the engines (legitimately) order zero-delay deliveries
-    // differently. Jitter stays off because the engines draw from their
-    // RNG lanes in different orders — seq-vs-sharded equality is only
-    // promised for the jitter-free schedule.
+    // A 5 ms link, so the payments below are genuinely in flight at
+    // the same time.
     let mut c = Cluster::new(ClusterConfig {
         n: 5,
         seed: 42,
@@ -94,7 +91,6 @@ fn traced_run(engine: EngineKind, tracing: bool) -> (Vec<CompletionFp>, Vec<u8>)
 #[test]
 fn tracing_is_passive_and_sim_traces_are_reproducible() {
     let engines = [
-        EngineKind::Seq,
         EngineKind::Sharded { shards: 1 },
         EngineKind::Sharded { shards: 2 },
         EngineKind::Sharded { shards: 8 },
@@ -120,11 +116,11 @@ fn tracing_is_passive_and_sim_traces_are_reproducible() {
             Some((fp0, bytes0)) => {
                 assert_eq!(
                     &fp_on, fp0,
-                    "{engine:?}: completion history differs from seq"
+                    "{engine:?}: completion history differs from one shard"
                 );
                 assert_eq!(
                     &bytes_on, bytes0,
-                    "{engine:?}: trace bytes differ from the sequential engine"
+                    "{engine:?}: trace bytes differ from one shard"
                 );
             }
         }
@@ -203,8 +199,8 @@ fn sim_multihop_trace(engine: EngineKind) -> (Vec<TraceEvent>, u64) {
 
 #[test]
 fn multihop_trace_is_single_rooted_sim_seq() {
-    let (events, root) = sim_multihop_trace(EngineKind::Seq);
-    assert_multihop_causality(&events, root, "sim/seq");
+    let (events, root) = sim_multihop_trace(EngineKind::Sharded { shards: 1 });
+    assert_multihop_causality(&events, root, "sim/sharded:1");
 }
 
 #[test]
@@ -288,7 +284,7 @@ fn multihop_trace_is_single_rooted_live_reactor() {
 /// stitch sender to receiver; op flows stitch submit to completion).
 #[test]
 fn chrome_export_is_well_formed_with_paired_flows() {
-    let (events, _) = sim_multihop_trace(EngineKind::Seq);
+    let (events, _) = sim_multihop_trace(EngineKind::Sharded { shards: 1 });
     let doc = chrome_trace_json(&events);
     let parsed = JsonValue::parse(&doc.render()).expect("export must be valid JSON");
     let JsonValue::Arr(items) = parsed.get("traceEvents").expect("traceEvents") else {

@@ -45,7 +45,7 @@
 //! submitted in the same per-node order. Completion *times* differ (real
 //! clocks) and cross-node interleavings race, but per-operation outcomes
 //! are substrate-independent — the `live_equivalence` suite replays one
-//! seeded scenario on the sequential engine, the sharded engine and the
+//! seeded scenario on the engine at one and at four shards and on the
 //! live backends and asserts identical outcome sets.
 //!
 //! # What does not carry over

@@ -17,7 +17,7 @@
 //!   [`HostEvent`]s with pending operations, turns them into
 //!   completions, and arms deadline/retry timers inside the simulation —
 //!   so completions are ordinary deterministic events that merge
-//!   identically under the sequential and sharded engines.
+//!   identically at any shard count.
 //! * [`Pending`] is the typed token harness layers hand out: resolve it
 //!   with `Cluster::wait` / `BenchCluster::wait`, which run the engine to
 //!   quiescence (or the deadline) and extract the typed result.

@@ -57,10 +57,10 @@ pub struct ClusterConfig {
     pub durability: DurabilityBackend,
     /// Simulation seed.
     pub seed: u64,
-    /// Which event-loop engine hosts the cluster. Defaults to the
-    /// `TEECHAIN_ENGINE` / `TEECHAIN_SHARDS` environment (sequential
-    /// when unset), which is how CI re-runs whole suites under the
-    /// sharded engine without code changes.
+    /// How many shards the engine hosting the cluster runs at. Defaults
+    /// to the `TEECHAIN_ENGINE` / `TEECHAIN_SHARDS` environment (one
+    /// shard when unset), which is how CI re-runs whole suites at
+    /// several shard counts without code changes.
     pub engine: EngineKind,
 }
 
@@ -139,8 +139,8 @@ pub(crate) fn build_wired_nodes(
 
 /// A running cluster of Teechain nodes.
 pub struct Cluster {
-    /// The discrete-event engine hosting all nodes (sequential or
-    /// sharded, per [`ClusterConfig::engine`]).
+    /// The discrete-event engine hosting all nodes, at the shard count
+    /// of [`ClusterConfig::engine`].
     pub sim: AnyEngine<SimHost>,
     /// The shared blockchain.
     pub chain: SharedChain,

@@ -7,8 +7,8 @@
 //! deterministic failures), a multi-hop transfer, a cross-chain atomic
 //! swap and an on-chain settlement — on:
 //!
-//! * the sequential discrete-event engine,
-//! * the sharded conservative-parallel engine (4 shards),
+//! * the discrete-event engine at one shard,
+//! * the same engine at 4 shards,
 //! * the live runtime over in-process thread channels,
 //! * the live runtime over localhost TCP sockets,
 //! * the sharded live scheduler over the non-blocking reactor transport,
@@ -260,22 +260,22 @@ fn sim_fingerprint(engine: EngineKind) -> Vec<(u32, u64, String)> {
 
 #[test]
 fn seq_sharded_and_live_threads_agree() {
-    let seq = sim_fingerprint(EngineKind::Seq);
+    let one = sim_fingerprint(EngineKind::Sharded { shards: 1 });
     assert!(
-        seq.iter().any(|(_, _, o)| o.contains("MultihopDelivered")),
-        "scenario exercises multihop: {seq:?}"
+        one.iter().any(|(_, _, o)| o.contains("MultihopDelivered")),
+        "scenario exercises multihop: {one:?}"
     );
     assert!(
-        seq.iter().any(|(_, _, o)| o.contains("err:rejected")),
-        "scenario exercises typed failures: {seq:?}"
+        one.iter().any(|(_, _, o)| o.contains("err:rejected")),
+        "scenario exercises typed failures: {one:?}"
     );
     assert!(
-        seq.iter()
+        one.iter()
             .any(|(_, _, o)| o.contains("Swap") && o.contains("redeemed: true")),
-        "scenario exercises a redeemed atomic swap: {seq:?}"
+        "scenario exercises a redeemed atomic swap: {one:?}"
     );
     let sharded = sim_fingerprint(EngineKind::Sharded { shards: 4 });
-    assert_eq!(seq, sharded, "seq vs sharded outcome sets differ");
+    assert_eq!(one, sharded, "1 vs 4 shards: outcome sets differ");
 
     let mut live = Live(LiveCluster::over_threads(LiveConfig {
         n: N,
@@ -284,12 +284,12 @@ fn seq_sharded_and_live_threads_agree() {
     }));
     let threads = run_scenario(&mut live);
     live.0.shutdown();
-    assert_eq!(seq, threads, "seq vs live-threads outcome sets differ");
+    assert_eq!(one, threads, "sim vs live-threads outcome sets differ");
 }
 
 #[test]
 fn live_tcp_agrees_with_seq() {
-    let seq = sim_fingerprint(EngineKind::Seq);
+    let one = sim_fingerprint(EngineKind::Sharded { shards: 1 });
     let mut live = Live(
         LiveCluster::over_tcp(LiveConfig {
             n: N,
@@ -300,12 +300,12 @@ fn live_tcp_agrees_with_seq() {
     );
     let tcp = run_scenario(&mut live);
     live.0.shutdown();
-    assert_eq!(seq, tcp, "seq vs live-tcp outcome sets differ");
+    assert_eq!(one, tcp, "sim vs live-tcp outcome sets differ");
 }
 
 #[test]
 fn live_reactor_agrees_with_seq() {
-    let seq = sim_fingerprint(EngineKind::Seq);
+    let one = sim_fingerprint(EngineKind::Sharded { shards: 1 });
     let mut live = Live(
         LiveCluster::over_reactor(LiveConfig {
             n: N,
@@ -316,7 +316,7 @@ fn live_reactor_agrees_with_seq() {
     );
     let reactor = run_scenario(&mut live);
     live.0.shutdown();
-    assert_eq!(seq, reactor, "seq vs live-reactor outcome sets differ");
+    assert_eq!(one, reactor, "sim vs live-reactor outcome sets differ");
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Typed error paths of the correlated-operation API: every failure mode
 //! — local rejection, remote refusal, crashed peer, explicit deadline —
-//! yields exactly one `Completion` with the expected `OpError`, under
-//! BOTH discrete-event engines (sequential and sharded).
+//! yields exactly one `Completion` with the expected `OpError`, on the
+//! discrete-event engine at one shard and at two.
 
 use teechain::enclave::Command;
 use teechain::ops::{OpError, Payment};
@@ -9,11 +9,13 @@ use teechain::testkit::{Cluster, ClusterConfig};
 use teechain::{ChannelId, ProtocolError};
 use teechain_net::EngineKind;
 
-/// Runs `f` against a functional cluster under the sequential engine and
-/// under the sharded engine (2 shards), so completion semantics cannot
-/// drift between the two.
+/// Runs `f` against a functional cluster at one shard and at two, so
+/// completion semantics cannot drift with the partition.
 fn under_both_engines(n: usize, f: impl Fn(&mut Cluster, EngineKind)) {
-    for kind in [EngineKind::Seq, EngineKind::Sharded { shards: 2 }] {
+    for kind in [
+        EngineKind::Sharded { shards: 1 },
+        EngineKind::Sharded { shards: 2 },
+    ] {
         let mut c = Cluster::new(ClusterConfig {
             n,
             engine: kind,

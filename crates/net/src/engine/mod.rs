@@ -1,48 +1,39 @@
-//! The discrete-event engine family.
+//! The discrete-event engine.
 //!
-//! The original monolithic `sim.rs` event loop is split into a small
-//! module family behind one [`Engine`] abstraction:
+//! One engine, [`ShardedEngine`], runs every simulation:
 //!
-//! * [`seq`] — the sequential binary-heap loop (the original
-//!   `Simulator`, unchanged semantics, bit-for-bit compatible with the
-//!   calibrated test suite).
-//! * [`sharded`] — a conservative-parallel engine: nodes are partitioned
-//!   into per-thread shards, each with its own event heap, deferred
-//!   inboxes and per-node RNG lanes, synchronized by lookahead windows
-//!   derived from the minimum link latency.
-//! * [`queue`] — the event-key and heap building blocks both engines
-//!   share.
+//! * [`sharded`] — nodes are partitioned into shards, each with its own
+//!   event heap, deferred inboxes and per-node RNG lanes, synchronized by
+//!   lookahead windows derived from the minimum cross-shard link latency.
+//!   One shard (the default) is a plain sequential event loop: one heap,
+//!   one unbounded window, no threads.
+//! * `queue` (private) — the event key and the heap.
 //!
-//! [`AnyEngine`] packages both behind one concrete type so harnesses can
-//! select an engine at runtime ([`EngineKind`], also readable from the
-//! `TEECHAIN_ENGINE` / `TEECHAIN_SHARDS` environment) and convert a
-//! quiescent simulation from one engine to the other
-//! ([`AnyEngine::into_kind`] — build a large topology once on the cheap
-//! sequential path, then fan the measured phase out across shards).
+//! [`AnyEngine`] is the name harnesses hold; the shard count is chosen at
+//! construction ([`EngineKind`], also readable from the `TEECHAIN_ENGINE`
+//! / `TEECHAIN_SHARDS` environment) and can be changed on a quiescent
+//! simulation ([`ShardedEngine::repartition`] — build a large topology
+//! once, then measure several shard counts on it).
 //!
 //! # Determinism
 //!
-//! The sequential engine orders events by `(time, global seq)`; the
-//! sharded engine orders by `(time, origin node, per-origin seq)` and is
-//! deterministic *for any shard count* — see the [`sharded`] module docs
-//! for the full argument. The two engines therefore agree with
-//! themselves across runs and (for the sharded engine) across shard
-//! counts, but not bit-for-bit with each other: tie-breaking among
-//! same-instant events and the RNG lane layout differ.
+//! Events are ordered by `(time, origin node, per-origin seq)`, and the
+//! results are bit-for-bit identical *for any shard count* — see the
+//! [`sharded`] module docs for the argument. What that order is, is
+//! defined independently of this code by a small reference engine in
+//! `crates/net/tests/reference`, which the property suite compares with
+//! this one trace for trace at one and three shards.
 
-pub mod queue;
-pub mod seq;
+mod queue;
 pub mod sharded;
 
-use crate::link::LinkSpec;
-use std::collections::HashMap;
 use teechain_util::rng::Xoshiro256;
 
-pub use seq::SeqEngine;
 pub use sharded::ShardedEngine;
 
-/// Back-compatible name for the sequential engine.
-pub type Simulator<N> = SeqEngine<N>;
+/// The engine harnesses hold: an alias of the one engine, kept so call
+/// sites written against the runtime-selected engine keep compiling.
+pub type AnyEngine<N> = ShardedEngine<N>;
 
 /// Identifies a node within one simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -114,9 +105,8 @@ impl Ctx<'_> {
         self.actions.push(Action::Busy { ns });
     }
 
-    /// Deterministic randomness. Under the sequential engine this is one
-    /// per-simulation stream; under the sharded engine it is a per-node
-    /// lane (which is what makes results independent of shard count).
+    /// Deterministic randomness: this node's own lane, which is what
+    /// makes results independent of shard count.
     pub fn rng(&mut self) -> &mut Xoshiro256 {
         self.rng
     }
@@ -179,13 +169,11 @@ impl SimStats {
     }
 }
 
-/// Which engine implementation a simulation runs on.
+/// How many shards a simulation runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// The sequential binary-heap loop.
-    Seq,
-    /// The conservative-parallel engine with this many shards (each shard
-    /// gets its own worker thread during large windows).
+    /// Nodes partitioned round-robin into this many shards (the shards
+    /// of a large window are processed by a pool of worker threads).
     Sharded {
         /// Number of shards (at least 1).
         shards: usize,
@@ -193,8 +181,14 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Parses `"seq"`, `"sharded"` (8 shards, clamped to the node count
-    /// at construction) or `"sharded:<n>"`.
+    /// One shard: a plain sequential event loop. The name of the default
+    /// configuration; it is `Sharded { shards: 1 }`, not a separate
+    /// engine.
+    #[allow(non_upper_case_globals)]
+    pub const Seq: EngineKind = EngineKind::Sharded { shards: 1 };
+
+    /// Parses `"seq"` (one shard), `"sharded"` (8 shards, clamped to the
+    /// node count at construction) or `"sharded:<n>"`, ignoring case.
     pub fn parse(s: &str) -> Option<EngineKind> {
         let s = s.trim();
         if s.eq_ignore_ascii_case("seq") {
@@ -203,324 +197,62 @@ impl EngineKind {
         if s.eq_ignore_ascii_case("sharded") {
             return Some(EngineKind::Sharded { shards: 8 });
         }
-        let n = s
-            .strip_prefix("sharded:")
-            .or_else(|| s.strip_prefix("SHARDED:"))?;
+        let prefix = s.get(..8).filter(|p| p.eq_ignore_ascii_case("sharded:"))?;
         Some(EngineKind::Sharded {
-            shards: n.trim().parse().ok().filter(|&n: &usize| n > 0)?,
+            shards: parse_count(&s[prefix.len()..])?,
         })
     }
 
     /// Reads `TEECHAIN_ENGINE` (`seq` / `sharded` / `sharded:<n>`) and
-    /// `TEECHAIN_SHARDS` (shard-count override); defaults to [`Seq`].
-    /// This is how CI runs the whole determinism suite at several shard
-    /// counts without code changes.
+    /// `TEECHAIN_SHARDS` (a shard count that overrides the engine's);
+    /// one shard when neither is set. This is how CI runs the whole
+    /// protocol suite at several shard counts without code changes.
     ///
-    /// [`Seq`]: EngineKind::Seq
+    /// # Panics
+    ///
+    /// Panics on a value it cannot parse, so a misspelt variable fails
+    /// the run instead of silently testing the default.
     pub fn from_env() -> EngineKind {
-        let base = std::env::var("TEECHAIN_ENGINE")
-            .ok()
-            .and_then(|v| EngineKind::parse(&v));
-        let shards = std::env::var("TEECHAIN_SHARDS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0);
+        EngineKind::from_vars(
+            std::env::var("TEECHAIN_ENGINE").ok().as_deref(),
+            std::env::var("TEECHAIN_SHARDS").ok().as_deref(),
+        )
+    }
+
+    fn from_vars(engine: Option<&str>, shards: Option<&str>) -> EngineKind {
+        let base = engine.map(|v| {
+            EngineKind::parse(v).unwrap_or_else(|| {
+                panic!("TEECHAIN_ENGINE={v:?}: expected seq, sharded or sharded:<n>")
+            })
+        });
+        let shards = shards.map(|v| {
+            parse_count(v).unwrap_or_else(|| {
+                panic!("TEECHAIN_SHARDS={v:?}: expected a shard count of at least 1")
+            })
+        });
         match (base, shards) {
-            (Some(EngineKind::Seq), _) => EngineKind::Seq,
-            (Some(EngineKind::Sharded { shards: s }), n) => EngineKind::Sharded {
-                shards: n.unwrap_or(s),
-            },
-            (None, Some(n)) => EngineKind::Sharded { shards: n },
+            (_, Some(shards)) => EngineKind::Sharded { shards },
+            (Some(kind), None) => kind,
             (None, None) => EngineKind::Seq,
         }
     }
 
-    /// Shard count implied by this kind (1 for the sequential engine).
+    /// Shard count of this kind (at least 1).
     pub fn shards(&self) -> usize {
-        match self {
-            EngineKind::Seq => 1,
-            EngineKind::Sharded { shards } => (*shards).max(1),
-        }
+        let EngineKind::Sharded { shards } = *self;
+        shards.max(1)
     }
+}
+
+/// A shard count: a positive integer.
+fn parse_count(s: &str) -> Option<usize> {
+    s.trim().parse().ok().filter(|&n: &usize| n > 0)
 }
 
 impl std::fmt::Display for EngineKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineKind::Seq => write!(f, "seq"),
-            EngineKind::Sharded { shards } => write!(f, "sharded:{shards}"),
-        }
-    }
-}
-
-/// The engine-independent snapshot of a quiescent simulation, used to
-/// convert between engine implementations ([`AnyEngine::into_kind`]).
-pub(crate) struct EngineState<N> {
-    pub(crate) nodes: Vec<N>,
-    pub(crate) busy_until: Vec<u64>,
-    pub(crate) offline: Vec<bool>,
-    pub(crate) links: HashMap<(u32, u32), LinkSpec>,
-    pub(crate) default_link: LinkSpec,
-    /// Last scheduled arrival per (src, dst) — carried so per-connection
-    /// FIFO holds across a conversion.
-    pub(crate) last_arrival: HashMap<(u32, u32), u64>,
-    pub(crate) now: u64,
-    pub(crate) seed: u64,
-    pub(crate) stats: SimStats,
-    pub(crate) started: bool,
-}
-
-/// A runtime-selected engine. This is the type harness layers hold: it
-/// exposes the whole [`Engine`] surface as inherent methods (so existing
-/// call sites keep working) and implements the trait for generic code.
-pub enum AnyEngine<N> {
-    /// The sequential engine (boxed: the engine bodies differ a lot in
-    /// size and harnesses move `AnyEngine` values around).
-    Seq(Box<SeqEngine<N>>),
-    /// The sharded conservative-parallel engine.
-    Sharded(Box<ShardedEngine<N>>),
-}
-
-macro_rules! delegate {
-    ($self:expr, $e:ident => $body:expr) => {
-        match $self {
-            AnyEngine::Seq($e) => $body,
-            AnyEngine::Sharded($e) => $body,
-        }
-    };
-}
-
-impl<N: SimNode + Send> AnyEngine<N> {
-    /// Creates an engine of the requested kind over `nodes`.
-    pub fn new(kind: EngineKind, nodes: Vec<N>, default_link: LinkSpec, seed: u64) -> Self {
-        match kind {
-            EngineKind::Seq => AnyEngine::Seq(Box::new(SeqEngine::new(nodes, default_link, seed))),
-            EngineKind::Sharded { shards } => AnyEngine::Sharded(Box::new(ShardedEngine::new(
-                nodes,
-                default_link,
-                seed,
-                shards,
-            ))),
-        }
-    }
-
-    /// The kind of the running engine.
-    pub fn kind(&self) -> EngineKind {
-        match self {
-            AnyEngine::Seq(_) => EngineKind::Seq,
-            AnyEngine::Sharded(e) => EngineKind::Sharded {
-                shards: e.num_shards(),
-            },
-        }
-    }
-
-    /// Forces the sharded engine's window work stealing on or off
-    /// (no-op on the sequential engine); see
-    /// [`ShardedEngine::set_steal`]. Scheduling only — results are
-    /// identical either way.
-    pub fn set_steal(&mut self, steal: bool) {
-        if let AnyEngine::Sharded(e) = self {
-            e.set_steal(steal);
-        }
-    }
-
-    /// Converts a **quiescent** simulation (empty event queue — e.g.
-    /// after [`AnyEngine::run_to_idle`]) to another engine kind, carrying
-    /// nodes, links, clock, busy periods, offline flags, per-connection
-    /// FIFO state and counters across. RNG streams are re-derived from
-    /// the seed deterministically. This is how the `scale` benchmark
-    /// builds one topology sequentially and then measures every engine
-    /// configuration on it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if events are still queued.
-    pub fn into_kind(self, kind: EngineKind) -> Self {
-        let state = match self {
-            AnyEngine::Seq(e) => e.into_state(),
-            AnyEngine::Sharded(e) => e.into_state(),
-        };
-        match kind {
-            EngineKind::Seq => AnyEngine::Seq(Box::new(SeqEngine::from_state(state))),
-            EngineKind::Sharded { shards } => {
-                AnyEngine::Sharded(Box::new(ShardedEngine::from_state(state, shards)))
-            }
-        }
-    }
-
-    /// Sets the (symmetric) link between two nodes.
-    pub fn set_link(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) {
-        delegate!(self, e => e.set_link(a, b, spec))
-    }
-
-    /// Takes a node down or brings it back up (crash fault injection).
-    pub fn set_offline(&mut self, id: NodeId, offline: bool) {
-        delegate!(self, e => e.set_offline(id, offline))
-    }
-
-    /// True while `id` is crashed.
-    pub fn is_offline(&self, id: NodeId) -> bool {
-        delegate!(self, e => e.is_offline(id))
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        delegate!(self, e => e.len())
-    }
-
-    /// True if the simulation has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Current simulated time.
-    pub fn now_ns(&self) -> u64 {
-        delegate!(self, e => e.now_ns())
-    }
-
-    /// Aggregate counters (merged across shards where applicable).
-    pub fn stats(&self) -> SimStats {
-        delegate!(self, e => e.stats())
-    }
-
-    /// Immutable access to a node.
-    pub fn node(&self, id: NodeId) -> &N {
-        delegate!(self, e => e.node(id))
-    }
-
-    /// Mutable access to a node (setup / between-run inspection).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        delegate!(self, e => e.node_mut(id))
-    }
-
-    /// Invokes `f` on a node with a live [`Ctx`] at the current time,
-    /// then applies the resulting actions.
-    pub fn call<R>(&mut self, id: NodeId, f: impl FnOnce(&mut N, &mut Ctx<'_>) -> R) -> R {
-        delegate!(self, e => e.call(id, f))
-    }
-
-    /// Runs until the queue drains past `deadline_ns`; returns events
-    /// processed.
-    pub fn run_until(&mut self, deadline_ns: u64) -> u64 {
-        delegate!(self, e => e.run_until(deadline_ns))
-    }
-
-    /// Runs until idle (or ≈`max_events`, a runaway guard; the sharded
-    /// engine checks the budget at window boundaries). Returns events
-    /// processed.
-    pub fn run_to_idle(&mut self, max_events: u64) -> u64 {
-        delegate!(self, e => e.run_to_idle(max_events))
-    }
-}
-
-/// The common surface of every engine implementation. Harnesses hold an
-/// [`AnyEngine`] directly; generic drivers and tests can abstract over
-/// implementations with this trait.
-pub trait Engine<N: SimNode> {
-    /// Number of nodes.
-    fn len(&self) -> usize;
-    /// True if the simulation has no nodes.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Current simulated time in nanoseconds.
-    fn now_ns(&self) -> u64;
-    /// Aggregate counters.
-    fn stats(&self) -> SimStats;
-    /// Immutable node access.
-    fn node(&self, id: NodeId) -> &N;
-    /// Mutable node access.
-    fn node_mut(&mut self, id: NodeId) -> &mut N;
-    /// Sets the (symmetric) link between two nodes.
-    fn set_link(&mut self, a: NodeId, b: NodeId, spec: LinkSpec);
-    /// Crash fault injection.
-    fn set_offline(&mut self, id: NodeId, offline: bool);
-    /// True while `id` is crashed.
-    fn is_offline(&self, id: NodeId) -> bool;
-    /// Invokes `f` on a node with a live [`Ctx`], applying its actions.
-    fn call<R>(&mut self, id: NodeId, f: impl FnOnce(&mut N, &mut Ctx<'_>) -> R) -> R
-    where
-        Self: Sized;
-    /// Runs until the queue drains past `deadline_ns`.
-    fn run_until(&mut self, deadline_ns: u64) -> u64;
-    /// Runs until idle or ≈`max_events`.
-    fn run_to_idle(&mut self, max_events: u64) -> u64;
-}
-
-impl<N: SimNode + Send> Engine<N> for AnyEngine<N> {
-    fn len(&self) -> usize {
-        AnyEngine::len(self)
-    }
-    fn now_ns(&self) -> u64 {
-        AnyEngine::now_ns(self)
-    }
-    fn stats(&self) -> SimStats {
-        AnyEngine::stats(self)
-    }
-    fn node(&self, id: NodeId) -> &N {
-        AnyEngine::node(self, id)
-    }
-    fn node_mut(&mut self, id: NodeId) -> &mut N {
-        AnyEngine::node_mut(self, id)
-    }
-    fn set_link(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) {
-        AnyEngine::set_link(self, a, b, spec)
-    }
-    fn set_offline(&mut self, id: NodeId, offline: bool) {
-        AnyEngine::set_offline(self, id, offline)
-    }
-    fn is_offline(&self, id: NodeId) -> bool {
-        AnyEngine::is_offline(self, id)
-    }
-    fn call<R>(&mut self, id: NodeId, f: impl FnOnce(&mut N, &mut Ctx<'_>) -> R) -> R {
-        AnyEngine::call(self, id, f)
-    }
-    fn run_until(&mut self, deadline_ns: u64) -> u64 {
-        AnyEngine::run_until(self, deadline_ns)
-    }
-    fn run_to_idle(&mut self, max_events: u64) -> u64 {
-        AnyEngine::run_to_idle(self, max_events)
-    }
-}
-
-/// Test-only node used by both engines' unit tests: echoes messages,
-/// records receipts and timers, optionally burns CPU.
-#[cfg(test)]
-pub(crate) mod testutil {
-    use super::{Ctx, NodeId, SimNode};
-
-    pub(crate) struct Echo {
-        pub(crate) received: Vec<(u64, NodeId, Vec<u8>)>,
-        pub(crate) timers: Vec<(u64, u64)>,
-        pub(crate) echo: bool,
-        pub(crate) cost_ns: u64,
-    }
-
-    impl Echo {
-        pub(crate) fn new(echo: bool) -> Self {
-            Echo {
-                received: Vec::new(),
-                timers: Vec::new(),
-                echo,
-                cost_ns: 0,
-            }
-        }
-    }
-
-    impl SimNode for Echo {
-        fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Vec<u8>) {
-            self.received.push((ctx.now_ns(), from, msg.clone()));
-            if self.cost_ns > 0 {
-                ctx.busy(self.cost_ns);
-            }
-            if self.echo {
-                ctx.send(from, msg);
-            }
-        }
-
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-            self.timers.push((ctx.now_ns(), token));
-        }
+        let EngineKind::Sharded { shards } = self;
+        write!(f, "sharded:{shards}")
     }
 }
 
@@ -561,18 +293,51 @@ mod tests {
 
     #[test]
     fn engine_kind_parse() {
-        assert_eq!(EngineKind::parse("seq"), Some(EngineKind::Seq));
+        let sharded = |shards| Some(EngineKind::Sharded { shards });
         assert_eq!(EngineKind::parse(" SEQ "), Some(EngineKind::Seq));
+        assert_eq!(EngineKind::parse("sharded"), sharded(8));
+        assert_eq!(EngineKind::parse("sharded:4"), sharded(4));
+        for bad in ["sharded:0", "parallel", "shard:4", "shardé:4"] {
+            assert_eq!(EngineKind::parse(bad), None, "{bad:?}");
+        }
+        // `Seq` is a name for one shard, not a second engine.
+        assert_eq!(EngineKind::Seq, EngineKind::Sharded { shards: 1 });
+        assert_eq!(EngineKind::Seq.to_string(), "sharded:1");
+    }
+
+    #[test]
+    fn engine_kind_prefix_ignores_case() {
+        for s in ["SHARDED:4", "Sharded:4", "sHaRdEd: 4 "] {
+            assert_eq!(
+                EngineKind::parse(s),
+                Some(EngineKind::Sharded { shards: 4 }),
+                "{s:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn engine_kind_from_vars() {
+        let sharded = |shards| EngineKind::Sharded { shards };
+        assert_eq!(EngineKind::from_vars(None, None), EngineKind::Seq);
+        assert_eq!(EngineKind::from_vars(Some("sharded:4"), None), sharded(4));
+        // The shard count overrides whatever the engine variable says.
         assert_eq!(
-            EngineKind::parse("sharded:4"),
-            Some(EngineKind::Sharded { shards: 4 })
+            EngineKind::from_vars(Some("sharded:4"), Some("2")),
+            sharded(2)
         );
-        assert_eq!(
-            EngineKind::parse("sharded"),
-            Some(EngineKind::Sharded { shards: 8 })
-        );
-        assert_eq!(EngineKind::parse("sharded:0"), None);
-        assert_eq!(EngineKind::parse("parallel"), None);
-        assert_eq!(EngineKind::Sharded { shards: 4 }.to_string(), "sharded:4");
+        assert_eq!(EngineKind::from_vars(None, Some(" 8 ")), sharded(8));
+    }
+
+    #[test]
+    #[should_panic(expected = "TEECHAIN_ENGINE=\"shraded:8\"")]
+    fn misspelt_engine_variable_panics() {
+        EngineKind::from_vars(Some("shraded:8"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "TEECHAIN_SHARDS=\"1,2\"")]
+    fn unparseable_shard_count_panics() {
+        EngineKind::from_vars(Some("sharded:2"), Some("1,2"));
     }
 }

@@ -1,26 +1,17 @@
-//! Event-queue building blocks shared by the engine implementations.
+//! The engine's event key and heap.
 //!
-//! The sequential engine orders events by `EventKey` `(time, global
-//! seq)` — creation order breaks ties, which is well-defined because one
-//! thread creates every event. The sharded engine cannot use a global
-//! counter (shards would race for it), so it orders by `LaneKey`
-//! `(time, origin node, per-origin seq)`: each node allocates sequence
-//! numbers from its own lane, and since any one node's actions are
-//! applied in a deterministic order, the key of every event is
-//! independent of how nodes are partitioned into shards.
+//! Events are ordered by `LaneKey` `(time, origin node, per-origin
+//! seq)`. A global creation counter would be a shared point shards race
+//! for; instead each node allocates sequence numbers from its own lane,
+//! and since any one node's actions are applied in a deterministic
+//! order, the key of every event is independent of how nodes are
+//! partitioned into shards.
 
 use super::EventKind;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Sequential-engine ordering key: global creation order breaks ties.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct EventKey {
-    pub(crate) time: u64,
-    pub(crate) seq: u64,
-}
-
-/// Sharded-engine ordering key: `(time, origin, per-origin seq)`.
+/// Event ordering key: `(time, origin, per-origin seq)`.
 /// Globally unique (a lane never reuses a sequence number), so heap
 /// insertion order can never influence pop order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -30,9 +21,8 @@ pub(crate) struct LaneKey {
     pub(crate) oseq: u64,
 }
 
-/// An event with its lane key and its body stored inline — the sharded
-/// engine carries no side table, which is also what makes it cheaper per
-/// event than the sequential engine's `HashMap` indirection.
+/// An event with its lane key and its body stored inline, so the heap
+/// needs no side table.
 pub(crate) struct Ev {
     pub(crate) key: LaneKey,
     pub(crate) kind: EventKind,
@@ -67,10 +57,6 @@ pub(crate) struct LaneQueue {
 }
 
 impl LaneQueue {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     pub(crate) fn push(&mut self, ev: Ev) {
         self.heap.push(ev);
     }
@@ -120,7 +106,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_origin_seq_order() {
-        let mut q = LaneQueue::new();
+        let mut q = LaneQueue::default();
         q.push(ev(5, 2, 0));
         q.push(ev(5, 1, 9));
         q.push(ev(3, 7, 4));
@@ -134,7 +120,7 @@ mod tests {
 
     #[test]
     fn pop_before_respects_bound() {
-        let mut q = LaneQueue::new();
+        let mut q = LaneQueue::default();
         q.push(ev(10, 0, 0));
         q.push(ev(20, 0, 1));
         assert!(q.pop_before(10).is_none());
@@ -151,7 +137,7 @@ mod tests {
         let expect = vec![(2, 9, 9), (4, 0, 0), (4, 0, 1), (4, 1, 0)];
         // Try a few rotations of the insertion order.
         for rot in 0..evs.len() {
-            let mut q = LaneQueue::new();
+            let mut q = LaneQueue::default();
             for i in 0..evs.len() {
                 let (t, o, s) = evs[(i + rot) % evs.len()];
                 q.push(ev(t, o, s));

@@ -1,4 +1,5 @@
-//! The sharded conservative-parallel engine.
+//! The discrete-event engine: sharded and conservative-parallel, and at
+//! one shard (the default) a plain sequential event loop.
 //!
 //! Nodes are partitioned round-robin into `S` shards (`node i → shard
 //! i mod S`). Each shard owns its nodes' full per-node state — event
@@ -35,22 +36,26 @@
 //!
 //! # Scheduling: work stealing at the barrier
 //!
-//! Above a small pending-event threshold, windows fan out to a worker
-//! pool of `min(available CPUs, shards)` threads. Workers *claim*
-//! shards from a shared atomic counter: a worker that drains a light
-//! shard immediately claims the next unclaimed one instead of spinning
-//! at the barrier behind a heavy shard. Which worker processes a shard
-//! cannot affect results — shards share no mutable state inside a
-//! window and the barrier merge orders buffered deliveries by their
-//! `(time, origin, seq)` keys — so stealing changes wall-clock only.
-//! `TEECHAIN_STEAL=0` (or [`ShardedEngine::set_steal`]) falls back to
-//! one thread per shard.
+//! One shard runs its single unbounded window on the calling thread.
+//! With several shards, a window holding at least a small threshold of
+//! pending events fans out to a pool of `min(available CPUs, shards)`
+//! scoped threads; smaller windows run inline. Workers *claim* shards
+//! from a shared atomic counter: a worker that drains a light shard
+//! immediately claims the next unclaimed one instead of spinning at the
+//! barrier behind a heavy shard. Which worker processes a shard cannot
+//! affect results — shards share no mutable state inside a window and
+//! the barrier merge orders buffered deliveries by their `(time,
+//! origin, seq)` keys — so the pool changes wall-clock only. The CPU
+//! count is probed on the first window that could use it, so building
+//! an engine costs no system call.
 //!
 //! # Determinism across shard counts
 //!
 //! The engine produces bit-for-bit identical results for *any* shard
-//! count (including 1), which the integration suite asserts. The
-//! argument:
+//! count (including 1), which the integration suite asserts — against
+//! itself across shard counts, and against a naive single-heap
+//! reference engine (`crates/net/tests/reference`) that defines the
+//! event order independently of this code. The argument:
 //!
 //! * **Per-node total order.** Every event carries the key `(time,
 //!   origin node, per-origin seq)`. A node's actions are applied in its
@@ -81,11 +86,11 @@
 //! * **Minimum link delay.** Zero-latency ("ideal") links would make
 //!   the lookahead zero, and a zero-delay cross-node message could
 //!   interleave with the target's same-instant events differently
-//!   under different partitions. The sharded engine therefore clamps
-//!   every message delay to ≥ 1 ns — a physical link has nonzero
-//!   latency — which makes every cross-node event strictly future and
-//!   restores the argument. (This is the one visible semantic
-//!   difference from the sequential engine on ideal links.)
+//!   under different partitions. The engine therefore clamps every
+//!   message delay to ≥ 1 ns — a physical link has nonzero latency —
+//!   which makes every cross-node event strictly future and restores
+//!   the argument. On an "ideal" link a message arrives 1 ns after it
+//!   leaves.
 //!
 //! The escape hatch from this guarantee is shared state *outside* the
 //! engine: node handlers that mutate a cross-node shared structure
@@ -96,7 +101,7 @@
 //! only.
 
 use super::queue::{Ev, LaneKey, LaneQueue};
-use super::{Action, Ctx, EngineState, EventKind, NodeId, SimNode, SimStats};
+use super::{Action, Ctx, EngineKind, EventKind, NodeId, SimNode, SimStats};
 use crate::link::LinkSpec;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -156,6 +161,12 @@ impl LinkTable {
         self.recompute();
     }
 
+    /// Moves the cut to a new shard count.
+    fn set_shards(&mut self, num_shards: usize) {
+        self.num_shards = num_shards;
+        self.recompute();
+    }
+
     /// Recomputes the per-cut lookahead. Called only on topology change
     /// (link overrides are rare), never per window, so the cost of the
     /// override scan is irrelevant; whether the *default* link still
@@ -197,7 +208,8 @@ impl LinkTable {
 }
 
 /// Everything one node owns: the node itself, its RNG lane, sequence
-/// lane, CPU-queue state and sender-side FIFO clamps.
+/// lane, CPU-queue state and sender-side FIFO clamps. A slot is the unit
+/// [`ShardedEngine::repartition`] moves between shards.
 struct Slot<N> {
     node: N,
     rng: Xoshiro256,
@@ -214,8 +226,7 @@ struct Slot<N> {
 
 impl<N> Slot<N> {
     fn new(node: N, engine_seed: u64, id: u64) -> Self {
-        // Lane seed: decorrelate node lanes from each other and from the
-        // sequential engine's global stream.
+        // Lane seed: decorrelate node lanes from each other.
         let lane =
             SplitMix64::new(engine_seed ^ (id + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64();
         Slot {
@@ -390,8 +401,7 @@ impl<N: SimNode> Shard<N> {
     }
 
     /// Processes every local event scheduled strictly before `w_end`,
-    /// up to `budget` events. Same per-event semantics as the
-    /// sequential engine's `step`. Multi-shard windows pass
+    /// up to `budget` events. Multi-shard windows pass
     /// `u64::MAX` — stopping a shard mid-window would break the
     /// barrier contract — while the single-shard path (whose one
     /// window is unbounded) uses the budget to honor `run_to_idle`'s
@@ -441,140 +451,94 @@ impl<N: SimNode> Shard<N> {
     }
 }
 
-/// The sharded conservative-parallel engine (see module docs).
+/// Deals `slots`, in node-id order, round-robin into `s` fresh shards
+/// whose clocks read `now`.
+fn partition<N>(slots: impl Iterator<Item = Slot<N>>, s: usize, now: u64) -> Vec<Shard<N>> {
+    let mut shards: Vec<Shard<N>> = (0..s)
+        .map(|index| Shard {
+            index,
+            num_shards: s,
+            slots: Vec::new(),
+            queue: LaneQueue::default(),
+            outbound: (0..s).map(|_| Vec::new()).collect(),
+            scratch: Vec::new(),
+            now,
+            stats: SimStats::default(),
+        })
+        .collect();
+    for (i, slot) in slots.enumerate() {
+        shards[i % s].slots.push(slot);
+    }
+    shards
+}
+
+/// The simulation engine (see module docs).
 pub struct ShardedEngine<N> {
     shards: Vec<Shard<N>>,
     num_nodes: usize,
     links: LinkTable,
     now: u64,
-    seed: u64,
-    /// Counters carried over from an engine conversion.
-    base_stats: SimStats,
     started: bool,
-    /// Host CPUs available for window fan-out (cached once).
-    workers: usize,
-    /// Claim-based work stealing on the window fan-out (scheduling
-    /// only — results are identical either way).
-    steal: bool,
+    /// Host CPUs available for window fan-out, probed on the first
+    /// window large enough to use them.
+    workers: Option<usize>,
 }
 
 impl<N: SimNode + Send> ShardedEngine<N> {
-    /// Creates an engine over `nodes` partitioned into `shards` shards
-    /// (clamped to `1..=nodes.len()`).
-    pub fn new(nodes: Vec<N>, default_link: LinkSpec, seed: u64, shards: usize) -> Self {
+    /// Creates an engine over `nodes` partitioned into `kind`'s shard
+    /// count (clamped to `1..=nodes.len()`).
+    pub fn new(kind: EngineKind, nodes: Vec<N>, default_link: LinkSpec, seed: u64) -> Self {
         let num_nodes = nodes.len();
-        let s = shards.clamp(1, num_nodes.max(1));
-        let mut built: Vec<Shard<N>> = (0..s)
-            .map(|index| Shard {
-                index,
-                num_shards: s,
-                slots: Vec::new(),
-                queue: LaneQueue::new(),
-                outbound: (0..s).map(|_| Vec::new()).collect(),
-                scratch: Vec::new(),
-                now: 0,
-                stats: SimStats::default(),
-            })
-            .collect();
-        for (i, node) in nodes.into_iter().enumerate() {
-            built[i % s].slots.push(Slot::new(node, seed, i as u64));
-        }
+        let s = kind.shards().min(num_nodes.max(1));
+        let slots = nodes
+            .into_iter()
+            .enumerate()
+            .map(|(i, node)| Slot::new(node, seed, i as u64));
         ShardedEngine {
-            shards: built,
+            shards: partition(slots, s, 0),
             num_nodes,
             links: LinkTable::new(default_link, num_nodes, s),
             now: 0,
-            seed,
-            base_stats: SimStats::default(),
             started: false,
-            workers: std::thread::available_parallelism().map_or(1, |p| p.get()),
-            steal: std::env::var("TEECHAIN_STEAL").map_or(true, |v| v != "0"),
+            workers: None,
         }
     }
 
-    /// Rebuilds from a quiescent snapshot (see `AnyEngine::into_kind`).
-    /// RNG lanes restart from the seed.
-    pub(crate) fn from_state(state: EngineState<N>, shards: usize) -> Self {
-        let mut engine = ShardedEngine::new(state.nodes, state.default_link, state.seed, shards);
-        let s = engine.shards.len();
-        for (i, busy) in state.busy_until.iter().enumerate() {
-            engine.shards[i % s].slots[i / s].busy_until = *busy;
-        }
-        for (i, off) in state.offline.iter().enumerate() {
-            engine.shards[i % s].slots[i / s].offline = *off;
-        }
-        for ((src, dst), t) in state.last_arrival {
-            engine.shards[src as usize % s].slots[src as usize / s]
-                .last_arrival
-                .insert(dst, t);
-        }
-        for ((a, b), spec) in state.links {
-            // Insert raw (recompute once below): set() would recompute
-            // the lookahead per entry.
-            engine.links.links.insert((a, b), spec);
-        }
-        engine.links.recompute();
-        for shard in &mut engine.shards {
-            shard.now = state.now;
-        }
-        engine.now = state.now;
-        engine.base_stats = state.stats;
-        engine.started = state.started;
-        engine
-    }
-
-    /// Tears a **quiescent** engine down to the engine-independent
-    /// snapshot.
+    /// Re-partitions a **quiescent** simulation (empty event queue —
+    /// e.g. after [`ShardedEngine::run_to_idle`]) into `kind`'s shard
+    /// count, in place. Whole per-node slots move between shards: the
+    /// node, its RNG lane and sequence lane, busy period, offline flag
+    /// and per-connection FIFO clamps. The continuation is therefore
+    /// exactly the one the simulation would have had at its old shard
+    /// count. This is how the `scale` benchmark builds one topology and
+    /// then measures every shard count on it.
     ///
     /// # Panics
     ///
-    /// Panics if events are still queued or deferred.
-    pub(crate) fn into_state(self) -> EngineState<N> {
+    /// Panics if events are still queued.
+    pub fn repartition(&mut self, kind: EngineKind) {
         assert!(
-            self.shards.iter().all(|sh| sh.queue.is_empty()
-                && sh.slots.iter().all(|sl| sl.inbox.is_empty())
-                && sh.outbound.iter().all(|o| o.is_empty())),
-            "engine conversion requires a quiescent simulation \
-             (run_to_idle first)"
+            self.shards
+                .iter()
+                .all(|sh| sh.queue.is_empty() && sh.slots.iter().all(|sl| sl.inbox.is_empty())),
+            "repartitioning requires a quiescent simulation (run_to_idle first)"
         );
         let stats = self.stats();
-        let s = self.shards.len();
-        let n = self.num_nodes;
-        let mut nodes: Vec<Option<N>> = (0..n).map(|_| None).collect();
-        let mut busy_until = vec![0u64; n];
-        let mut offline = vec![false; n];
-        let mut last_arrival = HashMap::new();
-        for (si, shard) in self.shards.into_iter().enumerate() {
-            for (li, slot) in shard.slots.into_iter().enumerate() {
-                let gid = li * s + si;
-                busy_until[gid] = slot.busy_until;
-                offline[gid] = slot.offline;
-                for (dst, t) in slot.last_arrival {
-                    last_arrival.insert((gid as u32, dst), t);
-                }
-                nodes[gid] = Some(slot.node);
-            }
-        }
-        EngineState {
-            nodes: nodes
-                .into_iter()
-                .map(|n| n.expect("every id filled"))
-                .collect(),
-            busy_until,
-            offline,
-            links: self.links.links,
-            default_link: self.links.default_link,
-            last_arrival,
-            now: self.now,
-            seed: self.seed,
-            stats,
-            started: self.started,
-        }
+        let s = kind.shards().min(self.num_nodes.max(1));
+        let old = std::mem::take(&mut self.shards);
+        let s_old = old.len();
+        let mut lanes: Vec<_> = old.into_iter().map(|sh| sh.slots.into_iter()).collect();
+        let slots = (0..self.num_nodes).map(|i| lanes[i % s_old].next().expect("node slot"));
+        self.shards = partition(slots, s, self.now);
+        self.shards[0].stats = stats;
+        self.links.set_shards(s);
     }
 
-    /// Number of shards (worker lanes).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
+    /// The shard count this engine runs at.
+    pub fn kind(&self) -> EngineKind {
+        EngineKind::Sharded {
+            shards: self.shards.len(),
+        }
     }
 
     /// The conservative lookahead: the minimum clamped latency over the
@@ -582,14 +546,6 @@ impl<N: SimNode + Send> ShardedEngine<N> {
     /// whose cut is empty).
     pub fn lookahead_ns(&self) -> u64 {
         self.links.lookahead
-    }
-
-    /// Forces window work stealing on or off, overriding the
-    /// `TEECHAIN_STEAL` environment default (on). Pure scheduling
-    /// knob: results are bit-for-bit identical either way, which the
-    /// determinism suites assert.
-    pub fn set_steal(&mut self, steal: bool) {
-        self.steal = steal;
     }
 
     /// Sets the (symmetric) link between two nodes.
@@ -635,7 +591,7 @@ impl<N: SimNode + Send> ShardedEngine<N> {
     pub fn stats(&self) -> SimStats {
         self.shards
             .iter()
-            .fold(self.base_stats, |acc, sh| acc.merged(&sh.stats))
+            .fold(SimStats::default(), |acc, sh| acc.merged(&sh.stats))
     }
 
     /// Immutable access to a node.
@@ -697,64 +653,31 @@ impl<N: SimNode + Send> ShardedEngine<N> {
     /// the single-shard path only (see [`Shard::process_window`]).
     /// Returns events processed.
     fn run_window(&mut self, w_end: u64, budget: u64) -> u64 {
-        let pending: usize = self.shards.iter().map(|sh| sh.queue.len()).sum();
-        let steal = self.steal;
-        let workers = self.workers.min(self.shards.len());
         let links = &self.links;
         let shards = &mut self.shards;
         let processed: u64 = if shards.len() == 1 {
             // One shard has no barrier to honor, so the event budget
             // can bind mid-window (its single window is unbounded).
             shards[0].process_window(w_end, links, budget)
-        } else if pending < PARALLEL_THRESHOLD || workers <= 1 {
-            // Handshake trickle, or nothing to gain from threads.
-            shards
-                .iter_mut()
-                .map(|shard| shard.process_window(w_end, links, u64::MAX))
-                .sum()
-        } else if steal {
-            // Claim-based pool: each worker grabs the next unclaimed
-            // shard, so a worker that drains a light shard takes over a
-            // waiting one instead of idling at the barrier. Claims are
-            // unique (fetch_add), so each mutex is locked exactly once
-            // — it exists to loan `&mut Shard` across threads, not to
-            // arbitrate contention.
-            let tasks: Vec<Mutex<&mut Shard<N>>> = shards.iter_mut().map(Mutex::new).collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut done = 0u64;
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(task) = tasks.get(i) else {
-                                    break;
-                                };
-                                let mut shard = task.lock().expect("claimed shard");
-                                done += shard.process_window(w_end, links, u64::MAX);
-                            }
-                            done
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .sum()
-            })
         } else {
-            // Stealing disabled: one dedicated thread per shard.
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
+            let pending: usize = shards.iter().map(|sh| sh.queue.len()).sum();
+            let workers = if pending < PARALLEL_THRESHOLD {
+                1
+            } else {
+                let cpus = self.workers.get_or_insert_with(|| {
+                    std::thread::available_parallelism().map_or(1, |p| p.get())
+                });
+                (*cpus).min(shards.len())
+            };
+            if workers <= 1 {
+                // Handshake trickle, or nothing to gain from threads.
+                shards
                     .iter_mut()
-                    .map(|shard| scope.spawn(move || shard.process_window(w_end, links, u64::MAX)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
+                    .map(|shard| shard.process_window(w_end, links, u64::MAX))
                     .sum()
-            })
+            } else {
+                run_pool(shards, workers, w_end, links)
+            }
         };
         self.exchange();
         processed
@@ -800,55 +723,104 @@ impl<N: SimNode + Send> ShardedEngine<N> {
     /// were processed (a runaway guard). With multiple shards the budget
     /// is checked at window boundaries and can overshoot by up to one
     /// window; with a single shard — whose one window is unbounded — it
-    /// binds per event, exactly like the sequential engine. Returns the
-    /// number of events processed.
+    /// binds per event. Returns the number of events processed.
     pub fn run_to_idle(&mut self, max_events: u64) -> u64 {
         self.drive(None, max_events)
     }
 }
 
-impl<N: SimNode + Send> super::Engine<N> for ShardedEngine<N> {
-    fn len(&self) -> usize {
-        ShardedEngine::len(self)
-    }
-    fn now_ns(&self) -> u64 {
-        ShardedEngine::now_ns(self)
-    }
-    fn stats(&self) -> SimStats {
-        ShardedEngine::stats(self)
-    }
-    fn node(&self, id: NodeId) -> &N {
-        ShardedEngine::node(self, id)
-    }
-    fn node_mut(&mut self, id: NodeId) -> &mut N {
-        ShardedEngine::node_mut(self, id)
-    }
-    fn set_link(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) {
-        ShardedEngine::set_link(self, a, b, spec)
-    }
-    fn set_offline(&mut self, id: NodeId, offline: bool) {
-        ShardedEngine::set_offline(self, id, offline)
-    }
-    fn is_offline(&self, id: NodeId) -> bool {
-        ShardedEngine::is_offline(self, id)
-    }
-    fn call<R>(&mut self, id: NodeId, f: impl FnOnce(&mut N, &mut Ctx<'_>) -> R) -> R {
-        ShardedEngine::call(self, id, f)
-    }
-    fn run_until(&mut self, deadline_ns: u64) -> u64 {
-        ShardedEngine::run_until(self, deadline_ns)
-    }
-    fn run_to_idle(&mut self, max_events: u64) -> u64 {
-        ShardedEngine::run_to_idle(self, max_events)
-    }
+/// Processes one window of `shards` on a pool of `workers` scoped
+/// threads. Each worker claims the next unclaimed shard, so a worker that
+/// drains a light shard takes over a waiting one instead of idling at the
+/// barrier. Claims are unique (`fetch_add`), so each mutex is locked
+/// exactly once — it exists to loan `&mut Shard` across threads, not to
+/// arbitrate contention. Returns events processed.
+fn run_pool<N: SimNode + Send>(
+    shards: &mut [Shard<N>],
+    workers: usize,
+    w_end: u64,
+    links: &LinkTable,
+) -> u64 {
+    let tasks: Vec<Mutex<&mut Shard<N>>> = shards.iter_mut().map(Mutex::new).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = 0u64;
+                    while let Some(task) = tasks.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let mut shard = task.lock().expect("claimed shard");
+                        done += shard.process_window(w_end, links, u64::MAX);
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard worker panicked"))
+            .sum()
+    })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::Echo;
-    use super::super::{AnyEngine, EngineKind};
     use super::*;
     use crate::MS;
+
+    /// Echoes messages, records receipts and timers, optionally burns
+    /// CPU.
+    struct Echo {
+        received: Vec<(u64, NodeId, Vec<u8>)>,
+        timers: Vec<(u64, u64)>,
+        echo: bool,
+        cost_ns: u64,
+    }
+
+    impl Echo {
+        fn new(echo: bool) -> Self {
+            Echo {
+                received: Vec::new(),
+                timers: Vec::new(),
+                echo,
+                cost_ns: 0,
+            }
+        }
+    }
+
+    impl SimNode for Echo {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Vec<u8>) {
+            self.received.push((ctx.now_ns(), from, msg.clone()));
+            if self.cost_ns > 0 {
+                ctx.busy(self.cost_ns);
+            }
+            if self.echo {
+                ctx.send(from, msg);
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            self.timers.push((ctx.now_ns(), token));
+        }
+    }
+
+    fn engine(shards: usize, nodes: Vec<Echo>, link: LinkSpec, seed: u64) -> ShardedEngine<Echo> {
+        ShardedEngine::new(EngineKind::Sharded { shards }, nodes, link, seed)
+    }
+
+    fn fixed(latency_ns: u64) -> LinkSpec {
+        LinkSpec {
+            latency_ns,
+            jitter_frac: 0.0,
+            bandwidth_bps: None,
+        }
+    }
+
+    /// Node 0 records, node 1 records and echoes; jitter-free links.
+    fn two_nodes(latency_ms: u64, shards: usize) -> ShardedEngine<Echo> {
+        let nodes = vec![Echo::new(false), Echo::new(true)];
+        engine(shards, nodes, fixed(latency_ms * MS), 1)
+    }
 
     /// A mixed scenario: jittery links, per-link overrides, CPU costs,
     /// echo cascades, timers and a crash/recovery — run at a given shard
@@ -869,7 +841,7 @@ mod tests {
         };
         let n = 6;
         let nodes: Vec<Echo> = (0..n).map(|i| Echo::new(i % 2 == 1)).collect();
-        let mut sim = ShardedEngine::new(nodes, default, 42, shards);
+        let mut sim = engine(shards, nodes, default, 42);
         sim.set_link(
             NodeId(0),
             NodeId(3),
@@ -923,13 +895,127 @@ mod tests {
     }
 
     #[test]
+    fn message_arrives_after_latency() {
+        for shards in [1, 2] {
+            let mut sim = two_nodes(10, shards);
+            sim.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), b"ping".to_vec()));
+            sim.run_to_idle(100);
+            let (t, from, msg) = &sim.node(NodeId(1)).received[0];
+            assert_eq!(*t, 10 * MS, "{shards} shards");
+            assert_eq!(*from, NodeId(0));
+            assert_eq!(msg, b"ping");
+            // The echo arrives back after another 10 ms.
+            assert_eq!(sim.node(NodeId(0)).received[0].0, 20 * MS);
+        }
+    }
+
+    #[test]
+    fn timers_fire_in_order() {
+        for shards in [1, 2] {
+            let mut sim = two_nodes(1, shards);
+            sim.call(NodeId(0), |_, ctx| {
+                ctx.set_timer(5 * MS, 5);
+                ctx.set_timer(2 * MS, 2);
+                ctx.set_timer(9 * MS, 9);
+            });
+            sim.run_to_idle(100);
+            assert_eq!(
+                sim.node(NodeId(0)).timers,
+                vec![(2 * MS, 2), (5 * MS, 5), (9 * MS, 9)],
+                "{shards} shards"
+            );
+        }
+    }
+
+    #[test]
+    fn per_link_overrides() {
+        for shards in [1, 2] {
+            let nodes = vec![Echo::new(false), Echo::new(false), Echo::new(false)];
+            let mut sim = engine(shards, nodes, fixed(MS), 1);
+            sim.set_link(NodeId(0), NodeId(2), fixed(50 * MS));
+            sim.call(NodeId(0), |_, ctx| {
+                ctx.send(NodeId(1), b"fast".to_vec());
+                ctx.send(NodeId(2), b"slow".to_vec());
+            });
+            sim.run_to_idle(100);
+            assert_eq!(sim.node(NodeId(1)).received[0].0, MS, "{shards} shards");
+            assert_eq!(
+                sim.node(NodeId(2)).received[0].0,
+                50 * MS,
+                "{shards} shards"
+            );
+        }
+    }
+
+    #[test]
+    fn offline_node_drops_traffic_then_recovers_delivery() {
+        for shards in [1, 2] {
+            let mut sim = two_nodes(5, shards);
+            sim.set_offline(NodeId(1), true);
+            sim.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), b"lost".to_vec()));
+            sim.run_to_idle(100);
+            assert!(sim.node(NodeId(1)).received.is_empty(), "{shards} shards");
+            assert_eq!(sim.stats().dropped, 1);
+            sim.set_offline(NodeId(1), false);
+            sim.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), b"arrives".to_vec()));
+            sim.run_to_idle(100);
+            assert_eq!(sim.node(NodeId(1)).received.len(), 1, "{shards} shards");
+            assert_eq!(sim.node(NodeId(1)).received[0].2, b"arrives");
+        }
+    }
+
+    #[test]
+    fn crash_discards_deferred_inbox_and_timers() {
+        for shards in [1, 2] {
+            let mut sim = two_nodes(0, shards);
+            sim.node_mut(NodeId(1)).cost_ns = 10 * MS;
+            sim.call(NodeId(0), |_, ctx| {
+                ctx.send(NodeId(1), b"a".to_vec());
+                ctx.send(NodeId(1), b"b".to_vec());
+                ctx.send(NodeId(1), b"c".to_vec());
+            });
+            // All three land at the 1 ns minimum delay: the first is
+            // processed, b and c sit deferred in the busy node's inbox.
+            sim.run_until(MIN_DELAY_NS);
+            sim.call(NodeId(1), |_, ctx| ctx.set_timer(50 * MS, 9));
+            sim.set_offline(NodeId(1), true);
+            sim.run_to_idle(1000);
+            assert_eq!(sim.node(NodeId(1)).received.len(), 1, "{shards} shards");
+            assert!(
+                sim.node(NodeId(1)).timers.is_empty(),
+                "timer died with the node"
+            );
+            assert_eq!(
+                sim.stats().dropped,
+                3,
+                "{shards} shards: the deferred inbox and the timer were discarded"
+            );
+            assert!(sim.is_offline(NodeId(1)));
+        }
+    }
+
+    #[test]
+    fn throughput_limited_by_service_time() {
+        // With a 1 ms service time, 1000 messages take ~1 s to drain:
+        // the single-server queue caps throughput at 1/cost.
+        for shards in [1, 2] {
+            let mut sim = two_nodes(0, shards);
+            sim.node_mut(NodeId(1)).cost_ns = MS;
+            sim.call(NodeId(0), |_, ctx| {
+                for _ in 0..1000 {
+                    ctx.send(NodeId(1), vec![0]);
+                }
+            });
+            sim.run_to_idle(10_000);
+            let last = sim.node(NodeId(1)).received.last().unwrap().0;
+            assert_eq!(last, 999 * MS + MIN_DELAY_NS, "{shards} shards");
+        }
+    }
+
+    #[test]
     fn ideal_links_are_clamped_to_min_delay() {
-        let mut sim = ShardedEngine::new(
-            vec![Echo::new(false), Echo::new(false)],
-            LinkSpec::ideal(),
-            1,
-            2,
-        );
+        let nodes = vec![Echo::new(false), Echo::new(false)];
+        let mut sim = engine(2, nodes, LinkSpec::ideal(), 1);
         assert_eq!(sim.lookahead_ns(), MIN_DELAY_NS);
         sim.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), b"x".to_vec()));
         sim.run_to_idle(10);
@@ -942,78 +1028,34 @@ mod tests {
         // Hub-spoke-ish layout at 2 shards: nodes {0,2} share shard 0,
         // {1,3} share shard 1. A fast link *inside* a shard must not
         // narrow the window; only cross-shard links sit on the cut.
-        let default = LinkSpec {
-            latency_ns: 5 * MS,
-            jitter_frac: 0.0,
-            bandwidth_bps: None,
-        };
+        let default = fixed(5 * MS);
         let nodes: Vec<Echo> = (0..4).map(|_| Echo::new(false)).collect();
-        let mut sim = ShardedEngine::new(nodes, default, 3, 2);
+        let mut sim = engine(2, nodes, default, 3);
         assert_eq!(sim.lookahead_ns(), 5 * MS);
         // Intra-shard override (0 and 2 both map to shard 0): the
         // per-cut lookahead stays at the default — strictly wider than
-        // the global minimum (1 ns) the old derivation would pick.
+        // the global minimum (1 ns) a global derivation would pick.
         sim.set_link(NodeId(0), NodeId(2), LinkSpec::ideal());
         assert_eq!(sim.lookahead_ns(), 5 * MS);
         // A cross-shard override does tighten the window.
-        let cross = LinkSpec {
-            latency_ns: 2 * MS,
-            jitter_frac: 0.0,
-            bandwidth_bps: None,
-        };
-        sim.set_link(NodeId(0), NodeId(1), cross);
+        sim.set_link(NodeId(0), NodeId(1), fixed(2 * MS));
         assert_eq!(sim.lookahead_ns(), 2 * MS);
         // One shard has an empty cut: the window is unbounded.
         let nodes: Vec<Echo> = (0..4).map(|_| Echo::new(false)).collect();
-        let solo = ShardedEngine::new(nodes, default, 3, 1);
+        let solo = engine(1, nodes, default, 3);
         assert_eq!(solo.lookahead_ns(), u64::MAX);
     }
 
     #[test]
     fn single_shard_budget_binds_per_event() {
         // The single-shard window is unbounded, so run_to_idle's guard
-        // must bind inside the window, exactly like the sequential
-        // engine.
-        let link = LinkSpec {
-            latency_ns: MS,
-            jitter_frac: 0.0,
-            bandwidth_bps: None,
-        };
-        let mut sim = ShardedEngine::new(vec![Echo::new(true), Echo::new(true)], link, 1, 1);
+        // must bind inside the window.
+        let nodes = vec![Echo::new(true), Echo::new(true)];
+        let mut sim = engine(1, nodes, fixed(MS), 1);
         // Two echo nodes bounce forever; without the in-window budget
         // this would never return.
         sim.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), b"ping".to_vec()));
         assert_eq!(sim.run_to_idle(25), 25);
-    }
-
-    #[test]
-    fn stealing_matches_dedicated_workers() {
-        // Same workload with the claim-based pool forced on and off:
-        // traces and stats must be bit-for-bit identical (stealing is
-        // scheduling only).
-        let link = LinkSpec {
-            latency_ns: MS,
-            jitter_frac: 0.2,
-            bandwidth_bps: None,
-        };
-        let run = |steal: bool| {
-            let nodes: Vec<Echo> = (0..8).map(|i| Echo::new(i % 2 == 1)).collect();
-            let mut sim = ShardedEngine::new(nodes, link, 13, 4);
-            sim.set_steal(steal);
-            for i in 0..8u32 {
-                sim.call(NodeId(i), |_, ctx| {
-                    for k in 0..150u16 {
-                        ctx.send(NodeId((i + 3) % 8), k.to_le_bytes().to_vec());
-                    }
-                });
-            }
-            sim.run_to_idle(1_000_000);
-            let trace: Vec<_> = (0..8u32)
-                .map(|i| sim.node(NodeId(i)).received.clone())
-                .collect();
-            (trace, sim.stats(), sim.now_ns())
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]
@@ -1024,8 +1066,7 @@ mod tests {
             bandwidth_bps: None,
         };
         for shards in [1, 2] {
-            let mut sim =
-                ShardedEngine::new(vec![Echo::new(false), Echo::new(false)], link, 7, shards);
+            let mut sim = engine(shards, vec![Echo::new(false), Echo::new(false)], link, 7);
             sim.call(NodeId(0), |_, ctx| {
                 for k in 0..50u8 {
                     ctx.send(NodeId(1), vec![k]);
@@ -1044,32 +1085,30 @@ mod tests {
 
     #[test]
     fn busy_node_defers_like_sequential_engine() {
-        // 1 ms links (no clamping distortion): service times must serialize.
-        let link = LinkSpec {
-            latency_ns: MS,
-            jitter_frac: 0.0,
-            bandwidth_bps: None,
-        };
-        let mut sim = ShardedEngine::new(vec![Echo::new(false), Echo::new(false)], link, 1, 2);
-        sim.node_mut(NodeId(1)).cost_ns = 10 * MS;
-        sim.call(NodeId(0), |_, ctx| {
-            ctx.send(NodeId(1), b"a".to_vec());
-            ctx.send(NodeId(1), b"b".to_vec());
-            ctx.send(NodeId(1), b"c".to_vec());
-        });
-        sim.run_to_idle(100);
-        let times: Vec<u64> = sim.node(NodeId(1)).received.iter().map(|r| r.0).collect();
-        assert_eq!(times, vec![MS, 11 * MS, 21 * MS]);
+        // Three back-to-back messages to a node with a 10 ms service
+        // time are served 10 ms apart, whatever the shard count.
+        for shards in [1, 2] {
+            let mut sim = engine(
+                shards,
+                vec![Echo::new(false), Echo::new(false)],
+                fixed(MS),
+                1,
+            );
+            sim.node_mut(NodeId(1)).cost_ns = 10 * MS;
+            sim.call(NodeId(0), |_, ctx| {
+                ctx.send(NodeId(1), b"a".to_vec());
+                ctx.send(NodeId(1), b"b".to_vec());
+                ctx.send(NodeId(1), b"c".to_vec());
+            });
+            sim.run_to_idle(100);
+            let times: Vec<u64> = sim.node(NodeId(1)).received.iter().map(|r| r.0).collect();
+            assert_eq!(times, vec![MS, 11 * MS, 21 * MS], "{shards} shards");
+        }
     }
 
     #[test]
     fn run_until_respects_deadline() {
-        let link = LinkSpec {
-            latency_ns: MS,
-            jitter_frac: 0.0,
-            bandwidth_bps: None,
-        };
-        let mut sim = ShardedEngine::new(vec![Echo::new(false), Echo::new(false)], link, 1, 2);
+        let mut sim = engine(2, vec![Echo::new(false), Echo::new(false)], fixed(MS), 1);
         sim.call(NodeId(0), |_, ctx| {
             ctx.set_timer(5 * MS, 1);
             ctx.set_timer(50 * MS, 2);
@@ -1084,7 +1123,7 @@ mod tests {
     #[test]
     fn threaded_windows_match_inline_windows() {
         // Enough pending events to cross PARALLEL_THRESHOLD and exercise
-        // the worker-thread path; results must match a 1-shard run.
+        // the worker-pool path; results must match a 1-shard run.
         let link = LinkSpec {
             latency_ns: MS,
             jitter_frac: 0.2,
@@ -1092,7 +1131,7 @@ mod tests {
         };
         let run = |shards: usize| {
             let nodes: Vec<Echo> = (0..4).map(|i| Echo::new(i % 2 == 1)).collect();
-            let mut sim = ShardedEngine::new(nodes, link, 9, shards);
+            let mut sim = engine(shards, nodes, link, 9);
             for i in 0..4u32 {
                 sim.call(NodeId(i), |_, ctx| {
                     for k in 0..200u16 {
@@ -1101,6 +1140,9 @@ mod tests {
                 });
             }
             sim.run_to_idle(1_000_000);
+            // The CPU count is probed only by a window that could use
+            // threads; a single shard never asks.
+            assert_eq!(sim.workers.is_some(), shards > 1, "{shards} shards");
             let trace: Vec<_> = (0..4u32)
                 .map(|i| sim.node(NodeId(i)).received.clone())
                 .collect();
@@ -1111,59 +1153,82 @@ mod tests {
 
     #[test]
     fn conversion_between_engines_preserves_world() {
-        let link = LinkSpec {
-            latency_ns: MS,
-            jitter_frac: 0.0,
-            bandwidth_bps: None,
-        };
-        let mut seq: AnyEngine<Echo> = AnyEngine::new(
-            EngineKind::Seq,
-            vec![Echo::new(false), Echo::new(true), Echo::new(false)],
-            link,
-            5,
-        );
-        seq.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), b"hello".to_vec()));
-        seq.run_to_idle(100);
-        let stats = seq.stats();
-        let now = seq.now_ns();
+        let nodes = vec![Echo::new(false), Echo::new(true), Echo::new(false)];
+        let mut sim = engine(1, nodes, fixed(MS), 5);
+        sim.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), b"hello".to_vec()));
+        sim.run_to_idle(100);
+        sim.set_offline(NodeId(2), true);
+        let stats = sim.stats();
+        let now = sim.now_ns();
 
-        // Convert at quiescence and continue under the sharded engine:
-        // history, clock and counters carry over.
-        let mut sharded = seq.into_kind(EngineKind::Sharded { shards: 2 });
-        assert_eq!(sharded.kind(), EngineKind::Sharded { shards: 2 });
-        assert_eq!(sharded.now_ns(), now);
-        assert_eq!(sharded.stats(), stats);
-        assert_eq!(sharded.node(NodeId(1)).received.len(), 1);
-        sharded.call(NodeId(0), |_, ctx| ctx.send(NodeId(2), b"more".to_vec()));
-        sharded.run_to_idle(100);
-        assert_eq!(sharded.node(NodeId(2)).received.len(), 1);
-        assert_eq!(sharded.stats().messages, stats.messages + 1);
+        // Repartition at quiescence and continue at two shards: history,
+        // clock, offline flags and counters carry over.
+        sim.repartition(EngineKind::Sharded { shards: 2 });
+        assert_eq!(sim.kind(), EngineKind::Sharded { shards: 2 });
+        assert_eq!(sim.now_ns(), now);
+        assert_eq!(sim.stats(), stats);
+        assert_eq!(sim.node(NodeId(1)).received.len(), 1);
+        assert!(sim.is_offline(NodeId(2)));
+        sim.set_offline(NodeId(2), false);
+        sim.call(NodeId(0), |_, ctx| ctx.send(NodeId(2), b"more".to_vec()));
+        sim.run_to_idle(100);
+        assert_eq!(sim.node(NodeId(2)).received.len(), 1);
+        assert_eq!(sim.stats().messages, stats.messages + 1);
 
-        // And back to sequential.
-        let back = sharded.into_kind(EngineKind::Seq);
-        assert_eq!(back.kind(), EngineKind::Seq);
-        assert_eq!(back.node(NodeId(2)).received.len(), 1);
+        // And back to one shard.
+        sim.repartition(EngineKind::Seq);
+        assert_eq!(sim.kind(), EngineKind::Sharded { shards: 1 });
+        assert_eq!(sim.node(NodeId(2)).received.len(), 1);
+    }
+
+    #[test]
+    fn repartition_clamps_to_node_count() {
+        let nodes = vec![Echo::new(false), Echo::new(true), Echo::new(false)];
+        let mut sim = engine(2, nodes, fixed(MS), 5);
+        sim.repartition(EngineKind::Sharded { shards: 8 });
+        assert_eq!(sim.kind(), EngineKind::Sharded { shards: 3 });
+        sim.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), b"ping".to_vec()));
+        sim.run_to_idle(100);
+        // Every node is still reachable: the echo came back.
+        assert_eq!(sim.node(NodeId(1)).received.len(), 1);
+        assert_eq!(sim.node(NodeId(0)).received[0].0, 2 * MS);
+    }
+
+    #[test]
+    fn conversion_rejects_pending_events() {
+        for shards in [1, 2] {
+            let mut sim = two_nodes(2, shards);
+            sim.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), b"x".to_vec()));
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.repartition(EngineKind::Sharded { shards: 3 - shards })
+            }))
+            .expect_err("a message is still in flight");
+            let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(msg.contains("quiescent"), "{shards} shards: {msg:?}");
+        }
     }
 
     #[test]
     fn shard_count_does_not_change_converted_continuation() {
-        // Continuing a converted quiescent world must agree across shard
-        // counts too (this is the scale benchmark's usage pattern).
+        // Repartitioning a quiescent world is invisible: continuing it
+        // at any shard count replays the run that was never converted.
+        // Jitter draws from the senders' RNG lanes, so a repartition
+        // that re-derived or reordered a lane would shift every later
+        // arrival (this is the scale benchmark's usage pattern).
         let link = LinkSpec {
             latency_ns: 2 * MS,
             jitter_frac: 0.1,
             bandwidth_bps: None,
         };
-        let continue_at = |shards: usize| {
-            let mut seq: AnyEngine<Echo> = AnyEngine::new(
-                EngineKind::Seq,
-                (0..5).map(|i| Echo::new(i % 2 == 1)).collect(),
-                link,
-                11,
-            );
-            seq.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), b"setup".to_vec()));
-            seq.run_to_idle(100);
-            let mut sim = seq.into_kind(EngineKind::Sharded { shards });
+        let continue_at = |from: usize, to: Option<usize>| {
+            let nodes = (0..5).map(|i| Echo::new(i % 2 == 1)).collect();
+            let mut sim = engine(from, nodes, link, 11);
+            sim.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), b"setup".to_vec()));
+            sim.run_to_idle(100);
+            if let Some(to) = to {
+                sim.repartition(EngineKind::Sharded { shards: to });
+                assert_eq!(sim.kind().shards(), to);
+            }
             for i in 0..5u32 {
                 sim.call(NodeId(i), |_, ctx| {
                     for k in 0..8u8 {
@@ -1180,8 +1245,9 @@ mod tests {
                 .collect();
             (trace, sim.stats(), sim.now_ns())
         };
-        let base = continue_at(1);
-        assert_eq!(continue_at(2), base);
-        assert_eq!(continue_at(5), base);
+        let base = continue_at(1, None);
+        for (from, to) in [(1, 2), (1, 3), (1, 5), (3, 1)] {
+            assert_eq!(continue_at(from, Some(to)), base, "{from} → {to} shards");
+        }
     }
 }

@@ -5,13 +5,12 @@
 //! US and Israel (Fig. 3). This crate reproduces that substrate twice —
 //! once in simulation, once for real:
 //!
-//! * [`engine`] — the event-loop family behind the [`Engine`] trait:
-//!   message delivery, timers, and a per-node single-server CPU model (a
-//!   node busy processing one message queues the next), which is what
-//!   turns per-operation costs into throughput limits. Two
-//!   implementations: the sequential loop ([`SeqEngine`], the original
-//!   `Simulator`) and the sharded conservative-parallel engine
-//!   ([`ShardedEngine`]) whose results are identical for any shard count.
+//! * [`engine`] — the event loop: message delivery, timers, and a
+//!   per-node single-server CPU model (a node busy processing one message
+//!   queues the next), which is what turns per-operation costs into
+//!   throughput limits. One engine, [`ShardedEngine`] (also named
+//!   [`AnyEngine`]): a sequential loop at one shard, conservative-parallel
+//!   at more, with results identical for any shard count.
 //! * [`live`] — the real substrate: the [`Transport`] abstraction with an
 //!   in-process channel backend ([`ThreadNet`]) and a localhost TCP
 //!   backend ([`TcpNet`]), plus the [`live::drive`] bridge that runs the
@@ -36,10 +35,7 @@ pub mod live;
 pub mod stats;
 pub mod topology;
 
-pub use engine::{
-    AnyEngine, Ctx, Engine, EngineKind, NodeId, SeqEngine, ShardedEngine, SimNode, SimStats,
-    Simulator,
-};
+pub use engine::{AnyEngine, Ctx, EngineKind, NodeId, ShardedEngine, SimNode, SimStats};
 pub use link::LinkSpec;
 pub use live::{
     NodeAction, ReactorNet, TcpNet, ThreadNet, Transport, TransportError, TransportRx, TransportTx,

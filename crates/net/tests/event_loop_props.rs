@@ -1,6 +1,7 @@
-//! Property tests of the event-loop invariants, run against **both**
-//! engines under randomized link latencies, jitter, CPU costs, traffic
-//! patterns and crash/offline toggles:
+//! Property tests of the event-loop invariants, run against the engine
+//! at 1 and 3 shards and against the naive reference engine in
+//! `reference/`, under randomized link latencies, jitter, CPU costs,
+//! traffic patterns and crash/offline toggles:
 //!
 //! 1. per-connection FIFO — a receiver never observes messages from one
 //!    sender out of order, whatever the jitter;
@@ -9,11 +10,13 @@
 //!    queue);
 //! 3. conservation — every sent message is either delivered or counted
 //!    dropped by crash fault injection;
-//! 4. shard-count invariance — the sharded engine's full receipt trace
-//!    is bit-for-bit identical at 1 and 3 shards, with window work
-//!    stealing forced on or off.
+//! 4. reference order — the engine's full receipt trace and counters are
+//!    bit-for-bit those of the reference engine, at 1 and at 3 shards.
+
+mod reference;
 
 use proptest::prelude::*;
+use reference::RefEngine;
 use teechain_net::{AnyEngine, Ctx, EngineKind, LinkSpec, NodeId, SimNode, SimStats, MS};
 
 const NODES: u32 = 4;
@@ -62,57 +65,93 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-#[allow(clippy::type_complexity)]
-fn run_case(
-    kind: EngineKind,
-    steal: Option<bool>,
-    ops: &[Op],
-    latency_ms: u64,
-    jitter_pct: u64,
-    costs: &[u64],
-) -> (Vec<Vec<(u64, u32, u32)>>, SimStats, u64) {
-    let link = LinkSpec {
+/// The driving surface shared by the engine and the reference engine.
+trait Sim<N> {
+    fn call(&mut self, id: NodeId, f: impl FnOnce(&mut N, &mut Ctx<'_>));
+    fn set_offline(&mut self, id: NodeId, down: bool);
+    fn run_until(&mut self, t: u64);
+    /// Runs to idle, then reads every node and the counters.
+    fn finish<T>(self, read: impl Fn(&N) -> T) -> (Vec<T>, SimStats);
+}
+
+impl<N: SimNode + Send> Sim<N> for AnyEngine<N> {
+    fn call(&mut self, id: NodeId, f: impl FnOnce(&mut N, &mut Ctx<'_>)) {
+        AnyEngine::call(self, id, f)
+    }
+    fn set_offline(&mut self, id: NodeId, down: bool) {
+        AnyEngine::set_offline(self, id, down)
+    }
+    fn run_until(&mut self, t: u64) {
+        AnyEngine::run_until(self, t);
+    }
+    fn finish<T>(mut self, read: impl Fn(&N) -> T) -> (Vec<T>, SimStats) {
+        self.run_to_idle(1_000_000);
+        let nodes = (0..self.len()).map(|i| read(self.node(NodeId(i as u32))));
+        (nodes.collect(), self.stats())
+    }
+}
+
+impl<N: SimNode> Sim<N> for RefEngine<N> {
+    fn call(&mut self, id: NodeId, f: impl FnOnce(&mut N, &mut Ctx<'_>)) {
+        RefEngine::call(self, id, f)
+    }
+    fn set_offline(&mut self, id: NodeId, down: bool) {
+        RefEngine::set_offline(self, id, down)
+    }
+    fn run_until(&mut self, t: u64) {
+        RefEngine::run_until(self, t)
+    }
+    fn finish<T>(mut self, read: impl Fn(&N) -> T) -> (Vec<T>, SimStats) {
+        self.run_to_idle();
+        (self.nodes.iter().map(read).collect(), self.stats)
+    }
+}
+
+fn link(latency_ms: u64, jitter_pct: u64) -> LinkSpec {
+    LinkSpec {
         latency_ns: latency_ms * MS,
         jitter_frac: jitter_pct as f64 / 100.0,
         bandwidth_bps: Some(10_000_000),
-    };
-    let nodes = costs
+    }
+}
+
+fn recorders(costs: &[u64]) -> Vec<Recorder> {
+    costs
         .iter()
         .map(|&cost_ns| Recorder {
             received: Vec::new(),
             cost_ns,
         })
-        .collect();
-    let mut eng: AnyEngine<Recorder> = AnyEngine::new(kind, nodes, link, 0xfeed);
-    if let Some(steal) = steal {
-        eng.set_steal(steal);
-    }
+        .collect()
+}
+
+/// Replays `ops` on `sim`, then runs it to idle. Returns every node's
+/// receipt trace, the counters and the number of messages sent.
+#[allow(clippy::type_complexity)]
+fn run_case(mut sim: impl Sim<Recorder>, ops: &[Op]) -> (Vec<Vec<(u64, u32, u32)>>, SimStats, u64) {
     let mut next_seq = vec![0u32; (NODES * NODES) as usize];
-    let mut sent = 0u64;
+    let (mut sent, mut now) = (0u64, 0u64);
     for op in ops {
         match *op {
             Op::Send { from, to, count } => {
                 let base = next_seq[(from * NODES + to) as usize];
                 next_seq[(from * NODES + to) as usize] += count;
-                eng.call(NodeId(from), |_, ctx| {
+                sim.call(NodeId(from), |_, ctx| {
                     for k in 0..count {
                         ctx.send(NodeId(to), (base + k).to_le_bytes().to_vec());
                     }
                 });
                 sent += count as u64;
             }
-            Op::Offline { node, down } => eng.set_offline(NodeId(node), down),
+            Op::Offline { node, down } => sim.set_offline(NodeId(node), down),
             Op::Run { ms } => {
-                let t = eng.now_ns() + ms * MS;
-                eng.run_until(t);
+                now += ms * MS;
+                sim.run_until(now);
             }
         }
     }
-    eng.run_to_idle(1_000_000);
-    let traces = (0..NODES)
-        .map(|i| eng.node(NodeId(i)).received.clone())
-        .collect();
-    (traces, eng.stats(), sent)
+    let (traces, stats) = sim.finish(|n| n.received.clone());
+    (traces, stats, sent)
 }
 
 fn check_invariants(
@@ -159,9 +198,9 @@ fn check_invariants(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// FIFO, busy-queue deferral and message conservation hold on both
-    /// engines for random schedules; the sharded engine's trace is
-    /// identical at 1 and 3 shards.
+    /// FIFO, busy-queue deferral and message conservation hold for random
+    /// schedules, and the engine's trace is the reference engine's, at 1
+    /// and at 3 shards.
     #[test]
     fn prop_event_loop_invariants(
         ops in arb_ops(),
@@ -169,33 +208,101 @@ proptest! {
         jitter_pct in 0u64..40,
         costs in proptest::collection::vec(0u64..2_000_000, 4..5),
     ) {
-        let (seq_traces, seq_stats, seq_sent) =
-            run_case(EngineKind::Seq, None, &ops, latency_ms, jitter_pct, &costs);
-        check_invariants("seq", &seq_traces, &seq_stats, seq_sent, &costs)?;
+        let link = link(latency_ms, jitter_pct);
+        let reference = run_case(RefEngine::new(recorders(&costs), link, 0xfeed), &ops);
+        check_invariants("reference", &reference.0, &reference.1, reference.2, &costs)?;
 
-        let one = run_case(
-            EngineKind::Sharded { shards: 1 },
-            None, &ops, latency_ms, jitter_pct, &costs,
-        );
-        check_invariants("sharded:1", &one.0, &one.1, one.2, &costs)?;
+        for shards in [1, 3] {
+            let kind = EngineKind::Sharded { shards };
+            let run = run_case(AnyEngine::new(kind, recorders(&costs), link, 0xfeed), &ops);
+            let label = kind.to_string();
+            check_invariants(&label, &run.0, &run.1, run.2, &costs)?;
+            // (4) Reference order, trace-exact.
+            prop_assert!(run.0 == reference.0, "{label} traces diverged from the reference");
+            prop_assert!(run.1 == reference.1, "{label} stats diverged from the reference");
+        }
+    }
+}
 
-        let three = run_case(
-            EngineKind::Sharded { shards: 3 },
-            Some(true), &ops, latency_ms, jitter_pct, &costs,
-        );
-        check_invariants("sharded:3", &three.0, &three.1, three.2, &costs)?;
+/// Forwards tokens to peers it picks from its own RNG lane until their hop
+/// budget runs out, charges CPU per message, and re-arms a timer that
+/// injects a fresh token.
+struct Gossip {
+    id: u32,
+    cost_ns: u64,
+    /// `(time, from, hops left)`; timers log `from = u32::MAX`.
+    log: Vec<(u64, u32, u8)>,
+}
 
-        // (4) Shard-count invariance, trace-exact.
-        prop_assert!(one.0 == three.0, "sharded traces diverged");
-        prop_assert!(one.1 == three.1, "sharded stats diverged");
+impl SimNode for Gossip {
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Vec<u8>) {
+        self.log.push((ctx.now_ns(), from.0, msg[0]));
+        ctx.busy(self.cost_ns);
+        let to = ctx.rng().next_below(NODES as u64) as u32;
+        if msg[0] > 0 && to != self.id {
+            ctx.send(NodeId(to), vec![msg[0] - 1]);
+        }
+    }
 
-        // (5) Scheduling invariance: the claim-based stealing pool is
-        // scheduling only, so forcing it off changes nothing.
-        let no_steal = run_case(
-            EngineKind::Sharded { shards: 3 },
-            Some(false), &ops, latency_ms, jitter_pct, &costs,
-        );
-        prop_assert!(three.0 == no_steal.0, "steal on/off traces diverged");
-        prop_assert!(three.1 == no_steal.1, "steal on/off stats diverged");
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        self.log.push((ctx.now_ns(), u32::MAX, token as u8));
+        if token > 0 {
+            ctx.send(NodeId((self.id + 1) % NODES), vec![3]);
+            ctx.set_timer(2 * MS, token - 1);
+        }
+    }
+}
+
+#[allow(clippy::type_complexity)]
+fn gossip(mut sim: impl Sim<Gossip>) -> (Vec<Vec<(u64, u32, u8)>>, SimStats) {
+    for i in 0..NODES {
+        sim.call(NodeId(i), |_, ctx| {
+            ctx.set_timer((i as u64 + 1) * MS, 5);
+            for hops in 0..8 {
+                ctx.send(NodeId((i + 1 + hops as u32 % 3) % NODES), vec![hops]);
+            }
+        });
+    }
+    sim.run_until(5 * MS);
+    sim.set_offline(NodeId(2), true);
+    sim.run_until(9 * MS);
+    sim.set_offline(NodeId(2), false);
+    sim.call(NodeId(0), |_, ctx| ctx.send(NodeId(2), vec![6]));
+    sim.finish(|n| n.log.clone())
+}
+
+/// Timers, handler randomness, CPU costs, jitter and a crash on one
+/// schedule: the engine at 1 and 3 shards replays the reference engine
+/// event for event.
+#[test]
+fn gossip_matches_reference_engine() {
+    let wan = LinkSpec {
+        latency_ns: MS,
+        jitter_frac: 0.4,
+        bandwidth_bps: Some(50_000_000),
+    };
+    let nodes = || {
+        (0..NODES)
+            .map(|id| Gossip {
+                id,
+                cost_ns: 150_000 * id as u64,
+                log: Vec::new(),
+            })
+            .collect()
+    };
+    // On the ideal link every hop takes the 1 ns minimum, so same-instant
+    // ties are everywhere and only the key order separates them.
+    for link in [wan, LinkSpec::ideal()] {
+        let reference = gossip(RefEngine::new(nodes(), link, 7));
+        assert!(reference.1.dropped > 0, "the crash dropped traffic");
+        assert!(reference.1.events > 100, "{:?}", reference.1);
+        for shards in [1, 3] {
+            let kind = EngineKind::Sharded { shards };
+            let run = gossip(AnyEngine::new(kind, nodes(), link, 7));
+            assert_eq!(
+                run, reference,
+                "{kind} on {link:?} diverged from the reference"
+            );
+        }
     }
 }
