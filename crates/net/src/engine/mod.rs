@@ -256,6 +256,161 @@ impl std::fmt::Display for EngineKind {
     }
 }
 
+/// A recording node and engine builders shared by the engine's tests.
+#[cfg(test)]
+mod testutil {
+    use super::{Ctx, EngineKind, NodeId, ShardedEngine, SimNode};
+    use crate::link::LinkSpec;
+    use crate::MS;
+
+    /// Echoes messages, records receipts and timers, optionally burns
+    /// CPU.
+    pub(super) struct Echo {
+        pub(super) received: Vec<(u64, NodeId, Vec<u8>)>,
+        pub(super) timers: Vec<(u64, u64)>,
+        pub(super) echo: bool,
+        pub(super) cost_ns: u64,
+    }
+
+    impl Echo {
+        pub(super) fn new(echo: bool) -> Self {
+            Echo {
+                received: Vec::new(),
+                timers: Vec::new(),
+                echo,
+                cost_ns: 0,
+            }
+        }
+    }
+
+    impl SimNode for Echo {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Vec<u8>) {
+            self.received.push((ctx.now_ns(), from, msg.clone()));
+            if self.cost_ns > 0 {
+                ctx.busy(self.cost_ns);
+            }
+            if self.echo {
+                ctx.send(from, msg);
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            self.timers.push((ctx.now_ns(), token));
+        }
+    }
+
+    pub(super) fn engine(
+        shards: usize,
+        nodes: Vec<Echo>,
+        link: LinkSpec,
+        seed: u64,
+    ) -> ShardedEngine<Echo> {
+        ShardedEngine::new(EngineKind::Sharded { shards }, nodes, link, seed)
+    }
+
+    pub(super) fn fixed(latency_ns: u64) -> LinkSpec {
+        LinkSpec {
+            latency_ns,
+            jitter_frac: 0.0,
+            bandwidth_bps: None,
+        }
+    }
+
+    /// Node 0 records, node 1 records and echoes; jitter-free links.
+    pub(super) fn two_nodes(latency_ms: u64, shards: usize) -> ShardedEngine<Echo> {
+        let nodes = vec![Echo::new(false), Echo::new(true)];
+        engine(shards, nodes, fixed(latency_ms * MS), 1)
+    }
+}
+
+/// Tests of the default configuration, [`EngineKind::Seq`]: one shard,
+/// which runs as a plain sequential event loop.
+#[cfg(test)]
+mod seq {
+    mod tests {
+        use super::super::sharded::MIN_DELAY_NS;
+        use super::super::testutil::{engine, two_nodes, Echo};
+        use super::super::{EngineKind, NodeId};
+        use crate::link::LinkSpec;
+        use crate::MS;
+
+        /// The shard count of [`EngineKind::Seq`].
+        const SEQ: usize = 1;
+
+        #[test]
+        fn busy_node_queues_messages() {
+            let mut sim = two_nodes(0, SEQ);
+            sim.node_mut(NodeId(1)).cost_ns = 10 * MS;
+            // Three back-to-back messages reach a node with a 10 ms
+            // service time at the 1 ns minimum delay: served 10 ms apart.
+            sim.call(NodeId(0), |_, ctx| {
+                ctx.send(NodeId(1), b"a".to_vec());
+                ctx.send(NodeId(1), b"b".to_vec());
+                ctx.send(NodeId(1), b"c".to_vec());
+            });
+            sim.run_to_idle(100);
+            let times: Vec<u64> = sim.node(NodeId(1)).received.iter().map(|r| r.0).collect();
+            let d = MIN_DELAY_NS;
+            assert_eq!(times, vec![d, 10 * MS + d, 20 * MS + d]);
+        }
+
+        #[test]
+        fn deterministic_given_seed() {
+            // Jitter draws from the sender's RNG lane, so the trace
+            // depends on the seed and on nothing else.
+            let link = LinkSpec {
+                latency_ns: 3 * MS,
+                jitter_frac: 0.2,
+                bandwidth_bps: None,
+            };
+            let run = |seed| {
+                let mut sim = engine(SEQ, vec![Echo::new(false), Echo::new(true)], link, seed);
+                sim.call(NodeId(0), |_, ctx| {
+                    for i in 0..10u8 {
+                        ctx.send(NodeId(1), vec![i]);
+                    }
+                });
+                sim.run_to_idle(1000);
+                sim.node(NodeId(0)).received.clone()
+            };
+            assert_eq!(run(1), run(1));
+            assert_ne!(run(1), run(2));
+        }
+
+        #[test]
+        fn run_until_respects_deadline() {
+            let mut sim = two_nodes(10, SEQ);
+            sim.call(NodeId(0), |_, ctx| {
+                ctx.set_timer(5 * MS, 1);
+                ctx.set_timer(50 * MS, 2);
+            });
+            sim.run_until(20 * MS);
+            assert_eq!(sim.node(NodeId(0)).timers.len(), 1);
+            assert_eq!(sim.now_ns(), 20 * MS);
+            sim.run_to_idle(10);
+            assert_eq!(sim.node(NodeId(0)).timers.len(), 2);
+        }
+
+        #[test]
+        fn state_roundtrip_preserves_nodes_and_clock() {
+            let mut sim = two_nodes(2, SEQ);
+            sim.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), b"x".to_vec()));
+            sim.run_to_idle(100);
+            let stats = sim.stats();
+            let now = sim.now_ns();
+            sim.set_offline(NodeId(1), true);
+            // Out to two shards and back to one, at quiescence.
+            sim.repartition(EngineKind::Sharded { shards: 2 });
+            sim.repartition(EngineKind::Seq);
+            assert_eq!(sim.kind(), EngineKind::Seq);
+            assert_eq!(sim.now_ns(), now);
+            assert_eq!(sim.stats(), stats);
+            assert!(sim.is_offline(NodeId(1)));
+            assert_eq!(sim.node(NodeId(1)).received.len(), 1);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -765,62 +765,9 @@ fn run_pool<N: SimNode + Send>(
 
 #[cfg(test)]
 mod tests {
+    use super::super::testutil::{engine, fixed, two_nodes, Echo};
     use super::*;
     use crate::MS;
-
-    /// Echoes messages, records receipts and timers, optionally burns
-    /// CPU.
-    struct Echo {
-        received: Vec<(u64, NodeId, Vec<u8>)>,
-        timers: Vec<(u64, u64)>,
-        echo: bool,
-        cost_ns: u64,
-    }
-
-    impl Echo {
-        fn new(echo: bool) -> Self {
-            Echo {
-                received: Vec::new(),
-                timers: Vec::new(),
-                echo,
-                cost_ns: 0,
-            }
-        }
-    }
-
-    impl SimNode for Echo {
-        fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Vec<u8>) {
-            self.received.push((ctx.now_ns(), from, msg.clone()));
-            if self.cost_ns > 0 {
-                ctx.busy(self.cost_ns);
-            }
-            if self.echo {
-                ctx.send(from, msg);
-            }
-        }
-
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-            self.timers.push((ctx.now_ns(), token));
-        }
-    }
-
-    fn engine(shards: usize, nodes: Vec<Echo>, link: LinkSpec, seed: u64) -> ShardedEngine<Echo> {
-        ShardedEngine::new(EngineKind::Sharded { shards }, nodes, link, seed)
-    }
-
-    fn fixed(latency_ns: u64) -> LinkSpec {
-        LinkSpec {
-            latency_ns,
-            jitter_frac: 0.0,
-            bandwidth_bps: None,
-        }
-    }
-
-    /// Node 0 records, node 1 records and echoes; jitter-free links.
-    fn two_nodes(latency_ms: u64, shards: usize) -> ShardedEngine<Echo> {
-        let nodes = vec![Echo::new(false), Echo::new(true)];
-        engine(shards, nodes, fixed(latency_ms * MS), 1)
-    }
 
     /// A mixed scenario: jittery links, per-link overrides, CPU costs,
     /// echo cascades, timers and a crash/recovery — run at a given shard
