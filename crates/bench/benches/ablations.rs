@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use teechain::testkit::Cluster;
+use teechain::testkit::{Cluster, Harness};
 use teechain_crypto::aead::Aead;
 use teechain_crypto::schnorr::{self, Keypair};
 

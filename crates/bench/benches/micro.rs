@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 use teechain::msg::{ProtocolMsg, WireMsg};
 use teechain::session::Session;
-use teechain::testkit::Cluster;
+use teechain::testkit::{Cluster, Harness};
 use teechain::types::ChannelId;
 use teechain::Effect;
 use teechain_bench::alloc_count::{measure, AllocCounts, CountingAlloc};

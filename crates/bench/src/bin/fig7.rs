@@ -1,8 +1,9 @@
 //! Fig. 7: throughput with temporary channels — tier-1/tier-2 edges get
 //! G parallel channels, relieving lock contention (§5.2).
 
+use teechain::testkit::Harness;
 use teechain_bench::report::{fmt_thousands, BenchJson, JsonValue, Table};
-use teechain_bench::scenarios::{build_network, fund_reverse, hub_spoke_jobs, wan_100ms};
+use teechain_bench::scenarios::{build_network, hub_spoke_jobs, wan_100ms};
 use teechain_bench::trace_out::TraceSink;
 use teechain_net::topology::HubSpoke;
 use teechain_net::Histogram;
@@ -40,19 +41,17 @@ fn run(
             .copied()
             .collect();
         for &(a, b) in &upper {
+            let (a_i, b_i) = (a.0 as usize, b.0 as usize);
             for extra in 1..g {
                 let label = format!("tmp{}-{}-{}", a.0, b.0, extra);
-                let chan = net.cluster.standard_channel(
-                    a.0 as usize,
-                    b.0 as usize,
-                    &label,
-                    1_000_000_000,
-                    1,
-                );
+                let chan = net
+                    .cluster
+                    .standard_channel(a_i, b_i, &label, 1_000_000_000, 1);
                 // Fund the reverse side too: payments flow both ways over
                 // temporary channels (one-sided funding made any payment
                 // routed the other way fail and retry forever).
-                fund_reverse(&mut net.cluster, chan, a, b, 1_000_000_000);
+                let dep = net.cluster.fund_deposit(b_i, 1_000_000_000, 1);
+                net.cluster.approve_and_associate(b_i, a_i, chan, &dep);
                 let key = if a <= b { (a, b) } else { (b, a) };
                 net.channels.get_mut(&key).expect("edge exists").push(chan);
             }

@@ -6,7 +6,7 @@
 //! Run with `--quick` for a reduced sweep.
 
 use teechain::enclave::Command;
-use teechain::testkit::{Cluster, ClusterConfig};
+use teechain::testkit::{Cluster, ClusterConfig, Harness};
 use teechain::{DurabilityBackend, PersistPolicy};
 use teechain_bench::harness::Job;
 use teechain_bench::report::{fmt_thousands, BenchJson, Table};

@@ -15,12 +15,14 @@
 
 use std::collections::BTreeMap;
 
+use teechain::driver::CostModel;
 use teechain::enclave::Command;
 use teechain::ops::Pending;
 use teechain::swap::SwapOutcome;
+use teechain::testkit::{ClusterConfig, Harness};
 use teechain::types::SwapId;
 use teechain::{DurabilityBackend, PersistPolicy};
-use teechain_bench::harness::{BenchCluster, BenchConfig};
+use teechain_bench::harness::BenchCluster;
 use teechain_bench::report::{fmt_thousands, BenchJson, Table};
 use teechain_bench::scenarios::wan_100ms;
 use teechain_net::{Histogram, NodeId};
@@ -45,12 +47,13 @@ fn run_config(
     seed: u64,
     lat: &mut BTreeMap<String, Histogram>,
 ) -> Row {
-    let mut c = BenchCluster::new(BenchConfig {
+    let mut c = BenchCluster::new(ClusterConfig {
         n: pairs * 2,
+        costs: CostModel::default(),
         durability,
         default_link: wan_100ms(),
         seed,
-        ..BenchConfig::default()
+        ..ClusterConfig::default()
     });
     let chans: Vec<_> = (0..pairs)
         .map(|p| c.standard_channel(2 * p, 2 * p + 1, &format!("swap-bench-{p}"), 10_000, 1))
@@ -93,7 +96,7 @@ fn run_config(
             }
         }
     }
-    c.settle();
+    c.settle_network();
     let secs = (c.sim.now_ns() - t0) as f64 / 1e9;
     let snap = c.observe();
     let stuck = snap.gauges.get("swap.pending").copied().unwrap_or(0);

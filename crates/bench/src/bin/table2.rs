@@ -5,10 +5,9 @@
 //! assignment), and deposit association/dissociation across committee
 //! chain lengths. LN channel creation is six Bitcoin blocks.
 
-use teechain::enclave::Command;
-use teechain::ops::OpOutput;
-use teechain::types::ChannelId;
-use teechain_bench::harness::{BenchCluster, BenchConfig};
+use teechain::driver::CostModel;
+use teechain::testkit::{ClusterConfig, Harness};
+use teechain_bench::harness::BenchCluster;
 use teechain_bench::report::{BenchJson, Table};
 use teechain_bench::scenarios::{fig3_pair, FtMode};
 use teechain_bench::trace_out::TraceSink;
@@ -23,13 +22,15 @@ fn timed(cluster: &mut BenchCluster, f: impl FnOnce(&mut BenchCluster)) -> f64 {
     (cluster.sim.now_ns() - start) as f64 / 1e6
 }
 
-fn fresh_pair() -> BenchCluster {
-    let cfg = BenchConfig {
-        n: 2,
+/// A bench cluster of `n` nodes on the US↔UK link.
+fn fresh(n: usize) -> BenchCluster {
+    BenchCluster::new(ClusterConfig {
+        n,
+        costs: CostModel::default(),
         default_link: fig3_link(Region::Us, Region::Uk),
-        ..BenchConfig::default()
-    };
-    BenchCluster::new(cfg)
+        seed: 11,
+        ..ClusterConfig::default()
+    })
 }
 
 fn main() {
@@ -46,37 +47,20 @@ fn main() {
     // is the run --trace-out records (handshake, open and deposit ecalls
     // make a compact, readable flight recording).
     let sink = TraceSink::from_args();
-    let mut c = fresh_pair();
+    let mut c = fresh(2);
     if sink.active() {
         c.set_tracing(true);
     }
     let ms = timed(&mut c, |c| {
         c.connect(0, 1);
-        let remote = c.ids[1];
-        let addr = match c.exec(0, Command::NewAddress) {
-            OpOutput::Address(pk) => pk,
-            other => panic!("unexpected output {other:?}"),
-        };
-        c.exec(
-            0,
-            Command::NewChannel {
-                id: ChannelId::from_label("t2"),
-                remote,
-                my_settlement: addr,
-            },
-        );
+        c.open_channel(0, 1, "t2");
     });
     table.row(&["Teechain channel creation".into(), format!("{ms:.0}")]);
     sink.write(&c.drain_trace());
 
     // Outsourced channel creation: the client additionally attests the
     // remote TEE it outsources to (one extra attested handshake from IL).
-    let cfg = BenchConfig {
-        n: 3,
-        default_link: fig3_link(Region::Us, Region::Uk),
-        ..BenchConfig::default()
-    };
-    let mut c = BenchCluster::new(cfg);
+    let mut c = fresh(3);
     c.sim
         .set_link(NodeId(0), NodeId(2), fig3_link(Region::Us, Region::Il));
     c.sim
@@ -93,7 +77,7 @@ fn main() {
     ]);
 
     // Replica creation: attested session + chain assignment.
-    let mut c = fresh_pair();
+    let mut c = fresh(2);
     let ms = timed(&mut c, |c| c.attach_backup(0, 1));
     table.row(&["Teechain replica creation".into(), format!("{ms:.0}")]);
 
@@ -113,22 +97,11 @@ fn main() {
         let (mut c, chan) = fig3_pair(ft, 77);
         // Fund a spare deposit, then time the associate round trip.
         let dep = c.fund_deposit(0, 500, 1);
-        let remote = c.ids[1];
-        c.exec(
-            0,
-            Command::ApproveDeposit {
-                remote,
-                outpoint: dep.outpoint,
-            },
-        );
+        let p = c.handle(0).approve_deposit(1, dep.outpoint);
+        c.wait(p).expect("approve deposit failed");
         let ms = timed(&mut c, |c| {
-            c.exec(
-                0,
-                Command::AssociateDeposit {
-                    id: chan,
-                    outpoint: dep.outpoint,
-                },
-            );
+            let p = c.handle(0).associate_deposit(chan, dep.outpoint);
+            c.wait(p).expect("associate deposit failed");
         });
         table.row(&[label.into(), format!("{ms:.0}")]);
     }

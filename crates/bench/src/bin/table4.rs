@@ -3,7 +3,7 @@
 //! *measured* Teechain row (settlements actually executed on the
 //! simulated chain).
 
-use teechain::testkit::Cluster;
+use teechain::testkit::{Cluster, Harness};
 use teechain_baselines::{dmc, ln, sfmc};
 use teechain_bench::report::{BenchJson, Table};
 use teechain_bench::trace_out::TraceSink;

@@ -11,7 +11,8 @@
 //! per-engine `configs` list are positional and noisy across runs, so
 //! they are skipped). Rows moving more than the threshold (default 10%)
 //! are flagged; keys present on only one side are reported as added or
-//! removed. `scripts/bench_trend.sh` wraps this binary.
+//! removed. Run it as `cargo run --release -p teechain-bench --bin trend
+//! -- <old.json> <new.json>`.
 //!
 //! The `--fail-*` flags turn the diff into a CI gate: exit nonzero when
 //! a named key *drops* (`--fail-drop`, e.g. `metrics.events_per_s_1shard`)

@@ -1,4 +1,5 @@
-//! The workload-driving benchmark cluster.
+//! The workload-driving benchmark cluster: a driver layer over
+//! [`teechain::testkit::Cluster`].
 //!
 //! [`BenchNode`] wraps a Teechain host with a payment driver that issues
 //! direct or multi-hop payments from inside the simulation: a sliding
@@ -19,21 +20,23 @@
 //! batch-applied at the unlock point. [`RunStats`] therefore reports the
 //! admission counters — how many ops queued, how many drain batches
 //! committed and their size distribution — instead of retry counts.
+//!
+//! Everything else — node construction, identities, setup operations,
+//! tracing and metrics — is the cluster's: a [`BenchCluster`] derefs to
+//! the [`Cluster<BenchNode>`] underneath, and the driver takes only its
+//! own completions out of each host's stream, leaving setup operations
+//! for the cluster to resolve.
 
-use parking_lot::Mutex;
+use std::borrow::{Borrow, BorrowMut};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Arc;
-use teechain::driver::{CostModel, SimHost};
-use teechain::durability::DurabilityBackend;
-use teechain::enclave::{Command, EnclaveConfig};
-use teechain::node::{SharedChain, TeechainNode};
-use teechain::ops::{Completion, OpError, OpOutput, OpResult, Pending};
+use std::ops::{Deref, DerefMut};
+use teechain::driver::SimHost;
+use teechain::enclave::Command;
+use teechain::ops::{Completion, OpError, OpOutput};
+use teechain::testkit::{Cluster, ClusterConfig};
 use teechain::types::{ChannelId, ProtocolError, RouteId};
-use teechain_blockchain::Chain;
 use teechain_crypto::schnorr::PublicKey;
-use teechain_net::{AnyEngine, Ctx, EngineKind, Histogram, LinkSpec, NodeId, SimNode};
-use teechain_persist::{PersistentStore, SharedStore};
-use teechain_tee::TrustRoot;
+use teechain_net::{Ctx, Histogram, NodeId, SimNode};
 
 /// Timer tokens used by the driver (distinct from the host's own).
 const BATCH_TOKEN: u64 = 0xBA7C4;
@@ -129,11 +132,8 @@ pub struct BenchNode {
     batch: Option<BatchState>,
     /// Driver-issued operations awaiting completion, by op sequence.
     flights: HashMap<u64, Flight>,
-    /// Completions of non-driver (setup) operations, claimed by
-    /// [`BenchCluster::wait`].
-    unclaimed: HashMap<u64, Completion>,
     route_seq: u64,
-    /// When true, every drained completion is appended to
+    /// When true, every completion the driver takes is appended to
     /// [`BenchNode::completion_log`] (the determinism suite fingerprints
     /// it; off by default to keep 10k-node runs lean).
     pub record_completions: bool,
@@ -148,8 +148,8 @@ pub struct BenchNode {
     pub stats: DriverStats,
 }
 
-impl BenchNode {
-    fn new(host: SimHost) -> Self {
+impl From<SimHost> for BenchNode {
+    fn from(host: SimHost) -> Self {
         BenchNode {
             host,
             jobs: VecDeque::new(),
@@ -158,7 +158,6 @@ impl BenchNode {
             inflight: 0,
             batch: None,
             flights: HashMap::new(),
-            unclaimed: HashMap::new(),
             route_seq: 0,
             record_completions: false,
             completion_log: Vec::new(),
@@ -166,20 +165,39 @@ impl BenchNode {
             stats: DriverStats::default(),
         }
     }
+}
 
-    /// Consumes the host's completion stream: driver flights update the
-    /// stats and retry machinery; anything else (setup operations) is
-    /// parked for [`BenchCluster::wait`].
+impl Borrow<SimHost> for BenchNode {
+    fn borrow(&self) -> &SimHost {
+        &self.host
+    }
+}
+
+impl BorrowMut<SimHost> for BenchNode {
+    fn borrow_mut(&mut self) -> &mut SimHost {
+        &mut self.host
+    }
+}
+
+impl BenchNode {
+    /// Takes the driver's own completions out of the host's stream and
+    /// accounts them (stats, window, retries). Every other completion —
+    /// a setup operation — stays in the stream for the [`Cluster`] to
+    /// resolve.
     fn drain_completions(&mut self, ctx: &mut Ctx<'_>) {
-        let completions = std::mem::take(&mut self.host.node.completions);
-        for c in completions {
+        // No flight, nothing of the driver's in the stream: setup leaves
+        // its completions untouched without a scan per event.
+        if self.flights.is_empty() {
+            return;
+        }
+        for c in std::mem::take(&mut self.host.node.completions) {
+            let Some(flight) = self.flights.remove(&c.op.seq) else {
+                self.host.node.completions.push(c);
+                continue;
+            };
             if self.record_completions {
                 self.completion_log.push(c.clone());
             }
-            let Some(flight) = self.flights.remove(&c.op.seq) else {
-                self.unclaimed.insert(c.op.seq, c);
-                continue;
-            };
             let kind = c.outcome.as_ref().ok().map(OpOutput::kind);
             match c.outcome {
                 Ok(OpOutput::PaymentApplied { count, .. }) => {
@@ -457,47 +475,6 @@ impl SimNode for BenchNode {
     }
 }
 
-/// Cluster configuration.
-#[derive(Clone)]
-pub struct BenchConfig {
-    /// Number of machines.
-    pub n: usize,
-    /// CPU cost model.
-    pub costs: CostModel,
-    /// Default link.
-    pub default_link: LinkSpec,
-    /// Fault-tolerance backend (§6). Replication chains are wired by the
-    /// scenario builders (they choose failure domains), so only the
-    /// persistence policy is consumed here.
-    pub durability: DurabilityBackend,
-    /// Seed.
-    pub seed: u64,
-    /// How many shards the engine hosting the cluster runs at (see
-    /// `teechain_net::EngineKind`). Defaults to the `TEECHAIN_ENGINE` /
-    /// `TEECHAIN_SHARDS` environment, one shard when unset.
-    pub engine: EngineKind,
-    /// Which pairs of nodes learn each other's enclave identity at
-    /// startup. `None` registers the full mesh — O(n²) directory
-    /// entries, fine for paper-scale clusters but prohibitive at 10k+
-    /// nodes. Large generated topologies pass their channel edges (plus
-    /// any committee pairs) instead; routing only ever needs neighbors.
-    pub peers: Option<Vec<(usize, usize)>>,
-}
-
-impl Default for BenchConfig {
-    fn default() -> Self {
-        BenchConfig {
-            n: 2,
-            costs: CostModel::default(),
-            default_link: LinkSpec::ideal(),
-            durability: DurabilityBackend::None,
-            seed: 11,
-            engine: EngineKind::from_env(),
-            peers: None,
-        }
-    }
-}
-
 /// Aggregated results of one run.
 #[derive(Debug, Clone, Copy)]
 pub struct RunStats {
@@ -542,286 +519,43 @@ pub struct RunStats {
     pub defer_age_max_ns: u64,
 }
 
-/// A benchmark cluster: like `teechain::testkit::Cluster` but with
-/// workload drivers on every node.
-pub struct BenchCluster {
-    /// The discrete-event engine hosting all nodes.
-    pub sim: AnyEngine<BenchNode>,
-    /// The shared chain.
-    pub chain: SharedChain,
-    /// The shared alternate chain (cross-chain atomic swaps).
-    pub chain2: SharedChain,
-    /// Node identities.
-    pub ids: Vec<PublicKey>,
-    /// Durable stores per node (persistent mode; harness-owned so they
-    /// survive node crashes).
-    pub stores: Vec<Option<SharedStore>>,
+/// A benchmark cluster: a [`Cluster`] whose nodes each carry a workload
+/// driver. Setup goes through the cluster (and
+/// [`Harness`](teechain::testkit::Harness)) exactly as
+/// in the tests; `BenchCluster` adds only the driver: jobs, window,
+/// batching and the measured [`BenchCluster::run`].
+pub struct BenchCluster(pub Cluster<BenchNode>);
+
+impl Deref for BenchCluster {
+    type Target = Cluster<BenchNode>;
+
+    fn deref(&self) -> &Cluster<BenchNode> {
+        &self.0
+    }
+}
+
+impl DerefMut for BenchCluster {
+    fn deref_mut(&mut self) -> &mut Cluster<BenchNode> {
+        &mut self.0
+    }
 }
 
 impl BenchCluster {
-    /// Builds the cluster (attested, directories pre-filled).
-    pub fn new(cfg: BenchConfig) -> BenchCluster {
-        let root = TrustRoot::new(cfg.seed ^ 0xbe);
-        let chain: SharedChain = Arc::new(Mutex::new(Chain::new()));
-        let chain2: SharedChain = Arc::new(Mutex::new(Chain::new()));
-        let measurement = TeechainNode::measurement();
-        let mut nodes = Vec::with_capacity(cfg.n);
-        let mut stores: Vec<Option<SharedStore>> = Vec::with_capacity(cfg.n);
-        for i in 0..cfg.n {
-            let device = root.issue_device(5000 + i as u64);
-            let enclave_cfg = EnclaveConfig {
-                trust_root: root.public_key(),
-                measurement,
-                durability: cfg.durability,
-            };
-            let mut node = TeechainNode::new(
-                device,
-                enclave_cfg,
-                cfg.seed.wrapping_mul(0xD1B5_4A32).wrapping_add(i as u64),
-                chain.clone(),
-            );
-            node.attach_alt_chain(chain2.clone());
-            if cfg.durability.is_persist() {
-                let store = PersistentStore::in_memory().into_shared();
-                node.attach_store(store.clone());
-                stores.push(Some(store));
-            } else {
-                stores.push(None);
-            }
-            nodes.push(BenchNode::new(SimHost::new(node, cfg.costs)));
-        }
-        let mut sim = AnyEngine::new(cfg.engine, nodes, cfg.default_link, cfg.seed);
-        let mut ids = Vec::with_capacity(cfg.n);
-        for i in 0..cfg.n {
-            ids.push(sim.node_mut(NodeId(i as u32)).host.node.identity(0));
-        }
-        match &cfg.peers {
-            None => {
-                for i in 0..cfg.n {
-                    for (j, id) in ids.iter().enumerate() {
-                        if i != j {
-                            sim.node_mut(NodeId(i as u32))
-                                .host
-                                .node
-                                .register_peer(*id, NodeId(j as u32));
-                        }
-                    }
-                }
-            }
-            Some(edges) => {
-                for &(i, j) in edges {
-                    sim.node_mut(NodeId(i as u32))
-                        .host
-                        .node
-                        .register_peer(ids[j], NodeId(j as u32));
-                    sim.node_mut(NodeId(j as u32))
-                        .host
-                        .node
-                        .register_peer(ids[i], NodeId(i as u32));
-                }
-            }
-        }
-        BenchCluster {
-            sim,
-            chain,
-            chain2,
-            ids,
-            stores,
-        }
-    }
-
-    /// Runs the simulation to quiescence, then resolves every
-    /// still-pending operation as dead (`OpError::Timeout`) — once the
-    /// network is silent no terminal response can arrive, and a stale
-    /// pending operation would steal a later same-key response.
-    pub fn settle(&mut self) {
-        // Dead-op resolution is only sound at true quiescence: the cap
-        // is a runaway guard, so keep running until a pass processes
-        // fewer events than it (bounded against pathological livelock).
-        const CAP: u64 = 200_000_000;
-        for _ in 0..64 {
-            if self.sim.run_to_idle(CAP) < CAP {
-                break;
-            }
-        }
-        self.resolve_dead_ops();
+    /// Builds the cluster (attested, full-mesh directories).
+    pub fn new(cfg: ClusterConfig) -> BenchCluster {
+        BenchCluster(Cluster::build(cfg, None))
     }
 
     /// Quiescence resolution: typed-timeout every pending operation and
-    /// route the completions through the driver accounting.
+    /// route the drivers' own through their accounting.
     fn resolve_dead_ops(&mut self) {
         let now = self.sim.now_ns();
         for i in 0..self.sim.len() {
-            let node = self.sim.node_mut(NodeId(i as u32));
-            if node.host.node.resolve_all_dead(now) == 0 {
-                continue;
-            }
-            let completions = std::mem::take(&mut node.host.node.completions);
-            for c in completions {
-                if node.record_completions {
-                    node.completion_log.push(c.clone());
-                }
-                match node.flights.remove(&c.op.seq) {
-                    Some(flight) => {
-                        // A driver payment died (e.g. its peer crashed):
-                        // count the typed timeout — it must not vanish.
-                        if let Err(e) = &c.outcome {
-                            node.stats.count_error(e);
-                        }
-                        node.inflight = node.inflight.saturating_sub(flight.count as usize);
-                    }
-                    None => {
-                        node.unclaimed.insert(c.op.seq, c);
-                    }
-                }
+            let id = NodeId(i as u32);
+            if self.node_mut(i).resolve_all_dead(now) > 0 {
+                self.sim.call(id, |node, ctx| node.drain_completions(ctx));
             }
         }
-    }
-
-    // ---- Setup operations (the same correlated-op API as the testkit) ----
-
-    /// Submits a setup command on node `i`.
-    pub fn submit(&mut self, i: usize, cmd: Command) -> teechain::OpId {
-        let nid = NodeId(i as u32);
-        self.sim
-            .call(nid, |node, ctx| node.host.node.submit_op(ctx, cmd, None))
-    }
-
-    /// Resolves a pending setup operation: runs to quiescence and
-    /// extracts the typed result ([`OpError::Timeout`] if the network
-    /// fell silent without a terminal response).
-    pub fn wait<T: OpResult>(&mut self, p: Pending<T>) -> Result<T, OpError> {
-        self.settle();
-        self.claim(p)
-    }
-
-    /// Extracts the typed result of an operation that has **already
-    /// settled**. Phase-batched setup submits a whole wave of
-    /// independent ops, settles once, then claims every result —
-    /// replacing the per-op settle-and-scan (O(nodes) per op) that made
-    /// large topologies quadratic to build.
-    pub fn claim<T: OpResult>(&mut self, p: Pending<T>) -> Result<T, OpError> {
-        let nid = NodeId(p.op.node);
-        let now = self.sim.now_ns();
-        let node = self.sim.node_mut(nid);
-        let outcome = if let Some(c) = node.unclaimed.remove(&p.op.seq) {
-            c.outcome
-        } else if let Some(pos) = node.host.node.completions.iter().position(|c| c.op == p.op) {
-            let c = node.host.node.completions.remove(pos);
-            if node.record_completions {
-                node.completion_log.push(c.clone());
-            }
-            c.outcome
-        } else {
-            match node.host.node.resolve_dead_op(p.op, now) {
-                Some(c) => {
-                    // The dead-op completion was appended to the host
-                    // stream; claim it so it is not mistaken for a
-                    // driver flight later.
-                    node.host.node.completions.retain(|x| x.op != p.op);
-                    if node.record_completions {
-                        node.completion_log.push(c.clone());
-                    }
-                    c.outcome
-                }
-                None => Err(OpError::Timeout { at_ns: now }),
-            }
-        };
-        outcome.map(|out| {
-            T::from_output(out).expect("completion output does not match the operation's type")
-        })
-    }
-
-    /// Submits and resolves one setup command.
-    pub fn op(&mut self, i: usize, cmd: Command) -> Result<OpOutput, OpError> {
-        let op = self.submit(i, cmd);
-        self.wait(Pending::new(op))
-    }
-
-    /// Panicking wrapper over [`BenchCluster::op`].
-    pub fn exec(&mut self, i: usize, cmd: Command) -> OpOutput {
-        self.op(i, cmd).expect("operation failed")
-    }
-
-    /// Connects a and b (sessions), runs to idle.
-    pub fn connect(&mut self, a: usize, b: usize) {
-        let remote = self.ids[b];
-        self.exec(a, Command::StartSession { remote });
-    }
-
-    /// Submits (without settling) an m-of-n committee deposit of
-    /// `value` on node `i`; claim the [`teechain::Deposit`] after a
-    /// batched settle.
-    pub fn submit_deposit(&mut self, i: usize, value: u64, m: u8) -> teechain::OpId {
-        let nid = NodeId(i as u32);
-        self.sim.call(nid, |node, ctx| {
-            node.host.node.submit_fund_deposit(ctx, value, m)
-        })
-    }
-
-    /// Funds an m-of-n committee deposit of `value` on node `i`.
-    pub fn fund_deposit(&mut self, i: usize, value: u64, m: u8) -> teechain::Deposit {
-        let op = self.submit_deposit(i, value, m);
-        self.wait(Pending::new(op)).expect("fund deposit failed")
-    }
-
-    /// Opens + funds a channel from `a` to `b` with `value` on `a`'s side
-    /// and committee threshold `m` (n follows `a`'s chain length).
-    pub fn standard_channel(
-        &mut self,
-        a: usize,
-        b: usize,
-        label: &str,
-        value: u64,
-        m: u8,
-    ) -> ChannelId {
-        self.connect(a, b);
-        let id = ChannelId::from_label(label);
-        // Settlement address: generated in-enclave.
-        let my_settlement = match self.exec(a, Command::NewAddress) {
-            OpOutput::Address(pk) => pk,
-            other => panic!("unexpected output {other:?}"),
-        };
-        let remote = self.ids[b];
-        let open = self.submit(
-            a,
-            Command::NewChannel {
-                id,
-                remote,
-                my_settlement,
-            },
-        );
-        self.wait::<ChannelId>(Pending::new(open))
-            .expect("channel open failed");
-        let deposit = self.fund_deposit(a, value, m);
-        self.exec(
-            a,
-            Command::ApproveDeposit {
-                remote,
-                outpoint: deposit.outpoint,
-            },
-        );
-        self.exec(
-            a,
-            Command::AssociateDeposit {
-                id,
-                outpoint: deposit.outpoint,
-            },
-        );
-        id
-    }
-
-    /// Attaches `backup` to `tail`'s committee chain.
-    pub fn attach_backup(&mut self, tail: usize, backup: usize) {
-        self.connect(tail, backup);
-        let backup_id = self.ids[backup];
-        self.exec(tail, Command::AttachBackup { backup: backup_id });
-        self.sim
-            .node_mut(NodeId(tail as u32))
-            .host
-            .node
-            .committee_peers
-            .push(backup_id);
     }
 
     /// Assigns jobs and window to a node (before `run`).
@@ -863,12 +597,14 @@ impl BenchCluster {
         }
     }
 
-    /// The cluster-wide completion history recorded since
-    /// [`BenchCluster::set_record_completions`], merged deterministically
-    /// by `(time, node, seq)`.
+    /// The cluster-wide completion history: what the drivers recorded
+    /// since [`BenchCluster::set_record_completions`] plus every other
+    /// completion the hosts hold (setup operations since the last run),
+    /// merged deterministically by `(time, node, seq)`.
     pub fn completion_log(&self) -> Vec<Completion> {
         let streams: Vec<&[Completion]> = (0..self.sim.len())
-            .map(|i| self.sim.node(NodeId(i as u32)).completion_log.as_slice())
+            .map(|i| self.sim.node(NodeId(i as u32)))
+            .flat_map(|n| [n.completion_log.as_slice(), &n.host.node.completions])
             .collect();
         teechain::ops::merge_completions(&streams)
     }
@@ -882,7 +618,6 @@ impl BenchCluster {
         for i in 0..self.sim.len() {
             let node = self.sim.node_mut(NodeId(i as u32));
             node.stats = DriverStats::default();
-            node.unclaimed.clear();
             node.host.node.events.clear();
             node.host.node.completions.clear();
             node.admit_base = node
@@ -1012,43 +747,44 @@ impl BenchCluster {
         }
         out
     }
+}
 
-    /// Enables (or disables) the flight recorder on every node's tracer
-    /// (default ring capacity). Tracing changes no protocol or simulated
-    /// timing, only host-side recording.
-    pub fn set_tracing(&mut self, on: bool) {
-        for i in 0..self.sim.len() {
-            self.sim
-                .node_mut(NodeId(i as u32))
-                .host
-                .node
-                .tracer
-                .configure(on, None);
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use teechain::driver::CostModel;
+    use teechain::testkit::{ClusterNode, Harness};
+    use teechain::OpId;
+
+    /// Channels on a 3-node line, two pays, an overspend and a 2-hop
+    /// multihop, as the `(OpId, outcome)` history.
+    fn line_history<N: ClusterNode>(c: &mut Cluster<N>) -> Vec<(OpId, Result<OpOutput, OpError>)> {
+        let ab = c.standard_channel(0, 1, "agree-ab", 1_000, 1);
+        let bc = c.standard_channel(1, 2, "agree-bc", 1_000, 1);
+        c.pay(0, ab, 100).expect("pay 0->1");
+        c.pay(1, bc, 200).expect("pay 1->2");
+        c.pay(0, ab, 5_000).expect_err("overspend is refused");
+        c.pay_multihop(&[0, 1, 2], &[ab, bc], 50, "agree-route")
+            .expect("multihop 0->1->2");
+        let log = c.completion_log();
+        log.into_iter()
+            .map(|done| (done.op, done.outcome))
+            .collect()
     }
 
-    /// Drains every node's flight ring into one merged, deterministic
-    /// stream (ordered by `(ts_ns, node)`; per-node order preserved).
-    pub fn drain_trace(&mut self) -> Vec<teechain_trace::TraceEvent> {
-        let streams: Vec<Vec<teechain_trace::TraceEvent>> = (0..self.sim.len())
-            .map(|i| self.sim.node_mut(NodeId(i as u32)).host.node.tracer.drain())
-            .collect();
-        teechain_trace::merge_events(streams)
-    }
-
-    /// Snapshots the cluster-wide metrics registry (same shape as
-    /// `teechain::testkit::Cluster::observe`): node registries merged,
-    /// plus the engine's own delivery counters under `sim.*`.
-    pub fn observe(&self) -> teechain_trace::Snapshot {
-        let mut reg = teechain_trace::Registry::new();
-        for i in 0..self.sim.len() {
-            reg.merge(&self.sim.node(NodeId(i as u32)).host.node.registry());
-        }
-        let s = self.sim.stats();
-        reg.counter("sim.messages", s.messages);
-        reg.counter("sim.bytes", s.bytes);
-        reg.counter("sim.events", s.events);
-        reg.counter("sim.dropped", s.dropped);
-        reg.snapshot()
+    /// The bench driver's cluster is a `testkit` cluster: one seed gives
+    /// the same identities and the same operation history.
+    #[test]
+    fn bench_cluster_agrees_with_testkit() {
+        let cfg = ClusterConfig {
+            n: 3,
+            costs: CostModel::default(),
+            seed: 11,
+            ..ClusterConfig::default()
+        };
+        let mut plain = Cluster::new(cfg.clone());
+        let mut bench = BenchCluster::new(cfg);
+        assert_eq!(bench.ids, plain.ids);
+        assert_eq!(line_history(&mut bench.0), line_history(&mut plain));
     }
 }

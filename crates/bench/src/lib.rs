@@ -32,4 +32,4 @@ pub mod trace_out;
 pub mod turns;
 pub mod workload;
 
-pub use harness::{BenchCluster, BenchConfig, RunStats};
+pub use harness::{BenchCluster, RunStats};

@@ -1,11 +1,15 @@
 //! Shared experiment scenario builders.
 
-use crate::harness::{BenchCluster, BenchConfig, Job};
+use crate::harness::{BenchCluster, Job};
 use crate::workload::Workload;
 use std::collections::HashMap;
 use teechain::driver::CostModel;
+use teechain::ops::{OpId, OpResult, Request};
 use teechain::routing::ChannelGraph;
+use teechain::testkit::{Cluster, ClusterConfig, Harness};
 use teechain::types::ChannelId;
+use teechain::{Command, Deposit};
+use teechain_crypto::schnorr::PublicKey;
 use teechain_net::topology::{fig3_link, fig3_regions, HubSpoke, Region};
 use teechain_net::{LinkSpec, NodeId, MS};
 
@@ -58,15 +62,6 @@ impl FtMode {
 /// (payee), 2.. = backups of node 0 then backups of node 1.
 pub fn fig3_pair(ft: FtMode, seed: u64) -> (BenchCluster, ChannelId) {
     let backups = ft.backups();
-    let n = 2 + 2 * backups;
-    let mut cfg = BenchConfig {
-        n,
-        costs: CostModel::default(),
-        default_link: fig3_link(Region::Uk, Region::Uk),
-        durability: ft.durability(),
-        seed,
-        ..BenchConfig::default()
-    };
     // Regions: replicas live in different failure domains (IL first, then
     // the other side of the Atlantic), as in §7.2.
     let domains = [Region::Il, Region::Uk, Region::Us];
@@ -78,8 +73,14 @@ pub fn fig3_pair(ft: FtMode, seed: u64) -> (BenchCluster, ChannelId) {
         let alt = [Region::Il, Region::Us, Region::Il];
         regions.push(alt[b % alt.len()]); // Backups of node 1.
     }
-    cfg.n = regions.len();
-    let mut cluster = BenchCluster::new(cfg);
+    let mut cluster = BenchCluster::new(ClusterConfig {
+        n: regions.len(),
+        costs: CostModel::default(),
+        default_link: fig3_link(Region::Uk, Region::Uk),
+        durability: ft.durability(),
+        seed,
+        ..ClusterConfig::default()
+    });
     for i in 0..regions.len() {
         for j in (i + 1)..regions.len() {
             cluster.sim.set_link(
@@ -126,15 +127,14 @@ pub fn transatlantic_chain(
             regions.push(region_of(i + 1 + b));
         }
     }
-    let cfg = BenchConfig {
+    let mut cluster = BenchCluster::new(ClusterConfig {
         n,
         costs: CostModel::default(),
         default_link: fig3_link(Region::Uk, Region::Us),
         durability: teechain::DurabilityBackend::None,
         seed,
-        ..BenchConfig::default()
-    };
-    let mut cluster = BenchCluster::new(cfg);
+        ..ClusterConfig::default()
+    });
     for i in 0..n {
         for j in (i + 1)..n {
             cluster.sim.set_link(
@@ -205,28 +205,6 @@ impl Network {
     }
 }
 
-/// Funds the `b` side of an existing channel between `a` and `b` so
-/// payments can flow both ways.
-pub fn fund_reverse(cluster: &mut BenchCluster, chan: ChannelId, a: NodeId, b: NodeId, value: u64) {
-    let nidb = b.0 as usize;
-    let dep = cluster.fund_deposit(nidb, value, 1);
-    let remote = cluster.ids[a.0 as usize];
-    cluster.exec(
-        nidb,
-        teechain::Command::ApproveDeposit {
-            remote,
-            outpoint: dep.outpoint,
-        },
-    );
-    cluster.exec(
-        nidb,
-        teechain::Command::AssociateDeposit {
-            id: chan,
-            outpoint: dep.outpoint,
-        },
-    );
-}
-
 /// Builds a network over explicit edges, `parallel` channels per edge,
 /// each funded on both sides. `backups` committee members per node.
 pub fn build_network(
@@ -237,16 +215,14 @@ pub fn build_network(
     link: LinkSpec,
     seed: u64,
 ) -> Network {
-    let total = n * (1 + backups);
-    let cfg = BenchConfig {
-        n: total,
+    let mut cluster = BenchCluster::new(ClusterConfig {
+        n: n * (1 + backups),
         costs: CostModel::default(),
         default_link: link,
         durability: teechain::DurabilityBackend::None,
         seed,
-        ..BenchConfig::default()
-    };
-    let mut cluster = BenchCluster::new(cfg);
+        ..ClusterConfig::default()
+    });
     // Backups of node i live at n + i*backups + b, on the same default link.
     for i in 0..n {
         for b in 0..backups {
@@ -257,12 +233,13 @@ pub fn build_network(
     }
     let mut channels: HashMap<(NodeId, NodeId), Vec<ChannelId>> = HashMap::new();
     for &(a, b) in edges {
+        let (a_i, b_i) = (a.0 as usize, b.0 as usize);
         for p in 0..parallel {
             let label = format!("e{}-{}-{}", a.0, b.0, p);
-            let chan =
-                cluster.standard_channel(a.0 as usize, b.0 as usize, &label, 1_000_000_000, 1);
+            let chan = cluster.standard_channel(a_i, b_i, &label, 1_000_000_000, 1);
             // Fund the reverse direction too so payments flow both ways.
-            fund_reverse(&mut cluster, chan, a, b, 1_000_000_000);
+            let dep = cluster.fund_deposit(b_i, 1_000_000_000, 1);
+            cluster.approve_and_associate(b_i, a_i, chan, &dep);
             channels
                 .entry(if a <= b { (a, b) } else { (b, a) })
                 .or_default()
@@ -360,8 +337,8 @@ pub fn wan_100ms() -> LinkSpec {
 ///
 /// Construction is **streamed in phase batches**: a chunk of edges
 /// submits one whole wave of independent operations per protocol phase
-/// (sessions → settlement addresses → channel opens → deposits →
-/// approvals → associations) and the cluster settles once per phase
+/// (sessions → channel opens → deposits → approvals → associations) and
+/// the cluster settles once per phase
 /// instead of once per operation. The per-op `wait` this replaces cost
 /// O(nodes) per settle, making topology construction O(nodes ·
 /// channels) — the difference between 100k-node overlays building in
@@ -380,16 +357,15 @@ pub fn build_sparse_network(
         .iter()
         .map(|&(a, b)| (a.0 as usize, b.0 as usize))
         .collect();
-    let cfg = BenchConfig {
+    let cfg = ClusterConfig {
         n,
         costs: CostModel::default(),
         default_link: link,
         durability: teechain::DurabilityBackend::None,
         seed,
-        peers: Some(peer_edges),
-        ..BenchConfig::default()
+        ..ClusterConfig::default()
     };
-    let mut cluster = BenchCluster::new(cfg);
+    let mut cluster = BenchCluster(Cluster::build(cfg, Some(&peer_edges)));
     let mut channels: HashMap<(NodeId, NodeId), Vec<ChannelId>> = HashMap::new();
     // Keep roughly this many channel instances in flight per phase
     // batch (edges stay whole, so a batch can exceed it by one edge's
@@ -432,28 +408,21 @@ pub fn build_sparse_network(
 /// sessions, parallel channels and double-sided funding, with exactly
 /// one cluster settle per protocol phase (operations within a phase are
 /// independent across edges; phases order the per-channel protocol
-/// steps exactly as [`BenchCluster::standard_channel`] does serially).
+/// steps exactly as [`Harness::standard_channel`] does serially).
 fn build_channel_batch(
     cluster: &mut BenchCluster,
     channels: &mut HashMap<(NodeId, NodeId), Vec<ChannelId>>,
     batch: &[(NodeId, NodeId, usize)],
 ) {
-    use teechain::Command;
+    let ids = cluster.ids.clone();
+    let id = |n: NodeId| ids[n.0 as usize];
 
     // Phase 1: one session per edge (parallel channels share it).
-    let sessions: Vec<teechain::OpId> = batch
+    let sessions = batch
         .iter()
-        .map(|&(a, b, _)| {
-            let remote = cluster.ids[b.0 as usize];
-            cluster.submit(a.0 as usize, Command::StartSession { remote })
-        })
+        .map(|&(a, b, _)| (a, Command::StartSession { remote: id(b) }.into()))
         .collect();
-    cluster.settle();
-    for op in sessions {
-        cluster
-            .claim::<teechain_crypto::schnorr::PublicKey>(teechain::Pending::new(op))
-            .expect("session failed");
-    }
+    wave::<PublicKey>(cluster, sessions, "session");
 
     // Channel instances of this batch, in deterministic edge order.
     let insts: Vec<(NodeId, NodeId, ChannelId)> = batch
@@ -466,110 +435,60 @@ fn build_channel_batch(
         })
         .collect();
 
-    // Phase 2: a settlement address per channel (generated in-enclave).
-    let addr_ops: Vec<teechain::OpId> = insts
+    // Phase 2: open every channel.
+    let opens = insts
         .iter()
-        .map(|&(a, _, _)| cluster.submit(a.0 as usize, Command::NewAddress))
-        .collect();
-    cluster.settle();
-    let addrs: Vec<_> = addr_ops
-        .into_iter()
-        .map(|op| {
-            cluster
-                .claim::<teechain_crypto::schnorr::PublicKey>(teechain::Pending::new(op))
-                .expect("address failed")
-        })
-        .collect();
-
-    // Phase 3: open every channel.
-    let open_ops: Vec<teechain::OpId> = insts
-        .iter()
-        .zip(&addrs)
-        .map(|(&(a, b, id), &my_settlement)| {
-            let remote = cluster.ids[b.0 as usize];
-            cluster.submit(
-                a.0 as usize,
-                Command::NewChannel {
-                    id,
-                    remote,
-                    my_settlement,
-                },
-            )
-        })
-        .collect();
-    cluster.settle();
-    for op in open_ops {
-        cluster
-            .claim::<ChannelId>(teechain::Pending::new(op))
-            .expect("channel open failed");
-    }
-
-    // Phase 4: fund a deposit on both sides of every channel.
-    let dep_ops: Vec<(usize, teechain::OpId)> = insts
-        .iter()
-        .flat_map(|&(a, b, _)| [a, b])
-        .map(|side| {
-            let i = side.0 as usize;
-            (i, cluster.submit_deposit(i, 1_000_000_000, 1))
-        })
-        .collect();
-    cluster.settle();
-    let deposits: Vec<(usize, teechain::Deposit)> = dep_ops
-        .into_iter()
-        .map(|(i, op)| {
+        .map(|&(a, b, chan)| {
             (
-                i,
-                cluster
-                    .claim::<teechain::Deposit>(teechain::Pending::new(op))
-                    .expect("deposit failed"),
-            )
-        })
-        .collect();
-
-    // Phase 5: each side approves its deposit toward its peer.
-    let peers: Vec<NodeId> = insts.iter().flat_map(|&(a, b, _)| [b, a]).collect();
-    let approve_ops: Vec<teechain::OpId> = deposits
-        .iter()
-        .zip(&peers)
-        .map(|(&(i, ref dep), &peer)| {
-            let remote = cluster.ids[peer.0 as usize];
-            cluster.submit(
-                i,
-                Command::ApproveDeposit {
-                    remote,
-                    outpoint: dep.outpoint,
+                a,
+                Request::OpenChannel {
+                    id: chan,
+                    remote: id(b),
                 },
             )
         })
         .collect();
-    cluster.settle();
-    for op in approve_ops {
-        cluster
-            .claim::<()>(teechain::Pending::new(op))
-            .expect("approve failed");
-    }
+    wave::<ChannelId>(cluster, opens, "channel open");
 
-    // Phase 6: associate each deposit with its channel.
-    let chans: Vec<ChannelId> = insts.iter().flat_map(|&(_, _, id)| [id, id]).collect();
-    let assoc_ops: Vec<teechain::OpId> = deposits
+    // Phase 3: fund a deposit on both sides of every channel.
+    let sides: Vec<(NodeId, NodeId, ChannelId)> = insts
         .iter()
-        .zip(&chans)
-        .map(|(&(i, ref dep), &id)| {
-            cluster.submit(
-                i,
-                Command::AssociateDeposit {
-                    id,
-                    outpoint: dep.outpoint,
-                },
-            )
+        .flat_map(|&(a, b, chan)| [(a, b, chan), (b, a, chan)])
+        .collect();
+    let fund = Request::FundDeposit {
+        value: 1_000_000_000,
+        m: 1,
+    };
+    let funds = sides.iter().map(|&(me, _, _)| (me, fund.clone())).collect();
+    let deposits = wave::<Deposit>(cluster, funds, "deposit");
+
+    // Phase 4: each side approves its deposit toward its peer.
+    let approvals = sides
+        .iter()
+        .zip(&deposits)
+        .map(|(&(me, peer, _), dep)| {
+            let approve = Command::ApproveDeposit {
+                remote: id(peer),
+                outpoint: dep.outpoint,
+            };
+            (me, approve.into())
         })
         .collect();
-    cluster.settle();
-    for op in assoc_ops {
-        cluster
-            .claim::<()>(teechain::Pending::new(op))
-            .expect("associate failed");
-    }
+    wave::<()>(cluster, approvals, "approve");
+
+    // Phase 5: associate each deposit with its channel.
+    let assocs = sides
+        .iter()
+        .zip(&deposits)
+        .map(|(&(me, _, chan), dep)| {
+            let associate = Command::AssociateDeposit {
+                id: chan,
+                outpoint: dep.outpoint,
+            };
+            (me, associate.into())
+        })
+        .collect();
+    wave::<()>(cluster, assocs, "associate");
 
     for &(a, b, id) in &insts {
         channels
@@ -577,6 +496,29 @@ fn build_channel_batch(
             .or_default()
             .push(id);
     }
+}
+
+/// Submits one wave of independent requests, settles the network once,
+/// and returns each typed outcome in submission order.
+fn wave<T: OpResult>(
+    cluster: &mut BenchCluster,
+    reqs: Vec<(NodeId, Request)>,
+    what: &str,
+) -> Vec<T> {
+    let ops: Vec<OpId> = reqs
+        .into_iter()
+        .map(|(node, req)| cluster.submit(node.0 as usize, req))
+        .collect();
+    cluster.settle_network();
+    ops.into_iter()
+        .map(|op| {
+            let out = cluster
+                .outcome(op)
+                .expect("every operation resolves at quiescence");
+            let out = out.unwrap_or_else(|e| panic!("{what} failed: {e}"));
+            T::from_output(out).expect("output matches the request")
+        })
+        .collect()
 }
 
 /// The static route between two nodes of a hub-and-spoke overlay,

@@ -96,7 +96,7 @@ fn run_at(shards: usize) -> Fingerprint {
                 },
             );
         }
-        net.cluster.settle();
+        net.cluster.settle_network();
     }
     let mut swap_phases = Vec::new();
     for i in 0..net.cluster.sim.len() {

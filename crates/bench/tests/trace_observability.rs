@@ -12,17 +12,19 @@
 //!    therefore a behavior diff, never scheduler noise.
 //! 3. **Causality** — a traced 3-hop multihop payment forms a single
 //!    tree rooted at its `op_span`, on every substrate: the sim engine
-//!    at one and at eight shards, live OS threads, live TCP sockets and
-//!    the live reactor.
+//!    at one and at eight shards, the bench driver's cluster, live OS
+//!    threads, live TCP sockets and the live reactor.
 //!
 //! The chrome://tracing export is exercised end-to-end through the
 //! hand-rolled JSON parser so the artifact `--trace-out` writes is known
 //! to be well-formed with paired flow arrows.
 
 use std::collections::BTreeSet;
-use teechain::live::{LiveCluster, LiveConfig};
-use teechain::testkit::{Cluster, ClusterConfig};
+use teechain::driver::CostModel;
+use teechain::live::{LiveBackend, LiveCluster, LiveConfig};
+use teechain::testkit::{Cluster, ClusterConfig, ClusterNode, Harness};
 use teechain::types::ChannelId;
+use teechain_bench::harness::BenchCluster;
 use teechain_bench::report::JsonValue;
 use teechain_bench::trace_out::chrome_trace_json;
 use teechain_net::EngineKind;
@@ -176,13 +178,7 @@ fn assert_multihop_causality(events: &[TraceEvent], root: u64, substrate: &str) 
 
 /// Builds a 4-node / 3-channel chain, traces one 3-hop multihop, and
 /// returns the drained events plus the payment's root span.
-fn sim_multihop_trace(engine: EngineKind) -> (Vec<TraceEvent>, u64) {
-    let mut c = Cluster::new(ClusterConfig {
-        n: 4,
-        seed: 9,
-        engine,
-        ..ClusterConfig::default()
-    });
+fn sim_multihop_trace<N: ClusterNode>(c: &mut Cluster<N>) -> (Vec<TraceEvent>, u64) {
     let chans: Vec<ChannelId> = (0..3)
         .map(|i| c.standard_channel(i, i + 1, &format!("hop-{i}"), 500_000, 1))
         .collect();
@@ -197,22 +193,59 @@ fn sim_multihop_trace(engine: EngineKind) -> (Vec<TraceEvent>, u64) {
     (c.drain_trace(), root)
 }
 
+/// The 4-node cluster [`sim_multihop_trace`] runs on.
+fn chain4(engine: EngineKind) -> ClusterConfig {
+    ClusterConfig {
+        n: 4,
+        seed: 9,
+        engine,
+        ..ClusterConfig::default()
+    }
+}
+
+fn sim_causality(engine: EngineKind, substrate: &str) {
+    let (events, root) = sim_multihop_trace(&mut Cluster::new(chain4(engine)));
+    assert_multihop_causality(&events, root, substrate);
+}
+
 #[test]
 fn multihop_trace_is_single_rooted_sim_seq() {
-    let (events, root) = sim_multihop_trace(EngineKind::Sharded { shards: 1 });
-    assert_multihop_causality(&events, root, "sim/sharded:1");
+    sim_causality(EngineKind::Sharded { shards: 1 }, "sim/sharded:1");
 }
 
 #[test]
 fn multihop_trace_is_single_rooted_sim_sharded() {
-    let (events, root) = sim_multihop_trace(EngineKind::Sharded { shards: 8 });
-    assert_multihop_causality(&events, root, "sim/sharded:8");
+    sim_causality(EngineKind::Sharded { shards: 8 }, "sim/sharded:8");
+}
+
+/// The bench driver's cluster mints its nodes like every other harness,
+/// so each node stamps its own id on its events and ecall spans stay
+/// distinct across nodes — the paper-figure traces are causal too.
+#[test]
+fn multihop_trace_is_single_rooted_bench_cluster() {
+    let mut bench = BenchCluster::new(ClusterConfig {
+        costs: CostModel::default(),
+        ..chain4(EngineKind::from_env())
+    });
+    let (events, root) = sim_multihop_trace(&mut bench.0);
+    assert_multihop_causality(&events, root, "bench");
 }
 
 /// Live variant: tracing must be enabled from launch (`LiveConfig`), so
 /// the setup window is drained and discarded before the traced payment.
-/// The multihop is then the only `OpSubmit` in the second window.
-fn live_multihop_trace(net: &LiveCluster, substrate: &str) {
+/// The multihop is then the only `OpSubmit` in the second window. Wire
+/// spans must stitch across per-node sockets and threads exactly as
+/// across the reactor's multiplexed pool and run-queue scheduler.
+fn live_multihop_trace(backend: LiveBackend) {
+    let substrate = format!("live/{backend:?}");
+    let cfg = LiveConfig {
+        n: 4,
+        seed: 0x0B5,
+        tracing: true,
+        ..LiveConfig::default()
+    };
+    let cluster = LiveCluster::over(backend, cfg).expect("bind localhost listeners");
+    let mut net = &cluster;
     let chans: Vec<ChannelId> = (0..3)
         .map(|i| net.standard_channel(i, i + 1, &format!("hop-{i}"), 500_000, 1))
         .collect();
@@ -235,48 +268,23 @@ fn live_multihop_trace(net: &LiveCluster, substrate: &str) {
         1,
         "{substrate}: the multihop must be the only submission in the traced window"
     );
-    assert_multihop_causality(&events, submits[0].span, substrate);
+    assert_multihop_causality(&events, submits[0].span, &substrate);
+    cluster.shutdown();
 }
 
 #[test]
 fn multihop_trace_is_single_rooted_live_threads() {
-    let net = LiveCluster::over_threads(LiveConfig {
-        n: 4,
-        seed: 0x0B5,
-        tracing: true,
-        ..LiveConfig::default()
-    });
-    live_multihop_trace(&net, "live/threads");
-    net.shutdown();
+    live_multihop_trace(LiveBackend::Threads);
 }
 
 #[test]
 fn multihop_trace_is_single_rooted_live_tcp() {
-    let net = LiveCluster::over_tcp(LiveConfig {
-        n: 4,
-        seed: 0x0B5,
-        tracing: true,
-        ..LiveConfig::default()
-    })
-    .expect("bind localhost listeners");
-    live_multihop_trace(&net, "live/tcp");
-    net.shutdown();
+    live_multihop_trace(LiveBackend::Tcp);
 }
 
 #[test]
 fn multihop_trace_is_single_rooted_live_reactor() {
-    // The fifth substrate: wire spans must stitch across the reactor's
-    // multiplexed pool and the run-queue scheduler exactly as they do
-    // across per-node sockets and threads.
-    let net = LiveCluster::over_reactor(LiveConfig {
-        n: 4,
-        seed: 0x0B5,
-        tracing: true,
-        ..LiveConfig::default()
-    })
-    .expect("bind reactor listener");
-    live_multihop_trace(&net, "live/reactor");
-    net.shutdown();
+    live_multihop_trace(LiveBackend::Reactor);
 }
 
 /// The chrome://tracing export round-trips through the hand-rolled JSON
@@ -284,7 +292,8 @@ fn multihop_trace_is_single_rooted_live_reactor() {
 /// stitch sender to receiver; op flows stitch submit to completion).
 #[test]
 fn chrome_export_is_well_formed_with_paired_flows() {
-    let (events, _) = sim_multihop_trace(EngineKind::Sharded { shards: 1 });
+    let (events, _) =
+        sim_multihop_trace(&mut Cluster::new(chain4(EngineKind::Sharded { shards: 1 })));
     let doc = chrome_trace_json(&events);
     let parsed = JsonValue::parse(&doc.render()).expect("export must be valid JSON");
     let JsonValue::Arr(items) = parsed.get("traceEvents").expect("traceEvents") else {

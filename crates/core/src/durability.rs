@@ -21,8 +21,10 @@
 //!
 //! [`DurabilityBackend`] is consumed in two places: the enclave config
 //! ([`crate::enclave::EnclaveConfig`]) reads the persistence policy, and
-//! the cluster harnesses ([`crate::testkit::Cluster`], the bench
-//! harness) wire up stores or backup chains accordingly.
+//! the cluster harness wires up the rest — every cluster's nodes get
+//! their harness-owned stores from one node factory, and the simulated
+//! [`crate::testkit::Cluster`] alone chains backups
+//! ([`crate::live::LiveCluster`] rejects replication).
 
 /// Tuning for the persistent-storage backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -40,10 +40,11 @@
 //!
 //! Applications drive a cluster through typed operations — submit via a
 //! [`testkit::NodeHandle`], resolve the [`ops::Pending`] token; raw
-//! commands and `HostEvent` scraping never appear:
+//! commands and `HostEvent` scraping never appear. The same
+//! [`testkit::Harness`] calls drive a simulated or a live cluster:
 //!
 //! ```
-//! use teechain::testkit::Cluster;
+//! use teechain::testkit::{Cluster, Harness};
 //!
 //! let mut net = Cluster::functional(2);
 //! let session = net.handle(0).connect(1);

@@ -20,11 +20,25 @@
 //! Both runtimes publish completions to the same shared streams, so the
 //! entire public surface below behaves identically across backends.
 //!
+//! # Driving a live cluster
+//!
+//! `&LiveCluster` implements [`Harness`], so every setup step and
+//! operation — sessions, channels, deposits, payments, multi-hop,
+//! settlement, swaps — is the same choreography the simulated
+//! [`Cluster`](crate::testkit::Cluster) runs. A submission is one
+//! request/reply round trip into the node's event loop or inbox
+//! (`LiveReq::Submit`); resolution polls the node's published completion
+//! stream and declares the operation dead after [`DEFAULT_OP_TIMEOUT`].
+//! Receivers stay `&self`, so many threads can drive one cluster: bind
+//! `let mut net = &cluster;` to call the trait's methods.
+//!
 //! # How a node runs live
 //!
-//! Each node's event loop blocks on one input queue fed by two sources: a
-//! pump thread forwarding inbound transport messages, and the harness
-//! submitting operations. Handlers are executed through
+//! On the per-node runtime, each node's event loop blocks on one input
+//! queue fed by two sources: a pump thread forwarding inbound transport
+//! messages, and the harness submitting operations (the sharded runtime
+//! feeds the same inputs through its run-queue inboxes; see
+//! `live_sched`). Handlers are executed through
 //! [`teechain_net::live::drive`], which hands the node the same
 //! [`Ctx`](teechain_net::Ctx) surface the engines do but returns the
 //! emitted actions; the loop then
@@ -56,11 +70,10 @@
 //! protocol at hardware speed — `cargo run --release -p teechain-bench
 //! --bin live` measures it.
 
-use crate::enclave::Command;
 use crate::node::{SharedChain, TeechainNode};
-use crate::ops::{Completion, Delivered, OpError, OpId, OpResult, Payment, Pending, Settlement};
-use crate::testkit::build_wired_nodes;
-use crate::types::{ChannelId, Deposit, RouteId};
+use crate::ops::{Completion, OpError, OpId, OpOutput, Payment, Pending, Request};
+use crate::testkit::{build_wired_nodes, Harness};
+use crate::types::ChannelId;
 use crate::DurabilityBackend;
 use parking_lot::Mutex;
 use std::cmp::Reverse;
@@ -80,7 +93,9 @@ use teechain_util::rng::Xoshiro256;
 /// Configuration for a [`LiveCluster`].
 #[derive(Clone)]
 pub struct LiveConfig {
-    /// Number of nodes (one OS thread + one pump thread each).
+    /// Number of nodes. The per-node backends spend an event-loop thread
+    /// and a pump thread on each; the reactor backend runs them all on
+    /// `workers` + 2 threads ([`LiveCluster::runtime_threads`]).
     pub n: usize,
     /// Seed for identities and RNG lanes. The same seed produces the
     /// same enclave identities as a [`crate::testkit::Cluster`], which is
@@ -129,30 +144,18 @@ pub enum LiveBackend {
     Reactor,
 }
 
-/// How long the blocking conveniences ([`LiveCluster::connect`],
-/// [`LiveCluster::pay`], …) wait for a completion before declaring the
-/// operation dead. Generous: live CI machines stall unpredictably.
+/// How long [`Harness::resolve`] (and so every blocking convenience)
+/// waits for a live completion before declaring the operation dead.
+/// Generous: live CI machines stall unpredictably.
 pub const DEFAULT_OP_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Control-plane requests the harness sends into a node's event loop
 /// (per-node runtime) or inbox (sharded runtime).
 pub(crate) enum LiveReq {
-    /// Submit `cmd` as a correlated operation.
+    /// Submit `req` as a correlated operation.
     Submit {
-        cmd: Command,
+        req: Request,
         deadline_ns: Option<u64>,
-        reply: Sender<OpId>,
-    },
-    /// Submit the composite open-channel operation.
-    OpenChannel {
-        id: ChannelId,
-        remote: PublicKey,
-        reply: Sender<OpId>,
-    },
-    /// Submit the composite fund-deposit operation.
-    FundDeposit {
-        value: u64,
-        m: u8,
         reply: Sender<OpId>,
     },
     /// Declare a still-pending operation dead (harness-side wait
@@ -182,19 +185,23 @@ pub(crate) enum Input {
     Req(LiveReq),
 }
 
-/// A cluster of Teechain nodes running live — each on its own OS thread,
-/// exchanging real messages through a [`Transport`] backend, sharing one
-/// (mutex-protected) simulated blockchain.
+/// A cluster of Teechain nodes running live — on an OS thread per node
+/// or on the reactor backend's fixed worker pool (see [`LiveBackend`]) —
+/// exchanging real messages and sharing one (mutex-protected) simulated
+/// blockchain. Drive it through [`Harness`], implemented for
+/// `&LiveCluster`.
 ///
 /// ```
 /// use teechain::live::{LiveCluster, LiveConfig};
+/// use teechain::testkit::Harness;
 ///
-/// let net = LiveCluster::over_tcp(LiveConfig { n: 2, ..Default::default() })
+/// let cluster = LiveCluster::over_tcp(LiveConfig { n: 2, ..Default::default() })
 ///     .expect("bind localhost listeners");
+/// let mut net = &cluster;
 /// let chan = net.standard_channel(0, 1, "demo", 1_000, 1);
 /// let receipt = net.pay(0, chan, 250).expect("a real round trip over TCP");
 /// assert_eq!(receipt.amount, 250);
-/// net.shutdown();
+/// cluster.shutdown();
 /// ```
 pub struct LiveCluster {
     /// Enclave identity of each node.
@@ -257,7 +264,7 @@ impl LiveCluster {
         let chain: SharedChain = Arc::new(Mutex::new(Chain::new()));
         let chain2: SharedChain = Arc::new(Mutex::new(Chain::new()));
         let (_root, nodes, stores, ids) =
-            build_wired_nodes(cfg.n, cfg.seed, cfg.durability, &chain, &chain2);
+            build_wired_nodes(cfg.n, cfg.seed, cfg.durability, &chain, &chain2, None);
         let epoch = Instant::now();
         let sched = crate::live_sched::Sched::launch(&cfg, nodes, epoch)?;
         let completions = sched.completion_handles();
@@ -306,7 +313,7 @@ impl LiveCluster {
         // Nodes, identities and directories are built by the exact code
         // the simulated harness uses — before any thread exists.
         let (_root, nodes, stores, ids) =
-            build_wired_nodes(cfg.n, cfg.seed, cfg.durability, &chain, &chain2);
+            build_wired_nodes(cfg.n, cfg.seed, cfg.durability, &chain, &chain2, None);
         // One epoch for every node: in-protocol absolute times agree.
         let epoch = Instant::now();
         let stop = Arc::new(AtomicBool::new(false));
@@ -398,95 +405,7 @@ impl LiveCluster {
         self.completions.is_empty()
     }
 
-    fn request_op(&self, i: usize, make: impl FnOnce(Sender<OpId>) -> LiveReq) -> OpId {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.send_input(i, Input::Req(make(reply_tx)));
-        reply_rx.recv().expect("node event loop replies")
-    }
-
-    // ---- Operation submission and resolution ----
-
-    /// Submits `cmd` on node `i` as a correlated operation (counter
-    /// throttling parks the op for the admission pump, as in the
-    /// simulated harnesses).
-    pub fn submit(&self, i: usize, cmd: Command) -> OpId {
-        self.request_op(i, |reply| LiveReq::Submit {
-            cmd,
-            deadline_ns: None,
-            reply,
-        })
-    }
-
-    /// Submits with an absolute deadline on the cluster clock
-    /// ([`LiveCluster::now_ns`]): a still-pending operation is declared
-    /// dead at that instant by the node's own timer heap.
-    pub fn submit_with_deadline(&self, i: usize, cmd: Command, deadline_ns: u64) -> OpId {
-        self.request_op(i, |reply| LiveReq::Submit {
-            cmd,
-            deadline_ns: Some(deadline_ns),
-            reply,
-        })
-    }
-
-    /// Submits the composite open-channel operation on node `i`
-    /// (in-enclave settlement address + channel proposal); completes with
-    /// the [`ChannelId`].
-    pub fn submit_open_channel(&self, i: usize, id: ChannelId, remote: PublicKey) -> OpId {
-        self.request_op(i, |reply| LiveReq::OpenChannel { id, remote, reply })
-    }
-
-    /// Submits the composite fund-deposit operation on node `i` (mint on
-    /// the shared chain, confirm, register); completes with the
-    /// [`Deposit`].
-    pub fn submit_fund_deposit(&self, i: usize, value: u64, m: u8) -> OpId {
-        self.request_op(i, |reply| LiveReq::FundDeposit { value, m, reply })
-    }
-
-    /// Wraps an operation id in a typed pending token.
-    pub fn pending<T: OpResult>(&self, op: OpId) -> Pending<T> {
-        Pending::new(op)
-    }
-
-    /// Resolves a pending operation: blocks until its completion exists
-    /// (polling the node's published stream) or `timeout` passes, at
-    /// which point the operation is declared dead on its node and the
-    /// typed [`OpError::Timeout`] completion is recorded — the live
-    /// analogue of the simulator's quiescence resolution.
-    pub fn wait<T: OpResult>(&self, p: Pending<T>, timeout: Duration) -> Result<T, OpError> {
-        let i = p.op.node as usize;
-        let deadline = Instant::now() + timeout;
-        let outcome = loop {
-            if let Some(c) = self.completions[i].lock().iter().find(|c| c.op == p.op) {
-                break c.outcome.clone();
-            }
-            if Instant::now() >= deadline {
-                let (reply_tx, reply_rx) = mpsc::channel();
-                self.send_input(
-                    i,
-                    Input::Req(LiveReq::ResolveDead {
-                        op: p.op,
-                        reply: reply_tx,
-                    }),
-                );
-                let _ = reply_rx.recv();
-                // Either the node just recorded the timeout completion,
-                // or the real one landed in the race window — read back
-                // whichever won.
-                break self.completions[i]
-                    .lock()
-                    .iter()
-                    .find(|c| c.op == p.op)
-                    .map(|c| c.outcome.clone())
-                    .unwrap_or(Err(OpError::Timeout {
-                        at_ns: self.now_ns(),
-                    }));
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        };
-        outcome.map(|out| {
-            T::from_output(out).expect("completion output does not match the operation's type")
-        })
-    }
+    // ---- Completion streams ----
 
     /// Node `i`'s published completion stream so far, in resolution
     /// order.
@@ -507,7 +426,7 @@ impl LiveCluster {
     /// bench) consume completions this way so a long-running cluster
     /// holds memory proportional to in-flight work, not uptime. Drained
     /// completions are gone from [`LiveCluster::completions`],
-    /// [`LiveCluster::completion_log`] and [`LiveCluster::wait`] — only
+    /// [`LiveCluster::completion_log`] and [`Harness::resolve`] — only
     /// drain operations you correlate yourself.
     pub fn take_completions(&self, i: usize) -> Vec<Completion> {
         std::mem::take(&mut *self.completions[i].lock())
@@ -523,57 +442,19 @@ impl LiveCluster {
         crate::ops::merge_completions(&views)
     }
 
-    // ---- Typed conveniences (mirror `testkit::Cluster`) ----
-
-    /// Establishes a secure session between nodes `a` and `b`.
-    pub fn connect(&self, a: usize, b: usize) {
-        let remote = self.ids[b];
-        let op = self.submit(a, Command::StartSession { remote });
-        self.wait::<PublicKey>(Pending::new(op), DEFAULT_OP_TIMEOUT)
-            .expect("session establishment failed");
+    /// The published outcome of `op`, if it has resolved.
+    fn outcome(&self, op: OpId) -> Option<Result<OpOutput, OpError>> {
+        let stream = self.completions[op.node as usize].lock();
+        stream
+            .iter()
+            .find(|c| c.op == op)
+            .map(|c| c.outcome.clone())
     }
 
-    /// Opens a payment channel between connected nodes; returns its id.
-    pub fn open_channel(&self, a: usize, b: usize, label: &str) -> ChannelId {
-        let id = ChannelId::from_label(label);
-        let op = self.submit_open_channel(a, id, self.ids[b]);
-        self.wait::<ChannelId>(Pending::new(op), DEFAULT_OP_TIMEOUT)
-            .expect("channel open failed")
-    }
+    // ---- Forwarders to the `Harness` choreography ----
 
-    /// Funds an m-of-n deposit of `value` on node `i` and registers it.
-    pub fn fund_deposit(&self, i: usize, value: u64, m: u8) -> Deposit {
-        let op = self.submit_fund_deposit(i, value, m);
-        self.wait::<Deposit>(Pending::new(op), DEFAULT_OP_TIMEOUT)
-            .expect("fund deposit failed")
-    }
-
-    /// Approves `deposit` of node `a` with counterparty `b`, then
-    /// associates it with `chan`.
-    pub fn approve_and_associate(&self, a: usize, b: usize, chan: ChannelId, deposit: &Deposit) {
-        let remote = self.ids[b];
-        let op = self.submit(
-            a,
-            Command::ApproveDeposit {
-                remote,
-                outpoint: deposit.outpoint,
-            },
-        );
-        self.wait::<crate::ops::OpOutput>(Pending::new(op), DEFAULT_OP_TIMEOUT)
-            .expect("approve deposit failed");
-        let op = self.submit(
-            a,
-            Command::AssociateDeposit {
-                id: chan,
-                outpoint: deposit.outpoint,
-            },
-        );
-        self.wait::<crate::ops::OpOutput>(Pending::new(op), DEFAULT_OP_TIMEOUT)
-            .expect("associate deposit failed");
-    }
-
-    /// Full channel setup: connect, open, fund `value` on side `a` with
-    /// threshold `m`, approve and associate. Returns the channel id.
+    /// [`Harness::standard_channel`], callable on a shared
+    /// `&LiveCluster` without importing the trait.
     pub fn standard_channel(
         &self,
         a: usize,
@@ -582,86 +463,15 @@ impl LiveCluster {
         value: u64,
         m: u8,
     ) -> ChannelId {
-        self.connect(a, b);
-        let chan = self.open_channel(a, b, label);
-        let dep = self.fund_deposit(a, value, m);
-        self.approve_and_associate(a, b, chan, &dep);
-        chan
+        let mut net = self;
+        Harness::standard_channel(&mut net, a, b, label, value, m)
     }
 
     /// Submits a payment over `chan` from node `from`; returns the
-    /// pending token (resolve with [`LiveCluster::wait`]).
+    /// pending token (resolve with [`Harness::wait`]).
     pub fn submit_pay(&self, from: usize, chan: ChannelId, amount: u64) -> Pending<Payment> {
-        Pending::new(self.submit(
-            from,
-            Command::Pay {
-                id: chan,
-                amount,
-                count: 1,
-            },
-        ))
-    }
-
-    /// Sends a payment and blocks for its typed completion.
-    pub fn pay(&self, from: usize, chan: ChannelId, amount: u64) -> Result<Payment, OpError> {
-        self.wait(self.submit_pay(from, chan, amount), DEFAULT_OP_TIMEOUT)
-    }
-
-    /// Issues a multi-hop payment from `path[0]` through `path[..]` over
-    /// `channels` and blocks for its typed completion.
-    pub fn pay_multihop(
-        &self,
-        path: &[usize],
-        channels: &[ChannelId],
-        amount: u64,
-        label: &str,
-    ) -> Result<Delivered, OpError> {
-        let route = RouteId(teechain_crypto::sha256::tagged_hash(
-            "teechain/route",
-            &[label.as_bytes()],
-        ));
-        let hops: Vec<PublicKey> = path.iter().map(|&i| self.ids[i]).collect();
-        let op = self.submit(
-            path[0],
-            Command::PayMultihop {
-                route,
-                hops,
-                channels: channels.to_vec(),
-                amount,
-            },
-        );
-        self.wait(Pending::new(op), DEFAULT_OP_TIMEOUT)
-    }
-
-    /// Settles a channel from node `i` and blocks for the terminal
-    /// [`Settlement`] (off-chain or on-chain).
-    pub fn settle_channel(&self, i: usize, chan: ChannelId) -> Result<Settlement, OpError> {
-        let op = self.submit(i, Command::Settle { id: chan });
-        self.wait(Pending::new(op), DEFAULT_OP_TIMEOUT)
-    }
-
-    /// Initiates a cross-chain atomic swap from node `from` and blocks
-    /// for its terminal [`crate::swap::SwapOutcome`].
-    pub fn swap(
-        &self,
-        from: usize,
-        chan: ChannelId,
-        label: &str,
-        amount: u64,
-        alt_amount: u64,
-        timeout_blocks: u64,
-    ) -> Result<crate::swap::SwapOutcome, OpError> {
-        let op = self.submit(
-            from,
-            Command::Swap {
-                swap: crate::types::SwapId::from_label(label),
-                channel: chan,
-                amount,
-                alt_amount,
-                timeout_blocks,
-            },
-        );
-        self.wait(Pending::new(op), DEFAULT_OP_TIMEOUT)
+        let mut net = self;
+        net.handle(from).pay(chan, amount)
     }
 
     /// On-chain balance of a settlement key.
@@ -728,6 +538,50 @@ impl LiveCluster {
             }
             Runtime::Sharded(sched) => sched.shutdown(),
         }
+    }
+}
+
+impl Harness for &LiveCluster {
+    fn ids(&self) -> &[PublicKey] {
+        &self.ids
+    }
+
+    /// Deadlines are absolute ns on the cluster clock
+    /// ([`LiveCluster::now_ns`]), enforced by the node's own timers.
+    fn submit_request(&mut self, i: usize, req: Request, deadline_ns: Option<u64>) -> OpId {
+        let (reply, reply_rx) = mpsc::channel();
+        let submit = LiveReq::Submit {
+            req,
+            deadline_ns,
+            reply,
+        };
+        self.send_input(i, Input::Req(submit));
+        reply_rx.recv().expect("node event loop replies")
+    }
+
+    /// Polls the node's published stream until the completion exists or
+    /// [`DEFAULT_OP_TIMEOUT`] passes; then the operation is declared
+    /// dead on its node and the typed [`OpError::Timeout`] is recorded —
+    /// the live analogue of the simulator's quiescence resolution.
+    fn resolve(&mut self, op: OpId) -> Result<OpOutput, OpError> {
+        let deadline = Instant::now() + DEFAULT_OP_TIMEOUT;
+        while Instant::now() < deadline {
+            if let Some(outcome) = self.outcome(op) {
+                return outcome;
+            }
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        let (reply, reply_rx) = mpsc::channel();
+        self.send_input(
+            op.node as usize,
+            Input::Req(LiveReq::ResolveDead { op, reply }),
+        );
+        let _ = reply_rx.recv();
+        // Either the node just recorded the timeout completion, or the
+        // real one landed in the race window — read back whichever won.
+        self.outcome(op).unwrap_or(Err(OpError::Timeout {
+            at_ns: self.now_ns(),
+        }))
     }
 }
 
@@ -845,19 +699,11 @@ impl<Tx: TransportTx> NodeLoop<Tx> {
     fn handle_req(&mut self, req: LiveReq) -> bool {
         match req {
             LiveReq::Submit {
-                cmd,
+                req,
                 deadline_ns,
                 reply,
             } => {
-                let op = self.dispatch(|node, ctx| node.submit_op(ctx, cmd, deadline_ns));
-                let _ = reply.send(op);
-            }
-            LiveReq::OpenChannel { id, remote, reply } => {
-                let op = self.dispatch(|node, ctx| node.submit_open_channel(ctx, id, remote));
-                let _ = reply.send(op);
-            }
-            LiveReq::FundDeposit { value, m, reply } => {
-                let op = self.dispatch(|node, ctx| node.submit_fund_deposit(ctx, value, m));
+                let op = self.dispatch(|node, ctx| node.submit_op(ctx, req, deadline_ns));
                 let _ = reply.send(op);
             }
             LiveReq::ResolveDead { op, reply } => {
@@ -924,11 +770,12 @@ mod tests {
             n: 2,
             ..LiveConfig::default()
         });
-        let chan = net.standard_channel(0, 1, "live-unit", 1_000, 1);
-        let receipt = net.pay(0, chan, 250).expect("payment completes");
+        let mut h = &net;
+        let chan = h.standard_channel(0, 1, "live-unit", 1_000, 1);
+        let receipt = h.pay(0, chan, 250).expect("payment completes");
         assert_eq!(receipt.amount, 250);
         // Typed local rejection: overspending the channel balance.
-        let err = net.pay(0, chan, 10_000).expect_err("overspend refused");
+        let err = h.pay(0, chan, 10_000).expect_err("overspend refused");
         assert_eq!(err, OpError::Rejected(ProtocolError::InsufficientBalance));
         let nodes = net.shutdown();
         let c = nodes[0]
@@ -965,13 +812,11 @@ mod tests {
         // (all peers answer), so use an operation that waits on a
         // nonexistent response: pay on an unknown channel is rejected
         // synchronously — instead park an op with a 1 ns deadline.
-        let op = net.submit_with_deadline(
-            0,
-            Command::StartSession { remote: net.ids[1] },
-            1, // Already in the past: dies on the node's own timer.
-        );
-        let res = net.wait::<PublicKey>(Pending::new(op), Duration::from_secs(5));
-        match res {
+        let mut h = &net;
+        let session = crate::Command::StartSession { remote: net.ids[1] };
+        // Already in the past: dies on the node's own timer.
+        let op = h.submit_request(0, session.into(), Some(1));
+        match h.resolve(op) {
             Err(OpError::Timeout { .. }) => {}
             // The handshake can legitimately win the race on a fast
             // machine: the deadline timer and the response arrive through

@@ -164,30 +164,12 @@ impl Shared {
             }
             Input::Req(req) => match req {
                 LiveReq::Submit {
-                    cmd,
+                    req,
                     deadline_ns,
                     reply,
                 } => {
                     let (op, actions) = drive(&mut st.node, id, now, &mut st.rng, |n, ctx| {
-                        n.submit_op(ctx, cmd, deadline_ns)
-                    });
-                    let _ = reply.send(op);
-                    actions
-                }
-                LiveReq::OpenChannel {
-                    id: chan,
-                    remote,
-                    reply,
-                } => {
-                    let (op, actions) = drive(&mut st.node, id, now, &mut st.rng, |n, ctx| {
-                        n.submit_open_channel(ctx, chan, remote)
-                    });
-                    let _ = reply.send(op);
-                    actions
-                }
-                LiveReq::FundDeposit { value, m, reply } => {
-                    let (op, actions) = drive(&mut st.node, id, now, &mut st.rng, |n, ctx| {
-                        n.submit_fund_deposit(ctx, value, m)
+                        n.submit_op(ctx, req, deadline_ns)
                     });
                     let _ = reply.send(op);
                     actions
@@ -443,6 +425,7 @@ mod tests {
     use crate::enclave::Command;
     use crate::live::{LiveBackend, LiveCluster, LiveConfig};
     use crate::ops::OpError;
+    use crate::testkit::Harness;
     use crate::types::ProtocolError;
 
     #[test]
@@ -453,10 +436,11 @@ mod tests {
             ..LiveConfig::default()
         })
         .expect("bind reactor listener");
-        let chan = net.standard_channel(0, 1, "sched-unit", 1_000, 1);
-        let receipt = net.pay(0, chan, 250).expect("payment completes");
+        let mut h = &net;
+        let chan = h.standard_channel(0, 1, "sched-unit", 1_000, 1);
+        let receipt = h.pay(0, chan, 250).expect("payment completes");
         assert_eq!(receipt.amount, 250);
-        let err = net.pay(0, chan, 10_000).expect_err("overspend refused");
+        let err = h.pay(0, chan, 10_000).expect_err("overspend refused");
         assert_eq!(err, OpError::Rejected(ProtocolError::InsufficientBalance));
         let nodes = net.shutdown();
         let c = nodes[0]
@@ -564,12 +548,10 @@ mod tests {
         .expect("bind reactor listener");
         // An op whose deadline is already in the past dies on the shared
         // timer heap (or legitimately wins the race on a fast box).
-        let op = net.submit_with_deadline(0, Command::StartSession { remote: net.ids[1] }, 1);
-        let res = net.wait::<teechain_crypto::schnorr::PublicKey>(
-            crate::ops::Pending::new(op),
-            std::time::Duration::from_secs(5),
-        );
-        match res {
+        let mut h = &net;
+        let session = Command::StartSession { remote: net.ids[1] };
+        let op = h.submit_request(0, session.into(), Some(1));
+        match h.resolve(op) {
             Err(OpError::Timeout { .. }) | Ok(_) => {}
             other => panic!("unexpected outcome: {other:?}"),
         }
@@ -589,9 +571,10 @@ mod tests {
             ..LiveConfig::default()
         })
         .expect("bind reactor listener");
-        let ab = net.standard_channel(0, 1, "sched-ab", 10_000, 1);
-        let bc = net.standard_channel(1, 2, "sched-bc", 10_000, 1);
-        let delivered = net
+        let mut h = &net;
+        let ab = h.standard_channel(0, 1, "sched-ab", 10_000, 1);
+        let bc = h.standard_channel(1, 2, "sched-bc", 10_000, 1);
+        let delivered = h
             .pay_multihop(&[0, 1, 2], &[ab, bc], 700, "sched-route")
             .expect("multihop completes");
         assert_eq!(delivered.amount, 700);

@@ -5,7 +5,7 @@
 
 use crate::enclave::{Command, Effect, EnclaveConfig, HostEvent, TeechainEnclave};
 use crate::msg::WireView;
-use crate::ops::{self, Completion, OpError, OpId, OpJob, OpOutput, OpTracker};
+use crate::ops::{Completion, OpError, OpId, OpOutput, OpTracker, Request};
 use crate::types::{Deposit, ProtocolError, SwapId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -1098,49 +1098,13 @@ impl TeechainNode {
     /// mode), the operation parks on the host's throttle queue and is
     /// re-dispatched FIFO on the next admission pump — callers never see
     /// `CounterThrottled`.
-    pub fn submit_op(&mut self, ctx: &mut Ctx<'_>, cmd: Command, deadline_ns: Option<u64>) -> OpId {
-        let key = ops::expect_for(&cmd);
-        self.submit_job(ctx, OpJob::Cmd(cmd), key, deadline_ns)
-    }
-
-    /// Submits the composite fund-deposit operation (mint on chain, wait
-    /// for confirmations, register with the enclave) as a correlated
-    /// operation completing with [`OpOutput::DepositFunded`].
-    pub fn submit_fund_deposit(&mut self, ctx: &mut Ctx<'_>, value: u64, m: u8) -> OpId {
-        self.submit_job(ctx, OpJob::FundDeposit { value, m }, None, None)
-    }
-
-    /// Submits the composite open-channel operation (generate an
-    /// in-enclave settlement address, then propose the channel) as a
-    /// correlated operation completing with [`OpOutput::ChannelOpen`].
-    pub fn submit_open_channel(
+    pub fn submit_op(
         &mut self,
         ctx: &mut Ctx<'_>,
-        id: crate::types::ChannelId,
-        remote: PublicKey,
-    ) -> OpId {
-        self.submit_job(
-            ctx,
-            OpJob::OpenChannel { id, remote },
-            Some(ops::MatchKey::ChannelOpen(id)),
-            None,
-        )
-    }
-
-    /// Submits crash recovery from the durable store as a correlated
-    /// operation completing with [`OpOutput::Recovered`].
-    pub fn submit_recover(&mut self, ctx: &mut Ctx<'_>) -> OpId {
-        self.submit_job(ctx, OpJob::Recover, Some(ops::MatchKey::Recovered), None)
-    }
-
-    fn submit_job(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        job: OpJob,
-        key: Option<crate::ops::MatchKey>,
+        req: impl Into<Request>,
         deadline_ns: Option<u64>,
     ) -> OpId {
-        let op = self.ops.register(ctx.self_id().0, job, key);
+        let op = self.ops.register(ctx.self_id().0, req.into());
         if self.tracer.enabled() {
             // Root of the operation's causal tree (parent 0).
             let s = span::op_span(op.node, op.seq);
@@ -1159,7 +1123,7 @@ impl TeechainNode {
     /// pending operation's job and resolves what can be resolved
     /// synchronously.
     fn dispatch_op(&mut self, ctx: &mut Ctx<'_>, seq: u64) {
-        let Some(job) = self.ops.job(seq) else {
+        let Some(req) = self.ops.request(seq) else {
             return;
         };
         if self.tracer.enabled() {
@@ -1167,15 +1131,15 @@ impl TeechainNode {
             // the operation's root span.
             self.tracer.set_cause(span::op_span(ctx.self_id().0, seq));
         }
-        let result: Result<Option<OpOutput>, ProtocolError> = match job {
-            OpJob::Cmd(cmd) => self.command(ctx, cmd).map(|()| None),
-            OpJob::FundDeposit { value, m } => self
+        let result: Result<Option<OpOutput>, ProtocolError> = match req {
+            Request::Cmd(cmd) => self.command(ctx, cmd).map(|()| None),
+            Request::FundDeposit { value, m } => self
                 .create_funded_committee_deposit(ctx, value, m)
                 .map(|dep| Some(OpOutput::DepositFunded(dep))),
-            OpJob::OpenChannel { id, remote } => {
+            Request::OpenChannel { id, remote } => {
                 self.open_channel_steps(ctx, id, remote).map(|()| None)
             }
-            OpJob::Recover => self.recover_from_store(ctx).map(|()| None),
+            Request::Recover => self.recover_from_store(ctx).map(|()| None),
         };
         match result {
             Ok(output) => {

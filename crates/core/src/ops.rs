@@ -18,9 +18,10 @@
 //!   completions, and arms deadline/retry timers inside the simulation —
 //!   so completions are ordinary deterministic events that merge
 //!   identically at any shard count.
-//! * [`Pending`] is the typed token harness layers hand out: resolve it
-//!   with `Cluster::wait` / `BenchCluster::wait`, which run the engine to
-//!   quiescence (or the deadline) and extract the typed result.
+//! * [`Request`] is the one thing a harness submits, and [`Pending`] the
+//!   typed token it hands back: resolve it with
+//!   [`Harness::wait`](crate::testkit::Harness::wait), which runs the
+//!   cluster until the operation resolves and extracts the typed result.
 //! * `HostEvent` remains only as the host's internal notification stream
 //!   for genuinely unsolicited events (e.g. `VerifyDeposit` callbacks);
 //!   no caller outside `crates/core` touches it.
@@ -650,24 +651,57 @@ fn outcome_of(event: &HostEvent) -> Option<(MatchKey, Result<OpOutput, OpError>)
     })
 }
 
-/// What a pending operation re-executes when the counter throttle lifts
-/// (the node re-dispatches throttled ops FIFO on the admission pump).
+/// One operation a node is asked to perform: an enclave [`Command`] or
+/// one of the host-side composites. It is what every harness submits
+/// (through [`TeechainNode::submit_op`](crate::node::TeechainNode::submit_op)),
+/// and what a throttled operation re-executes when the counter lifts.
 #[derive(Clone)]
-pub(crate) enum OpJob {
+pub enum Request {
     /// An enclave command.
     Cmd(Command),
-    /// The composite fund-deposit host operation (mint + confirm +
-    /// register, see `TeechainNode::create_funded_committee_deposit`).
-    FundDeposit { value: u64, m: u8 },
-    /// The composite open-channel host operation: generate an in-enclave
-    /// settlement address, then propose the channel.
-    OpenChannel { id: ChannelId, remote: PublicKey },
-    /// Crash recovery from the durable store.
+    /// Mint an m-of-n committee deposit of `value` on the shared chain,
+    /// confirm it and register it with the enclave; completes with
+    /// [`OpOutput::DepositFunded`].
+    FundDeposit {
+        /// Deposit value.
+        value: u64,
+        /// Signature threshold (n = 1 + committee chain length).
+        m: u8,
+    },
+    /// Generate an in-enclave settlement address, then propose channel
+    /// `id` to `remote`; completes with [`OpOutput::ChannelOpen`].
+    OpenChannel {
+        /// The new channel's id.
+        id: ChannelId,
+        /// The counterparty's enclave identity (requires a session).
+        remote: PublicKey,
+    },
+    /// Replay the durable store after a crash; completes with
+    /// [`OpOutput::Recovered`].
     Recover,
 }
 
+impl From<Command> for Request {
+    fn from(cmd: Command) -> Request {
+        Request::Cmd(cmd)
+    }
+}
+
+impl Request {
+    /// The correlation key of the terminal event, or `None` when the
+    /// request resolves within its own dispatch.
+    fn key(&self) -> Option<MatchKey> {
+        match self {
+            Request::Cmd(cmd) => expect_for(cmd),
+            Request::FundDeposit { .. } => None,
+            Request::OpenChannel { id, .. } => Some(MatchKey::ChannelOpen(*id)),
+            Request::Recover => Some(MatchKey::Recovered),
+        }
+    }
+}
+
 struct PendingOp {
-    job: OpJob,
+    req: Request,
     key: Option<MatchKey>,
 }
 
@@ -684,14 +718,15 @@ pub(crate) struct OpTracker {
 
 impl OpTracker {
     /// Registers a new operation; returns its id.
-    pub(crate) fn register(&mut self, node: u32, job: OpJob, key: Option<MatchKey>) -> OpId {
+    pub(crate) fn register(&mut self, node: u32, req: Request) -> OpId {
         self.node = node;
         self.next_seq += 1;
         let seq = self.next_seq;
+        let key = req.key();
         if let Some(k) = key {
             self.queues.entry(k).or_default().push_back(seq);
         }
-        self.pending.insert(seq, PendingOp { job, key });
+        self.pending.insert(seq, PendingOp { req, key });
         OpId { node, seq }
     }
 
@@ -700,10 +735,9 @@ impl OpTracker {
         self.pending.contains_key(&seq)
     }
 
-    /// The operation's job, for re-dispatch when the counter throttle
-    /// lifts.
-    pub(crate) fn job(&self, seq: u64) -> Option<OpJob> {
-        self.pending.get(&seq).map(|p| p.job.clone())
+    /// The operation's request, for (re-)dispatch.
+    pub(crate) fn request(&self, seq: u64) -> Option<Request> {
+        self.pending.get(&seq).map(|p| p.req.clone())
     }
 
     /// True for a pending operation with no asynchronous terminal event.
@@ -799,21 +833,19 @@ mod tests {
         let mut t = OpTracker::default();
         let a = t.register(
             0,
-            OpJob::Cmd(Command::Pay {
+            Request::Cmd(Command::Pay {
                 id: chan("c"),
                 amount: 1,
                 count: 1,
             }),
-            Some(MatchKey::Payment(chan("c"))),
         );
         let b = t.register(
             0,
-            OpJob::Cmd(Command::Pay {
+            Request::Cmd(Command::Pay {
                 id: chan("c"),
                 amount: 2,
                 count: 1,
             }),
-            Some(MatchKey::Payment(chan("c"))),
         );
         let ack = HostEvent::PaymentAcked {
             id: chan("c"),
@@ -843,12 +875,11 @@ mod tests {
         let mut t = OpTracker::default();
         t.register(
             0,
-            OpJob::Cmd(Command::Pay {
+            Request::Cmd(Command::Pay {
                 id: chan("c"),
                 amount: 1,
                 count: 1,
             }),
-            Some(MatchKey::Payment(chan("c"))),
         );
         let other = HostEvent::PaymentAcked {
             id: chan("other"),
@@ -871,20 +902,12 @@ mod tests {
     #[test]
     fn cancel_produces_timeout() {
         let mut t = OpTracker::default();
-        let a = t.register(
-            3,
-            OpJob::Cmd(Command::GetIdentity),
-            Some(MatchKey::Identity),
-        );
+        let a = t.register(3, Request::Cmd(Command::GetIdentity));
         let c = t.cancel(a.seq, 99).expect("was pending");
         assert_eq!(c.outcome, Err(OpError::Timeout { at_ns: 99 }));
         assert!(t.cancel(a.seq, 100).is_none(), "exactly one completion");
         // The stale queue entry is gone: a later Identity op matches.
-        let b = t.register(
-            3,
-            OpJob::Cmd(Command::GetIdentity),
-            Some(MatchKey::Identity),
-        );
+        let b = t.register(3, Request::Cmd(Command::GetIdentity));
         let pk = teechain_crypto::schnorr::Keypair::from_seed(&[1; 32]).pk;
         let done = t.observe(&HostEvent::Identity(pk), 101).expect("matches");
         assert_eq!(done.op, b);

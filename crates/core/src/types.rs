@@ -44,6 +44,16 @@ impl Decode for ChannelId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RouteId(pub [u8; 32]);
 
+impl RouteId {
+    /// Derives a route id from a human-readable label (tests, examples).
+    pub fn from_label(label: &str) -> Self {
+        RouteId(teechain_crypto::sha256::tagged_hash(
+            "teechain/route",
+            &[label.as_bytes()],
+        ))
+    }
+}
+
 impl Encode for RouteId {
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);

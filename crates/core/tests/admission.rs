@@ -8,7 +8,7 @@
 
 use teechain::enclave::Command;
 use teechain::ops::OpError;
-use teechain::testkit::{Cluster, ClusterConfig};
+use teechain::testkit::{Cluster, ClusterConfig, Harness};
 use teechain::{ChannelId, DurabilityBackend, PersistPolicy, ProtocolError, RouteId};
 
 fn persist_cluster(n: usize, snapshot_every: u32) -> Cluster {

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use teechain::enclave::Command;
 use teechain::ops::{OpError, SettleKind};
-use teechain::testkit::Cluster;
+use teechain::testkit::{Cluster, Harness};
 
 #[test]
 fn junk_wire_bytes_never_panic() {

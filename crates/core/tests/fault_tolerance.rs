@@ -2,7 +2,7 @@
 
 use teechain::enclave::Command;
 use teechain::ops::{OpError, OpOutput};
-use teechain::testkit::{Cluster, ClusterConfig};
+use teechain::testkit::{Cluster, ClusterConfig, Harness};
 use teechain::ProtocolError;
 
 #[test]

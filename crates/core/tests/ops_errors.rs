@@ -5,7 +5,7 @@
 
 use teechain::enclave::Command;
 use teechain::ops::{OpError, Payment};
-use teechain::testkit::{Cluster, ClusterConfig};
+use teechain::testkit::{Cluster, ClusterConfig, Harness};
 use teechain::{ChannelId, ProtocolError};
 use teechain_net::EngineKind;
 
@@ -105,15 +105,12 @@ fn deadline_resolves_exactly_at_the_deadline() {
         // in-simulation timer at exactly the requested instant.
         c.crash_node(1);
         let deadline = c.sim.now_ns() + 2_000_000_000;
-        let op = c.submit_with_deadline(
-            0,
-            Command::Pay {
-                id: chan,
-                amount: 10,
-                count: 1,
-            },
-            deadline,
-        );
+        let pay = Command::Pay {
+            id: chan,
+            amount: 10,
+            count: 1,
+        };
+        let op = c.submit_request(0, pay.into(), Some(deadline));
         let err = c.wait::<Payment>(c.pending(op)).unwrap_err();
         assert_eq!(err, OpError::Timeout { at_ns: deadline }, "engine {kind}");
         // The completion is on the stream, stamped with the deadline.

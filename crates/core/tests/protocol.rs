@@ -3,7 +3,7 @@
 
 use teechain::enclave::Command;
 use teechain::ops::{OpError, OpOutput, SettleKind};
-use teechain::testkit::Cluster;
+use teechain::testkit::{Cluster, Harness};
 use teechain::types::MultihopStage;
 use teechain::{ChannelId, ProtocolError};
 

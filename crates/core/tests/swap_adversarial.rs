@@ -15,7 +15,7 @@ use proptest::TestCaseError;
 use teechain::enclave::Command;
 use teechain::ops::OpError;
 use teechain::swap::SwapPhase;
-use teechain::testkit::{Cluster, ClusterConfig};
+use teechain::testkit::{Cluster, ClusterConfig, Harness};
 use teechain::types::SwapId;
 use teechain::{DurabilityBackend, PersistPolicy, ProtocolError};
 

@@ -6,7 +6,7 @@
 
 use teechain::enclave::Command;
 use teechain::ops::OpOutput;
-use teechain::testkit::Cluster;
+use teechain::testkit::{Cluster, Harness};
 
 fn main() {
     // Alice (0) pays Bob (1); Alice's TEE is replicated to a committee

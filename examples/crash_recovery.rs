@@ -6,7 +6,7 @@
 
 use teechain::enclave::Command;
 use teechain::ops::OpError;
-use teechain::testkit::{Cluster, ClusterConfig};
+use teechain::testkit::{Cluster, ClusterConfig, Harness};
 use teechain::{DurabilityBackend, PersistPolicy, ProtocolError};
 
 fn main() {

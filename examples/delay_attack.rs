@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example delay_attack`
 
-use teechain::testkit::Cluster;
+use teechain::testkit::{Cluster, Harness};
 use teechain_baselines::attack::delay_attack_on_ln;
 use teechain_blockchain::AdversaryPolicy;
 

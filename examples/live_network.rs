@@ -14,8 +14,9 @@
 use std::time::Instant;
 use teechain::live::{LiveCluster, LiveConfig};
 use teechain::ops::SettleKind;
+use teechain::testkit::Harness;
 
-fn tour(net: &LiveCluster, transport: &str) {
+fn tour(mut net: &LiveCluster, transport: &str) {
     println!("== {transport} ==");
     println!("Alice  = {}", net.ids[0].fingerprint());
     println!("Bob    = {}", net.ids[1].fingerprint());

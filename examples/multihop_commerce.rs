@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example multihop_commerce`
 
 use teechain::enclave::Command;
-use teechain::testkit::Cluster;
+use teechain::testkit::{Cluster, Harness};
 use teechain::RouteId;
 
 fn main() {

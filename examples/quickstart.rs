@@ -7,7 +7,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use teechain::ops::SettleKind;
-use teechain::testkit::Cluster;
+use teechain::testkit::{Cluster, Harness};
 
 fn main() {
     // Two nodes, each with an attested TEE, sharing a simulated Bitcoin-

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use teechain::enclave::Command;
-use teechain::testkit::Cluster;
+use teechain::testkit::{Cluster, Harness};
 
 /// Operations the adversary/schedule may interleave.
 #[derive(Debug, Clone)]

@@ -2,7 +2,7 @@
 //! blockchain → network → protocol) under realistic conditions.
 
 use teechain::ops::SettleKind;
-use teechain::testkit::{Cluster, ClusterConfig};
+use teechain::testkit::{Cluster, ClusterConfig, Harness};
 use teechain_baselines::attack::delay_attack_on_ln;
 use teechain_blockchain::AdversaryPolicy;
 use teechain_net::topology::{fig3_link, Region};
