@@ -15,6 +15,10 @@
 //!    at one and at eight shards, the bench driver's cluster, live OS
 //!    threads, live TCP sockets and the live reactor.
 //!
+//! A persistent-mode burst must also record a bounded number of events
+//! per payment: the recorder sees every ecall, so a retry storm shows
+//! here as a trace that grows with the burst.
+//!
 //! The chrome://tracing export is exercised end-to-end through the
 //! hand-rolled JSON parser so the artifact `--trace-out` writes is known
 //! to be well-formed with paired flow arrows.
@@ -320,6 +324,39 @@ fn chrome_export_is_well_formed_with_paired_flows() {
     assert_eq!(
         starts, finishes,
         "every flow start must have a matching finish"
+    );
+}
+
+/// A 64-payment burst in persistent mode, shaped like the benchmark's
+/// WAL workload (free costs, ideal links, a snapshot every 8 commits). The
+/// monotonic counter admits one commit per 100 ms window; the host's
+/// throttle queue re-dispatches parked payments only until the counter
+/// refuses one, so each window records a handful of events rather than a
+/// refused ecall (queue exit, ecall, queue entry) per parked payment.
+#[test]
+fn persist_burst_records_a_bounded_trace_per_payment() {
+    let mut c = Cluster::new(ClusterConfig {
+        n: 2,
+        seed: 1,
+        costs: CostModel::free(),
+        default_link: teechain_net::LinkSpec::ideal(),
+        durability: teechain::DurabilityBackend::persistent(),
+        ..ClusterConfig::default()
+    });
+    let chan = c.standard_channel(0, 1, "wal-burst", 1 << 40, 1);
+    c.set_tracing(true);
+    let pends: Vec<_> = (0..64).map(|_| c.handle(0).pay(chan, 1)).collect();
+    c.settle_network();
+    for p in pends {
+        c.wait(p).expect("payment");
+    }
+    let recorded = c.drain_trace().len() as u64;
+    let dropped = c.observe().counters.get("trace.dropped").copied();
+    let events = recorded + dropped.unwrap_or(0);
+    assert!(
+        events <= 20 * 64,
+        "{events} trace events for 64 payments ({:.1} each)",
+        events as f64 / 64.0
     );
 }
 

@@ -2260,8 +2260,8 @@ impl EnclaveProgram for TeechainEnclave {
                 channels,
                 amount,
             } => self.cmd_pay_multihop(env, route, hops, channels, amount),
-            Command::Eject { route } => self.cmd_eject(route),
-            Command::EjectWithPopt { route, popt } => self.cmd_eject_popt(route, popt),
+            Command::Eject { route } => self.cmd_eject(env, route),
+            Command::EjectWithPopt { route, popt } => self.cmd_eject_popt(env, route, popt),
             Command::AttachBackup { backup } => self.cmd_attach_backup(backup),
             Command::ReadReplica => self.cmd_read_replica(),
             Command::SettleFromReplica => self.cmd_settle_from_replica(),

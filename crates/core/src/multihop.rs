@@ -856,7 +856,12 @@ impl TeechainEnclave {
 
     // ---- Eject and PoPT (Alg. 2 lines 60–72) ----
 
-    pub(crate) fn cmd_eject(&mut self, route_id: RouteId) -> Outcome {
+    pub(crate) fn cmd_eject(&mut self, env: &mut EnclaveEnv, route_id: RouteId) -> Outcome {
+        // Like `cmd_settle`: no freeze check (ejecting is the way out),
+        // but in persistent mode the commit must be possible before the
+        // route's channels close, or a refused commit would close them
+        // with the settlement thrown away.
+        self.require_counter_ready(env)?;
         let stage = self.route_stage(&route_id);
         let route = self
             .routes
@@ -914,7 +919,13 @@ impl TeechainEnclave {
         Ok(effects)
     }
 
-    pub(crate) fn cmd_eject_popt(&mut self, route_id: RouteId, popt: Transaction) -> Outcome {
+    pub(crate) fn cmd_eject_popt(
+        &mut self,
+        env: &mut EnclaveEnv,
+        route_id: RouteId,
+        popt: Transaction,
+    ) -> Outcome {
+        self.require_counter_ready(env)?; // See `cmd_eject`.
         let stage = self.route_stage(&route_id);
         let route = self.routes.get(&route_id).ok_or(ProtocolError::BadStage)?;
         let tau = route.tau.clone().ok_or(ProtocolError::BadPopt)?;

@@ -5,7 +5,7 @@
 
 use crate::enclave::{Command, Effect, EnclaveConfig, HostEvent, TeechainEnclave};
 use crate::msg::WireView;
-use crate::ops::{Completion, OpError, OpId, OpOutput, OpTracker, Request};
+use crate::ops::{Completion, OpError, OpId, OpOutput, OpTracker, Progress, Request};
 use crate::types::{Deposit, ProtocolError, SwapId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -202,8 +202,13 @@ pub struct TeechainNode {
     /// entirely without the `trace-record` feature.
     pub tracer: Tracer,
     /// Operations whose dispatch hit [`ProtocolError::CounterThrottled`],
-    /// awaiting re-dispatch (FIFO) on the next admission pump.
+    /// awaiting re-dispatch on the next admission pump: a FIFO gate (see
+    /// `pump`).
     throttled: std::collections::VecDeque<u64>,
+    /// Entries into `throttled`: first parks and re-parks alike.
+    throttle_parked: u64,
+    /// Re-dispatches the pump issued from `throttled`.
+    throttle_redispatched: u64,
     /// Earliest outstanding pump-timer deadline (0 = none armed). The
     /// enclave asks for pumps via [`HostEvent::PumpAt`]; arming tracks
     /// the earliest request so redundant timers are not set.
@@ -272,6 +277,8 @@ impl TeechainNode {
             delivery_errors: Vec::new(),
             tracer: Tracer::default(),
             throttled: std::collections::VecDeque::new(),
+            throttle_parked: 0,
+            throttle_redispatched: 0,
             pump_armed_until: 0,
             swap_timers: HashMap::new(),
             swap_timer_seq: 0,
@@ -610,8 +617,17 @@ impl TeechainNode {
 
     /// Pumps the enclave admission layer (expires deadline-passed queued
     /// ops, drains unlocked channels, re-dispatches counter-stashed
-    /// messages) and then re-dispatches any host-side throttled
-    /// operations FIFO.
+    /// messages) and then opens the host's throttle queue as a FIFO gate:
+    /// parked operations are re-dispatched in order until the counter
+    /// refuses one again.
+    ///
+    /// Stopping there loses nothing. An operation is parked only after
+    /// the counter refused it, and every counter-gated handler checks the
+    /// counter before it mutates anything (the composites resume past
+    /// their ungated steps, see `dispatch_op`). So once the counter
+    /// refuses one parked operation, it would refuse each one behind it
+    /// the same way, with no state change: they stay parked untouched
+    /// instead of costing an ecall each per counter window.
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
         self.tracer.set_cause(0); // Timer-driven: the pump ecall is a root.
         let t = self.trace_ecall_begin(ctx.now_ns());
@@ -626,23 +642,48 @@ impl TeechainNode {
             }
             _ => {}
         }
-        let mut n = self.throttled.len();
-        while n > 0 {
-            n -= 1;
-            let Some(seq) = self.throttled.pop_front() else {
+        while let Some(seq) = self.throttled.pop_front() {
+            if !self.ops.is_pending(seq) {
+                continue; // Resolved while parked (deadline): drop it.
+            }
+            if self.tracer.enabled() {
+                // Un-park: the op leaves the host throttle queue,
+                // causally released by this pump.
+                let s = span::op_span(ctx.self_id().0, seq);
+                self.tracer
+                    .record(ctx.now_ns(), EventKind::QueueExit, s, pump_span, 0, 0);
+            }
+            self.throttle_redispatched += 1;
+            if let Some(ready_at) = self.dispatch_op(ctx, seq) {
+                // Back at the head, ahead of everything parked after it.
+                self.park(ctx, seq, ready_at, true);
                 break;
-            };
-            if self.ops.is_pending(seq) {
-                if self.tracer.enabled() {
-                    // Un-park: the op leaves the host throttle queue,
-                    // causally released by this pump.
-                    let s = span::op_span(ctx.self_id().0, seq);
-                    self.tracer
-                        .record(ctx.now_ns(), EventKind::QueueExit, s, pump_span, 0, 0);
-                }
-                self.dispatch_op(ctx, seq);
             }
         }
+    }
+
+    /// Puts a counter-throttled operation on the throttle queue — at the
+    /// front for one the pump re-dispatched, at the back for a new
+    /// submission — and arms a pump for when the counter is ready.
+    fn park(&mut self, ctx: &mut Ctx<'_>, seq: u64, ready_at: u64, front: bool) {
+        if self.tracer.enabled() {
+            let s = span::op_span(ctx.self_id().0, seq);
+            self.tracer.record(
+                ctx.now_ns(),
+                EventKind::QueueEnter,
+                s,
+                self.tracer.cause(),
+                0,
+                0,
+            );
+        }
+        if front {
+            self.throttled.push_front(seq);
+        } else {
+            self.throttled.push_back(seq);
+        }
+        self.throttle_parked += 1;
+        self.schedule_pump(ctx, ready_at);
     }
 
     /// Carries out enclave effects: sends, broadcasts, chain checks,
@@ -1001,6 +1042,8 @@ impl TeechainNode {
         r.counter("node.broadcasts", self.broadcasts.len() as u64);
         r.counter("node.alt_broadcasts", self.alt_broadcasts.len() as u64);
         r.counter("node.delivery_errors", self.delivery_errors.len() as u64);
+        r.counter("node.throttle.parked", self.throttle_parked);
+        r.counter("node.throttle.redispatched", self.throttle_redispatched);
         r.counter("swap.phase.init", self.swap_phase_counts[0]);
         r.counter("swap.phase.locked", self.swap_phase_counts[1]);
         r.counter("swap.phase.redeemed", self.swap_phase_counts[2]);
@@ -1096,8 +1139,8 @@ impl TeechainNode {
     ///
     /// When the enclave's monotonic counter is throttled (persistent
     /// mode), the operation parks on the host's throttle queue and is
-    /// re-dispatched FIFO on the next admission pump — callers never see
-    /// `CounterThrottled`.
+    /// re-dispatched in FIFO order by the admission pump — callers never
+    /// see `CounterThrottled`.
     pub fn submit_op(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -1115,17 +1158,24 @@ impl TeechainNode {
             let delay = deadline.saturating_sub(ctx.now_ns()).max(1);
             ctx.set_timer(delay, OP_DEADLINE_TAG | op.seq);
         }
-        self.dispatch_op(ctx, op.seq);
+        if let Some(ready_at) = self.dispatch_op(ctx, op.seq) {
+            self.park(ctx, op.seq, ready_at, false);
+        }
         op
     }
 
     /// Executes (or re-executes, once the counter throttle lifts) a
     /// pending operation's job and resolves what can be resolved
-    /// synchronously.
-    fn dispatch_op(&mut self, ctx: &mut Ctx<'_>, seq: u64) {
-        let Some(req) = self.ops.request(seq) else {
-            return;
-        };
+    /// synchronously. Returns when the counter is ready again if it
+    /// refused the operation, which the caller then parks.
+    ///
+    /// A composite runs ungated steps before its counter-gated one. When
+    /// that step is throttled, what the earlier steps produced is kept
+    /// with the op ([`Progress`]) and the re-dispatch starts at the
+    /// gated step: a deposit is minted once, a settlement address drawn
+    /// once.
+    fn dispatch_op(&mut self, ctx: &mut Ctx<'_>, seq: u64) -> Option<u64> {
+        let (req, progress) = self.ops.request(seq)?;
         if self.tracer.enabled() {
             // Whatever the dispatch does (ecalls, sends) descends from
             // the operation's root span.
@@ -1133,11 +1183,33 @@ impl TeechainNode {
         }
         let result: Result<Option<OpOutput>, ProtocolError> = match req {
             Request::Cmd(cmd) => self.command(ctx, cmd).map(|()| None),
-            Request::FundDeposit { value, m } => self
-                .create_funded_committee_deposit(ctx, value, m)
-                .map(|dep| Some(OpOutput::DepositFunded(dep))),
+            Request::FundDeposit { value, m } => {
+                let minted = match progress {
+                    Some(Progress::Minted(deposit)) => Ok(deposit),
+                    _ => self.mint_committee_deposit(ctx, value, m),
+                };
+                minted.and_then(|deposit| {
+                    let cmd = Command::NewDeposit {
+                        deposit: deposit.clone(),
+                    };
+                    self.gated_step(ctx, seq, cmd, Progress::Minted(deposit.clone()))
+                        .map(|()| Some(OpOutput::DepositFunded(deposit)))
+                })
+            }
             Request::OpenChannel { id, remote } => {
-                self.open_channel_steps(ctx, id, remote).map(|()| None)
+                let address = match progress {
+                    Some(Progress::Settlement(pk)) => Ok(pk),
+                    _ => self.new_settlement_address(ctx),
+                };
+                address.and_then(|my_settlement| {
+                    let cmd = Command::NewChannel {
+                        id,
+                        remote,
+                        my_settlement,
+                    };
+                    self.gated_step(ctx, seq, cmd, Progress::Settlement(my_settlement))
+                        .map(|()| None)
+                })
             }
             Request::Recover => self.recover_from_store(ctx).map(|()| None),
         };
@@ -1153,57 +1225,46 @@ impl TeechainNode {
                 // the operation (it was in this call's own effects) or
                 // will arrive over the network.
             }
-            Err(ProtocolError::CounterThrottled { ready_at }) => {
-                // Park the op; the admission pump re-dispatches FIFO once
-                // the counter is ready.
-                if self.tracer.enabled() {
-                    let s = span::op_span(ctx.self_id().0, seq);
-                    self.tracer.record(
-                        ctx.now_ns(),
-                        EventKind::QueueEnter,
-                        s,
-                        self.tracer.cause(),
-                        0,
-                        0,
-                    );
-                }
-                self.throttled.push_back(seq);
-                self.schedule_pump(ctx, ready_at);
-            }
+            // The counter refused it before anything changed: the caller
+            // parks it for the pump.
+            Err(ProtocolError::CounterThrottled { ready_at }) => return Some(ready_at),
             Err(e) => self.finish_op(seq, ctx.now_ns(), Err(OpError::Rejected(e))),
         }
+        None
     }
 
-    /// The open-channel composite: a fresh in-enclave settlement address
-    /// followed by the channel proposal. The address is extracted from
-    /// the ecall outcome directly (not routed through the event stream),
-    /// so it cannot be mistaken for a user-submitted `NewAddress`
-    /// operation's response.
-    fn open_channel_steps(
+    /// Runs a composite's counter-gated last step; if the counter refuses
+    /// it, records `done` (what the steps before it produced) with the op.
+    fn gated_step(
         &mut self,
         ctx: &mut Ctx<'_>,
-        id: crate::types::ChannelId,
-        remote: PublicKey,
+        seq: u64,
+        cmd: Command,
+        done: Progress,
     ) -> Result<(), ProtocolError> {
+        let result = self.command(ctx, cmd);
+        if let Err(ProtocolError::CounterThrottled { .. }) = result {
+            self.ops.set_progress(seq, done);
+        }
+        result
+    }
+
+    /// The open-channel composite's first step: a fresh in-enclave
+    /// settlement address. It is read off the ecall outcome directly (not
+    /// routed through the event stream), so it cannot be mistaken for a
+    /// user-submitted `NewAddress` operation's response.
+    fn new_settlement_address(&mut self, ctx: &mut Ctx<'_>) -> Result<PublicKey, ProtocolError> {
         let outcome = self
             .enclave
             .call(ctx.now_ns(), Command::NewAddress)
             .map_err(|_| ProtocolError::Frozen)??;
-        let my_settlement = outcome
+        outcome
             .iter()
             .find_map(|e| match e {
                 Effect::Event(HostEvent::NewAddress(pk)) => Some(*pk),
                 _ => None,
             })
-            .ok_or(ProtocolError::BadMessage)?;
-        self.command(
-            ctx,
-            Command::NewChannel {
-                id,
-                remote,
-                my_settlement,
-            },
-        )
+            .ok_or(ProtocolError::BadMessage)
     }
 
     fn finish_op(&mut self, seq: u64, now_ns: u64, outcome: Result<OpOutput, OpError>) {
@@ -1242,21 +1303,12 @@ impl TeechainNode {
         n
     }
 
-    /// Convenience: funds and registers a 1-of-1 deposit for this node.
-    /// Mints `value` to a fresh in-enclave address, waits for the host's
-    /// required confirmations, and registers the deposit. Returns it.
-    pub fn create_funded_deposit(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        value: u64,
-    ) -> Result<Deposit, ProtocolError> {
-        self.create_funded_committee_deposit(ctx, value, 1)
-    }
-
-    /// Funds a deposit into an m-of-n committee address (n = chain
-    /// length + 1). With `m = 1` and no backups this degenerates to
-    /// Alg. 1's 1-of-1 deposits.
-    pub fn create_funded_committee_deposit(
+    /// The fund-deposit composite's first steps: a fresh m-of-n committee
+    /// address (n = chain length + 1; with `m = 1` and no backups, Alg.
+    /// 1's 1-of-1 deposit), `value` minted to it, and the host's required
+    /// confirmations. The enclave registers the deposit afterwards
+    /// (`NewDeposit`).
+    fn mint_committee_deposit(
         &mut self,
         ctx: &mut Ctx<'_>,
         value: u64,
@@ -1284,18 +1336,11 @@ impl TeechainNode {
             }
             op
         };
-        let deposit = Deposit {
+        Ok(Deposit {
             outpoint,
             value,
             committee: spec,
-        };
-        self.command(
-            ctx,
-            Command::NewDeposit {
-                deposit: deposit.clone(),
-            },
-        )?;
-        Ok(deposit)
+        })
     }
 }
 

@@ -654,7 +654,8 @@ fn outcome_of(event: &HostEvent) -> Option<(MatchKey, Result<OpOutput, OpError>)
 /// One operation a node is asked to perform: an enclave [`Command`] or
 /// one of the host-side composites. It is what every harness submits
 /// (through [`TeechainNode::submit_op`](crate::node::TeechainNode::submit_op)),
-/// and what a throttled operation re-executes when the counter lifts.
+/// and what a throttled operation re-executes when the counter lifts (a
+/// composite resumes at its throttled step; nothing before it runs twice).
 #[derive(Clone)]
 pub enum Request {
     /// An enclave command.
@@ -700,9 +701,21 @@ impl Request {
     }
 }
 
+/// What a composite [`Request`] had already done when its counter-gated
+/// step was throttled. The re-dispatch resumes after it, so no step before
+/// the throttle runs twice.
+pub(crate) enum Progress {
+    /// `FundDeposit`: minted on chain; only `NewDeposit` remains.
+    Minted(Deposit),
+    /// `OpenChannel`: the settlement address exists; only `NewChannel`
+    /// remains.
+    Settlement(PublicKey),
+}
+
 struct PendingOp {
     req: Request,
     key: Option<MatchKey>,
+    progress: Option<Progress>,
 }
 
 /// Tracks in-flight operations on one node: submission order per
@@ -726,7 +739,14 @@ impl OpTracker {
         if let Some(k) = key {
             self.queues.entry(k).or_default().push_back(seq);
         }
-        self.pending.insert(seq, PendingOp { req, key });
+        self.pending.insert(
+            seq,
+            PendingOp {
+                req,
+                key,
+                progress: None,
+            },
+        );
         OpId { node, seq }
     }
 
@@ -735,9 +755,19 @@ impl OpTracker {
         self.pending.contains_key(&seq)
     }
 
-    /// The operation's request, for (re-)dispatch.
-    pub(crate) fn request(&self, seq: u64) -> Option<Request> {
-        self.pending.get(&seq).map(|p| p.req.clone())
+    /// The operation's request, and what a throttled earlier dispatch of
+    /// it already did, for (re-)dispatch.
+    pub(crate) fn request(&mut self, seq: u64) -> Option<(Request, Option<Progress>)> {
+        self.pending
+            .get_mut(&seq)
+            .map(|p| (p.req.clone(), p.progress.take()))
+    }
+
+    /// Records how far a throttled dispatch of a composite got.
+    pub(crate) fn set_progress(&mut self, seq: u64, progress: Progress) {
+        if let Some(p) = self.pending.get_mut(&seq) {
+            p.progress = Some(progress);
+        }
     }
 
     /// True for a pending operation with no asynchronous terminal event.

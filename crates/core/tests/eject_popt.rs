@@ -2,7 +2,7 @@
 
 use teechain::enclave::Command;
 use teechain::ops::OpError;
-use teechain::testkit::Cluster;
+use teechain::testkit::{Cluster, ClusterConfig, Harness};
 use teechain::{ChannelId, ProtocolError, RouteId};
 
 /// Builds a 3-node path and drives the multi-hop protocol only up to a
@@ -204,6 +204,36 @@ fn bad_popt_rejected() {
         .op_now(0, Command::EjectWithPopt { route, popt: alien })
         .unwrap_err();
     assert_eq!(err, OpError::Rejected(ProtocolError::BadPopt));
+}
+
+/// Persistent mode: an eject the monotonic counter refuses parks like
+/// every other mutating operation and settles once the counter lifts. It
+/// must not close the route's channels first and lose the settlement with
+/// the refused commit.
+#[test]
+fn throttled_eject_settles_once_the_counter_lifts() {
+    let mut c = Cluster::new(ClusterConfig {
+        n: 3,
+        durability: teechain::DurabilityBackend::eager_persist(),
+        ..Default::default()
+    });
+    let c01 = c.standard_channel(0, 1, "c01", 1000, 1);
+    let c12 = c.standard_channel(1, 2, "c12", 1000, 1);
+    let route = RouteId([42; 32]);
+    let my_settle = {
+        let p = c.node(0).enclave.program().unwrap();
+        p.channel(&c01).unwrap().my_settlement
+    };
+    // The lock commits on node 0 and spends this counter window; the
+    // eject, at the same instant, is throttled.
+    start_multihop(&mut c, route, c01, c12, 300);
+    c.op(0, Command::Eject { route })
+        .expect("the eject runs when the counter lifts");
+    c.mine(1);
+    // Pre-payment settlement, or τ's post-payment one if the route moved
+    // on while the eject was parked: either way node 0 is paid out.
+    let paid = c.chain_balance(&my_settle);
+    assert!(paid == 1000 || paid == 700, "node 0 settled {paid}");
 }
 
 #[test]

@@ -238,6 +238,90 @@ fn persist_mode_throttle_is_absorbed_by_the_pump() {
     assert_eq!(c.balances(0, chan).0, 1000 - 2);
 }
 
+/// `(length, sha256)` of the burst's completion log below — one
+/// `op|outcome|time_ns` line per payment — as the pump produced it when it
+/// still re-dispatched every parked operation on every counter window.
+const BURST_COMPLETIONS: (usize, &str) = (
+    14_583,
+    "660afd2dcd6f65a569c7c547ebb1cf3be03a08b7a8f1897e97abaa7ee02ad655",
+);
+
+/// A 64-payment burst against a 100 ms counter: each window commits one
+/// payment. The throttle queue is a FIFO gate — a window re-dispatches
+/// parked operations only until the counter refuses one — so the burst
+/// costs about one refused ecall per window instead of one per parked
+/// operation per window, and every outcome lands when it did before.
+#[test]
+fn persist_mode_burst_redispatches_once_per_window() {
+    let mut c = Cluster::new(ClusterConfig {
+        n: 2,
+        durability: teechain::DurabilityBackend::eager_persist(),
+        ..ClusterConfig::default()
+    });
+    let chan = c.standard_channel(0, 1, "burst", 10_000, 1);
+    c.node_mut(0).completions.clear();
+    let before = c.node(0).registry();
+    let ops: Vec<_> = (0..64u64)
+        .map(|i| {
+            c.submit(
+                0,
+                Command::Pay {
+                    id: chan,
+                    amount: 1 + i % 3,
+                    count: 1,
+                },
+            )
+        })
+        .collect();
+    c.settle_network();
+    let log: String = c
+        .node(0)
+        .completions
+        .iter()
+        .map(|x| format!("{}|{:?}|{}\n", x.op, x.outcome, x.time_ns))
+        .collect();
+    let done = &c.node(0).completions;
+    assert_eq!(done.len(), ops.len());
+    assert!(done.iter().all(|x| x.outcome.is_ok()), "{log}");
+    let digest = teechain_util::hex::encode(&teechain_crypto::sha256::sha256(log.as_bytes()));
+    assert_eq!(
+        (log.len(), digest.as_str()),
+        BURST_COMPLETIONS,
+        "completion log moved:\n{log}"
+    );
+    let after = c.node(0).registry();
+    let grew = |k: &str| after.counter_value(k) - before.counter_value(k);
+    let redispatched = grew("node.throttle.redispatched");
+    assert!(
+        redispatched <= 2 * 64,
+        "{redispatched} re-dispatches for 64 payments"
+    );
+    assert!(grew("node.throttle.parked") >= 63, "the burst parks");
+}
+
+/// A composite whose counter-gated step is refused resumes at that step.
+/// `FundDeposit` keeps the deposit it minted, so there is one mint per
+/// deposit. `OpenChannel` keeps its settlement address, so there is one
+/// key per channel. Every operation here is submitted inside the counter
+/// window of the commit before it.
+#[test]
+fn persist_mode_throttled_composites_resume_at_the_gated_step() {
+    let mut c = Cluster::new(ClusterConfig {
+        n: 2,
+        durability: teechain::DurabilityBackend::eager_persist(),
+        ..ClusterConfig::default()
+    });
+    let keys = |c: &Cluster| c.node(0).enclave.program().unwrap().book_ref().keys.len();
+    c.standard_channel(0, 1, "c1", 1000, 1);
+    // A settlement address for `c1` and the deposit's committee key.
+    assert_eq!(keys(&c), 2);
+    let dep = c.fund_deposit(0, 500, 1);
+    assert_eq!(dep.value, 500);
+    assert_eq!(c.chain.lock().total_minted(), 1000 + 500);
+    c.open_channel(0, 1, "c2");
+    assert_eq!(keys(&c), 4);
+}
+
 #[test]
 fn persist_mode_emits_sealed_blobs_and_restores() {
     let mut c = Cluster::new(ClusterConfig {

@@ -20,7 +20,8 @@
 //!
 //! Layout:
 //!
-//! * [`crc32`] — the IEEE CRC32 used by the record framing.
+//! * [`crc32`] — the IEEE CRC32 used by the record framing, computed
+//!   slice-by-8 (eight compile-time tables, eight bytes per step).
 //! * [`media`] — byte-level storage backends: [`MemMedia`] for
 //!   simulations (with torn-write fault injection) and [`FileMedia`] for
 //!   real disks.

@@ -83,7 +83,10 @@ impl Media for MemMedia {
     }
 
     fn log_reset(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.log = bytes.to_vec();
+        // In place: a compacted log keeps its capacity for the appends
+        // that follow.
+        self.log.clear();
+        self.log.extend_from_slice(bytes);
         self.synced_len = 0;
         Ok(())
     }

@@ -48,6 +48,9 @@ pub struct Recovery {
 pub struct PersistentStore {
     media: Box<dyn Media>,
     stats: StoreStats,
+    /// Reused framing buffer: a commit frames its record here, so once it
+    /// has grown to the largest record, appends allocate nothing.
+    frame: Vec<u8>,
 }
 
 /// A store shared between the simulation harness (which keeps it alive
@@ -61,6 +64,7 @@ impl PersistentStore {
         PersistentStore {
             media,
             stats: StoreStats::default(),
+            frame: Vec::new(),
         }
     }
 
@@ -84,7 +88,9 @@ impl PersistentStore {
     /// group-commit unit: the enclave packs every delta of a batch into
     /// one sealed record, so one durability barrier covers them all.
     pub fn append_commit(&mut self, record: &[u8]) -> io::Result<()> {
-        self.media.log_append(&wal::frame(record))?;
+        self.frame.clear();
+        wal::frame_into(&mut self.frame, record);
+        self.media.log_append(&self.frame)?;
         self.media.sync()?;
         self.stats.commits += 1;
         self.stats.records += 1;

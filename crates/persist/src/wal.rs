@@ -14,8 +14,9 @@ pub const HEADER_LEN: usize = 8;
 /// not make a scan attempt a multi-gigabyte allocation).
 pub const MAX_RECORD_LEN: usize = 64 << 20;
 
-/// Frames `payload` into `out`.
+/// Frames `payload` onto the end of `out`, growing it at most once.
 pub fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
+    out.reserve(HEADER_LEN + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
