@@ -163,7 +163,12 @@ fn wire(c: &mut Criterion) {
         let wire = tx.seal_frame(&a, &pay);
         let node = cluster.node_mut(0);
         let ((), mut actions) = drive(node, NodeId(0), 0, &mut rng, |n, ctx| {
-            n.perform(ctx, vec![Effect::Send { to: peer, wire }]);
+            let send = Effect::Send {
+                to: peer,
+                peer: None,
+                wire,
+            };
+            n.perform(ctx, vec![send]);
         });
         match actions.pop() {
             Some(NodeAction::Send { msg, .. }) => msg,

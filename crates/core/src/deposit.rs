@@ -21,17 +21,17 @@ pub enum DepositStatus {
 #[derive(Default)]
 pub struct DepositBook {
     /// Every deposit we own (`allDeps`), with status.
-    pub mine: HashMap<OutPoint, (Deposit, DepositStatus)>,
+    pub(crate) mine: HashMap<OutPoint, (Deposit, DepositStatus)>,
     /// Deposits owned by remote parties that we know of (via approval
     /// requests and associations).
-    pub remote: HashMap<OutPoint, Deposit>,
+    pub(crate) remote: HashMap<OutPoint, Deposit>,
     /// Blockchain private keys we hold (`btcPrivs`), by public key.
     pub keys: HashMap<PublicKey, PrivateKey>,
     /// Our deposits approved by a given remote (`appDeps` seen from the
     /// owner side): set of (remote identity, outpoint).
-    pub approved_by: HashSet<(PublicKey, OutPoint)>,
+    pub(crate) approved_by: HashSet<(PublicKey, OutPoint)>,
     /// Remote deposits we have approved (`appDeps` at the verifier).
-    pub i_approved: HashSet<(PublicKey, OutPoint)>,
+    pub(crate) i_approved: HashSet<(PublicKey, OutPoint)>,
 }
 
 /// The signing handle for `pk`, if `keys` holds its private half. The map

@@ -22,6 +22,7 @@ use crate::msg::{ProtocolMsg, StateDelta, WireMsg, WireView};
 use crate::replication::{Replication, SigCollect};
 use crate::session::{self, Session};
 use crate::settle;
+use crate::slots::SlotMap;
 use crate::swap::{SwapPhase, SwapState};
 use crate::types::{ChannelId, Deposit, ProtocolError, RouteId, SwapId};
 use std::collections::HashMap;
@@ -519,6 +520,15 @@ pub enum HostEvent {
     },
 }
 
+/// A remote enclave's slot in this enclave's peer table: a dense index
+/// handed out when the enclave first meets the identity — in a handshake,
+/// or as a channel's counterparty — and never reused while the enclave
+/// instance lives. Slots are volatile: never sealed, never on the wire; a
+/// recovered enclave hands them out afresh in replay order, so a host
+/// keying its own state by slot checks the identity next to it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PeerSlot(pub u32);
+
 /// Effects the host must carry out.
 #[derive(Debug, Clone)]
 pub enum Effect {
@@ -526,6 +536,10 @@ pub enum Effect {
     Send {
         /// Destination enclave identity.
         to: PublicKey,
+        /// The slot `to` holds in this enclave's peer table (`None` for a
+        /// handshake opening, which precedes the session). The host may
+        /// key its own per-peer state by it, checking `to`.
+        peer: Option<PeerSlot>,
         /// Encoded [`WireMsg`].
         wire: Vec<u8>,
     },
@@ -569,44 +583,108 @@ const SWAP_CHECK_INTERVAL_NS: u64 = 200_000_000;
 /// while `confirmations + margin >= timeout_blocks` closes that window.
 const SWAP_REFUND_SAFETY_BLOCKS: u64 = 1;
 
-/// The established session with the peer whose encoded identity is `remote`.
-fn established<'a>(
-    sessions: &'a mut HashMap<[u8; 64], Session>,
-    remote: &[u8; 64],
-) -> Result<&'a mut Session, ProtocolError> {
-    match sessions.get_mut(remote) {
+/// Remote enclaves by the identity key *as encoded on the wire*, each with
+/// its session once a handshake with it completed. A peer gets its slot in
+/// a handshake, or as the counterparty of a channel we hold (restored from
+/// sealed state before any session exists). A sealed envelope names its
+/// sender in 64 raw bytes, and the look-up takes them as they are. Only
+/// validated identities are ever inserted — from completed handshakes, or
+/// from our own sealed state — so bytes that are not a curve point find
+/// nothing.
+pub(crate) type PeerTable = SlotMap<[u8; 64], Option<Session>>;
+
+/// The sender of a delivered message, as its handler sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Peer {
+    /// The sender's identity, as authenticated by the session.
+    pub(crate) pk: PublicKey,
+    /// Its slot in the peer table.
+    pub(crate) slot: u32,
+}
+
+/// The established session with the peer in `slot`.
+fn established(peers: &mut PeerTable, slot: u32) -> Result<&mut Session, ProtocolError> {
+    match peers.at_mut(slot).and_then(Option::as_mut) {
         Some(s) if s.established => Ok(s),
         _ => Err(ProtocolError::NoSession),
     }
 }
 
-/// Seals `msg` for `remote` into a `Send` effect. Takes the two fields it
-/// needs rather than the enclave, so a handler can seal while it holds a
-/// channel it looked up.
+/// Seals `msg` for the peer in `slot` into a `Send` effect. Takes the two
+/// fields it needs rather than the enclave, so a handler can seal while it
+/// holds a channel it looked up.
 fn seal_for(
     identity: Option<&Keypair>,
-    sessions: &mut HashMap<[u8; 64], Session>,
-    remote: &PublicKey,
+    peers: &mut PeerTable,
+    slot: u32,
     msg: &ProtocolMsg,
 ) -> Result<Effect, ProtocolError> {
     let me = identity.ok_or(ProtocolError::NoSession)?.pk;
-    let wire = established(sessions, &remote.to_bytes())?.seal_frame(&me, msg);
-    Ok(Effect::Send { to: *remote, wire })
+    let session = established(peers, slot)?;
+    let wire = session.seal_frame(&me, msg);
+    Ok(Effect::Send {
+        to: session.remote,
+        peer: Some(PeerSlot(slot)),
+        wire,
+    })
+}
+
+/// Channels in creation order, each with the peer slot of its
+/// counterparty, so a handler holding a channel seals to its peer without
+/// a look-up. Reads go through `Deref` to the slot map; `insert` is the
+/// only way in, so every channel slot has its peer slot.
+#[derive(Default)]
+pub(crate) struct ChannelTable {
+    chans: SlotMap<ChannelId, Channel>,
+    /// `peers[s]`: the peer slot of `chans`' slot `s`'s `remote`.
+    peers: Vec<u32>,
+}
+
+impl ChannelTable {
+    /// Stores `chan` (replacing the channel with its id, in its slot), its
+    /// counterparty in peer slot `peer`. Returns the channel's slot.
+    fn insert(&mut self, chan: Channel, peer: u32) -> u32 {
+        let s = self.chans.insert(chan.id, chan);
+        match self.peers.get_mut(s as usize) {
+            Some(p) => *p = peer,
+            None => self.peers.push(peer),
+        }
+        s
+    }
+
+    /// The peer slot of the counterparty of the channel in `slot`.
+    pub(crate) fn peer(&self, slot: u32) -> u32 {
+        self.peers[slot as usize]
+    }
+
+    /// The channel `id`, mutably.
+    pub(crate) fn get_mut(&mut self, id: &ChannelId) -> Option<&mut Channel> {
+        self.chans.get_mut(id)
+    }
+
+    /// The channel in `slot`, mutably.
+    pub(crate) fn at_mut(&mut self, slot: u32) -> Option<&mut Channel> {
+        self.chans.at_mut(slot)
+    }
+}
+
+impl std::ops::Deref for ChannelTable {
+    type Target = SlotMap<ChannelId, Channel>;
+    fn deref(&self) -> &Self::Target {
+        &self.chans
+    }
 }
 
 /// The Teechain enclave program state.
 pub struct TeechainEnclave {
     pub(crate) cfg: EnclaveConfig,
     pub(crate) identity: Option<Keypair>,
-    /// Sessions by the remote identity key *as encoded on the wire*: a
-    /// sealed envelope names its sender in 64 raw bytes, and the look-up
-    /// takes them as they are. Only identities that completed a handshake
-    /// (decoded, validated curve points) are ever inserted, so bytes that
-    /// are not a curve point find nothing.
-    pub(crate) sessions: HashMap<[u8; 64], Session>,
+    /// Known peers and their sessions, by slot (see [`PeerTable`]).
+    pub(crate) peers: PeerTable,
     /// Our ephemeral private keys for in-flight handshakes.
     pub(crate) pending_eph: HashMap<PublicKey, PrivateKey>,
-    pub(crate) channels: HashMap<ChannelId, Channel>,
+    /// Channels by slot, in creation (or replay) order.
+    pub(crate) channels: ChannelTable,
     pub(crate) book: DepositBook,
     pub(crate) routes: HashMap<RouteId, crate::multihop::RouteState>,
     pub(crate) rep: Replication,
@@ -615,7 +693,7 @@ pub struct TeechainEnclave {
     pub(crate) frozen: bool,
     pub(crate) counter_id: Option<usize>,
     /// Decrypted messages stashed while the counter was throttled.
-    pub(crate) pending_msgs: std::collections::VecDeque<(PublicKey, ProtocolMsg)>,
+    pub(crate) pending_msgs: std::collections::VecDeque<(Peer, ProtocolMsg)>,
     /// Durable commits performed (persistent mode); drives the snapshot
     /// cadence. Restored during recovery.
     pub(crate) commits: u64,
@@ -636,9 +714,9 @@ impl TeechainEnclave {
         TeechainEnclave {
             cfg,
             identity: None,
-            sessions: HashMap::new(),
+            peers: PeerTable::default(),
             pending_eph: HashMap::new(),
-            channels: HashMap::new(),
+            channels: ChannelTable::default(),
             book: DepositBook::default(),
             routes: HashMap::new(),
             rep: Replication::default(),
@@ -703,20 +781,49 @@ impl TeechainEnclave {
         Ok(())
     }
 
-    pub(crate) fn session_mut(
-        &mut self,
-        remote: &PublicKey,
-    ) -> Result<&mut Session, ProtocolError> {
-        established(&mut self.sessions, &remote.to_bytes())
+    /// The peer `remote`, if we hold an established session with it.
+    pub(crate) fn session_peer(&mut self, remote: &PublicKey) -> Result<Peer, ProtocolError> {
+        let slot = self
+            .peers
+            .slot(&remote.to_bytes())
+            .ok_or(ProtocolError::NoSession)?;
+        established(&mut self.peers, slot)?;
+        Ok(Peer { pk: *remote, slot })
     }
 
-    /// Seals `msg` for `remote` into a `Send` effect.
+    /// The peer slot of `pk`, handing out a new one if it has none.
+    fn peer_slot(&mut self, pk: &PublicKey) -> u32 {
+        self.peers.slot_or_insert_with(pk.to_bytes(), || None)
+    }
+
+    /// Stores `chan` in the channel table (see [`ChannelTable::insert`]).
+    fn insert_channel(&mut self, chan: Channel) -> u32 {
+        let peer = self.peer_slot(&chan.remote);
+        self.channels.insert(chan, peer)
+    }
+
+    /// Seals `msg` for `remote` into a `Send` effect: one look-up of the
+    /// identity. A handler that knows the peer's slot seals with
+    /// [`Self::seal_at`].
     pub(crate) fn seal_to(
         &mut self,
         remote: &PublicKey,
         msg: &ProtocolMsg,
     ) -> Result<Effect, ProtocolError> {
-        seal_for(self.identity.as_ref(), &mut self.sessions, remote, msg)
+        let slot = self
+            .peers
+            .slot(&remote.to_bytes())
+            .ok_or(ProtocolError::NoSession)?;
+        self.seal_at(slot, msg)
+    }
+
+    /// Seals `msg` for the peer in `slot` into a `Send` effect.
+    pub(crate) fn seal_at(
+        &mut self,
+        slot: u32,
+        msg: &ProtocolMsg,
+    ) -> Result<Effect, ProtocolError> {
+        seal_for(self.identity.as_ref(), &mut self.peers, slot, msg)
     }
 
     pub(crate) fn channel_mut(&mut self, id: &ChannelId) -> Result<&mut Channel, ProtocolError> {
@@ -796,23 +903,23 @@ impl TeechainEnclave {
     ) -> Outcome {
         self.require_unfrozen()?;
         self.require_counter_ready(env)?;
-        self.session_mut(&remote)?;
+        let peer = self.session_peer(&remote)?;
         if self.channels.contains_key(&id) {
             return Err(ProtocolError::ChannelExists);
         }
         // Remote settlement arrives in the ack.
         let chan = Channel::new(id, remote, my_settlement, my_settlement);
-        self.channels.insert(id, chan);
+        self.channels.insert(chan, peer.slot);
         let msg = ProtocolMsg::NewChannel {
             id,
             settlement: my_settlement,
         };
-        let eff = self.seal_to(&remote, &msg)?;
+        let eff = self.seal_at(peer.slot, &msg)?;
         self.stage_channel(&id);
         Ok(vec![eff])
     }
 
-    fn on_new_channel(&mut self, from: PublicKey, id: ChannelId, settlement: PublicKey) -> Outcome {
+    fn on_new_channel(&mut self, from: Peer, id: ChannelId, settlement: PublicKey) -> Outcome {
         self.require_unfrozen()?;
         if self.channels.contains_key(&id) {
             return Err(ProtocolError::ChannelExists);
@@ -823,14 +930,14 @@ impl TeechainEnclave {
         // and open channels themselves; as responder we auto-accept with a
         // fresh address derived from the channel id and our identity.
         let my_settlement = self.responder_settlement(&id);
-        let mut chan = Channel::new(id, from, my_settlement, settlement);
+        let mut chan = Channel::new(id, from.pk, my_settlement, settlement);
         chan.is_open = true;
-        self.channels.insert(id, chan);
+        self.channels.insert(chan, from.slot);
         let msg = ProtocolMsg::NewChannelAck {
             id,
             settlement: my_settlement,
         };
-        let eff = self.seal_to(&from, &msg)?;
+        let eff = self.seal_at(from.slot, &msg)?;
         self.stage_channel(&id);
         Ok(vec![eff, Effect::Event(HostEvent::ChannelOpen(id))])
     }
@@ -1179,12 +1286,12 @@ impl TeechainEnclave {
     pub(crate) fn sibling_unlocked(&self, id: &ChannelId, amount: u64) -> Option<ChannelId> {
         let want = self.channels.get(id)?.remote;
         self.channels
-            .iter()
-            .filter(|(cid, c)| {
-                **cid != *id && c.remote == want && c.usable() && !c.locked() && c.my_bal >= amount
+            .values()
+            .filter(|c| {
+                c.id != *id && c.remote == want && c.usable() && !c.locked() && c.my_bal >= amount
             })
-            .max_by_key(|(cid, c)| (c.my_bal, **cid))
-            .map(|(cid, _)| *cid)
+            .max_by_key(|c| (c.my_bal, c.id))
+            .map(|c| c.id)
     }
 
     fn cmd_pay(&mut self, env: &mut EnclaveEnv, id: ChannelId, amount: u64, count: u32) -> Outcome {
@@ -1193,10 +1300,11 @@ impl TeechainEnclave {
         // One look-up serves the checks, the seal and the debit; only a
         // locked channel goes back to the map, for its sibling.
         let mut wire = id;
-        let mut chan = self
+        let mut slot = self
             .channels
-            .get_mut(&id)
+            .slot(&id)
             .ok_or(ProtocolError::UnknownChannel)?;
+        let chan = self.channels.at(slot).expect("a slot the table handed out");
         if !chan.usable() {
             return Err(ProtocolError::ChannelNotOpen);
         }
@@ -1210,9 +1318,9 @@ impl TeechainEnclave {
                 Some(sib) => {
                     self.admit.stats.rerouted += 1;
                     wire = sib;
-                    chan = self
+                    slot = self
                         .channels
-                        .get_mut(&sib)
+                        .slot(&sib)
                         .ok_or(ProtocolError::UnknownChannel)?;
                 }
                 None => {
@@ -1238,6 +1346,11 @@ impl TeechainEnclave {
                 }
             }
         }
+        let peer = self.channels.peer(slot);
+        let chan = self
+            .channels
+            .at_mut(slot)
+            .expect("a slot the table handed out");
         if chan.my_bal < amount {
             return Err(ProtocolError::InsufficientBalance);
         }
@@ -1246,12 +1359,7 @@ impl TeechainEnclave {
             amount,
             count,
         };
-        let eff = seal_for(
-            self.identity.as_ref(),
-            &mut self.sessions,
-            &chan.remote,
-            &msg,
-        )?;
+        let eff = seal_for(self.identity.as_ref(), &mut self.peers, peer, &msg)?;
         chan.my_bal -= amount;
         chan.remote_bal += amount;
         self.stage_delta(StateDelta::Pay {
@@ -1278,18 +1386,22 @@ impl TeechainEnclave {
     fn on_pay(
         &mut self,
         env: &mut EnclaveEnv,
-        from: PublicKey,
+        from: Peer,
         id: ChannelId,
         amount: u64,
         count: u32,
     ) -> Outcome {
         self.require_unfrozen()?;
         self.require_counter_ready(env)?;
+        let slot = self
+            .channels
+            .slot(&id)
+            .ok_or(ProtocolError::UnknownChannel)?;
         let chan = self
             .channels
-            .get_mut(&id)
-            .ok_or(ProtocolError::UnknownChannel)?;
-        if chan.remote != from || !chan.usable() {
+            .at_mut(slot)
+            .expect("a slot the table handed out");
+        if chan.remote != from.pk || !chan.usable() {
             return Err(ProtocolError::BadMessage);
         }
         if chan.locked() {
@@ -1305,11 +1417,11 @@ impl TeechainEnclave {
                     count,
                     reason: ProtocolError::ChannelLocked.abort_code(),
                 };
-                return Ok(vec![self.seal_to(&from, &msg)?]);
+                return Ok(vec![self.seal_at(from.slot, &msg)?]);
             }
             let deadline_ns = env.now_ns() + DEFER_DEADLINE_NS;
             dq.push_back(DeferredMsg {
-                from,
+                from: from.pk,
                 msg: ProtocolMsg::Pay { id, amount, count },
                 deadline_ns,
             });
@@ -1329,16 +1441,20 @@ impl TeechainEnclave {
             remote_delta: -(amount as i64),
         });
         let ack = ProtocolMsg::PayAck { id, amount, count };
-        let eff = self.seal_to(&from, &ack)?;
+        let eff = self.seal_at(from.slot, &ack)?;
         Ok(vec![
             eff,
             Effect::Event(HostEvent::PaymentReceived { id, amount, count }),
         ])
     }
 
-    fn on_pay_ack(&mut self, from: PublicKey, id: ChannelId, amount: u64, count: u32) -> Outcome {
-        let chan = self.channel_mut(&id)?;
-        if chan.remote != from {
+    fn on_pay_ack(&mut self, from: Peer, id: ChannelId, amount: u64, count: u32) -> Outcome {
+        let slot = self
+            .channels
+            .slot(&id)
+            .ok_or(ProtocolError::UnknownChannel)?;
+        let chan = self.channels.at(slot).expect("a slot the table handed out");
+        if chan.remote != from.pk {
             return Err(ProtocolError::BadMessage);
         }
         // One wire ack covers a whole drain batch: fan it back out to one
@@ -1360,14 +1476,21 @@ impl TeechainEnclave {
 
     fn on_pay_nack(
         &mut self,
-        from: PublicKey,
+        from: Peer,
         id: ChannelId,
         amount: u64,
         count: u32,
         reason: u8,
     ) -> Outcome {
-        let chan = self.channel_mut(&id)?;
-        if chan.remote != from {
+        let slot = self
+            .channels
+            .slot(&id)
+            .ok_or(ProtocolError::UnknownChannel)?;
+        let chan = self
+            .channels
+            .at_mut(slot)
+            .expect("a slot the table handed out");
+        if chan.remote != from.pk {
             return Err(ProtocolError::BadMessage);
         }
         // Roll back the optimistic debit (covers the whole wire batch).
@@ -2132,11 +2255,12 @@ impl TeechainEnclave {
     pub(crate) fn dispatch_protocol(
         &mut self,
         env: &mut EnclaveEnv,
-        from: PublicKey,
+        peer: Peer,
         msg: ProtocolMsg,
     ) -> Outcome {
+        let from = peer.pk;
         match msg {
-            ProtocolMsg::NewChannel { id, settlement } => self.on_new_channel(from, id, settlement),
+            ProtocolMsg::NewChannel { id, settlement } => self.on_new_channel(peer, id, settlement),
             ProtocolMsg::NewChannelAck { id, settlement } => {
                 self.on_new_channel_ack(from, id, settlement)
             }
@@ -2155,14 +2279,14 @@ impl TeechainEnclave {
             ProtocolMsg::DissociateAck { id, outpoint } => {
                 self.on_dissociate_ack(from, id, outpoint)
             }
-            ProtocolMsg::Pay { id, amount, count } => self.on_pay(env, from, id, amount, count),
-            ProtocolMsg::PayAck { id, amount, count } => self.on_pay_ack(from, id, amount, count),
+            ProtocolMsg::Pay { id, amount, count } => self.on_pay(env, peer, id, amount, count),
+            ProtocolMsg::PayAck { id, amount, count } => self.on_pay_ack(peer, id, amount, count),
             ProtocolMsg::PayNack {
                 id,
                 amount,
                 count,
                 reason,
-            } => self.on_pay_nack(from, id, amount, count, reason),
+            } => self.on_pay_nack(peer, id, amount, count, reason),
             ProtocolMsg::SettleRequest { id } => self.on_settle_request(from, id),
             ProtocolMsg::ChannelClosed { id } => self.on_channel_closed(from, id),
             ProtocolMsg::MhLock(m) => self.on_mh_lock(env, from, m),
@@ -2177,11 +2301,11 @@ impl TeechainEnclave {
             ProtocolMsg::MhPostUpdate { route } => self.on_mh_post_update(env, from, route),
             ProtocolMsg::MhRelease { route } => self.on_mh_release(env, from, route),
             ProtocolMsg::MhAbort { route, reason } => self.on_mh_abort(env, from, route, reason),
-            ProtocolMsg::RepAssign => self.on_rep_assign(env, from),
-            ProtocolMsg::RepAssignAck { member_key } => self.on_rep_assign_ack(from, member_key),
-            ProtocolMsg::RepUpdate { seq, deltas } => self.on_rep_update(from, seq, deltas),
-            ProtocolMsg::RepAck { seq } => self.on_rep_ack(from, seq),
-            ProtocolMsg::RepFreeze => self.on_rep_freeze(from),
+            ProtocolMsg::RepAssign => self.on_rep_assign(env, peer),
+            ProtocolMsg::RepAssignAck { member_key } => self.on_rep_assign_ack(peer, member_key),
+            ProtocolMsg::RepUpdate { seq, deltas } => self.on_rep_update(peer, seq, deltas),
+            ProtocolMsg::RepAck { seq } => self.on_rep_ack(peer, seq),
+            ProtocolMsg::RepFreeze => self.on_rep_freeze(peer),
             ProtocolMsg::SwapInit {
                 swap,
                 channel,
@@ -2306,15 +2430,19 @@ impl TeechainEnclave {
         let (from, seq, ct) = match WireView::parse(bytes).map_err(|_| ProtocolError::BadMessage)? {
             WireView::Hello(hs) => return self.on_hello(env, *hs),
             WireView::HelloAck(hs) => return self.on_hello_ack(env, *hs),
-            WireView::Sealed { from, seq, ct, .. } => (*from, seq, ct),
+            WireView::Sealed { from, seq, ct, .. } => (from, seq, ct),
         };
-        // `from` is only a hint for finding the session: the bytes are not
-        // checked to be a curve point because the map holds validated
-        // identities only, so anything else finds nothing. Who the message
-        // is from is what the session it authenticates under says.
-        let session = established(&mut self.sessions, &from)?;
+        // `from` only finds the session: the bytes are not checked to be a
+        // curve point because the table holds validated identities only,
+        // so anything else finds nothing. Who the message is from is what
+        // the session it authenticates under says.
+        let slot = self.peers.slot(from).ok_or(ProtocolError::NoSession)?;
+        let session = established(&mut self.peers, slot)?;
         let msg = session.open_in_place(seq, &mut bytes[ct])?;
-        let from = session.remote;
+        let from = Peer {
+            pk: session.remote,
+            slot,
+        };
         // Persistent mode gates *before* dispatch: handlers mutate state and
         // the commit in `finalize` must never fail after the fact. Stashed
         // messages keep FIFO order behind anything already waiting.
@@ -2549,7 +2677,11 @@ impl TeechainEnclave {
             self.admit.stats.note_defer_age(age);
             match d.msg {
                 ProtocolMsg::Pay { id, amount, count } => {
-                    match self.on_pay(env, d.from, id, amount, count) {
+                    let from = Peer {
+                        pk: d.from,
+                        slot: self.peer_slot(&d.from),
+                    };
+                    match self.on_pay(env, from, id, amount, count) {
                         Ok(effs) => effects.extend(effs),
                         Err(e) => {
                             let nack = ProtocolMsg::PayNack {
@@ -2788,7 +2920,8 @@ impl TeechainEnclave {
     fn cmd_start_session(&mut self, env: &mut EnclaveEnv, remote: PublicKey) -> Outcome {
         self.require_unfrozen()?;
         let me = self.identity(env);
-        if let Some(s) = self.sessions.get(&remote.to_bytes()) {
+        let known = self.peers.get(&remote.to_bytes());
+        if let Some(s) = known.and_then(Option::as_ref) {
             if s.established {
                 // Idempotent: the session already exists.
                 return Ok(vec![Effect::Event(HostEvent::SessionEstablished(remote))]);
@@ -2801,6 +2934,7 @@ impl TeechainEnclave {
         let hs = session::make_handshake("teechain/hello", &me, &eph, &remote, quote);
         Ok(vec![Effect::Send {
             to: remote,
+            peer: None,
             wire: WireMsg::Hello(hs).encode_to_vec(),
         }])
     }
@@ -2817,14 +2951,13 @@ impl TeechainEnclave {
         )?;
         let eph = Keypair::from_seed(&env.random_bytes32());
         let secret = session::session_secret(&eph.sk, &hs.eph);
-        let mut s = Session::derive(&secret, &me.pk, &hs.identity);
-        s.established = true;
-        self.sessions.insert(hs.identity.to_bytes(), s);
+        let slot = self.open_session(Session::derive(&secret, &me.pk, &hs.identity));
         let quote = env.quote(session::expected_quote_binding(&me.pk, &eph.pk));
         let ack = session::make_handshake("teechain/hello-ack", &me, &eph, &hs.identity, quote);
         Ok(vec![
             Effect::Send {
                 to: hs.identity,
+                peer: Some(PeerSlot(slot)),
                 wire: WireMsg::HelloAck(ack).encode_to_vec(),
             },
             Effect::Event(HostEvent::SessionEstablished(hs.identity)),
@@ -2845,12 +2978,18 @@ impl TeechainEnclave {
             .remove(&hs.identity)
             .ok_or(ProtocolError::BadMessage)?;
         let secret = session::session_secret(&my_eph, &hs.eph);
-        let mut s = Session::derive(&secret, &me.pk, &hs.identity);
-        s.established = true;
-        self.sessions.insert(hs.identity.to_bytes(), s);
+        self.open_session(Session::derive(&secret, &me.pk, &hs.identity));
         Ok(vec![Effect::Event(HostEvent::SessionEstablished(
             hs.identity,
         ))])
+    }
+
+    /// Installs the session of a completed handshake in its peer's slot —
+    /// a re-handshake replaces the old session there, so every channel of
+    /// the peer keeps pointing at it. Returns the slot.
+    fn open_session(&mut self, mut session: Session) -> u32 {
+        session.established = true;
+        self.peers.insert(session.remote.to_bytes(), Some(session))
     }
 
     // ---- Persistence (§6.2) ----
@@ -2864,12 +3003,14 @@ impl TeechainEnclave {
             .as_ref()
             .map(|k| k.sk.to_bytes())
             .encode(&mut out);
+        // Canonical: channels in slot (creation) order, deposits by
+        // outpoint, keys by public key — one state, one image.
         let chans: Vec<Channel> = self.channels.values().cloned().collect();
         chans.encode(&mut out);
-        let mine: Vec<(Deposit, (u8, Option<ChannelId>))> = self
-            .book
-            .mine
-            .values()
+        let mut mine: Vec<&(Deposit, DepositStatus)> = self.book.mine.values().collect();
+        mine.sort_by_key(|(d, _)| d.outpoint);
+        let mine: Vec<(Deposit, (u8, Option<ChannelId>))> = mine
+            .into_iter()
             .map(|(d, s)| {
                 let status = match s {
                     DepositStatus::Free => (0u8, None),
@@ -2880,11 +3021,13 @@ impl TeechainEnclave {
             })
             .collect();
         mine.encode(&mut out);
-        let remote: Vec<Deposit> = self.book.remote.values().cloned().collect();
+        let mut remote: Vec<Deposit> = self.book.remote.values().cloned().collect();
+        remote.sort_by_key(|d| d.outpoint);
         remote.encode(&mut out);
-        let keys: Vec<[u8; 32]> = self.book.keys.values().map(|k| k.to_bytes()).collect();
+        let mut keys: Vec<(&PublicKey, &PrivateKey)> = self.book.keys.iter().collect();
+        keys.sort_by_key(|(pk, _)| **pk);
+        let keys: Vec<[u8; 32]> = keys.into_iter().map(|(_, k)| k.to_bytes()).collect();
         keys.encode(&mut out);
-        // Sorted for a canonical image (HashMap order is arbitrary).
         let mut swaps: Vec<SwapState> = self.swaps.values().cloned().collect();
         swaps.sort_by_key(|s| s.id);
         swaps.encode(&mut out);
@@ -2912,7 +3055,7 @@ impl TeechainEnclave {
         }
         let chans: Vec<Channel> = r.read().map_err(|_| ProtocolError::BadMessage)?;
         for c in chans {
-            self.channels.insert(c.id, c);
+            self.insert_channel(c);
         }
         if v2 {
             let mine: Vec<(Deposit, (u8, Option<ChannelId>))> =
@@ -3005,7 +3148,7 @@ impl TeechainEnclave {
             self.rep.send_seq += 1;
             self.rep.pending.insert(seq, effects);
             let deltas = std::mem::take(&mut self.rep.staged);
-            let send = self.seal_to(&backup, &ProtocolMsg::RepUpdate { seq, deltas })?;
+            let send = self.seal_at(backup.slot, &ProtocolMsg::RepUpdate { seq, deltas })?;
             Ok(durable.into_iter().chain([send]).collect())
         } else {
             self.rep.staged.clear();
@@ -3177,7 +3320,7 @@ impl TeechainEnclave {
     fn apply_delta_to_primary(&mut self, delta: StateDelta) {
         match delta {
             StateDelta::Channel(c) => {
-                self.channels.insert(c.id, *c);
+                self.insert_channel(*c);
             }
             StateDelta::Pay {
                 id,
@@ -3237,9 +3380,8 @@ impl TeechainEnclave {
     /// recorded in the channels' deposit lists, which the deltas carry
     /// exactly; deposits of closed channels were consumed by settlement.
     fn rebuild_deposit_statuses(&mut self) {
-        let mut assoc: HashMap<teechain_blockchain::OutPoint, ChannelId> = HashMap::new();
-        let mut spent: std::collections::HashSet<teechain_blockchain::OutPoint> =
-            std::collections::HashSet::new();
+        let mut assoc = std::collections::BTreeMap::new();
+        let mut spent = std::collections::BTreeSet::new();
         for c in self.channels.values() {
             for op in &c.my_deps {
                 if c.closed {
@@ -3275,7 +3417,10 @@ impl TeechainEnclave {
 
     /// Number of established sessions.
     pub fn session_count(&self) -> usize {
-        self.sessions.values().filter(|s| s.established).count()
+        self.peers
+            .values()
+            .filter(|p| p.as_ref().is_some_and(|s| s.established))
+            .count()
     }
 
     /// The identity public key, if generated.
@@ -3318,3 +3463,6 @@ impl TeechainEnclave {
         self.swaps.values().filter(|s| s.phase.pending()).count()
     }
 }
+
+#[cfg(test)]
+mod tests;

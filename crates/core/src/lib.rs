@@ -108,12 +108,13 @@ pub mod replication;
 pub mod routing;
 pub mod session;
 pub mod settle;
+mod slots;
 pub mod swap;
 pub mod testkit;
 pub mod types;
 
 pub use durability::{DurabilityBackend, PersistPolicy};
-pub use enclave::{Command, Effect, EnclaveConfig, HostEvent, Outcome, TeechainEnclave};
+pub use enclave::{Command, Effect, EnclaveConfig, HostEvent, Outcome, PeerSlot, TeechainEnclave};
 pub use live::{LiveBackend, LiveCluster, LiveConfig};
 pub use node::TeechainNode;
 pub use ops::{Completion, OpError, OpId, OpOutput, Pending, SettleKind};

@@ -141,7 +141,7 @@ impl TeechainEnclave {
         deposits: &mut Vec<crate::types::Deposit>,
     ) {
         let id = route.out_chan().expect("only non-terminal hops extend τ");
-        let chan = &self.channels[&id];
+        let chan = self.channels.get(&id).expect("checked");
         for prevout in chan.all_deposits() {
             tau.inputs.push(TxIn::spend(prevout));
             if let Some(dep) = self.book.deposit_of(&prevout) {

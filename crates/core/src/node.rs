@@ -3,7 +3,7 @@
 //! co-signing. Nothing here is trusted — a malicious host can only delay
 //! or drop traffic, which the protocol tolerates by construction.
 
-use crate::enclave::{Command, Effect, EnclaveConfig, HostEvent, TeechainEnclave};
+use crate::enclave::{Command, Effect, EnclaveConfig, HostEvent, PeerSlot, TeechainEnclave};
 use crate::msg::WireView;
 use crate::ops::{Completion, OpError, OpId, OpOutput, OpTracker, Progress, Request};
 use crate::types::{Deposit, ProtocolError, SwapId};
@@ -144,7 +144,12 @@ pub struct TeechainNode {
     /// Cached enclave identity (after first `GetIdentity`).
     pub identity: Option<PublicKey>,
     /// Identity key → simulator node directory (out-of-band knowledge).
-    pub directory: HashMap<PublicKey, NodeId>,
+    /// A send consults it once per enclave peer slot; `routes` serves the
+    /// rest.
+    directory: HashMap<PublicKey, NodeId>,
+    /// By enclave peer slot: the identity the slot held when the host
+    /// resolved it, and the node that identity lives on.
+    routes: Vec<Option<(PublicKey, NodeId)>>,
     /// The blockchain this node reads and writes asynchronously.
     pub chain: SharedChain,
     /// The *alternate* blockchain used by cross-chain atomic swaps
@@ -260,6 +265,7 @@ impl TeechainNode {
             enclave: Enclave::launch(device, measurement, seed, program),
             identity: None,
             directory: HashMap::new(),
+            routes: Vec::new(),
             chain,
             chain2: Arc::new(Mutex::new(Chain::new())),
             required_confirmations: 1,
@@ -309,6 +315,8 @@ impl TeechainNode {
         // Armed swap timers target the dead program; recovery re-arms
         // fresh checks for every swap that still needs driving.
         self.swap_timers.clear();
+        // The restarted program hands out its peer slots afresh.
+        self.routes.clear();
     }
 
     /// Restarts a crashed enclave with a fresh program and replays the
@@ -346,6 +354,8 @@ impl TeechainNode {
     /// Registers where a peer identity lives on the network.
     pub fn register_peer(&mut self, pk: PublicKey, node: NodeId) {
         self.directory.insert(pk, node);
+        // Routes were resolved against the old directory.
+        self.routes.clear();
     }
 
     /// Fetches (and caches) the enclave identity.
@@ -691,8 +701,8 @@ impl TeechainNode {
     pub fn perform(&mut self, ctx: &mut Ctx<'_>, effects: Vec<Effect>) {
         for effect in effects {
             match effect {
-                Effect::Send { to, wire } => {
-                    if let Some(&node) = self.directory.get(&to) {
+                Effect::Send { to, peer, wire } => {
+                    if let Some(node) = self.route(&to, peer) {
                         self.trace_wire_send(ctx.now_ns(), &to, &wire);
                         ctx.send(node, enclave_frame(wire));
                     }
@@ -769,6 +779,29 @@ impl TeechainNode {
                 }
             }
         }
+    }
+
+    /// The node `to` lives on. A send that names the enclave's peer slot
+    /// for `to` resolves through the slot's cached route while the slot
+    /// still holds `to`, so the directory is consulted once per slot — and
+    /// once more only after a restart renumbered the slots. A send with no
+    /// slot (a handshake opening) asks the directory.
+    fn route(&mut self, to: &PublicKey, peer: Option<PeerSlot>) -> Option<NodeId> {
+        let Some(slot) = peer else {
+            return self.directory.get(to).copied();
+        };
+        let i = slot.0 as usize;
+        if let Some(Some((pk, node))) = self.routes.get(i) {
+            if pk == to {
+                return Some(*node);
+            }
+        }
+        let node = *self.directory.get(to)?;
+        if self.routes.len() <= i {
+            self.routes.resize(i + 1, None);
+        }
+        self.routes[i] = Some((*to, node));
+        Some(node)
     }
 
     /// Automatic host reactions to enclave events.
@@ -1084,7 +1117,8 @@ impl TeechainNode {
         &self,
     ) -> std::collections::BTreeMap<String, teechain_trace::Histogram> {
         use crate::swap::SwapPhase;
-        let mut entered: HashMap<SwapId, [Option<u64>; 4]> = HashMap::new();
+        let mut entered: std::collections::BTreeMap<SwapId, [Option<u64>; 4]> =
+            std::collections::BTreeMap::new();
         for (ts, e) in &self.events {
             if let HostEvent::SwapPhaseEntered { swap, phase } = e {
                 let slots = entered.entry(*swap).or_default();

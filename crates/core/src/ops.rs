@@ -29,7 +29,7 @@
 use crate::enclave::{Command, HostEvent};
 use crate::swap::SwapOutcome;
 use crate::types::{ChannelId, CommitteeSpec, Deposit, ProtocolError, RouteId, SwapId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use teechain_blockchain::{OutPoint, TxId};
 use teechain_crypto::schnorr::PublicKey;
 
@@ -718,14 +718,43 @@ struct PendingOp {
     progress: Option<Progress>,
 }
 
+impl MatchKey {
+    /// True for a key that recurs for as long as its channel lives: its
+    /// queue is kept when it empties, so the channel's next payment finds
+    /// it allocated. Every other key names one operation's target (a
+    /// route, a swap, a deposit), and its queue goes when it empties.
+    fn recurs(&self) -> bool {
+        matches!(self, MatchKey::Payment(_))
+    }
+}
+
+/// The most seqs `OpTracker::ring` spans. An op still pending at the front
+/// of a full ring moves to `OpTracker::stragglers`, so an op that never
+/// resolves pins this many seqs, not every seq submitted after it.
+const RING_SPAN: usize = 1 << 12;
+
 /// Tracks in-flight operations on one node: submission order per
 /// correlation key, so same-key completions resolve FIFO (matching the
 /// per-session FIFO the protocol itself guarantees).
+///
+/// Op seqs are dense and monotone per node, so a pending op is found by
+/// indexing, at `ring[seq - base]`; one older than `base` is a straggler.
+/// Only the correlation key is hashed, once where an operation enters
+/// (`register`) and once where its terminal event arrives (`observe`).
 #[derive(Default)]
 pub(crate) struct OpTracker {
     next_seq: u64,
     node: u32,
-    pending: HashMap<u64, PendingOp>,
+    /// By `seq - base`: the op, `None` once it resolved. The front is
+    /// always pending — resolved ops are popped off it — so the ring spans
+    /// the oldest pending op not in `stragglers` to the newest, at most
+    /// [`RING_SPAN`] seqs.
+    ring: VecDeque<Option<PendingOp>>,
+    /// The seq of `ring[0]`.
+    base: u64,
+    /// Pending ops older than `base`, by seq.
+    stragglers: BTreeMap<u64, PendingOp>,
+    /// Pending op seqs per correlation key, oldest first.
     queues: HashMap<MatchKey, VecDeque<u64>>,
 }
 
@@ -739,52 +768,95 @@ impl OpTracker {
         if let Some(k) = key {
             self.queues.entry(k).or_default().push_back(seq);
         }
-        self.pending.insert(
-            seq,
-            PendingOp {
-                req,
-                key,
-                progress: None,
-            },
-        );
+        if self.ring.is_empty() {
+            self.base = seq;
+        }
+        self.ring.push_back(Some(PendingOp {
+            req,
+            key,
+            progress: None,
+        }));
+        if self.ring.len() > RING_SPAN {
+            // The front is pending: it moves aside, and the ring on.
+            let front = self.ring.pop_front().flatten().expect("a pending front");
+            self.stragglers.insert(self.base, front);
+            self.base += 1;
+            self.pop_resolved();
+        }
         OpId { node, seq }
+    }
+
+    fn op(&self, seq: u64) -> Option<&PendingOp> {
+        match seq.checked_sub(self.base) {
+            Some(i) => self.ring.get(usize::try_from(i).ok()?)?.as_ref(),
+            None => self.stragglers.get(&seq),
+        }
+    }
+
+    fn op_mut(&mut self, seq: u64) -> Option<&mut PendingOp> {
+        match seq.checked_sub(self.base) {
+            Some(i) => self.ring.get_mut(usize::try_from(i).ok()?)?.as_mut(),
+            None => self.stragglers.get_mut(&seq),
+        }
+    }
+
+    /// Takes the pending op `seq` out of the ring or the stragglers.
+    fn take(&mut self, seq: u64) -> Option<PendingOp> {
+        match seq.checked_sub(self.base) {
+            Some(i) => {
+                let op = self.ring.get_mut(usize::try_from(i).ok()?)?.take()?;
+                self.pop_resolved();
+                Some(op)
+            }
+            None => self.stragglers.remove(&seq),
+        }
+    }
+
+    /// Pops resolved ops off the ring's front.
+    fn pop_resolved(&mut self) {
+        while self.ring.front().is_some_and(Option::is_none) {
+            self.ring.pop_front();
+            self.base += 1;
+        }
+    }
+
+    /// Drops `key`'s queue if it is empty and the key does not recur.
+    fn release_if_done(&mut self, key: &MatchKey) {
+        if !key.recurs() && self.queues.get(key).is_some_and(VecDeque::is_empty) {
+            self.queues.remove(key);
+        }
     }
 
     /// True while the operation awaits its terminal outcome.
     pub(crate) fn is_pending(&self, seq: u64) -> bool {
-        self.pending.contains_key(&seq)
+        self.op(seq).is_some()
     }
 
     /// The operation's request, and what a throttled earlier dispatch of
     /// it already did, for (re-)dispatch.
     pub(crate) fn request(&mut self, seq: u64) -> Option<(Request, Option<Progress>)> {
-        self.pending
-            .get_mut(&seq)
-            .map(|p| (p.req.clone(), p.progress.take()))
+        self.op_mut(seq).map(|p| (p.req.clone(), p.progress.take()))
     }
 
     /// Records how far a throttled dispatch of a composite got.
     pub(crate) fn set_progress(&mut self, seq: u64, progress: Progress) {
-        if let Some(p) = self.pending.get_mut(&seq) {
+        if let Some(p) = self.op_mut(seq) {
             p.progress = Some(progress);
         }
     }
 
     /// True for a pending operation with no asynchronous terminal event.
     pub(crate) fn expects_nothing(&self, seq: u64) -> bool {
-        self.pending.get(&seq).is_some_and(|p| p.key.is_none())
+        self.op(seq).is_some_and(|p| p.key.is_none())
     }
 
     /// Correlates a host event with the oldest matching pending
     /// operation; returns its completion.
     pub(crate) fn observe(&mut self, event: &HostEvent, now_ns: u64) -> Option<Completion> {
         let (key, outcome) = outcome_of(event)?;
-        let queue = self.queues.get_mut(&key)?;
-        let seq = queue.pop_front()?;
-        if queue.is_empty() {
-            self.queues.remove(&key);
-        }
-        self.pending.remove(&seq);
+        let seq = self.queues.get_mut(&key)?.pop_front()?;
+        self.release_if_done(&key);
+        self.take(seq);
         Some(Completion {
             op: OpId {
                 node: self.node,
@@ -803,14 +875,12 @@ impl OpTracker {
         now_ns: u64,
         outcome: Result<OpOutput, OpError>,
     ) -> Option<Completion> {
-        let op = self.pending.remove(&seq)?;
+        let op = self.take(seq)?;
         if let Some(k) = op.key {
             if let Some(q) = self.queues.get_mut(&k) {
                 q.retain(|s| *s != seq);
-                if q.is_empty() {
-                    self.queues.remove(&k);
-                }
             }
+            self.release_if_done(&k);
         }
         Some(Completion {
             op: OpId {
@@ -832,8 +902,11 @@ impl OpTracker {
     /// nothing can resolve them anymore). Returns the timeout
     /// completions in submission order.
     pub(crate) fn cancel_all(&mut self, now_ns: u64) -> Vec<Completion> {
-        let mut seqs: Vec<u64> = self.pending.keys().copied().collect();
-        seqs.sort_unstable();
+        let in_ring = (self.base..)
+            .zip(&self.ring)
+            .filter(|(_, op)| op.is_some())
+            .map(|(seq, _)| seq);
+        let seqs: Vec<u64> = self.stragglers.keys().copied().chain(in_ring).collect();
         seqs.into_iter()
             .filter_map(|seq| self.cancel(seq, now_ns))
             .collect()
@@ -941,6 +1014,82 @@ mod tests {
         let pk = teechain_crypto::schnorr::Keypair::from_seed(&[1; 32]).pk;
         let done = t.observe(&HostEvent::Identity(pk), 101).expect("matches");
         assert_eq!(done.op, b);
+    }
+
+    #[test]
+    fn ops_resolve_out_of_order_and_route_queues_go_with_their_ops() {
+        let mut t = OpTracker::default();
+        let pay_route = |k: u8| {
+            Request::Cmd(Command::PayMultihop {
+                route: RouteId([k; 32]),
+                hops: vec![],
+                channels: vec![],
+                amount: 1,
+            })
+        };
+        let done = |k: u8| HostEvent::MultihopComplete {
+            route: RouteId([k; 32]),
+            amount: 1,
+        };
+        let (a, b, c) = (
+            t.register(0, pay_route(1)),
+            t.register(0, pay_route(2)),
+            t.register(0, pay_route(3)),
+        );
+        // `b` resolves while `a`, older, still pins the ring's front.
+        assert_eq!(t.observe(&done(2), 1).expect("pending").op, b);
+        assert!(t.is_pending(a.seq) && !t.is_pending(b.seq) && t.is_pending(c.seq));
+        assert_eq!(t.observe(&done(1), 2).expect("pending").op, a);
+        // A route's queue goes with its op.
+        let d = t.register(0, pay_route(4));
+        assert_eq!(t.queues.len(), 2);
+        assert!(t.observe(&done(1), 3).is_none());
+        let dead: Vec<OpId> = t.cancel_all(4).into_iter().map(|c| c.op).collect();
+        assert_eq!(dead, vec![c, d]);
+        assert!(!t.is_pending(c.seq) && !t.is_pending(d.seq));
+        assert!(t.queues.is_empty() && t.ring.is_empty());
+    }
+
+    #[test]
+    fn an_op_that_never_resolves_pins_a_bounded_ring() {
+        let mut t = OpTracker::default();
+        let stuck = t.register(
+            0,
+            Request::Cmd(Command::PayMultihop {
+                route: RouteId([9; 32]),
+                hops: vec![],
+                channels: vec![],
+                amount: 1,
+            }),
+        );
+        let pay = Request::Cmd(Command::Pay {
+            id: chan("c"),
+            amount: 1,
+            count: 1,
+        });
+        let ack = HostEvent::PaymentAcked {
+            id: chan("c"),
+            amount: 1,
+            count: 1,
+        };
+        let mut last = stuck;
+        for n in 0..3 * RING_SPAN as u64 {
+            last = t.register(0, pay.clone());
+            // Every other payment stays in flight across one more submit.
+            if n % 2 == 1 {
+                t.observe(&ack, n).expect("pending");
+                t.observe(&ack, n).expect("pending");
+            }
+            assert!(t.ring.len() <= RING_SPAN);
+        }
+        assert!(t.is_pending(stuck.seq) && t.stragglers.len() == 1);
+        assert!(t.ring.is_empty(), "every payment resolved");
+        assert_eq!(t.queues.len(), 2, "the route's and the channel's");
+        let dead: Vec<OpId> = t.cancel_all(1).into_iter().map(|c| c.op).collect();
+        assert_eq!(dead, vec![stuck]);
+        assert!(!t.is_pending(last.seq));
+        assert!(t.stragglers.is_empty());
+        assert_eq!(t.queues.len(), 1, "the channel's queue persists");
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //! committee signatures — tolerating up to `m-1` compromised TEEs.
 
 use crate::channel::Channel;
-use crate::enclave::{Effect, HostEvent, Outcome, TeechainEnclave};
+use crate::enclave::{Effect, HostEvent, Outcome, Peer, TeechainEnclave};
 use crate::msg::{ProtocolMsg, StateDelta};
 use crate::settle;
+use crate::slots::SlotMap;
 use crate::types::{ChannelId, Deposit, ProtocolError, RouteId};
 use std::collections::{BTreeMap, HashMap};
 use teechain_blockchain::{OutPoint, Transaction};
@@ -27,21 +28,22 @@ use teechain_tee::EnclaveEnv;
 
 /// State replicated from our upstream (the node we back up).
 #[derive(Default)]
-pub struct ReplicaState {
-    /// Replicated channels (upstream's perspective).
-    pub channels: HashMap<ChannelId, Channel>,
+pub(crate) struct ReplicaState {
+    /// Replicated channels (upstream's perspective), in the order their
+    /// first update arrived — the upstream's creation order.
+    pub(crate) channels: SlotMap<ChannelId, Channel>,
     /// Replicated deposits.
-    pub deposits: HashMap<OutPoint, Deposit>,
+    pub(crate) deposits: HashMap<OutPoint, Deposit>,
     /// Replicated deposit keys (1-of-1 deposits and shared keys).
-    pub keys: HashMap<PublicKey, PrivateKey>,
+    pub(crate) keys: HashMap<PublicKey, PrivateKey>,
     /// Replicated multi-hop intermediate settlements.
-    pub taus: HashMap<RouteId, Transaction>,
+    pub(crate) taus: HashMap<RouteId, Transaction>,
     /// Highest update sequence applied.
     pub applied_seq: u64,
 }
 
 /// A settlement awaiting committee co-signatures.
-pub struct SigCollect {
+pub(crate) struct SigCollect {
     /// Context channel id (zeroed for deposit releases).
     pub id: ChannelId,
     /// The partially signed transaction.
@@ -50,13 +52,13 @@ pub struct SigCollect {
 
 /// Replication role state for one enclave.
 #[derive(Default)]
-pub struct Replication {
+pub(crate) struct Replication {
     /// The node we replicate *to* (our backup / downstream).
-    pub backup: Option<PublicKey>,
+    pub(crate) backup: Option<Peer>,
     /// The node we replicate *from* (our primary / upstream).
-    pub upstream: Option<PublicKey>,
+    pub(crate) upstream: Option<Peer>,
     /// A backup we asked to attach but which has not acked yet.
-    pub pending_backup: Option<PublicKey>,
+    pub(crate) pending_backup: Option<Peer>,
     /// Blockchain keys of chain members below us (committee candidates).
     pub chain_keys: Vec<PublicKey>,
     /// Our own committee (blockchain) key when acting as a backup.
@@ -139,16 +141,16 @@ impl ReplicaState {
 impl TeechainEnclave {
     pub(crate) fn cmd_attach_backup(&mut self, backup: PublicKey) -> Outcome {
         self.require_unfrozen()?;
-        self.session_mut(&backup)?;
+        let backup = self.session_peer(&backup)?;
         if self.rep.backup.is_some() || self.rep.pending_backup.is_some() {
             return Err(ProtocolError::ReplicationError); // Chain tail only.
         }
         self.rep.pending_backup = Some(backup);
         let msg = ProtocolMsg::RepAssign;
-        Ok(vec![self.seal_to(&backup, &msg)?])
+        Ok(vec![self.seal_at(backup.slot, &msg)?])
     }
 
-    pub(crate) fn on_rep_assign(&mut self, env: &mut EnclaveEnv, from: PublicKey) -> Outcome {
+    pub(crate) fn on_rep_assign(&mut self, env: &mut EnclaveEnv, from: Peer) -> Outcome {
         self.require_unfrozen()?;
         if self.rep.upstream.is_some() {
             return Err(ProtocolError::ReplicationError); // Already a backup.
@@ -165,10 +167,10 @@ impl TeechainEnclave {
             }
         };
         let msg = ProtocolMsg::RepAssignAck { member_key };
-        Ok(vec![self.seal_to(&from, &msg)?])
+        Ok(vec![self.seal_at(from.slot, &msg)?])
     }
 
-    pub(crate) fn on_rep_assign_ack(&mut self, from: PublicKey, member_key: PublicKey) -> Outcome {
+    pub(crate) fn on_rep_assign_ack(&mut self, from: Peer, member_key: PublicKey) -> Outcome {
         // Either our pending backup confirmed, or a new member deeper in
         // the chain is propagating its key upward.
         if self.rep.pending_backup == Some(from) {
@@ -182,9 +184,9 @@ impl TeechainEnclave {
         if let Some(up) = self.rep.upstream {
             // Propagate the new member's key to the chain head.
             let msg = ProtocolMsg::RepAssignAck { member_key };
-            effects.push(self.seal_to(&up, &msg)?);
+            effects.push(self.seal_at(up.slot, &msg)?);
         }
-        effects.push(Effect::Event(HostEvent::BackupAttached(from)));
+        effects.push(Effect::Event(HostEvent::BackupAttached(from.pk)));
         Ok(effects)
     }
 
@@ -205,7 +207,7 @@ impl TeechainEnclave {
 
     pub(crate) fn on_rep_update(
         &mut self,
-        from: PublicKey,
+        from: Peer,
         seq: u64,
         deltas: Vec<StateDelta>,
     ) -> Outcome {
@@ -226,25 +228,25 @@ impl TeechainEnclave {
             self.rep.replica.applied_seq = seq;
             let backup = self.rep.backup.expect("checked");
             let msg = ProtocolMsg::RepUpdate { seq, deltas };
-            Ok(vec![self.seal_to(&backup, &msg)?])
+            Ok(vec![self.seal_at(backup.slot, &msg)?])
         } else {
             for d in deltas {
                 self.rep.replica.apply(d);
             }
             self.rep.replica.applied_seq = seq;
             let msg = ProtocolMsg::RepAck { seq };
-            Ok(vec![self.seal_to(&from, &msg)?])
+            Ok(vec![self.seal_at(from.slot, &msg)?])
         }
     }
 
-    pub(crate) fn on_rep_ack(&mut self, from: PublicKey, seq: u64) -> Outcome {
+    pub(crate) fn on_rep_ack(&mut self, from: Peer, seq: u64) -> Outcome {
         if self.rep.backup != Some(from) {
             return Err(ProtocolError::ReplicationError);
         }
         if let Some(up) = self.rep.upstream {
             // Intermediate chain member: pass the ack toward the head.
             let msg = ProtocolMsg::RepAck { seq };
-            return Ok(vec![self.seal_to(&up, &msg)?]);
+            return Ok(vec![self.seal_at(up.slot, &msg)?]);
         }
         // Chain head: release all effects gated at or below `seq`
         // (acks are cumulative because the chain is FIFO).
@@ -258,14 +260,14 @@ impl TeechainEnclave {
         Ok(out)
     }
 
-    pub(crate) fn on_rep_freeze(&mut self, from: PublicKey) -> Outcome {
+    pub(crate) fn on_rep_freeze(&mut self, from: Peer) -> Outcome {
         if self.rep.upstream != Some(from) && self.rep.backup != Some(from) {
             return Err(ProtocolError::ReplicationError);
         }
         self.propagate_freeze(Some(from))
     }
 
-    fn propagate_freeze(&mut self, except: Option<PublicKey>) -> Outcome {
+    fn propagate_freeze(&mut self, except: Option<Peer>) -> Outcome {
         if self.frozen {
             return Ok(vec![]);
         }
@@ -273,7 +275,7 @@ impl TeechainEnclave {
         let mut effects = Vec::new();
         for peer in [self.rep.upstream, self.rep.backup].into_iter().flatten() {
             if Some(peer) != except {
-                effects.push(self.seal_to(&peer, &ProtocolMsg::RepFreeze)?);
+                effects.push(self.seal_at(peer.slot, &ProtocolMsg::RepFreeze)?);
             }
         }
         effects.push(Effect::Event(HostEvent::Frozen));
@@ -302,6 +304,8 @@ impl TeechainEnclave {
             // Settling from a replica is a read: it must freeze first.
             let _ = self.propagate_freeze(None)?;
         }
+        // Slot order is the upstream's creation order, so two runs of one
+        // schedule settle — and number co-sign requests — identically.
         let channels: Vec<Channel> = self
             .rep
             .replica

@@ -103,7 +103,7 @@
 use super::queue::{Ev, LaneKey, LaneQueue};
 use super::{Action, Ctx, EngineKind, EventKind, NodeId, SimNode, SimStats};
 use crate::link::LinkSpec;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use teechain_util::rng::{SplitMix64, Xoshiro256};
@@ -121,6 +121,11 @@ const PARALLEL_THRESHOLD: usize = 384;
 
 /// Link lookup shared read-only by every worker during a window.
 ///
+/// Overrides live in per-node sorted adjacency lists, so a node's look-up
+/// is a binary search over the links set on it — O(degree), however many
+/// nodes the simulation has — and a node with no override finds the
+/// default without searching anything.
+///
 /// The table knows the engine's round-robin partition (`node i → shard
 /// i mod S`) so it can maintain the **per-cut** lookahead: the minimum
 /// clamped latency over links whose endpoints live on *different*
@@ -128,7 +133,9 @@ const PARALLEL_THRESHOLD: usize = 384;
 /// heap in key order), so a fast local link does not force tiny windows
 /// on everyone else.
 struct LinkTable {
-    links: HashMap<(u32, u32), LinkSpec>,
+    /// `adj[a]`: `(b, spec)` for every override set between `a` and `b`,
+    /// sorted by `b`. Each override sits in both endpoints' lists.
+    adj: Vec<Vec<(u32, LinkSpec)>>,
     default_link: LinkSpec,
     num_nodes: usize,
     num_shards: usize,
@@ -141,7 +148,7 @@ struct LinkTable {
 impl LinkTable {
     fn new(default_link: LinkSpec, num_nodes: usize, num_shards: usize) -> Self {
         let mut t = LinkTable {
-            links: HashMap::new(),
+            adj: (0..num_nodes).map(|_| Vec::new()).collect(),
             default_link,
             num_nodes,
             num_shards,
@@ -152,12 +159,25 @@ impl LinkTable {
     }
 
     fn link_for(&self, a: NodeId, b: NodeId) -> LinkSpec {
-        *self.links.get(&(a.0, b.0)).unwrap_or(&self.default_link)
+        let peers = self.adj.get(a.0 as usize).map_or(&[][..], Vec::as_slice);
+        match peers.binary_search_by_key(&b.0, |&(peer, _)| peer) {
+            Ok(i) => peers[i].1,
+            Err(_) => self.default_link,
+        }
     }
 
     fn set(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) {
-        self.links.insert((a.0, b.0), spec);
-        self.links.insert((b.0, a.0), spec);
+        for (x, y) in [(a.0, b.0), (b.0, a.0)] {
+            let x = x as usize;
+            if self.adj.len() <= x {
+                self.adj.resize_with(x + 1, Vec::new);
+            }
+            let peers = &mut self.adj[x];
+            match peers.binary_search_by_key(&y, |&(peer, _)| peer) {
+                Ok(i) => peers[i].1 = spec,
+                Err(i) => peers.insert(i, (y, spec)),
+            }
+        }
         self.recompute();
     }
 
@@ -191,12 +211,15 @@ impl LinkTable {
         let cross_pairs = total_pairs - intra_pairs;
         let mut l = u64::MAX;
         let mut overridden = 0usize;
-        for (&(a, b), spec) in &self.links {
-            // Overrides are stored in both orientations; count each
-            // unordered pair once.
-            if a < b && (a as usize % s) != (b as usize % s) {
-                overridden += 1;
-                l = l.min(spec.latency_ns.max(MIN_DELAY_NS));
+        for (a, peers) in self.adj.iter().enumerate() {
+            for &(b, spec) in peers {
+                // Overrides are stored in both orientations; count each
+                // unordered pair once.
+                let b = b as usize;
+                if a < b && a % s != b % s {
+                    overridden += 1;
+                    l = l.min(spec.latency_ns.max(MIN_DELAY_NS));
+                }
             }
         }
         if overridden < cross_pairs {
@@ -219,9 +242,10 @@ struct Slot<N> {
     inbox: VecDeque<EventKind>,
     wake_scheduled: bool,
     offline: bool,
-    /// Last scheduled arrival per destination: links are FIFO
-    /// (TCP-like), so jitter never reorders one connection.
-    last_arrival: HashMap<u32, u64>,
+    /// Last scheduled arrival per destination, sorted by destination:
+    /// links are FIFO (TCP-like), so jitter never reorders one
+    /// connection. One entry per node sent to, so O(degree).
+    last_arrival: Vec<(u32, u64)>,
 }
 
 impl<N> Slot<N> {
@@ -237,7 +261,7 @@ impl<N> Slot<N> {
             inbox: VecDeque::new(),
             wake_scheduled: false,
             offline: false,
-            last_arrival: HashMap::new(),
+            last_arrival: Vec::new(),
         }
     }
 }
@@ -299,9 +323,16 @@ impl<N: SimNode> Shard<N> {
                         // accounted processing.
                         let depart = now.max(slot.busy_until);
                         let mut time = depart + delay;
-                        let last = slot.last_arrival.entry(to.0).or_insert(0);
-                        time = time.max(*last);
-                        *last = time;
+                        let arrivals = &mut slot.last_arrival;
+                        let i = match arrivals.binary_search_by_key(&to.0, |&(dst, _)| dst) {
+                            Ok(i) => i,
+                            Err(i) => {
+                                arrivals.insert(i, (to.0, 0));
+                                i
+                            }
+                        };
+                        time = time.max(arrivals[i].1);
+                        arrivals[i].1 = time;
                         let key = LaneKey {
                             time,
                             origin: from.0,
