@@ -22,8 +22,7 @@ pub enum DepositStatus {
 pub struct DepositBook {
     /// Every deposit we own (`allDeps`), with status.
     pub(crate) mine: HashMap<OutPoint, (Deposit, DepositStatus)>,
-    /// Deposits owned by remote parties that we know of (via approval
-    /// requests and associations).
+    /// Deposits owned by remote parties associated with our channels.
     pub(crate) remote: HashMap<OutPoint, Deposit>,
     /// Blockchain private keys we hold (`btcPrivs`), by public key.
     pub keys: HashMap<PublicKey, PrivateKey>,
@@ -32,6 +31,9 @@ pub struct DepositBook {
     pub(crate) approved_by: HashSet<(PublicKey, OutPoint)>,
     /// Remote deposits we have approved (`appDeps` at the verifier).
     pub(crate) i_approved: HashSet<(PublicKey, OutPoint)>,
+    /// Remote deposits offered to us for approval. Like the two approval
+    /// sets, a handshake's volatile state: never sealed, never replicated.
+    pub(crate) offered: HashMap<OutPoint, Deposit>,
 }
 
 /// The signing handle for `pk`, if `keys` holds its private half. The map
@@ -52,19 +54,19 @@ impl DepositBook {
     /// Adds a new owned deposit (Alg. 1 `newDeposit`). The enclave must
     /// hold the key for the first committee slot (our slot).
     pub fn add_mine(&mut self, dep: Deposit) -> Result<(), ProtocolError> {
-        if self.mine.contains_key(&dep.outpoint) {
-            return Err(ProtocolError::BadDeposit); // Same deposit twice.
-        }
-        let our_key = dep
-            .committee
-            .member_keys
-            .first()
-            .ok_or(ProtocolError::BadDeposit)?;
-        if !self.keys.contains_key(our_key) {
-            return Err(ProtocolError::BadDeposit);
-        }
+        self.check_new_mine(&dep)?;
         self.mine.insert(dep.outpoint, (dep, DepositStatus::Free));
         Ok(())
+    }
+
+    /// What [`Self::add_mine`] requires of `dep`: it is new, and we hold
+    /// the key of its first committee slot (ours), which is returned.
+    pub(crate) fn check_new_mine(&self, dep: &Deposit) -> Result<&PrivateKey, ProtocolError> {
+        let ours = dep.committee.member_keys.first();
+        match ours.and_then(|pk| self.keys.get(pk)) {
+            Some(sk) if !self.mine.contains_key(&dep.outpoint) => Ok(sk),
+            _ => Err(ProtocolError::BadDeposit),
+        }
     }
 
     /// Looks up an owned deposit.
@@ -101,7 +103,7 @@ impl DepositBook {
     /// Records our approval of a remote deposit.
     pub fn approve_remote(&mut self, remote: PublicKey, dep: Deposit) {
         self.i_approved.insert((remote, dep.outpoint));
-        self.remote.insert(dep.outpoint, dep);
+        self.offered.insert(dep.outpoint, dep);
     }
 
     /// True if we approved remote deposit `op` from `remote`.
@@ -109,20 +111,18 @@ impl DepositBook {
         self.i_approved.contains(&(*remote, *op))
     }
 
-    /// The value of a known (owned or remote) deposit.
+    /// The value of a known (owned, remote or offered) deposit.
     pub fn value_of(&self, op: &OutPoint) -> Option<u64> {
-        self.mine
-            .get(op)
-            .map(|(d, _)| d.value)
-            .or_else(|| self.remote.get(op).map(|d| d.value))
+        self.deposit_of(op).map(|d| d.value)
     }
 
-    /// The full record of a known deposit.
+    /// The full record of a known (owned, remote or offered) deposit.
     pub fn deposit_of(&self, op: &OutPoint) -> Option<&Deposit> {
         self.mine
             .get(op)
             .map(|(d, _)| d)
             .or_else(|| self.remote.get(op))
+            .or_else(|| self.offered.get(op))
     }
 
     /// Drops a key (Alg. 1 line 104: destroy the copy after dissociation).

@@ -16,8 +16,9 @@ use crate::admit::{
     DEFER_DEADLINE_NS,
 };
 use crate::channel::Channel;
-use crate::deposit::{keypair_in, DepositBook, DepositStatus};
+use crate::deposit::{keypair_in, DepositBook};
 use crate::durability::DurabilityBackend;
+use crate::durable::DurableState;
 use crate::msg::{ProtocolMsg, StateDelta, WireMsg, WireView};
 use crate::replication::{Replication, SigCollect};
 use crate::session::{self, Session};
@@ -564,10 +565,12 @@ pub enum Effect {
 pub type Outcome = Result<Vec<Effect>, ProtocolError>;
 
 /// Version tag of the durable state-image format (the legacy format has
-/// no tag; its first byte is the 0/1 of an `Option`).
+/// no tag; its first byte is the 0/1 of an `Option`). V2 holds the deposit
+/// book with statuses, v3 appends the atomic-swap table, and v4 the
+/// multi-hop routes ([`DurableState::read_image`]).
 const STATE_IMAGE_V2: u8 = 2;
-/// V3 appends the atomic-swap table after the blockchain keys.
-const STATE_IMAGE_V3: u8 = 3;
+/// The version written.
+const STATE_IMAGE_V4: u8 = 4;
 
 /// Initiator/responder wall-or-sim-clock budget (ns) for a swap to reach
 /// resolution before the local deadline abort kicks in. Generous enough
@@ -610,71 +613,6 @@ fn established(peers: &mut PeerTable, slot: u32) -> Result<&mut Session, Protoco
     }
 }
 
-/// Seals `msg` for the peer in `slot` into a `Send` effect. Takes the two
-/// fields it needs rather than the enclave, so a handler can seal while it
-/// holds a channel it looked up.
-fn seal_for(
-    identity: Option<&Keypair>,
-    peers: &mut PeerTable,
-    slot: u32,
-    msg: &ProtocolMsg,
-) -> Result<Effect, ProtocolError> {
-    let me = identity.ok_or(ProtocolError::NoSession)?.pk;
-    let session = established(peers, slot)?;
-    let wire = session.seal_frame(&me, msg);
-    Ok(Effect::Send {
-        to: session.remote,
-        peer: Some(PeerSlot(slot)),
-        wire,
-    })
-}
-
-/// Channels in creation order, each with the peer slot of its
-/// counterparty, so a handler holding a channel seals to its peer without
-/// a look-up. Reads go through `Deref` to the slot map; `insert` is the
-/// only way in, so every channel slot has its peer slot.
-#[derive(Default)]
-pub(crate) struct ChannelTable {
-    chans: SlotMap<ChannelId, Channel>,
-    /// `peers[s]`: the peer slot of `chans`' slot `s`'s `remote`.
-    peers: Vec<u32>,
-}
-
-impl ChannelTable {
-    /// Stores `chan` (replacing the channel with its id, in its slot), its
-    /// counterparty in peer slot `peer`. Returns the channel's slot.
-    fn insert(&mut self, chan: Channel, peer: u32) -> u32 {
-        let s = self.chans.insert(chan.id, chan);
-        match self.peers.get_mut(s as usize) {
-            Some(p) => *p = peer,
-            None => self.peers.push(peer),
-        }
-        s
-    }
-
-    /// The peer slot of the counterparty of the channel in `slot`.
-    pub(crate) fn peer(&self, slot: u32) -> u32 {
-        self.peers[slot as usize]
-    }
-
-    /// The channel `id`, mutably.
-    pub(crate) fn get_mut(&mut self, id: &ChannelId) -> Option<&mut Channel> {
-        self.chans.get_mut(id)
-    }
-
-    /// The channel in `slot`, mutably.
-    pub(crate) fn at_mut(&mut self, slot: u32) -> Option<&mut Channel> {
-        self.chans.at_mut(slot)
-    }
-}
-
-impl std::ops::Deref for ChannelTable {
-    type Target = SlotMap<ChannelId, Channel>;
-    fn deref(&self) -> &Self::Target {
-        &self.chans
-    }
-}
-
 /// The Teechain enclave program state.
 pub struct TeechainEnclave {
     pub(crate) cfg: EnclaveConfig,
@@ -683,10 +621,13 @@ pub struct TeechainEnclave {
     pub(crate) peers: PeerTable,
     /// Our ephemeral private keys for in-flight handshakes.
     pub(crate) pending_eph: HashMap<PublicKey, PrivateKey>,
-    /// Channels by slot, in creation (or replay) order.
-    pub(crate) channels: ChannelTable,
-    pub(crate) book: DepositBook,
-    pub(crate) routes: HashMap<RouteId, crate::multihop::RouteState>,
+    /// Channels, deposits, keys, routes and swaps: changed only by
+    /// [`Self::commit`] (see [`crate::durable`]).
+    pub(crate) state: DurableState,
+    /// `chan_peers[s]`: the peer slot of the counterparty of the channel
+    /// in channel slot `s`, so a handler holding a channel seals to its
+    /// peer without a look-up.
+    chan_peers: Vec<u32>,
     pub(crate) rep: Replication,
     pub(crate) sig_collects: HashMap<u64, SigCollect>,
     pub(crate) next_req_id: u64,
@@ -702,10 +643,6 @@ pub struct TeechainEnclave {
     /// fan-out bookkeeping for batched payments. Volatile (§6.2): queued
     /// ops that never committed simply vanish on crash.
     pub(crate) admit: AdmitState,
-    /// Cross-chain atomic swaps by instance id. Durable: every phase
-    /// transition stages a [`StateDelta::Swap`] and the table rides the
-    /// sealed state image (v3), so swaps recover exactly-once.
-    pub(crate) swaps: HashMap<SwapId, SwapState>,
 }
 
 impl TeechainEnclave {
@@ -716,9 +653,8 @@ impl TeechainEnclave {
             identity: None,
             peers: PeerTable::default(),
             pending_eph: HashMap::new(),
-            channels: ChannelTable::default(),
-            book: DepositBook::default(),
-            routes: HashMap::new(),
+            state: DurableState::default(),
+            chan_peers: Vec::new(),
             rep: Replication::default(),
             sig_collects: HashMap::new(),
             next_req_id: 0,
@@ -727,7 +663,6 @@ impl TeechainEnclave {
             pending_msgs: std::collections::VecDeque::new(),
             commits: 0,
             admit: AdmitState::default(),
-            swaps: HashMap::new(),
         }
     }
 
@@ -796,10 +731,13 @@ impl TeechainEnclave {
         self.peers.slot_or_insert_with(pk.to_bytes(), || None)
     }
 
-    /// Stores `chan` in the channel table (see [`ChannelTable::insert`]).
-    fn insert_channel(&mut self, chan: Channel) -> u32 {
-        let peer = self.peer_slot(&chan.remote);
-        self.channels.insert(chan, peer)
+    /// Gives every channel that has no peer slot yet (a commit or a
+    /// replay added it) its counterparty's.
+    fn index_new_channels(&mut self) {
+        while let Some(c) = self.state.channels.at(self.chan_peers.len() as u32) {
+            let peer = self.peers.slot_or_insert_with(c.remote.to_bytes(), || None);
+            self.chan_peers.push(peer);
+        }
     }
 
     /// Seals `msg` for `remote` into a `Send` effect: one look-up of the
@@ -823,24 +761,76 @@ impl TeechainEnclave {
         slot: u32,
         msg: &ProtocolMsg,
     ) -> Result<Effect, ProtocolError> {
-        seal_for(self.identity.as_ref(), &mut self.peers, slot, msg)
+        let me = self.identity.as_ref().ok_or(ProtocolError::NoSession)?.pk;
+        let session = established(&mut self.peers, slot)?;
+        let wire = session.seal_frame(&me, msg);
+        Ok(Effect::Send {
+            to: session.remote,
+            peer: Some(PeerSlot(slot)),
+            wire,
+        })
     }
 
-    pub(crate) fn channel_mut(&mut self, id: &ChannelId) -> Result<&mut Channel, ProtocolError> {
-        self.channels
-            .get_mut(id)
+    pub(crate) fn chan(&self, id: &ChannelId) -> Result<&Channel, ProtocolError> {
+        self.state
+            .channels
+            .get(id)
             .ok_or(ProtocolError::UnknownChannel)
     }
 
-    pub(crate) fn stage_delta(&mut self, delta: StateDelta) {
+    /// Commits a state change: applies `delta` to our durable state and
+    /// stages it for the WAL record or the replication update.
+    pub(crate) fn commit(&mut self, delta: StateDelta) {
+        self.state.apply(&delta);
+        self.rep.staged.push(delta);
+        self.index_new_channels();
+    }
+
+    /// [`Self::commit`] of a delta to the channel in `slot`.
+    pub(crate) fn commit_at(&mut self, slot: u32, delta: StateDelta) {
+        self.state.apply_at(slot, &delta);
         self.rep.staged.push(delta);
     }
 
-    pub(crate) fn stage_channel(&mut self, id: &ChannelId) {
-        if let Some(c) = self.channels.get(id) {
-            let boxed = Box::new(c.clone());
-            self.rep.staged.push(StateDelta::Channel(boxed));
+    /// Commits an edit of channel `id`: `edit` changes a copy, which the
+    /// commit installs whole.
+    pub(crate) fn commit_channel(
+        &mut self,
+        id: &ChannelId,
+        edit: impl FnOnce(&mut Channel),
+    ) -> Result<(), ProtocolError> {
+        let mut chan = self.chan(id)?.clone();
+        edit(&mut chan);
+        self.commit(StateDelta::Channel(Box::new(chan)));
+        Ok(())
+    }
+
+    /// Commits an edit of swap `id` (see [`Self::commit_channel`]).
+    fn commit_swap(&mut self, id: &SwapId, edit: impl FnOnce(&mut SwapState)) {
+        if let Some(swap) = self.state.swaps.get(id) {
+            let mut swap = swap.clone();
+            edit(&mut swap);
+            self.commit(StateDelta::Swap(Box::new(swap)));
         }
+    }
+
+    /// Hands out a fresh blockchain key (Alg. 1 `newAddr`) in the event
+    /// `announce` makes of its address, committed first. The address goes
+    /// out with the key's update, not after the chain's ack, so a
+    /// composite can use it at once; any use of the key commits later.
+    pub(crate) fn hand_out_key(
+        &mut self,
+        env: &mut EnclaveEnv,
+        announce: impl FnOnce(PublicKey) -> Result<HostEvent, ProtocolError>,
+    ) -> Outcome {
+        self.require_unfrozen()?;
+        self.require_counter_ready(env)?;
+        let kp = Keypair::from_seed(&env.random_bytes32());
+        let event = announce(kp.pk)?;
+        self.commit(StateDelta::Key(kp.pk, kp.sk.to_bytes()));
+        let mut effects = self.finalize(env, Vec::new())?;
+        effects.push(Effect::Event(event));
+        Ok(effects)
     }
 
     fn next_req_id(&mut self) -> u64 {
@@ -848,37 +838,37 @@ impl TeechainEnclave {
         self.next_req_id
     }
 
-    /// A deposit we can resolve: from our own book, or replicated to us.
-    pub(crate) fn known_deposit(&self, op: &teechain_blockchain::OutPoint) -> Option<&Deposit> {
-        self.book
-            .deposit_of(op)
-            .or_else(|| self.rep.replica.deposits.get(op))
+    /// The signing handle for `pk`: a key `state` holds, or our committee
+    /// key.
+    pub(crate) fn signer(&self, state: &DurableState, pk: &PublicKey) -> Option<Keypair> {
+        keypair_in(&state.book.keys, pk).or(self.rep.member.filter(|k| k.pk == *pk))
     }
 
-    /// The signing handle for a blockchain key we hold, in our own book or
-    /// replicated to us.
-    pub(crate) fn signing_key(&self, pk: &PublicKey) -> Option<Keypair> {
-        keypair_in(&self.book.keys, pk).or_else(|| keypair_in(&self.rep.replica.keys, pk))
-    }
-
-    /// Finishes a settlement: signs with every key we hold; broadcasts if
-    /// thresholds are met, otherwise opens a co-sign collection and asks
-    /// the host to gather committee signatures.
+    /// Finishes a settlement of our own state, or of the replica: signs
+    /// with every key we hold; broadcasts if thresholds are met, otherwise
+    /// opens a co-sign collection and asks the host to gather committee
+    /// signatures.
     pub(crate) fn finish_settlement(
         &mut self,
         id: ChannelId,
         mut tx: teechain_blockchain::Transaction,
+        replica: bool,
         effects: &mut Vec<Effect>,
     ) {
-        // Sign every input with every key we can resolve: our own deposit
-        // book, keys replicated to us, and our committee chain key — a
-        // backup settling for a crashed primary needs all three (§6.1).
+        // Sign every input with every key we can resolve: the state's
+        // deposit keys and our committee chain key — a backup settling
+        // for a crashed primary needs both (§6.1).
+        let state = if replica {
+            &self.rep.replica
+        } else {
+            &self.state
+        };
         settle::sign_inputs(
             &mut tx,
-            |pk| self.signing_key(pk),
-            |op| self.known_deposit(op),
+            |pk| self.signer(state, pk),
+            |op| state.book.deposit_of(op),
         );
-        if settle::threshold_met(&tx, |op| self.known_deposit(op)) {
+        if settle::threshold_met(&tx, |op| state.book.deposit_of(op)) {
             effects.push(Effect::Event(HostEvent::SettlementBroadcast {
                 id,
                 txid: tx.txid(),
@@ -886,8 +876,12 @@ impl TeechainEnclave {
             effects.push(Effect::Broadcast(tx));
         } else {
             let req_id = self.next_req_id();
-            self.sig_collects
-                .insert(req_id, SigCollect { id, tx: tx.clone() });
+            let collect = SigCollect {
+                id,
+                tx: tx.clone(),
+                replica,
+            };
+            self.sig_collects.insert(req_id, collect);
             effects.push(Effect::Event(HostEvent::NeedCoSign { req_id, tx }));
         }
     }
@@ -904,55 +898,50 @@ impl TeechainEnclave {
         self.require_unfrozen()?;
         self.require_counter_ready(env)?;
         let peer = self.session_peer(&remote)?;
-        if self.channels.contains_key(&id) {
+        if self.state.channels.contains_key(&id) {
             return Err(ProtocolError::ChannelExists);
         }
-        // Remote settlement arrives in the ack.
-        let chan = Channel::new(id, remote, my_settlement, my_settlement);
-        self.channels.insert(chan, peer.slot);
         let msg = ProtocolMsg::NewChannel {
             id,
             settlement: my_settlement,
         };
         let eff = self.seal_at(peer.slot, &msg)?;
-        self.stage_channel(&id);
+        // Remote settlement arrives in the ack.
+        let chan = Channel::new(id, remote, my_settlement, my_settlement);
+        self.commit(StateDelta::Channel(Box::new(chan)));
         Ok(vec![eff])
     }
 
     fn on_new_channel(&mut self, from: Peer, id: ChannelId, settlement: PublicKey) -> Outcome {
         self.require_unfrozen()?;
-        if self.channels.contains_key(&id) {
+        if self.state.channels.contains_key(&id) {
             return Err(ProtocolError::ChannelExists);
         }
-        // We need our own settlement address: generate one from the
-        // deposit book if the host pre-registered one; otherwise reuse our
-        // identity-derived address. Hosts normally call NewAddress first
-        // and open channels themselves; as responder we auto-accept with a
-        // fresh address derived from the channel id and our identity.
-        let my_settlement = self.responder_settlement(&id);
-        let mut chan = Channel::new(id, from.pk, my_settlement, settlement);
-        chan.is_open = true;
-        self.channels.insert(chan, from.slot);
+        // As responder we auto-accept with a fresh settlement address
+        // derived from the channel id and our identity.
+        let sk = self.responder_settlement(&id);
+        let my_settlement = sk.public_key();
         let msg = ProtocolMsg::NewChannelAck {
             id,
             settlement: my_settlement,
         };
         let eff = self.seal_at(from.slot, &msg)?;
-        self.stage_channel(&id);
+        let mut chan = Channel::new(id, from.pk, my_settlement, settlement);
+        chan.is_open = true;
+        self.commit(StateDelta::Key(my_settlement, sk.to_bytes()));
+        self.commit(StateDelta::Channel(Box::new(chan)));
         Ok(vec![eff, Effect::Event(HostEvent::ChannelOpen(id))])
     }
 
     /// Deterministic responder settlement key: derived inside the TEE from
-    /// our identity and the channel id, and registered in the book so we
-    /// can also spend from it in tests.
-    fn responder_settlement(&mut self, id: &ChannelId) -> PublicKey {
+    /// our identity and the channel id.
+    fn responder_settlement(&self, id: &ChannelId) -> PrivateKey {
         let me = self.identity.as_ref().expect("session exists").sk;
         let seed = teechain_crypto::sha256::tagged_hash(
             "teechain/responder-settlement",
             &[&me.to_bytes(), &id.0],
         );
-        let sk = PrivateKey::from_seed(&seed);
-        self.book.insert_key(sk)
+        PrivateKey::from_seed(&seed)
     }
 
     fn on_new_channel_ack(
@@ -961,28 +950,24 @@ impl TeechainEnclave {
         id: ChannelId,
         settlement: PublicKey,
     ) -> Outcome {
-        let chan = self.channel_mut(&id)?;
+        let chan = self.chan(&id)?;
         if chan.remote != from || chan.is_open {
             return Err(ProtocolError::BadMessage);
         }
-        chan.remote_settlement = settlement;
-        chan.is_open = true;
-        self.stage_channel(&id);
+        self.commit_channel(&id, |c| {
+            c.remote_settlement = settlement;
+            c.is_open = true;
+        })?;
         Ok(vec![Effect::Event(HostEvent::ChannelOpen(id))])
     }
 
     fn cmd_new_deposit(&mut self, env: &mut EnclaveEnv, deposit: Deposit) -> Outcome {
         self.require_unfrozen()?;
         self.require_counter_ready(env)?;
-        let key = self
-            .book
-            .keys
-            .get(&deposit.committee.member_keys[0])
-            .map(|k| k.to_bytes());
-        self.book.add_mine(deposit.clone())?;
-        self.stage_delta(StateDelta::Deposit {
+        let key = self.state.book.check_new_mine(&deposit)?.to_bytes();
+        self.commit(StateDelta::Deposit {
             dep: deposit,
-            key,
+            key: Some(key),
             mine: true,
         });
         Ok(vec![])
@@ -996,13 +981,11 @@ impl TeechainEnclave {
     ) -> Outcome {
         self.require_unfrozen()?;
         self.require_counter_ready(env)?;
-        let dep = self.book.require_free(&outpoint)?.clone();
-        self.book.set_status(&outpoint, DepositStatus::Spent);
-        self.stage_delta(StateDelta::RemoveDeposit(outpoint));
-        let tx = settle::release_tx(&dep, to);
+        let tx = settle::release_tx(self.state.book.require_free(&outpoint)?, to);
+        self.commit(StateDelta::RemoveDeposit(outpoint));
         let mut effects = Vec::new();
         // Release uses the same signing/co-signing path as settlements.
-        self.finish_settlement(ChannelId([0; 32]), tx, &mut effects);
+        self.finish_settlement(ChannelId([0; 32]), tx, false, &mut effects);
         Ok(effects)
     }
 
@@ -1012,8 +995,8 @@ impl TeechainEnclave {
         outpoint: teechain_blockchain::OutPoint,
     ) -> Outcome {
         self.require_unfrozen()?;
-        let dep = self.book.require_free(&outpoint)?.clone();
-        if self.book.is_approved_by(&remote, &outpoint) {
+        let dep = self.state.book.require_free(&outpoint)?.clone();
+        if self.state.book.is_approved_by(&remote, &outpoint) {
             return Err(ProtocolError::BadDeposit); // Already approved.
         }
         let msg = ProtocolMsg::ApproveDeposit { deposit: dep };
@@ -1022,9 +1005,12 @@ impl TeechainEnclave {
 
     fn on_approve_deposit(&mut self, from: PublicKey, deposit: Deposit) -> Outcome {
         self.require_unfrozen()?;
-        if self.book.did_approve(&from, &deposit.outpoint) {
+        if self.state.book.did_approve(&from, &deposit.outpoint) {
             return Err(ProtocolError::BadDeposit);
         }
+        // Remember the offered deposit so DepositVerified can find it.
+        let book = &mut self.state.book;
+        book.offered.insert(deposit.outpoint, deposit.clone());
         // The enclave cannot read the blockchain (§4): the host must verify
         // inclusion and confirmations per its own security policy, then
         // answer with DepositVerified.
@@ -1048,11 +1034,11 @@ impl TeechainEnclave {
         // copy from the pending approval. For simplicity the verify event
         // carried the full deposit; hosts echo only identity + outpoint, so
         // we require the deposit to have been offered before.
-        let dep = match self.book.remote.get(&outpoint) {
+        let dep = match self.state.book.offered.get(&outpoint) {
             Some(d) => d.clone(),
             None => return Err(ProtocolError::BadDeposit),
         };
-        self.book.approve_remote(remote, dep);
+        self.state.book.approve_remote(remote, dep);
         let msg = ProtocolMsg::DepositApproved { outpoint };
         Ok(vec![self.seal_to(&remote, &msg)?])
     }
@@ -1062,8 +1048,8 @@ impl TeechainEnclave {
         from: PublicKey,
         outpoint: teechain_blockchain::OutPoint,
     ) -> Outcome {
-        self.book.require_free(&outpoint)?;
-        self.book.mark_approved_by(from, outpoint);
+        self.state.book.require_free(&outpoint)?;
+        self.state.book.mark_approved_by(from, outpoint);
         Ok(vec![Effect::Event(HostEvent::DepositApproved {
             remote: from,
             outpoint,
@@ -1078,10 +1064,7 @@ impl TeechainEnclave {
     ) -> Outcome {
         self.require_unfrozen()?;
         self.require_counter_ready(env)?;
-        let chan = self
-            .channels
-            .get(&id)
-            .ok_or(ProtocolError::UnknownChannel)?;
+        let chan = self.chan(&id)?;
         if !chan.usable() {
             return Err(ProtocolError::ChannelNotOpen);
         }
@@ -1089,39 +1072,38 @@ impl TeechainEnclave {
             return Err(ProtocolError::ChannelLocked);
         }
         let remote = chan.remote;
-        if !self.book.is_approved_by(&remote, &outpoint) {
+        if !self.state.book.is_approved_by(&remote, &outpoint) {
             return Err(ProtocolError::BadDeposit);
         }
-        let dep = self.book.require_free(&outpoint)?.clone();
+        let dep = self.state.book.require_free(&outpoint)?.clone();
         // For 1-of-1 deposits, share the private key so the remote can
         // settle unilaterally (Alg. 1 line 72). Committee deposits are
         // spendable via m-of-n signatures instead.
         let key = if dep.committee.n() == 1 {
-            self.book
+            self.state
+                .book
                 .keys
                 .get(&dep.committee.member_keys[0])
                 .map(|k| k.to_bytes())
         } else {
             None
         };
-        self.book
-            .set_status(&outpoint, DepositStatus::Associated(id));
-        let chan = self.channels.get_mut(&id).expect("checked");
-        chan.my_deps.push(outpoint);
-        chan.my_deps.sort();
-        chan.my_bal += dep.value;
-        self.stage_channel(&id);
-        self.stage_delta(StateDelta::Deposit {
-            dep: dep.clone(),
-            key,
-            mine: true,
-        });
         let msg = ProtocolMsg::AssociateDeposit {
             id,
-            deposit: dep,
+            deposit: dep.clone(),
             key,
         };
         let eff = self.seal_to(&remote, &msg)?;
+        self.commit_channel(&id, |c| {
+            c.my_deps.push(outpoint);
+            c.my_deps.sort();
+            c.my_bal += dep.value;
+        })?;
+        self.commit(StateDelta::Deposit {
+            dep,
+            key,
+            mine: true,
+        });
         Ok(vec![
             eff,
             Effect::Event(HostEvent::DepositAssociated { id, outpoint }),
@@ -1136,25 +1118,20 @@ impl TeechainEnclave {
         key: Option<[u8; 32]>,
     ) -> Outcome {
         self.require_unfrozen()?;
-        if !self.book.did_approve(&from, &deposit.outpoint) {
+        if !self.state.book.did_approve(&from, &deposit.outpoint) {
             return Err(ProtocolError::BadDeposit);
         }
-        let chan = self.channel_mut(&id)?;
+        let chan = self.chan(&id)?;
         if chan.remote != from || !chan.usable() {
             return Err(ProtocolError::BadMessage);
         }
-        chan.remote_deps.push(deposit.outpoint);
-        chan.remote_deps.sort();
-        chan.remote_bal += deposit.value;
         let outpoint = deposit.outpoint;
-        if let Some(bytes) = key {
-            if let Some(sk) = PrivateKey::from_bytes(&bytes) {
-                self.book.insert_key(sk);
-            }
-        }
-        self.book.remote.insert(outpoint, deposit.clone());
-        self.stage_channel(&id);
-        self.stage_delta(StateDelta::Deposit {
+        self.commit_channel(&id, |c| {
+            c.remote_deps.push(outpoint);
+            c.remote_deps.sort();
+            c.remote_bal += deposit.value;
+        })?;
+        self.commit(StateDelta::Deposit {
             dep: deposit,
             key,
             mine: false,
@@ -1174,10 +1151,11 @@ impl TeechainEnclave {
         self.require_unfrozen()?;
         self.require_counter_ready(env)?;
         let dep_value = self
+            .state
             .book
             .value_of(&outpoint)
             .ok_or(ProtocolError::BadDeposit)?;
-        let chan = self.channel_mut(&id)?;
+        let chan = self.chan(&id)?;
         if chan.locked() {
             return Err(ProtocolError::ChannelLocked);
         }
@@ -1189,11 +1167,7 @@ impl TeechainEnclave {
         if chan.my_bal < dep_value {
             return Err(ProtocolError::InsufficientBalance);
         }
-        chan.pending_dissoc.push(outpoint);
-        let remote = chan.remote;
-        self.stage_channel(&id);
-        let msg = ProtocolMsg::DissociateDeposit { id, outpoint };
-        Ok(vec![self.seal_to(&remote, &msg)?])
+        self.cmd_dissociate_unchecked(id, outpoint)
     }
 
     fn on_dissociate(
@@ -1204,26 +1178,31 @@ impl TeechainEnclave {
     ) -> Outcome {
         self.require_unfrozen()?;
         let dep_value = self
+            .state
             .book
             .value_of(&outpoint)
             .ok_or(ProtocolError::BadDeposit)?;
-        let chan = self.channel_mut(&id)?;
+        let chan = self.chan(&id)?;
         if chan.remote != from || !chan.remote_deps.contains(&outpoint) {
             return Err(ProtocolError::BadMessage);
         }
         if chan.remote_bal < dep_value {
             return Err(ProtocolError::InsufficientBalance);
         }
-        chan.remote_deps.retain(|d| *d != outpoint);
-        chan.remote_bal -= dep_value;
-        // Destroy our copy of the key (Alg. 1 line 104).
-        if let Some(dep) = self.book.remote.get(&outpoint) {
-            let key0 = dep.committee.member_keys[0];
-            self.book.destroy_key(&key0);
-        }
-        self.stage_channel(&id);
         let msg = ProtocolMsg::DissociateAck { id, outpoint };
         let mut effects = vec![self.seal_to(&from, &msg)?];
+        self.commit_channel(&id, |c| {
+            c.remote_deps.retain(|d| *d != outpoint);
+            c.remote_bal -= dep_value;
+        })?;
+        // Destroy our copy of the key (Alg. 1 line 104).
+        let book = &self.state.book;
+        if let Some(dep) = book.remote.get(&outpoint) {
+            let key0 = dep.committee.member_keys[0];
+            if book.keys.contains_key(&key0) {
+                self.commit(StateDelta::DestroyKey(key0));
+            }
+        }
         self.maybe_finish_offchain_settle(&id, &mut effects);
         Ok(effects)
     }
@@ -1235,16 +1214,13 @@ impl TeechainEnclave {
     /// notification resolves the initiator's settle operation. (The
     /// responder reports its own side in `on_settle_request`.)
     fn maybe_finish_offchain_settle(&mut self, id: &ChannelId, effects: &mut Vec<Effect>) {
-        let Some(chan) = self.channels.get_mut(id) else {
-            return;
-        };
-        if chan.settling
-            && chan.my_deps.is_empty()
-            && chan.remote_deps.is_empty()
-            && chan.pending_dissoc.is_empty()
-        {
-            chan.settling = false;
-            self.stage_channel(id);
+        let done = self.chan(id).is_ok_and(|c| {
+            c.settling
+                && c.my_deps.is_empty()
+                && c.remote_deps.is_empty()
+                && c.pending_dissoc.is_empty()
+        });
+        if done && self.commit_channel(id, |c| c.settling = false).is_ok() {
             effects.push(Effect::Event(HostEvent::SettledOffChain(*id)));
         }
     }
@@ -1256,18 +1232,20 @@ impl TeechainEnclave {
         outpoint: teechain_blockchain::OutPoint,
     ) -> Outcome {
         let dep_value = self
+            .state
             .book
             .value_of(&outpoint)
             .ok_or(ProtocolError::BadDeposit)?;
-        let chan = self.channel_mut(&id)?;
+        let chan = self.chan(&id)?;
         if chan.remote != from || !chan.pending_dissoc.contains(&outpoint) {
             return Err(ProtocolError::BadMessage);
         }
-        chan.pending_dissoc.retain(|d| *d != outpoint);
-        chan.my_deps.retain(|d| *d != outpoint);
-        chan.my_bal -= dep_value;
-        self.book.set_status(&outpoint, DepositStatus::Free);
-        self.stage_channel(&id);
+        // Leaving the channel frees the deposit (`DurableState::apply`).
+        self.commit_channel(&id, |c| {
+            c.pending_dissoc.retain(|d| *d != outpoint);
+            c.my_deps.retain(|d| *d != outpoint);
+            c.my_bal -= dep_value;
+        })?;
         let mut effects = vec![Effect::Event(HostEvent::DepositDissociated {
             id,
             outpoint,
@@ -1284,8 +1262,9 @@ impl TeechainEnclave {
     /// spendable balance, largest id as tie-break, so every engine
     /// configuration chooses the same sibling regardless of map order.
     pub(crate) fn sibling_unlocked(&self, id: &ChannelId, amount: u64) -> Option<ChannelId> {
-        let want = self.channels.get(id)?.remote;
-        self.channels
+        let want = self.state.channels.get(id)?.remote;
+        self.state
+            .channels
             .values()
             .filter(|c| {
                 c.id != *id && c.remote == want && c.usable() && !c.locked() && c.my_bal >= amount
@@ -1301,10 +1280,15 @@ impl TeechainEnclave {
         // locked channel goes back to the map, for its sibling.
         let mut wire = id;
         let mut slot = self
+            .state
             .channels
             .slot(&id)
             .ok_or(ProtocolError::UnknownChannel)?;
-        let chan = self.channels.at(slot).expect("a slot the table handed out");
+        let chan = self
+            .state
+            .channels
+            .at(slot)
+            .expect("a slot the table handed out");
         if !chan.usable() {
             return Err(ProtocolError::ChannelNotOpen);
         }
@@ -1319,6 +1303,7 @@ impl TeechainEnclave {
                     self.admit.stats.rerouted += 1;
                     wire = sib;
                     slot = self
+                        .state
                         .channels
                         .slot(&sib)
                         .ok_or(ProtocolError::UnknownChannel)?;
@@ -1346,10 +1331,10 @@ impl TeechainEnclave {
                 }
             }
         }
-        let peer = self.channels.peer(slot);
         let chan = self
+            .state
             .channels
-            .at_mut(slot)
+            .at(slot)
             .expect("a slot the table handed out");
         if chan.my_bal < amount {
             return Err(ProtocolError::InsufficientBalance);
@@ -1359,14 +1344,15 @@ impl TeechainEnclave {
             amount,
             count,
         };
-        let eff = seal_for(self.identity.as_ref(), &mut self.peers, peer, &msg)?;
-        chan.my_bal -= amount;
-        chan.remote_bal += amount;
-        self.stage_delta(StateDelta::Pay {
-            id: wire,
-            my_delta: -(amount as i64),
-            remote_delta: amount as i64,
-        });
+        let eff = self.seal_at(self.chan_peers[slot as usize], &msg)?;
+        self.commit_at(
+            slot,
+            StateDelta::Pay {
+                id: wire,
+                my_delta: -(amount as i64),
+                remote_delta: amount as i64,
+            },
+        );
         // Every outbound wire `Pay` registers an ack fan-out group so
         // `PayAck`/`PayNack` resolve ops strictly in send order, keyed by
         // the channel each op was submitted on.
@@ -1394,12 +1380,14 @@ impl TeechainEnclave {
         self.require_unfrozen()?;
         self.require_counter_ready(env)?;
         let slot = self
+            .state
             .channels
             .slot(&id)
             .ok_or(ProtocolError::UnknownChannel)?;
         let chan = self
+            .state
             .channels
-            .at_mut(slot)
+            .at(slot)
             .expect("a slot the table handed out");
         if chan.remote != from.pk || !chan.usable() {
             return Err(ProtocolError::BadMessage);
@@ -1433,15 +1421,16 @@ impl TeechainEnclave {
         if chan.remote_bal < amount {
             return Err(ProtocolError::BadMessage); // Peer violated protocol.
         }
-        chan.remote_bal -= amount;
-        chan.my_bal += amount;
-        self.stage_delta(StateDelta::Pay {
-            id,
-            my_delta: amount as i64,
-            remote_delta: -(amount as i64),
-        });
         let ack = ProtocolMsg::PayAck { id, amount, count };
         let eff = self.seal_at(from.slot, &ack)?;
+        self.commit_at(
+            slot,
+            StateDelta::Pay {
+                id,
+                my_delta: amount as i64,
+                remote_delta: -(amount as i64),
+            },
+        );
         Ok(vec![
             eff,
             Effect::Event(HostEvent::PaymentReceived { id, amount, count }),
@@ -1450,10 +1439,15 @@ impl TeechainEnclave {
 
     fn on_pay_ack(&mut self, from: Peer, id: ChannelId, amount: u64, count: u32) -> Outcome {
         let slot = self
+            .state
             .channels
             .slot(&id)
             .ok_or(ProtocolError::UnknownChannel)?;
-        let chan = self.channels.at(slot).expect("a slot the table handed out");
+        let chan = self
+            .state
+            .channels
+            .at(slot)
+            .expect("a slot the table handed out");
         if chan.remote != from.pk {
             return Err(ProtocolError::BadMessage);
         }
@@ -1483,24 +1477,27 @@ impl TeechainEnclave {
         reason: u8,
     ) -> Outcome {
         let slot = self
+            .state
             .channels
             .slot(&id)
             .ok_or(ProtocolError::UnknownChannel)?;
         let chan = self
+            .state
             .channels
-            .at_mut(slot)
+            .at(slot)
             .expect("a slot the table handed out");
         if chan.remote != from.pk {
             return Err(ProtocolError::BadMessage);
         }
         // Roll back the optimistic debit (covers the whole wire batch).
-        chan.my_bal += amount;
-        chan.remote_bal -= amount;
-        self.stage_delta(StateDelta::Pay {
-            id,
-            my_delta: amount as i64,
-            remote_delta: -(amount as i64),
-        });
+        self.commit_at(
+            slot,
+            StateDelta::Pay {
+                id,
+                my_delta: amount as i64,
+                remote_delta: -(amount as i64),
+            },
+        );
         let reason = ProtocolError::from_abort_code(reason);
         let mut nacked = self.admit.take_acked(&id, |op| {
             Effect::Event(HostEvent::PaymentNacked {
@@ -1524,6 +1521,7 @@ impl TeechainEnclave {
     fn cmd_settle(&mut self, env: &mut EnclaveEnv, id: ChannelId) -> Outcome {
         self.require_counter_ready(env)?;
         let chan = self
+            .state
             .channels
             .get(&id)
             .ok_or(ProtocolError::UnknownChannel)?;
@@ -1540,7 +1538,7 @@ impl TeechainEnclave {
         if self.swap_pending_on(&id) {
             return Err(ProtocolError::SwapPending);
         }
-        let chan = self.channels.get(&id).expect("checked");
+        let chan = self.state.channels.get(&id).expect("checked");
         let remote = chan.remote;
         // Off-chain termination (Alg. 1 line 106): if balances are neutral
         // (every deposit's value equals its owner's share), dissociating
@@ -1548,12 +1546,12 @@ impl TeechainEnclave {
         let my_total: u64 = chan
             .my_deps
             .iter()
-            .filter_map(|d| self.book.value_of(d))
+            .filter_map(|d| self.state.book.value_of(d))
             .sum();
         let remote_total: u64 = chan
             .remote_deps
             .iter()
-            .filter_map(|d| self.book.value_of(d))
+            .filter_map(|d| self.state.book.value_of(d))
             .sum();
         if chan.my_bal == my_total && chan.remote_bal == remote_total {
             if chan.my_deps.is_empty() && chan.remote_deps.is_empty() {
@@ -1569,9 +1567,7 @@ impl TeechainEnclave {
             }
             let my_deps = chan.my_deps.clone();
             let mut effects = Vec::new();
-            for outpoint in my_deps {
-                let chan = self.channels.get_mut(&id).expect("exists");
-                chan.pending_dissoc.push(outpoint);
+            for &outpoint in &my_deps {
                 let msg = ProtocolMsg::DissociateDeposit { id, outpoint };
                 effects.push(self.seal_to(&remote, &msg)?);
             }
@@ -1580,16 +1576,15 @@ impl TeechainEnclave {
             // `SettledOffChain` fires once both deposit lists drain.
             let msg = ProtocolMsg::SettleRequest { id };
             effects.push(self.seal_to(&remote, &msg)?);
-            let chan = self.channels.get_mut(&id).expect("exists");
-            chan.settling = true;
-            self.stage_channel(&id);
+            self.commit_channel(&id, |c| {
+                c.pending_dissoc.extend(my_deps);
+                c.settling = true;
+            })?;
             return Ok(effects);
         }
         // On-chain settlement.
-        let chan = self.channels.get_mut(&id).expect("exists");
-        chan.closed = true;
         let tx = settle::current_settlement_tx(chan);
-        self.stage_delta(StateDelta::CloseChannel(id));
+        self.commit(StateDelta::CloseChannel(id));
         let mut effects = Vec::new();
         // Defensive: settle rejects locked channels, so the admission
         // queues are empty in practice — but flush so nothing can linger
@@ -1601,7 +1596,7 @@ impl TeechainEnclave {
         if let Ok(eff) = self.seal_to(&remote, &notify) {
             effects.push(eff);
         }
-        self.finish_settlement(id, tx, &mut effects);
+        self.finish_settlement(id, tx, false, &mut effects);
         Ok(effects)
     }
 
@@ -1612,7 +1607,7 @@ impl TeechainEnclave {
         if self.swap_pending_on(&id) {
             return Err(ProtocolError::SwapPending);
         }
-        let chan = self.channel_mut(&id)?;
+        let chan = self.chan(&id)?;
         if chan.remote != from {
             return Err(ProtocolError::BadMessage);
         }
@@ -1628,33 +1623,26 @@ impl TeechainEnclave {
         Ok(effects)
     }
 
-    /// Dissociation without the counter/freeze preamble (used internally
-    /// during cooperative settlement, which already passed those checks).
+    /// Dissociation without the counter/freeze preamble and the balance
+    /// checks, which `cmd_dissociate` and cooperative settlement passed.
     fn cmd_dissociate_unchecked(
         &mut self,
         id: ChannelId,
         outpoint: teechain_blockchain::OutPoint,
     ) -> Outcome {
-        let chan = self.channel_mut(&id)?;
-        let remote = chan.remote;
-        chan.pending_dissoc.push(outpoint);
-        self.stage_channel(&id);
+        let remote = self.chan(&id)?.remote;
         let msg = ProtocolMsg::DissociateDeposit { id, outpoint };
-        Ok(vec![self.seal_to(&remote, &msg)?])
+        let eff = self.seal_to(&remote, &msg)?;
+        self.commit_channel(&id, |c| c.pending_dissoc.push(outpoint))?;
+        Ok(vec![eff])
     }
 
     fn on_channel_closed(&mut self, from: PublicKey, id: ChannelId) -> Outcome {
-        let chan = self.channel_mut(&id)?;
-        if chan.remote != from {
+        if self.chan(&id)?.remote != from {
             return Err(ProtocolError::BadMessage);
         }
-        chan.closed = true;
         // Our deposits in this channel are now spent by the settlement.
-        let my_deps = chan.my_deps.clone();
-        for d in my_deps {
-            self.book.set_status(&d, DepositStatus::Spent);
-        }
-        self.stage_delta(StateDelta::CloseChannel(id));
+        self.commit(StateDelta::CloseChannel(id));
         // Anything still queued behind the (remotely settled) channel is
         // terminal now.
         let mut effects = Vec::new();
@@ -1666,7 +1654,8 @@ impl TeechainEnclave {
 
     /// True if any swap on `id` can still go either way.
     pub(crate) fn swap_pending_on(&self, id: &ChannelId) -> bool {
-        self.swaps
+        self.state
+            .swaps
             .values()
             .any(|s| s.channel == *id && s.phase.pending())
     }
@@ -1677,13 +1666,10 @@ impl TeechainEnclave {
     /// responder's live HTLC is recovered separately by its chain-watch
     /// refund timer: that is how "both refunds land" without trust.
     fn refund_swap_local(&mut self, swap: SwapId, effects: &mut Vec<Effect>) {
-        let Some(state) = self.swaps.get_mut(&swap) else {
+        let Some(remote) = self.state.swaps.get(&swap).map(|s| s.remote) else {
             return;
         };
-        state.phase = SwapPhase::Refunded;
-        let remote = state.remote;
-        let snap = Box::new(state.clone());
-        self.stage_delta(StateDelta::Swap(snap));
+        self.commit_swap(&swap, |s| s.phase = SwapPhase::Refunded);
         let nack = ProtocolMsg::SwapNack {
             swap,
             reason: ProtocolError::SwapPending.abort_code(),
@@ -1715,13 +1701,14 @@ impl TeechainEnclave {
         if amount == 0 || alt_amount == 0 || timeout_blocks == 0 {
             return Err(ProtocolError::BadMessage);
         }
-        if self.swaps.contains_key(&swap) {
+        if self.state.swaps.contains_key(&swap) {
             return Err(ProtocolError::BadMessage);
         }
         if self.swap_pending_on(&channel) {
             return Err(ProtocolError::SwapPending);
         }
         let chan = self
+            .state
             .channels
             .get(&channel)
             .ok_or(ProtocolError::UnknownChannel)?;
@@ -1763,8 +1750,7 @@ impl TeechainEnclave {
             deadline_ns,
             phase: SwapPhase::Init,
         };
-        self.swaps.insert(swap, state.clone());
-        self.stage_delta(StateDelta::Swap(Box::new(state)));
+        self.commit(StateDelta::Swap(Box::new(state)));
         Ok(vec![
             eff,
             Effect::Event(HostEvent::SwapPhaseEntered {
@@ -1792,10 +1778,15 @@ impl TeechainEnclave {
     ) -> Outcome {
         self.require_unfrozen()?;
         self.require_counter_ready(env)?;
-        if self.swaps.contains_key(&swap) || amount == 0 || alt_amount == 0 || timeout_blocks == 0 {
+        if self.state.swaps.contains_key(&swap)
+            || amount == 0
+            || alt_amount == 0
+            || timeout_blocks == 0
+        {
             return Err(ProtocolError::BadMessage);
         }
         let chan = self
+            .state
             .channels
             .get(&channel)
             .ok_or(ProtocolError::UnknownChannel)?;
@@ -1827,8 +1818,7 @@ impl TeechainEnclave {
             phase: SwapPhase::Init,
         };
         let script = state.htlc_script(&me);
-        self.swaps.insert(swap, state.clone());
-        self.stage_delta(StateDelta::Swap(Box::new(state)));
+        self.commit(StateDelta::Swap(Box::new(state)));
         Ok(vec![
             Effect::Event(HostEvent::SwapPhaseEntered {
                 swap,
@@ -1854,7 +1844,11 @@ impl TeechainEnclave {
     ) -> Outcome {
         self.require_unfrozen()?;
         self.require_counter_ready(env)?;
-        let state = self.swaps.get(&swap).ok_or(ProtocolError::BadMessage)?;
+        let state = self
+            .state
+            .swaps
+            .get(&swap)
+            .ok_or(ProtocolError::BadMessage)?;
         if state.initiator {
             return Err(ProtocolError::BadMessage);
         }
@@ -1866,10 +1860,7 @@ impl TeechainEnclave {
             // arm the chain watch so the timelocked reclaim still runs —
             // silently dropping it would strand the on-chain value.
             if state.phase == SwapPhase::Refunded && state.htlc_outpoint.is_none() {
-                let state = self.swaps.get_mut(&swap).expect("checked");
-                state.htlc_outpoint = Some(outpoint);
-                let snap = Box::new(state.clone());
-                self.stage_delta(StateDelta::Swap(snap));
+                self.commit_swap(&swap, |s| s.htlc_outpoint = Some(outpoint));
                 return Ok(vec![Effect::Event(HostEvent::SwapCheckAt {
                     swap,
                     at: env.now_ns() + SWAP_CHECK_INTERVAL_NS,
@@ -1878,11 +1869,10 @@ impl TeechainEnclave {
             return Ok(vec![]); // Aborted (or already funded) meanwhile.
         }
         let remote = state.remote;
-        let state = self.swaps.get_mut(&swap).expect("checked");
-        state.phase = SwapPhase::Locked;
-        state.htlc_outpoint = Some(outpoint);
-        let snap = Box::new(state.clone());
-        self.stage_delta(StateDelta::Swap(snap));
+        self.commit_swap(&swap, |s| {
+            s.phase = SwapPhase::Locked;
+            s.htlc_outpoint = Some(outpoint);
+        });
         let mut effects = Vec::new();
         // Best-effort notification: after a crash-recovery replay no
         // session survives, but the lock must still commit — the enclave
@@ -1913,7 +1903,11 @@ impl TeechainEnclave {
     ) -> Outcome {
         self.require_unfrozen()?;
         self.require_counter_ready(env)?;
-        let state = self.swaps.get(&swap).ok_or(ProtocolError::BadMessage)?;
+        let state = self
+            .state
+            .swaps
+            .get(&swap)
+            .ok_or(ProtocolError::BadMessage)?;
         if !state.initiator || state.remote != from {
             return Err(ProtocolError::BadMessage);
         }
@@ -1921,11 +1915,11 @@ impl TeechainEnclave {
             return Ok(vec![]); // Deadline-aborted before the lock arrived.
         }
         let me = self.identity.as_ref().ok_or(ProtocolError::NoSession)?.pk;
-        let state = self.swaps.get_mut(&swap).expect("checked");
-        state.phase = SwapPhase::Locked;
-        state.htlc_outpoint = Some(outpoint);
-        let snap = state.clone();
-        self.stage_delta(StateDelta::Swap(Box::new(snap.clone())));
+        let (script, value) = (state.htlc_script(&me), state.alt_amount);
+        self.commit_swap(&swap, |s| {
+            s.phase = SwapPhase::Locked;
+            s.htlc_outpoint = Some(outpoint);
+        });
         // The enclave cannot read chains (§4): the host verifies the
         // HTLC (script, value, confirmations per its policy) and answers
         // with SwapHtlcVerified, mirroring the VerifyDeposit flow.
@@ -1937,8 +1931,8 @@ impl TeechainEnclave {
             Effect::Event(HostEvent::VerifySwapHtlc {
                 swap,
                 outpoint,
-                script: snap.htlc_script(&me),
-                value: snap.alt_amount,
+                script,
+                value,
             }),
         ])
     }
@@ -1953,6 +1947,7 @@ impl TeechainEnclave {
         self.require_unfrozen()?;
         self.require_counter_ready(env)?;
         let state = self
+            .state
             .swaps
             .get(&swap)
             .ok_or(ProtocolError::BadMessage)?
@@ -1964,6 +1959,7 @@ impl TeechainEnclave {
             return Ok(vec![]); // Aborted meanwhile; nothing was committed.
         }
         let covered = self
+            .state
             .channels
             .get(&state.channel)
             .map(|c| c.usable() && !c.locked() && c.my_bal >= state.amount)
@@ -1993,18 +1989,12 @@ impl TeechainEnclave {
         // ride the same WAL record, so a crash either keeps the swap
         // Locked (no debit) or lands Redeemed (debited, claim
         // re-drivable from the recorded secret).
-        let chan = self.channels.get_mut(&state.channel).expect("checked");
-        chan.my_bal -= state.amount;
-        chan.remote_bal += state.amount;
-        self.stage_delta(StateDelta::Pay {
+        self.commit(StateDelta::Pay {
             id: state.channel,
             my_delta: -(state.amount as i64),
             remote_delta: state.amount as i64,
         });
-        let st = self.swaps.get_mut(&swap).expect("checked");
-        st.phase = SwapPhase::Redeemed;
-        let snap = Box::new(st.clone());
-        self.stage_delta(StateDelta::Swap(snap));
+        self.commit_swap(&swap, |s| s.phase = SwapPhase::Redeemed);
         Ok(vec![
             Effect::BroadcastAlt(claim),
             eff,
@@ -2028,7 +2018,11 @@ impl TeechainEnclave {
     ) -> Outcome {
         self.require_unfrozen()?;
         self.require_counter_ready(env)?;
-        let state = self.swaps.get(&swap).ok_or(ProtocolError::BadMessage)?;
+        let state = self
+            .state
+            .swaps
+            .get(&swap)
+            .ok_or(ProtocolError::BadMessage)?;
         if state.initiator || state.remote != from {
             return Err(ProtocolError::BadMessage);
         }
@@ -2046,28 +2040,23 @@ impl TeechainEnclave {
     /// chain-watch fallback (preimage read off the confirmed claim).
     fn credit_swap_redeem(&mut self, swap: SwapId, secret: [u8; 32]) -> Outcome {
         let state = self
+            .state
             .swaps
             .get(&swap)
             .ok_or(ProtocolError::BadMessage)?
             .clone();
-        let Some(chan) = self.channels.get_mut(&state.channel) else {
-            return Err(ProtocolError::UnknownChannel);
-        };
-        if chan.remote_bal < state.amount {
+        if self.chan(&state.channel)?.remote_bal < state.amount {
             return Err(ProtocolError::BadMessage); // Peer violated protocol.
         }
-        chan.remote_bal -= state.amount;
-        chan.my_bal += state.amount;
-        self.stage_delta(StateDelta::Pay {
+        self.commit(StateDelta::Pay {
             id: state.channel,
             my_delta: state.amount as i64,
             remote_delta: -(state.amount as i64),
         });
-        let st = self.swaps.get_mut(&swap).expect("checked");
-        st.phase = SwapPhase::Redeemed;
-        st.secret = Some(secret);
-        let snap = Box::new(st.clone());
-        self.stage_delta(StateDelta::Swap(snap));
+        self.commit_swap(&swap, |s| {
+            s.phase = SwapPhase::Redeemed;
+            s.secret = Some(secret);
+        });
         Ok(vec![
             Effect::Event(HostEvent::SwapPhaseEntered {
                 swap,
@@ -2094,7 +2083,11 @@ impl TeechainEnclave {
         self.require_unfrozen()?;
         self.require_counter_ready(env)?;
         let _ = ProtocolError::from_abort_code(reason);
-        let state = self.swaps.get_mut(&swap).ok_or(ProtocolError::BadMessage)?;
+        let state = self
+            .state
+            .swaps
+            .get(&swap)
+            .ok_or(ProtocolError::BadMessage)?;
         if state.remote != from {
             return Err(ProtocolError::BadMessage);
         }
@@ -2103,9 +2096,7 @@ impl TeechainEnclave {
             // timelocked refund, driven by the chain-watch tick.
             SwapPhase::Locked if !state.initiator => Ok(vec![]),
             SwapPhase::Init | SwapPhase::Locked => {
-                state.phase = SwapPhase::Refunded;
-                let snap = Box::new(state.clone());
-                self.stage_delta(StateDelta::Swap(snap));
+                self.commit_swap(&swap, |s| s.phase = SwapPhase::Refunded);
                 Ok(vec![
                     Effect::Event(HostEvent::SwapPhaseEntered {
                         swap,
@@ -2132,7 +2123,7 @@ impl TeechainEnclave {
         if self.frozen {
             return Ok(vec![]);
         }
-        let Some(state) = self.swaps.get(&swap) else {
+        let Some(state) = self.state.swaps.get(&swap) else {
             return Ok(vec![]);
         };
         let state = state.clone();
@@ -2214,10 +2205,7 @@ impl TeechainEnclave {
                         let kp = *self.identity.as_ref().ok_or(ProtocolError::NoSession)?;
                         let outpoint = state.htlc_outpoint.expect("locked has outpoint");
                         let refund = crate::swap::refund_tx(outpoint, state.alt_amount, kp.pk, &kp);
-                        let st = self.swaps.get_mut(&swap).expect("checked");
-                        st.phase = SwapPhase::Refunded;
-                        let snap = Box::new(st.clone());
-                        self.stage_delta(StateDelta::Swap(snap));
+                        self.commit_swap(&swap, |s| s.phase = SwapPhase::Refunded);
                         return Ok(vec![
                             Effect::BroadcastAlt(refund),
                             Effect::Event(HostEvent::SwapPhaseEntered {
@@ -2264,11 +2252,7 @@ impl TeechainEnclave {
             ProtocolMsg::NewChannelAck { id, settlement } => {
                 self.on_new_channel_ack(from, id, settlement)
             }
-            ProtocolMsg::ApproveDeposit { deposit } => {
-                // Remember the offered deposit so DepositVerified can find it.
-                self.book.remote.insert(deposit.outpoint, deposit.clone());
-                self.on_approve_deposit(from, deposit)
-            }
+            ProtocolMsg::ApproveDeposit { deposit } => self.on_approve_deposit(from, deposit),
             ProtocolMsg::DepositApproved { outpoint } => self.on_deposit_approved(from, outpoint),
             ProtocolMsg::AssociateDeposit { id, deposit, key } => {
                 self.on_associate(from, id, deposit, key)
@@ -2353,11 +2337,7 @@ impl EnclaveProgram for TeechainEnclave {
             }
             Command::StartSession { remote } => self.cmd_start_session(env, remote),
             Command::Deliver { wire, at } => self.cmd_deliver(env, wire, at),
-            Command::NewAddress => {
-                let seed = env.random_bytes32();
-                let pk = self.book.insert_key(PrivateKey::from_seed(&seed));
-                Ok(vec![Effect::Event(HostEvent::NewAddress(pk))])
-            }
+            Command::NewAddress => self.hand_out_key(env, |pk| Ok(HostEvent::NewAddress(pk))),
             Command::NewCommitteeAddress { m } => self.cmd_new_committee(env, m),
             Command::NewChannel {
                 id,
@@ -2661,6 +2641,7 @@ impl TeechainEnclave {
     fn drain_deferred(&mut self, env: &mut EnclaveEnv, id: ChannelId, effects: &mut Vec<Effect>) {
         loop {
             let unlocked = self
+                .state
                 .channels
                 .get(&id)
                 .map(|c| !c.locked() && !c.closed)
@@ -2719,7 +2700,7 @@ impl TeechainEnclave {
 
     fn drain_queued(&mut self, now: u64, id: ChannelId, effects: &mut Vec<Effect>) {
         loop {
-            match self.channels.get(&id) {
+            match self.state.channels.get(&id) {
                 None => {
                     self.flush_admission(id, ProtocolError::ChannelClosed, effects);
                     return;
@@ -2795,7 +2776,7 @@ impl TeechainEnclave {
     /// payment that does not fit even alone is rejected (terminal) so the
     /// queue cannot head-of-line block behind it.
     fn apply_pay_batch(&mut self, id: ChannelId, effects: &mut Vec<Effect>) {
-        let Some(chan) = self.channels.get(&id) else {
+        let Some(chan) = self.state.channels.get(&id) else {
             return;
         };
         let (my_bal, remote) = (chan.my_bal, chan.remote);
@@ -2838,10 +2819,7 @@ impl TeechainEnclave {
         };
         match self.seal_to(&remote, &msg) {
             Ok(eff) => {
-                let chan = self.channels.get_mut(&id).expect("checked");
-                chan.my_bal -= total;
-                chan.remote_bal += total;
-                self.stage_delta(StateDelta::Pay {
+                self.commit(StateDelta::Pay {
                     id,
                     my_delta: -(total as i64),
                     remote_delta: total as i64,
@@ -2994,58 +2972,34 @@ impl TeechainEnclave {
 
     // ---- Persistence (§6.2) ----
 
-    /// Serializes the full durable state: identity, channels, both sides
-    /// of the deposit book with statuses, blockchain keys, and (v3) the
-    /// atomic-swap table.
+    /// Serializes the full durable state: the identity, then the
+    /// [`DurableState`] image (v4).
     fn state_image(&self) -> Vec<u8> {
-        let mut out = vec![STATE_IMAGE_V3];
+        let mut out = vec![STATE_IMAGE_V4];
         self.identity
             .as_ref()
             .map(|k| k.sk.to_bytes())
             .encode(&mut out);
-        // Canonical: channels in slot (creation) order, deposits by
-        // outpoint, keys by public key — one state, one image.
-        let chans: Vec<Channel> = self.channels.values().cloned().collect();
-        chans.encode(&mut out);
-        let mut mine: Vec<&(Deposit, DepositStatus)> = self.book.mine.values().collect();
-        mine.sort_by_key(|(d, _)| d.outpoint);
-        let mine: Vec<(Deposit, (u8, Option<ChannelId>))> = mine
-            .into_iter()
-            .map(|(d, s)| {
-                let status = match s {
-                    DepositStatus::Free => (0u8, None),
-                    DepositStatus::Associated(id) => (1u8, Some(*id)),
-                    DepositStatus::Spent => (2u8, None),
-                };
-                (d.clone(), status)
-            })
-            .collect();
-        mine.encode(&mut out);
-        let mut remote: Vec<Deposit> = self.book.remote.values().cloned().collect();
-        remote.sort_by_key(|d| d.outpoint);
-        remote.encode(&mut out);
-        let mut keys: Vec<(&PublicKey, &PrivateKey)> = self.book.keys.iter().collect();
-        keys.sort_by_key(|(pk, _)| **pk);
-        let keys: Vec<[u8; 32]> = keys.into_iter().map(|(_, k)| k.to_bytes()).collect();
-        keys.encode(&mut out);
-        let mut swaps: Vec<SwapState> = self.swaps.values().cloned().collect();
-        swaps.sort_by_key(|s| s.id);
-        swaps.encode(&mut out);
+        self.state.encode_image(&mut out);
         out
     }
 
-    /// Deserializes a state image produced by [`Self::state_image`]
-    /// (v3), its swap-free predecessor (v2), or the legacy format that
-    /// predates the WAL (no version byte).
+    /// SHA-256 of the canonical image.
+    #[cfg(test)]
+    pub(crate) fn durable_digest(&self) -> [u8; 32] {
+        sha256(&self.state_image())
+    }
+
+    /// Deserializes a state image produced by [`Self::state_image`] (v4),
+    /// one of its predecessors (v3 without routes, v2 without swaps), or
+    /// the legacy format that predates the WAL (no version byte).
     fn load_state_image(&mut self, state: &[u8]) -> Result<(), ProtocolError> {
         let mut r = teechain_util::codec::Reader::new(state);
         let version: u8 = match state.first() {
-            Some(&STATE_IMAGE_V3) => STATE_IMAGE_V3,
-            Some(&STATE_IMAGE_V2) => STATE_IMAGE_V2,
+            Some(&v @ STATE_IMAGE_V2..=STATE_IMAGE_V4) => v,
             _ => 0,
         };
-        let v2 = version >= STATE_IMAGE_V2;
-        if v2 {
+        if version != 0 {
             let _version: u8 = r.read().map_err(|_| ProtocolError::BadMessage)?;
         }
         let sk_bytes: Option<[u8; 32]> = r.read().map_err(|_| ProtocolError::BadMessage)?;
@@ -3053,54 +3007,8 @@ impl TeechainEnclave {
             let sk = PrivateKey::from_bytes(&bytes).ok_or(ProtocolError::BadMessage)?;
             self.identity = Some(Keypair::from(sk));
         }
-        let chans: Vec<Channel> = r.read().map_err(|_| ProtocolError::BadMessage)?;
-        for c in chans {
-            self.insert_channel(c);
-        }
-        if v2 {
-            let mine: Vec<(Deposit, (u8, Option<ChannelId>))> =
-                r.read().map_err(|_| ProtocolError::BadMessage)?;
-            let remote: Vec<Deposit> = r.read().map_err(|_| ProtocolError::BadMessage)?;
-            let keys: Vec<[u8; 32]> = r.read().map_err(|_| ProtocolError::BadMessage)?;
-            for bytes in keys {
-                if let Some(sk) = PrivateKey::from_bytes(&bytes) {
-                    self.book.insert_key(sk);
-                }
-            }
-            for (dep, (tag, id)) in mine {
-                let status = match (tag, id) {
-                    (1, Some(id)) => DepositStatus::Associated(id),
-                    (2, _) => DepositStatus::Spent,
-                    _ => DepositStatus::Free,
-                };
-                self.book.mine.insert(dep.outpoint, (dep, status));
-            }
-            for dep in remote {
-                self.book.remote.insert(dep.outpoint, dep);
-            }
-        } else {
-            let deposits: Vec<(Deposit, bool)> = r.read().map_err(|_| ProtocolError::BadMessage)?;
-            let keys: Vec<[u8; 32]> = r.read().map_err(|_| ProtocolError::BadMessage)?;
-            for bytes in keys {
-                if let Some(sk) = PrivateKey::from_bytes(&bytes) {
-                    self.book.insert_key(sk);
-                }
-            }
-            for (dep, free) in deposits {
-                let status = if free {
-                    DepositStatus::Free
-                } else {
-                    DepositStatus::Associated(ChannelId([0; 32]))
-                };
-                self.book.mine.insert(dep.outpoint, (dep, status));
-            }
-        }
-        if version >= STATE_IMAGE_V3 {
-            let swaps: Vec<SwapState> = r.read().map_err(|_| ProtocolError::BadMessage)?;
-            for s in swaps {
-                self.swaps.insert(s.id, s);
-            }
-        }
+        self.state = DurableState::read_image(&mut r, version)?;
+        self.index_new_channels();
         Ok(())
     }
 
@@ -3186,13 +3094,7 @@ impl TeechainEnclave {
         // malicious host could otherwise inflate its own balances by
         // feeding the real WAL to a running enclave). Rejecting here
         // leaves the live state untouched, so no freeze.
-        if self.commits != 0
-            || self.identity.is_some()
-            || !self.channels.is_empty()
-            || !self.book.mine.is_empty()
-            || !self.book.remote.is_empty()
-            || !self.swaps.is_empty()
-        {
+        if self.commits != 0 || self.identity.is_some() || !self.state.is_empty() {
             return Err(ProtocolError::BadMessage);
         }
         // A failed recovery leaves partially applied state behind;
@@ -3252,8 +3154,8 @@ impl TeechainEnclave {
                 }
             }
             let deltas: Vec<StateDelta> = r.read().map_err(|_| ProtocolError::BadMessage)?;
-            for delta in deltas {
-                self.apply_delta_to_primary(delta);
+            for delta in &deltas {
+                self.state.apply(delta);
             }
             applied = counter;
         }
@@ -3266,10 +3168,10 @@ impl TeechainEnclave {
             });
         }
         self.commits = applied;
-        self.rebuild_deposit_statuses();
+        self.index_new_channels();
         let mut effects = vec![Effect::Event(HostEvent::Recovered {
-            channels: self.channels.len(),
-            deposits: self.book.mine.len() + self.book.remote.len(),
+            channels: self.state.channels.len(),
+            deposits: self.state.book.mine.len() + self.state.book.remote.len(),
             commits: applied,
         })];
         // Re-arm swap timers: a pending swap resumes its chain watch /
@@ -3277,133 +3179,34 @@ impl TeechainEnclave {
         // re-drives the idempotent claim broadcast until it confirms —
         // sessions did not survive the crash, so the responder learns the
         // preimage from the chain if the re-sent `SwapSecret` cannot go.
+        // The table iterates in id order, so the effects do too.
         let now = env.now_ns();
-        let mut rearm: Vec<SwapId> = self
-            .swaps
-            .values()
-            .filter(|s| s.phase.pending() || (s.phase == SwapPhase::Redeemed && s.initiator))
-            .map(|s| s.id)
-            .collect();
-        rearm.sort();
-        for swap in rearm {
-            effects.push(Effect::Event(HostEvent::SwapCheckAt { swap, at: now }));
-        }
-        // A responder that crashed inside the funding window replays at
-        // Init with no outpoint while its minted HTLC sits on-chain (the
-        // `SwapFunded` ack never reached the WAL). Re-ask the host for
-        // funding: the host's answer is a rescan — it re-offers an
-        // existing matching lock rather than minting a second one — so
-        // the replayed request is idempotent and the value is never
-        // stranded.
+        let swaps = self.state.swaps.values();
+        effects.extend(
+            swaps
+                .filter(|s| s.phase.pending() || (s.phase == SwapPhase::Redeemed && s.initiator))
+                .map(|s| {
+                    Effect::Event(HostEvent::SwapCheckAt {
+                        swap: s.id,
+                        at: now,
+                    })
+                }),
+        );
         if let Some(me) = self.identity.as_ref().map(|i| i.pk) {
-            let mut refund: Vec<_> = self
-                .swaps
-                .values()
-                .filter(|s| !s.initiator && s.phase == SwapPhase::Init)
-                .map(|s| (s.id, s.htlc_script(&me), s.alt_amount))
-                .collect();
-            refund.sort_by_key(|(id, _, _)| *id);
-            for (swap, script, value) in refund {
-                effects.push(Effect::Event(HostEvent::SwapFundingNeeded {
-                    swap,
-                    script,
-                    value,
-                }));
-            }
+            let swaps = self.state.swaps.values();
+            effects.extend(
+                swaps
+                    .filter(|s| !s.initiator && s.phase == SwapPhase::Init)
+                    .map(|s| {
+                        Effect::Event(HostEvent::SwapFundingNeeded {
+                            swap: s.id,
+                            script: s.htlc_script(&me),
+                            value: s.alt_amount,
+                        })
+                    }),
+            );
         }
         Ok(effects)
-    }
-
-    /// Applies a WAL-replayed delta to *primary* state (the dual of
-    /// [`crate::replication::ReplicaState::apply`], which applies the
-    /// same deltas to a backup's replica).
-    fn apply_delta_to_primary(&mut self, delta: StateDelta) {
-        match delta {
-            StateDelta::Channel(c) => {
-                self.insert_channel(*c);
-            }
-            StateDelta::Pay {
-                id,
-                my_delta,
-                remote_delta,
-            } => {
-                if let Some(c) = self.channels.get_mut(&id) {
-                    c.my_bal = c.my_bal.wrapping_add_signed(my_delta);
-                    c.remote_bal = c.remote_bal.wrapping_add_signed(remote_delta);
-                }
-            }
-            StateDelta::Stage { id, stage } => {
-                if let Some(c) = self.channels.get_mut(&id) {
-                    c.stage = stage;
-                }
-            }
-            StateDelta::Deposit { dep, key, mine } => {
-                if let Some(bytes) = key {
-                    if let Some(sk) = PrivateKey::from_bytes(&bytes) {
-                        self.book.insert_key(sk);
-                    }
-                }
-                if mine {
-                    // Status is recomputed from channel membership after
-                    // the full replay (`rebuild_deposit_statuses`).
-                    self.book
-                        .mine
-                        .insert(dep.outpoint, (dep, DepositStatus::Free));
-                } else {
-                    self.book.remote.insert(dep.outpoint, dep);
-                }
-            }
-            StateDelta::RemoveDeposit(op) => {
-                if let Some(entry) = self.book.mine.get_mut(&op) {
-                    entry.1 = DepositStatus::Spent;
-                }
-                self.book.remote.remove(&op);
-            }
-            StateDelta::Tau { .. } => {
-                // In-flight multi-hop settlements do not survive a crash;
-                // locked channels are released via eject / settlement.
-            }
-            StateDelta::CloseChannel(id) => {
-                if let Some(c) = self.channels.get_mut(&id) {
-                    c.closed = true;
-                }
-            }
-            StateDelta::Swap(s) => {
-                // Each transition carries the full swap state; replaying
-                // in WAL order converges on the last committed phase.
-                self.swaps.insert(s.id, *s);
-            }
-        }
-    }
-
-    /// Recomputes own-deposit statuses after a WAL replay: association is
-    /// recorded in the channels' deposit lists, which the deltas carry
-    /// exactly; deposits of closed channels were consumed by settlement.
-    fn rebuild_deposit_statuses(&mut self) {
-        let mut assoc = std::collections::BTreeMap::new();
-        let mut spent = std::collections::BTreeSet::new();
-        for c in self.channels.values() {
-            for op in &c.my_deps {
-                if c.closed {
-                    spent.insert(*op);
-                } else {
-                    assoc.insert(*op, c.id);
-                }
-            }
-        }
-        for (op, entry) in self.book.mine.iter_mut() {
-            if entry.1 == DepositStatus::Spent {
-                continue;
-            }
-            entry.1 = if spent.contains(op) {
-                DepositStatus::Spent
-            } else {
-                match assoc.get(op) {
-                    Some(id) => DepositStatus::Associated(*id),
-                    None => DepositStatus::Free,
-                }
-            };
-        }
     }
 
     // Test/host introspection helpers (read-only; a real enclave would not
@@ -3412,7 +3215,7 @@ impl TeechainEnclave {
 
     /// Our channel view (None if unknown).
     pub fn channel(&self, id: &ChannelId) -> Option<&Channel> {
-        self.channels.get(id)
+        self.state.channels.get(id)
     }
 
     /// Number of established sessions.
@@ -3440,7 +3243,13 @@ impl TeechainEnclave {
 
     /// Read-only deposit book access (tests and compromised-TEE modelling).
     pub fn book_ref(&self) -> &DepositBook {
-        &self.book
+        &self.state.book
+    }
+
+    /// The replica's deposit book (this enclave as a backup).
+    #[cfg(test)]
+    pub(crate) fn replica_book(&self) -> &DepositBook {
+        &self.rep.replica.book
     }
 
     /// Admission-layer counters: enqueues, deferrals, batch sizes.
@@ -3455,12 +3264,16 @@ impl TeechainEnclave {
 
     /// A swap's full state (tests and host chain-watch wiring).
     pub fn swap_state(&self, id: &SwapId) -> Option<&SwapState> {
-        self.swaps.get(id)
+        self.state.swaps.get(id)
     }
 
     /// Number of swaps that can still go either way.
     pub fn pending_swaps(&self) -> usize {
-        self.swaps.values().filter(|s| s.phase.pending()).count()
+        self.state
+            .swaps
+            .values()
+            .filter(|s| s.phase.pending())
+            .count()
     }
 }
 

@@ -49,6 +49,24 @@ fn the_state_image_is_canonical() {
     }
 }
 
+/// Images sealed before routes were durable (v3) and before swaps were
+/// (v2) still load, as the same state without the tables they lack.
+#[test]
+fn v2_and_v3_images_still_load() {
+    let mut c = Cluster::functional(2);
+    c.standard_channel(0, 1, "old-image", 100, 1);
+    let v4 = program(&c, 0).state_image();
+    // v4 ends with the swap and route tables, empty here: a 4-byte count
+    // each.
+    for (version, cut) in [(3u8, 4), (2, 8)] {
+        let mut old = v4[..v4.len() - cut].to_vec();
+        old[0] = version;
+        let mut restored = TeechainEnclave::new(c.node(0).cfg.clone());
+        restored.load_state_image(&old).expect("old image loads");
+        assert_eq!(restored.state_image(), v4, "v{version}");
+    }
+}
+
 /// The host routes a send by the peer slot it names only while the slot
 /// still holds the identity the send names: a stale slot — one that named
 /// another peer when the route was cached — never carries a frame to that
@@ -146,17 +164,24 @@ fn check(c: &Cluster, m: &Model, stranger: &PublicKey) -> Result<(), TestCaseErr
             prop_assert_eq!(established, m.sessions[i].contains(&j));
         }
         prop_assert!(p.peers.slot(&stranger.to_bytes()).is_none());
-        let held: Vec<(ChannelId, PublicKey)> =
-            p.channels.values().map(|ch| (ch.id, ch.remote)).collect();
+        let held: Vec<(ChannelId, PublicKey)> = p
+            .state
+            .channels
+            .values()
+            .map(|ch| (ch.id, ch.remote))
+            .collect();
         let want: Vec<(ChannelId, PublicKey)> = m.channels[i]
             .iter()
             .map(|&(id, j)| (id, c.ids[j]))
             .collect();
         prop_assert_eq!(held, want);
         for &(id, j) in &m.channels[i] {
-            let s = p.channels.slot(&id).expect("held");
-            prop_assert_eq!(p.channels.at(s).map(|ch| ch.id), Some(id));
-            prop_assert_eq!(p.peers.slot(&c.ids[j].to_bytes()), Some(p.channels.peer(s)));
+            let s = p.state.channels.slot(&id).expect("held");
+            prop_assert_eq!(p.state.channels.at(s).map(|ch| ch.id), Some(id));
+            prop_assert_eq!(
+                p.peers.slot(&c.ids[j].to_bytes()),
+                Some(p.chan_peers[s as usize])
+            );
         }
     }
     Ok(())

@@ -97,6 +97,7 @@ pub mod channel;
 pub mod deposit;
 pub mod driver;
 pub mod durability;
+mod durable;
 pub mod enclave;
 pub mod live;
 pub(crate) mod live_sched;

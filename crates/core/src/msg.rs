@@ -15,6 +15,7 @@
 //! messages fail authentication.
 
 use crate::channel::Channel;
+use crate::multihop::RouteState;
 use crate::swap::SwapState;
 use crate::types::{ChannelId, Deposit, MultihopStage, RouteId, SwapId};
 use teechain_blockchain::{OutPoint, Transaction, TxId};
@@ -247,7 +248,9 @@ pub enum StateDelta {
         /// Signed delta to the remote balance.
         remote_delta: i64,
     },
-    /// A multi-hop stage transition.
+    /// A multi-hop stage transition of one channel. No longer written
+    /// (`RouteStage` moves a route's channels together); still applied
+    /// from WAL records that carry it.
     Stage {
         /// The channel.
         id: ChannelId,
@@ -262,11 +265,11 @@ pub enum StateDelta {
         key: Option<[u8; 32]>,
         /// True if the staging enclave owns this deposit (it entered via
         /// `NewDeposit`/association of *our* deposit rather than a
-        /// counterparty's). Replicas ignore this; WAL recovery uses it
-        /// to rebuild the own/remote split of the deposit book.
+        /// counterparty's): it files the deposit on the own or the
+        /// remote side of the book.
         mine: bool,
     },
-    /// Remove a deposit (released or spent).
+    /// Release a deposit: our own is marked spent, a remote one dropped.
     RemoveDeposit(OutPoint),
     /// Store or clear a route's intermediate settlement transaction τ.
     Tau {
@@ -275,12 +278,31 @@ pub enum StateDelta {
         /// The (possibly partially signed) τ, or `None` to discard.
         tau: Option<Transaction>,
     },
-    /// Remove all state for a settled channel.
+    /// Close a settled channel; the settlement spends its own deposits.
     CloseChannel(ChannelId),
     /// Install or overwrite a cross-chain swap's state — one record per
     /// phase transition, so WAL replay recovers a crashed enclave to the
     /// exact committed phase.
     Swap(Box<SwapState>),
+    /// Install or overwrite a multi-hop route's state: what eject and a
+    /// proof of premature termination read after a crash.
+    Route(Box<RouteState>),
+    /// Move every channel of a route to a multi-hop stage; `Idle` unlocks
+    /// them and ends the route.
+    RouteStage {
+        /// The route.
+        route: RouteId,
+        /// New stage.
+        stage: MultihopStage,
+    },
+    /// Install a key pair we hand out (an address, a settlement key): the
+    /// public key and the serialized private key.
+    Key(PublicKey, [u8; 32]),
+    /// Destroy a blockchain key (Alg. 1 line 104, after dissociation).
+    DestroyKey(PublicKey),
+    /// A route's sign pass: τ, signed by this hop and those after it, and
+    /// the path's settlement digests (a PoPT is read against them).
+    RouteSigned(RouteId, Transaction, Vec<SettleDigest>),
 }
 
 impl Encode for StateDelta {
@@ -328,6 +350,30 @@ impl Encode for StateDelta {
                 7u8.encode(out);
                 s.as_ref().encode(out);
             }
+            StateDelta::Route(route) => {
+                8u8.encode(out);
+                route.as_ref().encode(out);
+            }
+            StateDelta::RouteStage { route, stage } => {
+                9u8.encode(out);
+                route.encode(out);
+                stage.encode(out);
+            }
+            StateDelta::Key(pk, sk) => {
+                10u8.encode(out);
+                pk.encode(out);
+                sk.encode(out);
+            }
+            StateDelta::DestroyKey(pk) => {
+                11u8.encode(out);
+                pk.encode(out);
+            }
+            StateDelta::RouteSigned(route, tau, digests) => {
+                12u8.encode(out);
+                route.encode(out);
+                tau.encode(out);
+                digests.encode(out);
+            }
         }
     }
 }
@@ -357,6 +403,14 @@ impl Decode for StateDelta {
             },
             6 => StateDelta::CloseChannel(r.read()?),
             7 => StateDelta::Swap(Box::new(r.read()?)),
+            8 => StateDelta::Route(Box::new(r.read()?)),
+            9 => StateDelta::RouteStage {
+                route: r.read()?,
+                stage: r.read()?,
+            },
+            10 => StateDelta::Key(r.read()?, r.read()?),
+            11 => StateDelta::DestroyKey(r.read()?),
+            12 => StateDelta::RouteSigned(r.read()?, r.read()?, r.read()?),
             _ => return Err(WireError::InvalidValue("delta tag")),
         })
     }

@@ -21,12 +21,15 @@ use crate::enclave::{Effect, HostEvent, Outcome, TeechainEnclave};
 use crate::msg::{MhLock, ProtocolMsg, SettleDigest, StateDelta};
 use crate::settle;
 use crate::types::{ChannelId, MultihopStage, ProtocolError, RouteId};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use teechain_blockchain::{Transaction, TxIn};
 use teechain_crypto::schnorr::PublicKey;
 use teechain_tee::EnclaveEnv;
 
-/// Per-route state at one TEE.
+/// Per-route state at one TEE. Durable: installed by
+/// [`StateDelta::Route`] at lock, τ and the digests added by
+/// [`StateDelta::RouteSigned`], so eject and a PoPT work after a crash.
+#[derive(Debug, Clone)]
 pub struct RouteState {
     /// Route instance id.
     pub id: RouteId,
@@ -37,19 +40,14 @@ pub struct RouteState {
     /// Path channels.
     pub channels: Vec<ChannelId>,
     /// Our index in `hops`.
-    pub pos: usize,
+    pub pos: u32,
     /// τ (partially signed during sign, full after preUpdate).
     pub tau: Option<Transaction>,
     /// txid → state map for PoPT classification.
     pub digests: Vec<SettleDigest>,
     /// Pre-payment balances of our route channels (for pre-state
     /// settlement reconstruction after balances were updated).
-    pub pre_balances: HashMap<ChannelId, (u64, u64)>,
-    /// Committee metadata for every deposit τ spends (needed to verify
-    /// τ's signature thresholds for channels we do not participate in).
-    pub path_deposits: Vec<crate::types::Deposit>,
-    /// True once terminated (ejected or completed).
-    pub terminated: bool,
+    pub pre_balances: BTreeMap<ChannelId, (u64, u64)>,
     /// Admission deadline of the *origination* (absolute ns). Carried
     /// across in-enclave contention requeues so a payment cannot orbit
     /// the admission queue forever: once past this instant the next
@@ -58,15 +56,27 @@ pub struct RouteState {
     pub deadline_ns: u64,
 }
 
+teechain_util::impl_wire_struct!(RouteState {
+    id,
+    amount,
+    hops,
+    channels,
+    pos,
+    tau,
+    digests,
+    pre_balances,
+    deadline_ns,
+});
+
 impl RouteState {
     /// The channel toward the previous hop, if any.
     pub fn in_chan(&self) -> Option<ChannelId> {
-        (self.pos > 0).then(|| self.channels[self.pos - 1])
+        (self.pos > 0).then(|| self.channels[self.pos as usize - 1])
     }
 
     /// The channel toward the next hop, if any.
     pub fn out_chan(&self) -> Option<ChannelId> {
-        (self.pos + 1 < self.hops.len()).then(|| self.channels[self.pos])
+        (self.pos as usize + 1 < self.hops.len()).then(|| self.channels[self.pos as usize])
     }
 
     /// Our route channels (one or two).
@@ -75,32 +85,20 @@ impl RouteState {
     }
 
     fn prev_hop(&self) -> Option<PublicKey> {
-        (self.pos > 0).then(|| self.hops[self.pos - 1])
+        self.in_chan().map(|_| self.hops[self.pos as usize - 1])
     }
 
     fn next_hop(&self) -> Option<PublicKey> {
-        (self.pos + 1 < self.hops.len()).then(|| self.hops[self.pos + 1])
+        self.out_chan().map(|_| self.hops[self.pos as usize + 1])
     }
 }
 
 impl TeechainEnclave {
     fn set_route_stage(&mut self, route: &RouteId, stage: MultihopStage) {
-        let Some(rs) = self.routes.get(route) else {
-            return;
-        };
-        let ids = rs.my_channels();
-        let route_id = *route;
-        for id in ids {
-            if let Some(chan) = self.channels.get_mut(&id) {
-                chan.stage = stage;
-                chan.route = if stage == MultihopStage::Idle {
-                    None
-                } else {
-                    Some(route_id)
-                };
-                self.stage_delta(StateDelta::Stage { id, stage });
-            }
-        }
+        self.commit(StateDelta::RouteStage {
+            route: *route,
+            stage,
+        });
     }
 
     /// Validates and snapshots a channel for route participation.
@@ -111,6 +109,7 @@ impl TeechainEnclave {
         must_cover: Option<u64>,
     ) -> Result<(), ProtocolError> {
         let chan = self
+            .state
             .channels
             .get(&id)
             .ok_or(ProtocolError::UnknownChannel)?;
@@ -141,10 +140,10 @@ impl TeechainEnclave {
         deposits: &mut Vec<crate::types::Deposit>,
     ) {
         let id = route.out_chan().expect("only non-terminal hops extend τ");
-        let chan = self.channels.get(&id).expect("checked");
+        let chan = self.state.channels.get(&id).expect("checked");
         for prevout in chan.all_deposits() {
             tau.inputs.push(TxIn::spend(prevout));
-            if let Some(dep) = self.book.deposit_of(&prevout) {
+            if let Some(dep) = self.state.book.deposit_of(&prevout) {
                 deposits.push(dep.clone());
             }
         }
@@ -176,7 +175,7 @@ impl TeechainEnclave {
                 outputs: vec![],
             },
         );
-        settle::sign_with_book(&mut tx, &self.book);
+        settle::sign_with_book(&mut tx, &self.state.book);
         *tau = tx;
     }
 
@@ -196,7 +195,7 @@ impl TeechainEnclave {
             return Err(ProtocolError::BadStage);
         }
         let me = self.identity(env).pk;
-        if hops[0] != me || self.routes.contains_key(&route_id) {
+        if hops[0] != me || self.state.routes.contains_key(&route_id) {
             return Err(ProtocolError::BadStage);
         }
         // Admission: if our outgoing channel is busy with another route
@@ -208,6 +207,7 @@ impl TeechainEnclave {
         let deadline_ns = env.now_ns() + crate::admit::ADMIT_DEADLINE_NS;
         let mut channels = channels;
         let out_busy = self
+            .state
             .channels
             .get(&channels[0])
             .is_some_and(|c| c.usable() && c.locked())
@@ -285,7 +285,7 @@ impl TeechainEnclave {
         amount: u64,
         deadline_ns: u64,
     ) -> Outcome {
-        if self.routes.contains_key(&route_id) {
+        if self.state.routes.contains_key(&route_id) {
             return Err(ProtocolError::BadStage);
         }
         let mut route = RouteState {
@@ -296,9 +296,7 @@ impl TeechainEnclave {
             pos: 0,
             tau: None,
             digests: Vec::new(),
-            pre_balances: HashMap::new(),
-            path_deposits: Vec::new(),
-            terminated: false,
+            pre_balances: BTreeMap::new(),
             deadline_ns,
         };
         self.prepare_route_channel(&mut route, channels[0], Some(amount))?;
@@ -308,10 +306,8 @@ impl TeechainEnclave {
         };
         let mut digests = Vec::new();
         let mut deposits = Vec::new();
-        self.routes.insert(route_id, route);
-        let route_ref = &self.routes[&route_id];
-        self.extend_tau(route_ref, &mut tau, &mut digests, &mut deposits);
-        self.set_route_stage(&route_id, MultihopStage::Lock);
+        self.extend_tau(&route, &mut tau, &mut digests, &mut deposits);
+        let next = hops[1];
         let lock = MhLock {
             route: route_id,
             amount,
@@ -321,8 +317,9 @@ impl TeechainEnclave {
             digests,
             deposits,
         };
-        let next = hops[1];
         let eff = self.seal_to(&next, &ProtocolMsg::MhLock(lock))?;
+        self.commit(StateDelta::Route(Box::new(route)));
+        self.set_route_stage(&route_id, MultihopStage::Lock);
         Ok(vec![eff])
     }
 
@@ -339,7 +336,7 @@ impl TeechainEnclave {
             .iter()
             .position(|h| *h == me)
             .ok_or(ProtocolError::BadStage)?;
-        if pos == 0 || m.hops[pos - 1] != from || self.routes.contains_key(&m.route) {
+        if pos == 0 || m.hops[pos - 1] != from || self.state.routes.contains_key(&m.route) {
             return Err(ProtocolError::BadStage);
         }
         let n = m.hops.len();
@@ -354,6 +351,7 @@ impl TeechainEnclave {
         let mut m = m;
         if pos + 1 < n
             && self
+                .state
                 .channels
                 .get(&m.channels[pos])
                 .is_some_and(|c| c.usable() && c.locked())
@@ -371,12 +369,10 @@ impl TeechainEnclave {
             amount: m.amount,
             hops: m.hops.clone(),
             channels: m.channels.clone(),
-            pos,
+            pos: pos as u32,
             tau: None,
             digests: Vec::new(),
-            pre_balances: HashMap::new(),
-            path_deposits: Vec::new(),
-            terminated: false,
+            pre_balances: BTreeMap::new(),
             deadline_ns: 0,
         };
         // Validate our channels; on failure, abort backward so upstream
@@ -405,7 +401,8 @@ impl TeechainEnclave {
             // (the previous hop keeps its channel locked while we wait).
             if reason == ProtocolError::ChannelLocked {
                 let locked_id = route.my_channels().into_iter().find(|cid| {
-                    self.channels
+                    self.state
+                        .channels
                         .get(cid)
                         .is_some_and(|c| c.usable() && c.locked())
                 });
@@ -420,6 +417,7 @@ impl TeechainEnclave {
                 // with a fresh id (a fresh priority draw).
                 let may_wait = locked_id.is_some_and(|lid| {
                     let holder_ok = self
+                        .state
                         .channels
                         .get(&lid)
                         .and_then(|c| c.route)
@@ -462,21 +460,21 @@ impl TeechainEnclave {
             let mut tau = m.tau;
             let mut digests = m.digests;
             let mut deposits = m.deposits;
-            self.routes.insert(m.route, route);
-            let route_ref = &self.routes[&m.route];
-            self.extend_tau(route_ref, &mut tau, &mut digests, &mut deposits);
-            self.set_route_stage(&m.route, MultihopStage::Lock);
+            self.extend_tau(&route, &mut tau, &mut digests, &mut deposits);
+            let next = m.hops[pos + 1];
             let lock = MhLock {
                 route: m.route,
                 amount: m.amount,
-                hops: m.hops.clone(),
+                hops: m.hops,
                 channels: m.channels,
                 tau,
                 digests,
                 deposits,
             };
-            let next = m.hops[pos + 1];
-            Ok(vec![self.seal_to(&next, &ProtocolMsg::MhLock(lock))?])
+            let eff = self.seal_to(&next, &ProtocolMsg::MhLock(lock))?;
+            self.commit(StateDelta::Route(Box::new(route)));
+            self.set_route_stage(&m.route, MultihopStage::Lock);
+            Ok(vec![eff])
         } else {
             // Terminal hop pn: τ is complete; canonicalize, sign, send the
             // sign pass backward (Alg. 2 line 13).
@@ -484,20 +482,16 @@ impl TeechainEnclave {
             self.sign_tau(&mut tau);
             route.tau = Some(tau.clone());
             route.digests = m.digests.clone();
-            route.path_deposits = m.deposits.clone();
-            self.routes.insert(m.route, route);
-            self.set_route_stage(&m.route, MultihopStage::Sign);
-            self.stage_delta(StateDelta::Tau {
-                route: m.route,
-                tau: Some(tau.clone()),
-            });
             let msg = ProtocolMsg::MhSign {
                 route: m.route,
                 tau,
                 digests: m.digests,
                 deposits: m.deposits,
             };
-            Ok(vec![self.seal_to(&from, &msg)?])
+            let eff = self.seal_to(&from, &msg)?;
+            self.commit(StateDelta::Route(Box::new(route)));
+            self.set_route_stage(&m.route, MultihopStage::Sign);
+            Ok(vec![eff])
         }
     }
 
@@ -510,7 +504,11 @@ impl TeechainEnclave {
         deposits: Vec<crate::types::Deposit>,
     ) -> Outcome {
         self.require_unfrozen()?;
-        let route = self.routes.get(&route_id).ok_or(ProtocolError::BadStage)?;
+        let route = self
+            .state
+            .routes
+            .get(&route_id)
+            .ok_or(ProtocolError::BadStage)?;
         if route.next_hop() != Some(from) {
             return Err(ProtocolError::BadMessage);
         }
@@ -520,39 +518,35 @@ impl TeechainEnclave {
         }
         let mut tau = tau;
         self.sign_tau(&mut tau);
-        let route = self.routes.get_mut(&route_id).expect("checked");
-        route.tau = Some(tau.clone());
-        route.digests = digests.clone();
-        route.path_deposits = deposits.clone();
-        let pos = route.pos;
-        let prev = route.prev_hop();
+        // p1: τ must now be fully signed — verify before distributing.
+        // Deposits of other hops' channels are known via the metadata
+        // accumulated during lock.
+        let deposit_of = |op: &teechain_blockchain::OutPoint| {
+            self.state
+                .book
+                .deposit_of(op)
+                .or_else(|| deposits.iter().find(|d| d.outpoint == *op))
+        };
+        if route.pos == 0 && !settle::threshold_met(&tau, deposit_of) {
+            return Err(ProtocolError::BadStage);
+        }
+        let (prev, next) = (route.prev_hop(), route.hops[1]);
+        self.commit(StateDelta::RouteSigned(
+            route_id,
+            tau.clone(),
+            digests.clone(),
+        ));
         self.set_route_stage(&route_id, MultihopStage::Sign);
-        self.stage_delta(StateDelta::Tau {
-            route: route_id,
-            tau: Some(tau.clone()),
-        });
-        if pos > 0 {
+        if let Some(prev) = prev {
             let msg = ProtocolMsg::MhSign {
                 route: route_id,
                 tau,
                 digests,
                 deposits,
             };
-            Ok(vec![self.seal_to(&prev.expect("pos > 0"), &msg)?])
+            Ok(vec![self.seal_to(&prev, &msg)?])
         } else {
-            // p1: τ must now be fully signed — verify before distributing.
-            // Deposits of other hops' channels are known via the metadata
-            // accumulated during lock.
-            let deposit_of = |op: &teechain_blockchain::OutPoint| {
-                self.book
-                    .deposit_of(op)
-                    .or_else(|| deposits.iter().find(|d| d.outpoint == *op))
-            };
-            if !settle::threshold_met(&tau, deposit_of) {
-                return Err(ProtocolError::BadStage);
-            }
             self.set_route_stage(&route_id, MultihopStage::PreUpdate);
-            let next = self.routes[&route_id].hops[1];
             let msg = ProtocolMsg::MhPreUpdate {
                 route: route_id,
                 tau,
@@ -562,10 +556,11 @@ impl TeechainEnclave {
     }
 
     fn route_stage(&self, route: &RouteId) -> MultihopStage {
-        self.routes
+        self.state
+            .routes
             .get(route)
-            .and_then(|r| r.my_channels().first().copied())
-            .and_then(|id| self.channels.get(&id))
+            .and_then(|r| r.in_chan().or(r.out_chan()))
+            .and_then(|id| self.state.channels.get(&id))
             .map(|c| c.stage)
             .unwrap_or(MultihopStage::Idle)
     }
@@ -577,24 +572,24 @@ impl TeechainEnclave {
         tau: Transaction,
     ) -> Outcome {
         self.require_unfrozen()?;
-        let route = self.routes.get(&route_id).ok_or(ProtocolError::BadStage)?;
+        let route = self
+            .state
+            .routes
+            .get(&route_id)
+            .ok_or(ProtocolError::BadStage)?;
         if route.prev_hop() != Some(from) {
             return Err(ProtocolError::BadMessage);
         }
+        let (next, prev, amount) = (route.next_hop(), route.prev_hop(), route.amount);
         if self.route_stage(&route_id) != MultihopStage::Sign {
             return Err(ProtocolError::BadStage);
         }
-        let route = self.routes.get_mut(&route_id).expect("checked");
-        route.tau = Some(tau.clone());
-        let pos = route.pos;
-        let n = route.hops.len();
         self.set_route_stage(&route_id, MultihopStage::PreUpdate);
-        self.stage_delta(StateDelta::Tau {
+        self.commit(StateDelta::Tau {
             route: route_id,
             tau: Some(tau.clone()),
         });
-        if pos + 1 < n {
-            let next = self.routes[&route_id].hops[pos + 1];
+        if let Some(next) = next {
             let msg = ProtocolMsg::MhPreUpdate {
                 route: route_id,
                 tau,
@@ -604,9 +599,7 @@ impl TeechainEnclave {
             // pn: apply our credit and start the update pass backward.
             self.apply_route_balances(&route_id);
             self.set_route_stage(&route_id, MultihopStage::Update);
-            let route = &self.routes[&route_id];
-            let amount = route.amount;
-            let prev = route.prev_hop().expect("pn has a predecessor");
+            let prev = prev.expect("pn has a predecessor");
             let msg = ProtocolMsg::MhUpdate { route: route_id };
             let eff = self.seal_to(&prev, &msg)?;
             Ok(vec![
@@ -621,61 +614,53 @@ impl TeechainEnclave {
 
     /// Applies post-payment balances to our route channels.
     fn apply_route_balances(&mut self, route_id: &RouteId) {
-        let Some(route) = self.routes.get(route_id) else {
+        let Some(route) = self.state.routes.get(route_id) else {
             return;
         };
-        let amount = route.amount;
-        let in_chan = route.in_chan();
-        let out_chan = route.out_chan();
+        let amount = route.amount as i64;
+        let (in_chan, out_chan) = (route.in_chan(), route.out_chan());
         if let Some(id) = in_chan {
-            if let Some(c) = self.channels.get_mut(&id) {
-                c.my_bal += amount;
-                c.remote_bal -= amount;
-                self.stage_delta(StateDelta::Pay {
-                    id,
-                    my_delta: amount as i64,
-                    remote_delta: -(amount as i64),
-                });
-            }
+            self.commit(StateDelta::Pay {
+                id,
+                my_delta: amount,
+                remote_delta: -amount,
+            });
         }
         if let Some(id) = out_chan {
-            if let Some(c) = self.channels.get_mut(&id) {
-                c.my_bal -= amount;
-                c.remote_bal += amount;
-                self.stage_delta(StateDelta::Pay {
-                    id,
-                    my_delta: -(amount as i64),
-                    remote_delta: amount as i64,
-                });
-            }
+            self.commit(StateDelta::Pay {
+                id,
+                my_delta: -amount,
+                remote_delta: amount,
+            });
         }
     }
 
     pub(crate) fn on_mh_update(&mut self, from: PublicKey, route_id: RouteId) -> Outcome {
         self.require_unfrozen()?;
-        let route = self.routes.get(&route_id).ok_or(ProtocolError::BadStage)?;
+        let route = self
+            .state
+            .routes
+            .get(&route_id)
+            .ok_or(ProtocolError::BadStage)?;
         if route.next_hop() != Some(from) {
             return Err(ProtocolError::BadMessage);
         }
+        let (prev, next) = (route.prev_hop(), route.hops[1]);
         if self.route_stage(&route_id) != MultihopStage::PreUpdate {
             return Err(ProtocolError::BadStage);
         }
         self.apply_route_balances(&route_id);
-        let pos = self.routes[&route_id].pos;
-        if pos > 0 {
+        if let Some(prev) = prev {
             self.set_route_stage(&route_id, MultihopStage::Update);
-            let prev = self.routes[&route_id].prev_hop().expect("pos > 0");
             let msg = ProtocolMsg::MhUpdate { route: route_id };
             Ok(vec![self.seal_to(&prev, &msg)?])
         } else {
             // p1: discard τ (Alg. 2 line 42) and start postUpdate forward.
-            self.routes.get_mut(&route_id).expect("checked").tau = None;
-            self.stage_delta(StateDelta::Tau {
+            self.commit(StateDelta::Tau {
                 route: route_id,
                 tau: None,
             });
             self.set_route_stage(&route_id, MultihopStage::PostUpdate);
-            let next = self.routes[&route_id].hops[1];
             let msg = ProtocolMsg::MhPostUpdate { route: route_id };
             Ok(vec![self.seal_to(&next, &msg)?])
         }
@@ -688,32 +673,30 @@ impl TeechainEnclave {
         route_id: RouteId,
     ) -> Outcome {
         self.require_unfrozen()?;
-        let route = self.routes.get(&route_id).ok_or(ProtocolError::BadStage)?;
+        let route = self
+            .state
+            .routes
+            .get(&route_id)
+            .ok_or(ProtocolError::BadStage)?;
         if route.prev_hop() != Some(from) {
             return Err(ProtocolError::BadMessage);
         }
+        let (next, prev, unlocked) = (route.next_hop(), route.prev_hop(), route.my_channels());
         if self.route_stage(&route_id) != MultihopStage::Update {
             return Err(ProtocolError::BadStage);
         }
-        let route = self.routes.get_mut(&route_id).expect("checked");
-        route.tau = None;
-        let pos = route.pos;
-        let n = route.hops.len();
-        self.stage_delta(StateDelta::Tau {
+        self.commit(StateDelta::Tau {
             route: route_id,
             tau: None,
         });
-        if pos + 1 < n {
+        if let Some(next) = next {
             self.set_route_stage(&route_id, MultihopStage::PostUpdate);
-            let next = self.routes[&route_id].hops[pos + 1];
             let msg = ProtocolMsg::MhPostUpdate { route: route_id };
             Ok(vec![self.seal_to(&next, &msg)?])
         } else {
             // pn: unlock and send release backward (Alg. 2 line 53).
-            let unlocked = self.routes[&route_id].my_channels();
             self.set_route_stage(&route_id, MultihopStage::Idle);
-            let prev = self.routes[&route_id].prev_hop().expect("pn");
-            self.routes.remove(&route_id);
+            let prev = prev.expect("pn has a predecessor");
             let msg = ProtocolMsg::MhRelease { route: route_id };
             let mut effects = vec![self.seal_to(&prev, &msg)?];
             for id in unlocked {
@@ -730,24 +713,28 @@ impl TeechainEnclave {
         route_id: RouteId,
     ) -> Outcome {
         self.require_unfrozen()?;
-        let route = self.routes.get(&route_id).ok_or(ProtocolError::BadStage)?;
+        let route = self
+            .state
+            .routes
+            .get(&route_id)
+            .ok_or(ProtocolError::BadStage)?;
         if route.next_hop() != Some(from) {
             return Err(ProtocolError::BadMessage);
         }
+        let (prev, amount, unlocked) = (route.prev_hop(), route.amount, route.my_channels());
         if self.route_stage(&route_id) != MultihopStage::PostUpdate {
             return Err(ProtocolError::BadStage);
         }
         self.set_route_stage(&route_id, MultihopStage::Idle);
-        let route = self.routes.remove(&route_id).expect("checked");
-        let unlocked = route.my_channels();
-        let mut effects = if route.pos > 0 {
-            let msg = ProtocolMsg::MhRelease { route: route_id };
-            vec![self.seal_to(&route.prev_hop().expect("pos > 0"), &msg)?]
-        } else {
-            vec![Effect::Event(HostEvent::MultihopComplete {
+        let mut effects = match prev {
+            Some(prev) => {
+                let msg = ProtocolMsg::MhRelease { route: route_id };
+                vec![self.seal_to(&prev, &msg)?]
+            }
+            None => vec![Effect::Event(HostEvent::MultihopComplete {
                 route: route_id,
-                amount: route.amount,
-            })]
+                amount,
+            })],
         };
         // The drain is the tentpole's fast path: an intermediate hop that
         // just released re-admits its deferred locks and queued payments
@@ -765,7 +752,7 @@ impl TeechainEnclave {
         route_id: RouteId,
         reason: u8,
     ) -> Outcome {
-        let Some(route) = self.routes.get(&route_id) else {
+        let Some(route) = self.state.routes.get(&route_id) else {
             return Err(ProtocolError::BadStage);
         };
         if route.next_hop() != Some(from) {
@@ -776,12 +763,8 @@ impl TeechainEnclave {
         if stage != MultihopStage::Lock && stage != MultihopStage::Sign {
             return Err(ProtocolError::BadStage);
         }
+        let route = route.clone();
         self.set_route_stage(&route_id, MultihopStage::Idle);
-        self.stage_delta(StateDelta::Tau {
-            route: route_id,
-            tau: None,
-        });
-        let route = self.routes.remove(&route_id).expect("checked");
         let unlocked = route.my_channels();
         let mut effects = if route.pos > 0 {
             let msg = ProtocolMsg::MhAbort {
@@ -864,22 +847,13 @@ impl TeechainEnclave {
         self.require_counter_ready(env)?;
         let stage = self.route_stage(&route_id);
         let route = self
+            .state
             .routes
-            .get_mut(&route_id)
+            .get(&route_id)
             .ok_or(ProtocolError::BadStage)?;
-        if route.terminated {
-            return Err(ProtocolError::BadStage);
-        }
-        route.terminated = true;
-        let tau = route.tau.clone();
         let my_channels = route.my_channels();
-        self.set_route_stage(&route_id, MultihopStage::Terminated);
-        let mut effects = Vec::new();
-        // Ejection closes our route channels: everything still queued or
-        // deferred behind them is terminally refused.
-        for id in &my_channels {
-            self.flush_admission(*id, ProtocolError::ChannelClosed, &mut effects);
-        }
+        let mut settlements = Vec::new();
+        let mut tau = None;
         match stage {
             MultihopStage::Lock
             | MultihopStage::Sign
@@ -888,35 +862,49 @@ impl TeechainEnclave {
             | MultihopStage::Idle => {
                 // Current-state settlements (pre-payment before update,
                 // post-payment after).
-                for id in my_channels {
+                for id in &my_channels {
                     let chan = self
+                        .state
                         .channels
-                        .get_mut(&id)
+                        .get(id)
                         .ok_or(ProtocolError::UnknownChannel)?;
-                    chan.closed = true;
-                    let tx = settle::current_settlement_tx(chan);
-                    self.stage_delta(StateDelta::CloseChannel(id));
-                    self.finish_settlement(id, tx, &mut effects);
+                    settlements.push((*id, settle::current_settlement_tx(chan)));
                 }
             }
+            // Only τ may settle in the intermediate states.
             MultihopStage::PreUpdate | MultihopStage::Update => {
-                // Only τ may settle in the intermediate states.
-                let tau = tau.ok_or(ProtocolError::BadStage)?;
-                for id in my_channels {
-                    if let Some(chan) = self.channels.get_mut(&id) {
-                        chan.closed = true;
-                        self.stage_delta(StateDelta::CloseChannel(id));
-                    }
-                }
-                effects.push(Effect::Event(HostEvent::SettlementBroadcast {
-                    id: ChannelId(route_id.0),
-                    txid: tau.txid(),
-                }));
-                effects.push(Effect::Broadcast(tau));
+                tau = Some(route.tau.clone().ok_or(ProtocolError::BadStage)?);
             }
             MultihopStage::Terminated => return Err(ProtocolError::BadStage),
         }
+        self.set_route_stage(&route_id, MultihopStage::Terminated);
+        let mut effects = Vec::new();
+        // Ejection closes our route channels: everything still queued or
+        // deferred behind them is terminally refused.
+        for id in &my_channels {
+            self.flush_admission(*id, ProtocolError::ChannelClosed, &mut effects);
+        }
+        self.close_route_channels(&my_channels);
+        for (id, tx) in settlements {
+            self.finish_settlement(id, tx, false, &mut effects);
+        }
+        if let Some(tau) = tau {
+            effects.push(Effect::Event(HostEvent::SettlementBroadcast {
+                id: ChannelId(route_id.0),
+                txid: tau.txid(),
+            }));
+            effects.push(Effect::Broadcast(tau));
+        }
         Ok(effects)
+    }
+
+    /// Closes every one of `ids` we hold.
+    fn close_route_channels(&mut self, ids: &[ChannelId]) {
+        for id in ids {
+            if self.state.channels.contains_key(id) {
+                self.commit(StateDelta::CloseChannel(*id));
+            }
+        }
     }
 
     pub(crate) fn cmd_eject_popt(
@@ -927,94 +915,78 @@ impl TeechainEnclave {
     ) -> Outcome {
         self.require_counter_ready(env)?; // See `cmd_eject`.
         let stage = self.route_stage(&route_id);
-        let route = self.routes.get(&route_id).ok_or(ProtocolError::BadStage)?;
-        let tau = route.tau.clone().ok_or(ProtocolError::BadPopt)?;
+        let route = self
+            .state
+            .routes
+            .get(&route_id)
+            .ok_or(ProtocolError::BadStage)?;
+        let tau = route.tau.as_ref().ok_or(ProtocolError::BadPopt)?;
         let txid = popt.txid();
         // The PoPT must genuinely conflict with this route's τ — i.e. spend
         // at least one of the path's deposits.
-        if !popt.conflicts_with(&tau) {
+        if !popt.conflicts_with(tau) {
             return Err(ProtocolError::BadPopt);
         }
         let my_channels = route.my_channels();
-        let amount = route.amount;
-        let pre_balances = route.pre_balances.clone();
-        let classify = if txid == tau.txid() {
-            None // τ itself confirmed: everything is already settled.
-        } else {
-            let digest = route
+        let mut settlements = Vec::new();
+        if txid != tau.txid() {
+            // Otherwise τ itself confirmed: our channels are settled by
+            // it, and ejecting only closes them.
+            let post = route
                 .digests
                 .iter()
                 .find(|d| d.txid == txid)
-                .ok_or(ProtocolError::BadPopt)?;
-            Some(digest.post)
-        };
-        let route = self.routes.get_mut(&route_id).expect("checked");
-        route.terminated = true;
+                .ok_or(ProtocolError::BadPopt)?
+                .post;
+            let valid = if post {
+                matches!(
+                    stage,
+                    MultihopStage::PreUpdate
+                        | MultihopStage::Update
+                        | MultihopStage::PostUpdate
+                        | MultihopStage::Release
+                )
+            } else {
+                matches!(
+                    stage,
+                    MultihopStage::Lock
+                        | MultihopStage::Sign
+                        | MultihopStage::PreUpdate
+                        | MultihopStage::Update
+                )
+            };
+            if !valid {
+                return Err(ProtocolError::BadPopt);
+            }
+            for id in &my_channels {
+                let (pre_my, pre_remote) = route
+                    .pre_balances
+                    .get(id)
+                    .copied()
+                    .ok_or(ProtocolError::BadPopt)?;
+                let chan = self
+                    .state
+                    .channels
+                    .get(id)
+                    .ok_or(ProtocolError::UnknownChannel)?;
+                // Settle at the state matching the PoPT, in this
+                // channel's payment direction.
+                let (my_bal, remote_bal) = match (post, route.out_chan() == Some(*id)) {
+                    (false, _) => (pre_my, pre_remote),
+                    (true, true) => (pre_my - route.amount, pre_remote + route.amount),
+                    (true, false) => (pre_my + route.amount, pre_remote - route.amount),
+                };
+                settlements.push((*id, settle::settlement_tx(chan, my_bal, remote_bal)));
+            }
+        }
         self.set_route_stage(&route_id, MultihopStage::Terminated);
         let mut effects = Vec::new();
         for id in &my_channels {
             self.flush_admission(*id, ProtocolError::ChannelClosed, &mut effects);
         }
-        match classify {
-            None => {
-                // τ confirmed: our channels are settled by it; just close.
-                for id in my_channels {
-                    if let Some(chan) = self.channels.get_mut(&id) {
-                        chan.closed = true;
-                        self.stage_delta(StateDelta::CloseChannel(id));
-                    }
-                }
-            }
-            Some(post) => {
-                let valid = if post {
-                    matches!(
-                        stage,
-                        MultihopStage::PreUpdate
-                            | MultihopStage::Update
-                            | MultihopStage::PostUpdate
-                            | MultihopStage::Release
-                    )
-                } else {
-                    matches!(
-                        stage,
-                        MultihopStage::Lock
-                            | MultihopStage::Sign
-                            | MultihopStage::PreUpdate
-                            | MultihopStage::Update
-                    )
-                };
-                if !valid {
-                    return Err(ProtocolError::BadPopt);
-                }
-                for id in my_channels {
-                    let (pre_my, pre_remote) = pre_balances
-                        .get(&id)
-                        .copied()
-                        .ok_or(ProtocolError::BadPopt)?;
-                    let chan = self
-                        .channels
-                        .get_mut(&id)
-                        .ok_or(ProtocolError::UnknownChannel)?;
-                    chan.closed = true;
-                    // Determine the payment direction for this channel:
-                    // settle at the state matching the PoPT.
-                    let (my_bal, remote_bal) = if post {
-                        let rs = &self.routes[&route_id];
-                        let outgoing = rs.out_chan() == Some(id);
-                        if outgoing {
-                            (pre_my - amount, pre_remote + amount)
-                        } else {
-                            (pre_my + amount, pre_remote - amount)
-                        }
-                    } else {
-                        (pre_my, pre_remote)
-                    };
-                    let chan = self.channels.get_mut(&id).expect("checked");
-                    let tx = settle::settlement_tx(chan, my_bal, remote_bal);
-                    self.stage_delta(StateDelta::CloseChannel(id));
-                    self.finish_settlement(id, tx, &mut effects);
-                }
-            }
+        self.close_route_channels(&my_channels);
+        for (id, tx) in settlements {
+            self.finish_settlement(id, tx, false, &mut effects);
         }
         Ok(effects)
     }

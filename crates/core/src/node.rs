@@ -634,7 +634,7 @@ impl TeechainNode {
     /// Stopping there loses nothing. An operation is parked only after
     /// the counter refused it, and every counter-gated handler checks the
     /// counter before it mutates anything (the composites resume past
-    /// their ungated steps, see `dispatch_op`). So once the counter
+    /// their completed steps, see `dispatch_op`). So once the counter
     /// refuses one parked operation, it would refuse each one behind it
     /// the same way, with no state change: they stay parked untouched
     /// instead of costing an ecall each per counter window.
@@ -1203,11 +1203,11 @@ impl TeechainNode {
     /// synchronously. Returns when the counter is ready again if it
     /// refused the operation, which the caller then parks.
     ///
-    /// A composite runs ungated steps before its counter-gated one. When
-    /// that step is throttled, what the earlier steps produced is kept
-    /// with the op ([`Progress`]) and the re-dispatch starts at the
-    /// gated step: a deposit is minted once, a settlement address drawn
-    /// once.
+    /// A composite's first step hands out a key and its last registers
+    /// it; both are counter-gated. When the last one is throttled, what
+    /// the earlier steps produced is kept with the op ([`Progress`]) and
+    /// the re-dispatch starts there: a deposit is minted once, a
+    /// settlement address drawn once.
     fn dispatch_op(&mut self, ctx: &mut Ctx<'_>, seq: u64) -> Option<u64> {
         let (req, progress) = self.ops.request(seq)?;
         if self.tracer.enabled() {
@@ -1233,7 +1233,10 @@ impl TeechainNode {
             Request::OpenChannel { id, remote } => {
                 let address = match progress {
                     Some(Progress::Settlement(pk)) => Ok(pk),
-                    _ => self.new_settlement_address(ctx),
+                    _ => self.hand_out(ctx, Command::NewAddress, |e| match e {
+                        HostEvent::NewAddress(pk) => Some(pk),
+                        _ => None,
+                    }),
                 };
                 address.and_then(|my_settlement| {
                     let cmd = Command::NewChannel {
@@ -1267,8 +1270,8 @@ impl TeechainNode {
         None
     }
 
-    /// Runs a composite's counter-gated last step; if the counter refuses
-    /// it, records `done` (what the steps before it produced) with the op.
+    /// Runs a composite's last step; if the counter refuses it, records
+    /// `done` (what the steps before it produced) with the op.
     fn gated_step(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -1283,22 +1286,25 @@ impl TeechainNode {
         result
     }
 
-    /// The open-channel composite's first step: a fresh in-enclave
-    /// settlement address. It is read off the ecall outcome directly (not
-    /// routed through the event stream), so it cannot be mistaken for a
-    /// user-submitted `NewAddress` operation's response.
-    fn new_settlement_address(&mut self, ctx: &mut Ctx<'_>) -> Result<PublicKey, ProtocolError> {
-        let outcome = self
+    /// A composite's hand-out step: carries out every effect of the ecall
+    /// (the key's commit) except the last, the address event: `pick` reads
+    /// it, so it cannot be taken for a user-submitted operation's response.
+    fn hand_out<T>(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        cmd: Command,
+        pick: impl Fn(HostEvent) -> Option<T>,
+    ) -> Result<T, ProtocolError> {
+        let mut effects = self
             .enclave
-            .call(ctx.now_ns(), Command::NewAddress)
+            .call(ctx.now_ns(), cmd)
             .map_err(|_| ProtocolError::Frozen)??;
-        outcome
-            .iter()
-            .find_map(|e| match e {
-                Effect::Event(HostEvent::NewAddress(pk)) => Some(*pk),
-                _ => None,
-            })
-            .ok_or(ProtocolError::BadMessage)
+        let last = effects.pop();
+        self.perform(ctx, effects);
+        match last {
+            Some(Effect::Event(event)) => pick(event).ok_or(ProtocolError::BadMessage),
+            _ => Err(ProtocolError::BadMessage),
+        }
     }
 
     fn finish_op(&mut self, seq: u64, now_ns: u64, outcome: Result<OpOutput, OpError>) {
@@ -1348,17 +1354,10 @@ impl TeechainNode {
         value: u64,
         m: u8,
     ) -> Result<Deposit, ProtocolError> {
-        let outcome = self
-            .enclave
-            .call(ctx.now_ns(), Command::NewCommitteeAddress { m })
-            .map_err(|_| ProtocolError::Frozen)??;
-        let mut spec = None;
-        for e in &outcome {
-            if let Effect::Event(HostEvent::CommitteeAddress(s)) = e {
-                spec = Some(s.clone());
-            }
-        }
-        let spec = spec.ok_or(ProtocolError::BadDeposit)?;
+        let spec = self.hand_out(ctx, Command::NewCommitteeAddress { m }, |e| match e {
+            HostEvent::CommitteeAddress(spec) => Some(spec),
+            _ => None,
+        })?;
         let outpoint = {
             let mut chain = self.chain.lock();
             let script =

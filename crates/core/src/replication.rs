@@ -1,10 +1,12 @@
 //! Force-freeze chain replication (Alg. 3) and committee chains (§6.1).
 //!
-//! Every state mutation on a primary produces [`StateDelta`]s. Before any
+//! Every state mutation on a primary is a [`StateDelta`]. Before any
 //! externally visible effect of the mutation is released, the deltas must
 //! propagate down the backup chain and be acknowledged (Alg. 3 line 24) —
 //! this is what makes a backup's state authoritative on failover, and what
-//! adds one chain traversal of latency per operation (Tables 1 and 2).
+//! adds one chain traversal of latency per operation (Tables 1 and 2). A
+//! backup's replica is a `DurableState` that the deltas change through
+//! the same `apply` the primary ran.
 //!
 //! *Force-freeze*: reading state from a backup (failover) freezes the whole
 //! chain — every member stops accepting updates, so the primary cannot
@@ -16,31 +18,15 @@
 //! committee signatures — tolerating up to `m-1` compromised TEEs.
 
 use crate::channel::Channel;
+use crate::durable::DurableState;
 use crate::enclave::{Effect, HostEvent, Outcome, Peer, TeechainEnclave};
 use crate::msg::{ProtocolMsg, StateDelta};
 use crate::settle;
-use crate::slots::SlotMap;
-use crate::types::{ChannelId, Deposit, ProtocolError, RouteId};
-use std::collections::{BTreeMap, HashMap};
-use teechain_blockchain::{OutPoint, Transaction};
-use teechain_crypto::schnorr::{PrivateKey, PublicKey};
+use crate::types::{ChannelId, ProtocolError};
+use std::collections::BTreeMap;
+use teechain_blockchain::Transaction;
+use teechain_crypto::schnorr::{Keypair, PublicKey};
 use teechain_tee::EnclaveEnv;
-
-/// State replicated from our upstream (the node we back up).
-#[derive(Default)]
-pub(crate) struct ReplicaState {
-    /// Replicated channels (upstream's perspective), in the order their
-    /// first update arrived — the upstream's creation order.
-    pub(crate) channels: SlotMap<ChannelId, Channel>,
-    /// Replicated deposits.
-    pub(crate) deposits: HashMap<OutPoint, Deposit>,
-    /// Replicated deposit keys (1-of-1 deposits and shared keys).
-    pub(crate) keys: HashMap<PublicKey, PrivateKey>,
-    /// Replicated multi-hop intermediate settlements.
-    pub(crate) taus: HashMap<RouteId, Transaction>,
-    /// Highest update sequence applied.
-    pub applied_seq: u64,
-}
 
 /// A settlement awaiting committee co-signatures.
 pub(crate) struct SigCollect {
@@ -48,6 +34,8 @@ pub(crate) struct SigCollect {
     pub id: ChannelId,
     /// The partially signed transaction.
     pub tx: Transaction,
+    /// True if it settles the replica (failover), not our own state.
+    pub replica: bool,
 }
 
 /// Replication role state for one enclave.
@@ -62,80 +50,18 @@ pub(crate) struct Replication {
     /// Blockchain keys of chain members below us (committee candidates).
     pub chain_keys: Vec<PublicKey>,
     /// Our own committee (blockchain) key when acting as a backup.
-    pub my_member_key: Option<PublicKey>,
+    pub member: Option<Keypair>,
     /// Next update sequence to send downstream.
     pub send_seq: u64,
     /// Effects gated on downstream acknowledgement, keyed by sequence.
     pub pending: BTreeMap<u64, Vec<Effect>>,
     /// Deltas staged by the currently executing handler.
     pub staged: Vec<StateDelta>,
-    /// Replica of our upstream's state.
-    pub replica: ReplicaState,
-}
-
-impl ReplicaState {
-    fn apply(&mut self, delta: StateDelta) {
-        match delta {
-            StateDelta::Channel(c) => {
-                self.channels.insert(c.id, *c);
-            }
-            StateDelta::Pay {
-                id,
-                my_delta,
-                remote_delta,
-            } => {
-                if let Some(c) = self.channels.get_mut(&id) {
-                    c.my_bal = c.my_bal.wrapping_add_signed(my_delta);
-                    c.remote_bal = c.remote_bal.wrapping_add_signed(remote_delta);
-                }
-            }
-            StateDelta::Stage { id, stage } => {
-                if let Some(c) = self.channels.get_mut(&id) {
-                    c.stage = stage;
-                }
-            }
-            StateDelta::Deposit { dep, key, mine: _ } => {
-                if let Some(bytes) = key {
-                    if let Some(sk) = PrivateKey::from_bytes(&bytes) {
-                        self.keys.insert(sk.public_key(), sk);
-                    }
-                }
-                self.deposits.insert(dep.outpoint, dep);
-            }
-            StateDelta::RemoveDeposit(op) => {
-                self.deposits.remove(&op);
-            }
-            StateDelta::Tau { route, tau } => match tau {
-                Some(tx) => {
-                    self.taus.insert(route, tx);
-                }
-                None => {
-                    self.taus.remove(&route);
-                }
-            },
-            StateDelta::CloseChannel(id) => {
-                if let Some(c) = self.channels.get_mut(&id) {
-                    c.closed = true;
-                }
-            }
-            StateDelta::Swap(_) => {
-                // Swap progress is not needed to settle replicated
-                // channels: the balance movement of a redeem arrives as
-                // its own `Pay` delta in the same update, and the HTLC
-                // side lives on the alternate chain under the primary's
-                // identity key, which backups do not hold.
-            }
-        }
-    }
-
-    /// True if no replicated channel currently contains `op` (i.e. the
-    /// deposit is free and may be released by its owner).
-    pub fn deposit_is_free(&self, op: &OutPoint) -> bool {
-        !self
-            .channels
-            .values()
-            .any(|c| !c.closed && (c.my_deps.contains(op) || c.remote_deps.contains(op)))
-    }
+    /// Replica of our upstream's durable state, changed only by
+    /// [`DurableState::apply`] of the updates it sends.
+    pub(crate) replica: DurableState,
+    /// Highest update sequence applied to the replica.
+    pub applied_seq: u64,
 }
 
 impl TeechainEnclave {
@@ -157,15 +83,11 @@ impl TeechainEnclave {
         }
         self.rep.upstream = Some(from);
         // Generate our committee (blockchain) key inside the TEE.
-        let member_key = match self.rep.my_member_key {
-            Some(k) => k,
-            None => {
-                let sk = PrivateKey::from_seed(&env.random_bytes32());
-                let pk = self.book.insert_key(sk);
-                self.rep.my_member_key = Some(pk);
-                pk
-            }
-        };
+        let member_key = self
+            .rep
+            .member
+            .get_or_insert_with(|| Keypair::from_seed(&env.random_bytes32()))
+            .pk;
         let msg = ProtocolMsg::RepAssignAck { member_key };
         Ok(vec![self.seal_at(from.slot, &msg)?])
     }
@@ -193,16 +115,15 @@ impl TeechainEnclave {
     /// The committee for a new deposit: a fresh per-deposit key plus the
     /// blockchain keys of every chain member, threshold `m`.
     pub(crate) fn cmd_new_committee(&mut self, env: &mut EnclaveEnv, m: u8) -> Outcome {
-        self.require_unfrozen()?;
-        let seed = env.random_bytes32();
-        let own = self.book.insert_key(PrivateKey::from_seed(&seed));
-        let mut member_keys = vec![own];
-        member_keys.extend(self.rep.chain_keys.iter().copied());
-        if m == 0 || (m as usize) > member_keys.len() {
-            return Err(ProtocolError::ReplicationError);
-        }
-        let spec = crate::types::CommitteeSpec { m, member_keys };
-        Ok(vec![Effect::Event(HostEvent::CommitteeAddress(spec))])
+        let chain_keys = self.rep.chain_keys.clone();
+        self.hand_out_key(env, |own| {
+            let member_keys: Vec<_> = std::iter::once(own).chain(chain_keys).collect();
+            if m == 0 || (m as usize) > member_keys.len() {
+                return Err(ProtocolError::ReplicationError);
+            }
+            let spec = crate::types::CommitteeSpec { m, member_keys };
+            Ok(HostEvent::CommitteeAddress(spec))
+        })
     }
 
     pub(crate) fn on_rep_update(
@@ -219,23 +140,21 @@ impl TeechainEnclave {
             // the primary's effects stay gated forever, which is the point.
             return Err(ProtocolError::Frozen);
         }
-        if self.rep.backup.is_some() {
-            // Forward down the chain first; ack upstream only when the
-            // tail has applied (handled in on_rep_ack).
-            for d in &deltas {
-                self.rep.replica.apply(d.clone());
+        for d in &deltas {
+            self.rep.replica.apply(d);
+        }
+        self.rep.applied_seq = seq;
+        match self.rep.backup {
+            // Forward down the chain; ack upstream only when the tail has
+            // applied (handled in on_rep_ack).
+            Some(backup) => {
+                let msg = ProtocolMsg::RepUpdate { seq, deltas };
+                Ok(vec![self.seal_at(backup.slot, &msg)?])
             }
-            self.rep.replica.applied_seq = seq;
-            let backup = self.rep.backup.expect("checked");
-            let msg = ProtocolMsg::RepUpdate { seq, deltas };
-            Ok(vec![self.seal_at(backup.slot, &msg)?])
-        } else {
-            for d in deltas {
-                self.rep.replica.apply(d);
+            None => {
+                let msg = ProtocolMsg::RepAck { seq };
+                Ok(vec![self.seal_at(from.slot, &msg)?])
             }
-            self.rep.replica.applied_seq = seq;
-            let msg = ProtocolMsg::RepAck { seq };
-            Ok(vec![self.seal_at(from.slot, &msg)?])
         }
     }
 
@@ -288,10 +207,11 @@ impl TeechainEnclave {
         }
         // Reading a backup breaks the chain: everything freezes (§6).
         let mut effects = self.propagate_freeze(None)?;
+        let book = &self.rep.replica.book;
         effects.push(Effect::Event(HostEvent::ReplicaState {
             channels: self.rep.replica.channels.len(),
-            deposits: self.rep.replica.deposits.len(),
-            applied_seq: self.rep.replica.applied_seq,
+            deposits: book.mine.len() + book.remote.len(),
+            applied_seq: self.rep.applied_seq,
         }));
         Ok(effects)
     }
@@ -317,7 +237,7 @@ impl TeechainEnclave {
         let mut effects = Vec::new();
         for chan in channels {
             let tx = settle::current_settlement_tx(&chan);
-            self.finish_settlement(chan.id, tx, &mut effects);
+            self.finish_settlement(chan.id, tx, true, &mut effects);
         }
         Ok(effects)
     }
@@ -327,41 +247,27 @@ impl TeechainEnclave {
         // replicated state — a compromised primary cannot obtain committee
         // signatures for a stale or inflated settlement.
         let txid = tx.txid();
-        let mut valid = false;
-        // (1) Current settlement of a replicated channel.
-        for chan in self.rep.replica.channels.values() {
-            if settle::current_settlement_tx(chan).txid() == txid {
-                valid = true;
-                break;
-            }
-        }
-        // (2) A replicated multi-hop intermediate settlement τ.
-        if !valid {
-            valid = self.rep.replica.taus.values().any(|t| t.txid() == txid);
-        }
-        // (3) Release of a deposit that is free in the replica.
-        if !valid && tx.inputs.len() == 1 {
-            let op = tx.inputs[0].prevout;
-            if self.rep.replica.deposits.contains_key(&op) && self.rep.replica.deposit_is_free(&op)
-            {
-                valid = true;
-            }
-        }
-        if !valid {
-            return Ok(vec![Effect::Event(HostEvent::CoSignResult {
-                req_id,
-                sigs: vec![],
-                refused: true,
-            })]);
-        }
+        let replica = &self.rep.replica;
+        // (1) Current settlement of a replicated channel, (2) a
+        // replicated multi-hop intermediate settlement τ, or (3) release
+        // of a deposit that is free in the replica.
+        let valid = replica
+            .channels
+            .values()
+            .any(|c| settle::current_settlement_tx(c).txid() == txid)
+            || replica
+                .routes
+                .values()
+                .any(|r| r.tau.as_ref().is_some_and(|t| t.txid() == txid))
+            || (tx.inputs.len() == 1 && replica.book.require_free(&tx.inputs[0].prevout).is_ok());
         let sighash = tx.sighash();
         let mut sigs = Vec::new();
-        for (idx, input) in tx.inputs.iter().enumerate() {
-            let Some(dep) = self.known_deposit(&input.prevout) else {
+        for (idx, input) in tx.inputs.iter().enumerate().filter(|_| valid) {
+            let Some(dep) = replica.book.deposit_of(&input.prevout) else {
                 continue;
             };
             for member in &dep.committee.member_keys {
-                if let Some(key) = self.signing_key(member) {
+                if let Some(key) = self.signer(replica, member) {
                     sigs.push((idx as u32, teechain_crypto::schnorr::sign(&key, &sighash)));
                 }
             }
@@ -369,7 +275,7 @@ impl TeechainEnclave {
         Ok(vec![Effect::Event(HostEvent::CoSignResult {
             req_id,
             sigs,
-            refused: false,
+            refused: !valid,
         })])
     }
 
@@ -388,14 +294,13 @@ impl TeechainEnclave {
                 }
             }
         }
-        let tx = collect.tx.clone();
-        let id = collect.id;
-        let deposit_of = |op: &OutPoint| {
-            self.book
-                .deposit_of(op)
-                .or_else(|| self.rep.replica.deposits.get(op))
+        let (tx, id, replica) = (collect.tx.clone(), collect.id, collect.replica);
+        let book = if replica {
+            &self.rep.replica.book
+        } else {
+            &self.state.book
         };
-        if settle::threshold_met(&tx, deposit_of) {
+        if settle::threshold_met(&tx, |op| book.deposit_of(op)) {
             self.sig_collects.remove(&req_id);
             Ok(vec![
                 Effect::Event(HostEvent::SettlementBroadcast {

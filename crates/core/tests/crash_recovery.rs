@@ -294,3 +294,165 @@ fn no_seal_nonce_is_reused_across_snapshots_crash_and_recovery() {
     );
     assert_eq!(c.balances(1, chan).0, 10 * (4 * EVERY as u64 + 2));
 }
+
+/// Dissociation destroys the counterparty's copy of a 1-of-1 deposit key
+/// (Alg. 1 line 104), and the destruction is durable: with no snapshot
+/// after it, WAL replay must not bring the key back.
+#[test]
+fn a_dissociated_deposit_key_stays_destroyed_after_wal_recovery() {
+    let mut c = persist_cluster(2, 1000);
+    c.connect(0, 1);
+    let chan = c.open_channel(0, 1, "dissociate");
+    let dep = c.fund_deposit(0, 400, 1);
+    c.approve_and_associate(0, 1, chan, &dep);
+    let key = dep.committee.member_keys[0];
+    let holds = |c: &Cluster| {
+        let p = c.node(1).enclave.program().unwrap();
+        p.book_ref().keys.contains_key(&key)
+    };
+    assert!(holds(&c), "association shares the 1-of-1 key");
+    let p = c.handle(0).dissociate_deposit(chan, dep.outpoint);
+    c.wait(p).unwrap();
+    assert!(!holds(&c), "dissociation destroys the copy");
+    assert_eq!(c.store(1).unwrap().lock().stats().compactions, 0);
+    c.crash_node(1);
+    c.settle_network();
+    c.recover_node(1).unwrap();
+    assert!(!holds(&c), "recovery does not bring the key back");
+}
+
+/// A hop that crashes in the middle of a multi-hop payment recovers its
+/// route and can exit on its own. For every hop and every stage it is seen
+/// at, the hop is crashed there, recovered and ejected; the chain then pays
+/// each of its route channels what §5 permits: the current state before the
+/// payment moved and after it completed (pre- and post-payment), τ's
+/// post-payment state in between.
+#[test]
+fn a_hop_crashed_at_any_multihop_stage_recovers_and_ejects() {
+    use teechain::{ChannelId, MultihopStage, RouteId};
+    const DEPOSIT: u64 = 1000;
+    const AMOUNT: u64 = 300;
+    let route = RouteId([7; 32]);
+    let setup = || {
+        let mut c = persist_cluster(3, 8);
+        let c01 = c.standard_channel(0, 1, "c01", DEPOSIT, 1);
+        let c12 = c.standard_channel(1, 2, "c12", DEPOSIT, 1);
+        let hops = vec![c.ids[0], c.ids[1], c.ids[2]];
+        let channels = vec![c01, c12];
+        c.submit(
+            0,
+            Command::PayMultihop {
+                route,
+                hops,
+                channels: channels.clone(),
+                amount: AMOUNT,
+            },
+        );
+        (c, channels)
+    };
+    // Hop h's route channels, each with h's post-payment balance: the
+    // channel in pays h, the channel out is paid by h (each funded by the
+    // hop it leaves).
+    let route_channels = |h: usize, chans: &[ChannelId]| -> Vec<(ChannelId, u64)> {
+        let inbound = (h > 0).then(|| (chans[h - 1], AMOUNT));
+        let outbound = (h < 2).then(|| (chans[h], DEPOSIT - AMOUNT));
+        inbound.into_iter().chain(outbound).collect()
+    };
+    let stage_of = |c: &Cluster, h: usize, chan: ChannelId| {
+        let p = c.node(h).enclave.program().unwrap();
+        p.channel(&chan).unwrap().stage
+    };
+    // Where each hop is after each simulator event, up to quiescence.
+    let (mut c, chans) = setup();
+    let mut first_seen: Vec<(usize, MultihopStage, usize)> = Vec::new();
+    let mut events = 0;
+    loop {
+        for h in 0..3 {
+            let stage = stage_of(&c, h, route_channels(h, &chans)[0].0);
+            if !first_seen.iter().any(|&(g, s, _)| g == h && s == stage) {
+                first_seen.push((h, stage, events));
+            }
+        }
+        if c.sim.run_to_idle(1) == 0 {
+            break;
+        }
+        events += 1;
+    }
+    // One simulator event at a time (one shard) shows 10 of them; more
+    // shards step a window at a time and may show fewer.
+    let (mut ejected, mut via_tau_ejected) = (0, 0);
+    for (h, stage, at) in first_seen {
+        if stage == MultihopStage::Idle {
+            continue; // Not in the route yet, or done with it.
+        }
+        let (mut c, chans) = setup();
+        for _ in 0..at {
+            c.sim.run_to_idle(1);
+        }
+        let mine = route_channels(h, &chans);
+        let before: Vec<_> = mine
+            .iter()
+            .map(|&(chan, post)| {
+                let p = c.node(h).enclave.program().unwrap();
+                let ch = p.channel(&chan).unwrap();
+                (ch.my_settlement, ch.my_bal, post)
+            })
+            .collect();
+        c.crash_node(h);
+        c.recover_node(h).unwrap();
+        assert_eq!(
+            stage_of(&c, h, mine[0].0),
+            stage,
+            "hop {h} recovers at {stage:?}"
+        );
+        c.op(h, Command::Eject { route })
+            .unwrap_or_else(|e| panic!("hop {h} at {stage:?} ejects: {e:?}"));
+        c.mine(1);
+        let via_tau = matches!(stage, MultihopStage::PreUpdate | MultihopStage::Update);
+        for (settlement, current, post) in before {
+            let want = if via_tau { post } else { current };
+            assert_eq!(
+                c.chain_balance(&settlement),
+                want,
+                "hop {h} ejected at {stage:?}"
+            );
+        }
+        ejected += 1;
+        via_tau_ejected += usize::from(via_tau);
+    }
+    assert!(
+        ejected >= 6 && via_tau_ejected >= 2,
+        "ejected {ejected} times"
+    );
+}
+
+/// A fresh address's key is durable from the moment it is handed out, so
+/// value sent to the address before its deposit is registered is never
+/// stranded: after `NewAddress`, an unrelated commit and a crash, the
+/// recovered enclave registers a deposit to the address. Checked with a
+/// snapshot at every commit and with WAL replay alone.
+#[test]
+fn a_handed_out_address_survives_a_crash_before_its_deposit() {
+    use teechain::{CommitteeSpec, Deposit};
+    for snapshot_every in [1, 1000] {
+        let mut c = persist_cluster(2, snapshot_every);
+        let chan = c.standard_channel(0, 1, "unrelated", 1000, 1);
+        let pk = c.new_address(0);
+        c.pay(0, chan, 10).unwrap();
+        c.crash_node(0);
+        c.settle_network();
+        c.recover_node(0).unwrap();
+        let script = teechain_blockchain::ScriptPubKey::multisig(1, vec![pk]);
+        let outpoint = c.chain.lock().mint(script, 500);
+        let deposit = Deposit {
+            outpoint,
+            value: 500,
+            committee: CommitteeSpec {
+                m: 1,
+                member_keys: vec![pk],
+            },
+        };
+        c.op(0, Command::NewDeposit { deposit })
+            .unwrap_or_else(|e| panic!("snapshot every {snapshot_every}: {e:?}"));
+    }
+}

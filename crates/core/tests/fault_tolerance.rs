@@ -271,10 +271,12 @@ fn persist_mode_throttle_is_absorbed_by_the_pump() {
 
 /// `(length, sha256)` of the burst's completion log below — one
 /// `op|outcome|time_ns` line per payment — as the pump produced it when it
-/// still re-dispatched every parked operation on every counter window.
+/// still re-dispatched every parked operation on every counter window,
+/// every time 200 ms later: set-up commits the two keys it hands out
+/// (settlement and deposit address), two more counter windows.
 const BURST_COMPLETIONS: (usize, &str) = (
-    14_583,
-    "660afd2dcd6f65a569c7c547ebb1cf3be03a08b7a8f1897e97abaa7ee02ad655",
+    14_585,
+    "0f09e1dae32555bb686526faf608cd9126ebf4fddf098c2759e866725c62c0d9",
 );
 
 /// A 64-payment burst against a 100 ms counter: each window commits one
