@@ -45,10 +45,12 @@
 //! batch commit exactly-once: an op either made it into a sealed batch
 //! record (and will be reapplied) or it never happened.
 
-use crate::msg::ProtocolMsg;
-use crate::types::ChannelId;
+use crate::enclave::{Effect, HostEvent, Outcome, Peer, TeechainEnclave};
+use crate::msg::{ProtocolMsg, StateDelta};
+use crate::types::{ChannelId, ProtocolError};
 use std::collections::{BTreeMap, VecDeque};
 use teechain_crypto::schnorr::PublicKey;
+use teechain_tee::EnclaveEnv;
 
 /// Max ops queued per channel before admission pushes back with
 /// `ChannelLocked` (the only case left that surfaces it to a caller).
@@ -253,6 +255,454 @@ impl AdmitState {
     pub fn backlog(&self) -> usize {
         self.queues.values().map(|q| q.len()).sum::<usize>()
             + self.deferred.values().map(|q| q.len()).sum::<usize>()
+    }
+}
+
+impl TeechainEnclave {
+    // ---- Admission pump (queues, deferred messages, counter stash) ----
+
+    /// The host-timer entry point of the admission layer. Expires
+    /// overdue queued/deferred entries, then — if the monotonic counter
+    /// permits committing — drains any unlocked channel with a backlog
+    /// and re-dispatches counter-stashed messages as one group commit.
+    pub(crate) fn cmd_pump_admission(&mut self, env: &mut EnclaveEnv) -> Outcome {
+        if self.frozen {
+            // A frozen enclave keeps its queues; ops resolve at the host
+            // (dead-op resolution), not here.
+            return Ok(vec![]);
+        }
+        let mut effects = Vec::new();
+        self.expire_admissions(env, &mut effects);
+        match self.require_counter_ready(env) {
+            Ok(()) => {
+                let ids: Vec<ChannelId> = self
+                    .admit
+                    .queues
+                    .keys()
+                    .chain(self.admit.deferred.keys())
+                    .copied()
+                    .collect();
+                for id in ids {
+                    // Safety net: unlock points drain eagerly, so this
+                    // only finds work after an expiry or an odd
+                    // interleaving — but it guarantees no backlog can
+                    // outlive its lock.
+                    self.drain_admission(env, id, &mut effects);
+                }
+                let mut out = self.pump_stashed(env, effects)?;
+                // Re-arm for whatever is still parked (behind channels
+                // that are genuinely still locked, or inside a backoff).
+                if let Some(d) = self.admit.next_deadline(env.now_ns()) {
+                    out.push(Effect::Event(HostEvent::PumpAt(d)));
+                }
+                Ok(out)
+            }
+            Err(ProtocolError::CounterThrottled { ready_at }) => {
+                effects.push(Effect::Event(HostEvent::PumpAt(ready_at)));
+                Ok(effects)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Re-dispatches messages stashed while the counter was throttled.
+    /// Group commit (§6.2): with no replication chain attached, every
+    /// stashed message is dispatched into ONE commit — a single counter
+    /// increment and WAL append cover the whole batch, amortizing the
+    /// 100 ms counter throttle over many payments.
+    fn pump_stashed(&mut self, env: &mut EnclaveEnv, seed: Vec<Effect>) -> Outcome {
+        if self.cfg.persist() && self.rep.backup.is_none() {
+            let mut out = seed;
+            while let Some((from, msg)) = self.pending_msgs.pop_front() {
+                match self.dispatch_protocol(env, from, msg.clone()) {
+                    Ok(effects) => out.extend(effects),
+                    Err(ProtocolError::CounterThrottled { ready_at }) => {
+                        // Defensive: cannot trigger mid-batch (the counter
+                        // is only spent by the finalize below), but if a
+                        // handler ever throttles, preserve ordering.
+                        self.pending_msgs.push_front((from, msg));
+                        out.push(Effect::Event(HostEvent::PumpAt(ready_at)));
+                        break;
+                    }
+                    Err(_) => {
+                        // Drop protocol-violating stashed messages.
+                    }
+                }
+            }
+            return self.finalize(env, out);
+        }
+        let mut out = seed;
+        while let Some((from, msg)) = self.pending_msgs.pop_front() {
+            match self.dispatch_protocol(env, from, msg.clone()) {
+                Ok(effects) => {
+                    out.extend(effects);
+                    // Replicate/persist per message, preserving ordering.
+                    let flushed = self.finalize(env, std::mem::take(&mut out))?;
+                    out = flushed;
+                }
+                Err(ProtocolError::CounterThrottled { ready_at }) => {
+                    self.pending_msgs.push_front((from, msg));
+                    out.push(Effect::Event(HostEvent::PumpAt(ready_at)));
+                    return Ok(out);
+                }
+                Err(_) => {
+                    // Drop protocol-violating stashed messages.
+                }
+            }
+        }
+        self.finalize(env, out)
+    }
+
+    /// Fails every queued/deferred entry whose admission deadline has
+    /// passed. Queued deadlines are NOT monotone within a queue — a
+    /// contention requeue re-enters with its *original* admission
+    /// deadline — so the whole queue is scanned. Deferred deadlines stay
+    /// monotone (defer time + a constant); front pops are exhaustive
+    /// there.
+    fn expire_admissions(&mut self, env: &mut EnclaveEnv, effects: &mut Vec<Effect>) {
+        let now = env.now_ns();
+        let ids: Vec<ChannelId> = self.admit.queues.keys().copied().collect();
+        for id in ids {
+            let mut i = 0;
+            while let Some(entry) = self.admit.queues.get_mut(&id).and_then(|q| {
+                while i < q.len() && q[i].deadline_ns > now {
+                    i += 1;
+                }
+                (i < q.len()).then(|| q.remove(i).unwrap())
+            }) {
+                self.admit.stats.expired += 1;
+                match entry.op {
+                    QueuedOp::Pay { amount, count } => {
+                        effects.push(Effect::Event(HostEvent::PaymentRejected {
+                            id,
+                            amount,
+                            count,
+                            reason: ProtocolError::ChannelLocked,
+                        }));
+                    }
+                    QueuedOp::Multihop { route, .. } => {
+                        effects.push(Effect::Event(HostEvent::MultihopFailed {
+                            route,
+                            reason: ProtocolError::ChannelLocked,
+                        }));
+                    }
+                }
+            }
+        }
+        let ids: Vec<ChannelId> = self.admit.deferred.keys().copied().collect();
+        for id in ids {
+            while let Some(d) = self.admit.deferred.get_mut(&id).and_then(|q| {
+                q.front()
+                    .is_some_and(|e| e.deadline_ns <= now)
+                    .then(|| q.pop_front().unwrap())
+            }) {
+                self.admit.stats.expired += 1;
+                // Enqueue time is reconstructible: deadline - constant.
+                let age = now.saturating_sub(d.deadline_ns - DEFER_DEADLINE_NS);
+                self.admit.stats.note_defer_age(age);
+                self.refuse_deferred(d, ProtocolError::ChannelLocked, effects);
+            }
+        }
+        self.admit.queues.retain(|_, q| !q.is_empty());
+        self.admit.deferred.retain(|_, q| !q.is_empty());
+    }
+
+    /// Answers a deferred inbound message backward with a typed refusal,
+    /// so the sender's op completes instead of hanging.
+    fn refuse_deferred(
+        &mut self,
+        d: DeferredMsg,
+        reason: ProtocolError,
+        effects: &mut Vec<Effect>,
+    ) {
+        let refusal = match d.msg {
+            ProtocolMsg::Pay { id, amount, count } => ProtocolMsg::PayNack {
+                id,
+                amount,
+                count,
+                reason: reason.abort_code(),
+            },
+            ProtocolMsg::MhLock(m) => ProtocolMsg::MhAbort {
+                route: m.route,
+                reason: reason.abort_code(),
+            },
+            _ => return, // Only Pay/MhLock are ever deferred.
+        };
+        if let Ok(eff) = self.seal_to(&d.from, &refusal) {
+            effects.push(eff);
+        }
+    }
+
+    /// Drains a channel's admission backlog after it unlocked: deferred
+    /// inbound messages re-dispatch first (they were decrypted before any
+    /// local op could observe the unlock), then queued local payments are
+    /// applied as one batched delta — the enclosing ecall's `finalize`
+    /// turns the whole drain into a single commit / WAL record.
+    pub(crate) fn drain_admission(
+        &mut self,
+        env: &mut EnclaveEnv,
+        id: ChannelId,
+        effects: &mut Vec<Effect>,
+    ) {
+        self.drain_deferred(env, id, effects);
+        self.drain_queued(env.now_ns(), id, effects);
+    }
+
+    fn drain_deferred(&mut self, env: &mut EnclaveEnv, id: ChannelId, effects: &mut Vec<Effect>) {
+        loop {
+            let unlocked = self
+                .state
+                .channels
+                .get(&id)
+                .map(|c| !c.locked() && !c.closed)
+                .unwrap_or(false);
+            if !unlocked {
+                break;
+            }
+            let Some(d) = self.admit.deferred.get_mut(&id).and_then(|q| q.pop_front()) else {
+                break;
+            };
+            let age = env
+                .now_ns()
+                .saturating_sub(d.deadline_ns - DEFER_DEADLINE_NS);
+            self.admit.stats.note_defer_age(age);
+            match d.msg {
+                ProtocolMsg::Pay { id, amount, count } => {
+                    let from = Peer {
+                        pk: d.from,
+                        slot: self.peer_slot(&d.from),
+                    };
+                    match self.on_pay(env, from, id, amount, count) {
+                        Ok(effs) => effects.extend(effs),
+                        Err(e) => {
+                            let nack = ProtocolMsg::PayNack {
+                                id,
+                                amount,
+                                count,
+                                reason: e.abort_code(),
+                            };
+                            if let Ok(eff) = self.seal_to(&d.from, &nack) {
+                                effects.push(eff);
+                            }
+                        }
+                    }
+                }
+                ProtocolMsg::MhLock(m) => {
+                    let route = m.route;
+                    match self.on_mh_lock(env, d.from, m) {
+                        Ok(effs) => effects.extend(effs),
+                        Err(e) => {
+                            let abort = ProtocolMsg::MhAbort {
+                                route,
+                                reason: e.abort_code(),
+                            };
+                            if let Ok(eff) = self.seal_to(&d.from, &abort) {
+                                effects.push(eff);
+                            }
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        self.admit.deferred.retain(|_, q| !q.is_empty());
+    }
+
+    fn drain_queued(&mut self, now: u64, id: ChannelId, effects: &mut Vec<Effect>) {
+        loop {
+            match self.state.channels.get(&id) {
+                None => {
+                    self.flush_admission(id, ProtocolError::ChannelClosed, effects);
+                    return;
+                }
+                Some(c) if c.closed => {
+                    self.flush_admission(id, ProtocolError::ChannelClosed, effects);
+                    return;
+                }
+                Some(c) if c.locked() => return, // A drained multihop re-locked it.
+                Some(_) => {}
+            }
+            // Strict FIFO: a front entry still inside its re-origination
+            // backoff parks the whole queue until its ready time (the
+            // pump wakes us, via `next_deadline`).
+            if self
+                .admit
+                .queues
+                .get(&id)
+                .and_then(|q| q.front())
+                .is_some_and(|e| e.ready_ns > now)
+            {
+                break;
+            }
+            let Some(front) = self.admit.queues.get(&id).and_then(|q| q.front()) else {
+                break;
+            };
+            if matches!(front.op, QueuedOp::Pay { .. }) {
+                self.apply_pay_batch(id, effects);
+            } else {
+                // Wait-die reservation: an older route's deferred lock at
+                // this node needs this (currently unlocked) channel, so a
+                // younger queued origination may not take it — doing so
+                // starves the waiter, whose two hop channels then never
+                // free up together. Park the queue; the pump or the
+                // waiter's own lock/release re-drains it.
+                let QueuedOp::Multihop { route, .. } = front.op else {
+                    unreachable!("non-Pay front is Multihop");
+                };
+                if self.reserved_for_older(id, route) {
+                    break;
+                }
+                let entry = self
+                    .admit
+                    .queues
+                    .get_mut(&id)
+                    .and_then(|q| q.pop_front())
+                    .expect("front checked");
+                let QueuedOp::Multihop {
+                    route,
+                    hops,
+                    channels,
+                    amount,
+                } = entry.op
+                else {
+                    unreachable!("front checked as multihop");
+                };
+                match self.pay_multihop_inner(route, hops, channels, amount, entry.deadline_ns) {
+                    Ok(effs) => effects.extend(effs),
+                    Err(e) => effects.push(Effect::Event(HostEvent::MultihopFailed {
+                        route,
+                        reason: e,
+                    })),
+                }
+            }
+        }
+        self.admit.queues.retain(|_, q| !q.is_empty());
+    }
+
+    /// Pops the longest prefix of consecutive queued payments the current
+    /// balance covers and applies them as ONE payment: one staged delta,
+    /// one wire `Pay` carrying the summed amount/count, one ack fan-out
+    /// group. This is the batch the group commit amortizes. A front
+    /// payment that does not fit even alone is rejected (terminal) so the
+    /// queue cannot head-of-line block behind it.
+    fn apply_pay_batch(&mut self, id: ChannelId, effects: &mut Vec<Effect>) {
+        let Some(chan) = self.state.channels.get(&id) else {
+            return;
+        };
+        let (my_bal, remote) = (chan.my_bal, chan.remote);
+        let Some(q) = self.admit.queues.get_mut(&id) else {
+            return;
+        };
+        let mut batch: Vec<(u64, u32)> = Vec::new();
+        let mut total = 0u64;
+        let mut total_count = 0u32;
+        while let Some(front) = q.front() {
+            match front.op {
+                QueuedOp::Pay { amount, count } => {
+                    if total + amount <= my_bal {
+                        total += amount;
+                        total_count += count;
+                        batch.push((amount, count));
+                        q.pop_front();
+                    } else if batch.is_empty() {
+                        q.pop_front();
+                        effects.push(Effect::Event(HostEvent::PaymentRejected {
+                            id,
+                            amount,
+                            count,
+                            reason: ProtocolError::InsufficientBalance,
+                        }));
+                    } else {
+                        break;
+                    }
+                }
+                QueuedOp::Multihop { .. } => break,
+            }
+        }
+        if batch.is_empty() {
+            return;
+        }
+        let msg = ProtocolMsg::Pay {
+            id,
+            amount: total,
+            count: total_count,
+        };
+        match self.seal_to(&remote, &msg) {
+            Ok(eff) => {
+                self.commit(StateDelta::Pay {
+                    id,
+                    my_delta: -(total as i64),
+                    remote_delta: total as i64,
+                });
+                self.admit.stats.record_batch(batch.len() as u64);
+                let last = batch.len() - 1;
+                self.admit
+                    .inflight
+                    .entry(id)
+                    .or_default()
+                    .extend(
+                        batch
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &(amount, count))| AckEntry {
+                                id,
+                                amount,
+                                count,
+                                more: i < last,
+                            }),
+                    );
+                effects.push(eff);
+            }
+            Err(e) => {
+                // No session (should not happen for an open channel):
+                // nothing was debited, fail the whole batch.
+                for (amount, count) in batch {
+                    effects.push(Effect::Event(HostEvent::PaymentRejected {
+                        id,
+                        amount,
+                        count,
+                        reason: e.clone(),
+                    }));
+                }
+            }
+        }
+    }
+
+    /// Terminally fails everything queued or deferred behind `id` —
+    /// called when the channel closes (settle, eject, remote settlement).
+    pub(crate) fn flush_admission(
+        &mut self,
+        id: ChannelId,
+        reason: ProtocolError,
+        effects: &mut Vec<Effect>,
+    ) {
+        if let Some(q) = self.admit.queues.remove(&id) {
+            for entry in q {
+                self.admit.stats.flushed += 1;
+                match entry.op {
+                    QueuedOp::Pay { amount, count } => {
+                        effects.push(Effect::Event(HostEvent::PaymentRejected {
+                            id,
+                            amount,
+                            count,
+                            reason: reason.clone(),
+                        }));
+                    }
+                    QueuedOp::Multihop { route, .. } => {
+                        effects.push(Effect::Event(HostEvent::MultihopFailed {
+                            route,
+                            reason: reason.clone(),
+                        }));
+                    }
+                }
+            }
+        }
+        if let Some(dq) = self.admit.deferred.remove(&id) {
+            for d in dq {
+                self.admit.stats.flushed += 1;
+                self.refuse_deferred(d, reason.clone(), effects);
+            }
+        }
     }
 }
 

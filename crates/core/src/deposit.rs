@@ -1,10 +1,14 @@
 //! Deposit bookkeeping (Alg. 1's `allDeps`, `freeDeps`, `appDeps`,
 //! `btcPrivs`).
 
-use crate::types::{Deposit, ProtocolError};
+use crate::enclave::{Effect, HostEvent, Outcome, TeechainEnclave};
+use crate::msg::{ProtocolMsg, StateDelta};
+use crate::settle;
+use crate::types::{ChannelId, Deposit, ProtocolError};
 use std::collections::{HashMap, HashSet};
 use teechain_blockchain::OutPoint;
 use teechain_crypto::schnorr::{Keypair, PrivateKey, PublicKey};
+use teechain_tee::EnclaveEnv;
 
 /// Where a deposit currently is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,6 +141,315 @@ impl DepositBook {
             .filter(|(_, s)| *s == DepositStatus::Free)
             .map(|(d, _)| d.clone())
             .collect()
+    }
+}
+
+impl TeechainEnclave {
+    pub(crate) fn cmd_new_deposit(&mut self, env: &mut EnclaveEnv, deposit: Deposit) -> Outcome {
+        self.require_unfrozen()?;
+        self.require_counter_ready(env)?;
+        let key = self.state.book.check_new_mine(&deposit)?.to_bytes();
+        self.commit(StateDelta::Deposit {
+            dep: deposit,
+            key: Some(key),
+            mine: true,
+        });
+        Ok(vec![])
+    }
+
+    pub(crate) fn cmd_release_deposit(
+        &mut self,
+        env: &mut EnclaveEnv,
+        outpoint: teechain_blockchain::OutPoint,
+        to: PublicKey,
+    ) -> Outcome {
+        self.require_unfrozen()?;
+        self.require_counter_ready(env)?;
+        let tx = settle::release_tx(self.state.book.require_free(&outpoint)?, to);
+        self.commit(StateDelta::RemoveDeposit(outpoint));
+        let mut effects = Vec::new();
+        // Release uses the same signing/co-signing path as settlements.
+        self.finish_settlement(ChannelId([0; 32]), tx, false, &mut effects);
+        Ok(effects)
+    }
+
+    pub(crate) fn cmd_approve_deposit(
+        &mut self,
+        remote: PublicKey,
+        outpoint: teechain_blockchain::OutPoint,
+    ) -> Outcome {
+        self.require_unfrozen()?;
+        let dep = self.state.book.require_free(&outpoint)?.clone();
+        if self.state.book.is_approved_by(&remote, &outpoint) {
+            return Err(ProtocolError::BadDeposit); // Already approved.
+        }
+        let msg = ProtocolMsg::ApproveDeposit { deposit: dep };
+        Ok(vec![self.seal_to(&remote, &msg)?])
+    }
+
+    pub(crate) fn on_approve_deposit(&mut self, from: PublicKey, deposit: Deposit) -> Outcome {
+        self.require_unfrozen()?;
+        if self.state.book.did_approve(&from, &deposit.outpoint) {
+            return Err(ProtocolError::BadDeposit);
+        }
+        // Remember the offered deposit so DepositVerified can find it.
+        let book = &mut self.state.book;
+        book.offered.insert(deposit.outpoint, deposit.clone());
+        // The enclave cannot read the blockchain (§4): the host must verify
+        // inclusion and confirmations per its own security policy, then
+        // answer with DepositVerified.
+        Ok(vec![Effect::Event(HostEvent::VerifyDeposit {
+            remote: from,
+            deposit,
+        })])
+    }
+
+    pub(crate) fn cmd_deposit_verified(
+        &mut self,
+        remote: PublicKey,
+        outpoint: teechain_blockchain::OutPoint,
+        valid: bool,
+    ) -> Outcome {
+        self.require_unfrozen()?;
+        if !valid {
+            return Ok(vec![]);
+        }
+        // The host re-presents the deposit body it verified; we keep the
+        // copy from the pending approval. For simplicity the verify event
+        // carried the full deposit; hosts echo only identity + outpoint, so
+        // we require the deposit to have been offered before.
+        let dep = match self.state.book.offered.get(&outpoint) {
+            Some(d) => d.clone(),
+            None => return Err(ProtocolError::BadDeposit),
+        };
+        self.state.book.approve_remote(remote, dep);
+        let msg = ProtocolMsg::DepositApproved { outpoint };
+        Ok(vec![self.seal_to(&remote, &msg)?])
+    }
+
+    pub(crate) fn on_deposit_approved(
+        &mut self,
+        from: PublicKey,
+        outpoint: teechain_blockchain::OutPoint,
+    ) -> Outcome {
+        self.state.book.require_free(&outpoint)?;
+        self.state.book.mark_approved_by(from, outpoint);
+        Ok(vec![Effect::Event(HostEvent::DepositApproved {
+            remote: from,
+            outpoint,
+        })])
+    }
+
+    pub(crate) fn cmd_associate(
+        &mut self,
+        env: &mut EnclaveEnv,
+        id: ChannelId,
+        outpoint: teechain_blockchain::OutPoint,
+    ) -> Outcome {
+        self.require_unfrozen()?;
+        self.require_counter_ready(env)?;
+        let chan = self.chan(&id)?;
+        if !chan.usable() {
+            return Err(ProtocolError::ChannelNotOpen);
+        }
+        if chan.locked() {
+            return Err(ProtocolError::ChannelLocked);
+        }
+        let remote = chan.remote;
+        if !self.state.book.is_approved_by(&remote, &outpoint) {
+            return Err(ProtocolError::BadDeposit);
+        }
+        let dep = self.state.book.require_free(&outpoint)?.clone();
+        // For 1-of-1 deposits, share the private key so the remote can
+        // settle unilaterally (Alg. 1 line 72). Committee deposits are
+        // spendable via m-of-n signatures instead.
+        let key = if dep.committee.n() == 1 {
+            self.state
+                .book
+                .keys
+                .get(&dep.committee.member_keys[0])
+                .map(|k| k.to_bytes())
+        } else {
+            None
+        };
+        let msg = ProtocolMsg::AssociateDeposit {
+            id,
+            deposit: dep.clone(),
+            key,
+        };
+        let eff = self.seal_to(&remote, &msg)?;
+        self.commit_channel(&id, |c| {
+            c.my_deps.push(outpoint);
+            c.my_deps.sort();
+            c.my_bal += dep.value;
+        })?;
+        self.commit(StateDelta::Deposit {
+            dep,
+            key,
+            mine: true,
+        });
+        Ok(vec![
+            eff,
+            Effect::Event(HostEvent::DepositAssociated { id, outpoint }),
+        ])
+    }
+
+    pub(crate) fn on_associate(
+        &mut self,
+        from: PublicKey,
+        id: ChannelId,
+        deposit: Deposit,
+        key: Option<[u8; 32]>,
+    ) -> Outcome {
+        self.require_unfrozen()?;
+        if !self.state.book.did_approve(&from, &deposit.outpoint) {
+            return Err(ProtocolError::BadDeposit);
+        }
+        let chan = self.chan(&id)?;
+        if chan.remote != from || !chan.usable() {
+            return Err(ProtocolError::BadMessage);
+        }
+        let outpoint = deposit.outpoint;
+        self.commit_channel(&id, |c| {
+            c.remote_deps.push(outpoint);
+            c.remote_deps.sort();
+            c.remote_bal += deposit.value;
+        })?;
+        self.commit(StateDelta::Deposit {
+            dep: deposit,
+            key,
+            mine: false,
+        });
+        Ok(vec![Effect::Event(HostEvent::DepositAssociated {
+            id,
+            outpoint,
+        })])
+    }
+
+    pub(crate) fn cmd_dissociate(
+        &mut self,
+        env: &mut EnclaveEnv,
+        id: ChannelId,
+        outpoint: teechain_blockchain::OutPoint,
+    ) -> Outcome {
+        self.require_unfrozen()?;
+        self.require_counter_ready(env)?;
+        let dep_value = self
+            .state
+            .book
+            .value_of(&outpoint)
+            .ok_or(ProtocolError::BadDeposit)?;
+        let chan = self.chan(&id)?;
+        if chan.locked() {
+            return Err(ProtocolError::ChannelLocked);
+        }
+        if !chan.my_deps.contains(&outpoint) {
+            return Err(ProtocolError::BadDeposit);
+        }
+        // Double-spend guard (Alg. 1 line 92): our balance must cover the
+        // deposit being withdrawn.
+        if chan.my_bal < dep_value {
+            return Err(ProtocolError::InsufficientBalance);
+        }
+        self.cmd_dissociate_unchecked(id, outpoint)
+    }
+
+    pub(crate) fn on_dissociate(
+        &mut self,
+        from: PublicKey,
+        id: ChannelId,
+        outpoint: teechain_blockchain::OutPoint,
+    ) -> Outcome {
+        self.require_unfrozen()?;
+        let dep_value = self
+            .state
+            .book
+            .value_of(&outpoint)
+            .ok_or(ProtocolError::BadDeposit)?;
+        let chan = self.chan(&id)?;
+        if chan.remote != from || !chan.remote_deps.contains(&outpoint) {
+            return Err(ProtocolError::BadMessage);
+        }
+        if chan.remote_bal < dep_value {
+            return Err(ProtocolError::InsufficientBalance);
+        }
+        let msg = ProtocolMsg::DissociateAck { id, outpoint };
+        let mut effects = vec![self.seal_to(&from, &msg)?];
+        self.commit_channel(&id, |c| {
+            c.remote_deps.retain(|d| *d != outpoint);
+            c.remote_bal -= dep_value;
+        })?;
+        // Destroy our copy of the key (Alg. 1 line 104).
+        let book = &self.state.book;
+        if let Some(dep) = book.remote.get(&outpoint) {
+            let key0 = dep.committee.member_keys[0];
+            if book.keys.contains_key(&key0) {
+                self.commit(StateDelta::DestroyKey(key0));
+            }
+        }
+        self.maybe_finish_offchain_settle(&id, &mut effects);
+        Ok(effects)
+    }
+
+    /// Terminal check for a cooperative off-chain settlement we initiated
+    /// (Alg. 1 line 106): once every deposit on both sides has
+    /// dissociated and no dissociation ack is outstanding, the
+    /// termination is complete and exactly one `SettledOffChain`
+    /// notification resolves the initiator's settle operation. (The
+    /// responder reports its own side in `on_settle_request`.)
+    fn maybe_finish_offchain_settle(&mut self, id: &ChannelId, effects: &mut Vec<Effect>) {
+        let done = self.chan(id).is_ok_and(|c| {
+            c.settling
+                && c.my_deps.is_empty()
+                && c.remote_deps.is_empty()
+                && c.pending_dissoc.is_empty()
+        });
+        if done && self.commit_channel(id, |c| c.settling = false).is_ok() {
+            effects.push(Effect::Event(HostEvent::SettledOffChain(*id)));
+        }
+    }
+
+    pub(crate) fn on_dissociate_ack(
+        &mut self,
+        from: PublicKey,
+        id: ChannelId,
+        outpoint: teechain_blockchain::OutPoint,
+    ) -> Outcome {
+        let dep_value = self
+            .state
+            .book
+            .value_of(&outpoint)
+            .ok_or(ProtocolError::BadDeposit)?;
+        let chan = self.chan(&id)?;
+        if chan.remote != from || !chan.pending_dissoc.contains(&outpoint) {
+            return Err(ProtocolError::BadMessage);
+        }
+        // Leaving the channel frees the deposit (`DurableState::apply`).
+        self.commit_channel(&id, |c| {
+            c.pending_dissoc.retain(|d| *d != outpoint);
+            c.my_deps.retain(|d| *d != outpoint);
+            c.my_bal -= dep_value;
+        })?;
+        let mut effects = vec![Effect::Event(HostEvent::DepositDissociated {
+            id,
+            outpoint,
+        })];
+        self.maybe_finish_offchain_settle(&id, &mut effects);
+        Ok(effects)
+    }
+
+    /// Dissociation without the counter/freeze preamble and the balance
+    /// checks, which `cmd_dissociate` and cooperative settlement passed.
+    pub(crate) fn cmd_dissociate_unchecked(
+        &mut self,
+        id: ChannelId,
+        outpoint: teechain_blockchain::OutPoint,
+    ) -> Outcome {
+        let remote = self.chan(&id)?.remote;
+        let msg = ProtocolMsg::DissociateDeposit { id, outpoint };
+        let eff = self.seal_to(&remote, &msg)?;
+        self.commit_channel(&id, |c| c.pending_dissoc.push(outpoint))?;
+        Ok(vec![eff])
     }
 }
 

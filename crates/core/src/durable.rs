@@ -19,13 +19,15 @@
 
 use crate::channel::Channel;
 use crate::deposit::{DepositBook, DepositStatus};
+use crate::enclave::{Effect, HostEvent, Outcome, TeechainEnclave};
 use crate::msg::StateDelta;
 use crate::multihop::RouteState;
 use crate::slots::SlotMap;
-use crate::swap::SwapState;
+use crate::swap::{SwapPhase, SwapState};
 use crate::types::{ChannelId, Deposit, MultihopStage, ProtocolError, RouteId, SwapId};
 use std::collections::BTreeMap;
-use teechain_crypto::schnorr::PrivateKey;
+use teechain_crypto::schnorr::{Keypair, PrivateKey};
+use teechain_tee::EnclaveEnv;
 use teechain_util::codec::{Encode, Reader};
 
 /// Everything one treasury must not lose; see the module docs.
@@ -259,6 +261,202 @@ impl DurableState {
         let mut out = Vec::new();
         self.encode_image(&mut out);
         teechain_crypto::sha256::sha256(&out)
+    }
+}
+
+/// Version tag of the durable state-image format (the legacy format has
+/// no tag; its first byte is the 0/1 of an `Option`). V2 holds the deposit
+/// book with statuses, v3 appends the atomic-swap table, and v4 the
+/// multi-hop routes ([`DurableState::read_image`]).
+const STATE_IMAGE_V2: u8 = 2;
+/// The version written.
+const STATE_IMAGE_V4: u8 = 4;
+
+impl TeechainEnclave {
+    // ---- Persistence (§6.2) ----
+
+    /// Serializes the full durable state: the identity, then the
+    /// [`DurableState`] image (v4).
+    pub(crate) fn state_image(&self) -> Vec<u8> {
+        let mut out = vec![STATE_IMAGE_V4];
+        self.identity
+            .as_ref()
+            .map(|k| k.sk.to_bytes())
+            .encode(&mut out);
+        self.state.encode_image(&mut out);
+        out
+    }
+
+    /// SHA-256 of the canonical image.
+    #[cfg(test)]
+    pub(crate) fn durable_digest(&self) -> [u8; 32] {
+        teechain_crypto::sha256::sha256(&self.state_image())
+    }
+
+    /// Deserializes a state image produced by [`Self::state_image`] (v4),
+    /// one of its predecessors (v3 without routes, v2 without swaps), or
+    /// the legacy format that predates the WAL (no version byte).
+    pub(crate) fn load_state_image(&mut self, state: &[u8]) -> Result<(), ProtocolError> {
+        let mut r = teechain_util::codec::Reader::new(state);
+        let version: u8 = match state.first() {
+            Some(&v @ STATE_IMAGE_V2..=STATE_IMAGE_V4) => v,
+            _ => 0,
+        };
+        if version != 0 {
+            let _version: u8 = r.read().map_err(|_| ProtocolError::BadMessage)?;
+        }
+        let sk_bytes: Option<[u8; 32]> = r.read().map_err(|_| ProtocolError::BadMessage)?;
+        if let Some(bytes) = sk_bytes {
+            let sk = PrivateKey::from_bytes(&bytes).ok_or(ProtocolError::BadMessage)?;
+            self.identity = Some(Keypair::from(sk));
+        }
+        self.state = DurableState::read_image(&mut r, version)?;
+        self.index_new_channels();
+        Ok(())
+    }
+
+    pub(crate) fn cmd_restore_sealed(&mut self, env: &mut EnclaveEnv, blob: Vec<u8>) -> Outcome {
+        // The counter value proves freshness: the blob must carry the
+        // current hardware counter value, or it is a stale (rolled-back)
+        // state and is rejected. This path restores a snapshot alone; if
+        // WAL records were appended after it, use [`Command::Recover`].
+        let id = self.ensure_counter(env);
+        let min = env.read_counter(id);
+        let (counter, state) = env
+            .unseal(min, &blob)
+            .map_err(|_| ProtocolError::BadMessage)?;
+        self.load_state_image(&state)?;
+        self.commits = counter;
+        Ok(vec![])
+    }
+
+    pub(crate) fn cmd_recover(
+        &mut self,
+        env: &mut EnclaveEnv,
+        snapshot: Option<Vec<u8>>,
+        log: Vec<Vec<u8>>,
+    ) -> Outcome {
+        if !self.cfg.persist() {
+            return Err(ProtocolError::BadMessage);
+        }
+        // Recovery must be the first ecall of a fresh program instance:
+        // replaying deltas over live state would double-apply them (a
+        // malicious host could otherwise inflate its own balances by
+        // feeding the real WAL to a running enclave). Rejecting here
+        // leaves the live state untouched, so no freeze.
+        if self.commits != 0 || self.identity.is_some() || !self.state.is_empty() {
+            return Err(ProtocolError::BadMessage);
+        }
+        // A failed recovery leaves partially applied state behind;
+        // freeze so nothing can run on it. A fresh program instance can
+        // always retry with better storage.
+        let result = self.recover_inner(env, snapshot, log);
+        if result.is_err() {
+            self.frozen = true;
+        }
+        result
+    }
+
+    fn recover_inner(
+        &mut self,
+        env: &mut EnclaveEnv,
+        snapshot: Option<Vec<u8>>,
+        log: Vec<Vec<u8>>,
+    ) -> Outcome {
+        let id = self.ensure_counter(env);
+        let hw = env.read_counter(id);
+        // `applied` tracks the highest commit counter incorporated so
+        // far; the chain must end exactly at the hardware counter.
+        let mut applied = 0u64;
+        if let Some(blob) = &snapshot {
+            if !blob.is_empty() {
+                let (counter, state) =
+                    env.unseal(0, blob).map_err(|_| ProtocolError::BadMessage)?;
+                self.load_state_image(&state)?;
+                applied = counter;
+            }
+        }
+        for rec in &log {
+            let (counter, payload) = env.unseal(0, rec).map_err(|_| ProtocolError::BadMessage)?;
+            if counter <= applied {
+                // Record predates the snapshot (host compaction lagged);
+                // its effects are already in the image.
+                continue;
+            }
+            if counter != applied + 1 {
+                // A commit is missing from the log: rolled-back storage
+                // or a torn tail. Either way the state would be stale.
+                return Err(ProtocolError::StaleState {
+                    found: applied,
+                    expected: hw,
+                });
+            }
+            let mut r = teechain_util::codec::Reader::new(&payload);
+            let embedded: u64 = r.read().map_err(|_| ProtocolError::BadMessage)?;
+            if embedded != counter {
+                return Err(ProtocolError::BadMessage);
+            }
+            let identity: Option<[u8; 32]> = r.read().map_err(|_| ProtocolError::BadMessage)?;
+            if self.identity.is_none() {
+                if let Some(bytes) = identity {
+                    let sk = PrivateKey::from_bytes(&bytes).ok_or(ProtocolError::BadMessage)?;
+                    self.identity = Some(Keypair::from(sk));
+                }
+            }
+            let deltas: Vec<StateDelta> = r.read().map_err(|_| ProtocolError::BadMessage)?;
+            for delta in &deltas {
+                self.state.apply(delta);
+            }
+            applied = counter;
+        }
+        if applied != hw {
+            // The hardware counter proves more commits happened than the
+            // storage shows: refuse to run on rolled-back state (§6.2).
+            return Err(ProtocolError::StaleState {
+                found: applied,
+                expected: hw,
+            });
+        }
+        self.commits = applied;
+        self.index_new_channels();
+        let mut effects = vec![Effect::Event(HostEvent::Recovered {
+            channels: self.state.channels.len(),
+            deposits: self.state.book.mine.len() + self.state.book.remote.len(),
+            commits: applied,
+        })];
+        // Re-arm swap timers: a pending swap resumes its chain watch /
+        // deadline abort; an initiator whose debit committed (Redeemed)
+        // re-drives the idempotent claim broadcast until it confirms —
+        // sessions did not survive the crash, so the responder learns the
+        // preimage from the chain if the re-sent `SwapSecret` cannot go.
+        // The table iterates in id order, so the effects do too.
+        let now = env.now_ns();
+        let swaps = self.state.swaps.values();
+        effects.extend(
+            swaps
+                .filter(|s| s.phase.pending() || (s.phase == SwapPhase::Redeemed && s.initiator))
+                .map(|s| {
+                    Effect::Event(HostEvent::SwapCheckAt {
+                        swap: s.id,
+                        at: now,
+                    })
+                }),
+        );
+        if let Some(me) = self.identity.as_ref().map(|i| i.pk) {
+            let swaps = self.state.swaps.values();
+            effects.extend(
+                swaps
+                    .filter(|s| !s.initiator && s.phase == SwapPhase::Init)
+                    .map(|s| {
+                        Effect::Event(HostEvent::SwapFundingNeeded {
+                            swap: s.id,
+                            script: s.htlc_script(&me),
+                            value: s.alt_amount,
+                        })
+                    }),
+            );
+        }
+        Ok(effects)
     }
 }
 

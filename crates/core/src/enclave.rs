@@ -11,24 +11,20 @@
 //! Multi-hop payments (Alg. 2) live in [`crate::multihop`]; chain
 //! replication and committees (Alg. 3, §6) in [`crate::replication`].
 
-use crate::admit::{
-    AckEntry, AdmitState, DeferredMsg, QueueEntry, QueuedOp, ADMIT_DEADLINE_NS, ADMIT_QUEUE_CAP,
-    DEFER_DEADLINE_NS,
-};
+use crate::admit::AdmitState;
 use crate::channel::Channel;
 use crate::deposit::{keypair_in, DepositBook};
 use crate::durability::DurabilityBackend;
 use crate::durable::DurableState;
-use crate::msg::{ProtocolMsg, StateDelta, WireMsg, WireView};
+use crate::msg::{ProtocolMsg, StateDelta, WireView};
 use crate::replication::{Replication, SigCollect};
-use crate::session::{self, Session};
+use crate::session::Session;
 use crate::settle;
 use crate::slots::SlotMap;
 use crate::swap::{SwapPhase, SwapState};
 use crate::types::{ChannelId, Deposit, ProtocolError, RouteId, SwapId};
 use std::collections::HashMap;
 use teechain_crypto::schnorr::{Keypair, PrivateKey, PublicKey, Signature};
-use teechain_crypto::sha256::sha256;
 use teechain_tee::{EnclaveEnv, EnclaveProgram, Measurement};
 use teechain_util::codec::Encode;
 
@@ -564,28 +560,6 @@ pub enum Effect {
 /// Result of an ecall.
 pub type Outcome = Result<Vec<Effect>, ProtocolError>;
 
-/// Version tag of the durable state-image format (the legacy format has
-/// no tag; its first byte is the 0/1 of an `Option`). V2 holds the deposit
-/// book with statuses, v3 appends the atomic-swap table, and v4 the
-/// multi-hop routes ([`DurableState::read_image`]).
-const STATE_IMAGE_V2: u8 = 2;
-/// The version written.
-const STATE_IMAGE_V4: u8 = 4;
-
-/// Initiator/responder wall-or-sim-clock budget (ns) for a swap to reach
-/// resolution before the local deadline abort kicks in. Generous enough
-/// for live round trips; sim tests advance virtual time past it.
-const SWAP_DEADLINE_NS: u64 = 2_000_000_000;
-/// Re-check cadence (ns) for a pending swap's chain watch.
-const SWAP_CHECK_INTERVAL_NS: u64 = 200_000_000;
-/// Minimum headroom, in alternate-chain blocks, the initiator demands
-/// between an HTLC's confirmations and its refund timelock before it
-/// debits the channel and reveals the secret. A responder that delivers
-/// the lock late — refund path mature or about to mature — could race
-/// its own refund against our claim and win on both ledgers; refusing
-/// while `confirmations + margin >= timeout_blocks` closes that window.
-const SWAP_REFUND_SAFETY_BLOCKS: u64 = 1;
-
 /// Remote enclaves by the identity key *as encoded on the wire*, each with
 /// its session once a handshake with it completed. A peer gets its slot in
 /// a handshake, or as the counterparty of a channel we hold (restored from
@@ -627,7 +601,7 @@ pub struct TeechainEnclave {
     /// `chan_peers[s]`: the peer slot of the counterparty of the channel
     /// in channel slot `s`, so a handler holding a channel seals to its
     /// peer without a look-up.
-    chan_peers: Vec<u32>,
+    pub(crate) chan_peers: Vec<u32>,
     pub(crate) rep: Replication,
     pub(crate) sig_collects: HashMap<u64, SigCollect>,
     pub(crate) next_req_id: u64,
@@ -727,13 +701,13 @@ impl TeechainEnclave {
     }
 
     /// The peer slot of `pk`, handing out a new one if it has none.
-    fn peer_slot(&mut self, pk: &PublicKey) -> u32 {
+    pub(crate) fn peer_slot(&mut self, pk: &PublicKey) -> u32 {
         self.peers.slot_or_insert_with(pk.to_bytes(), || None)
     }
 
     /// Gives every channel that has no peer slot yet (a commit or a
     /// replay added it) its counterparty's.
-    fn index_new_channels(&mut self) {
+    pub(crate) fn index_new_channels(&mut self) {
         while let Some(c) = self.state.channels.at(self.chan_peers.len() as u32) {
             let peer = self.peers.slot_or_insert_with(c.remote.to_bytes(), || None);
             self.chan_peers.push(peer);
@@ -805,15 +779,6 @@ impl TeechainEnclave {
         Ok(())
     }
 
-    /// Commits an edit of swap `id` (see [`Self::commit_channel`]).
-    fn commit_swap(&mut self, id: &SwapId, edit: impl FnOnce(&mut SwapState)) {
-        if let Some(swap) = self.state.swaps.get(id) {
-            let mut swap = swap.clone();
-            edit(&mut swap);
-            self.commit(StateDelta::Swap(Box::new(swap)));
-        }
-    }
-
     /// Hands out a fresh blockchain key (Alg. 1 `newAddr`) in the event
     /// `announce` makes of its address, committed first. The address goes
     /// out with the key's update, not after the chain's ack, so a
@@ -883,1358 +848,6 @@ impl TeechainEnclave {
             };
             self.sig_collects.insert(req_id, collect);
             effects.push(Effect::Event(HostEvent::NeedCoSign { req_id, tx }));
-        }
-    }
-
-    // ---- Alg. 1 command handlers ----
-
-    fn cmd_new_channel(
-        &mut self,
-        env: &mut EnclaveEnv,
-        id: ChannelId,
-        remote: PublicKey,
-        my_settlement: PublicKey,
-    ) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
-        let peer = self.session_peer(&remote)?;
-        if self.state.channels.contains_key(&id) {
-            return Err(ProtocolError::ChannelExists);
-        }
-        let msg = ProtocolMsg::NewChannel {
-            id,
-            settlement: my_settlement,
-        };
-        let eff = self.seal_at(peer.slot, &msg)?;
-        // Remote settlement arrives in the ack.
-        let chan = Channel::new(id, remote, my_settlement, my_settlement);
-        self.commit(StateDelta::Channel(Box::new(chan)));
-        Ok(vec![eff])
-    }
-
-    fn on_new_channel(&mut self, from: Peer, id: ChannelId, settlement: PublicKey) -> Outcome {
-        self.require_unfrozen()?;
-        if self.state.channels.contains_key(&id) {
-            return Err(ProtocolError::ChannelExists);
-        }
-        // As responder we auto-accept with a fresh settlement address
-        // derived from the channel id and our identity.
-        let sk = self.responder_settlement(&id);
-        let my_settlement = sk.public_key();
-        let msg = ProtocolMsg::NewChannelAck {
-            id,
-            settlement: my_settlement,
-        };
-        let eff = self.seal_at(from.slot, &msg)?;
-        let mut chan = Channel::new(id, from.pk, my_settlement, settlement);
-        chan.is_open = true;
-        self.commit(StateDelta::Key(my_settlement, sk.to_bytes()));
-        self.commit(StateDelta::Channel(Box::new(chan)));
-        Ok(vec![eff, Effect::Event(HostEvent::ChannelOpen(id))])
-    }
-
-    /// Deterministic responder settlement key: derived inside the TEE from
-    /// our identity and the channel id.
-    fn responder_settlement(&self, id: &ChannelId) -> PrivateKey {
-        let me = self.identity.as_ref().expect("session exists").sk;
-        let seed = teechain_crypto::sha256::tagged_hash(
-            "teechain/responder-settlement",
-            &[&me.to_bytes(), &id.0],
-        );
-        PrivateKey::from_seed(&seed)
-    }
-
-    fn on_new_channel_ack(
-        &mut self,
-        from: PublicKey,
-        id: ChannelId,
-        settlement: PublicKey,
-    ) -> Outcome {
-        let chan = self.chan(&id)?;
-        if chan.remote != from || chan.is_open {
-            return Err(ProtocolError::BadMessage);
-        }
-        self.commit_channel(&id, |c| {
-            c.remote_settlement = settlement;
-            c.is_open = true;
-        })?;
-        Ok(vec![Effect::Event(HostEvent::ChannelOpen(id))])
-    }
-
-    fn cmd_new_deposit(&mut self, env: &mut EnclaveEnv, deposit: Deposit) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
-        let key = self.state.book.check_new_mine(&deposit)?.to_bytes();
-        self.commit(StateDelta::Deposit {
-            dep: deposit,
-            key: Some(key),
-            mine: true,
-        });
-        Ok(vec![])
-    }
-
-    fn cmd_release_deposit(
-        &mut self,
-        env: &mut EnclaveEnv,
-        outpoint: teechain_blockchain::OutPoint,
-        to: PublicKey,
-    ) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
-        let tx = settle::release_tx(self.state.book.require_free(&outpoint)?, to);
-        self.commit(StateDelta::RemoveDeposit(outpoint));
-        let mut effects = Vec::new();
-        // Release uses the same signing/co-signing path as settlements.
-        self.finish_settlement(ChannelId([0; 32]), tx, false, &mut effects);
-        Ok(effects)
-    }
-
-    fn cmd_approve_deposit(
-        &mut self,
-        remote: PublicKey,
-        outpoint: teechain_blockchain::OutPoint,
-    ) -> Outcome {
-        self.require_unfrozen()?;
-        let dep = self.state.book.require_free(&outpoint)?.clone();
-        if self.state.book.is_approved_by(&remote, &outpoint) {
-            return Err(ProtocolError::BadDeposit); // Already approved.
-        }
-        let msg = ProtocolMsg::ApproveDeposit { deposit: dep };
-        Ok(vec![self.seal_to(&remote, &msg)?])
-    }
-
-    fn on_approve_deposit(&mut self, from: PublicKey, deposit: Deposit) -> Outcome {
-        self.require_unfrozen()?;
-        if self.state.book.did_approve(&from, &deposit.outpoint) {
-            return Err(ProtocolError::BadDeposit);
-        }
-        // Remember the offered deposit so DepositVerified can find it.
-        let book = &mut self.state.book;
-        book.offered.insert(deposit.outpoint, deposit.clone());
-        // The enclave cannot read the blockchain (§4): the host must verify
-        // inclusion and confirmations per its own security policy, then
-        // answer with DepositVerified.
-        Ok(vec![Effect::Event(HostEvent::VerifyDeposit {
-            remote: from,
-            deposit,
-        })])
-    }
-
-    fn cmd_deposit_verified(
-        &mut self,
-        remote: PublicKey,
-        outpoint: teechain_blockchain::OutPoint,
-        valid: bool,
-    ) -> Outcome {
-        self.require_unfrozen()?;
-        if !valid {
-            return Ok(vec![]);
-        }
-        // The host re-presents the deposit body it verified; we keep the
-        // copy from the pending approval. For simplicity the verify event
-        // carried the full deposit; hosts echo only identity + outpoint, so
-        // we require the deposit to have been offered before.
-        let dep = match self.state.book.offered.get(&outpoint) {
-            Some(d) => d.clone(),
-            None => return Err(ProtocolError::BadDeposit),
-        };
-        self.state.book.approve_remote(remote, dep);
-        let msg = ProtocolMsg::DepositApproved { outpoint };
-        Ok(vec![self.seal_to(&remote, &msg)?])
-    }
-
-    fn on_deposit_approved(
-        &mut self,
-        from: PublicKey,
-        outpoint: teechain_blockchain::OutPoint,
-    ) -> Outcome {
-        self.state.book.require_free(&outpoint)?;
-        self.state.book.mark_approved_by(from, outpoint);
-        Ok(vec![Effect::Event(HostEvent::DepositApproved {
-            remote: from,
-            outpoint,
-        })])
-    }
-
-    fn cmd_associate(
-        &mut self,
-        env: &mut EnclaveEnv,
-        id: ChannelId,
-        outpoint: teechain_blockchain::OutPoint,
-    ) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
-        let chan = self.chan(&id)?;
-        if !chan.usable() {
-            return Err(ProtocolError::ChannelNotOpen);
-        }
-        if chan.locked() {
-            return Err(ProtocolError::ChannelLocked);
-        }
-        let remote = chan.remote;
-        if !self.state.book.is_approved_by(&remote, &outpoint) {
-            return Err(ProtocolError::BadDeposit);
-        }
-        let dep = self.state.book.require_free(&outpoint)?.clone();
-        // For 1-of-1 deposits, share the private key so the remote can
-        // settle unilaterally (Alg. 1 line 72). Committee deposits are
-        // spendable via m-of-n signatures instead.
-        let key = if dep.committee.n() == 1 {
-            self.state
-                .book
-                .keys
-                .get(&dep.committee.member_keys[0])
-                .map(|k| k.to_bytes())
-        } else {
-            None
-        };
-        let msg = ProtocolMsg::AssociateDeposit {
-            id,
-            deposit: dep.clone(),
-            key,
-        };
-        let eff = self.seal_to(&remote, &msg)?;
-        self.commit_channel(&id, |c| {
-            c.my_deps.push(outpoint);
-            c.my_deps.sort();
-            c.my_bal += dep.value;
-        })?;
-        self.commit(StateDelta::Deposit {
-            dep,
-            key,
-            mine: true,
-        });
-        Ok(vec![
-            eff,
-            Effect::Event(HostEvent::DepositAssociated { id, outpoint }),
-        ])
-    }
-
-    fn on_associate(
-        &mut self,
-        from: PublicKey,
-        id: ChannelId,
-        deposit: Deposit,
-        key: Option<[u8; 32]>,
-    ) -> Outcome {
-        self.require_unfrozen()?;
-        if !self.state.book.did_approve(&from, &deposit.outpoint) {
-            return Err(ProtocolError::BadDeposit);
-        }
-        let chan = self.chan(&id)?;
-        if chan.remote != from || !chan.usable() {
-            return Err(ProtocolError::BadMessage);
-        }
-        let outpoint = deposit.outpoint;
-        self.commit_channel(&id, |c| {
-            c.remote_deps.push(outpoint);
-            c.remote_deps.sort();
-            c.remote_bal += deposit.value;
-        })?;
-        self.commit(StateDelta::Deposit {
-            dep: deposit,
-            key,
-            mine: false,
-        });
-        Ok(vec![Effect::Event(HostEvent::DepositAssociated {
-            id,
-            outpoint,
-        })])
-    }
-
-    fn cmd_dissociate(
-        &mut self,
-        env: &mut EnclaveEnv,
-        id: ChannelId,
-        outpoint: teechain_blockchain::OutPoint,
-    ) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
-        let dep_value = self
-            .state
-            .book
-            .value_of(&outpoint)
-            .ok_or(ProtocolError::BadDeposit)?;
-        let chan = self.chan(&id)?;
-        if chan.locked() {
-            return Err(ProtocolError::ChannelLocked);
-        }
-        if !chan.my_deps.contains(&outpoint) {
-            return Err(ProtocolError::BadDeposit);
-        }
-        // Double-spend guard (Alg. 1 line 92): our balance must cover the
-        // deposit being withdrawn.
-        if chan.my_bal < dep_value {
-            return Err(ProtocolError::InsufficientBalance);
-        }
-        self.cmd_dissociate_unchecked(id, outpoint)
-    }
-
-    fn on_dissociate(
-        &mut self,
-        from: PublicKey,
-        id: ChannelId,
-        outpoint: teechain_blockchain::OutPoint,
-    ) -> Outcome {
-        self.require_unfrozen()?;
-        let dep_value = self
-            .state
-            .book
-            .value_of(&outpoint)
-            .ok_or(ProtocolError::BadDeposit)?;
-        let chan = self.chan(&id)?;
-        if chan.remote != from || !chan.remote_deps.contains(&outpoint) {
-            return Err(ProtocolError::BadMessage);
-        }
-        if chan.remote_bal < dep_value {
-            return Err(ProtocolError::InsufficientBalance);
-        }
-        let msg = ProtocolMsg::DissociateAck { id, outpoint };
-        let mut effects = vec![self.seal_to(&from, &msg)?];
-        self.commit_channel(&id, |c| {
-            c.remote_deps.retain(|d| *d != outpoint);
-            c.remote_bal -= dep_value;
-        })?;
-        // Destroy our copy of the key (Alg. 1 line 104).
-        let book = &self.state.book;
-        if let Some(dep) = book.remote.get(&outpoint) {
-            let key0 = dep.committee.member_keys[0];
-            if book.keys.contains_key(&key0) {
-                self.commit(StateDelta::DestroyKey(key0));
-            }
-        }
-        self.maybe_finish_offchain_settle(&id, &mut effects);
-        Ok(effects)
-    }
-
-    /// Terminal check for a cooperative off-chain settlement we initiated
-    /// (Alg. 1 line 106): once every deposit on both sides has
-    /// dissociated and no dissociation ack is outstanding, the
-    /// termination is complete and exactly one `SettledOffChain`
-    /// notification resolves the initiator's settle operation. (The
-    /// responder reports its own side in `on_settle_request`.)
-    fn maybe_finish_offchain_settle(&mut self, id: &ChannelId, effects: &mut Vec<Effect>) {
-        let done = self.chan(id).is_ok_and(|c| {
-            c.settling
-                && c.my_deps.is_empty()
-                && c.remote_deps.is_empty()
-                && c.pending_dissoc.is_empty()
-        });
-        if done && self.commit_channel(id, |c| c.settling = false).is_ok() {
-            effects.push(Effect::Event(HostEvent::SettledOffChain(*id)));
-        }
-    }
-
-    fn on_dissociate_ack(
-        &mut self,
-        from: PublicKey,
-        id: ChannelId,
-        outpoint: teechain_blockchain::OutPoint,
-    ) -> Outcome {
-        let dep_value = self
-            .state
-            .book
-            .value_of(&outpoint)
-            .ok_or(ProtocolError::BadDeposit)?;
-        let chan = self.chan(&id)?;
-        if chan.remote != from || !chan.pending_dissoc.contains(&outpoint) {
-            return Err(ProtocolError::BadMessage);
-        }
-        // Leaving the channel frees the deposit (`DurableState::apply`).
-        self.commit_channel(&id, |c| {
-            c.pending_dissoc.retain(|d| *d != outpoint);
-            c.my_deps.retain(|d| *d != outpoint);
-            c.my_bal -= dep_value;
-        })?;
-        let mut effects = vec![Effect::Event(HostEvent::DepositDissociated {
-            id,
-            outpoint,
-        })];
-        self.maybe_finish_offchain_settle(&id, &mut effects);
-        Ok(effects)
-    }
-
-    /// Lock-aware channel selection (admission's second tool besides
-    /// queueing): when `id` is locked, another open, unlocked channel to
-    /// the *same counterparty* with enough balance can carry the payment
-    /// instead — that is exactly what the paper's parallel temporary
-    /// channels (§7.4, Fig. 7) exist for. Deterministic pick: highest
-    /// spendable balance, largest id as tie-break, so every engine
-    /// configuration chooses the same sibling regardless of map order.
-    pub(crate) fn sibling_unlocked(&self, id: &ChannelId, amount: u64) -> Option<ChannelId> {
-        let want = self.state.channels.get(id)?.remote;
-        self.state
-            .channels
-            .values()
-            .filter(|c| {
-                c.id != *id && c.remote == want && c.usable() && !c.locked() && c.my_bal >= amount
-            })
-            .max_by_key(|c| (c.my_bal, c.id))
-            .map(|c| c.id)
-    }
-
-    fn cmd_pay(&mut self, env: &mut EnclaveEnv, id: ChannelId, amount: u64, count: u32) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
-        // One look-up serves the checks, the seal and the debit; only a
-        // locked channel goes back to the map, for its sibling.
-        let mut wire = id;
-        let mut slot = self
-            .state
-            .channels
-            .slot(&id)
-            .ok_or(ProtocolError::UnknownChannel)?;
-        let chan = self
-            .state
-            .channels
-            .at(slot)
-            .expect("a slot the table handed out");
-        if !chan.usable() {
-            return Err(ProtocolError::ChannelNotOpen);
-        }
-        // Lock-aware selection: a locked channel does not park the payment
-        // when a parallel channel to the same peer can carry it right now.
-        // The op stays correlated to the channel it was *submitted* on —
-        // the inflight group records that id, so the ack fans back out
-        // under the caller's key.
-        if chan.locked() {
-            match self.sibling_unlocked(&id, amount) {
-                Some(sib) => {
-                    self.admit.stats.rerouted += 1;
-                    wire = sib;
-                    slot = self
-                        .state
-                        .channels
-                        .slot(&sib)
-                        .ok_or(ProtocolError::UnknownChannel)?;
-                }
-                None => {
-                    // Admission (vs the old `Err(ChannelLocked)` retry
-                    // storm): park the op on the channel's FIFO; the
-                    // unlock drain batches it with its queue neighbours
-                    // into one commit. Only a full queue still pushes
-                    // back on the caller.
-                    let q = self.admit.queues.entry(id).or_default();
-                    if q.len() >= ADMIT_QUEUE_CAP {
-                        return Err(ProtocolError::ChannelLocked);
-                    }
-                    let deadline_ns = env.now_ns() + ADMIT_DEADLINE_NS;
-                    q.push_back(QueueEntry {
-                        op: QueuedOp::Pay { amount, count },
-                        deadline_ns,
-                        ready_ns: 0,
-                    });
-                    let depth = q.len();
-                    self.admit.stats.enqueued += 1;
-                    self.admit.stats.note_queue_depth(depth);
-                    return Ok(vec![Effect::Event(HostEvent::PumpAt(deadline_ns))]);
-                }
-            }
-        }
-        let chan = self
-            .state
-            .channels
-            .at(slot)
-            .expect("a slot the table handed out");
-        if chan.my_bal < amount {
-            return Err(ProtocolError::InsufficientBalance);
-        }
-        let msg = ProtocolMsg::Pay {
-            id: wire,
-            amount,
-            count,
-        };
-        let eff = self.seal_at(self.chan_peers[slot as usize], &msg)?;
-        self.commit_at(
-            slot,
-            StateDelta::Pay {
-                id: wire,
-                my_delta: -(amount as i64),
-                remote_delta: amount as i64,
-            },
-        );
-        // Every outbound wire `Pay` registers an ack fan-out group so
-        // `PayAck`/`PayNack` resolve ops strictly in send order, keyed by
-        // the channel each op was submitted on.
-        self.admit
-            .inflight
-            .entry(wire)
-            .or_default()
-            .push_back(AckEntry {
-                id,
-                amount,
-                count,
-                more: false,
-            });
-        Ok(vec![eff])
-    }
-
-    fn on_pay(
-        &mut self,
-        env: &mut EnclaveEnv,
-        from: Peer,
-        id: ChannelId,
-        amount: u64,
-        count: u32,
-    ) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
-        let slot = self
-            .state
-            .channels
-            .slot(&id)
-            .ok_or(ProtocolError::UnknownChannel)?;
-        let chan = self
-            .state
-            .channels
-            .at(slot)
-            .expect("a slot the table handed out");
-        if chan.remote != from.pk || !chan.usable() {
-            return Err(ProtocolError::BadMessage);
-        }
-        if chan.locked() {
-            // The channel was locked for a multi-hop payment after the
-            // peer sent this pay (racing in the other direction). Defer
-            // the decrypted message; the unlock drain re-delivers it. A
-            // full deferral queue falls back to the old nack-and-rollback.
-            let dq = self.admit.deferred.entry(id).or_default();
-            if dq.len() >= ADMIT_QUEUE_CAP {
-                let msg = ProtocolMsg::PayNack {
-                    id,
-                    amount,
-                    count,
-                    reason: ProtocolError::ChannelLocked.abort_code(),
-                };
-                return Ok(vec![self.seal_at(from.slot, &msg)?]);
-            }
-            let deadline_ns = env.now_ns() + DEFER_DEADLINE_NS;
-            dq.push_back(DeferredMsg {
-                from: from.pk,
-                msg: ProtocolMsg::Pay { id, amount, count },
-                deadline_ns,
-            });
-            let depth = dq.len();
-            self.admit.stats.deferred += 1;
-            self.admit.stats.note_defer_depth(depth);
-            return Ok(vec![Effect::Event(HostEvent::PumpAt(deadline_ns))]);
-        }
-        if chan.remote_bal < amount {
-            return Err(ProtocolError::BadMessage); // Peer violated protocol.
-        }
-        let ack = ProtocolMsg::PayAck { id, amount, count };
-        let eff = self.seal_at(from.slot, &ack)?;
-        self.commit_at(
-            slot,
-            StateDelta::Pay {
-                id,
-                my_delta: amount as i64,
-                remote_delta: -(amount as i64),
-            },
-        );
-        Ok(vec![
-            eff,
-            Effect::Event(HostEvent::PaymentReceived { id, amount, count }),
-        ])
-    }
-
-    fn on_pay_ack(&mut self, from: Peer, id: ChannelId, amount: u64, count: u32) -> Outcome {
-        let slot = self
-            .state
-            .channels
-            .slot(&id)
-            .ok_or(ProtocolError::UnknownChannel)?;
-        let chan = self
-            .state
-            .channels
-            .at(slot)
-            .expect("a slot the table handed out");
-        if chan.remote != from.pk {
-            return Err(ProtocolError::BadMessage);
-        }
-        // One wire ack covers a whole drain batch: fan it back out to one
-        // event per merged op, in queue order (the op layer matches
-        // per-channel FIFO). A missing group (pre-crash send) degrades to
-        // the single aggregate event.
-        let mut acked = self.admit.take_acked(&id, |op| {
-            Effect::Event(HostEvent::PaymentAcked {
-                id: op.id,
-                amount: op.amount,
-                count: op.count,
-            })
-        });
-        if acked.is_empty() {
-            acked.push(Effect::Event(HostEvent::PaymentAcked { id, amount, count }));
-        }
-        Ok(acked)
-    }
-
-    fn on_pay_nack(
-        &mut self,
-        from: Peer,
-        id: ChannelId,
-        amount: u64,
-        count: u32,
-        reason: u8,
-    ) -> Outcome {
-        let slot = self
-            .state
-            .channels
-            .slot(&id)
-            .ok_or(ProtocolError::UnknownChannel)?;
-        let chan = self
-            .state
-            .channels
-            .at(slot)
-            .expect("a slot the table handed out");
-        if chan.remote != from.pk {
-            return Err(ProtocolError::BadMessage);
-        }
-        // Roll back the optimistic debit (covers the whole wire batch).
-        self.commit_at(
-            slot,
-            StateDelta::Pay {
-                id,
-                my_delta: amount as i64,
-                remote_delta: -(amount as i64),
-            },
-        );
-        let reason = ProtocolError::from_abort_code(reason);
-        let mut nacked = self.admit.take_acked(&id, |op| {
-            Effect::Event(HostEvent::PaymentNacked {
-                id: op.id,
-                amount: op.amount,
-                count: op.count,
-                reason: reason.clone(),
-            })
-        });
-        if nacked.is_empty() {
-            nacked.push(Effect::Event(HostEvent::PaymentNacked {
-                id,
-                amount,
-                count,
-                reason,
-            }));
-        }
-        Ok(nacked)
-    }
-
-    fn cmd_settle(&mut self, env: &mut EnclaveEnv, id: ChannelId) -> Outcome {
-        self.require_counter_ready(env)?;
-        let chan = self
-            .state
-            .channels
-            .get(&id)
-            .ok_or(ProtocolError::UnknownChannel)?;
-        if chan.closed {
-            return Err(ProtocolError::ChannelNotOpen);
-        }
-        if chan.locked() {
-            return Err(ProtocolError::ChannelLocked);
-        }
-        // Anti-griefing: a settlement freezing the channel mid-swap could
-        // strand the counterparty's HTLC (it locked on-chain funds against
-        // a channel credit that would never land). The swap resolves
-        // first — redeem or refund — then the channel may settle.
-        if self.swap_pending_on(&id) {
-            return Err(ProtocolError::SwapPending);
-        }
-        let chan = self.state.channels.get(&id).expect("checked");
-        let remote = chan.remote;
-        // Off-chain termination (Alg. 1 line 106): if balances are neutral
-        // (every deposit's value equals its owner's share), dissociating
-        // all deposits closes the channel with zero blockchain writes.
-        let my_total: u64 = chan
-            .my_deps
-            .iter()
-            .filter_map(|d| self.state.book.value_of(d))
-            .sum();
-        let remote_total: u64 = chan
-            .remote_deps
-            .iter()
-            .filter_map(|d| self.state.book.value_of(d))
-            .sum();
-        if chan.my_bal == my_total && chan.remote_bal == remote_total {
-            if chan.my_deps.is_empty() && chan.remote_deps.is_empty() {
-                // Nothing funds the channel: the off-chain termination is
-                // already complete on our side. Still ask the remote (so
-                // its host gets its own SettledOffChain notification, as
-                // in the deposit-carrying path), and report our terminal
-                // state immediately — the initiator's settle operation
-                // resolves on this notification.
-                let msg = ProtocolMsg::SettleRequest { id };
-                let eff = self.seal_to(&remote, &msg)?;
-                return Ok(vec![eff, Effect::Event(HostEvent::SettledOffChain(id))]);
-            }
-            let my_deps = chan.my_deps.clone();
-            let mut effects = Vec::new();
-            for &outpoint in &my_deps {
-                let msg = ProtocolMsg::DissociateDeposit { id, outpoint };
-                effects.push(self.seal_to(&remote, &msg)?);
-            }
-            // Ask the remote to dissociate its deposits too, and remember
-            // that we are driving this settlement: the terminal
-            // `SettledOffChain` fires once both deposit lists drain.
-            let msg = ProtocolMsg::SettleRequest { id };
-            effects.push(self.seal_to(&remote, &msg)?);
-            self.commit_channel(&id, |c| {
-                c.pending_dissoc.extend(my_deps);
-                c.settling = true;
-            })?;
-            return Ok(effects);
-        }
-        // On-chain settlement.
-        let tx = settle::current_settlement_tx(chan);
-        self.commit(StateDelta::CloseChannel(id));
-        let mut effects = Vec::new();
-        // Defensive: settle rejects locked channels, so the admission
-        // queues are empty in practice — but flush so nothing can linger
-        // behind a closed channel.
-        self.flush_admission(id, ProtocolError::ChannelClosed, &mut effects);
-        // Best-effort courtesy notification: unilateral settlement must
-        // work with no session (e.g. after a crash-restore, §6.2).
-        let notify = ProtocolMsg::ChannelClosed { id };
-        if let Ok(eff) = self.seal_to(&remote, &notify) {
-            effects.push(eff);
-        }
-        self.finish_settlement(id, tx, false, &mut effects);
-        Ok(effects)
-    }
-
-    fn on_settle_request(&mut self, from: PublicKey, id: ChannelId) -> Outcome {
-        self.require_unfrozen()?;
-        // Mirror of the guard in `cmd_settle`: refuse to cooperate with a
-        // peer settling out from under a pending swap.
-        if self.swap_pending_on(&id) {
-            return Err(ProtocolError::SwapPending);
-        }
-        let chan = self.chan(&id)?;
-        if chan.remote != from {
-            return Err(ProtocolError::BadMessage);
-        }
-        let my_deps = chan.my_deps.clone();
-        let mut effects = Vec::new();
-        for outpoint in my_deps {
-            // Reuse the dissociation path; each will complete via acks.
-            let sub = self.cmd_dissociate_unchecked(id, outpoint)?;
-            effects.extend(sub);
-        }
-        // If we had no deposits, the channel is fully neutral on our side.
-        effects.push(Effect::Event(HostEvent::SettledOffChain(id)));
-        Ok(effects)
-    }
-
-    /// Dissociation without the counter/freeze preamble and the balance
-    /// checks, which `cmd_dissociate` and cooperative settlement passed.
-    fn cmd_dissociate_unchecked(
-        &mut self,
-        id: ChannelId,
-        outpoint: teechain_blockchain::OutPoint,
-    ) -> Outcome {
-        let remote = self.chan(&id)?.remote;
-        let msg = ProtocolMsg::DissociateDeposit { id, outpoint };
-        let eff = self.seal_to(&remote, &msg)?;
-        self.commit_channel(&id, |c| c.pending_dissoc.push(outpoint))?;
-        Ok(vec![eff])
-    }
-
-    fn on_channel_closed(&mut self, from: PublicKey, id: ChannelId) -> Outcome {
-        if self.chan(&id)?.remote != from {
-            return Err(ProtocolError::BadMessage);
-        }
-        // Our deposits in this channel are now spent by the settlement.
-        self.commit(StateDelta::CloseChannel(id));
-        // Anything still queued behind the (remotely settled) channel is
-        // terminal now.
-        let mut effects = Vec::new();
-        self.flush_admission(id, ProtocolError::ChannelClosed, &mut effects);
-        Ok(effects)
-    }
-
-    // ---- Cross-chain atomic swaps (Command::Swap, [`crate::swap`]) ----
-
-    /// True if any swap on `id` can still go either way.
-    pub(crate) fn swap_pending_on(&self, id: &ChannelId) -> bool {
-        self.state
-            .swaps
-            .values()
-            .any(|s| s.channel == *id && s.phase.pending())
-    }
-
-    /// Marks a still-pending swap locally refunded — valid only on paths
-    /// where nothing of OURS is locked on-chain — stages the transition,
-    /// notifies the peer best-effort and resolves the operation. A
-    /// responder's live HTLC is recovered separately by its chain-watch
-    /// refund timer: that is how "both refunds land" without trust.
-    fn refund_swap_local(&mut self, swap: SwapId, effects: &mut Vec<Effect>) {
-        let Some(remote) = self.state.swaps.get(&swap).map(|s| s.remote) else {
-            return;
-        };
-        self.commit_swap(&swap, |s| s.phase = SwapPhase::Refunded);
-        let nack = ProtocolMsg::SwapNack {
-            swap,
-            reason: ProtocolError::SwapPending.abort_code(),
-        };
-        if let Ok(eff) = self.seal_to(&remote, &nack) {
-            effects.push(eff);
-        }
-        effects.push(Effect::Event(HostEvent::SwapPhaseEntered {
-            swap,
-            phase: SwapPhase::Refunded,
-        }));
-        effects.push(Effect::Event(HostEvent::SwapResolved {
-            swap,
-            redeemed: false,
-        }));
-    }
-
-    fn cmd_swap(
-        &mut self,
-        env: &mut EnclaveEnv,
-        swap: SwapId,
-        channel: ChannelId,
-        amount: u64,
-        alt_amount: u64,
-        timeout_blocks: u64,
-    ) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
-        if amount == 0 || alt_amount == 0 || timeout_blocks == 0 {
-            return Err(ProtocolError::BadMessage);
-        }
-        if self.state.swaps.contains_key(&swap) {
-            return Err(ProtocolError::BadMessage);
-        }
-        if self.swap_pending_on(&channel) {
-            return Err(ProtocolError::SwapPending);
-        }
-        let chan = self
-            .state
-            .channels
-            .get(&channel)
-            .ok_or(ProtocolError::UnknownChannel)?;
-        if !chan.usable() {
-            return Err(ProtocolError::ChannelNotOpen);
-        }
-        if chan.locked() {
-            return Err(ProtocolError::ChannelLocked);
-        }
-        if chan.my_bal < amount {
-            return Err(ProtocolError::InsufficientBalance);
-        }
-        let remote = chan.remote;
-        // The secret is born inside the enclave and leaves only through
-        // the redeem itself (the claim spend / `SwapSecret` message).
-        let secret = env.random_bytes32();
-        let hash = sha256(&secret);
-        let msg = ProtocolMsg::SwapInit {
-            swap,
-            channel,
-            amount,
-            alt_amount,
-            hash,
-            timeout_blocks,
-        };
-        let eff = self.seal_to(&remote, &msg)?;
-        let deadline_ns = env.now_ns() + SWAP_DEADLINE_NS;
-        let state = SwapState {
-            id: swap,
-            channel,
-            remote,
-            initiator: true,
-            amount,
-            alt_amount,
-            hash,
-            secret: Some(secret),
-            timeout_blocks,
-            htlc_outpoint: None,
-            deadline_ns,
-            phase: SwapPhase::Init,
-        };
-        self.commit(StateDelta::Swap(Box::new(state)));
-        Ok(vec![
-            eff,
-            Effect::Event(HostEvent::SwapPhaseEntered {
-                swap,
-                phase: SwapPhase::Init,
-            }),
-            Effect::Event(HostEvent::SwapCheckAt {
-                swap,
-                at: deadline_ns,
-            }),
-        ])
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn on_swap_init(
-        &mut self,
-        env: &mut EnclaveEnv,
-        from: PublicKey,
-        swap: SwapId,
-        channel: ChannelId,
-        amount: u64,
-        alt_amount: u64,
-        hash: [u8; 32],
-        timeout_blocks: u64,
-    ) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
-        if self.state.swaps.contains_key(&swap)
-            || amount == 0
-            || alt_amount == 0
-            || timeout_blocks == 0
-        {
-            return Err(ProtocolError::BadMessage);
-        }
-        let chan = self
-            .state
-            .channels
-            .get(&channel)
-            .ok_or(ProtocolError::UnknownChannel)?;
-        if chan.remote != from || !chan.usable() {
-            return Err(ProtocolError::BadMessage);
-        }
-        if self.swap_pending_on(&channel) {
-            // One swap per channel at a time; refuse rather than stack.
-            let nack = ProtocolMsg::SwapNack {
-                swap,
-                reason: ProtocolError::SwapPending.abort_code(),
-            };
-            return Ok(vec![self.seal_to(&from, &nack)?]);
-        }
-        let me = self.identity.as_ref().ok_or(ProtocolError::NoSession)?.pk;
-        let deadline_ns = env.now_ns() + SWAP_DEADLINE_NS;
-        let state = SwapState {
-            id: swap,
-            channel,
-            remote: from,
-            initiator: false,
-            amount,
-            alt_amount,
-            hash,
-            secret: None,
-            timeout_blocks,
-            htlc_outpoint: None,
-            deadline_ns,
-            phase: SwapPhase::Init,
-        };
-        let script = state.htlc_script(&me);
-        self.commit(StateDelta::Swap(Box::new(state)));
-        Ok(vec![
-            Effect::Event(HostEvent::SwapPhaseEntered {
-                swap,
-                phase: SwapPhase::Init,
-            }),
-            Effect::Event(HostEvent::SwapFundingNeeded {
-                swap,
-                script,
-                value: alt_amount,
-            }),
-            Effect::Event(HostEvent::SwapCheckAt {
-                swap,
-                at: deadline_ns,
-            }),
-        ])
-    }
-
-    fn cmd_swap_funded(
-        &mut self,
-        env: &mut EnclaveEnv,
-        swap: SwapId,
-        outpoint: teechain_blockchain::OutPoint,
-    ) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
-        let state = self
-            .state
-            .swaps
-            .get(&swap)
-            .ok_or(ProtocolError::BadMessage)?;
-        if state.initiator {
-            return Err(ProtocolError::BadMessage);
-        }
-        if state.phase != SwapPhase::Init {
-            // A deadline abort can race a delayed (e.g. counter-throttled
-            // replay after a crash in the funding window) funding report:
-            // the refund committed with no outpoint on record, yet the
-            // host has already minted the HTLC. Adopt the outpoint and
-            // arm the chain watch so the timelocked reclaim still runs —
-            // silently dropping it would strand the on-chain value.
-            if state.phase == SwapPhase::Refunded && state.htlc_outpoint.is_none() {
-                self.commit_swap(&swap, |s| s.htlc_outpoint = Some(outpoint));
-                return Ok(vec![Effect::Event(HostEvent::SwapCheckAt {
-                    swap,
-                    at: env.now_ns() + SWAP_CHECK_INTERVAL_NS,
-                })]);
-            }
-            return Ok(vec![]); // Aborted (or already funded) meanwhile.
-        }
-        let remote = state.remote;
-        self.commit_swap(&swap, |s| {
-            s.phase = SwapPhase::Locked;
-            s.htlc_outpoint = Some(outpoint);
-        });
-        let mut effects = Vec::new();
-        // Best-effort notification: after a crash-recovery replay no
-        // session survives, but the lock must still commit — the enclave
-        // now tracks the on-chain value, its chain watch reclaims it at
-        // the timelock, and the uninformed initiator aborts at its own
-        // deadline. Refusing here would strand the minted HTLC forever.
-        let msg = ProtocolMsg::SwapLocked { swap, outpoint };
-        if let Ok(eff) = self.seal_to(&remote, &msg) {
-            effects.push(eff);
-        }
-        effects.push(Effect::Event(HostEvent::SwapPhaseEntered {
-            swap,
-            phase: SwapPhase::Locked,
-        }));
-        effects.push(Effect::Event(HostEvent::SwapCheckAt {
-            swap,
-            at: env.now_ns() + SWAP_CHECK_INTERVAL_NS,
-        }));
-        Ok(effects)
-    }
-
-    fn on_swap_locked(
-        &mut self,
-        env: &mut EnclaveEnv,
-        from: PublicKey,
-        swap: SwapId,
-        outpoint: teechain_blockchain::OutPoint,
-    ) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
-        let state = self
-            .state
-            .swaps
-            .get(&swap)
-            .ok_or(ProtocolError::BadMessage)?;
-        if !state.initiator || state.remote != from {
-            return Err(ProtocolError::BadMessage);
-        }
-        if state.phase != SwapPhase::Init {
-            return Ok(vec![]); // Deadline-aborted before the lock arrived.
-        }
-        let me = self.identity.as_ref().ok_or(ProtocolError::NoSession)?.pk;
-        let (script, value) = (state.htlc_script(&me), state.alt_amount);
-        self.commit_swap(&swap, |s| {
-            s.phase = SwapPhase::Locked;
-            s.htlc_outpoint = Some(outpoint);
-        });
-        // The enclave cannot read chains (§4): the host verifies the
-        // HTLC (script, value, confirmations per its policy) and answers
-        // with SwapHtlcVerified, mirroring the VerifyDeposit flow.
-        Ok(vec![
-            Effect::Event(HostEvent::SwapPhaseEntered {
-                swap,
-                phase: SwapPhase::Locked,
-            }),
-            Effect::Event(HostEvent::VerifySwapHtlc {
-                swap,
-                outpoint,
-                script,
-                value,
-            }),
-        ])
-    }
-
-    fn cmd_swap_htlc_verified(
-        &mut self,
-        env: &mut EnclaveEnv,
-        swap: SwapId,
-        valid: bool,
-        confirmations: u64,
-    ) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
-        let state = self
-            .state
-            .swaps
-            .get(&swap)
-            .ok_or(ProtocolError::BadMessage)?
-            .clone();
-        if !state.initiator {
-            return Err(ProtocolError::BadMessage);
-        }
-        if state.phase != SwapPhase::Locked {
-            return Ok(vec![]); // Aborted meanwhile; nothing was committed.
-        }
-        let covered = self
-            .state
-            .channels
-            .get(&state.channel)
-            .map(|c| c.usable() && !c.locked() && c.my_bal >= state.amount)
-            .unwrap_or(false);
-        // The refund timelock must still be comfortably unmatured: once
-        // `timeout_blocks` confirmations exist, the responder can spend
-        // the refund path, so revealing the secret now would let it race
-        // our claim AND collect the channel credit via the revealed
-        // secret — losing `amount` on both ledgers.
-        let unmatured =
-            confirmations >= 1 && confirmations + SWAP_REFUND_SAFETY_BLOCKS < state.timeout_blocks;
-        if !valid || !unmatured || !covered {
-            // A bad or already-mature lock (or a balance drained since
-            // Init) aborts before any value moves; the responder recovers
-            // its HTLC via the timelocked refund path.
-            let mut effects = Vec::new();
-            self.refund_swap_local(swap, &mut effects);
-            return Ok(effects);
-        }
-        let kp = *self.identity.as_ref().ok_or(ProtocolError::NoSession)?;
-        let secret = state.secret.expect("initiator holds the secret");
-        let outpoint = state.htlc_outpoint.expect("locked phase has the outpoint");
-        let claim = crate::swap::claim_tx(outpoint, state.alt_amount, &secret, kp.pk, &kp);
-        let msg = ProtocolMsg::SwapSecret { swap, secret };
-        let eff = self.seal_to(&state.remote, &msg)?;
-        // One atomic commit: the channel debit and the phase transition
-        // ride the same WAL record, so a crash either keeps the swap
-        // Locked (no debit) or lands Redeemed (debited, claim
-        // re-drivable from the recorded secret).
-        self.commit(StateDelta::Pay {
-            id: state.channel,
-            my_delta: -(state.amount as i64),
-            remote_delta: state.amount as i64,
-        });
-        self.commit_swap(&swap, |s| s.phase = SwapPhase::Redeemed);
-        Ok(vec![
-            Effect::BroadcastAlt(claim),
-            eff,
-            Effect::Event(HostEvent::SwapPhaseEntered {
-                swap,
-                phase: SwapPhase::Redeemed,
-            }),
-            Effect::Event(HostEvent::SwapResolved {
-                swap,
-                redeemed: true,
-            }),
-        ])
-    }
-
-    fn on_swap_secret(
-        &mut self,
-        env: &mut EnclaveEnv,
-        from: PublicKey,
-        swap: SwapId,
-        secret: [u8; 32],
-    ) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
-        let state = self
-            .state
-            .swaps
-            .get(&swap)
-            .ok_or(ProtocolError::BadMessage)?;
-        if state.initiator || state.remote != from {
-            return Err(ProtocolError::BadMessage);
-        }
-        if !state.phase.pending() {
-            return Ok(vec![]); // Duplicate (Redeemed) or too late (Refunded).
-        }
-        if sha256(&secret) != state.hash {
-            return Err(ProtocolError::BadMessage);
-        }
-        self.credit_swap_redeem(swap, secret)
-    }
-
-    /// Responder redeem: credits the channel and records the revealed
-    /// secret in one commit. Reached from `SwapSecret` or from the
-    /// chain-watch fallback (preimage read off the confirmed claim).
-    fn credit_swap_redeem(&mut self, swap: SwapId, secret: [u8; 32]) -> Outcome {
-        let state = self
-            .state
-            .swaps
-            .get(&swap)
-            .ok_or(ProtocolError::BadMessage)?
-            .clone();
-        if self.chan(&state.channel)?.remote_bal < state.amount {
-            return Err(ProtocolError::BadMessage); // Peer violated protocol.
-        }
-        self.commit(StateDelta::Pay {
-            id: state.channel,
-            my_delta: state.amount as i64,
-            remote_delta: -(state.amount as i64),
-        });
-        self.commit_swap(&swap, |s| {
-            s.phase = SwapPhase::Redeemed;
-            s.secret = Some(secret);
-        });
-        Ok(vec![
-            Effect::Event(HostEvent::SwapPhaseEntered {
-                swap,
-                phase: SwapPhase::Redeemed,
-            }),
-            Effect::Event(HostEvent::SwapResolved {
-                swap,
-                redeemed: true,
-            }),
-        ])
-    }
-
-    fn on_swap_nack(
-        &mut self,
-        env: &mut EnclaveEnv,
-        from: PublicKey,
-        swap: SwapId,
-        reason: u8,
-    ) -> Outcome {
-        // Same preamble as every other state-mutating swap handler: the
-        // Refunded transition below stages a WAL record, which in persist
-        // mode must ride a counter-gated commit (a throttled rejection
-        // re-enters via the admission pump's stash).
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
-        let _ = ProtocolError::from_abort_code(reason);
-        let state = self
-            .state
-            .swaps
-            .get(&swap)
-            .ok_or(ProtocolError::BadMessage)?;
-        if state.remote != from {
-            return Err(ProtocolError::BadMessage);
-        }
-        match state.phase {
-            // Responder with a live HTLC: funds come back via the
-            // timelocked refund, driven by the chain-watch tick.
-            SwapPhase::Locked if !state.initiator => Ok(vec![]),
-            SwapPhase::Init | SwapPhase::Locked => {
-                self.commit_swap(&swap, |s| s.phase = SwapPhase::Refunded);
-                Ok(vec![
-                    Effect::Event(HostEvent::SwapPhaseEntered {
-                        swap,
-                        phase: SwapPhase::Refunded,
-                    }),
-                    Effect::Event(HostEvent::SwapResolved {
-                        swap,
-                        redeemed: false,
-                    }),
-                ])
-            }
-            _ => Ok(vec![]),
-        }
-    }
-
-    fn cmd_swap_tick(
-        &mut self,
-        env: &mut EnclaveEnv,
-        swap: SwapId,
-        spent_preimage: Option<Vec<u8>>,
-        confirmations: u64,
-        claim_confirmed: bool,
-    ) -> Outcome {
-        if self.frozen {
-            return Ok(vec![]);
-        }
-        let Some(state) = self.state.swaps.get(&swap) else {
-            return Ok(vec![]);
-        };
-        let state = state.clone();
-        match state.phase {
-            SwapPhase::Refunded => {
-                // A responder can land here with a live HTLC: the abort
-                // committed first and the funding report arrived late
-                // (see `cmd_swap_funded`), or a broadcast refund was
-                // lost. Keep driving the timelocked reclaim until the
-                // spend confirms; the initiator has nothing on-chain.
-                if state.initiator || claim_confirmed {
-                    return Ok(vec![]);
-                }
-                let Some(outpoint) = state.htlc_outpoint else {
-                    return Ok(vec![]);
-                };
-                let mut effects = Vec::new();
-                if confirmations >= state.timeout_blocks {
-                    let kp = *self.identity.as_ref().ok_or(ProtocolError::NoSession)?;
-                    let refund = crate::swap::refund_tx(outpoint, state.alt_amount, kp.pk, &kp);
-                    effects.push(Effect::BroadcastAlt(refund));
-                }
-                effects.push(Effect::Event(HostEvent::SwapCheckAt {
-                    swap,
-                    at: env.now_ns() + SWAP_CHECK_INTERVAL_NS,
-                }));
-                Ok(effects)
-            }
-            SwapPhase::Redeemed => {
-                // Post-crash re-drive: the debit committed but the claim
-                // may never have reached the alternate chain. Re-broadcast
-                // (duplicate submits are rejected harmlessly), re-offer
-                // the secret, and watch until the claim confirms.
-                if !state.initiator || claim_confirmed {
-                    return Ok(vec![]);
-                }
-                let (Some(outpoint), Some(secret)) = (state.htlc_outpoint, state.secret) else {
-                    return Ok(vec![]);
-                };
-                let kp = *self.identity.as_ref().ok_or(ProtocolError::NoSession)?;
-                let claim = crate::swap::claim_tx(outpoint, state.alt_amount, &secret, kp.pk, &kp);
-                let mut effects = vec![Effect::BroadcastAlt(claim)];
-                let msg = ProtocolMsg::SwapSecret { swap, secret };
-                if let Ok(eff) = self.seal_to(&state.remote, &msg) {
-                    effects.push(eff);
-                }
-                effects.push(Effect::Event(HostEvent::SwapCheckAt {
-                    swap,
-                    at: env.now_ns() + SWAP_CHECK_INTERVAL_NS,
-                }));
-                Ok(effects)
-            }
-            SwapPhase::Init | SwapPhase::Locked => {
-                // Pending-phase resolutions mutate state; gate on the
-                // counter and re-arm rather than fail when throttled.
-                if let Err(e) = self.require_counter_ready(env) {
-                    return match e {
-                        ProtocolError::CounterThrottled { ready_at } => {
-                            Ok(vec![Effect::Event(HostEvent::SwapCheckAt {
-                                swap,
-                                at: ready_at,
-                            })])
-                        }
-                        other => Err(other),
-                    };
-                }
-                if !state.initiator && state.phase == SwapPhase::Locked {
-                    // Chain-watch redeem: a confirmed claim reveals the
-                    // preimage even if `SwapSecret` never arrived.
-                    if let Some(p) = spent_preimage.as_deref() {
-                        if p.len() == 32 && sha256(p) == state.hash {
-                            let mut secret = [0u8; 32];
-                            secret.copy_from_slice(p);
-                            return self.credit_swap_redeem(swap, secret);
-                        }
-                    }
-                    if confirmations >= state.timeout_blocks {
-                        // Timeout: reclaim our HTLC on-chain.
-                        let kp = *self.identity.as_ref().ok_or(ProtocolError::NoSession)?;
-                        let outpoint = state.htlc_outpoint.expect("locked has outpoint");
-                        let refund = crate::swap::refund_tx(outpoint, state.alt_amount, kp.pk, &kp);
-                        self.commit_swap(&swap, |s| s.phase = SwapPhase::Refunded);
-                        return Ok(vec![
-                            Effect::BroadcastAlt(refund),
-                            Effect::Event(HostEvent::SwapPhaseEntered {
-                                swap,
-                                phase: SwapPhase::Refunded,
-                            }),
-                            Effect::Event(HostEvent::SwapResolved {
-                                swap,
-                                redeemed: false,
-                            }),
-                        ]);
-                    }
-                }
-                if env.now_ns() >= state.deadline_ns
-                    && (state.initiator || state.phase == SwapPhase::Init)
-                {
-                    // Deadline abort: nothing of ours is locked on-chain
-                    // on these paths, so a local refund is safe. (A
-                    // responder in Locked keeps watching the chain — its
-                    // HTLC needs the timelocked refund above.)
-                    let mut effects = Vec::new();
-                    self.refund_swap_local(swap, &mut effects);
-                    return Ok(effects);
-                }
-                Ok(vec![Effect::Event(HostEvent::SwapCheckAt {
-                    swap,
-                    at: env.now_ns() + SWAP_CHECK_INTERVAL_NS,
-                })])
-            }
         }
     }
 
@@ -2449,569 +1062,6 @@ impl TeechainEnclave {
         result
     }
 
-    // ---- Admission pump (queues, deferred messages, counter stash) ----
-
-    /// The host-timer entry point of the admission layer. Expires
-    /// overdue queued/deferred entries, then — if the monotonic counter
-    /// permits committing — drains any unlocked channel with a backlog
-    /// and re-dispatches counter-stashed messages as one group commit.
-    fn cmd_pump_admission(&mut self, env: &mut EnclaveEnv) -> Outcome {
-        if self.frozen {
-            // A frozen enclave keeps its queues; ops resolve at the host
-            // (dead-op resolution), not here.
-            return Ok(vec![]);
-        }
-        let mut effects = Vec::new();
-        self.expire_admissions(env, &mut effects);
-        match self.require_counter_ready(env) {
-            Ok(()) => {
-                let ids: Vec<ChannelId> = self
-                    .admit
-                    .queues
-                    .keys()
-                    .chain(self.admit.deferred.keys())
-                    .copied()
-                    .collect();
-                for id in ids {
-                    // Safety net: unlock points drain eagerly, so this
-                    // only finds work after an expiry or an odd
-                    // interleaving — but it guarantees no backlog can
-                    // outlive its lock.
-                    self.drain_admission(env, id, &mut effects);
-                }
-                let mut out = self.pump_stashed(env, effects)?;
-                // Re-arm for whatever is still parked (behind channels
-                // that are genuinely still locked, or inside a backoff).
-                if let Some(d) = self.admit.next_deadline(env.now_ns()) {
-                    out.push(Effect::Event(HostEvent::PumpAt(d)));
-                }
-                Ok(out)
-            }
-            Err(ProtocolError::CounterThrottled { ready_at }) => {
-                effects.push(Effect::Event(HostEvent::PumpAt(ready_at)));
-                Ok(effects)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Re-dispatches messages stashed while the counter was throttled.
-    /// Group commit (§6.2): with no replication chain attached, every
-    /// stashed message is dispatched into ONE commit — a single counter
-    /// increment and WAL append cover the whole batch, amortizing the
-    /// 100 ms counter throttle over many payments.
-    fn pump_stashed(&mut self, env: &mut EnclaveEnv, seed: Vec<Effect>) -> Outcome {
-        if self.cfg.persist() && self.rep.backup.is_none() {
-            let mut out = seed;
-            while let Some((from, msg)) = self.pending_msgs.pop_front() {
-                match self.dispatch_protocol(env, from, msg.clone()) {
-                    Ok(effects) => out.extend(effects),
-                    Err(ProtocolError::CounterThrottled { ready_at }) => {
-                        // Defensive: cannot trigger mid-batch (the counter
-                        // is only spent by the finalize below), but if a
-                        // handler ever throttles, preserve ordering.
-                        self.pending_msgs.push_front((from, msg));
-                        out.push(Effect::Event(HostEvent::PumpAt(ready_at)));
-                        break;
-                    }
-                    Err(_) => {
-                        // Drop protocol-violating stashed messages.
-                    }
-                }
-            }
-            return self.finalize(env, out);
-        }
-        let mut out = seed;
-        while let Some((from, msg)) = self.pending_msgs.pop_front() {
-            match self.dispatch_protocol(env, from, msg.clone()) {
-                Ok(effects) => {
-                    out.extend(effects);
-                    // Replicate/persist per message, preserving ordering.
-                    let flushed = self.finalize(env, std::mem::take(&mut out))?;
-                    out = flushed;
-                }
-                Err(ProtocolError::CounterThrottled { ready_at }) => {
-                    self.pending_msgs.push_front((from, msg));
-                    out.push(Effect::Event(HostEvent::PumpAt(ready_at)));
-                    return Ok(out);
-                }
-                Err(_) => {
-                    // Drop protocol-violating stashed messages.
-                }
-            }
-        }
-        self.finalize(env, out)
-    }
-
-    /// Fails every queued/deferred entry whose admission deadline has
-    /// passed. Queued deadlines are NOT monotone within a queue — a
-    /// contention requeue re-enters with its *original* admission
-    /// deadline — so the whole queue is scanned. Deferred deadlines stay
-    /// monotone (defer time + a constant); front pops are exhaustive
-    /// there.
-    fn expire_admissions(&mut self, env: &mut EnclaveEnv, effects: &mut Vec<Effect>) {
-        let now = env.now_ns();
-        let ids: Vec<ChannelId> = self.admit.queues.keys().copied().collect();
-        for id in ids {
-            let mut i = 0;
-            while let Some(entry) = self.admit.queues.get_mut(&id).and_then(|q| {
-                while i < q.len() && q[i].deadline_ns > now {
-                    i += 1;
-                }
-                (i < q.len()).then(|| q.remove(i).unwrap())
-            }) {
-                self.admit.stats.expired += 1;
-                match entry.op {
-                    QueuedOp::Pay { amount, count } => {
-                        effects.push(Effect::Event(HostEvent::PaymentRejected {
-                            id,
-                            amount,
-                            count,
-                            reason: ProtocolError::ChannelLocked,
-                        }));
-                    }
-                    QueuedOp::Multihop { route, .. } => {
-                        effects.push(Effect::Event(HostEvent::MultihopFailed {
-                            route,
-                            reason: ProtocolError::ChannelLocked,
-                        }));
-                    }
-                }
-            }
-        }
-        let ids: Vec<ChannelId> = self.admit.deferred.keys().copied().collect();
-        for id in ids {
-            while let Some(d) = self.admit.deferred.get_mut(&id).and_then(|q| {
-                q.front()
-                    .is_some_and(|e| e.deadline_ns <= now)
-                    .then(|| q.pop_front().unwrap())
-            }) {
-                self.admit.stats.expired += 1;
-                // Enqueue time is reconstructible: deadline - constant.
-                let age = now.saturating_sub(d.deadline_ns - DEFER_DEADLINE_NS);
-                self.admit.stats.note_defer_age(age);
-                self.refuse_deferred(d, ProtocolError::ChannelLocked, effects);
-            }
-        }
-        self.admit.queues.retain(|_, q| !q.is_empty());
-        self.admit.deferred.retain(|_, q| !q.is_empty());
-    }
-
-    /// Answers a deferred inbound message backward with a typed refusal,
-    /// so the sender's op completes instead of hanging.
-    fn refuse_deferred(
-        &mut self,
-        d: DeferredMsg,
-        reason: ProtocolError,
-        effects: &mut Vec<Effect>,
-    ) {
-        let refusal = match d.msg {
-            ProtocolMsg::Pay { id, amount, count } => ProtocolMsg::PayNack {
-                id,
-                amount,
-                count,
-                reason: reason.abort_code(),
-            },
-            ProtocolMsg::MhLock(m) => ProtocolMsg::MhAbort {
-                route: m.route,
-                reason: reason.abort_code(),
-            },
-            _ => return, // Only Pay/MhLock are ever deferred.
-        };
-        if let Ok(eff) = self.seal_to(&d.from, &refusal) {
-            effects.push(eff);
-        }
-    }
-
-    /// Drains a channel's admission backlog after it unlocked: deferred
-    /// inbound messages re-dispatch first (they were decrypted before any
-    /// local op could observe the unlock), then queued local payments are
-    /// applied as one batched delta — the enclosing ecall's `finalize`
-    /// turns the whole drain into a single commit / WAL record.
-    pub(crate) fn drain_admission(
-        &mut self,
-        env: &mut EnclaveEnv,
-        id: ChannelId,
-        effects: &mut Vec<Effect>,
-    ) {
-        self.drain_deferred(env, id, effects);
-        self.drain_queued(env.now_ns(), id, effects);
-    }
-
-    fn drain_deferred(&mut self, env: &mut EnclaveEnv, id: ChannelId, effects: &mut Vec<Effect>) {
-        loop {
-            let unlocked = self
-                .state
-                .channels
-                .get(&id)
-                .map(|c| !c.locked() && !c.closed)
-                .unwrap_or(false);
-            if !unlocked {
-                break;
-            }
-            let Some(d) = self.admit.deferred.get_mut(&id).and_then(|q| q.pop_front()) else {
-                break;
-            };
-            let age = env
-                .now_ns()
-                .saturating_sub(d.deadline_ns - DEFER_DEADLINE_NS);
-            self.admit.stats.note_defer_age(age);
-            match d.msg {
-                ProtocolMsg::Pay { id, amount, count } => {
-                    let from = Peer {
-                        pk: d.from,
-                        slot: self.peer_slot(&d.from),
-                    };
-                    match self.on_pay(env, from, id, amount, count) {
-                        Ok(effs) => effects.extend(effs),
-                        Err(e) => {
-                            let nack = ProtocolMsg::PayNack {
-                                id,
-                                amount,
-                                count,
-                                reason: e.abort_code(),
-                            };
-                            if let Ok(eff) = self.seal_to(&d.from, &nack) {
-                                effects.push(eff);
-                            }
-                        }
-                    }
-                }
-                ProtocolMsg::MhLock(m) => {
-                    let route = m.route;
-                    match self.on_mh_lock(env, d.from, m) {
-                        Ok(effs) => effects.extend(effs),
-                        Err(e) => {
-                            let abort = ProtocolMsg::MhAbort {
-                                route,
-                                reason: e.abort_code(),
-                            };
-                            if let Ok(eff) = self.seal_to(&d.from, &abort) {
-                                effects.push(eff);
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        self.admit.deferred.retain(|_, q| !q.is_empty());
-    }
-
-    fn drain_queued(&mut self, now: u64, id: ChannelId, effects: &mut Vec<Effect>) {
-        loop {
-            match self.state.channels.get(&id) {
-                None => {
-                    self.flush_admission(id, ProtocolError::ChannelClosed, effects);
-                    return;
-                }
-                Some(c) if c.closed => {
-                    self.flush_admission(id, ProtocolError::ChannelClosed, effects);
-                    return;
-                }
-                Some(c) if c.locked() => return, // A drained multihop re-locked it.
-                Some(_) => {}
-            }
-            // Strict FIFO: a front entry still inside its re-origination
-            // backoff parks the whole queue until its ready time (the
-            // pump wakes us, via `next_deadline`).
-            if self
-                .admit
-                .queues
-                .get(&id)
-                .and_then(|q| q.front())
-                .is_some_and(|e| e.ready_ns > now)
-            {
-                break;
-            }
-            let Some(front) = self.admit.queues.get(&id).and_then(|q| q.front()) else {
-                break;
-            };
-            if matches!(front.op, QueuedOp::Pay { .. }) {
-                self.apply_pay_batch(id, effects);
-            } else {
-                // Wait-die reservation: an older route's deferred lock at
-                // this node needs this (currently unlocked) channel, so a
-                // younger queued origination may not take it — doing so
-                // starves the waiter, whose two hop channels then never
-                // free up together. Park the queue; the pump or the
-                // waiter's own lock/release re-drains it.
-                let QueuedOp::Multihop { route, .. } = front.op else {
-                    unreachable!("non-Pay front is Multihop");
-                };
-                if self.reserved_for_older(id, route) {
-                    break;
-                }
-                let entry = self
-                    .admit
-                    .queues
-                    .get_mut(&id)
-                    .and_then(|q| q.pop_front())
-                    .expect("front checked");
-                let QueuedOp::Multihop {
-                    route,
-                    hops,
-                    channels,
-                    amount,
-                } = entry.op
-                else {
-                    unreachable!("front checked as multihop");
-                };
-                match self.pay_multihop_inner(route, hops, channels, amount, entry.deadline_ns) {
-                    Ok(effs) => effects.extend(effs),
-                    Err(e) => effects.push(Effect::Event(HostEvent::MultihopFailed {
-                        route,
-                        reason: e,
-                    })),
-                }
-            }
-        }
-        self.admit.queues.retain(|_, q| !q.is_empty());
-    }
-
-    /// Pops the longest prefix of consecutive queued payments the current
-    /// balance covers and applies them as ONE payment: one staged delta,
-    /// one wire `Pay` carrying the summed amount/count, one ack fan-out
-    /// group. This is the batch the group commit amortizes. A front
-    /// payment that does not fit even alone is rejected (terminal) so the
-    /// queue cannot head-of-line block behind it.
-    fn apply_pay_batch(&mut self, id: ChannelId, effects: &mut Vec<Effect>) {
-        let Some(chan) = self.state.channels.get(&id) else {
-            return;
-        };
-        let (my_bal, remote) = (chan.my_bal, chan.remote);
-        let Some(q) = self.admit.queues.get_mut(&id) else {
-            return;
-        };
-        let mut batch: Vec<(u64, u32)> = Vec::new();
-        let mut total = 0u64;
-        let mut total_count = 0u32;
-        while let Some(front) = q.front() {
-            match front.op {
-                QueuedOp::Pay { amount, count } => {
-                    if total + amount <= my_bal {
-                        total += amount;
-                        total_count += count;
-                        batch.push((amount, count));
-                        q.pop_front();
-                    } else if batch.is_empty() {
-                        q.pop_front();
-                        effects.push(Effect::Event(HostEvent::PaymentRejected {
-                            id,
-                            amount,
-                            count,
-                            reason: ProtocolError::InsufficientBalance,
-                        }));
-                    } else {
-                        break;
-                    }
-                }
-                QueuedOp::Multihop { .. } => break,
-            }
-        }
-        if batch.is_empty() {
-            return;
-        }
-        let msg = ProtocolMsg::Pay {
-            id,
-            amount: total,
-            count: total_count,
-        };
-        match self.seal_to(&remote, &msg) {
-            Ok(eff) => {
-                self.commit(StateDelta::Pay {
-                    id,
-                    my_delta: -(total as i64),
-                    remote_delta: total as i64,
-                });
-                self.admit.stats.record_batch(batch.len() as u64);
-                let last = batch.len() - 1;
-                self.admit
-                    .inflight
-                    .entry(id)
-                    .or_default()
-                    .extend(
-                        batch
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &(amount, count))| AckEntry {
-                                id,
-                                amount,
-                                count,
-                                more: i < last,
-                            }),
-                    );
-                effects.push(eff);
-            }
-            Err(e) => {
-                // No session (should not happen for an open channel):
-                // nothing was debited, fail the whole batch.
-                for (amount, count) in batch {
-                    effects.push(Effect::Event(HostEvent::PaymentRejected {
-                        id,
-                        amount,
-                        count,
-                        reason: e.clone(),
-                    }));
-                }
-            }
-        }
-    }
-
-    /// Terminally fails everything queued or deferred behind `id` —
-    /// called when the channel closes (settle, eject, remote settlement).
-    pub(crate) fn flush_admission(
-        &mut self,
-        id: ChannelId,
-        reason: ProtocolError,
-        effects: &mut Vec<Effect>,
-    ) {
-        if let Some(q) = self.admit.queues.remove(&id) {
-            for entry in q {
-                self.admit.stats.flushed += 1;
-                match entry.op {
-                    QueuedOp::Pay { amount, count } => {
-                        effects.push(Effect::Event(HostEvent::PaymentRejected {
-                            id,
-                            amount,
-                            count,
-                            reason: reason.clone(),
-                        }));
-                    }
-                    QueuedOp::Multihop { route, .. } => {
-                        effects.push(Effect::Event(HostEvent::MultihopFailed {
-                            route,
-                            reason: reason.clone(),
-                        }));
-                    }
-                }
-            }
-        }
-        if let Some(dq) = self.admit.deferred.remove(&id) {
-            for d in dq {
-                self.admit.stats.flushed += 1;
-                self.refuse_deferred(d, reason.clone(), effects);
-            }
-        }
-    }
-
-    fn cmd_start_session(&mut self, env: &mut EnclaveEnv, remote: PublicKey) -> Outcome {
-        self.require_unfrozen()?;
-        let me = self.identity(env);
-        let known = self.peers.get(&remote.to_bytes());
-        if let Some(s) = known.and_then(Option::as_ref) {
-            if s.established {
-                // Idempotent: the session already exists.
-                return Ok(vec![Effect::Event(HostEvent::SessionEstablished(remote))]);
-            }
-            return Err(ProtocolError::BadMessage); // Handshake in flight.
-        }
-        let eph = Keypair::from_seed(&env.random_bytes32());
-        self.pending_eph.insert(remote, eph.sk);
-        let quote = env.quote(session::expected_quote_binding(&me.pk, &eph.pk));
-        let hs = session::make_handshake("teechain/hello", &me, &eph, &remote, quote);
-        Ok(vec![Effect::Send {
-            to: remote,
-            peer: None,
-            wire: WireMsg::Hello(hs).encode_to_vec(),
-        }])
-    }
-
-    fn on_hello(&mut self, env: &mut EnclaveEnv, hs: crate::msg::Handshake) -> Outcome {
-        self.require_unfrozen()?;
-        let me = self.identity(env);
-        session::verify_handshake(
-            "teechain/hello",
-            &hs,
-            &me.pk,
-            &self.cfg.trust_root,
-            &self.cfg.measurement,
-        )?;
-        let eph = Keypair::from_seed(&env.random_bytes32());
-        let secret = session::session_secret(&eph.sk, &hs.eph);
-        let slot = self.open_session(Session::derive(&secret, &me.pk, &hs.identity));
-        let quote = env.quote(session::expected_quote_binding(&me.pk, &eph.pk));
-        let ack = session::make_handshake("teechain/hello-ack", &me, &eph, &hs.identity, quote);
-        Ok(vec![
-            Effect::Send {
-                to: hs.identity,
-                peer: Some(PeerSlot(slot)),
-                wire: WireMsg::HelloAck(ack).encode_to_vec(),
-            },
-            Effect::Event(HostEvent::SessionEstablished(hs.identity)),
-        ])
-    }
-
-    fn on_hello_ack(&mut self, env: &mut EnclaveEnv, hs: crate::msg::Handshake) -> Outcome {
-        let me = self.identity(env);
-        session::verify_handshake(
-            "teechain/hello-ack",
-            &hs,
-            &me.pk,
-            &self.cfg.trust_root,
-            &self.cfg.measurement,
-        )?;
-        let my_eph = self
-            .pending_eph
-            .remove(&hs.identity)
-            .ok_or(ProtocolError::BadMessage)?;
-        let secret = session::session_secret(&my_eph, &hs.eph);
-        self.open_session(Session::derive(&secret, &me.pk, &hs.identity));
-        Ok(vec![Effect::Event(HostEvent::SessionEstablished(
-            hs.identity,
-        ))])
-    }
-
-    /// Installs the session of a completed handshake in its peer's slot —
-    /// a re-handshake replaces the old session there, so every channel of
-    /// the peer keeps pointing at it. Returns the slot.
-    fn open_session(&mut self, mut session: Session) -> u32 {
-        session.established = true;
-        self.peers.insert(session.remote.to_bytes(), Some(session))
-    }
-
-    // ---- Persistence (§6.2) ----
-
-    /// Serializes the full durable state: the identity, then the
-    /// [`DurableState`] image (v4).
-    fn state_image(&self) -> Vec<u8> {
-        let mut out = vec![STATE_IMAGE_V4];
-        self.identity
-            .as_ref()
-            .map(|k| k.sk.to_bytes())
-            .encode(&mut out);
-        self.state.encode_image(&mut out);
-        out
-    }
-
-    /// SHA-256 of the canonical image.
-    #[cfg(test)]
-    pub(crate) fn durable_digest(&self) -> [u8; 32] {
-        sha256(&self.state_image())
-    }
-
-    /// Deserializes a state image produced by [`Self::state_image`] (v4),
-    /// one of its predecessors (v3 without routes, v2 without swaps), or
-    /// the legacy format that predates the WAL (no version byte).
-    fn load_state_image(&mut self, state: &[u8]) -> Result<(), ProtocolError> {
-        let mut r = teechain_util::codec::Reader::new(state);
-        let version: u8 = match state.first() {
-            Some(&v @ STATE_IMAGE_V2..=STATE_IMAGE_V4) => v,
-            _ => 0,
-        };
-        if version != 0 {
-            let _version: u8 = r.read().map_err(|_| ProtocolError::BadMessage)?;
-        }
-        let sk_bytes: Option<[u8; 32]> = r.read().map_err(|_| ProtocolError::BadMessage)?;
-        if let Some(bytes) = sk_bytes {
-            let sk = PrivateKey::from_bytes(&bytes).ok_or(ProtocolError::BadMessage)?;
-            self.identity = Some(Keypair::from(sk));
-        }
-        self.state = DurableState::read_image(&mut r, version)?;
-        self.index_new_channels();
-        Ok(())
-    }
-
     pub(crate) fn finalize(&mut self, env: &mut EnclaveEnv, mut effects: Vec<Effect>) -> Outcome {
         if self.rep.staged.is_empty() {
             return Ok(effects);
@@ -3063,150 +1113,6 @@ impl TeechainEnclave {
             effects.splice(..0, durable);
             Ok(effects)
         }
-    }
-
-    fn cmd_restore_sealed(&mut self, env: &mut EnclaveEnv, blob: Vec<u8>) -> Outcome {
-        // The counter value proves freshness: the blob must carry the
-        // current hardware counter value, or it is a stale (rolled-back)
-        // state and is rejected. This path restores a snapshot alone; if
-        // WAL records were appended after it, use [`Command::Recover`].
-        let id = self.ensure_counter(env);
-        let min = env.read_counter(id);
-        let (counter, state) = env
-            .unseal(min, &blob)
-            .map_err(|_| ProtocolError::BadMessage)?;
-        self.load_state_image(&state)?;
-        self.commits = counter;
-        Ok(vec![])
-    }
-
-    fn cmd_recover(
-        &mut self,
-        env: &mut EnclaveEnv,
-        snapshot: Option<Vec<u8>>,
-        log: Vec<Vec<u8>>,
-    ) -> Outcome {
-        if !self.cfg.persist() {
-            return Err(ProtocolError::BadMessage);
-        }
-        // Recovery must be the first ecall of a fresh program instance:
-        // replaying deltas over live state would double-apply them (a
-        // malicious host could otherwise inflate its own balances by
-        // feeding the real WAL to a running enclave). Rejecting here
-        // leaves the live state untouched, so no freeze.
-        if self.commits != 0 || self.identity.is_some() || !self.state.is_empty() {
-            return Err(ProtocolError::BadMessage);
-        }
-        // A failed recovery leaves partially applied state behind;
-        // freeze so nothing can run on it. A fresh program instance can
-        // always retry with better storage.
-        let result = self.recover_inner(env, snapshot, log);
-        if result.is_err() {
-            self.frozen = true;
-        }
-        result
-    }
-
-    fn recover_inner(
-        &mut self,
-        env: &mut EnclaveEnv,
-        snapshot: Option<Vec<u8>>,
-        log: Vec<Vec<u8>>,
-    ) -> Outcome {
-        let id = self.ensure_counter(env);
-        let hw = env.read_counter(id);
-        // `applied` tracks the highest commit counter incorporated so
-        // far; the chain must end exactly at the hardware counter.
-        let mut applied = 0u64;
-        if let Some(blob) = &snapshot {
-            if !blob.is_empty() {
-                let (counter, state) =
-                    env.unseal(0, blob).map_err(|_| ProtocolError::BadMessage)?;
-                self.load_state_image(&state)?;
-                applied = counter;
-            }
-        }
-        for rec in &log {
-            let (counter, payload) = env.unseal(0, rec).map_err(|_| ProtocolError::BadMessage)?;
-            if counter <= applied {
-                // Record predates the snapshot (host compaction lagged);
-                // its effects are already in the image.
-                continue;
-            }
-            if counter != applied + 1 {
-                // A commit is missing from the log: rolled-back storage
-                // or a torn tail. Either way the state would be stale.
-                return Err(ProtocolError::StaleState {
-                    found: applied,
-                    expected: hw,
-                });
-            }
-            let mut r = teechain_util::codec::Reader::new(&payload);
-            let embedded: u64 = r.read().map_err(|_| ProtocolError::BadMessage)?;
-            if embedded != counter {
-                return Err(ProtocolError::BadMessage);
-            }
-            let identity: Option<[u8; 32]> = r.read().map_err(|_| ProtocolError::BadMessage)?;
-            if self.identity.is_none() {
-                if let Some(bytes) = identity {
-                    let sk = PrivateKey::from_bytes(&bytes).ok_or(ProtocolError::BadMessage)?;
-                    self.identity = Some(Keypair::from(sk));
-                }
-            }
-            let deltas: Vec<StateDelta> = r.read().map_err(|_| ProtocolError::BadMessage)?;
-            for delta in &deltas {
-                self.state.apply(delta);
-            }
-            applied = counter;
-        }
-        if applied != hw {
-            // The hardware counter proves more commits happened than the
-            // storage shows: refuse to run on rolled-back state (§6.2).
-            return Err(ProtocolError::StaleState {
-                found: applied,
-                expected: hw,
-            });
-        }
-        self.commits = applied;
-        self.index_new_channels();
-        let mut effects = vec![Effect::Event(HostEvent::Recovered {
-            channels: self.state.channels.len(),
-            deposits: self.state.book.mine.len() + self.state.book.remote.len(),
-            commits: applied,
-        })];
-        // Re-arm swap timers: a pending swap resumes its chain watch /
-        // deadline abort; an initiator whose debit committed (Redeemed)
-        // re-drives the idempotent claim broadcast until it confirms —
-        // sessions did not survive the crash, so the responder learns the
-        // preimage from the chain if the re-sent `SwapSecret` cannot go.
-        // The table iterates in id order, so the effects do too.
-        let now = env.now_ns();
-        let swaps = self.state.swaps.values();
-        effects.extend(
-            swaps
-                .filter(|s| s.phase.pending() || (s.phase == SwapPhase::Redeemed && s.initiator))
-                .map(|s| {
-                    Effect::Event(HostEvent::SwapCheckAt {
-                        swap: s.id,
-                        at: now,
-                    })
-                }),
-        );
-        if let Some(me) = self.identity.as_ref().map(|i| i.pk) {
-            let swaps = self.state.swaps.values();
-            effects.extend(
-                swaps
-                    .filter(|s| !s.initiator && s.phase == SwapPhase::Init)
-                    .map(|s| {
-                        Effect::Event(HostEvent::SwapFundingNeeded {
-                            swap: s.id,
-                            script: s.htlc_script(&me),
-                            value: s.alt_amount,
-                        })
-                    }),
-            );
-        }
-        Ok(effects)
     }
 
     // Test/host introspection helpers (read-only; a real enclave would not

@@ -1,6 +1,7 @@
 //! Unit tests of the enclave's slot tables and its sealed state image.
 
 use super::*;
+use crate::msg::WireMsg;
 use crate::ops::OpError;
 use crate::testkit::{Cluster, ClusterConfig, Harness};
 use proptest::prelude::*;

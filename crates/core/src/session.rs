@@ -15,16 +15,18 @@
 //! no `(key, nonce)` pair ever seals twice (`teechain_crypto::aead`, *Nonce
 //! uniqueness*).
 
+use crate::enclave::{Effect, HostEvent, Outcome, PeerSlot, TeechainEnclave};
 use crate::msg::{
     begin_sealed, finish_sealed, CostClass, Handshake, ProtocolMsg, WireMsg, SEALED_HEADER,
 };
+use crate::session;
 use crate::types::ProtocolError;
 use teechain_crypto::aead::Aead;
 use teechain_crypto::ecdh;
 use teechain_crypto::schnorr::{self, Keypair, PrivateKey, PublicKey};
 use teechain_crypto::sha256::{hkdf, tagged_hash};
 use teechain_tee::attest::report_data_from;
-use teechain_tee::Quote;
+use teechain_tee::{EnclaveEnv, Quote};
 use teechain_util::codec::{Decode, Encode};
 
 /// An established (or half-open) secure session with a remote enclave.
@@ -201,6 +203,87 @@ pub fn session_secret(my_eph: &PrivateKey, peer_eph: &PublicKey) -> [u8; 32] {
 /// The report data a handshake quote must carry for (identity, eph).
 pub fn expected_quote_binding(identity: &PublicKey, eph: &PublicKey) -> [u8; 64] {
     quote_binding(identity, eph)
+}
+
+impl TeechainEnclave {
+    pub(crate) fn cmd_start_session(&mut self, env: &mut EnclaveEnv, remote: PublicKey) -> Outcome {
+        self.require_unfrozen()?;
+        let me = self.identity(env);
+        let known = self.peers.get(&remote.to_bytes());
+        if let Some(s) = known.and_then(Option::as_ref) {
+            if s.established {
+                // Idempotent: the session already exists.
+                return Ok(vec![Effect::Event(HostEvent::SessionEstablished(remote))]);
+            }
+            return Err(ProtocolError::BadMessage); // Handshake in flight.
+        }
+        let eph = Keypair::from_seed(&env.random_bytes32());
+        self.pending_eph.insert(remote, eph.sk);
+        let quote = env.quote(session::expected_quote_binding(&me.pk, &eph.pk));
+        let hs = session::make_handshake("teechain/hello", &me, &eph, &remote, quote);
+        Ok(vec![Effect::Send {
+            to: remote,
+            peer: None,
+            wire: WireMsg::Hello(hs).encode_to_vec(),
+        }])
+    }
+
+    pub(crate) fn on_hello(&mut self, env: &mut EnclaveEnv, hs: crate::msg::Handshake) -> Outcome {
+        self.require_unfrozen()?;
+        let me = self.identity(env);
+        session::verify_handshake(
+            "teechain/hello",
+            &hs,
+            &me.pk,
+            &self.cfg.trust_root,
+            &self.cfg.measurement,
+        )?;
+        let eph = Keypair::from_seed(&env.random_bytes32());
+        let secret = session::session_secret(&eph.sk, &hs.eph);
+        let slot = self.open_session(Session::derive(&secret, &me.pk, &hs.identity));
+        let quote = env.quote(session::expected_quote_binding(&me.pk, &eph.pk));
+        let ack = session::make_handshake("teechain/hello-ack", &me, &eph, &hs.identity, quote);
+        Ok(vec![
+            Effect::Send {
+                to: hs.identity,
+                peer: Some(PeerSlot(slot)),
+                wire: WireMsg::HelloAck(ack).encode_to_vec(),
+            },
+            Effect::Event(HostEvent::SessionEstablished(hs.identity)),
+        ])
+    }
+
+    pub(crate) fn on_hello_ack(
+        &mut self,
+        env: &mut EnclaveEnv,
+        hs: crate::msg::Handshake,
+    ) -> Outcome {
+        let me = self.identity(env);
+        session::verify_handshake(
+            "teechain/hello-ack",
+            &hs,
+            &me.pk,
+            &self.cfg.trust_root,
+            &self.cfg.measurement,
+        )?;
+        let my_eph = self
+            .pending_eph
+            .remove(&hs.identity)
+            .ok_or(ProtocolError::BadMessage)?;
+        let secret = session::session_secret(&my_eph, &hs.eph);
+        self.open_session(Session::derive(&secret, &me.pk, &hs.identity));
+        Ok(vec![Effect::Event(HostEvent::SessionEstablished(
+            hs.identity,
+        ))])
+    }
+
+    /// Installs the session of a completed handshake in its peer's slot —
+    /// a re-handshake replaces the old session there, so every channel of
+    /// the peer keeps pointing at it. Returns the slot.
+    fn open_session(&mut self, mut session: Session) -> u32 {
+        session.established = true;
+        self.peers.insert(session.remote.to_bytes(), Some(session))
+    }
 }
 
 #[cfg(test)]

@@ -38,9 +38,13 @@
 //! every swap resolves to exactly one of {redeemed-both, refunded-both},
 //! and value is conserved on the channel and on both chains.
 
-use crate::types::{ChannelId, SwapId};
+use crate::enclave::{Effect, HostEvent, Outcome, TeechainEnclave};
+use crate::msg::{ProtocolMsg, StateDelta};
+use crate::types::{ChannelId, ProtocolError, SwapId};
 use teechain_blockchain::{OutPoint, ScriptPubKey, Transaction, TxIn, TxOut};
 use teechain_crypto::schnorr::{Keypair, PublicKey};
+use teechain_crypto::sha256::sha256;
+use teechain_tee::EnclaveEnv;
 use teechain_util::codec::{Decode, Encode, Reader, WireError};
 
 /// Where a swap stands. Phases only ever advance: `Init → Locked →`
@@ -212,6 +216,619 @@ pub fn refund_tx(outpoint: OutPoint, value: u64, dest: PublicKey, key: &Keypair)
     };
     tx.sign_input(0, key);
     tx
+}
+
+/// Initiator/responder wall-or-sim-clock budget (ns) for a swap to reach
+/// resolution before the local deadline abort kicks in. Generous enough
+/// for live round trips; sim tests advance virtual time past it.
+const SWAP_DEADLINE_NS: u64 = 2_000_000_000;
+/// Re-check cadence (ns) for a pending swap's chain watch.
+const SWAP_CHECK_INTERVAL_NS: u64 = 200_000_000;
+/// Minimum headroom, in alternate-chain blocks, the initiator demands
+/// between an HTLC's confirmations and its refund timelock before it
+/// debits the channel and reveals the secret. A responder that delivers
+/// the lock late — refund path mature or about to mature — could race
+/// its own refund against our claim and win on both ledgers; refusing
+/// while `confirmations + margin >= timeout_blocks` closes that window.
+const SWAP_REFUND_SAFETY_BLOCKS: u64 = 1;
+
+impl TeechainEnclave {
+    /// Commits an edit of swap `id` (see [`Self::commit_channel`]).
+    fn commit_swap(&mut self, id: &SwapId, edit: impl FnOnce(&mut SwapState)) {
+        if let Some(swap) = self.state.swaps.get(id) {
+            let mut swap = swap.clone();
+            edit(&mut swap);
+            self.commit(StateDelta::Swap(Box::new(swap)));
+        }
+    }
+
+    // ---- Cross-chain atomic swaps (Command::Swap, [`crate::swap`]) ----
+
+    /// True if any swap on `id` can still go either way.
+    pub(crate) fn swap_pending_on(&self, id: &ChannelId) -> bool {
+        self.state
+            .swaps
+            .values()
+            .any(|s| s.channel == *id && s.phase.pending())
+    }
+
+    /// Marks a still-pending swap locally refunded — valid only on paths
+    /// where nothing of OURS is locked on-chain — stages the transition,
+    /// notifies the peer best-effort and resolves the operation. A
+    /// responder's live HTLC is recovered separately by its chain-watch
+    /// refund timer: that is how "both refunds land" without trust.
+    fn refund_swap_local(&mut self, swap: SwapId, effects: &mut Vec<Effect>) {
+        let Some(remote) = self.state.swaps.get(&swap).map(|s| s.remote) else {
+            return;
+        };
+        self.commit_swap(&swap, |s| s.phase = SwapPhase::Refunded);
+        let nack = ProtocolMsg::SwapNack {
+            swap,
+            reason: ProtocolError::SwapPending.abort_code(),
+        };
+        if let Ok(eff) = self.seal_to(&remote, &nack) {
+            effects.push(eff);
+        }
+        effects.push(Effect::Event(HostEvent::SwapPhaseEntered {
+            swap,
+            phase: SwapPhase::Refunded,
+        }));
+        effects.push(Effect::Event(HostEvent::SwapResolved {
+            swap,
+            redeemed: false,
+        }));
+    }
+
+    pub(crate) fn cmd_swap(
+        &mut self,
+        env: &mut EnclaveEnv,
+        swap: SwapId,
+        channel: ChannelId,
+        amount: u64,
+        alt_amount: u64,
+        timeout_blocks: u64,
+    ) -> Outcome {
+        self.require_unfrozen()?;
+        self.require_counter_ready(env)?;
+        if amount == 0 || alt_amount == 0 || timeout_blocks == 0 {
+            return Err(ProtocolError::BadMessage);
+        }
+        if self.state.swaps.contains_key(&swap) {
+            return Err(ProtocolError::BadMessage);
+        }
+        if self.swap_pending_on(&channel) {
+            return Err(ProtocolError::SwapPending);
+        }
+        let chan = self
+            .state
+            .channels
+            .get(&channel)
+            .ok_or(ProtocolError::UnknownChannel)?;
+        if !chan.usable() {
+            return Err(ProtocolError::ChannelNotOpen);
+        }
+        if chan.locked() {
+            return Err(ProtocolError::ChannelLocked);
+        }
+        if chan.my_bal < amount {
+            return Err(ProtocolError::InsufficientBalance);
+        }
+        let remote = chan.remote;
+        // The secret is born inside the enclave and leaves only through
+        // the redeem itself (the claim spend / `SwapSecret` message).
+        let secret = env.random_bytes32();
+        let hash = sha256(&secret);
+        let msg = ProtocolMsg::SwapInit {
+            swap,
+            channel,
+            amount,
+            alt_amount,
+            hash,
+            timeout_blocks,
+        };
+        let eff = self.seal_to(&remote, &msg)?;
+        let deadline_ns = env.now_ns() + SWAP_DEADLINE_NS;
+        let state = SwapState {
+            id: swap,
+            channel,
+            remote,
+            initiator: true,
+            amount,
+            alt_amount,
+            hash,
+            secret: Some(secret),
+            timeout_blocks,
+            htlc_outpoint: None,
+            deadline_ns,
+            phase: SwapPhase::Init,
+        };
+        self.commit(StateDelta::Swap(Box::new(state)));
+        Ok(vec![
+            eff,
+            Effect::Event(HostEvent::SwapPhaseEntered {
+                swap,
+                phase: SwapPhase::Init,
+            }),
+            Effect::Event(HostEvent::SwapCheckAt {
+                swap,
+                at: deadline_ns,
+            }),
+        ])
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn on_swap_init(
+        &mut self,
+        env: &mut EnclaveEnv,
+        from: PublicKey,
+        swap: SwapId,
+        channel: ChannelId,
+        amount: u64,
+        alt_amount: u64,
+        hash: [u8; 32],
+        timeout_blocks: u64,
+    ) -> Outcome {
+        self.require_unfrozen()?;
+        self.require_counter_ready(env)?;
+        if self.state.swaps.contains_key(&swap)
+            || amount == 0
+            || alt_amount == 0
+            || timeout_blocks == 0
+        {
+            return Err(ProtocolError::BadMessage);
+        }
+        let chan = self
+            .state
+            .channels
+            .get(&channel)
+            .ok_or(ProtocolError::UnknownChannel)?;
+        if chan.remote != from || !chan.usable() {
+            return Err(ProtocolError::BadMessage);
+        }
+        if self.swap_pending_on(&channel) {
+            // One swap per channel at a time; refuse rather than stack.
+            let nack = ProtocolMsg::SwapNack {
+                swap,
+                reason: ProtocolError::SwapPending.abort_code(),
+            };
+            return Ok(vec![self.seal_to(&from, &nack)?]);
+        }
+        let me = self.identity.as_ref().ok_or(ProtocolError::NoSession)?.pk;
+        let deadline_ns = env.now_ns() + SWAP_DEADLINE_NS;
+        let state = SwapState {
+            id: swap,
+            channel,
+            remote: from,
+            initiator: false,
+            amount,
+            alt_amount,
+            hash,
+            secret: None,
+            timeout_blocks,
+            htlc_outpoint: None,
+            deadline_ns,
+            phase: SwapPhase::Init,
+        };
+        let script = state.htlc_script(&me);
+        self.commit(StateDelta::Swap(Box::new(state)));
+        Ok(vec![
+            Effect::Event(HostEvent::SwapPhaseEntered {
+                swap,
+                phase: SwapPhase::Init,
+            }),
+            Effect::Event(HostEvent::SwapFundingNeeded {
+                swap,
+                script,
+                value: alt_amount,
+            }),
+            Effect::Event(HostEvent::SwapCheckAt {
+                swap,
+                at: deadline_ns,
+            }),
+        ])
+    }
+
+    pub(crate) fn cmd_swap_funded(
+        &mut self,
+        env: &mut EnclaveEnv,
+        swap: SwapId,
+        outpoint: teechain_blockchain::OutPoint,
+    ) -> Outcome {
+        self.require_unfrozen()?;
+        self.require_counter_ready(env)?;
+        let state = self
+            .state
+            .swaps
+            .get(&swap)
+            .ok_or(ProtocolError::BadMessage)?;
+        if state.initiator {
+            return Err(ProtocolError::BadMessage);
+        }
+        if state.phase != SwapPhase::Init {
+            // A deadline abort can race a delayed (e.g. counter-throttled
+            // replay after a crash in the funding window) funding report:
+            // the refund committed with no outpoint on record, yet the
+            // host has already minted the HTLC. Adopt the outpoint and
+            // arm the chain watch so the timelocked reclaim still runs —
+            // silently dropping it would strand the on-chain value.
+            if state.phase == SwapPhase::Refunded && state.htlc_outpoint.is_none() {
+                self.commit_swap(&swap, |s| s.htlc_outpoint = Some(outpoint));
+                return Ok(vec![Effect::Event(HostEvent::SwapCheckAt {
+                    swap,
+                    at: env.now_ns() + SWAP_CHECK_INTERVAL_NS,
+                })]);
+            }
+            return Ok(vec![]); // Aborted (or already funded) meanwhile.
+        }
+        let remote = state.remote;
+        self.commit_swap(&swap, |s| {
+            s.phase = SwapPhase::Locked;
+            s.htlc_outpoint = Some(outpoint);
+        });
+        let mut effects = Vec::new();
+        // Best-effort notification: after a crash-recovery replay no
+        // session survives, but the lock must still commit — the enclave
+        // now tracks the on-chain value, its chain watch reclaims it at
+        // the timelock, and the uninformed initiator aborts at its own
+        // deadline. Refusing here would strand the minted HTLC forever.
+        let msg = ProtocolMsg::SwapLocked { swap, outpoint };
+        if let Ok(eff) = self.seal_to(&remote, &msg) {
+            effects.push(eff);
+        }
+        effects.push(Effect::Event(HostEvent::SwapPhaseEntered {
+            swap,
+            phase: SwapPhase::Locked,
+        }));
+        effects.push(Effect::Event(HostEvent::SwapCheckAt {
+            swap,
+            at: env.now_ns() + SWAP_CHECK_INTERVAL_NS,
+        }));
+        Ok(effects)
+    }
+
+    pub(crate) fn on_swap_locked(
+        &mut self,
+        env: &mut EnclaveEnv,
+        from: PublicKey,
+        swap: SwapId,
+        outpoint: teechain_blockchain::OutPoint,
+    ) -> Outcome {
+        self.require_unfrozen()?;
+        self.require_counter_ready(env)?;
+        let state = self
+            .state
+            .swaps
+            .get(&swap)
+            .ok_or(ProtocolError::BadMessage)?;
+        if !state.initiator || state.remote != from {
+            return Err(ProtocolError::BadMessage);
+        }
+        if state.phase != SwapPhase::Init {
+            return Ok(vec![]); // Deadline-aborted before the lock arrived.
+        }
+        let me = self.identity.as_ref().ok_or(ProtocolError::NoSession)?.pk;
+        let (script, value) = (state.htlc_script(&me), state.alt_amount);
+        self.commit_swap(&swap, |s| {
+            s.phase = SwapPhase::Locked;
+            s.htlc_outpoint = Some(outpoint);
+        });
+        // The enclave cannot read chains (§4): the host verifies the
+        // HTLC (script, value, confirmations per its policy) and answers
+        // with SwapHtlcVerified, mirroring the VerifyDeposit flow.
+        Ok(vec![
+            Effect::Event(HostEvent::SwapPhaseEntered {
+                swap,
+                phase: SwapPhase::Locked,
+            }),
+            Effect::Event(HostEvent::VerifySwapHtlc {
+                swap,
+                outpoint,
+                script,
+                value,
+            }),
+        ])
+    }
+
+    pub(crate) fn cmd_swap_htlc_verified(
+        &mut self,
+        env: &mut EnclaveEnv,
+        swap: SwapId,
+        valid: bool,
+        confirmations: u64,
+    ) -> Outcome {
+        self.require_unfrozen()?;
+        self.require_counter_ready(env)?;
+        let state = self
+            .state
+            .swaps
+            .get(&swap)
+            .ok_or(ProtocolError::BadMessage)?
+            .clone();
+        if !state.initiator {
+            return Err(ProtocolError::BadMessage);
+        }
+        if state.phase != SwapPhase::Locked {
+            return Ok(vec![]); // Aborted meanwhile; nothing was committed.
+        }
+        let covered = self
+            .state
+            .channels
+            .get(&state.channel)
+            .map(|c| c.usable() && !c.locked() && c.my_bal >= state.amount)
+            .unwrap_or(false);
+        // The refund timelock must still be comfortably unmatured: once
+        // `timeout_blocks` confirmations exist, the responder can spend
+        // the refund path, so revealing the secret now would let it race
+        // our claim AND collect the channel credit via the revealed
+        // secret — losing `amount` on both ledgers.
+        let unmatured =
+            confirmations >= 1 && confirmations + SWAP_REFUND_SAFETY_BLOCKS < state.timeout_blocks;
+        if !valid || !unmatured || !covered {
+            // A bad or already-mature lock (or a balance drained since
+            // Init) aborts before any value moves; the responder recovers
+            // its HTLC via the timelocked refund path.
+            let mut effects = Vec::new();
+            self.refund_swap_local(swap, &mut effects);
+            return Ok(effects);
+        }
+        let kp = *self.identity.as_ref().ok_or(ProtocolError::NoSession)?;
+        let secret = state.secret.expect("initiator holds the secret");
+        let outpoint = state.htlc_outpoint.expect("locked phase has the outpoint");
+        let claim = crate::swap::claim_tx(outpoint, state.alt_amount, &secret, kp.pk, &kp);
+        let msg = ProtocolMsg::SwapSecret { swap, secret };
+        let eff = self.seal_to(&state.remote, &msg)?;
+        // One atomic commit: the channel debit and the phase transition
+        // ride the same WAL record, so a crash either keeps the swap
+        // Locked (no debit) or lands Redeemed (debited, claim
+        // re-drivable from the recorded secret).
+        self.commit(StateDelta::Pay {
+            id: state.channel,
+            my_delta: -(state.amount as i64),
+            remote_delta: state.amount as i64,
+        });
+        self.commit_swap(&swap, |s| s.phase = SwapPhase::Redeemed);
+        Ok(vec![
+            Effect::BroadcastAlt(claim),
+            eff,
+            Effect::Event(HostEvent::SwapPhaseEntered {
+                swap,
+                phase: SwapPhase::Redeemed,
+            }),
+            Effect::Event(HostEvent::SwapResolved {
+                swap,
+                redeemed: true,
+            }),
+        ])
+    }
+
+    pub(crate) fn on_swap_secret(
+        &mut self,
+        env: &mut EnclaveEnv,
+        from: PublicKey,
+        swap: SwapId,
+        secret: [u8; 32],
+    ) -> Outcome {
+        self.require_unfrozen()?;
+        self.require_counter_ready(env)?;
+        let state = self
+            .state
+            .swaps
+            .get(&swap)
+            .ok_or(ProtocolError::BadMessage)?;
+        if state.initiator || state.remote != from {
+            return Err(ProtocolError::BadMessage);
+        }
+        if !state.phase.pending() {
+            return Ok(vec![]); // Duplicate (Redeemed) or too late (Refunded).
+        }
+        if sha256(&secret) != state.hash {
+            return Err(ProtocolError::BadMessage);
+        }
+        self.credit_swap_redeem(swap, secret)
+    }
+
+    /// Responder redeem: credits the channel and records the revealed
+    /// secret in one commit. Reached from `SwapSecret` or from the
+    /// chain-watch fallback (preimage read off the confirmed claim).
+    fn credit_swap_redeem(&mut self, swap: SwapId, secret: [u8; 32]) -> Outcome {
+        let state = self
+            .state
+            .swaps
+            .get(&swap)
+            .ok_or(ProtocolError::BadMessage)?
+            .clone();
+        if self.chan(&state.channel)?.remote_bal < state.amount {
+            return Err(ProtocolError::BadMessage); // Peer violated protocol.
+        }
+        self.commit(StateDelta::Pay {
+            id: state.channel,
+            my_delta: state.amount as i64,
+            remote_delta: -(state.amount as i64),
+        });
+        self.commit_swap(&swap, |s| {
+            s.phase = SwapPhase::Redeemed;
+            s.secret = Some(secret);
+        });
+        Ok(vec![
+            Effect::Event(HostEvent::SwapPhaseEntered {
+                swap,
+                phase: SwapPhase::Redeemed,
+            }),
+            Effect::Event(HostEvent::SwapResolved {
+                swap,
+                redeemed: true,
+            }),
+        ])
+    }
+
+    pub(crate) fn on_swap_nack(
+        &mut self,
+        env: &mut EnclaveEnv,
+        from: PublicKey,
+        swap: SwapId,
+        reason: u8,
+    ) -> Outcome {
+        // Same preamble as every other state-mutating swap handler: the
+        // Refunded transition below stages a WAL record, which in persist
+        // mode must ride a counter-gated commit (a throttled rejection
+        // re-enters via the admission pump's stash).
+        self.require_unfrozen()?;
+        self.require_counter_ready(env)?;
+        let _ = ProtocolError::from_abort_code(reason);
+        let state = self
+            .state
+            .swaps
+            .get(&swap)
+            .ok_or(ProtocolError::BadMessage)?;
+        if state.remote != from {
+            return Err(ProtocolError::BadMessage);
+        }
+        match state.phase {
+            // Responder with a live HTLC: funds come back via the
+            // timelocked refund, driven by the chain-watch tick.
+            SwapPhase::Locked if !state.initiator => Ok(vec![]),
+            SwapPhase::Init | SwapPhase::Locked => {
+                self.commit_swap(&swap, |s| s.phase = SwapPhase::Refunded);
+                Ok(vec![
+                    Effect::Event(HostEvent::SwapPhaseEntered {
+                        swap,
+                        phase: SwapPhase::Refunded,
+                    }),
+                    Effect::Event(HostEvent::SwapResolved {
+                        swap,
+                        redeemed: false,
+                    }),
+                ])
+            }
+            _ => Ok(vec![]),
+        }
+    }
+
+    pub(crate) fn cmd_swap_tick(
+        &mut self,
+        env: &mut EnclaveEnv,
+        swap: SwapId,
+        spent_preimage: Option<Vec<u8>>,
+        confirmations: u64,
+        claim_confirmed: bool,
+    ) -> Outcome {
+        if self.frozen {
+            return Ok(vec![]);
+        }
+        let Some(state) = self.state.swaps.get(&swap) else {
+            return Ok(vec![]);
+        };
+        let state = state.clone();
+        match state.phase {
+            SwapPhase::Refunded => {
+                // A responder can land here with a live HTLC: the abort
+                // committed first and the funding report arrived late
+                // (see `cmd_swap_funded`), or a broadcast refund was
+                // lost. Keep driving the timelocked reclaim until the
+                // spend confirms; the initiator has nothing on-chain.
+                if state.initiator || claim_confirmed {
+                    return Ok(vec![]);
+                }
+                let Some(outpoint) = state.htlc_outpoint else {
+                    return Ok(vec![]);
+                };
+                let mut effects = Vec::new();
+                if confirmations >= state.timeout_blocks {
+                    let kp = *self.identity.as_ref().ok_or(ProtocolError::NoSession)?;
+                    let refund = crate::swap::refund_tx(outpoint, state.alt_amount, kp.pk, &kp);
+                    effects.push(Effect::BroadcastAlt(refund));
+                }
+                effects.push(Effect::Event(HostEvent::SwapCheckAt {
+                    swap,
+                    at: env.now_ns() + SWAP_CHECK_INTERVAL_NS,
+                }));
+                Ok(effects)
+            }
+            SwapPhase::Redeemed => {
+                // Post-crash re-drive: the debit committed but the claim
+                // may never have reached the alternate chain. Re-broadcast
+                // (duplicate submits are rejected harmlessly), re-offer
+                // the secret, and watch until the claim confirms.
+                if !state.initiator || claim_confirmed {
+                    return Ok(vec![]);
+                }
+                let (Some(outpoint), Some(secret)) = (state.htlc_outpoint, state.secret) else {
+                    return Ok(vec![]);
+                };
+                let kp = *self.identity.as_ref().ok_or(ProtocolError::NoSession)?;
+                let claim = crate::swap::claim_tx(outpoint, state.alt_amount, &secret, kp.pk, &kp);
+                let mut effects = vec![Effect::BroadcastAlt(claim)];
+                let msg = ProtocolMsg::SwapSecret { swap, secret };
+                if let Ok(eff) = self.seal_to(&state.remote, &msg) {
+                    effects.push(eff);
+                }
+                effects.push(Effect::Event(HostEvent::SwapCheckAt {
+                    swap,
+                    at: env.now_ns() + SWAP_CHECK_INTERVAL_NS,
+                }));
+                Ok(effects)
+            }
+            SwapPhase::Init | SwapPhase::Locked => {
+                // Pending-phase resolutions mutate state; gate on the
+                // counter and re-arm rather than fail when throttled.
+                if let Err(e) = self.require_counter_ready(env) {
+                    return match e {
+                        ProtocolError::CounterThrottled { ready_at } => {
+                            Ok(vec![Effect::Event(HostEvent::SwapCheckAt {
+                                swap,
+                                at: ready_at,
+                            })])
+                        }
+                        other => Err(other),
+                    };
+                }
+                if !state.initiator && state.phase == SwapPhase::Locked {
+                    // Chain-watch redeem: a confirmed claim reveals the
+                    // preimage even if `SwapSecret` never arrived.
+                    if let Some(p) = spent_preimage.as_deref() {
+                        if p.len() == 32 && sha256(p) == state.hash {
+                            let mut secret = [0u8; 32];
+                            secret.copy_from_slice(p);
+                            return self.credit_swap_redeem(swap, secret);
+                        }
+                    }
+                    if confirmations >= state.timeout_blocks {
+                        // Timeout: reclaim our HTLC on-chain.
+                        let kp = *self.identity.as_ref().ok_or(ProtocolError::NoSession)?;
+                        let outpoint = state.htlc_outpoint.expect("locked has outpoint");
+                        let refund = crate::swap::refund_tx(outpoint, state.alt_amount, kp.pk, &kp);
+                        self.commit_swap(&swap, |s| s.phase = SwapPhase::Refunded);
+                        return Ok(vec![
+                            Effect::BroadcastAlt(refund),
+                            Effect::Event(HostEvent::SwapPhaseEntered {
+                                swap,
+                                phase: SwapPhase::Refunded,
+                            }),
+                            Effect::Event(HostEvent::SwapResolved {
+                                swap,
+                                redeemed: false,
+                            }),
+                        ]);
+                    }
+                }
+                if env.now_ns() >= state.deadline_ns
+                    && (state.initiator || state.phase == SwapPhase::Init)
+                {
+                    // Deadline abort: nothing of ours is locked on-chain
+                    // on these paths, so a local refund is safe. (A
+                    // responder in Locked keeps watching the chain — its
+                    // HTLC needs the timelocked refund above.)
+                    let mut effects = Vec::new();
+                    self.refund_swap_local(swap, &mut effects);
+                    return Ok(effects);
+                }
+                Ok(vec![Effect::Event(HostEvent::SwapCheckAt {
+                    swap,
+                    at: env.now_ns() + SWAP_CHECK_INTERVAL_NS,
+                })])
+            }
+        }
+    }
 }
 
 #[cfg(test)]
