@@ -44,8 +44,11 @@
 //! reconstructs exactly the committed batches. That is what makes the
 //! batch commit exactly-once: an op either made it into a sealed batch
 //! record (and will be reapplied) or it never happened.
+//!
+//! The admission pump (`Command::PumpAdmission`), the unlock drain and
+//! the deadline expiry run here.
 
-use crate::enclave::{Effect, HostEvent, Outcome, Peer, TeechainEnclave};
+use crate::enclave::{Effect, Gate, HostEvent, Outcome, Peer, TeechainEnclave};
 use crate::msg::{ProtocolMsg, StateDelta};
 use crate::types::{ChannelId, ProtocolError};
 use std::collections::{BTreeMap, VecDeque};
@@ -273,7 +276,7 @@ impl TeechainEnclave {
         }
         let mut effects = Vec::new();
         self.expire_admissions(env, &mut effects);
-        match self.require_counter_ready(env) {
+        match self.pass(env, Gate::Exit) {
             Ok(()) => {
                 let ids: Vec<ChannelId> = self
                     .admit
@@ -305,49 +308,17 @@ impl TeechainEnclave {
         }
     }
 
-    /// Re-dispatches messages stashed while the counter was throttled.
-    /// Group commit (§6.2): with no replication chain attached, every
-    /// stashed message is dispatched into ONE commit — a single counter
-    /// increment and WAL append cover the whole batch, amortizing the
-    /// 100 ms counter throttle over many payments.
-    fn pump_stashed(&mut self, env: &mut EnclaveEnv, seed: Vec<Effect>) -> Outcome {
-        if self.cfg.persist() && self.rep.backup.is_none() {
-            let mut out = seed;
-            while let Some((from, msg)) = self.pending_msgs.pop_front() {
-                match self.dispatch_protocol(env, from, msg.clone()) {
-                    Ok(effects) => out.extend(effects),
-                    Err(ProtocolError::CounterThrottled { ready_at }) => {
-                        // Defensive: cannot trigger mid-batch (the counter
-                        // is only spent by the finalize below), but if a
-                        // handler ever throttles, preserve ordering.
-                        self.pending_msgs.push_front((from, msg));
-                        out.push(Effect::Event(HostEvent::PumpAt(ready_at)));
-                        break;
-                    }
-                    Err(_) => {
-                        // Drop protocol-violating stashed messages.
-                    }
-                }
-            }
-            return self.finalize(env, out);
-        }
-        let mut out = seed;
+    /// Re-dispatches messages stashed while the counter was throttled as
+    /// one group commit (§6.2): a single counter increment and WAL append
+    /// cover the whole batch, amortizing the 100 ms counter throttle over
+    /// many payments. Only persistent mode stashes, and a persisting
+    /// enclave replicates to no backup (`cmd_attach_backup`), so the
+    /// batch has no update to hold back.
+    fn pump_stashed(&mut self, env: &mut EnclaveEnv, mut out: Vec<Effect>) -> Outcome {
         while let Some((from, msg)) = self.pending_msgs.pop_front() {
-            match self.dispatch_protocol(env, from, msg.clone()) {
-                Ok(effects) => {
-                    out.extend(effects);
-                    // Replicate/persist per message, preserving ordering.
-                    let flushed = self.finalize(env, std::mem::take(&mut out))?;
-                    out = flushed;
-                }
-                Err(ProtocolError::CounterThrottled { ready_at }) => {
-                    self.pending_msgs.push_front((from, msg));
-                    out.push(Effect::Event(HostEvent::PumpAt(ready_at)));
-                    return Ok(out);
-                }
-                Err(_) => {
-                    // Drop protocol-violating stashed messages.
-                }
+            // Protocol-violating stashed messages are dropped.
+            if let Ok(effects) = self.dispatch_protocol(env, from, msg) {
+                out.extend(effects);
             }
         }
         self.finalize(env, out)
@@ -466,43 +437,15 @@ impl TeechainEnclave {
                 .now_ns()
                 .saturating_sub(d.deadline_ns - DEFER_DEADLINE_NS);
             self.admit.stats.note_defer_age(age);
-            match d.msg {
-                ProtocolMsg::Pay { id, amount, count } => {
-                    let from = Peer {
-                        pk: d.from,
-                        slot: self.peer_slot(&d.from),
-                    };
-                    match self.on_pay(env, from, id, amount, count) {
-                        Ok(effs) => effects.extend(effs),
-                        Err(e) => {
-                            let nack = ProtocolMsg::PayNack {
-                                id,
-                                amount,
-                                count,
-                                reason: e.abort_code(),
-                            };
-                            if let Ok(eff) = self.seal_to(&d.from, &nack) {
-                                effects.push(eff);
-                            }
-                        }
-                    }
-                }
-                ProtocolMsg::MhLock(m) => {
-                    let route = m.route;
-                    match self.on_mh_lock(env, d.from, m) {
-                        Ok(effs) => effects.extend(effs),
-                        Err(e) => {
-                            let abort = ProtocolMsg::MhAbort {
-                                route,
-                                reason: e.abort_code(),
-                            };
-                            if let Ok(eff) = self.seal_to(&d.from, &abort) {
-                                effects.push(eff);
-                            }
-                        }
-                    }
-                }
-                _ => {}
+            // The message passes its gate again; a refusal answers it
+            // backward.
+            let from = Peer {
+                pk: d.from,
+                slot: self.peer_slot(&d.from),
+            };
+            match self.dispatch_protocol(env, from, d.msg.clone()) {
+                Ok(effs) => effects.extend(effs),
+                Err(e) => self.refuse_deferred(d, e, effects),
             }
         }
         self.admit.deferred.retain(|_, q| !q.is_empty());

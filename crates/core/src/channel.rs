@@ -1,4 +1,5 @@
-//! Payment channel state (Alg. 1's per-channel variables).
+//! Payment channels (Alg. 1): the per-channel variables, and the handlers
+//! that open a channel, pay over it and settle it.
 
 use crate::admit::{
     AckEntry, DeferredMsg, QueueEntry, QueuedOp, ADMIT_DEADLINE_NS, ADMIT_QUEUE_CAP,
@@ -171,13 +172,10 @@ impl Decode for Channel {
 impl TeechainEnclave {
     pub(crate) fn cmd_new_channel(
         &mut self,
-        env: &mut EnclaveEnv,
         id: ChannelId,
         remote: PublicKey,
         my_settlement: PublicKey,
     ) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
         let peer = self.session_peer(&remote)?;
         if self.state.channels.contains_key(&id) {
             return Err(ProtocolError::ChannelExists);
@@ -199,7 +197,6 @@ impl TeechainEnclave {
         id: ChannelId,
         settlement: PublicKey,
     ) -> Outcome {
-        self.require_unfrozen()?;
         if self.state.channels.contains_key(&id) {
             return Err(ProtocolError::ChannelExists);
         }
@@ -273,8 +270,6 @@ impl TeechainEnclave {
         amount: u64,
         count: u32,
     ) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
         // One look-up serves the checks, the seal and the debit; only a
         // locked channel goes back to the map, for its sibling.
         let mut wire = id;
@@ -376,8 +371,6 @@ impl TeechainEnclave {
         amount: u64,
         count: u32,
     ) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
         let slot = self
             .state
             .channels
@@ -523,8 +516,7 @@ impl TeechainEnclave {
         Ok(nacked)
     }
 
-    pub(crate) fn cmd_settle(&mut self, env: &mut EnclaveEnv, id: ChannelId) -> Outcome {
-        self.require_counter_ready(env)?;
+    pub(crate) fn cmd_settle(&mut self, id: ChannelId) -> Outcome {
         let chan = self
             .state
             .channels
@@ -606,7 +598,6 @@ impl TeechainEnclave {
     }
 
     pub(crate) fn on_settle_request(&mut self, from: PublicKey, id: ChannelId) -> Outcome {
-        self.require_unfrozen()?;
         // Mirror of the guard in `cmd_settle`: refuse to cooperate with a
         // peer settling out from under a pending swap.
         if self.swap_pending_on(&id) {

@@ -1,5 +1,6 @@
 //! Deposit bookkeeping (Alg. 1's `allDeps`, `freeDeps`, `appDeps`,
-//! `btcPrivs`).
+//! `btcPrivs`), and the handlers that register, release, approve,
+//! associate and dissociate deposits.
 
 use crate::enclave::{Effect, HostEvent, Outcome, TeechainEnclave};
 use crate::msg::{ProtocolMsg, StateDelta};
@@ -8,7 +9,6 @@ use crate::types::{ChannelId, Deposit, ProtocolError};
 use std::collections::{HashMap, HashSet};
 use teechain_blockchain::OutPoint;
 use teechain_crypto::schnorr::{Keypair, PrivateKey, PublicKey};
-use teechain_tee::EnclaveEnv;
 
 /// Where a deposit currently is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,22 +49,15 @@ pub(crate) fn keypair_in(keys: &HashMap<PublicKey, PrivateKey>, pk: &PublicKey) 
 impl DepositBook {
     /// Registers a private key; returns its public key (derived here, once
     /// per key, never per signature).
-    pub fn insert_key(&mut self, sk: PrivateKey) -> PublicKey {
+    pub(crate) fn insert_key(&mut self, sk: PrivateKey) -> PublicKey {
         let pk = sk.public_key();
         self.keys.insert(pk, sk);
         pk
     }
 
-    /// Adds a new owned deposit (Alg. 1 `newDeposit`). The enclave must
-    /// hold the key for the first committee slot (our slot).
-    pub fn add_mine(&mut self, dep: Deposit) -> Result<(), ProtocolError> {
-        self.check_new_mine(&dep)?;
-        self.mine.insert(dep.outpoint, (dep, DepositStatus::Free));
-        Ok(())
-    }
-
-    /// What [`Self::add_mine`] requires of `dep`: it is new, and we hold
-    /// the key of its first committee slot (ours), which is returned.
+    /// What a new owned deposit (Alg. 1 `newDeposit`) requires of `dep`:
+    /// it is new, and we hold the key of its first committee slot (ours),
+    /// which is returned.
     pub(crate) fn check_new_mine(&self, dep: &Deposit) -> Result<&PrivateKey, ProtocolError> {
         let ours = dep.committee.member_keys.first();
         match ours.and_then(|pk| self.keys.get(pk)) {
@@ -87,14 +80,14 @@ impl DepositBook {
     }
 
     /// Transitions an owned deposit's status.
-    pub fn set_status(&mut self, op: &OutPoint, status: DepositStatus) {
+    pub(crate) fn set_status(&mut self, op: &OutPoint, status: DepositStatus) {
         if let Some(entry) = self.mine.get_mut(op) {
             entry.1 = status;
         }
     }
 
     /// Records that `remote` approved our deposit `op`.
-    pub fn mark_approved_by(&mut self, remote: PublicKey, op: OutPoint) {
+    pub(crate) fn mark_approved_by(&mut self, remote: PublicKey, op: OutPoint) {
         self.approved_by.insert((remote, op));
     }
 
@@ -105,7 +98,7 @@ impl DepositBook {
     }
 
     /// Records our approval of a remote deposit.
-    pub fn approve_remote(&mut self, remote: PublicKey, dep: Deposit) {
+    pub(crate) fn approve_remote(&mut self, remote: PublicKey, dep: Deposit) {
         self.i_approved.insert((remote, dep.outpoint));
         self.offered.insert(dep.outpoint, dep);
     }
@@ -130,7 +123,7 @@ impl DepositBook {
     }
 
     /// Drops a key (Alg. 1 line 104: destroy the copy after dissociation).
-    pub fn destroy_key(&mut self, pk: &PublicKey) {
+    pub(crate) fn destroy_key(&mut self, pk: &PublicKey) {
         self.keys.remove(pk);
     }
 
@@ -145,9 +138,7 @@ impl DepositBook {
 }
 
 impl TeechainEnclave {
-    pub(crate) fn cmd_new_deposit(&mut self, env: &mut EnclaveEnv, deposit: Deposit) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
+    pub(crate) fn cmd_new_deposit(&mut self, deposit: Deposit) -> Outcome {
         let key = self.state.book.check_new_mine(&deposit)?.to_bytes();
         self.commit(StateDelta::Deposit {
             dep: deposit,
@@ -159,12 +150,9 @@ impl TeechainEnclave {
 
     pub(crate) fn cmd_release_deposit(
         &mut self,
-        env: &mut EnclaveEnv,
         outpoint: teechain_blockchain::OutPoint,
         to: PublicKey,
     ) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
         let tx = settle::release_tx(self.state.book.require_free(&outpoint)?, to);
         self.commit(StateDelta::RemoveDeposit(outpoint));
         let mut effects = Vec::new();
@@ -178,7 +166,6 @@ impl TeechainEnclave {
         remote: PublicKey,
         outpoint: teechain_blockchain::OutPoint,
     ) -> Outcome {
-        self.require_unfrozen()?;
         let dep = self.state.book.require_free(&outpoint)?.clone();
         if self.state.book.is_approved_by(&remote, &outpoint) {
             return Err(ProtocolError::BadDeposit); // Already approved.
@@ -188,7 +175,6 @@ impl TeechainEnclave {
     }
 
     pub(crate) fn on_approve_deposit(&mut self, from: PublicKey, deposit: Deposit) -> Outcome {
-        self.require_unfrozen()?;
         if self.state.book.did_approve(&from, &deposit.outpoint) {
             return Err(ProtocolError::BadDeposit);
         }
@@ -210,7 +196,6 @@ impl TeechainEnclave {
         outpoint: teechain_blockchain::OutPoint,
         valid: bool,
     ) -> Outcome {
-        self.require_unfrozen()?;
         if !valid {
             return Ok(vec![]);
         }
@@ -242,12 +227,9 @@ impl TeechainEnclave {
 
     pub(crate) fn cmd_associate(
         &mut self,
-        env: &mut EnclaveEnv,
         id: ChannelId,
         outpoint: teechain_blockchain::OutPoint,
     ) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
         let chan = self.chan(&id)?;
         if !chan.usable() {
             return Err(ProtocolError::ChannelNotOpen);
@@ -301,7 +283,6 @@ impl TeechainEnclave {
         deposit: Deposit,
         key: Option<[u8; 32]>,
     ) -> Outcome {
-        self.require_unfrozen()?;
         if !self.state.book.did_approve(&from, &deposit.outpoint) {
             return Err(ProtocolError::BadDeposit);
         }
@@ -328,12 +309,9 @@ impl TeechainEnclave {
 
     pub(crate) fn cmd_dissociate(
         &mut self,
-        env: &mut EnclaveEnv,
         id: ChannelId,
         outpoint: teechain_blockchain::OutPoint,
     ) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
         let dep_value = self
             .state
             .book
@@ -360,7 +338,6 @@ impl TeechainEnclave {
         id: ChannelId,
         outpoint: teechain_blockchain::OutPoint,
     ) -> Outcome {
-        self.require_unfrozen()?;
         let dep_value = self
             .state
             .book
@@ -438,8 +415,8 @@ impl TeechainEnclave {
         Ok(effects)
     }
 
-    /// Dissociation without the counter/freeze preamble and the balance
-    /// checks, which `cmd_dissociate` and cooperative settlement passed.
+    /// Dissociation without the balance checks, which `cmd_dissociate` and
+    /// cooperative settlement passed.
     pub(crate) fn cmd_dissociate_unchecked(
         &mut self,
         id: ChannelId,
@@ -456,9 +433,10 @@ impl TeechainEnclave {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{ChannelId, CommitteeSpec};
+    use crate::channel::Channel;
+    use crate::durable::DurableState;
+    use crate::types::CommitteeSpec;
     use teechain_blockchain::TxId;
-    use teechain_crypto::schnorr::Keypair;
 
     fn op(n: u8) -> OutPoint {
         OutPoint {
@@ -467,58 +445,83 @@ mod tests {
         }
     }
 
-    fn dep(book: &mut DepositBook, n: u8, value: u64) -> Deposit {
+    /// Commits deposit `n`'s key to `state`; returns the deposit paying
+    /// into it.
+    fn dep(state: &mut DurableState, n: u8, value: u64) -> Deposit {
         let kp = Keypair::from_seed(&[n; 32]);
-        let pk = book.insert_key(kp.sk);
+        state.apply(&StateDelta::Key(kp.pk, kp.sk.to_bytes()));
         Deposit {
             outpoint: op(n),
             value,
-            committee: CommitteeSpec::single(pk),
+            committee: CommitteeSpec::single(kp.pk),
         }
+    }
+
+    /// Alg. 1 `newDeposit` as `cmd_new_deposit` runs it: the check, then
+    /// the commit.
+    fn new_deposit(state: &mut DurableState, dep: &Deposit) -> Result<(), ProtocolError> {
+        let key = state.book.check_new_mine(dep)?.to_bytes();
+        state.apply(&StateDelta::Deposit {
+            dep: dep.clone(),
+            key: Some(key),
+            mine: true,
+        });
+        Ok(())
     }
 
     #[test]
     fn add_and_release_lifecycle() {
-        let mut book = DepositBook::default();
-        let d = dep(&mut book, 1, 100);
-        book.add_mine(d.clone()).unwrap();
-        assert!(book.require_free(&op(1)).is_ok());
-        book.set_status(
-            &op(1),
-            DepositStatus::Associated(ChannelId::from_label("c")),
+        let mut state = DurableState::default();
+        let d = dep(&mut state, 1, 100);
+        new_deposit(&mut state, &d).unwrap();
+        assert!(state.book.require_free(&op(1)).is_ok());
+        // A channel listing the deposit holds it; leaving the channel
+        // frees it, and releasing it spends it.
+        let pk = Keypair::from_seed(&[2; 32]).pk;
+        let mut chan = Channel::new(ChannelId::from_label("c"), pk, pk, pk);
+        chan.my_deps = vec![op(1)];
+        state.apply(&StateDelta::Channel(Box::new(chan.clone())));
+        assert_eq!(
+            state.book.require_free(&op(1)),
+            Err(ProtocolError::BadDeposit)
         );
-        assert_eq!(book.require_free(&op(1)), Err(ProtocolError::BadDeposit));
-        book.set_status(&op(1), DepositStatus::Free);
-        book.set_status(&op(1), DepositStatus::Spent);
-        assert!(book.require_free(&op(1)).is_err());
+        chan.my_deps.clear();
+        state.apply(&StateDelta::Channel(Box::new(chan)));
+        assert!(state.book.require_free(&op(1)).is_ok());
+        state.apply(&StateDelta::RemoveDeposit(op(1)));
+        assert!(state.book.require_free(&op(1)).is_err());
     }
 
     #[test]
     fn duplicate_deposit_rejected() {
-        let mut book = DepositBook::default();
-        let d = dep(&mut book, 1, 100);
-        book.add_mine(d.clone()).unwrap();
-        assert_eq!(book.add_mine(d), Err(ProtocolError::BadDeposit));
+        let mut state = DurableState::default();
+        let d = dep(&mut state, 1, 100);
+        new_deposit(&mut state, &d).unwrap();
+        assert_eq!(new_deposit(&mut state, &d), Err(ProtocolError::BadDeposit));
     }
 
     #[test]
     fn deposit_without_key_rejected() {
-        let mut book = DepositBook::default();
+        let book = DepositBook::default();
         let foreign = Keypair::from_seed(&[9; 32]).pk;
         let d = Deposit {
             outpoint: op(1),
             value: 5,
             committee: CommitteeSpec::single(foreign),
         };
-        assert_eq!(book.add_mine(d), Err(ProtocolError::BadDeposit));
+        assert_eq!(
+            book.check_new_mine(&d).err(),
+            Some(ProtocolError::BadDeposit)
+        );
     }
 
     #[test]
     fn approval_tracking() {
-        let mut book = DepositBook::default();
+        let mut state = DurableState::default();
         let remote = Keypair::from_seed(&[8; 32]).pk;
-        let d = dep(&mut book, 1, 100);
-        book.add_mine(d.clone()).unwrap();
+        let d = dep(&mut state, 1, 100);
+        new_deposit(&mut state, &d).unwrap();
+        let book = &mut state.book;
         assert!(!book.is_approved_by(&remote, &op(1)));
         book.mark_approved_by(remote, op(1));
         assert!(book.is_approved_by(&remote, &op(1)));
@@ -535,11 +538,11 @@ mod tests {
 
     #[test]
     fn key_destruction() {
-        let mut book = DepositBook::default();
+        let mut state = DurableState::default();
         let kp = Keypair::from_seed(&[3; 32]);
-        let pk = book.insert_key(kp.sk);
-        assert!(book.keys.contains_key(&pk));
-        book.destroy_key(&pk);
-        assert!(!book.keys.contains_key(&pk));
+        state.apply(&StateDelta::Key(kp.pk, kp.sk.to_bytes()));
+        assert!(state.book.keys.contains_key(&kp.pk));
+        state.apply(&StateDelta::DestroyKey(kp.pk));
+        assert!(!state.book.keys.contains_key(&kp.pk));
     }
 }

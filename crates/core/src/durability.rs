@@ -56,7 +56,8 @@ pub enum DurabilityBackend {
         /// Backups per primary (chain length minus one).
         backups: usize,
     },
-    /// §6.2 persistent storage with monotonic counters.
+    /// §6.2 persistent storage with monotonic counters. An enclave under
+    /// it refuses `AttachBackup`: the two backends are alternatives.
     Persist(PersistPolicy),
 }
 

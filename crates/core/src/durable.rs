@@ -16,6 +16,8 @@
 //! primary held at the same commit, which the tests check by comparing
 //! digests of the canonical image. The identity key is not part of it: a
 //! primary holds its own and never replicates it.
+//!
+//! The sealed state image, `RestoreSealed` and `Recover` live here too.
 
 use crate::channel::Channel;
 use crate::deposit::{DepositBook, DepositStatus};

@@ -1,5 +1,6 @@
-//! The Teechain enclave program: state, ecall interface and the payment
-//! channel protocol (Alg. 1).
+//! The Teechain enclave program: its state, the ecall interface, and the
+//! dispatcher that passes every command and delivered message through its
+//! row of the gate table (`Gate`) before the handler runs.
 //!
 //! The enclave is a *sans-io* state machine: every command or delivered
 //! message produces a list of [`Effect`]s (messages to send, transactions
@@ -8,8 +9,13 @@
 //! balance correctness; at worst it loses liveness, which the settlement
 //! path recovers from.
 //!
-//! Multi-hop payments (Alg. 2) live in [`crate::multihop`]; chain
-//! replication and committees (Alg. 3, §6) in [`crate::replication`].
+//! The handlers live next to the state they change: payment channels
+//! (Alg. 1) in [`crate::channel`] and [`crate::deposit`], multi-hop
+//! payments (Alg. 2) in [`crate::multihop`], chain replication and
+//! committees (Alg. 3, §6) in [`crate::replication`], atomic swaps in
+//! [`crate::swap`], admission in [`crate::admit`], the handshake in
+//! [`crate::session`], and the state image and recovery in
+//! `crate::durable`.
 
 use crate::admit::AdmitState;
 use crate::channel::Channel;
@@ -75,7 +81,7 @@ pub enum Command {
         /// sealed message where it lies in it, so the host hands the buffer
         /// over instead of cutting its own envelope off a copy.
         wire: Vec<u8>,
-        /// Offset in `wire` at which the encoded [`WireMsg`] starts; it
+        /// Offset in `wire` at which the encoded [`WireMsg`](crate::msg::WireMsg) starts; it
         /// runs to the end of the buffer.
         at: usize,
     },
@@ -537,7 +543,7 @@ pub enum Effect {
         /// handshake opening, which precedes the session). The host may
         /// key its own per-peer state by it, checking `to`.
         peer: Option<PeerSlot>,
-        /// Encoded [`WireMsg`].
+        /// Encoded [`WireMsg`](crate::msg::WireMsg).
         wire: Vec<u8>,
     },
     /// Broadcast a transaction to the blockchain.
@@ -559,6 +565,116 @@ pub enum Effect {
 
 /// Result of an ecall.
 pub type Outcome = Result<Vec<Effect>, ProtocolError>;
+
+/// What a command or a sealed message must pass before its handler runs.
+/// Two rules guard every state change: a frozen enclave changes nothing
+/// (Alg. 3's force-freeze, §6.1), and in persistent mode a change happens
+/// only if the monotonic counter can be incremented now (§6.2), so no
+/// state mutates before a commit that would be refused. [`Gate::of`] and
+/// [`Gate::of_msg`] give every command and message its row, and
+/// [`TeechainEnclave::pass`] checks it; no handler checks either rule
+/// itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Gate {
+    /// Unfrozen, then the counter: the handler commits.
+    Mutating,
+    /// Unfrozen only: the handler commits nothing, or (a delivered
+    /// message) `cmd_deliver` passed the counter before dispatch.
+    Unfrozen,
+    /// The counter only. Ejecting is the way out, so a frozen enclave may
+    /// still settle and eject — but the commit must be possible before
+    /// the channels close, or a refused commit would close them with the
+    /// settlement thrown away.
+    Exit,
+    /// No gate, or the handler gates itself: `Deliver`, `PumpAdmission`
+    /// and `SwapTick` re-arm instead of failing.
+    Own,
+}
+
+impl Gate {
+    /// A command's row.
+    fn of(cmd: &Command) -> Gate {
+        match cmd {
+            Command::NewAddress
+            | Command::NewCommitteeAddress { .. }
+            | Command::NewChannel { .. }
+            | Command::NewDeposit { .. }
+            | Command::ReleaseDeposit { .. }
+            | Command::AssociateDeposit { .. }
+            | Command::DissociateDeposit { .. }
+            | Command::Pay { .. }
+            | Command::PayMultihop { .. }
+            | Command::Swap { .. }
+            | Command::SwapFunded { .. }
+            | Command::SwapHtlcVerified { .. } => Gate::Mutating,
+            Command::ApproveDeposit { .. }
+            | Command::DepositVerified { .. }
+            | Command::StartSession { .. }
+            | Command::AttachBackup { .. } => Gate::Unfrozen,
+            Command::Settle { .. } | Command::Eject { .. } | Command::EjectWithPopt { .. } => {
+                Gate::Exit
+            }
+            Command::Deliver { .. }
+            | Command::PumpAdmission
+            | Command::SwapTick { .. }
+            | Command::GetIdentity
+            | Command::Recover { .. }
+            | Command::RestoreSealed { .. }
+            | Command::CoSign { .. }
+            | Command::AddCoSigs { .. }
+            | Command::ReadReplica
+            | Command::SettleFromReplica => Gate::Own,
+        }
+    }
+
+    /// A sealed message's row. `cmd_deliver` passed the counter for every
+    /// one of them; a message that starts or advances a protocol step is
+    /// refused by a frozen enclave, while acknowledgements and the
+    /// replication stream are not (a frozen backup refuses `RepUpdate` in
+    /// its handler, after checking the sender).
+    pub(crate) fn of_msg(msg: &ProtocolMsg) -> Gate {
+        match msg {
+            ProtocolMsg::NewChannel { .. }
+            | ProtocolMsg::ApproveDeposit { .. }
+            | ProtocolMsg::AssociateDeposit { .. }
+            | ProtocolMsg::DissociateDeposit { .. }
+            | ProtocolMsg::Pay { .. }
+            | ProtocolMsg::SettleRequest { .. }
+            | ProtocolMsg::MhLock(_)
+            | ProtocolMsg::MhSign { .. }
+            | ProtocolMsg::MhPreUpdate { .. }
+            | ProtocolMsg::MhUpdate { .. }
+            | ProtocolMsg::MhPostUpdate { .. }
+            | ProtocolMsg::MhRelease { .. }
+            | ProtocolMsg::RepAssign
+            | ProtocolMsg::SwapInit { .. }
+            | ProtocolMsg::SwapLocked { .. }
+            | ProtocolMsg::SwapSecret { .. }
+            | ProtocolMsg::SwapNack { .. } => Gate::Unfrozen,
+            ProtocolMsg::NewChannelAck { .. }
+            | ProtocolMsg::DepositApproved { .. }
+            | ProtocolMsg::DissociateAck { .. }
+            | ProtocolMsg::PayAck { .. }
+            | ProtocolMsg::PayNack { .. }
+            | ProtocolMsg::ChannelClosed { .. }
+            | ProtocolMsg::MhAbort { .. }
+            | ProtocolMsg::RepAssignAck { .. }
+            | ProtocolMsg::RepUpdate { .. }
+            | ProtocolMsg::RepAck { .. }
+            | ProtocolMsg::RepFreeze
+            | ProtocolMsg::SigRequest { .. }
+            | ProtocolMsg::SigResponse { .. } => Gate::Own,
+        }
+    }
+
+    fn unfrozen(self) -> bool {
+        matches!(self, Gate::Mutating | Gate::Unfrozen)
+    }
+
+    fn counter(self) -> bool {
+        matches!(self, Gate::Mutating | Gate::Exit)
+    }
+}
 
 /// Remote enclaves by the identity key *as encoded on the wire*, each with
 /// its session once a handshake with it completed. A peer gets its slot in
@@ -607,6 +723,10 @@ pub struct TeechainEnclave {
     pub(crate) next_req_id: u64,
     pub(crate) frozen: bool,
     pub(crate) counter_id: Option<usize>,
+    /// True from the moment this ecall passed the counter gate until its
+    /// commit spent the counter: in persistent mode a commit is legal only
+    /// then (checked in debug builds).
+    counter_open: bool,
     /// Decrypted messages stashed while the counter was throttled.
     pub(crate) pending_msgs: std::collections::VecDeque<(Peer, ProtocolMsg)>,
     /// Durable commits performed (persistent mode); drives the snapshot
@@ -634,6 +754,7 @@ impl TeechainEnclave {
             next_req_id: 0,
             frozen: false,
             counter_id: None,
+            counter_open: false,
             pending_msgs: std::collections::VecDeque::new(),
             commits: 0,
             admit: AdmitState::default(),
@@ -648,7 +769,20 @@ impl TeechainEnclave {
         *self.identity.as_ref().expect("just set")
     }
 
-    pub(crate) fn require_unfrozen(&self) -> Result<(), ProtocolError> {
+    /// Passes `gate`: the one place the freeze and counter rules are
+    /// checked (see [`Gate`]), the freeze first.
+    pub(crate) fn pass(&mut self, env: &mut EnclaveEnv, gate: Gate) -> Result<(), ProtocolError> {
+        if gate.unfrozen() {
+            self.require_unfrozen()?;
+        }
+        if gate.counter() {
+            self.require_counter_ready(env)?;
+            self.counter_open = true;
+        }
+        Ok(())
+    }
+
+    fn require_unfrozen(&self) -> Result<(), ProtocolError> {
         if self.frozen {
             Err(ProtocolError::Frozen)
         } else {
@@ -675,10 +809,7 @@ impl TeechainEnclave {
     /// the monotonic counter *now*; otherwise they are rejected up front
     /// so no state mutates (the host retries at `ready_at`). This is what
     /// caps stable-storage throughput at 10 tx/s (Table 1).
-    pub(crate) fn require_counter_ready(
-        &mut self,
-        env: &mut EnclaveEnv,
-    ) -> Result<(), ProtocolError> {
+    fn require_counter_ready(&mut self, env: &mut EnclaveEnv) -> Result<(), ProtocolError> {
         if !self.cfg.persist() {
             return Ok(());
         }
@@ -756,13 +887,23 @@ impl TeechainEnclave {
     /// stages it for the WAL record or the replication update.
     pub(crate) fn commit(&mut self, delta: StateDelta) {
         self.state.apply(&delta);
-        self.rep.staged.push(delta);
+        self.stage(delta);
         self.index_new_channels();
     }
 
     /// [`Self::commit`] of a delta to the channel in `slot`.
     pub(crate) fn commit_at(&mut self, slot: u32, delta: StateDelta) {
         self.state.apply_at(slot, &delta);
+        self.stage(delta);
+    }
+
+    /// Stages an applied delta for the WAL record or the replication
+    /// update.
+    fn stage(&mut self, delta: StateDelta) {
+        debug_assert!(
+            self.counter_open || !self.cfg.persist(),
+            "a commit without a passed counter gate"
+        );
         self.rep.staged.push(delta);
     }
 
@@ -788,8 +929,6 @@ impl TeechainEnclave {
         env: &mut EnclaveEnv,
         announce: impl FnOnce(PublicKey) -> Result<HostEvent, ProtocolError>,
     ) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
         let kp = Keypair::from_seed(&env.random_bytes32());
         let event = announce(kp.pk)?;
         self.commit(StateDelta::Key(kp.pk, kp.sk.to_bytes()));
@@ -851,14 +990,16 @@ impl TeechainEnclave {
         }
     }
 
-    // ---- Protocol message dispatch ----
+    // ---- Dispatch ----
 
+    /// Runs the handler of a delivered message that passed its gate.
     pub(crate) fn dispatch_protocol(
         &mut self,
         env: &mut EnclaveEnv,
         peer: Peer,
         msg: ProtocolMsg,
     ) -> Outcome {
+        self.pass(env, Gate::of_msg(&msg))?;
         let from = peer.pk;
         match msg {
             ProtocolMsg::NewChannel { id, settlement } => self.on_new_channel(peer, id, settlement),
@@ -920,13 +1061,9 @@ impl TeechainEnclave {
                 hash,
                 timeout_blocks,
             ),
-            ProtocolMsg::SwapLocked { swap, outpoint } => {
-                self.on_swap_locked(env, from, swap, outpoint)
-            }
-            ProtocolMsg::SwapSecret { swap, secret } => {
-                self.on_swap_secret(env, from, swap, secret)
-            }
-            ProtocolMsg::SwapNack { swap, reason } => self.on_swap_nack(env, from, swap, reason),
+            ProtocolMsg::SwapLocked { swap, outpoint } => self.on_swap_locked(from, swap, outpoint),
+            ProtocolMsg::SwapSecret { swap, secret } => self.on_swap_secret(from, swap, secret),
+            ProtocolMsg::SwapNack { swap, reason } => self.on_swap_nack(from, swap, reason),
             ProtocolMsg::SigRequest { .. } | ProtocolMsg::SigResponse { .. } => {
                 // Signing traffic is routed at the host layer (it carries
                 // no secrets); enclaves serve it via Command::CoSign.
@@ -934,16 +1071,10 @@ impl TeechainEnclave {
             }
         }
     }
-}
 
-impl EnclaveProgram for TeechainEnclave {
-    type Cmd = Command;
-    type Resp = Outcome;
-
-    fn handle(&mut self, env: &mut EnclaveEnv, cmd: Command) -> Outcome {
-        debug_assert!(self.rep.staged.is_empty(), "staged deltas leaked");
-        self.rep.staged.clear();
-        let result = match cmd {
+    /// Runs the handler of a command that passed its gate.
+    fn dispatch_command(&mut self, env: &mut EnclaveEnv, cmd: Command) -> Outcome {
+        match cmd {
             Command::GetIdentity => {
                 let kp = self.identity(env);
                 Ok(vec![Effect::Event(HostEvent::Identity(kp.pk))])
@@ -956,9 +1087,9 @@ impl EnclaveProgram for TeechainEnclave {
                 id,
                 remote,
                 my_settlement,
-            } => self.cmd_new_channel(env, id, remote, my_settlement),
-            Command::NewDeposit { deposit } => self.cmd_new_deposit(env, deposit),
-            Command::ReleaseDeposit { outpoint, to } => self.cmd_release_deposit(env, outpoint, to),
+            } => self.cmd_new_channel(id, remote, my_settlement),
+            Command::NewDeposit { deposit } => self.cmd_new_deposit(deposit),
+            Command::ReleaseDeposit { outpoint, to } => self.cmd_release_deposit(outpoint, to),
             Command::ApproveDeposit { remote, outpoint } => {
                 self.cmd_approve_deposit(remote, outpoint)
             }
@@ -967,18 +1098,18 @@ impl EnclaveProgram for TeechainEnclave {
                 outpoint,
                 valid,
             } => self.cmd_deposit_verified(remote, outpoint, valid),
-            Command::AssociateDeposit { id, outpoint } => self.cmd_associate(env, id, outpoint),
-            Command::DissociateDeposit { id, outpoint } => self.cmd_dissociate(env, id, outpoint),
+            Command::AssociateDeposit { id, outpoint } => self.cmd_associate(id, outpoint),
+            Command::DissociateDeposit { id, outpoint } => self.cmd_dissociate(id, outpoint),
             Command::Pay { id, amount, count } => self.cmd_pay(env, id, amount, count),
-            Command::Settle { id } => self.cmd_settle(env, id),
+            Command::Settle { id } => self.cmd_settle(id),
             Command::PayMultihop {
                 route,
                 hops,
                 channels,
                 amount,
             } => self.cmd_pay_multihop(env, route, hops, channels, amount),
-            Command::Eject { route } => self.cmd_eject(env, route),
-            Command::EjectWithPopt { route, popt } => self.cmd_eject_popt(env, route, popt),
+            Command::Eject { route } => self.cmd_eject(route),
+            Command::EjectWithPopt { route, popt } => self.cmd_eject_popt(route, popt),
             Command::AttachBackup { backup } => self.cmd_attach_backup(backup),
             Command::ReadReplica => self.cmd_read_replica(),
             Command::SettleFromReplica => self.cmd_settle_from_replica(),
@@ -999,14 +1130,28 @@ impl EnclaveProgram for TeechainEnclave {
                 swap,
                 valid,
                 confirmations,
-            } => self.cmd_swap_htlc_verified(env, swap, valid, confirmations),
+            } => self.cmd_swap_htlc_verified(swap, valid, confirmations),
             Command::SwapTick {
                 swap,
                 spent_preimage,
                 confirmations,
                 claim_confirmed,
             } => self.cmd_swap_tick(env, swap, spent_preimage, confirmations, claim_confirmed),
-        };
+        }
+    }
+}
+
+impl EnclaveProgram for TeechainEnclave {
+    type Cmd = Command;
+    type Resp = Outcome;
+
+    fn handle(&mut self, env: &mut EnclaveEnv, cmd: Command) -> Outcome {
+        debug_assert!(self.rep.staged.is_empty(), "staged deltas leaked");
+        self.rep.staged.clear();
+        self.counter_open = false;
+        let result = self
+            .pass(env, Gate::of(&cmd))
+            .and_then(|()| self.dispatch_command(env, cmd));
         match result {
             Ok(effects) => self.finalize(env, effects),
             Err(e) => {
@@ -1021,7 +1166,10 @@ impl TeechainEnclave {
     fn cmd_deliver(&mut self, env: &mut EnclaveEnv, mut wire: Vec<u8>, at: usize) -> Outcome {
         let bytes = wire.get_mut(at..).ok_or(ProtocolError::BadMessage)?;
         let (from, seq, ct) = match WireView::parse(bytes).map_err(|_| ProtocolError::BadMessage)? {
-            WireView::Hello(hs) => return self.on_hello(env, *hs),
+            WireView::Hello(hs) => {
+                self.pass(env, Gate::Unfrozen)?;
+                return self.on_hello(env, *hs);
+            }
             WireView::HelloAck(hs) => return self.on_hello_ack(env, *hs),
             WireView::Sealed { from, seq, ct, .. } => (from, seq, ct),
         };
@@ -1046,20 +1194,12 @@ impl TeechainEnclave {
                 ready_at: env.counter_ready_at(id),
             });
         }
-        if let Err(e) = self.require_counter_ready(env) {
+        if let Err(e) = self.pass(env, Gate::Exit) {
             self.pending_msgs.push_back((from, msg));
             return Err(e);
         }
-        // The message is handed over, not copied. A handler's own counter
-        // check reads what the gate just read — no commit happens in
-        // between — so it cannot throttle a message the gate let through
-        // (whose sequence number is spent, and which would be lost).
-        let result = self.dispatch_protocol(env, from, msg);
-        debug_assert!(
-            !matches!(result, Err(ProtocolError::CounterThrottled { .. })),
-            "a handler throttled behind an open gate"
-        );
-        result
+        // The message is handed over, not copied.
+        self.dispatch_protocol(env, from, msg)
     }
 
     pub(crate) fn finalize(&mut self, env: &mut EnclaveEnv, mut effects: Vec<Effect>) -> Outcome {
@@ -1069,7 +1209,7 @@ impl TeechainEnclave {
         let mut durable = None;
         if self.cfg.persist() {
             let id = self.ensure_counter(env);
-            // Guaranteed ready: mutating handlers checked first.
+            // Guaranteed ready: the ecall passed the counter gate.
             let counter = match env.increment_counter(id) {
                 Ok(counter) => counter,
                 Err(teechain_tee::CounterError::Throttled { ready_at }) => {
@@ -1077,6 +1217,7 @@ impl TeechainEnclave {
                     return Err(ProtocolError::CounterThrottled { ready_at });
                 }
             };
+            self.counter_open = false;
             self.commits = counter;
             durable = Some(if counter % self.cfg.snapshot_every() == 0 {
                 // Snapshot commit: the sealed full-state image carries

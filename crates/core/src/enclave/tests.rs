@@ -255,3 +255,462 @@ proptest! {
         }
     }
 }
+
+// ---- The gate table ----
+
+/// The enclave under test: node 0 of a three-node cluster, with a funded
+/// channel to node 1. Node 2 has never met it.
+struct GateFixture {
+    c: Cluster,
+    chan: ChannelId,
+    dep: Deposit,
+    /// Whether node 0's counter was spent (see [`Self::set`]).
+    throttled: bool,
+}
+
+impl GateFixture {
+    fn new(durability: crate::DurabilityBackend) -> GateFixture {
+        let mut c = Cluster::new(ClusterConfig {
+            n: 3,
+            durability,
+            ..ClusterConfig::default()
+        });
+        let chan = c.standard_channel(0, 1, "gates", 100, 1);
+        let p = program(&c, 0);
+        let op = p.chan(&chan).expect("opened").my_deps[0];
+        let dep = p.state.book.deposit_of(&op).expect("funded").clone();
+        GateFixture {
+            c,
+            chan,
+            dep,
+            throttled: false,
+        }
+    }
+
+    /// Node `i`'s program and its hardware, as the host cannot reach them.
+    fn enclave(&mut self, i: usize) -> (&mut TeechainEnclave, &mut EnclaveEnv) {
+        self.c.node_mut(i).enclave.compromise().expect("running")
+    }
+
+    /// Freezes node 0 and, if `throttle`, spends its counter so the next
+    /// increment must wait.
+    fn set(&mut self, frozen: bool, throttle: bool) {
+        self.throttled = throttle;
+        let (p, env) = self.enclave(0);
+        p.frozen = frozen;
+        if throttle {
+            let id = p.ensure_counter(env);
+            let _ = env.increment_counter(id);
+            assert!(env.now_ns() < env.counter_ready_at(id), "throttled");
+        }
+    }
+
+    /// Every command, each with the row it must pass.
+    fn commands(&self) -> Vec<(Command, Gate)> {
+        let (me, peer) = (self.c.ids[0], self.c.ids[1]);
+        let (chan, outpoint) = (self.chan, self.dep.outpoint);
+        let route = RouteId::from_label("gates");
+        let swap = SwapId::from_label("gates");
+        let empty = teechain_blockchain::Transaction {
+            inputs: vec![],
+            outputs: vec![],
+        };
+        vec![
+            (Command::GetIdentity, Gate::Own),
+            (Command::StartSession { remote: peer }, Gate::Unfrozen),
+            (
+                Command::Deliver {
+                    wire: forged_frame(peer),
+                    at: 0,
+                },
+                Gate::Own,
+            ),
+            (Command::NewAddress, Gate::Mutating),
+            (Command::NewCommitteeAddress { m: 1 }, Gate::Mutating),
+            (
+                Command::NewChannel {
+                    id: ChannelId::from_label("gates-2"),
+                    remote: peer,
+                    my_settlement: me,
+                },
+                Gate::Mutating,
+            ),
+            (
+                Command::NewDeposit {
+                    deposit: self.dep.clone(),
+                },
+                Gate::Mutating,
+            ),
+            (Command::ReleaseDeposit { outpoint, to: me }, Gate::Mutating),
+            (
+                Command::ApproveDeposit {
+                    remote: peer,
+                    outpoint,
+                },
+                Gate::Unfrozen,
+            ),
+            (
+                Command::DepositVerified {
+                    remote: peer,
+                    outpoint,
+                    valid: false,
+                },
+                Gate::Unfrozen,
+            ),
+            (
+                Command::AssociateDeposit { id: chan, outpoint },
+                Gate::Mutating,
+            ),
+            (
+                Command::DissociateDeposit { id: chan, outpoint },
+                Gate::Mutating,
+            ),
+            (
+                Command::Pay {
+                    id: chan,
+                    amount: 1,
+                    count: 1,
+                },
+                Gate::Mutating,
+            ),
+            (
+                Command::PayMultihop {
+                    route,
+                    hops: vec![me, peer],
+                    channels: vec![chan],
+                    amount: 1,
+                },
+                Gate::Mutating,
+            ),
+            (Command::AttachBackup { backup: peer }, Gate::Unfrozen),
+            (Command::ReadReplica, Gate::Own),
+            (Command::SettleFromReplica, Gate::Own),
+            (
+                Command::CoSign {
+                    req_id: 1,
+                    tx: empty.clone(),
+                },
+                Gate::Own,
+            ),
+            (
+                Command::AddCoSigs {
+                    req_id: 1,
+                    sigs: vec![],
+                },
+                Gate::Own,
+            ),
+            (Command::RestoreSealed { blob: vec![] }, Gate::Own),
+            (
+                Command::Recover {
+                    snapshot: None,
+                    log: vec![],
+                },
+                Gate::Own,
+            ),
+            (Command::PumpAdmission, Gate::Own),
+            (
+                Command::Swap {
+                    swap,
+                    channel: chan,
+                    amount: 1,
+                    alt_amount: 1,
+                    timeout_blocks: 10,
+                },
+                Gate::Mutating,
+            ),
+            (Command::SwapFunded { swap, outpoint }, Gate::Mutating),
+            (
+                Command::SwapHtlcVerified {
+                    swap,
+                    valid: true,
+                    confirmations: 1,
+                },
+                Gate::Mutating,
+            ),
+            (
+                Command::SwapTick {
+                    swap,
+                    spent_preimage: None,
+                    confirmations: 0,
+                    claim_confirmed: false,
+                },
+                Gate::Own,
+            ),
+            // The exits go last: run ungated, they close the channel.
+            (Command::Eject { route }, Gate::Exit),
+            (Command::EjectWithPopt { route, popt: empty }, Gate::Exit),
+            (Command::Settle { id: chan }, Gate::Exit),
+        ]
+    }
+
+    /// Every sealed message node 1 can send node 0, each with its row.
+    fn messages(&self) -> Vec<(ProtocolMsg, Gate)> {
+        let (me, peer) = (self.c.ids[0], self.c.ids[1]);
+        let (chan, outpoint) = (self.chan, self.dep.outpoint);
+        let route = RouteId::from_label("gates");
+        let swap = SwapId::from_label("gates");
+        let tau = teechain_blockchain::Transaction {
+            inputs: vec![],
+            outputs: vec![],
+        };
+        let deposit = self.dep.clone();
+        vec![
+            (
+                ProtocolMsg::NewChannel {
+                    id: ChannelId::from_label("gates-3"),
+                    settlement: peer,
+                },
+                Gate::Unfrozen,
+            ),
+            (
+                ProtocolMsg::NewChannelAck {
+                    id: chan,
+                    settlement: peer,
+                },
+                Gate::Own,
+            ),
+            (
+                ProtocolMsg::ApproveDeposit {
+                    deposit: deposit.clone(),
+                },
+                Gate::Unfrozen,
+            ),
+            (ProtocolMsg::DepositApproved { outpoint }, Gate::Own),
+            (
+                ProtocolMsg::AssociateDeposit {
+                    id: chan,
+                    deposit,
+                    key: None,
+                },
+                Gate::Unfrozen,
+            ),
+            (
+                ProtocolMsg::DissociateDeposit { id: chan, outpoint },
+                Gate::Unfrozen,
+            ),
+            (ProtocolMsg::DissociateAck { id: chan, outpoint }, Gate::Own),
+            (
+                ProtocolMsg::Pay {
+                    id: chan,
+                    amount: 1,
+                    count: 1,
+                },
+                Gate::Unfrozen,
+            ),
+            (
+                ProtocolMsg::PayAck {
+                    id: chan,
+                    amount: 1,
+                    count: 1,
+                },
+                Gate::Own,
+            ),
+            (
+                ProtocolMsg::PayNack {
+                    id: chan,
+                    amount: 1,
+                    count: 1,
+                    reason: 0,
+                },
+                Gate::Own,
+            ),
+            (ProtocolMsg::SettleRequest { id: chan }, Gate::Unfrozen),
+            (
+                ProtocolMsg::MhLock(crate::msg::MhLock {
+                    route,
+                    amount: 1,
+                    hops: vec![peer, me],
+                    channels: vec![chan],
+                    tau: tau.clone(),
+                    digests: vec![],
+                    deposits: vec![],
+                }),
+                Gate::Unfrozen,
+            ),
+            (
+                ProtocolMsg::MhSign {
+                    route,
+                    tau: tau.clone(),
+                    digests: vec![],
+                    deposits: vec![],
+                },
+                Gate::Unfrozen,
+            ),
+            (
+                ProtocolMsg::MhPreUpdate {
+                    route,
+                    tau: tau.clone(),
+                },
+                Gate::Unfrozen,
+            ),
+            (ProtocolMsg::MhUpdate { route }, Gate::Unfrozen),
+            (ProtocolMsg::MhPostUpdate { route }, Gate::Unfrozen),
+            (ProtocolMsg::MhRelease { route }, Gate::Unfrozen),
+            (ProtocolMsg::MhAbort { route, reason: 0 }, Gate::Own),
+            (ProtocolMsg::RepAssign, Gate::Unfrozen),
+            (ProtocolMsg::RepAssignAck { member_key: peer }, Gate::Own),
+            (
+                ProtocolMsg::RepUpdate {
+                    seq: 1,
+                    deltas: vec![],
+                },
+                Gate::Own,
+            ),
+            (ProtocolMsg::RepAck { seq: 1 }, Gate::Own),
+            (ProtocolMsg::RepFreeze, Gate::Own),
+            (ProtocolMsg::SigRequest { req_id: 1, tx: tau }, Gate::Own),
+            (
+                ProtocolMsg::SigResponse {
+                    req_id: 1,
+                    sigs: vec![],
+                    refused: false,
+                },
+                Gate::Own,
+            ),
+            (
+                ProtocolMsg::SwapInit {
+                    swap,
+                    channel: chan,
+                    amount: 1,
+                    alt_amount: 1,
+                    hash: [7; 32],
+                    timeout_blocks: 10,
+                },
+                Gate::Unfrozen,
+            ),
+            (ProtocolMsg::SwapLocked { swap, outpoint }, Gate::Unfrozen),
+            (
+                ProtocolMsg::SwapSecret {
+                    swap,
+                    secret: [7; 32],
+                },
+                Gate::Unfrozen,
+            ),
+            (ProtocolMsg::SwapNack { swap, reason: 0 }, Gate::Unfrozen),
+            // Last: handled ungated, it closes the channel.
+            (ProtocolMsg::ChannelClosed { id: chan }, Gate::Own),
+        ]
+    }
+
+    /// Seals `msgs` from node 1 to node 0, in order.
+    fn sealed(&mut self, msgs: &[(ProtocolMsg, Gate)]) -> Vec<Vec<u8>> {
+        let to = self.c.ids[0];
+        let (p, _) = self.enclave(1);
+        msgs.iter()
+            .map(|(msg, _)| match p.seal_to(&to, msg) {
+                Ok(Effect::Send { wire, .. }) => wire,
+                other => panic!("a sealed frame, got {other:?}"),
+            })
+            .collect()
+    }
+
+    /// A handshake opening from node 2, which node 0 has never met.
+    fn hello(&mut self) -> Vec<u8> {
+        let to = self.c.ids[0];
+        let (p, env) = self.enclave(2);
+        match p
+            .handle(env, Command::StartSession { remote: to })
+            .as_deref()
+        {
+            Ok([Effect::Send { wire, .. }]) => wire.clone(),
+            other => panic!("a hello, got {other:?}"),
+        }
+    }
+
+    /// Runs `cmd` on node 0 and checks it against `want`: refused with
+    /// `Frozen` exactly when the row checks the freeze and the enclave is
+    /// frozen, with `CounterThrottled` exactly when the row checks the
+    /// counter, the counter is spent and the freeze passed; and a refusal
+    /// changes nothing.
+    fn check(&mut self, what: &str, cmd: Command, want: Gate) {
+        let spent = self.throttled;
+        let (p, env) = self.enclave(0);
+        let (frozen, before) = (p.frozen, p.durable_digest());
+        let got = p.handle(env, cmd);
+        let refused_frozen = frozen && want.unfrozen();
+        let throttled = spent && !refused_frozen && want.counter();
+        assert_eq!(
+            matches!(got, Err(ProtocolError::Frozen)),
+            refused_frozen,
+            "{what} (frozen: {frozen}): {got:?}"
+        );
+        assert_eq!(
+            matches!(got, Err(ProtocolError::CounterThrottled { .. })),
+            throttled,
+            "{what} (frozen: {frozen}): {got:?}"
+        );
+        if got.is_err() {
+            assert_eq!(
+                p.durable_digest(),
+                before,
+                "{what}: a refusal changed state"
+            );
+            assert!(p.rep.staged.is_empty(), "{what}: a refusal staged deltas");
+        }
+    }
+}
+
+/// Every command and every sealed message meets the gate its row names,
+/// and only that gate: a frozen enclave refuses exactly the rows that
+/// check the freeze, a throttled persistent enclave exactly the rows that
+/// check the counter, the freeze is checked first, and a refusal leaves
+/// the durable state as it was.
+#[test]
+fn every_command_and_message_passes_exactly_its_gate() {
+    // Frozen, no persistence: only the freeze can refuse.
+    let mut f = GateFixture::new(crate::DurabilityBackend::None);
+    let msgs = f.messages();
+    let wires = f.sealed(&msgs);
+    let hello = f.hello();
+    f.set(true, false);
+    for (i, (cmd, want)) in f.commands().into_iter().enumerate() {
+        f.check(&format!("command {i}"), cmd, want);
+    }
+    for ((msg, want), wire) in msgs.iter().zip(wires) {
+        let what = format!("{msg:?}");
+        f.check(&what, Command::Deliver { wire, at: 0 }, *want);
+    }
+    f.check(
+        "Hello",
+        Command::Deliver { wire: hello, at: 0 },
+        Gate::Unfrozen,
+    );
+
+    // Persistent with a spent counter, then frozen too: the counter rows
+    // refuse, and a sealed message of any row waits for the counter
+    // before its handler (or its freeze check) runs.
+    for frozen in [false, true] {
+        let mut f = GateFixture::new(crate::DurabilityBackend::persistent());
+        let msgs = f.messages();
+        let wires = f.sealed(&msgs);
+        f.set(frozen, true);
+        for (i, (cmd, want)) in f.commands().into_iter().enumerate() {
+            f.set(frozen, true);
+            f.check(&format!("command {i}"), cmd, want);
+        }
+        for ((msg, _), wire) in msgs.iter().zip(wires) {
+            let what = format!("{msg:?}");
+            f.check(&what, Command::Deliver { wire, at: 0 }, Gate::Exit);
+        }
+    }
+}
+
+/// Replication and persistent storage are alternative backends: a
+/// persisting enclave refuses a backup, and so never holds a stashed
+/// message back behind a replication update.
+#[test]
+fn a_persisting_enclave_refuses_a_backup() {
+    let mut c = Cluster::new(ClusterConfig {
+        n: 2,
+        durability: crate::DurabilityBackend::persistent(),
+        ..ClusterConfig::default()
+    });
+    c.connect(0, 1);
+    let backup = c.ids[1];
+    assert_eq!(
+        c.op_now(0, Command::AttachBackup { backup }).err(),
+        Some(OpError::Rejected(ProtocolError::ReplicationError))
+    );
+    assert!(program(&c, 0).rep.backup.is_none());
+    assert!(program(&c, 0).rep.pending_backup.is_none());
+}

@@ -189,8 +189,6 @@ impl TeechainEnclave {
         channels: Vec<ChannelId>,
         amount: u64,
     ) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
         if hops.len() < 2 || channels.len() != hops.len() - 1 {
             return Err(ProtocolError::BadStage);
         }
@@ -329,7 +327,6 @@ impl TeechainEnclave {
         from: PublicKey,
         m: MhLock,
     ) -> Outcome {
-        self.require_unfrozen()?;
         let me = self.identity.as_ref().ok_or(ProtocolError::NoSession)?.pk;
         let pos = m
             .hops
@@ -503,7 +500,6 @@ impl TeechainEnclave {
         digests: Vec<SettleDigest>,
         deposits: Vec<crate::types::Deposit>,
     ) -> Outcome {
-        self.require_unfrozen()?;
         let route = self
             .state
             .routes
@@ -571,7 +567,6 @@ impl TeechainEnclave {
         route_id: RouteId,
         tau: Transaction,
     ) -> Outcome {
-        self.require_unfrozen()?;
         let route = self
             .state
             .routes
@@ -636,7 +631,6 @@ impl TeechainEnclave {
     }
 
     pub(crate) fn on_mh_update(&mut self, from: PublicKey, route_id: RouteId) -> Outcome {
-        self.require_unfrozen()?;
         let route = self
             .state
             .routes
@@ -672,7 +666,6 @@ impl TeechainEnclave {
         from: PublicKey,
         route_id: RouteId,
     ) -> Outcome {
-        self.require_unfrozen()?;
         let route = self
             .state
             .routes
@@ -712,7 +705,6 @@ impl TeechainEnclave {
         from: PublicKey,
         route_id: RouteId,
     ) -> Outcome {
-        self.require_unfrozen()?;
         let route = self
             .state
             .routes
@@ -839,12 +831,7 @@ impl TeechainEnclave {
 
     // ---- Eject and PoPT (Alg. 2 lines 60–72) ----
 
-    pub(crate) fn cmd_eject(&mut self, env: &mut EnclaveEnv, route_id: RouteId) -> Outcome {
-        // Like `cmd_settle`: no freeze check (ejecting is the way out),
-        // but in persistent mode the commit must be possible before the
-        // route's channels close, or a refused commit would close them
-        // with the settlement thrown away.
-        self.require_counter_ready(env)?;
+    pub(crate) fn cmd_eject(&mut self, route_id: RouteId) -> Outcome {
         let stage = self.route_stage(&route_id);
         let route = self
             .state
@@ -907,13 +894,7 @@ impl TeechainEnclave {
         }
     }
 
-    pub(crate) fn cmd_eject_popt(
-        &mut self,
-        env: &mut EnclaveEnv,
-        route_id: RouteId,
-        popt: Transaction,
-    ) -> Outcome {
-        self.require_counter_ready(env)?; // See `cmd_eject`.
+    pub(crate) fn cmd_eject_popt(&mut self, route_id: RouteId, popt: Transaction) -> Outcome {
         let stage = self.route_stage(&route_id);
         let route = self
             .state

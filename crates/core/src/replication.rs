@@ -66,7 +66,11 @@ pub(crate) struct Replication {
 
 impl TeechainEnclave {
     pub(crate) fn cmd_attach_backup(&mut self, backup: PublicKey) -> Outcome {
-        self.require_unfrozen()?;
+        // Replication and persistent storage are alternative backends: a
+        // persisting enclave takes no backup.
+        if self.cfg.persist() {
+            return Err(ProtocolError::ReplicationError);
+        }
         let backup = self.session_peer(&backup)?;
         if self.rep.backup.is_some() || self.rep.pending_backup.is_some() {
             return Err(ProtocolError::ReplicationError); // Chain tail only.
@@ -77,7 +81,6 @@ impl TeechainEnclave {
     }
 
     pub(crate) fn on_rep_assign(&mut self, env: &mut EnclaveEnv, from: Peer) -> Outcome {
-        self.require_unfrozen()?;
         if self.rep.upstream.is_some() {
             return Err(ProtocolError::ReplicationError); // Already a backup.
         }

@@ -14,6 +14,8 @@
 //! increments it every time, and the keys die with the enclave instance, so
 //! no `(key, nonce)` pair ever seals twice (`teechain_crypto::aead`, *Nonce
 //! uniqueness*).
+//!
+//! The handshake handlers (`StartSession`, `Hello`, `HelloAck`) live here.
 
 use crate::enclave::{Effect, HostEvent, Outcome, PeerSlot, TeechainEnclave};
 use crate::msg::{
@@ -207,7 +209,6 @@ pub fn expected_quote_binding(identity: &PublicKey, eph: &PublicKey) -> [u8; 64]
 
 impl TeechainEnclave {
     pub(crate) fn cmd_start_session(&mut self, env: &mut EnclaveEnv, remote: PublicKey) -> Outcome {
-        self.require_unfrozen()?;
         let me = self.identity(env);
         let known = self.peers.get(&remote.to_bytes());
         if let Some(s) = known.and_then(Option::as_ref) {
@@ -229,7 +230,6 @@ impl TeechainEnclave {
     }
 
     pub(crate) fn on_hello(&mut self, env: &mut EnclaveEnv, hs: crate::msg::Handshake) -> Outcome {
-        self.require_unfrozen()?;
         let me = self.identity(env);
         session::verify_handshake(
             "teechain/hello",

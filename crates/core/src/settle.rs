@@ -112,6 +112,8 @@ pub fn threshold_met<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::DurableState;
+    use crate::msg::StateDelta;
     use crate::types::{ChannelId, CommitteeSpec};
     use teechain_blockchain::{Chain, TxId};
 
@@ -121,10 +123,10 @@ mod tests {
 
     fn channel_with_deposit() -> (Channel, DepositBook, Chain) {
         let mut chain = Chain::new();
-        let mut book = DepositBook::default();
+        let mut state = DurableState::default();
         let dep_key = kp(10);
-        let pk = book.insert_key(dep_key.sk);
-        let committee = CommitteeSpec::single(pk);
+        state.apply(&StateDelta::Key(dep_key.pk, dep_key.sk.to_bytes()));
+        let committee = CommitteeSpec::single(dep_key.pk);
         let op = chain.mint(
             ScriptPubKey::multisig(committee.m, committee.member_keys.clone()),
             100,
@@ -134,7 +136,12 @@ mod tests {
             value: 100,
             committee,
         };
-        book.add_mine(dep).unwrap();
+        let key = state.book.check_new_mine(&dep).unwrap().to_bytes();
+        state.apply(&StateDelta::Deposit {
+            dep,
+            key: Some(key),
+            mine: true,
+        });
         let mut chan = Channel::new(
             ChannelId::from_label("c"),
             kp(1).pk,
@@ -144,7 +151,7 @@ mod tests {
         chan.is_open = true;
         chan.my_deps = vec![op];
         chan.my_bal = 100;
-        (chan, book, chain)
+        (chan, state.book, chain)
     }
 
     #[test]

@@ -37,8 +37,10 @@
 //! outstanding effects. The invariant the conformance suite checks:
 //! every swap resolves to exactly one of {redeemed-both, refunded-both},
 //! and value is conserved on the channel and on both chains.
+//!
+//! The swap commands, messages and the swap tick are handled here.
 
-use crate::enclave::{Effect, HostEvent, Outcome, TeechainEnclave};
+use crate::enclave::{Effect, Gate, HostEvent, Outcome, TeechainEnclave};
 use crate::msg::{ProtocolMsg, StateDelta};
 use crate::types::{ChannelId, ProtocolError, SwapId};
 use teechain_blockchain::{OutPoint, ScriptPubKey, Transaction, TxIn, TxOut};
@@ -288,8 +290,6 @@ impl TeechainEnclave {
         alt_amount: u64,
         timeout_blocks: u64,
     ) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
         if amount == 0 || alt_amount == 0 || timeout_blocks == 0 {
             return Err(ProtocolError::BadMessage);
         }
@@ -368,8 +368,6 @@ impl TeechainEnclave {
         hash: [u8; 32],
         timeout_blocks: u64,
     ) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
         if self.state.swaps.contains_key(&swap)
             || amount == 0
             || alt_amount == 0
@@ -434,8 +432,6 @@ impl TeechainEnclave {
         swap: SwapId,
         outpoint: teechain_blockchain::OutPoint,
     ) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
         let state = self
             .state
             .swaps
@@ -488,13 +484,10 @@ impl TeechainEnclave {
 
     pub(crate) fn on_swap_locked(
         &mut self,
-        env: &mut EnclaveEnv,
         from: PublicKey,
         swap: SwapId,
         outpoint: teechain_blockchain::OutPoint,
     ) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
         let state = self
             .state
             .swaps
@@ -531,13 +524,10 @@ impl TeechainEnclave {
 
     pub(crate) fn cmd_swap_htlc_verified(
         &mut self,
-        env: &mut EnclaveEnv,
         swap: SwapId,
         valid: bool,
         confirmations: u64,
     ) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
         let state = self
             .state
             .swaps
@@ -603,13 +593,10 @@ impl TeechainEnclave {
 
     pub(crate) fn on_swap_secret(
         &mut self,
-        env: &mut EnclaveEnv,
         from: PublicKey,
         swap: SwapId,
         secret: [u8; 32],
     ) -> Outcome {
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
         let state = self
             .state
             .swaps
@@ -661,19 +648,7 @@ impl TeechainEnclave {
         ])
     }
 
-    pub(crate) fn on_swap_nack(
-        &mut self,
-        env: &mut EnclaveEnv,
-        from: PublicKey,
-        swap: SwapId,
-        reason: u8,
-    ) -> Outcome {
-        // Same preamble as every other state-mutating swap handler: the
-        // Refunded transition below stages a WAL record, which in persist
-        // mode must ride a counter-gated commit (a throttled rejection
-        // re-enters via the admission pump's stash).
-        self.require_unfrozen()?;
-        self.require_counter_ready(env)?;
+    pub(crate) fn on_swap_nack(&mut self, from: PublicKey, swap: SwapId, reason: u8) -> Outcome {
         let _ = ProtocolError::from_abort_code(reason);
         let state = self
             .state
@@ -771,7 +746,7 @@ impl TeechainEnclave {
             SwapPhase::Init | SwapPhase::Locked => {
                 // Pending-phase resolutions mutate state; gate on the
                 // counter and re-arm rather than fail when throttled.
-                if let Err(e) = self.require_counter_ready(env) {
+                if let Err(e) = self.pass(env, Gate::Exit) {
                     return match e {
                         ProtocolError::CounterThrottled { ready_at } => {
                             Ok(vec![Effect::Event(HostEvent::SwapCheckAt {
