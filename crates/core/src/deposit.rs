@@ -9,6 +9,7 @@ use crate::types::{ChannelId, Deposit, ProtocolError};
 use std::collections::{HashMap, HashSet};
 use teechain_blockchain::OutPoint;
 use teechain_crypto::schnorr::{Keypair, PrivateKey, PublicKey};
+use teechain_tee::EnclaveEnv;
 
 /// Where a deposit currently is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -427,6 +428,23 @@ impl TeechainEnclave {
         let eff = self.seal_to(&remote, &msg)?;
         self.commit_channel(&id, |c| c.pending_dissoc.push(outpoint))?;
         Ok(vec![eff])
+    }
+
+    /// Hands out a fresh blockchain key (Alg. 1 `newAddr`) in the event
+    /// `announce` makes of its address, committed first. The address goes
+    /// out with the key's update, not after the chain's ack, so a
+    /// composite can use it at once; any use of the key commits later.
+    pub(crate) fn hand_out_key(
+        &mut self,
+        env: &mut EnclaveEnv,
+        announce: impl FnOnce(PublicKey) -> Result<HostEvent, ProtocolError>,
+    ) -> Outcome {
+        let kp = Keypair::from_seed(&env.random_bytes32());
+        let event = announce(kp.pk)?;
+        self.commit(StateDelta::Key(kp.pk, kp.sk.to_bytes()));
+        let mut effects = self.finalize(env, Vec::new())?;
+        effects.push(Effect::Event(event));
+        Ok(effects)
     }
 }
 

@@ -19,13 +19,12 @@
 
 use crate::admit::AdmitState;
 use crate::channel::Channel;
-use crate::deposit::{keypair_in, DepositBook};
+use crate::deposit::DepositBook;
 use crate::durability::DurabilityBackend;
 use crate::durable::DurableState;
 use crate::msg::{ProtocolMsg, StateDelta, WireView};
 use crate::replication::{Replication, SigCollect};
 use crate::session::Session;
-use crate::settle;
 use crate::slots::SlotMap;
 use crate::swap::{SwapPhase, SwapState};
 use crate::types::{ChannelId, Deposit, ProtocolError, RouteId, SwapId};
@@ -918,76 +917,6 @@ impl TeechainEnclave {
         edit(&mut chan);
         self.commit(StateDelta::Channel(Box::new(chan)));
         Ok(())
-    }
-
-    /// Hands out a fresh blockchain key (Alg. 1 `newAddr`) in the event
-    /// `announce` makes of its address, committed first. The address goes
-    /// out with the key's update, not after the chain's ack, so a
-    /// composite can use it at once; any use of the key commits later.
-    pub(crate) fn hand_out_key(
-        &mut self,
-        env: &mut EnclaveEnv,
-        announce: impl FnOnce(PublicKey) -> Result<HostEvent, ProtocolError>,
-    ) -> Outcome {
-        let kp = Keypair::from_seed(&env.random_bytes32());
-        let event = announce(kp.pk)?;
-        self.commit(StateDelta::Key(kp.pk, kp.sk.to_bytes()));
-        let mut effects = self.finalize(env, Vec::new())?;
-        effects.push(Effect::Event(event));
-        Ok(effects)
-    }
-
-    fn next_req_id(&mut self) -> u64 {
-        self.next_req_id += 1;
-        self.next_req_id
-    }
-
-    /// The signing handle for `pk`: a key `state` holds, or our committee
-    /// key.
-    pub(crate) fn signer(&self, state: &DurableState, pk: &PublicKey) -> Option<Keypair> {
-        keypair_in(&state.book.keys, pk).or(self.rep.member.filter(|k| k.pk == *pk))
-    }
-
-    /// Finishes a settlement of our own state, or of the replica: signs
-    /// with every key we hold; broadcasts if thresholds are met, otherwise
-    /// opens a co-sign collection and asks the host to gather committee
-    /// signatures.
-    pub(crate) fn finish_settlement(
-        &mut self,
-        id: ChannelId,
-        mut tx: teechain_blockchain::Transaction,
-        replica: bool,
-        effects: &mut Vec<Effect>,
-    ) {
-        // Sign every input with every key we can resolve: the state's
-        // deposit keys and our committee chain key — a backup settling
-        // for a crashed primary needs both (§6.1).
-        let state = if replica {
-            &self.rep.replica
-        } else {
-            &self.state
-        };
-        settle::sign_inputs(
-            &mut tx,
-            |pk| self.signer(state, pk),
-            |op| state.book.deposit_of(op),
-        );
-        if settle::threshold_met(&tx, |op| state.book.deposit_of(op)) {
-            effects.push(Effect::Event(HostEvent::SettlementBroadcast {
-                id,
-                txid: tx.txid(),
-            }));
-            effects.push(Effect::Broadcast(tx));
-        } else {
-            let req_id = self.next_req_id();
-            let collect = SigCollect {
-                id,
-                tx: tx.clone(),
-                replica,
-            };
-            self.sig_collects.insert(req_id, collect);
-            effects.push(Effect::Event(HostEvent::NeedCoSign { req_id, tx }));
-        }
     }
 
     // ---- Dispatch ----

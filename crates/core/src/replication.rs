@@ -18,6 +18,7 @@
 //! committee signatures — tolerating up to `m-1` compromised TEEs.
 
 use crate::channel::Channel;
+use crate::deposit::keypair_in;
 use crate::durable::DurableState;
 use crate::enclave::{Effect, HostEvent, Outcome, Peer, TeechainEnclave};
 use crate::msg::{ProtocolMsg, StateDelta};
@@ -314,6 +315,59 @@ impl TeechainEnclave {
             ])
         } else {
             Ok(vec![])
+        }
+    }
+
+    fn next_req_id(&mut self) -> u64 {
+        self.next_req_id += 1;
+        self.next_req_id
+    }
+
+    /// The signing handle for `pk`: a key `state` holds, or our committee
+    /// key.
+    pub(crate) fn signer(&self, state: &DurableState, pk: &PublicKey) -> Option<Keypair> {
+        keypair_in(&state.book.keys, pk).or(self.rep.member.filter(|k| k.pk == *pk))
+    }
+
+    /// Finishes a settlement of our own state, or of the replica: signs
+    /// with every key we hold; broadcasts if thresholds are met, otherwise
+    /// opens a co-sign collection and asks the host to gather committee
+    /// signatures.
+    pub(crate) fn finish_settlement(
+        &mut self,
+        id: ChannelId,
+        mut tx: teechain_blockchain::Transaction,
+        replica: bool,
+        effects: &mut Vec<Effect>,
+    ) {
+        // Sign every input with every key we can resolve: the state's
+        // deposit keys and our committee chain key — a backup settling
+        // for a crashed primary needs both (§6.1).
+        let state = if replica {
+            &self.rep.replica
+        } else {
+            &self.state
+        };
+        settle::sign_inputs(
+            &mut tx,
+            |pk| self.signer(state, pk),
+            |op| state.book.deposit_of(op),
+        );
+        if settle::threshold_met(&tx, |op| state.book.deposit_of(op)) {
+            effects.push(Effect::Event(HostEvent::SettlementBroadcast {
+                id,
+                txid: tx.txid(),
+            }));
+            effects.push(Effect::Broadcast(tx));
+        } else {
+            let req_id = self.next_req_id();
+            let collect = SigCollect {
+                id,
+                tx: tx.clone(),
+                replica,
+            };
+            self.sig_collects.insert(req_id, collect);
+            effects.push(Effect::Event(HostEvent::NeedCoSign { req_id, tx }));
         }
     }
 }
