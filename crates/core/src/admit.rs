@@ -261,6 +261,20 @@ impl AdmitState {
     }
 }
 
+/// The terminal event of an op queued on channel `id` that never reached
+/// the wire.
+fn rejected(id: ChannelId, op: QueuedOp, reason: ProtocolError) -> Effect {
+    Effect::Event(match op {
+        QueuedOp::Pay { amount, count } => HostEvent::PaymentRejected {
+            id,
+            amount,
+            count,
+            reason,
+        },
+        QueuedOp::Multihop { route, .. } => HostEvent::MultihopFailed { route, reason },
+    })
+}
+
 impl TeechainEnclave {
     // ---- Admission pump (queues, deferred messages, counter stash) ----
 
@@ -342,22 +356,7 @@ impl TeechainEnclave {
                 (i < q.len()).then(|| q.remove(i).unwrap())
             }) {
                 self.admit.stats.expired += 1;
-                match entry.op {
-                    QueuedOp::Pay { amount, count } => {
-                        effects.push(Effect::Event(HostEvent::PaymentRejected {
-                            id,
-                            amount,
-                            count,
-                            reason: ProtocolError::ChannelLocked,
-                        }));
-                    }
-                    QueuedOp::Multihop { route, .. } => {
-                        effects.push(Effect::Event(HostEvent::MultihopFailed {
-                            route,
-                            reason: ProtocolError::ChannelLocked,
-                        }));
-                    }
-                }
+                effects.push(rejected(id, entry.op, ProtocolError::ChannelLocked));
             }
         }
         let ids: Vec<ChannelId> = self.admit.deferred.keys().copied().collect();
@@ -622,22 +621,7 @@ impl TeechainEnclave {
         if let Some(q) = self.admit.queues.remove(&id) {
             for entry in q {
                 self.admit.stats.flushed += 1;
-                match entry.op {
-                    QueuedOp::Pay { amount, count } => {
-                        effects.push(Effect::Event(HostEvent::PaymentRejected {
-                            id,
-                            amount,
-                            count,
-                            reason: reason.clone(),
-                        }));
-                    }
-                    QueuedOp::Multihop { route, .. } => {
-                        effects.push(Effect::Event(HostEvent::MultihopFailed {
-                            route,
-                            reason: reason.clone(),
-                        }));
-                    }
-                }
+                effects.push(rejected(id, entry.op, reason.clone()));
             }
         }
         if let Some(dq) = self.admit.deferred.remove(&id) {

@@ -273,16 +273,11 @@ impl TeechainEnclave {
         // One look-up serves the checks, the seal and the debit; only a
         // locked channel goes back to the map, for its sibling.
         let mut wire = id;
-        let mut slot = self
+        let (mut slot, chan) = self
             .state
             .channels
-            .slot(&id)
+            .find(&id)
             .ok_or(ProtocolError::UnknownChannel)?;
-        let chan = self
-            .state
-            .channels
-            .at(slot)
-            .expect("a slot the table handed out");
         if !chan.usable() {
             return Err(ProtocolError::ChannelNotOpen);
         }
@@ -371,16 +366,11 @@ impl TeechainEnclave {
         amount: u64,
         count: u32,
     ) -> Outcome {
-        let slot = self
+        let (slot, chan) = self
             .state
             .channels
-            .slot(&id)
+            .find(&id)
             .ok_or(ProtocolError::UnknownChannel)?;
-        let chan = self
-            .state
-            .channels
-            .at(slot)
-            .expect("a slot the table handed out");
         if chan.remote != from.pk || !chan.usable() {
             return Err(ProtocolError::BadMessage);
         }
@@ -436,17 +426,7 @@ impl TeechainEnclave {
         amount: u64,
         count: u32,
     ) -> Outcome {
-        let slot = self
-            .state
-            .channels
-            .slot(&id)
-            .ok_or(ProtocolError::UnknownChannel)?;
-        let chan = self
-            .state
-            .channels
-            .at(slot)
-            .expect("a slot the table handed out");
-        if chan.remote != from.pk {
+        if self.chan(&id)?.remote != from.pk {
             return Err(ProtocolError::BadMessage);
         }
         // One wire ack covers a whole drain batch: fan it back out to one
@@ -474,16 +454,11 @@ impl TeechainEnclave {
         count: u32,
         reason: u8,
     ) -> Outcome {
-        let slot = self
+        let (slot, chan) = self
             .state
             .channels
-            .slot(&id)
+            .find(&id)
             .ok_or(ProtocolError::UnknownChannel)?;
-        let chan = self
-            .state
-            .channels
-            .at(slot)
-            .expect("a slot the table handed out");
         if chan.remote != from.pk {
             return Err(ProtocolError::BadMessage);
         }
@@ -517,11 +492,7 @@ impl TeechainEnclave {
     }
 
     pub(crate) fn cmd_settle(&mut self, id: ChannelId) -> Outcome {
-        let chan = self
-            .state
-            .channels
-            .get(&id)
-            .ok_or(ProtocolError::UnknownChannel)?;
+        let chan = self.chan(&id)?;
         if chan.closed {
             return Err(ProtocolError::ChannelNotOpen);
         }

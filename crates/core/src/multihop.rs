@@ -108,11 +108,7 @@ impl TeechainEnclave {
         id: ChannelId,
         must_cover: Option<u64>,
     ) -> Result<(), ProtocolError> {
-        let chan = self
-            .state
-            .channels
-            .get(&id)
-            .ok_or(ProtocolError::UnknownChannel)?;
+        let chan = self.chan(&id)?;
         if !chan.usable() {
             return Err(ProtocolError::ChannelNotOpen);
         }
@@ -500,11 +496,7 @@ impl TeechainEnclave {
         digests: Vec<SettleDigest>,
         deposits: Vec<crate::types::Deposit>,
     ) -> Outcome {
-        let route = self
-            .state
-            .routes
-            .get(&route_id)
-            .ok_or(ProtocolError::BadStage)?;
+        let route = self.route(&route_id)?;
         if route.next_hop() != Some(from) {
             return Err(ProtocolError::BadMessage);
         }
@@ -551,6 +543,10 @@ impl TeechainEnclave {
         }
     }
 
+    fn route(&self, id: &RouteId) -> Result<&RouteState, ProtocolError> {
+        self.state.routes.get(id).ok_or(ProtocolError::BadStage)
+    }
+
     fn route_stage(&self, route: &RouteId) -> MultihopStage {
         self.state
             .routes
@@ -567,11 +563,7 @@ impl TeechainEnclave {
         route_id: RouteId,
         tau: Transaction,
     ) -> Outcome {
-        let route = self
-            .state
-            .routes
-            .get(&route_id)
-            .ok_or(ProtocolError::BadStage)?;
+        let route = self.route(&route_id)?;
         if route.prev_hop() != Some(from) {
             return Err(ProtocolError::BadMessage);
         }
@@ -631,11 +623,7 @@ impl TeechainEnclave {
     }
 
     pub(crate) fn on_mh_update(&mut self, from: PublicKey, route_id: RouteId) -> Outcome {
-        let route = self
-            .state
-            .routes
-            .get(&route_id)
-            .ok_or(ProtocolError::BadStage)?;
+        let route = self.route(&route_id)?;
         if route.next_hop() != Some(from) {
             return Err(ProtocolError::BadMessage);
         }
@@ -666,11 +654,7 @@ impl TeechainEnclave {
         from: PublicKey,
         route_id: RouteId,
     ) -> Outcome {
-        let route = self
-            .state
-            .routes
-            .get(&route_id)
-            .ok_or(ProtocolError::BadStage)?;
+        let route = self.route(&route_id)?;
         if route.prev_hop() != Some(from) {
             return Err(ProtocolError::BadMessage);
         }
@@ -705,11 +689,7 @@ impl TeechainEnclave {
         from: PublicKey,
         route_id: RouteId,
     ) -> Outcome {
-        let route = self
-            .state
-            .routes
-            .get(&route_id)
-            .ok_or(ProtocolError::BadStage)?;
+        let route = self.route(&route_id)?;
         if route.next_hop() != Some(from) {
             return Err(ProtocolError::BadMessage);
         }
@@ -833,11 +813,7 @@ impl TeechainEnclave {
 
     pub(crate) fn cmd_eject(&mut self, route_id: RouteId) -> Outcome {
         let stage = self.route_stage(&route_id);
-        let route = self
-            .state
-            .routes
-            .get(&route_id)
-            .ok_or(ProtocolError::BadStage)?;
+        let route = self.route(&route_id)?;
         let my_channels = route.my_channels();
         let mut settlements = Vec::new();
         let mut tau = None;
@@ -850,11 +826,7 @@ impl TeechainEnclave {
                 // Current-state settlements (pre-payment before update,
                 // post-payment after).
                 for id in &my_channels {
-                    let chan = self
-                        .state
-                        .channels
-                        .get(id)
-                        .ok_or(ProtocolError::UnknownChannel)?;
+                    let chan = self.chan(id)?;
                     settlements.push((*id, settle::current_settlement_tx(chan)));
                 }
             }
@@ -864,17 +836,7 @@ impl TeechainEnclave {
             }
             MultihopStage::Terminated => return Err(ProtocolError::BadStage),
         }
-        self.set_route_stage(&route_id, MultihopStage::Terminated);
-        let mut effects = Vec::new();
-        // Ejection closes our route channels: everything still queued or
-        // deferred behind them is terminally refused.
-        for id in &my_channels {
-            self.flush_admission(*id, ProtocolError::ChannelClosed, &mut effects);
-        }
-        self.close_route_channels(&my_channels);
-        for (id, tx) in settlements {
-            self.finish_settlement(id, tx, false, &mut effects);
-        }
+        let mut effects = self.terminate_route(&route_id, &my_channels, settlements);
         if let Some(tau) = tau {
             effects.push(Effect::Event(HostEvent::SettlementBroadcast {
                 id: ChannelId(route_id.0),
@@ -885,22 +847,32 @@ impl TeechainEnclave {
         Ok(effects)
     }
 
-    /// Closes every one of `ids` we hold.
-    fn close_route_channels(&mut self, ids: &[ChannelId]) {
-        for id in ids {
+    /// Ends a route by eject or PoPT: closes the route channels we hold,
+    /// terminally refusing everything queued or deferred behind them, and
+    /// finishes their `settlements`.
+    fn terminate_route(
+        &mut self,
+        route_id: &RouteId,
+        channels: &[ChannelId],
+        settlements: Vec<(ChannelId, Transaction)>,
+    ) -> Vec<Effect> {
+        self.set_route_stage(route_id, MultihopStage::Terminated);
+        let mut effects = Vec::new();
+        for id in channels {
+            self.flush_admission(*id, ProtocolError::ChannelClosed, &mut effects);
             if self.state.channels.contains_key(id) {
                 self.commit(StateDelta::CloseChannel(*id));
             }
         }
+        for (id, tx) in settlements {
+            self.finish_settlement(id, tx, false, &mut effects);
+        }
+        effects
     }
 
     pub(crate) fn cmd_eject_popt(&mut self, route_id: RouteId, popt: Transaction) -> Outcome {
         let stage = self.route_stage(&route_id);
-        let route = self
-            .state
-            .routes
-            .get(&route_id)
-            .ok_or(ProtocolError::BadStage)?;
+        let route = self.route(&route_id)?;
         let tau = route.tau.as_ref().ok_or(ProtocolError::BadPopt)?;
         let txid = popt.txid();
         // The PoPT must genuinely conflict with this route's τ — i.e. spend
@@ -945,11 +917,7 @@ impl TeechainEnclave {
                     .get(id)
                     .copied()
                     .ok_or(ProtocolError::BadPopt)?;
-                let chan = self
-                    .state
-                    .channels
-                    .get(id)
-                    .ok_or(ProtocolError::UnknownChannel)?;
+                let chan = self.chan(id)?;
                 // Settle at the state matching the PoPT, in this
                 // channel's payment direction.
                 let (my_bal, remote_bal) = match (post, route.out_chan() == Some(*id)) {
@@ -960,15 +928,6 @@ impl TeechainEnclave {
                 settlements.push((*id, settle::settlement_tx(chan, my_bal, remote_bal)));
             }
         }
-        self.set_route_stage(&route_id, MultihopStage::Terminated);
-        let mut effects = Vec::new();
-        for id in &my_channels {
-            self.flush_admission(*id, ProtocolError::ChannelClosed, &mut effects);
-        }
-        self.close_route_channels(&my_channels);
-        for (id, tx) in settlements {
-            self.finish_settlement(id, tx, false, &mut effects);
-        }
-        Ok(effects)
+        Ok(self.terminate_route(&route_id, &my_channels, settlements))
     }
 }

@@ -21,7 +21,6 @@ use crate::enclave::{Effect, HostEvent, Outcome, PeerSlot, TeechainEnclave};
 use crate::msg::{
     begin_sealed, finish_sealed, CostClass, Handshake, ProtocolMsg, WireMsg, SEALED_HEADER,
 };
-use crate::session;
 use crate::types::ProtocolError;
 use teechain_crypto::aead::Aead;
 use teechain_crypto::ecdh;
@@ -220,8 +219,8 @@ impl TeechainEnclave {
         }
         let eph = Keypair::from_seed(&env.random_bytes32());
         self.pending_eph.insert(remote, eph.sk);
-        let quote = env.quote(session::expected_quote_binding(&me.pk, &eph.pk));
-        let hs = session::make_handshake("teechain/hello", &me, &eph, &remote, quote);
+        let quote = env.quote(expected_quote_binding(&me.pk, &eph.pk));
+        let hs = make_handshake("teechain/hello", &me, &eph, &remote, quote);
         Ok(vec![Effect::Send {
             to: remote,
             peer: None,
@@ -231,7 +230,7 @@ impl TeechainEnclave {
 
     pub(crate) fn on_hello(&mut self, env: &mut EnclaveEnv, hs: crate::msg::Handshake) -> Outcome {
         let me = self.identity(env);
-        session::verify_handshake(
+        verify_handshake(
             "teechain/hello",
             &hs,
             &me.pk,
@@ -239,10 +238,10 @@ impl TeechainEnclave {
             &self.cfg.measurement,
         )?;
         let eph = Keypair::from_seed(&env.random_bytes32());
-        let secret = session::session_secret(&eph.sk, &hs.eph);
+        let secret = session_secret(&eph.sk, &hs.eph);
         let slot = self.open_session(Session::derive(&secret, &me.pk, &hs.identity));
-        let quote = env.quote(session::expected_quote_binding(&me.pk, &eph.pk));
-        let ack = session::make_handshake("teechain/hello-ack", &me, &eph, &hs.identity, quote);
+        let quote = env.quote(expected_quote_binding(&me.pk, &eph.pk));
+        let ack = make_handshake("teechain/hello-ack", &me, &eph, &hs.identity, quote);
         Ok(vec![
             Effect::Send {
                 to: hs.identity,
@@ -259,7 +258,7 @@ impl TeechainEnclave {
         hs: crate::msg::Handshake,
     ) -> Outcome {
         let me = self.identity(env);
-        session::verify_handshake(
+        verify_handshake(
             "teechain/hello-ack",
             &hs,
             &me.pk,
@@ -270,7 +269,7 @@ impl TeechainEnclave {
             .pending_eph
             .remove(&hs.identity)
             .ok_or(ProtocolError::BadMessage)?;
-        let secret = session::session_secret(&my_eph, &hs.eph);
+        let secret = session_secret(&my_eph, &hs.eph);
         self.open_session(Session::derive(&secret, &me.pk, &hs.identity));
         Ok(vec![Effect::Event(HostEvent::SessionEstablished(
             hs.identity,

@@ -37,6 +37,12 @@ impl<K: Hash + Eq, V> SlotMap<K, V> {
         self.index.get(key).copied()
     }
 
+    /// The slot `key` holds, with the value in it.
+    pub(crate) fn find(&self, key: &K) -> Option<(u32, &V)> {
+        let s = self.slot(key)?;
+        Some((s, &self.values[s as usize]))
+    }
+
     /// The value under `key`.
     pub(crate) fn get(&self, key: &K) -> Option<&V> {
         self.slot(key).map(|s| &self.values[s as usize])

@@ -234,6 +234,21 @@ const SWAP_CHECK_INTERVAL_NS: u64 = 200_000_000;
 /// while `confirmations + margin >= timeout_blocks` closes that window.
 const SWAP_REFUND_SAFETY_BLOCKS: u64 = 1;
 
+/// `swap` entered `phase` (metrics; non-terminal).
+fn entered(swap: SwapId, phase: SwapPhase) -> Effect {
+    Effect::Event(HostEvent::SwapPhaseEntered { swap, phase })
+}
+
+/// `swap` resolved: terminal for the initiating operation.
+fn resolved(swap: SwapId, redeemed: bool) -> Effect {
+    Effect::Event(HostEvent::SwapResolved { swap, redeemed })
+}
+
+/// A chain/deadline check of `swap` at `at` (ns).
+fn check_at(swap: SwapId, at: u64) -> Effect {
+    Effect::Event(HostEvent::SwapCheckAt { swap, at })
+}
+
 impl TeechainEnclave {
     /// Commits an edit of swap `id` (see [`Self::commit_channel`]).
     fn commit_swap(&mut self, id: &SwapId, edit: impl FnOnce(&mut SwapState)) {
@@ -245,6 +260,10 @@ impl TeechainEnclave {
     }
 
     // ---- Cross-chain atomic swaps (Command::Swap, [`crate::swap`]) ----
+
+    fn swap(&self, id: &SwapId) -> Result<&SwapState, ProtocolError> {
+        self.state.swaps.get(id).ok_or(ProtocolError::BadMessage)
+    }
 
     /// True if any swap on `id` can still go either way.
     pub(crate) fn swap_pending_on(&self, id: &ChannelId) -> bool {
@@ -271,14 +290,8 @@ impl TeechainEnclave {
         if let Ok(eff) = self.seal_to(&remote, &nack) {
             effects.push(eff);
         }
-        effects.push(Effect::Event(HostEvent::SwapPhaseEntered {
-            swap,
-            phase: SwapPhase::Refunded,
-        }));
-        effects.push(Effect::Event(HostEvent::SwapResolved {
-            swap,
-            redeemed: false,
-        }));
+        effects.push(entered(swap, SwapPhase::Refunded));
+        effects.push(resolved(swap, false));
     }
 
     pub(crate) fn cmd_swap(
@@ -299,11 +312,7 @@ impl TeechainEnclave {
         if self.swap_pending_on(&channel) {
             return Err(ProtocolError::SwapPending);
         }
-        let chan = self
-            .state
-            .channels
-            .get(&channel)
-            .ok_or(ProtocolError::UnknownChannel)?;
+        let chan = self.chan(&channel)?;
         if !chan.usable() {
             return Err(ProtocolError::ChannelNotOpen);
         }
@@ -345,14 +354,8 @@ impl TeechainEnclave {
         self.commit(StateDelta::Swap(Box::new(state)));
         Ok(vec![
             eff,
-            Effect::Event(HostEvent::SwapPhaseEntered {
-                swap,
-                phase: SwapPhase::Init,
-            }),
-            Effect::Event(HostEvent::SwapCheckAt {
-                swap,
-                at: deadline_ns,
-            }),
+            entered(swap, SwapPhase::Init),
+            check_at(swap, deadline_ns),
         ])
     }
 
@@ -375,11 +378,7 @@ impl TeechainEnclave {
         {
             return Err(ProtocolError::BadMessage);
         }
-        let chan = self
-            .state
-            .channels
-            .get(&channel)
-            .ok_or(ProtocolError::UnknownChannel)?;
+        let chan = self.chan(&channel)?;
         if chan.remote != from || !chan.usable() {
             return Err(ProtocolError::BadMessage);
         }
@@ -410,19 +409,13 @@ impl TeechainEnclave {
         let script = state.htlc_script(&me);
         self.commit(StateDelta::Swap(Box::new(state)));
         Ok(vec![
-            Effect::Event(HostEvent::SwapPhaseEntered {
-                swap,
-                phase: SwapPhase::Init,
-            }),
+            entered(swap, SwapPhase::Init),
             Effect::Event(HostEvent::SwapFundingNeeded {
                 swap,
                 script,
                 value: alt_amount,
             }),
-            Effect::Event(HostEvent::SwapCheckAt {
-                swap,
-                at: deadline_ns,
-            }),
+            check_at(swap, deadline_ns),
         ])
     }
 
@@ -432,11 +425,7 @@ impl TeechainEnclave {
         swap: SwapId,
         outpoint: teechain_blockchain::OutPoint,
     ) -> Outcome {
-        let state = self
-            .state
-            .swaps
-            .get(&swap)
-            .ok_or(ProtocolError::BadMessage)?;
+        let state = self.swap(&swap)?;
         if state.initiator {
             return Err(ProtocolError::BadMessage);
         }
@@ -449,10 +438,7 @@ impl TeechainEnclave {
             // silently dropping it would strand the on-chain value.
             if state.phase == SwapPhase::Refunded && state.htlc_outpoint.is_none() {
                 self.commit_swap(&swap, |s| s.htlc_outpoint = Some(outpoint));
-                return Ok(vec![Effect::Event(HostEvent::SwapCheckAt {
-                    swap,
-                    at: env.now_ns() + SWAP_CHECK_INTERVAL_NS,
-                })]);
+                return Ok(vec![check_at(swap, env.now_ns() + SWAP_CHECK_INTERVAL_NS)]);
             }
             return Ok(vec![]); // Aborted (or already funded) meanwhile.
         }
@@ -471,14 +457,8 @@ impl TeechainEnclave {
         if let Ok(eff) = self.seal_to(&remote, &msg) {
             effects.push(eff);
         }
-        effects.push(Effect::Event(HostEvent::SwapPhaseEntered {
-            swap,
-            phase: SwapPhase::Locked,
-        }));
-        effects.push(Effect::Event(HostEvent::SwapCheckAt {
-            swap,
-            at: env.now_ns() + SWAP_CHECK_INTERVAL_NS,
-        }));
+        effects.push(entered(swap, SwapPhase::Locked));
+        effects.push(check_at(swap, env.now_ns() + SWAP_CHECK_INTERVAL_NS));
         Ok(effects)
     }
 
@@ -488,11 +468,7 @@ impl TeechainEnclave {
         swap: SwapId,
         outpoint: teechain_blockchain::OutPoint,
     ) -> Outcome {
-        let state = self
-            .state
-            .swaps
-            .get(&swap)
-            .ok_or(ProtocolError::BadMessage)?;
+        let state = self.swap(&swap)?;
         if !state.initiator || state.remote != from {
             return Err(ProtocolError::BadMessage);
         }
@@ -509,10 +485,7 @@ impl TeechainEnclave {
         // HTLC (script, value, confirmations per its policy) and answers
         // with SwapHtlcVerified, mirroring the VerifyDeposit flow.
         Ok(vec![
-            Effect::Event(HostEvent::SwapPhaseEntered {
-                swap,
-                phase: SwapPhase::Locked,
-            }),
+            entered(swap, SwapPhase::Locked),
             Effect::Event(HostEvent::VerifySwapHtlc {
                 swap,
                 outpoint,
@@ -528,12 +501,7 @@ impl TeechainEnclave {
         valid: bool,
         confirmations: u64,
     ) -> Outcome {
-        let state = self
-            .state
-            .swaps
-            .get(&swap)
-            .ok_or(ProtocolError::BadMessage)?
-            .clone();
+        let state = self.swap(&swap)?.clone();
         if !state.initiator {
             return Err(ProtocolError::BadMessage);
         }
@@ -580,14 +548,8 @@ impl TeechainEnclave {
         Ok(vec![
             Effect::BroadcastAlt(claim),
             eff,
-            Effect::Event(HostEvent::SwapPhaseEntered {
-                swap,
-                phase: SwapPhase::Redeemed,
-            }),
-            Effect::Event(HostEvent::SwapResolved {
-                swap,
-                redeemed: true,
-            }),
+            entered(swap, SwapPhase::Redeemed),
+            resolved(swap, true),
         ])
     }
 
@@ -597,11 +559,7 @@ impl TeechainEnclave {
         swap: SwapId,
         secret: [u8; 32],
     ) -> Outcome {
-        let state = self
-            .state
-            .swaps
-            .get(&swap)
-            .ok_or(ProtocolError::BadMessage)?;
+        let state = self.swap(&swap)?;
         if state.initiator || state.remote != from {
             return Err(ProtocolError::BadMessage);
         }
@@ -618,12 +576,7 @@ impl TeechainEnclave {
     /// secret in one commit. Reached from `SwapSecret` or from the
     /// chain-watch fallback (preimage read off the confirmed claim).
     fn credit_swap_redeem(&mut self, swap: SwapId, secret: [u8; 32]) -> Outcome {
-        let state = self
-            .state
-            .swaps
-            .get(&swap)
-            .ok_or(ProtocolError::BadMessage)?
-            .clone();
+        let state = self.swap(&swap)?.clone();
         if self.chan(&state.channel)?.remote_bal < state.amount {
             return Err(ProtocolError::BadMessage); // Peer violated protocol.
         }
@@ -637,24 +590,14 @@ impl TeechainEnclave {
             s.secret = Some(secret);
         });
         Ok(vec![
-            Effect::Event(HostEvent::SwapPhaseEntered {
-                swap,
-                phase: SwapPhase::Redeemed,
-            }),
-            Effect::Event(HostEvent::SwapResolved {
-                swap,
-                redeemed: true,
-            }),
+            entered(swap, SwapPhase::Redeemed),
+            resolved(swap, true),
         ])
     }
 
     pub(crate) fn on_swap_nack(&mut self, from: PublicKey, swap: SwapId, reason: u8) -> Outcome {
         let _ = ProtocolError::from_abort_code(reason);
-        let state = self
-            .state
-            .swaps
-            .get(&swap)
-            .ok_or(ProtocolError::BadMessage)?;
+        let state = self.swap(&swap)?;
         if state.remote != from {
             return Err(ProtocolError::BadMessage);
         }
@@ -665,14 +608,8 @@ impl TeechainEnclave {
             SwapPhase::Init | SwapPhase::Locked => {
                 self.commit_swap(&swap, |s| s.phase = SwapPhase::Refunded);
                 Ok(vec![
-                    Effect::Event(HostEvent::SwapPhaseEntered {
-                        swap,
-                        phase: SwapPhase::Refunded,
-                    }),
-                    Effect::Event(HostEvent::SwapResolved {
-                        swap,
-                        redeemed: false,
-                    }),
+                    entered(swap, SwapPhase::Refunded),
+                    resolved(swap, false),
                 ])
             }
             _ => Ok(vec![]),
@@ -713,10 +650,7 @@ impl TeechainEnclave {
                     let refund = crate::swap::refund_tx(outpoint, state.alt_amount, kp.pk, &kp);
                     effects.push(Effect::BroadcastAlt(refund));
                 }
-                effects.push(Effect::Event(HostEvent::SwapCheckAt {
-                    swap,
-                    at: env.now_ns() + SWAP_CHECK_INTERVAL_NS,
-                }));
+                effects.push(check_at(swap, env.now_ns() + SWAP_CHECK_INTERVAL_NS));
                 Ok(effects)
             }
             SwapPhase::Redeemed => {
@@ -737,10 +671,7 @@ impl TeechainEnclave {
                 if let Ok(eff) = self.seal_to(&state.remote, &msg) {
                     effects.push(eff);
                 }
-                effects.push(Effect::Event(HostEvent::SwapCheckAt {
-                    swap,
-                    at: env.now_ns() + SWAP_CHECK_INTERVAL_NS,
-                }));
+                effects.push(check_at(swap, env.now_ns() + SWAP_CHECK_INTERVAL_NS));
                 Ok(effects)
             }
             SwapPhase::Init | SwapPhase::Locked => {
@@ -749,10 +680,7 @@ impl TeechainEnclave {
                 if let Err(e) = self.pass(env, Gate::Exit) {
                     return match e {
                         ProtocolError::CounterThrottled { ready_at } => {
-                            Ok(vec![Effect::Event(HostEvent::SwapCheckAt {
-                                swap,
-                                at: ready_at,
-                            })])
+                            Ok(vec![check_at(swap, ready_at)])
                         }
                         other => Err(other),
                     };
@@ -775,14 +703,8 @@ impl TeechainEnclave {
                         self.commit_swap(&swap, |s| s.phase = SwapPhase::Refunded);
                         return Ok(vec![
                             Effect::BroadcastAlt(refund),
-                            Effect::Event(HostEvent::SwapPhaseEntered {
-                                swap,
-                                phase: SwapPhase::Refunded,
-                            }),
-                            Effect::Event(HostEvent::SwapResolved {
-                                swap,
-                                redeemed: false,
-                            }),
+                            entered(swap, SwapPhase::Refunded),
+                            resolved(swap, false),
                         ]);
                     }
                 }
@@ -797,10 +719,7 @@ impl TeechainEnclave {
                     self.refund_swap_local(swap, &mut effects);
                     return Ok(effects);
                 }
-                Ok(vec![Effect::Event(HostEvent::SwapCheckAt {
-                    swap,
-                    at: env.now_ns() + SWAP_CHECK_INTERVAL_NS,
-                })])
+                Ok(vec![check_at(swap, env.now_ns() + SWAP_CHECK_INTERVAL_NS)])
             }
         }
     }
