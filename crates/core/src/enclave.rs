@@ -80,8 +80,9 @@ pub enum Command {
         /// sealed message where it lies in it, so the host hands the buffer
         /// over instead of cutting its own envelope off a copy.
         wire: Vec<u8>,
-        /// Offset in `wire` at which the encoded [`WireMsg`](crate::msg::WireMsg) starts; it
-        /// runs to the end of the buffer.
+        /// Offset in `wire` at which the encoded
+        /// [`WireMsg`](crate::msg::WireMsg) starts; it runs to the end of
+        /// the buffer.
         at: usize,
     },
     /// Generates a fresh blockchain address inside the TEE (Alg. 1
@@ -583,7 +584,8 @@ pub(crate) enum Gate {
     /// The counter only. Ejecting is the way out, so a frozen enclave may
     /// still settle and eject — but the commit must be possible before
     /// the channels close, or a refused commit would close them with the
-    /// settlement thrown away.
+    /// settlement thrown away. Delivery, the admission pump and the swap
+    /// tick pass this row themselves before they commit.
     Exit,
     /// No gate, or the handler gates itself: `Deliver`, `PumpAdmission`
     /// and `SwapTick` re-arm instead of failing.
@@ -631,7 +633,7 @@ impl Gate {
     /// refused by a frozen enclave, while acknowledgements and the
     /// replication stream are not (a frozen backup refuses `RepUpdate` in
     /// its handler, after checking the sender).
-    pub(crate) fn of_msg(msg: &ProtocolMsg) -> Gate {
+    fn of_msg(msg: &ProtocolMsg) -> Gate {
         match msg {
             ProtocolMsg::NewChannel { .. }
             | ProtocolMsg::ApproveDeposit { .. }
