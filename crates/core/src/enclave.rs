@@ -574,7 +574,7 @@ pub type Outcome = Result<Vec<Effect>, ProtocolError>;
 /// [`Gate::of_msg`] give every command and message its row, and
 /// [`TeechainEnclave::pass`] checks it; no handler checks either rule
 /// itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Gate {
     /// Unfrozen, then the counter: the handler commits.
     Mutating,

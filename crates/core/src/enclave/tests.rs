@@ -287,7 +287,8 @@ impl GateFixture {
         }
     }
 
-    /// Node `i`'s program and its hardware, as the host cannot reach them.
+    /// Node `i`'s program and its hardware, reached past the host
+    /// (`Enclave::compromise`).
     fn enclave(&mut self, i: usize) -> (&mut TeechainEnclave, &mut EnclaveEnv) {
         self.c.node_mut(i).enclave.compromise().expect("running")
     }
