@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the substrates: crypto primitives, the
 //! codec's byte vectors, a sealed message's way to and from the wire, the
-//! three handler turns of a payment, transaction validation and a real
+//! three handler turns of a payment, transaction validation, the
+//! multi-hop signing layer (τ's txid and one hop's sign step) and a real
 //! end-to-end enclave payment. The `codec`, `wire` and `turn` rows also
 //! print the heap traffic of one iteration (`heap <row> <allocations>
 //! <bytes>`), counted by [`teechain_bench::alloc_count`].
@@ -9,15 +10,16 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 use teechain::msg::{ProtocolMsg, WireMsg};
 use teechain::session::Session;
+use teechain::settle;
 use teechain::testkit::{Cluster, Harness};
-use teechain::types::ChannelId;
+use teechain::types::{ChannelId, CommitteeSpec, Deposit};
 use teechain::Effect;
 use teechain_bench::alloc_count::{measure, AllocCounts, CountingAlloc};
 use teechain_bench::turns::{PayCrank, PAY_TURNS};
 use teechain_crypto::aead::Aead;
 use teechain_crypto::chacha20::ChaCha20;
 use teechain_crypto::point::{base_double_mul, base_mul};
-use teechain_crypto::schnorr::{self, Keypair};
+use teechain_crypto::schnorr::{self, Keypair, PublicKey};
 use teechain_crypto::sha256::sha256;
 use teechain_crypto::U256;
 use teechain_net::live::drive;
@@ -275,6 +277,69 @@ fn blockchain(c: &mut Criterion) {
     g.finish();
 }
 
+/// A multi-hop τ of three 1-of-1 deposit inputs and six outputs, the
+/// shape a 3-hop payment settles, with the deposits it spends.
+fn tau_fixture() -> (teechain_blockchain::Transaction, Vec<Deposit>, Vec<Keypair>) {
+    use teechain_blockchain::{OutPoint, ScriptPubKey, Transaction, TxId, TxIn, TxOut};
+    let keys: Vec<Keypair> = (1..=3).map(|n| Keypair::from_seed(&[n; 32])).collect();
+    let deposits: Vec<Deposit> = keys
+        .iter()
+        .zip(1u8..)
+        .map(|(k, n)| Deposit {
+            outpoint: OutPoint {
+                txid: TxId([n; 32]),
+                vout: 0,
+            },
+            value: 1000,
+            committee: CommitteeSpec::single(k.pk),
+        })
+        .collect();
+    let tau = Transaction {
+        inputs: deposits.iter().map(|d| TxIn::spend(d.outpoint)).collect(),
+        outputs: (10..16)
+            .map(|n| TxOut {
+                value: 500,
+                script: ScriptPubKey::P2pk(Keypair::from_seed(&[n; 32]).pk),
+            })
+            .collect(),
+    };
+    (tau, deposits, keys)
+}
+
+/// The multi-hop signing layer: hashing τ (its txid is its sighash), and
+/// one intermediate hop's sign step. That hop holds the keys of its two
+/// channels' deposits; the next hop already signed the outgoing one, so
+/// the step is one sighash and one signature.
+fn tau(c: &mut Criterion) {
+    let (tau, deposits, keys) = tau_fixture();
+    let deposit_of =
+        |op: &teechain_blockchain::OutPoint| deposits.iter().find(|d| d.outpoint == *op);
+    let mut signed = tau.clone();
+    for (i, key) in keys.iter().enumerate() {
+        signed.sign_input(i, key);
+    }
+    let mut g = c.benchmark_group("tx");
+    g.bench_function("txid_tau", |b| b.iter(|| black_box(&signed).txid()));
+    g.finish();
+
+    let held = &keys[1..];
+    let keypair_of = |pk: &PublicKey| held.iter().find(|k| k.pk == *pk).copied();
+    let mut from_next_hop = tau;
+    from_next_hop.sign_input(2, &keys[2]);
+    let mut g = c.benchmark_group("multihop");
+    g.bench_function("sign_tau", |b| {
+        b.iter_batched(
+            || from_next_hop.clone(),
+            |mut tx| {
+                assert_eq!(settle::sign_inputs(&mut tx, keypair_of, deposit_of), 1);
+                tx
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    g.finish();
+}
+
 fn enclave_payment(c: &mut Criterion) {
     // End-to-end cost of one payment round trip through two real enclaves
     // (AEAD seal/open, state update, ack) — the wall-clock cost that
@@ -293,6 +358,6 @@ fn enclave_payment(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = crypto, symmetric, codec, wire, turn, secp256k1, blockchain, enclave_payment
+    targets = crypto, symmetric, codec, wire, turn, secp256k1, blockchain, tau, enclave_payment
 );
 criterion_main!(benches);

@@ -101,20 +101,23 @@ pub struct Transaction {
 teechain_util::impl_wire_struct!(Transaction { inputs, outputs });
 
 impl Transaction {
-    /// Serializes the transaction with witnesses stripped. This is both the
-    /// txid preimage and the message every input signs.
-    fn strip_witnesses(&self) -> Vec<u8> {
-        let mut stripped = self.clone();
-        for input in &mut stripped.inputs {
-            input.witness.clear();
-            input.preimage.clear();
+    /// Appends the transaction's encoding with every witness and preimage
+    /// empty, without copying the transaction. This is both the txid
+    /// preimage and the message every input signs.
+    fn encode_stripped(&self, out: &mut Vec<u8>) {
+        (self.inputs.len() as u32).encode(out);
+        for input in &self.inputs {
+            TxIn::spend(input.prevout).encode(out);
         }
-        stripped.encode_to_vec()
+        self.outputs.encode(out);
     }
 
     /// The transaction identifier.
     pub fn txid(&self) -> TxId {
-        TxId(sha256(&self.strip_witnesses()))
+        // A stripped input is 44 bytes; a P2PK output is 73.
+        let mut buf = Vec::with_capacity(8 + 44 * self.inputs.len() + 80 * self.outputs.len());
+        self.encode_stripped(&mut buf);
+        TxId(sha256(&buf))
     }
 
     /// The digest that each input's witness signs.
@@ -177,7 +180,8 @@ impl Transaction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teechain_crypto::schnorr::Keypair;
+    use teechain_crypto::schnorr::{Keypair, PublicKey};
+    use teechain_util::rng::Xoshiro256;
 
     fn kp(seed: u8) -> Keypair {
         Keypair::from_seed(&[seed; 32])
@@ -288,6 +292,158 @@ mod tests {
         let script = ScriptPubKey::P2pk(k.pk);
         for input in &tx.inputs {
             assert!(script.verify_witness(&tx.sighash(), &input.witness));
+        }
+    }
+
+    /// Transactions whose witnesses and preimages the txid must ignore: a
+    /// τ-shaped one (3 signed inputs, one with a preimage, 6 outputs of
+    /// every script kind), a claim spend, and one with no inputs.
+    fn witnessed_transactions() -> Vec<Transaction> {
+        let mut tau = Transaction {
+            inputs: (1..=3).map(|n| TxIn::spend(dummy_outpoint(n))).collect(),
+            outputs: vec![
+                p2pk_out(100, 1),
+                p2pk_out(200, 2),
+                TxOut {
+                    value: 300,
+                    script: ScriptPubKey::multisig(2, vec![kp(3).pk, kp(4).pk, kp(5).pk]),
+                },
+                TxOut {
+                    value: 400,
+                    script: ScriptPubKey::Htlc {
+                        hash: sha256(b"swap secret"),
+                        claim_key: kp(6).pk,
+                        refund_key: kp(7).pk,
+                        timeout_blocks: 144,
+                    },
+                },
+                TxOut {
+                    value: 500,
+                    script: ScriptPubKey::Revocable {
+                        owner: kp(8).pk,
+                        delay_blocks: 6,
+                        revocation: kp(9).pk,
+                    },
+                },
+                p2pk_out(600, 10),
+            ],
+        };
+        for (i, seed) in [(0, 11), (1, 12), (1, 13), (2, 14)] {
+            tau.sign_input(i, &kp(seed));
+        }
+        tau.inputs[2].preimage = b"swap secret".to_vec();
+        let mut claim = Transaction {
+            inputs: vec![TxIn::spend(OutPoint {
+                txid: tau.txid(),
+                vout: 3,
+            })],
+            outputs: vec![p2pk_out(400, 6)],
+        };
+        claim.sign_input(0, &kp(6));
+        claim.inputs[0].preimage = vec![0xee; 40];
+        let no_inputs = Transaction {
+            inputs: vec![],
+            outputs: vec![p2pk_out(1, 1), p2pk_out(2, 2)],
+        };
+        vec![tau, claim, no_inputs]
+    }
+
+    /// The txids of [`witnessed_transactions`], as the clone-and-strip
+    /// encoder that the direct one replaced computed them.
+    #[test]
+    fn txids_of_witnessed_transactions_are_pinned() {
+        let want = [
+            "6f0bff964a7c9eff768af2a9b2bfe6978527adb4be510ae413bea9f01560616d",
+            "2b25229f7ca168c3f02b3d754f8b43c59fa1231ec028bc3ed9aa538bdfd254a6",
+            "ac5fd374a4e9e3750574f84258a60ef863c564719b4e7842b0f3f9ae97f7ff5f",
+        ];
+        for (tx, want) in witnessed_transactions().iter().zip(want) {
+            assert_eq!(tx.txid().to_string(), want);
+        }
+    }
+
+    /// The reference the direct encoder replaced: clone the transaction,
+    /// empty every witness and preimage, encode the clone.
+    fn clone_strip_txid(tx: &Transaction) -> TxId {
+        let mut stripped = tx.clone();
+        for input in &mut stripped.inputs {
+            input.witness.clear();
+            input.preimage.clear();
+        }
+        TxId(sha256(&stripped.encode_to_vec()))
+    }
+
+    /// Keys and signatures for [`random_transaction`], derived once.
+    fn fixture() -> &'static (Vec<PublicKey>, Vec<Signature>) {
+        static FIXTURE: std::sync::OnceLock<(Vec<PublicKey>, Vec<Signature>)> =
+            std::sync::OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let keys = (1..=8).map(|n| kp(n).pk).collect();
+            let sigs = (1..=4).map(|n| kp(n).sign(&[n; 32])).collect();
+            (keys, sigs)
+        })
+    }
+
+    /// A transaction of random shape drawn from `seed`: up to 6 inputs
+    /// with up to 3 signatures and up to 40 preimage bytes each, up to 8
+    /// outputs of every script kind.
+    fn random_transaction(seed: u64) -> Transaction {
+        let (keys, sigs) = fixture();
+        let mut rng = Xoshiro256::new(seed);
+        let pick = |rng: &mut Xoshiro256, n: usize| rng.next_below(n as u64) as usize;
+        let inputs = (0..rng.next_below(7))
+            .map(|_| TxIn {
+                prevout: OutPoint {
+                    txid: TxId(rng.next_bytes32()),
+                    vout: rng.next_u64() as u32,
+                },
+                witness: (0..rng.next_below(4))
+                    .map(|_| sigs[pick(&mut rng, sigs.len())])
+                    .collect(),
+                preimage: {
+                    let mut bytes = vec![0; rng.next_below(41) as usize];
+                    rng.fill_bytes(&mut bytes);
+                    bytes
+                },
+            })
+            .collect();
+        let outputs = (0..rng.next_below(9))
+            .map(|_| {
+                let key = |rng: &mut Xoshiro256| keys[pick(rng, keys.len())];
+                let script = match rng.next_below(4) {
+                    0 => ScriptPubKey::P2pk(key(&mut rng)),
+                    1 => ScriptPubKey::Multisig {
+                        m: rng.next_range(1, 3) as u8,
+                        keys: (0..rng.next_range(1, 3)).map(|_| key(&mut rng)).collect(),
+                    },
+                    2 => ScriptPubKey::Revocable {
+                        owner: key(&mut rng),
+                        delay_blocks: rng.next_u64(),
+                        revocation: key(&mut rng),
+                    },
+                    _ => ScriptPubKey::Htlc {
+                        hash: rng.next_bytes32(),
+                        claim_key: key(&mut rng),
+                        refund_key: key(&mut rng),
+                        timeout_blocks: rng.next_u64(),
+                    },
+                };
+                TxOut {
+                    value: rng.next_u64(),
+                    script,
+                }
+            })
+            .collect();
+        Transaction { inputs, outputs }
+    }
+
+    proptest::proptest! {
+        /// The direct encoder hashes the bytes the clone-and-strip
+        /// reference hashes, for transactions of any shape.
+        #[test]
+        fn txid_matches_the_clone_strip_reference(seed in proptest::prelude::any::<u64>()) {
+            let tx = random_transaction(seed);
+            proptest::prop_assert_eq!(tx.txid(), clone_strip_txid(&tx));
         }
     }
 }

@@ -221,7 +221,8 @@ pub enum Command {
         tx: teechain_blockchain::Transaction,
     },
     /// Merges co-signatures collected by the host into a pending
-    /// settlement; broadcasts when thresholds are met.
+    /// settlement, which it broadcasts when thresholds are met, or into a
+    /// route's τ, whose sign pass then continues.
     AddCoSigs {
         /// The request id from [`HostEvent::NeedCoSign`].
         req_id: u64,
@@ -428,9 +429,9 @@ pub enum HostEvent {
         /// Amount received.
         amount: u64,
     },
-    /// A settlement needs co-signatures from committee members; the host
-    /// must gather them (e.g. via node-level `SigRequest`s) and answer
-    /// with [`Command::AddCoSigs`].
+    /// A settlement or a route's τ needs co-signatures from committee
+    /// members; the host must gather them (e.g. via node-level
+    /// `SigRequest`s) and answer with [`Command::AddCoSigs`].
     NeedCoSign {
         /// Request id.
         req_id: u64,
@@ -588,7 +589,8 @@ pub(crate) enum Gate {
     /// tick pass this row themselves before they commit.
     Exit,
     /// No gate, or the handler gates itself: `Deliver`, `PumpAdmission`
-    /// and `SwapTick` re-arm instead of failing.
+    /// and `SwapTick` re-arm instead of failing, and `AddCoSigs` passes
+    /// `Mutating` only when it continues a route's sign pass.
     Own,
 }
 
@@ -965,7 +967,9 @@ impl TeechainEnclave {
                 digests,
                 deposits,
             } => self.on_mh_sign(from, route, tau, digests, deposits),
-            ProtocolMsg::MhPreUpdate { route, tau } => self.on_mh_pre_update(from, route, tau),
+            ProtocolMsg::MhPreUpdate { route, witnesses } => {
+                self.on_mh_pre_update(from, route, witnesses)
+            }
             ProtocolMsg::MhUpdate { route } => self.on_mh_update(from, route),
             ProtocolMsg::MhPostUpdate { route } => self.on_mh_post_update(env, from, route),
             ProtocolMsg::MhRelease { route } => self.on_mh_release(env, from, route),
@@ -1045,7 +1049,7 @@ impl TeechainEnclave {
             Command::ReadReplica => self.cmd_read_replica(),
             Command::SettleFromReplica => self.cmd_settle_from_replica(),
             Command::CoSign { req_id, tx } => self.cmd_co_sign(req_id, tx),
-            Command::AddCoSigs { req_id, sigs } => self.cmd_add_co_sigs(req_id, sigs),
+            Command::AddCoSigs { req_id, sigs } => self.cmd_add_co_sigs(env, req_id, sigs),
             Command::RestoreSealed { blob } => self.cmd_restore_sealed(env, blob),
             Command::Recover { snapshot, log } => self.cmd_recover(env, snapshot, log),
             Command::PumpAdmission => self.cmd_pump_admission(env),

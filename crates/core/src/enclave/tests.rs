@@ -540,7 +540,7 @@ impl GateFixture {
             (
                 ProtocolMsg::MhPreUpdate {
                     route,
-                    tau: tau.clone(),
+                    witnesses: vec![],
                 },
                 Gate::Unfrozen,
             ),

@@ -573,12 +573,14 @@ pub enum ProtocolMsg {
         /// Committee metadata of every deposit τ spends.
         deposits: Vec<Deposit>,
     },
-    /// Stage 3: distribute fully signed τ (forward).
+    /// Stage 3: distribute τ's signatures (forward). Every hop already
+    /// holds τ's inputs and outputs from the sign pass, so only the
+    /// witnesses travel.
     MhPreUpdate {
         /// Route.
         route: RouteId,
-        /// Fully signed τ.
-        tau: Transaction,
+        /// The fully signed τ's witness list of each input, in input order.
+        witnesses: Vec<Vec<Signature>>,
     },
     /// Stage 4: apply post-payment balances (backward).
     MhUpdate {
@@ -718,7 +720,7 @@ impl Encode for ProtocolMsg {
                 digests,
                 deposits,
             } => tagged!(out, 12, route, tau, digests, deposits),
-            MhPreUpdate { route, tau } => tagged!(out, 13, route, tau),
+            MhPreUpdate { route, witnesses } => tagged!(out, 13, route, witnesses),
             MhUpdate { route } => tagged!(out, 14, route),
             MhPostUpdate { route } => tagged!(out, 15, route),
             MhRelease { route } => tagged!(out, 16, route),
@@ -814,7 +816,7 @@ impl Decode for ProtocolMsg {
             },
             13 => MhPreUpdate {
                 route: r.read()?,
-                tau: r.read()?,
+                witnesses: r.read()?,
             },
             14 => MhUpdate { route: r.read()? },
             15 => MhPostUpdate { route: r.read()? },

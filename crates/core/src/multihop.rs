@@ -19,11 +19,12 @@
 
 use crate::enclave::{Effect, HostEvent, Outcome, TeechainEnclave};
 use crate::msg::{MhLock, ProtocolMsg, SettleDigest, StateDelta};
+use crate::replication::CoSigned;
 use crate::settle;
 use crate::types::{ChannelId, MultihopStage, ProtocolError, RouteId};
 use std::collections::BTreeMap;
 use teechain_blockchain::{Transaction, TxIn};
-use teechain_crypto::schnorr::PublicKey;
+use teechain_crypto::schnorr::{PublicKey, Signature};
 use teechain_tee::EnclaveEnv;
 
 /// Per-route state at one TEE. Durable: installed by
@@ -475,16 +476,20 @@ impl TeechainEnclave {
             self.sign_tau(&mut tau);
             route.tau = Some(tau.clone());
             route.digests = m.digests.clone();
+            self.commit(StateDelta::Route(Box::new(route)));
+            self.set_route_stage(&m.route, MultihopStage::Sign);
+            if self.needs_co_signs(&tau) {
+                return Ok(vec![
+                    self.request_co_signs(m.route, tau, m.digests, m.deposits)
+                ]);
+            }
             let msg = ProtocolMsg::MhSign {
                 route: m.route,
                 tau,
                 digests: m.digests,
                 deposits: m.deposits,
             };
-            let eff = self.seal_to(&from, &msg)?;
-            self.commit(StateDelta::Route(Box::new(route)));
-            self.set_route_stage(&m.route, MultihopStage::Sign);
-            Ok(vec![eff])
+            Ok(vec![self.seal_to(&from, &msg)?])
         }
     }
 
@@ -506,6 +511,38 @@ impl TeechainEnclave {
         }
         let mut tau = tau;
         self.sign_tau(&mut tau);
+        self.pass_signed_tau(route_id, tau, digests, deposits)
+    }
+
+    /// True if τ spends one of our own deposits with fewer witnesses than
+    /// its committee threshold: the committee co-signs (§6.1) before τ
+    /// moves on, since no other hop holds a committee member's key.
+    pub(crate) fn needs_co_signs(&self, tau: &Transaction) -> bool {
+        tau.inputs.iter().any(|input| {
+            self.state
+                .book
+                .mine
+                .get(&input.prevout)
+                .is_some_and(|(dep, _)| input.witness.len() < dep.committee.m as usize)
+        })
+    }
+
+    /// Commits τ, signed by this hop (and, once co-signed, its
+    /// committee), and passes it on in the sign pass: backward to the
+    /// previous hop, or from p1, once every input carries its threshold,
+    /// forward as the PreUpdate's witnesses. While τ spends one of our
+    /// deposits short of its threshold, the pass waits for the committee
+    /// instead ([`Self::request_co_signs`]); `on_mh_lock` makes the same
+    /// choice for pn, whose route is new.
+    pub(crate) fn pass_signed_tau(
+        &mut self,
+        route_id: RouteId,
+        tau: Transaction,
+        digests: Vec<SettleDigest>,
+        deposits: Vec<crate::types::Deposit>,
+    ) -> Outcome {
+        let route = self.route(&route_id)?;
+        let co_sign = self.needs_co_signs(&tau);
         // p1: τ must now be fully signed — verify before distributing.
         // Deposits of other hops' channels are known via the metadata
         // accumulated during lock.
@@ -515,7 +552,7 @@ impl TeechainEnclave {
                 .deposit_of(op)
                 .or_else(|| deposits.iter().find(|d| d.outpoint == *op))
         };
-        if route.pos == 0 && !settle::threshold_met(&tau, deposit_of) {
+        if route.pos == 0 && !co_sign && !settle::threshold_met(&tau, deposit_of) {
             return Err(ProtocolError::BadStage);
         }
         let (prev, next) = (route.prev_hop(), route.hops[1]);
@@ -525,6 +562,9 @@ impl TeechainEnclave {
             digests.clone(),
         ));
         self.set_route_stage(&route_id, MultihopStage::Sign);
+        if co_sign {
+            return Ok(vec![self.request_co_signs(route_id, tau, digests, deposits)]);
+        }
         if let Some(prev) = prev {
             let msg = ProtocolMsg::MhSign {
                 route: route_id,
@@ -537,7 +577,7 @@ impl TeechainEnclave {
             self.set_route_stage(&route_id, MultihopStage::PreUpdate);
             let msg = ProtocolMsg::MhPreUpdate {
                 route: route_id,
-                tau,
+                witnesses: tau.inputs.into_iter().map(|i| i.witness).collect(),
             };
             Ok(vec![self.seal_to(&next, &msg)?])
         }
@@ -557,11 +597,15 @@ impl TeechainEnclave {
             .unwrap_or(MultihopStage::Idle)
     }
 
+    /// Attaches the fully signed τ's `witnesses` to the τ this hop
+    /// stored in the sign pass, and forwards them. A list that does not
+    /// match τ's inputs one for one is refused, and nothing changes: the
+    /// eject τ keeps the inputs and outputs this hop signed.
     pub(crate) fn on_mh_pre_update(
         &mut self,
         from: PublicKey,
         route_id: RouteId,
-        tau: Transaction,
+        witnesses: Vec<Vec<Signature>>,
     ) -> Outcome {
         let route = self.route(&route_id)?;
         if route.prev_hop() != Some(from) {
@@ -571,32 +615,39 @@ impl TeechainEnclave {
         if self.route_stage(&route_id) != MultihopStage::Sign {
             return Err(ProtocolError::BadStage);
         }
-        self.set_route_stage(&route_id, MultihopStage::PreUpdate);
-        self.commit(StateDelta::Tau {
-            route: route_id,
-            tau: Some(tau.clone()),
-        });
+        let mut tau = route.tau.clone().ok_or(ProtocolError::BadStage)?;
+        if witnesses.len() != tau.inputs.len() {
+            return Err(ProtocolError::BadMessage);
+        }
+        let mut effects = Vec::new();
         if let Some(next) = next {
             let msg = ProtocolMsg::MhPreUpdate {
                 route: route_id,
-                tau,
+                witnesses: witnesses.clone(),
             };
-            Ok(vec![self.seal_to(&next, &msg)?])
-        } else {
+            effects.push(self.seal_to(&next, &msg)?);
+        }
+        for (input, witness) in tau.inputs.iter_mut().zip(witnesses) {
+            input.witness = witness;
+        }
+        self.set_route_stage(&route_id, MultihopStage::PreUpdate);
+        self.commit(StateDelta::Tau {
+            route: route_id,
+            tau: Some(tau),
+        });
+        if next.is_none() {
             // pn: apply our credit and start the update pass backward.
             self.apply_route_balances(&route_id);
             self.set_route_stage(&route_id, MultihopStage::Update);
             let prev = prev.expect("pn has a predecessor");
             let msg = ProtocolMsg::MhUpdate { route: route_id };
-            let eff = self.seal_to(&prev, &msg)?;
-            Ok(vec![
-                eff,
-                Effect::Event(HostEvent::MultihopReceived {
-                    route: route_id,
-                    amount,
-                }),
-            ])
+            effects.push(self.seal_to(&prev, &msg)?);
+            effects.push(Effect::Event(HostEvent::MultihopReceived {
+                route: route_id,
+                amount,
+            }));
         }
+        Ok(effects)
     }
 
     /// Applies post-payment balances to our route channels.
@@ -857,6 +908,10 @@ impl TeechainEnclave {
         settlements: Vec<(ChannelId, Transaction)>,
     ) -> Vec<Effect> {
         self.set_route_stage(route_id, MultihopStage::Terminated);
+        // A sign pass still waiting for co-signatures ends here too.
+        self.sig_collects.retain(
+            |_, c| !matches!(c.then, CoSigned::SignPass { route, .. } if route == *route_id),
+        );
         let mut effects = Vec::new();
         for id in channels {
             self.flush_admission(*id, ProtocolError::ChannelClosed, &mut effects);
@@ -931,3 +986,6 @@ impl TeechainEnclave {
         Ok(self.terminate_route(&route_id, &my_channels, settlements))
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -20,23 +20,42 @@
 use crate::channel::Channel;
 use crate::deposit::keypair_in;
 use crate::durable::DurableState;
-use crate::enclave::{Effect, HostEvent, Outcome, Peer, TeechainEnclave};
-use crate::msg::{ProtocolMsg, StateDelta};
+use crate::enclave::{Effect, Gate, HostEvent, Outcome, Peer, TeechainEnclave};
+use crate::msg::{ProtocolMsg, SettleDigest, StateDelta};
 use crate::settle;
-use crate::types::{ChannelId, ProtocolError};
+use crate::types::{ChannelId, Deposit, ProtocolError, RouteId};
 use std::collections::BTreeMap;
 use teechain_blockchain::Transaction;
-use teechain_crypto::schnorr::{Keypair, PublicKey};
+use teechain_crypto::schnorr::{self, Keypair, PublicKey};
 use teechain_tee::EnclaveEnv;
 
-/// A settlement awaiting committee co-signatures.
+/// A transaction awaiting committee co-signatures.
 pub(crate) struct SigCollect {
-    /// Context channel id (zeroed for deposit releases).
-    pub id: ChannelId,
     /// The partially signed transaction.
     pub tx: Transaction,
-    /// True if it settles the replica (failover), not our own state.
-    pub replica: bool,
+    /// What happens once its thresholds are met.
+    pub then: CoSigned,
+}
+
+/// What a [`SigCollect`] does with its transaction once co-signed.
+pub(crate) enum CoSigned {
+    /// Broadcast a settlement.
+    Broadcast {
+        /// Context channel id (zeroed for deposit releases).
+        id: ChannelId,
+        /// True if it settles the replica (failover), not our own state.
+        replica: bool,
+    },
+    /// Pass a multi-hop route's τ on in the sign pass
+    /// ([`TeechainEnclave::pass_signed_tau`]).
+    SignPass {
+        /// The route.
+        route: RouteId,
+        /// Its settlement digests, as the sign pass carries them.
+        digests: Vec<SettleDigest>,
+        /// Committee metadata of every deposit τ spends.
+        deposits: Vec<Deposit>,
+    },
 }
 
 /// Replication role state for one enclave.
@@ -285,37 +304,97 @@ impl TeechainEnclave {
 
     pub(crate) fn cmd_add_co_sigs(
         &mut self,
+        env: &mut EnclaveEnv,
         req_id: u64,
         sigs: Vec<(u32, teechain_crypto::schnorr::Signature)>,
     ) -> Outcome {
         let Some(collect) = self.sig_collects.get_mut(&req_id) else {
             return Err(ProtocolError::BadMessage);
         };
+        let book = match collect.then {
+            CoSigned::Broadcast { replica: true, .. } => &self.rep.replica.book,
+            _ => &self.state.book,
+        };
+        // The signatures come from the host in the clear: keep only those
+        // a committee member of the input's deposit made over this
+        // transaction, so that witness counts (`threshold_met`,
+        // `needs_co_signs`) count real signatures. A member signs
+        // deterministically, so `contains` keeps one per member.
+        let sighash = collect.tx.sighash();
         for (idx, sig) in sigs {
-            if let Some(input) = collect.tx.inputs.get_mut(idx as usize) {
-                if !input.witness.contains(&sig) {
-                    input.witness.push(sig);
-                }
+            let Some(input) = collect.tx.inputs.get_mut(idx as usize) else {
+                continue;
+            };
+            let by_member = book.deposit_of(&input.prevout).is_some_and(|dep| {
+                dep.committee
+                    .member_keys
+                    .iter()
+                    .any(|pk| schnorr::verify(pk, &sighash, &sig))
+            });
+            if by_member && !input.witness.contains(&sig) {
+                input.witness.push(sig);
             }
         }
-        let (tx, id, replica) = (collect.tx.clone(), collect.id, collect.replica);
-        let book = if replica {
-            &self.rep.replica.book
-        } else {
-            &self.state.book
-        };
-        if settle::threshold_met(&tx, |op| book.deposit_of(op)) {
-            self.sig_collects.remove(&req_id);
-            Ok(vec![
-                Effect::Event(HostEvent::SettlementBroadcast {
-                    id,
-                    txid: tx.txid(),
-                }),
-                Effect::Broadcast(tx),
-            ])
-        } else {
-            Ok(vec![])
+        let SigCollect { tx, then } = &self.sig_collects[&req_id];
+        match *then {
+            CoSigned::Broadcast { id, .. } => {
+                if !settle::threshold_met(tx, |op| book.deposit_of(op)) {
+                    return Ok(vec![]);
+                }
+                let tx = self.sig_collects.remove(&req_id).expect("present").tx;
+                Ok(vec![
+                    Effect::Event(HostEvent::SettlementBroadcast {
+                        id,
+                        txid: tx.txid(),
+                    }),
+                    Effect::Broadcast(tx),
+                ])
+            }
+            CoSigned::SignPass { .. } => {
+                if self.needs_co_signs(tx) {
+                    return Ok(vec![]);
+                }
+                // The sign pass commits: this is a step of the protocol.
+                self.pass(env, Gate::Mutating)?;
+                let Some(SigCollect {
+                    tx,
+                    then:
+                        CoSigned::SignPass {
+                            route,
+                            digests,
+                            deposits,
+                        },
+                }) = self.sig_collects.remove(&req_id)
+                else {
+                    unreachable!("a sign-pass collection")
+                };
+                self.pass_signed_tau(route, tx, digests, deposits)
+            }
         }
+    }
+
+    /// Asks the host to gather committee co-signatures on a route's τ,
+    /// which this hop signed and committed; the sign pass continues once
+    /// every input spending one of our deposits meets its threshold.
+    pub(crate) fn request_co_signs(
+        &mut self,
+        route: RouteId,
+        tau: Transaction,
+        digests: Vec<SettleDigest>,
+        deposits: Vec<Deposit>,
+    ) -> Effect {
+        let req_id = self.next_req_id();
+        let then = CoSigned::SignPass {
+            route,
+            digests,
+            deposits,
+        };
+        let collect = SigCollect {
+            tx: tau.clone(),
+            then,
+        };
+        self.sig_collects.insert(req_id, collect);
+        Effect::Event(HostEvent::NeedCoSign { req_id, tx: tau })
     }
 
     fn next_req_id(&mut self) -> u64 {
@@ -362,9 +441,8 @@ impl TeechainEnclave {
         } else {
             let req_id = self.next_req_id();
             let collect = SigCollect {
-                id,
                 tx: tx.clone(),
-                replica,
+                then: CoSigned::Broadcast { id, replica },
             };
             self.sig_collects.insert(req_id, collect);
             effects.push(Effect::Event(HostEvent::NeedCoSign { req_id, tx }));
