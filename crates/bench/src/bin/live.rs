@@ -2,14 +2,14 @@
 //!
 //! Every other bench bin measures the protocol inside the discrete-event
 //! simulator under the *calibrated* CPU cost model. This one runs it for
-//! real: `LiveCluster` puts each node on its own OS thread with a
-//! wall-clock timer heap, and payments cross an actual transport — the
-//! in-process channel mesh and localhost TCP sockets — so the numbers
+//! real: `LiveCluster` schedules the nodes onto a fixed pool of worker
+//! threads with a wall-clock timer heap, and payments cross localhost TCP
+//! sockets through the non-blocking reactor transport — so the numbers
 //! are whatever this machine's hardware gives, not Table 1's SGX
 //! calibration. The paper's own testbed measurements (Fig. 3 hardware)
 //! are the conceptual counterpart.
 //!
-//! Per backend, two phases on one long-lived channel:
+//! Two phases on one long-lived channel between two nodes:
 //!
 //! * **latency** — window 1, sequential payments: each completion is a
 //!   full submit → enclave → wire → ack round trip.
@@ -22,11 +22,10 @@
 //! standard `op_errors` section of `BENCH_live.json`. Run with `--quick`
 //! for the CI-sized sweep.
 //!
-//! The **nodes axis**: the reactor backend is additionally swept at 10,
-//! 100 and 1,000 live nodes — n/2 disjoint payment pairs driven
-//! concurrently — which the thread-per-node backends cannot reach (2,000
-//! OS threads for the 1,000-node point; the reactor runtime spends a
-//! constant few, recorded as `reactor_nodes{n}_runtime_threads`).
+//! The **nodes axis**: the runtime is additionally swept at 10, 100 and
+//! 1,000 live nodes — n/2 disjoint payment pairs driven concurrently.
+//! The thread count stays a constant few whatever the node count,
+//! recorded as `reactor_nodes{n}_runtime_threads`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
@@ -264,7 +263,7 @@ fn main() {
     let mut table = Table::new(
         "Live execution: real threads, sockets and clocks (this machine, not the paper's testbed)",
         &[
-            "Transport",
+            "Run",
             "Throughput (tx/s)",
             "Latency ms",
             "[p50]",
@@ -280,50 +279,16 @@ fn main() {
             std::thread::available_parallelism().map_or(0, |p| p.get()),
         )
         .metric("window", window)
-        .metric("latency_payments_per_backend", lat_payments)
-        .metric("throughput_payments_per_backend", tp_payments);
+        .metric("latency_payments", lat_payments)
+        .metric("throughput_payments", tp_payments);
 
-    // --trace-out records the TCP backend (wall-clock timestamps; the
+    // --trace-out records the two-node run (wall-clock timestamps; the
     // flow arrows cross real sockets).
     let sink = TraceSink::from_args();
-    let threads = LiveCluster::over_threads(LiveConfig {
-        n: 2,
-        seed: 0x11FE,
-        ..LiveConfig::default()
-    });
-    measure(
-        "threads",
-        &threads,
-        lat_payments,
-        tp_payments,
-        window,
-        &mut table,
-        &mut doc,
-    );
-    threads.shutdown();
-
-    let tcp = LiveCluster::over_tcp(LiveConfig {
-        n: 2,
-        seed: 0x11FE,
-        tracing: sink.active(),
-        ..LiveConfig::default()
-    })
-    .expect("bind localhost listeners");
-    measure(
-        "tcp",
-        &tcp,
-        lat_payments,
-        tp_payments,
-        window,
-        &mut table,
-        &mut doc,
-    );
-    sink.write(&tcp.drain_trace());
-    tcp.shutdown();
-
     let reactor = LiveCluster::over_reactor(LiveConfig {
         n: 2,
         seed: 0x11FE,
+        tracing: sink.active(),
         ..LiveConfig::default()
     })
     .expect("bind reactor listener");
@@ -336,11 +301,10 @@ fn main() {
         &mut table,
         &mut doc,
     );
+    sink.write(&reactor.drain_trace());
     reactor.shutdown();
 
-    // The nodes axis: only the reactor backend is swept — at 1,000 nodes
-    // the thread-per-node runtimes would need 2,000 OS threads, while
-    // the sharded scheduler's count stays constant.
+    // The nodes axis: the scheduler's thread count stays constant.
     let aggregate_total = if quick { 2_000 } else { 10_000 };
     for n in [10usize, 100, 1_000] {
         measure_reactor_nodes(n, aggregate_total, &mut table, &mut doc);

@@ -12,8 +12,8 @@
 //!    therefore a behavior diff, never scheduler noise.
 //! 3. **Causality** — a traced 3-hop multihop payment forms a single
 //!    tree rooted at its `op_span`, on every substrate: the sim engine
-//!    at one and at eight shards, the bench driver's cluster, live OS
-//!    threads, live TCP sockets and the live reactor.
+//!    at one and at eight shards, the bench driver's cluster, and the
+//!    live scheduler at one, four and host-many worker threads.
 //!
 //! A persistent-mode burst must also record a bounded number of events
 //! per payment: the recorder sees every ecall, so a retry storm shows
@@ -25,7 +25,7 @@
 
 use std::collections::BTreeSet;
 use teechain::driver::CostModel;
-use teechain::live::{LiveBackend, LiveCluster, LiveConfig};
+use teechain::live::{LiveCluster, LiveConfig};
 use teechain::testkit::{Cluster, ClusterConfig, ClusterNode, Harness};
 use teechain::types::ChannelId;
 use teechain_bench::harness::BenchCluster;
@@ -238,17 +238,19 @@ fn multihop_trace_is_single_rooted_bench_cluster() {
 /// Live variant: tracing must be enabled from launch (`LiveConfig`), so
 /// the setup window is drained and discarded before the traced payment.
 /// The multihop is then the only `OpSubmit` in the second window. Wire
-/// spans must stitch across per-node sockets and threads exactly as
-/// across the reactor's multiplexed pool and run-queue scheduler.
-fn live_multihop_trace(backend: LiveBackend) {
-    let substrate = format!("live/{backend:?}");
+/// spans must stitch across the reactor's multiplexed pool and the
+/// run-queue scheduler whatever the worker count (`0` = the host's
+/// parallelism).
+fn live_multihop_trace(workers: usize) {
+    let substrate = format!("live/{workers}w");
     let cfg = LiveConfig {
         n: 4,
         seed: 0x0B5,
         tracing: true,
+        workers,
         ..LiveConfig::default()
     };
-    let cluster = LiveCluster::over(backend, cfg).expect("bind localhost listeners");
+    let cluster = LiveCluster::over_reactor(cfg).expect("bind reactor listener");
     let mut net = &cluster;
     let chans: Vec<ChannelId> = (0..3)
         .map(|i| net.standard_channel(i, i + 1, &format!("hop-{i}"), 500_000, 1))
@@ -277,18 +279,18 @@ fn live_multihop_trace(backend: LiveBackend) {
 }
 
 #[test]
-fn multihop_trace_is_single_rooted_live_threads() {
-    live_multihop_trace(LiveBackend::Threads);
+fn multihop_trace_is_single_rooted_live_one_worker() {
+    live_multihop_trace(1);
 }
 
 #[test]
-fn multihop_trace_is_single_rooted_live_tcp() {
-    live_multihop_trace(LiveBackend::Tcp);
+fn multihop_trace_is_single_rooted_live_four_workers() {
+    live_multihop_trace(4);
 }
 
 #[test]
 fn multihop_trace_is_single_rooted_live_reactor() {
-    live_multihop_trace(LiveBackend::Reactor);
+    live_multihop_trace(0);
 }
 
 /// The chrome://tracing export round-trips through the hand-rolled JSON

@@ -116,7 +116,7 @@ pub mod types;
 
 pub use durability::{DurabilityBackend, PersistPolicy};
 pub use enclave::{Command, Effect, EnclaveConfig, HostEvent, Outcome, PeerSlot, TeechainEnclave};
-pub use live::{LiveBackend, LiveCluster, LiveConfig};
+pub use live::{LiveCluster, LiveConfig};
 pub use node::TeechainNode;
 pub use ops::{Completion, OpError, OpId, OpOutput, Pending, SettleKind};
 pub use swap::{SwapOutcome, SwapPhase, SwapState};

@@ -4,21 +4,12 @@
 //! Everywhere else in this crate the nodes run inside the discrete-event
 //! simulator. [`LiveCluster`] runs the *unmodified* state machines —
 //! [`TeechainNode`], its enclave and its operation tracker — as an actual
-//! concurrent system behind a [`LiveBackend`] selector:
-//!
-//! * [`LiveBackend::Threads`] / [`LiveBackend::Tcp`] — the per-node
-//!   runtime: every node gets its own OS thread with a wall-clock timer
-//!   heap, and messages travel over a real [`Transport`] backend
-//!   (in-process channels or localhost TCP, see `teechain_net::live`).
-//! * [`LiveBackend::Reactor`] — the sharded runtime (the internal
-//!   `live_sched` module): thousands of nodes share a fixed pool of
-//!   worker threads via run-queues, with the non-blocking reactor
-//!   transport delivering frames straight into node inboxes. Total
-//!   thread count is constant in cluster size, which is what makes
-//!   1,000+ real nodes per box possible.
-//!
-//! Both runtimes publish completions to the same shared streams, so the
-//! entire public surface below behaves identically across backends.
+//! concurrent system on the run-queue scheduler (the internal
+//! `live_sched` module): every node shares a fixed pool of worker
+//! threads, and the non-blocking reactor transport delivers frames over
+//! localhost TCP straight into node inboxes. Total thread count is
+//! constant in cluster size, which is what makes 1,000+ real nodes per
+//! box possible.
 //!
 //! # Driving a live cluster
 //!
@@ -26,28 +17,24 @@
 //! operation — sessions, channels, deposits, payments, multi-hop,
 //! settlement, swaps — is the same choreography the simulated
 //! [`Cluster`](crate::testkit::Cluster) runs. A submission is one
-//! request/reply round trip into the node's event loop or inbox
-//! (`LiveReq::Submit`); resolution polls the node's published completion
-//! stream and declares the operation dead after [`DEFAULT_OP_TIMEOUT`].
-//! Receivers stay `&self`, so many threads can drive one cluster: bind
+//! request/reply round trip into the node's inbox (`LiveReq::Submit`);
+//! resolution polls the node's published completion stream and declares
+//! the operation dead after [`DEFAULT_OP_TIMEOUT`]. Receivers stay
+//! `&self`, so many threads can drive one cluster: bind
 //! `let mut net = &cluster;` to call the trait's methods.
 //!
 //! # How a node runs live
 //!
-//! On the per-node runtime, each node's event loop blocks on one input
-//! queue fed by two sources: a pump thread forwarding inbound transport
-//! messages, and the harness submitting operations (the sharded runtime
-//! feeds the same inputs through its run-queue inboxes; see
-//! `live_sched`). Handlers are executed through
-//! [`teechain_net::live::drive`], which hands the node the same
+//! A node's inputs — inbound frames, fired timers and harness requests —
+//! enter one inbox and are handled one at a time. Handlers are executed
+//! through [`teechain_net::live::drive`], which hands the node the same
 //! [`Ctx`](teechain_net::Ctx) surface the engines do but returns the
-//! emitted actions; the loop then
-//! performs them for real — sends go out on the transport, timers land in
-//! a [`BinaryHeap`] keyed by monotonic wall-clock nanoseconds, and CPU
-//! `Busy` accounting is dropped (live handlers burn real CPU). Time is
-//! nanoseconds since the cluster epoch, so in-protocol deadlines and
-//! retry timers behave exactly as in simulation, just against a real
-//! clock.
+//! emitted actions; the scheduler then performs them for real — sends go
+//! out on the transport, timers land in one cluster-wide heap keyed by
+//! monotonic wall-clock nanoseconds, and CPU `Busy` accounting is dropped
+//! (live handlers burn real CPU). Time is nanoseconds since the cluster
+//! epoch, so in-protocol deadlines and retry timers behave exactly as in
+//! simulation, just against a real clock.
 //!
 //! # What stays comparable with the simulator
 //!
@@ -60,7 +47,7 @@
 //! clocks) and cross-node interleavings race, but per-operation outcomes
 //! are substrate-independent — the `live_equivalence` suite replays one
 //! seeded scenario on the engine at one and at four shards and on the
-//! live backends and asserts identical outcome sets.
+//! scheduler at several worker counts and asserts identical outcome sets.
 //!
 //! # What does not carry over
 //!
@@ -70,32 +57,26 @@
 //! protocol at hardware speed — `cargo run --release -p teechain-bench
 //! --bin live` measures it.
 
+use crate::live_sched::Sched;
 use crate::node::{SharedChain, TeechainNode};
 use crate::ops::{Completion, OpError, OpId, OpOutput, Payment, Pending, Request};
 use crate::testkit::{build_wired_nodes, Harness};
 use crate::types::ChannelId;
 use crate::DurabilityBackend;
 use parking_lot::Mutex;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use teechain_blockchain::Chain;
 use teechain_crypto::schnorr::PublicKey;
-use teechain_net::live::drive;
-use teechain_net::{NodeAction, NodeId, TcpNet, ThreadNet, Transport, TransportRx, TransportTx};
+use teechain_net::NodeId;
 use teechain_persist::SharedStore;
-use teechain_util::rng::Xoshiro256;
 
 /// Configuration for a [`LiveCluster`].
 #[derive(Clone)]
 pub struct LiveConfig {
-    /// Number of nodes. The per-node backends spend an event-loop thread
-    /// and a pump thread on each; the reactor backend runs them all on
-    /// `workers` + 2 threads ([`LiveCluster::runtime_threads`]).
+    /// Number of nodes. They all run on `workers` + 2 threads
+    /// ([`LiveCluster::runtime_threads`]), whatever `n` is.
     pub n: usize,
     /// Seed for identities and RNG lanes. The same seed produces the
     /// same enclave identities as a [`crate::testkit::Cluster`], which is
@@ -105,17 +86,16 @@ pub struct LiveConfig {
     /// runtime supports [`DurabilityBackend::None`] and
     /// [`DurabilityBackend::Persist`]; committee-chain replication needs
     /// backup-node wiring the live harness does not build yet —
-    /// [`LiveCluster::new`] rejects it rather than silently running
-    /// replication-mode enclaves with an empty committee.
+    /// [`LiveCluster::over_reactor`] rejects it rather than silently
+    /// running replication-mode enclaves with an empty committee.
     pub durability: DurabilityBackend,
     /// Enable every node's flight recorder from launch. Timestamps are
     /// wall-clock ns since the cluster epoch; drain the merged stream
     /// with [`LiveCluster::drain_trace`]. Recording only happens when
     /// the `trace-record` feature is compiled in.
     pub tracing: bool,
-    /// Worker-thread pool size for the sharded runtime
-    /// ([`LiveBackend::Reactor`]); `0` resolves to the host's available
-    /// parallelism. Ignored by the thread-per-node backends.
+    /// Worker-thread pool size of the scheduler; `0` resolves to the
+    /// host's available parallelism.
     pub workers: usize,
 }
 
@@ -131,26 +111,12 @@ impl Default for LiveConfig {
     }
 }
 
-/// Which live substrate a [`LiveCluster`] runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LiveBackend {
-    /// Thread-per-node over in-process channels ([`ThreadNet`]).
-    Threads,
-    /// Thread-per-node over localhost TCP sockets ([`TcpNet`]).
-    Tcp,
-    /// Run-queue scheduler over the non-blocking reactor transport
-    /// ([`teechain_net::ReactorNet`]): constant thread count, built for
-    /// 1,000+ nodes.
-    Reactor,
-}
-
 /// How long [`Harness::resolve`] (and so every blocking convenience)
 /// waits for a live completion before declaring the operation dead.
 /// Generous: live CI machines stall unpredictably.
 pub const DEFAULT_OP_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Control-plane requests the harness sends into a node's event loop
-/// (per-node runtime) or inbox (sharded runtime).
+/// Control-plane requests the harness sends into a node's inbox.
 pub(crate) enum LiveReq {
     /// Submit `req` as a correlated operation.
     Submit {
@@ -162,7 +128,7 @@ pub(crate) enum LiveReq {
     /// timeout): its typed `Timeout` completion is recorded like any
     /// other, keeping the stream exactly-once.
     ResolveDead { op: OpId, reply: Sender<bool> },
-    /// Snapshot the node's metrics registry (plus the loop's own
+    /// Snapshot the node's metrics registry (plus the node's own
     /// transport counters) — the live analogue of `Cluster::observe`.
     Observe {
         reply: Sender<teechain_trace::Registry>,
@@ -171,31 +137,26 @@ pub(crate) enum LiveReq {
     DrainTrace {
         reply: Sender<Vec<teechain_trace::TraceEvent>>,
     },
-    /// Exit the event loop.
-    Shutdown,
 }
 
-/// A node's unified input: network bytes, a fired wall-clock timer, or a
-/// control request. The per-node loops keep their own timer heaps and
-/// never see [`Input::TimerFired`]; the sharded scheduler's global timer
-/// thread delivers fires through the inbox like any other input.
+/// A node's unified input: network bytes, a fired wall-clock timer (from
+/// the scheduler's shared timer heap), or a control request.
 pub(crate) enum Input {
     Net(NodeId, Vec<u8>),
     TimerFired(u64),
     Req(LiveReq),
 }
 
-/// A cluster of Teechain nodes running live — on an OS thread per node
-/// or on the reactor backend's fixed worker pool (see [`LiveBackend`]) —
-/// exchanging real messages and sharing one (mutex-protected) simulated
-/// blockchain. Drive it through [`Harness`], implemented for
-/// `&LiveCluster`.
+/// A cluster of Teechain nodes running live on a fixed worker pool,
+/// exchanging real messages over localhost TCP and sharing one
+/// (mutex-protected) simulated blockchain. Drive it through [`Harness`],
+/// implemented for `&LiveCluster`.
 ///
 /// ```
 /// use teechain::live::{LiveCluster, LiveConfig};
 /// use teechain::testkit::Harness;
 ///
-/// let cluster = LiveCluster::over_tcp(LiveConfig { n: 2, ..Default::default() })
+/// let cluster = LiveCluster::over_reactor(LiveConfig { n: 2, ..Default::default() })
 ///     .expect("bind localhost listeners");
 /// let mut net = &cluster;
 /// let chan = net.standard_channel(0, 1, "demo", 1_000, 1);
@@ -215,94 +176,24 @@ pub struct LiveCluster {
     pub stores: Vec<Option<SharedStore>>,
     completions: Vec<Arc<Mutex<Vec<Completion>>>>,
     epoch: Instant,
-    runtime: Runtime,
-}
-
-/// The two live execution strategies behind [`LiveCluster`]'s one API.
-enum Runtime {
-    /// Thread-per-node: an event loop and a transport pump per node.
-    PerNode {
-        reqs: Vec<Sender<Input>>,
-        stop: Arc<AtomicBool>,
-        workers: Vec<JoinHandle<TeechainNode>>,
-        pumps: Vec<JoinHandle<()>>,
-    },
-    /// Run-queue scheduler sharing a fixed worker pool across all nodes.
-    Sharded(crate::live_sched::Sched),
+    sched: Sched,
 }
 
 impl LiveCluster {
-    /// Builds a live cluster over in-process channel transports
-    /// ([`ThreadNet`]).
-    pub fn over_threads(cfg: LiveConfig) -> LiveCluster {
-        let endpoints = ThreadNet::mesh(cfg.n);
-        LiveCluster::new(cfg, endpoints)
-    }
-
-    /// Builds a live cluster over localhost TCP sockets ([`TcpNet`]).
-    pub fn over_tcp(cfg: LiveConfig) -> std::io::Result<LiveCluster> {
-        let endpoints = TcpNet::localhost(cfg.n)?;
-        Ok(LiveCluster::new(cfg, endpoints))
-    }
-
-    /// Builds a live cluster on the sharded run-queue scheduler over the
+    /// Builds a live cluster on the run-queue scheduler over the
     /// non-blocking reactor transport: `cfg.workers` worker threads (or
     /// the host parallelism when `0`) plus one poller and one timer
-    /// thread, regardless of `cfg.n`. Same identities, same operation
-    /// ids, same completion streams as the thread-per-node backends.
+    /// thread, regardless of `cfg.n`. Identities are pre-exchanged,
+    /// exactly like the simulated harnesses do.
     ///
     /// # Panics
     ///
-    /// Panics on [`DurabilityBackend::Replication`], like
-    /// [`LiveCluster::new`].
-    pub fn over_reactor(cfg: LiveConfig) -> std::io::Result<LiveCluster> {
-        assert!(
-            cfg.durability.auto_backups() == 0,
-            "LiveCluster does not support committee-chain replication; \
-             use DurabilityBackend::None or Persist"
-        );
-        let chain: SharedChain = Arc::new(Mutex::new(Chain::new()));
-        let chain2: SharedChain = Arc::new(Mutex::new(Chain::new()));
-        let (_root, nodes, stores, ids) =
-            build_wired_nodes(cfg.n, cfg.seed, cfg.durability, &chain, &chain2, None);
-        let epoch = Instant::now();
-        let sched = crate::live_sched::Sched::launch(&cfg, nodes, epoch)?;
-        let completions = sched.completion_handles();
-        Ok(LiveCluster {
-            ids,
-            chain,
-            chain2,
-            stores,
-            completions,
-            epoch,
-            runtime: Runtime::Sharded(sched),
-        })
-    }
-
-    /// Builds a live cluster on the selected backend — the uniform entry
-    /// point sweeps and equivalence suites iterate over.
-    pub fn over(backend: LiveBackend, cfg: LiveConfig) -> std::io::Result<LiveCluster> {
-        match backend {
-            LiveBackend::Threads => Ok(LiveCluster::over_threads(cfg)),
-            LiveBackend::Tcp => LiveCluster::over_tcp(cfg),
-            LiveBackend::Reactor => LiveCluster::over_reactor(cfg),
-        }
-    }
-
-    /// Builds a live cluster over caller-provided transport endpoints
-    /// (endpoint `i` must carry `NodeId(i)`). Identities are
-    /// pre-exchanged, exactly like the simulated harnesses do.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an endpoint-count mismatch, and on
-    /// [`DurabilityBackend::Replication`] — the live harness does not
-    /// build or chain backup nodes, and running replication-mode
+    /// Panics on [`DurabilityBackend::Replication`] — the live harness
+    /// does not build or chain backup nodes, and running replication-mode
     /// enclaves with an empty committee would be silent zero fault
     /// tolerance (use the simulated [`crate::testkit::Cluster`] for
     /// replication studies).
-    pub fn new<T: Transport>(cfg: LiveConfig, endpoints: Vec<T>) -> LiveCluster {
-        assert_eq!(endpoints.len(), cfg.n, "one endpoint per node");
+    pub fn over_reactor(cfg: LiveConfig) -> std::io::Result<LiveCluster> {
         assert!(
             cfg.durability.auto_backups() == 0,
             "LiveCluster does not support committee-chain replication; \
@@ -316,77 +207,24 @@ impl LiveCluster {
             build_wired_nodes(cfg.n, cfg.seed, cfg.durability, &chain, &chain2, None);
         // One epoch for every node: in-protocol absolute times agree.
         let epoch = Instant::now();
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut reqs = Vec::with_capacity(cfg.n);
-        let mut completions = Vec::with_capacity(cfg.n);
-        let mut workers = Vec::with_capacity(cfg.n);
-        let mut pumps = Vec::with_capacity(cfg.n);
-        for (i, (mut node, endpoint)) in nodes.into_iter().zip(endpoints).enumerate() {
-            assert_eq!(endpoint.local_id(), NodeId(i as u32), "endpoint order");
-            if cfg.tracing {
-                node.tracer.configure(true, None);
-            }
-            let (tx, rx) = endpoint.split();
-            let (input_tx, input_rx) = mpsc::channel::<Input>();
-            let done = Arc::new(Mutex::new(Vec::new()));
-            let worker = NodeLoop {
-                id: NodeId(i as u32),
-                node,
-                tx,
-                timers: BinaryHeap::new(),
-                rng: Xoshiro256::new(cfg.seed ^ (0x11FE << 16) ^ i as u64),
-                epoch,
-                input: input_rx,
-                done: done.clone(),
-                sent_msgs: 0,
-                sent_bytes: 0,
-            };
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("teechain-live-n{i}"))
-                    .spawn(move || worker.run())
-                    .expect("spawn node thread"),
-            );
-            pumps.push(spawn_pump(rx, input_tx.clone(), stop.clone()));
-            reqs.push(input_tx);
-            completions.push(done);
-        }
-        LiveCluster {
+        let sched = Sched::launch(&cfg, nodes, epoch)?;
+        let completions = sched.completion_handles();
+        Ok(LiveCluster {
             ids,
             chain,
             chain2,
             stores,
             completions,
             epoch,
-            runtime: Runtime::PerNode {
-                reqs,
-                stop,
-                workers,
-                pumps,
-            },
-        }
+            sched,
+        })
     }
 
-    /// Routes an input to node `i` on whichever runtime is active.
-    fn send_input(&self, i: usize, input: Input) {
-        match &self.runtime {
-            Runtime::PerNode { reqs, .. } => {
-                reqs[i].send(input).expect("node event loop is running");
-            }
-            Runtime::Sharded(sched) => sched.enqueue(i, input),
-        }
-    }
-
-    /// Total OS threads the runtime itself owns (node loops and pumps,
-    /// or scheduler workers plus the reactor poller and timer threads).
-    /// For the per-node backends this is `2 * n`; for the reactor
-    /// backend it is a constant independent of `n` — the property the
-    /// 1,000-node bench rows record.
+    /// Total OS threads the runtime itself owns: scheduler workers plus
+    /// the reactor poller and the timer thread — a constant independent
+    /// of `n`, the property the 1,000-node bench rows record.
     pub fn runtime_threads(&self) -> usize {
-        match &self.runtime {
-            Runtime::PerNode { workers, pumps, .. } => workers.len() + pumps.len(),
-            Runtime::Sharded(sched) => sched.worker_count + 2,
-        }
+        self.sched.worker_count + 2
     }
 
     /// Nanoseconds since the cluster epoch — the live analogue of
@@ -411,14 +249,6 @@ impl LiveCluster {
     /// order.
     pub fn completions(&self, i: usize) -> Vec<Completion> {
         self.completions[i].lock().clone()
-    }
-
-    /// Node `i`'s published completions starting at `offset` — the
-    /// stream is append-only (until drained), so polling drivers read
-    /// incrementally instead of cloning the whole history every tick.
-    pub fn completions_from(&self, i: usize, offset: usize) -> Vec<Completion> {
-        let stream = self.completions[i].lock();
-        stream.get(offset..).map(<[_]>::to_vec).unwrap_or_default()
     }
 
     /// Drains node `i`'s published completion stream, returning
@@ -482,16 +312,14 @@ impl LiveCluster {
     // ---- Observability (the `teechain-trace` surface) ----
 
     /// Snapshots the cluster-wide metrics registry — every node's
-    /// counters, admission totals, queue high-watermarks and the live
-    /// loops' transport counters, merged. Each node answers from its own
-    /// event loop, so the snapshot is per-node consistent (not a global
+    /// counters, admission totals, queue high-watermarks and its
+    /// transport counters, merged. Each node answers through its own
+    /// inbox, so the snapshot is per-node consistent (not a global
     /// instant).
     pub fn observe(&self) -> teechain_trace::Snapshot {
         let mut reg = teechain_trace::Registry::new();
         for i in 0..self.len() {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            self.send_input(i, Input::Req(LiveReq::Observe { reply: reply_tx }));
-            reg.merge(&reply_rx.recv().expect("node event loop replies"));
+            reg.merge(&self.ask(i, |reply| LiveReq::Observe { reply }));
         }
         reg.snapshot()
     }
@@ -502,42 +330,24 @@ impl LiveCluster {
     /// reproducible across runs).
     pub fn drain_trace(&self) -> Vec<teechain_trace::TraceEvent> {
         let streams: Vec<Vec<teechain_trace::TraceEvent>> = (0..self.len())
-            .map(|i| {
-                let (reply_tx, reply_rx) = mpsc::channel();
-                self.send_input(i, Input::Req(LiveReq::DrainTrace { reply: reply_tx }));
-                reply_rx.recv().expect("node event loop replies")
-            })
+            .map(|i| self.ask(i, |reply| LiveReq::DrainTrace { reply }))
             .collect();
         teechain_trace::merge_events(streams)
     }
 
-    /// Stops the runtime (event loops and pumps, or the scheduler's
-    /// workers, timer and poller), joins all threads and returns the
-    /// final nodes (for balance and state assertions).
+    /// Sends node `i` the request `make` builds around a reply channel
+    /// and waits for the node's answer.
+    fn ask<T>(&self, i: usize, make: impl FnOnce(Sender<T>) -> LiveReq) -> T {
+        let (reply, answer) = mpsc::channel();
+        self.sched.enqueue(i, Input::Req(make(reply)));
+        answer.recv().expect("node replies")
+    }
+
+    /// Stops the scheduler's workers, timer and poller, joins all
+    /// threads and returns the final nodes (for balance and state
+    /// assertions).
     pub fn shutdown(self) -> Vec<TeechainNode> {
-        match self.runtime {
-            Runtime::PerNode {
-                reqs,
-                stop,
-                workers,
-                pumps,
-            } => {
-                stop.store(true, Ordering::Relaxed);
-                for req in &reqs {
-                    let _ = req.send(Input::Req(LiveReq::Shutdown));
-                }
-                drop(reqs);
-                let nodes: Vec<TeechainNode> = workers
-                    .into_iter()
-                    .map(|w| w.join().expect("node thread panicked"))
-                    .collect();
-                for pump in pumps {
-                    pump.join().expect("pump thread panicked");
-                }
-                nodes
-            }
-            Runtime::Sharded(sched) => sched.shutdown(),
-        }
+        self.sched.shutdown()
     }
 }
 
@@ -549,14 +359,11 @@ impl Harness for &LiveCluster {
     /// Deadlines are absolute ns on the cluster clock
     /// ([`LiveCluster::now_ns`]), enforced by the node's own timers.
     fn submit_request(&mut self, i: usize, req: Request, deadline_ns: Option<u64>) -> OpId {
-        let (reply, reply_rx) = mpsc::channel();
-        let submit = LiveReq::Submit {
+        self.ask(i, |reply| LiveReq::Submit {
             req,
             deadline_ns,
             reply,
-        };
-        self.send_input(i, Input::Req(submit));
-        reply_rx.recv().expect("node event loop replies")
+        })
     }
 
     /// Polls the node's published stream until the completion exists or
@@ -571,191 +378,12 @@ impl Harness for &LiveCluster {
             }
             std::thread::sleep(Duration::from_micros(200));
         }
-        let (reply, reply_rx) = mpsc::channel();
-        self.send_input(
-            op.node as usize,
-            Input::Req(LiveReq::ResolveDead { op, reply }),
-        );
-        let _ = reply_rx.recv();
+        self.ask(op.node as usize, |reply| LiveReq::ResolveDead { op, reply });
         // Either the node just recorded the timeout completion, or the
         // real one landed in the race window — read back whichever won.
         self.outcome(op).unwrap_or(Err(OpError::Timeout {
             at_ns: self.now_ns(),
         }))
-    }
-}
-
-/// Forwards inbound transport messages into a node's input queue until
-/// the cluster stops or the transport closes.
-fn spawn_pump<R: TransportRx>(
-    mut rx: R,
-    input: Sender<Input>,
-    stop: Arc<AtomicBool>,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        while !stop.load(Ordering::Relaxed) {
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(Some((from, msg))) => {
-                    if input.send(Input::Net(from, msg)).is_err() {
-                        break; // Event loop exited.
-                    }
-                }
-                Ok(None) => {}   // Timeout tick: re-check stop.
-                Err(_) => break, // Transport closed: nothing more can arrive.
-            }
-        }
-    })
-}
-
-/// One node's live event loop: the unmodified [`TeechainNode`] plus a
-/// wall-clock timer heap and a transport sender.
-struct NodeLoop<Tx: TransportTx> {
-    id: NodeId,
-    node: TeechainNode,
-    tx: Tx,
-    /// Armed timers as `Reverse((fire_at_ns, token))` — a min-heap.
-    timers: BinaryHeap<Reverse<(u64, u64)>>,
-    rng: Xoshiro256,
-    epoch: Instant,
-    input: Receiver<Input>,
-    /// Published completion stream (shared with the harness).
-    done: Arc<Mutex<Vec<Completion>>>,
-    /// Transport messages this loop put on the wire (the live analogue
-    /// of the simulator's `SimStats.messages`).
-    sent_msgs: u64,
-    /// Transport payload bytes sent.
-    sent_bytes: u64,
-}
-
-/// Longest the event loop sleeps with no timer armed (keeps shutdown and
-/// stray wakeups bounded without busy-waiting).
-const IDLE_WAIT: Duration = Duration::from_millis(25);
-
-impl<Tx: TransportTx> NodeLoop<Tx> {
-    fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Performs the actions a handler emitted: real sends, real timers;
-    /// `Busy` is simulation-only accounting and is dropped.
-    fn perform(&mut self, now_ns: u64, actions: Vec<NodeAction>) {
-        for action in actions {
-            match action {
-                NodeAction::Send { to, msg } => {
-                    // A dead peer is indistinguishable from a crashed
-                    // machine: traffic to it is dropped, exactly like the
-                    // simulator's offline handling.
-                    self.sent_msgs += 1;
-                    self.sent_bytes += msg.len() as u64;
-                    let _ = self.tx.send(to, msg);
-                }
-                NodeAction::Timer { delay_ns, token } => {
-                    self.timers.push(Reverse((now_ns + delay_ns, token)));
-                }
-                NodeAction::Busy { .. } => {}
-            }
-        }
-    }
-
-    /// Drains the node's completion stream into the published one. The
-    /// host's internal notification stream has no live-mode subscriber,
-    /// so it is discarded here — a sustained-traffic node must not grow
-    /// it without bound (the sim bench clears it the same way).
-    fn publish(&mut self) {
-        let fresh = std::mem::take(&mut self.node.completions);
-        if !fresh.is_empty() {
-            self.done.lock().extend(fresh);
-        }
-        self.node.events.clear();
-    }
-
-    /// Runs a handler through [`drive`] at the current wall-clock time,
-    /// performs its actions and publishes completions.
-    fn dispatch<R>(
-        &mut self,
-        f: impl FnOnce(&mut TeechainNode, &mut teechain_net::Ctx<'_>) -> R,
-    ) -> R {
-        let now = self.now_ns();
-        let (r, actions) = drive(&mut self.node, self.id, now, &mut self.rng, f);
-        self.perform(now, actions);
-        self.publish();
-        r
-    }
-
-    /// Fires every timer due at or before now.
-    fn fire_due_timers(&mut self) {
-        loop {
-            let now = self.now_ns();
-            match self.timers.peek() {
-                Some(Reverse((at, _))) if *at <= now => {
-                    let Reverse((_, token)) = self.timers.pop().expect("peeked");
-                    self.dispatch(|node, ctx| node.handle_timer(ctx, token));
-                }
-                _ => break,
-            }
-        }
-    }
-
-    fn handle_req(&mut self, req: LiveReq) -> bool {
-        match req {
-            LiveReq::Submit {
-                req,
-                deadline_ns,
-                reply,
-            } => {
-                let op = self.dispatch(|node, ctx| node.submit_op(ctx, req, deadline_ns));
-                let _ = reply.send(op);
-            }
-            LiveReq::ResolveDead { op, reply } => {
-                let now = self.now_ns();
-                let resolved = self.node.resolve_dead_op(op, now).is_some();
-                self.publish();
-                let _ = reply.send(resolved);
-            }
-            LiveReq::Observe { reply } => {
-                let mut reg = self.node.registry();
-                reg.counter("live.sent_msgs", self.sent_msgs);
-                reg.counter("live.sent_bytes", self.sent_bytes);
-                let _ = reply.send(reg);
-            }
-            LiveReq::DrainTrace { reply } => {
-                let _ = reply.send(self.node.tracer.drain());
-            }
-            LiveReq::Shutdown => return false,
-        }
-        true
-    }
-
-    fn run(mut self) -> TeechainNode {
-        loop {
-            self.fire_due_timers();
-            let wait = match self.timers.peek() {
-                Some(Reverse((at, _))) => {
-                    Duration::from_nanos(at.saturating_sub(self.now_ns())).min(IDLE_WAIT)
-                }
-                None => IDLE_WAIT,
-            };
-            match self.input.recv_timeout(wait) {
-                Ok(Input::Net(from, msg)) => {
-                    self.dispatch(|node, ctx| node.handle_wire(ctx, from, msg));
-                }
-                // Only the sharded scheduler routes timer fires through
-                // the inbox; this loop keeps its own heap. Handle it
-                // anyway so the input type stays total.
-                Ok(Input::TimerFired(token)) => {
-                    self.dispatch(|node, ctx| node.handle_timer(ctx, token));
-                }
-                Ok(Input::Req(req)) => {
-                    if !self.handle_req(req) {
-                        break;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        self.publish();
-        self.node
     }
 }
 
@@ -765,11 +393,13 @@ mod tests {
     use crate::types::ProtocolError;
 
     #[test]
-    fn live_payment_over_threads() {
-        let net = LiveCluster::over_threads(LiveConfig {
+    fn live_payment_on_one_worker() {
+        let net = LiveCluster::over_reactor(LiveConfig {
             n: 2,
+            workers: 1,
             ..LiveConfig::default()
-        });
+        })
+        .expect("bind reactor listener");
         let mut h = &net;
         let chan = h.standard_channel(0, 1, "live-unit", 1_000, 1);
         let receipt = h.pay(0, chan, 250).expect("payment completes");
@@ -788,11 +418,13 @@ mod tests {
 
     #[test]
     fn live_identities_match_simulated_cluster() {
-        let live = LiveCluster::over_threads(LiveConfig {
+        let live = LiveCluster::over_reactor(LiveConfig {
             n: 3,
             seed: 42,
+            workers: 4,
             ..LiveConfig::default()
-        });
+        })
+        .expect("bind reactor listener");
         let sim = crate::testkit::Cluster::new(crate::testkit::ClusterConfig {
             n: 3,
             seed: 42,
@@ -804,23 +436,25 @@ mod tests {
 
     #[test]
     fn wait_timeout_records_typed_completion_exactly_once() {
-        let net = LiveCluster::over_threads(LiveConfig {
+        let net = LiveCluster::over_reactor(LiveConfig {
             n: 2,
+            workers: 4,
             ..LiveConfig::default()
-        });
+        })
+        .expect("bind reactor listener");
         // A session to a peer that never answers cannot be created here
         // (all peers answer), so use an operation that waits on a
         // nonexistent response: pay on an unknown channel is rejected
         // synchronously — instead park an op with a 1 ns deadline.
         let mut h = &net;
         let session = crate::Command::StartSession { remote: net.ids[1] };
-        // Already in the past: dies on the node's own timer.
+        // Already in the past: dies on the shared timer heap.
         let op = h.submit_request(0, session.into(), Some(1));
         match h.resolve(op) {
             Err(OpError::Timeout { .. }) => {}
             // The handshake can legitimately win the race on a fast
             // machine: the deadline timer and the response arrive through
-            // the same loop.
+            // the same inbox.
             Ok(_) => {}
             other => panic!("unexpected outcome: {other:?}"),
         }

@@ -1,18 +1,13 @@
-//! The sharded live-node scheduler: thousands of unmodified
-//! [`TeechainNode`]s sharing a fixed pool of worker threads.
+//! The live-node scheduler: thousands of unmodified [`TeechainNode`]s
+//! sharing a fixed pool of worker threads.
 //!
-//! The per-node live runtime ([`crate::live`]) spends two OS threads per
-//! node (event loop + transport pump), which caps a single box at
-//! hundreds of nodes. This module replaces thread-per-node with
-//! run-queues: every node becomes a [`Cell`] — an inbox, a ready flag
-//! and the node state — and `W` workers pop ready nodes from one shared
-//! run queue, drain a bounded batch of their inputs through the same
-//! [`drive`] bridge the per-node loops use, and move on. Total thread
-//! count is `W + 2` (workers + the reactor poller + one timer thread)
-//! regardless of node count.
+//! Every node is a [`Cell`] — an inbox, a ready flag and the node state —
+//! and `W` workers pop ready nodes from one shared run queue, drain a
+//! bounded batch of their inputs through the [`drive`] bridge, and move
+//! on. Total thread count is `W + 2` (workers + the reactor poller + one
+//! timer thread) regardless of node count.
 //!
-//! Readiness has three sources, exactly the inputs a per-node loop
-//! blocks on:
+//! Readiness has three sources:
 //!
 //! * **Inbound messages** — the reactor transport runs in sink mode
 //!   ([`ReactorNet::localhost_sink`]), so its poller enqueues frames
@@ -25,8 +20,7 @@
 //! * **Timers** — one *shared* wall-clock timer heap for the whole
 //!   cluster, serviced by a dedicated thread that sleeps until the
 //!   earliest deadline and re-enqueues the owning node when it fires —
-//!   the live analogue of the engine's global timer queue, and O(1)
-//!   threads where the per-node runtime kept a heap per loop.
+//!   the live analogue of the engine's global timer queue.
 //!
 //! Exclusivity: a cell's `queued` flag guarantees a node is in the run
 //! queue at most once, and its state mutex guarantees at most one worker
@@ -62,8 +56,8 @@ const TIMER_IDLE: Duration = Duration::from_millis(25);
 
 /// One node's scheduling state.
 struct Cell {
-    /// Unified input queue (network frames, harness requests, timer
-    /// fires) — the run-queue analogue of the per-node loop's mpsc.
+    /// Unified input queue: network frames, harness requests, timer
+    /// fires.
     inbox: Mutex<VecDeque<Input>>,
     /// True while the node is in the run queue (or being drained):
     /// guarantees at most one run-queue entry per node.
@@ -190,9 +184,6 @@ impl Shared {
                     let _ = reply.send(st.node.tracer.drain());
                     Vec::new()
                 }
-                // Sched shutdown happens through the stop flag, not a
-                // per-node request; a stray one is a no-op.
-                LiveReq::Shutdown => Vec::new(),
             },
         };
         for action in actions {
@@ -423,7 +414,7 @@ impl Sched {
 #[cfg(test)]
 mod tests {
     use crate::enclave::Command;
-    use crate::live::{LiveBackend, LiveCluster, LiveConfig};
+    use crate::live::{LiveCluster, LiveConfig};
     use crate::ops::OpError;
     use crate::testkit::Harness;
     use crate::types::ProtocolError;
@@ -486,54 +477,41 @@ mod tests {
     }
 
     #[test]
-    fn sharded_identities_match_per_node_backends() {
-        let sharded = LiveCluster::over_reactor(LiveConfig {
-            n: 3,
-            seed: 42,
-            ..LiveConfig::default()
-        })
-        .expect("bind reactor listener");
-        let threads = LiveCluster::over_threads(LiveConfig {
-            n: 3,
-            seed: 42,
-            ..LiveConfig::default()
-        });
-        assert_eq!(sharded.ids, threads.ids);
-        threads.shutdown();
-        sharded.shutdown();
+    fn identities_do_not_depend_on_worker_count() {
+        let launch = |workers| {
+            LiveCluster::over_reactor(LiveConfig {
+                n: 3,
+                seed: 42,
+                workers,
+                ..LiveConfig::default()
+            })
+            .expect("bind reactor listener")
+        };
+        let one = launch(1);
+        let four = launch(4);
+        assert_eq!(one.ids, four.ids);
+        four.shutdown();
+        one.shutdown();
     }
 
     #[test]
     fn thread_count_is_constant_in_cluster_size() {
-        let small = LiveCluster::over(
-            LiveBackend::Reactor,
-            LiveConfig {
-                n: 4,
-                workers: 2,
-                ..LiveConfig::default()
-            },
-        )
+        let small = LiveCluster::over_reactor(LiveConfig {
+            n: 4,
+            workers: 2,
+            ..LiveConfig::default()
+        })
         .expect("bind reactor listener");
-        let big = LiveCluster::over(
-            LiveBackend::Reactor,
-            LiveConfig {
-                n: 64,
-                workers: 2,
-                ..LiveConfig::default()
-            },
-        )
+        let big = LiveCluster::over_reactor(LiveConfig {
+            n: 64,
+            workers: 2,
+            ..LiveConfig::default()
+        })
         .expect("bind reactor listener");
         // Workers + poller + timer, independent of n — the property that
-        // lets the reactor backend host thousands of nodes.
+        // lets the scheduler host thousands of nodes.
         assert_eq!(small.runtime_threads(), 4);
         assert_eq!(big.runtime_threads(), 4);
-        // The per-node runtime spends two threads per node.
-        let per_node = LiveCluster::over_threads(LiveConfig {
-            n: 4,
-            ..LiveConfig::default()
-        });
-        assert_eq!(per_node.runtime_threads(), 8);
-        per_node.shutdown();
         big.shutdown();
         small.shutdown();
     }

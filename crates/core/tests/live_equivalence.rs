@@ -9,9 +9,8 @@
 //!
 //! * the discrete-event engine at one shard,
 //! * the same engine at 4 shards,
-//! * the live runtime over in-process thread channels,
-//! * the live runtime over localhost TCP sockets,
-//! * the sharded live scheduler over the non-blocking reactor transport,
+//! * the live scheduler over the reactor transport, with the pool sized
+//!   to the host (0 workers), to one worker and to four workers,
 //!
 //! and asserts the five outcome sets are identical. Identities, channel
 //! ids, deposit outpoints and settlement transaction ids all match
@@ -20,7 +19,7 @@
 //! live substrates) differ, so the fingerprint deliberately excludes
 //! them.
 
-use teechain::live::{LiveBackend, LiveCluster, LiveConfig};
+use teechain::live::{LiveCluster, LiveConfig};
 use teechain::testkit::{Cluster, ClusterConfig, Harness};
 use teechain::types::ChannelId;
 use teechain::Completion;
@@ -117,13 +116,16 @@ fn sim_fingerprint(engine: EngineKind) -> Vec<(u32, u64, String)> {
     fingerprint(&sim.completion_log())
 }
 
-fn live_fingerprint(backend: LiveBackend) -> Vec<(u32, u64, String)> {
+/// Runs the scenario on the live scheduler with `workers` worker threads
+/// (`0` = the host's parallelism).
+fn live_fingerprint(workers: usize) -> Vec<(u32, u64, String)> {
     let cfg = LiveConfig {
         n: N,
         seed: SEED,
+        workers,
         ..LiveConfig::default()
     };
-    let live = LiveCluster::over(backend, cfg).expect("bind localhost listeners");
+    let live = LiveCluster::over_reactor(cfg).expect("bind reactor listener");
     run_scenario(&mut &live);
     let fp = fingerprint(&live.completion_log());
     live.shutdown();
@@ -131,7 +133,7 @@ fn live_fingerprint(backend: LiveBackend) -> Vec<(u32, u64, String)> {
 }
 
 #[test]
-fn seq_sharded_and_live_threads_agree() {
+fn seq_sharded_and_live_one_worker_agree() {
     let one = sim_fingerprint(EngineKind::Sharded { shards: 1 });
     assert!(
         one.iter().any(|(_, _, o)| o.contains("MultihopDelivered")),
@@ -148,37 +150,37 @@ fn seq_sharded_and_live_threads_agree() {
     );
     let sharded = sim_fingerprint(EngineKind::Sharded { shards: 4 });
     assert_eq!(one, sharded, "1 vs 4 shards: outcome sets differ");
-    let threads = live_fingerprint(LiveBackend::Threads);
-    assert_eq!(one, threads, "sim vs live-threads outcome sets differ");
+    let live = live_fingerprint(1);
+    assert_eq!(one, live, "sim vs live (1 worker) outcome sets differ");
 }
 
 #[test]
-fn live_tcp_agrees_with_seq() {
+fn live_four_workers_agree_with_seq() {
     let one = sim_fingerprint(EngineKind::Sharded { shards: 1 });
-    let tcp = live_fingerprint(LiveBackend::Tcp);
-    assert_eq!(one, tcp, "sim vs live-tcp outcome sets differ");
+    let live = live_fingerprint(4);
+    assert_eq!(one, live, "sim vs live (4 workers) outcome sets differ");
 }
 
 #[test]
 fn live_reactor_agrees_with_seq() {
     let one = sim_fingerprint(EngineKind::Sharded { shards: 1 });
-    let reactor = live_fingerprint(LiveBackend::Reactor);
+    let reactor = live_fingerprint(0);
     assert_eq!(one, reactor, "sim vs live-reactor outcome sets differ");
 }
 
-/// Beyond the lock-step scenario: fifty payments in flight at once on a
-/// live substrate — across the run queue, the shared timer heap and the
-/// reactor pool on the sharded scheduler — must still conserve channel
-/// balance exactly.
-fn burst_conserves_balance(backend: LiveBackend) {
+/// Beyond the lock-step scenario: fifty payments in flight at once —
+/// across the run queue, the shared timer heap and the reactor pool —
+/// must still conserve channel balance exactly.
+fn burst_conserves_balance(workers: usize) {
     let cfg = LiveConfig {
         n: 2,
         seed: 9,
+        workers,
         ..LiveConfig::default()
     };
-    let live = LiveCluster::over(backend, cfg).expect("bind localhost listeners");
+    let live = LiveCluster::over_reactor(cfg).expect("bind reactor listener");
     let mut net = &live;
-    let chan = net.standard_channel(0, 1, &format!("eq-burst-{backend:?}"), 100_000, 1);
+    let chan = net.standard_channel(0, 1, &format!("eq-burst-w{workers}"), 100_000, 1);
     let pendings: Vec<_> = (0..50).map(|_| net.handle(0).pay(chan, 7)).collect();
     let mut delivered = 0u64;
     for p in pendings {
@@ -196,10 +198,48 @@ fn burst_conserves_balance(backend: LiveBackend) {
 
 #[test]
 fn live_concurrent_payments_conserve_balance() {
-    burst_conserves_balance(LiveBackend::Threads);
+    burst_conserves_balance(4);
 }
 
 #[test]
 fn reactor_concurrent_payments_conserve_balance() {
-    burst_conserves_balance(LiveBackend::Reactor);
+    burst_conserves_balance(0);
+}
+
+/// Persistent mode (§6.2) on the live scheduler: every commit seals its
+/// state into the node's store behind a monotonic-counter window, and
+/// payments still complete with exact balances — and the store holds
+/// what a restarted enclave would recover from.
+#[test]
+fn live_persist_payments_complete_and_reach_the_store() {
+    let cfg = LiveConfig {
+        n: 2,
+        seed: 5,
+        workers: 2,
+        durability: teechain::DurabilityBackend::eager_persist(),
+        ..LiveConfig::default()
+    };
+    let live = LiveCluster::over_reactor(cfg).expect("bind reactor listener");
+    let mut net = &live;
+    let chan = net.standard_channel(0, 1, "eq-persist", 1_000, 1);
+    for _ in 0..5 {
+        assert_eq!(net.pay(0, chan, 30).expect("persisted payment").amount, 30);
+    }
+    let recovery = live.stores[0]
+        .as_ref()
+        .expect("persist mode gives every node a store")
+        .lock()
+        .recover()
+        .expect("in-memory store reads back");
+    assert!(
+        recovery.snapshot.is_some() || !recovery.log.is_empty(),
+        "payer's store holds neither a snapshot nor a log record"
+    );
+    let nodes = live.shutdown();
+    let c = nodes[0]
+        .enclave
+        .program()
+        .and_then(|p| p.channel(&chan))
+        .expect("channel");
+    assert_eq!((c.my_bal, c.remote_bal), (1_000 - 150, 150));
 }

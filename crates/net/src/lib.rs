@@ -11,11 +11,12 @@
 //!   throughput limits. One engine, [`ShardedEngine`] (also named
 //!   [`AnyEngine`]): a sequential loop at one shard, conservative-parallel
 //!   at more, with results identical for any shard count.
-//! * [`live`] — the real substrate: the [`Transport`] abstraction with an
-//!   in-process channel backend ([`ThreadNet`]) and a localhost TCP
-//!   backend ([`TcpNet`]), plus the [`live::drive`] bridge that runs the
-//!   unmodified node handlers outside any engine so a live event loop can
-//!   perform their actions as actual I/O.
+//! * [`live`] — the real substrate: the non-blocking reactor transport
+//!   ([`ReactorNet`]) the live runtime runs on, the [`Transport`]
+//!   abstraction with an in-process channel backend ([`ThreadNet`]) and a
+//!   localhost TCP backend ([`TcpNet`]), plus the [`live::drive`] bridge
+//!   that runs the unmodified node handlers outside any engine so a live
+//!   scheduler can perform their actions as actual I/O.
 //! * [`link`] — per-link latency, jitter and bandwidth (simulation only;
 //!   live links are as fast as the kernel and the wire).
 //! * [`topology`] — the Fig. 3 WAN testbed, complete graphs and the Fig. 5

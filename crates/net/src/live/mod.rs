@@ -28,6 +28,12 @@
 //!   real I/O (send on the transport, arm a wall-clock timer) instead of
 //!   scheduling simulated events.
 //!
+//! `teechain::live::LiveCluster` runs only on the reactor's sink mode
+//! ([`ReactorNet::localhost_sink`]). [`ThreadNet`], [`TcpNet`] and the
+//! reactor's [`Transport`] mode stay because the repo benchmark's
+//! transport probes (`benchmark/src/probes.rs`) measure them; they can go
+//! once that benchmark stops naming them.
+//!
 //! What deliberately does **not** carry over from the simulation: link
 //! latency models (the kernel and the wire provide the real thing), the
 //! single-server CPU queue ([`NodeAction::Busy`] is accounting advice a
