@@ -1,12 +1,13 @@
-//! Criterion micro-benchmarks of the substrates: crypto primitives, the
-//! codec's byte vectors, a sealed message's way to and from the wire, the
-//! three handler turns of a payment, transaction validation, the
+//! Criterion micro-benchmarks of the substrates: crypto primitives, one
+//! side of the session handshake, the codec's byte vectors, a sealed
+//! message's way to and from the wire, the three handler turns of a
+//! payment, transaction validation, the
 //! multi-hop signing layer (τ's txid and one hop's sign step) and a real
 //! end-to-end enclave payment. The `codec`, `wire` and `turn` rows also
 //! print the heap traffic of one iteration (`heap <row> <allocations>
 //! <bytes>`), counted by [`teechain_bench::alloc_count`].
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
 use teechain::msg::{ProtocolMsg, WireMsg};
 use teechain::session::Session;
@@ -52,9 +53,59 @@ fn crypto(c: &mut Criterion) {
     g.bench_function("schnorr_verify", |b| {
         b.iter(|| schnorr::verify(&kp.pk, black_box(&data), &sig))
     });
+    // k distinct keys over distinct messages: one multi-scalar pass each,
+    // against k × `schnorr_verify`.
+    for k in [2u8, 3, 4, 8] {
+        let items: Vec<(PublicKey, Vec<u8>, schnorr::Signature)> = (0..k)
+            .map(|i| {
+                let kp = Keypair::from_seed(&[i + 1; 32]);
+                let msg = vec![i; 256];
+                let sig = kp.sign(&msg);
+                (kp.pk, msg, sig)
+            })
+            .collect();
+        g.bench_with_input(
+            BenchmarkId::new("schnorr_batch_verify", k),
+            &items,
+            |b, items| b.iter(|| assert!(schnorr::verify_batch(black_box(items)))),
+        );
+    }
     let aead = Aead::new(&[7; 32]);
     g.bench_function("aead_seal_256B", |b| {
         b.iter(|| aead.seal(1, b"", black_box(&data)))
+    });
+    g.finish();
+}
+
+/// One side of the Alg. 1 handshake: the measurement and binding checks,
+/// then one batch over the device certificate, the quote signature and
+/// the transcript signature.
+fn session(c: &mut Criterion) {
+    use teechain::session::{expected_quote_binding, make_handshake, verify_handshake};
+    use teechain_tee::{Measurement, TrustRoot};
+    let mut g = c.benchmark_group("session");
+    let root = TrustRoot::new(9);
+    let measurement = Measurement::of_program("teechain", 1);
+    let (id, eph, peer) = (
+        Keypair::from_seed(&[1; 32]),
+        Keypair::from_seed(&[2; 32]),
+        Keypair::from_seed(&[3; 32]).pk,
+    );
+    let quote = root
+        .issue_device(1)
+        .quote(measurement, expected_quote_binding(&id.pk, &eph.pk));
+    let hs = make_handshake("teechain/hello", &id, &eph, &peer, quote);
+    g.bench_function("verify_handshake", |b| {
+        b.iter(|| {
+            verify_handshake(
+                "teechain/hello",
+                black_box(&hs),
+                &peer,
+                &root.public_key(),
+                &measurement,
+            )
+            .unwrap()
+        })
     });
     g.finish();
 }
@@ -358,6 +409,6 @@ fn enclave_payment(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = crypto, symmetric, codec, wire, turn, secp256k1, blockchain, tau, enclave_payment
+    targets = crypto, session, symmetric, codec, wire, turn, secp256k1, blockchain, tau, enclave_payment
 );
 criterion_main!(benches);

@@ -18,10 +18,11 @@
 //! settlement, swaps — is the same choreography the simulated
 //! [`Cluster`](crate::testkit::Cluster) runs. A submission is one
 //! request/reply round trip into the node's inbox (`LiveReq::Submit`);
-//! resolution polls the node's published completion stream and declares
-//! the operation dead after [`DEFAULT_OP_TIMEOUT`]. Receivers stay
-//! `&self`, so many threads can drive one cluster: bind
-//! `let mut net = &cluster;` to call the trait's methods.
+//! resolution waits on the node's completion signal, which the worker
+//! fires right after it publishes, and declares the operation dead after
+//! [`DEFAULT_OP_TIMEOUT`]. Receivers stay `&self`, so many threads can
+//! drive one cluster: bind `let mut net = &cluster;` to call the trait's
+//! methods.
 //!
 //! # How a node runs live
 //!
@@ -57,7 +58,7 @@
 //! protocol at hardware speed — `cargo run --release -p teechain-bench
 //! --bin live` measures it.
 
-use crate::live_sched::Sched;
+use crate::live_sched::{Published, Sched};
 use crate::node::{SharedChain, TeechainNode};
 use crate::ops::{Completion, OpError, OpId, OpOutput, Payment, Pending, Request};
 use crate::testkit::{build_wired_nodes, Harness};
@@ -174,7 +175,7 @@ pub struct LiveCluster {
     pub chain2: SharedChain,
     /// Durable stores per node (persistent mode), harness-owned.
     pub stores: Vec<Option<SharedStore>>,
-    completions: Vec<Arc<Mutex<Vec<Completion>>>>,
+    completions: Vec<Arc<Published>>,
     epoch: Instant,
     sched: Sched,
 }
@@ -248,7 +249,7 @@ impl LiveCluster {
     /// Node `i`'s published completion stream so far, in resolution
     /// order.
     pub fn completions(&self, i: usize) -> Vec<Completion> {
-        self.completions[i].lock().clone()
+        self.completions[i].snapshot()
     }
 
     /// Drains node `i`'s published completion stream, returning
@@ -259,7 +260,7 @@ impl LiveCluster {
     /// [`LiveCluster::completion_log`] and [`Harness::resolve`] — only
     /// drain operations you correlate yourself.
     pub fn take_completions(&self, i: usize) -> Vec<Completion> {
-        std::mem::take(&mut *self.completions[i].lock())
+        self.completions[i].take()
     }
 
     /// The cluster-wide completion history, merged by
@@ -270,15 +271,6 @@ impl LiveCluster {
         let streams: Vec<Vec<Completion>> = (0..self.len()).map(|i| self.completions(i)).collect();
         let views: Vec<&[Completion]> = streams.iter().map(|s| s.as_slice()).collect();
         crate::ops::merge_completions(&views)
-    }
-
-    /// The published outcome of `op`, if it has resolved.
-    fn outcome(&self, op: OpId) -> Option<Result<OpOutput, OpError>> {
-        let stream = self.completions[op.node as usize].lock();
-        stream
-            .iter()
-            .find(|c| c.op == op)
-            .map(|c| c.outcome.clone())
     }
 
     // ---- Forwarders to the `Harness` choreography ----
@@ -366,22 +358,20 @@ impl Harness for &LiveCluster {
         })
     }
 
-    /// Polls the node's published stream until the completion exists or
-    /// [`DEFAULT_OP_TIMEOUT`] passes; then the operation is declared
-    /// dead on its node and the typed [`OpError::Timeout`] is recorded —
-    /// the live analogue of the simulator's quiescence resolution.
+    /// Waits on the node's completion signal until the completion is
+    /// published or [`DEFAULT_OP_TIMEOUT`] passes; then the operation is
+    /// declared dead on its node and the typed [`OpError::Timeout`] is
+    /// recorded — the live analogue of the simulator's quiescence
+    /// resolution.
     fn resolve(&mut self, op: OpId) -> Result<OpOutput, OpError> {
-        let deadline = Instant::now() + DEFAULT_OP_TIMEOUT;
-        while Instant::now() < deadline {
-            if let Some(outcome) = self.outcome(op) {
-                return outcome;
-            }
-            std::thread::sleep(Duration::from_micros(200));
+        let published = &self.completions[op.node as usize];
+        if let Some(outcome) = published.wait(op, Instant::now() + DEFAULT_OP_TIMEOUT) {
+            return outcome;
         }
         self.ask(op.node as usize, |reply| LiveReq::ResolveDead { op, reply });
         // Either the node just recorded the timeout completion, or the
         // real one landed in the race window — read back whichever won.
-        self.outcome(op).unwrap_or(Err(OpError::Timeout {
+        published.outcome(op).unwrap_or(Err(OpError::Timeout {
             at_ns: self.now_ns(),
         }))
     }
@@ -432,6 +422,80 @@ mod tests {
         });
         assert_eq!(live.ids, sim.ids);
         live.shutdown();
+    }
+
+    /// Four resolvers share one cluster, each building and paying over its
+    /// own channel, with two workers publishing. A wake-up lost between a
+    /// resolver's look at the stream and its park would stall that
+    /// operation for the whole [`DEFAULT_OP_TIMEOUT`]; the run takes well
+    /// under a second, so a watchdog below the timeout catches it.
+    #[test]
+    fn concurrent_resolvers_lose_no_wake_up() {
+        const THREADS: usize = 4;
+        const PAYMENTS: u64 = 200;
+        let net = Arc::new(
+            LiveCluster::over_reactor(LiveConfig {
+                n: 2 * THREADS,
+                workers: 2,
+                ..LiveConfig::default()
+            })
+            .expect("bind reactor listener"),
+        );
+        let (done_tx, done_rx) = mpsc::channel();
+        let resolvers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (net, done_tx) = (net.clone(), done_tx.clone());
+                std::thread::spawn(move || {
+                    let (payer, payee) = (2 * t, 2 * t + 1);
+                    let chan =
+                        net.standard_channel(payer, payee, &format!("wake-{t}"), 1_000_000, 1);
+                    let mut h = &*net;
+                    for amount in 1..=PAYMENTS {
+                        let pending = net.submit_pay(payer, chan, amount);
+                        let op = pending.op;
+                        let receipt = h.wait(pending).expect("payment resolves Ok");
+                        assert_eq!(receipt.amount, amount);
+                        done_tx.send(op).expect("test thread alive");
+                    }
+                    chan
+                })
+            })
+            .collect();
+        drop(done_tx);
+        let deadline = Instant::now() + DEFAULT_OP_TIMEOUT / 2;
+        let mut ops = Vec::new();
+        while ops.len() < THREADS * PAYMENTS as usize {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match done_rx.recv_timeout(left) {
+                Ok(op) => ops.push(op),
+                Err(e) => panic!("{} payments resolved: {e}", ops.len()),
+            }
+        }
+        let chans: Vec<ChannelId> = resolvers
+            .into_iter()
+            .map(|r| r.join().expect("resolver thread"))
+            .collect();
+        // Each payment completed exactly once.
+        let log = net.completion_log();
+        for op in &ops {
+            assert_eq!(log.iter().filter(|c| c.op == *op).count(), 1, "{op:?}");
+        }
+        // An op already published resolves without parking.
+        let mut h = &*net;
+        let again = Instant::now();
+        assert!(h.resolve(ops[0]).is_ok());
+        assert!(again.elapsed() < Duration::from_secs(1));
+        let net = Arc::into_inner(net).expect("resolvers joined");
+        let nodes = net.shutdown();
+        let paid = PAYMENTS * (PAYMENTS + 1) / 2;
+        for (t, chan) in chans.iter().enumerate() {
+            let c = nodes[2 * t]
+                .enclave
+                .program()
+                .and_then(|p| p.channel(chan))
+                .expect("channel exists");
+            assert_eq!((c.my_bal, c.remote_bal), (1_000_000 - paid, paid));
+        }
     }
 
     #[test]

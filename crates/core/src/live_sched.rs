@@ -32,8 +32,7 @@
 
 use crate::live::{Input, LiveConfig, LiveReq};
 use crate::node::TeechainNode;
-use crate::ops::Completion;
-use parking_lot::Mutex as PlMutex;
+use crate::ops::{Completion, OpError, OpId, OpOutput};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -66,7 +65,94 @@ struct Cell {
     /// only after shutdown extracts the node.
     state: Mutex<Option<NodeState>>,
     /// Published completion stream (shared with the harness).
-    done: Arc<PlMutex<Vec<Completion>>>,
+    done: Arc<Published>,
+}
+
+/// A node's published completion stream and its completion signal. The
+/// worker that drives the node appends; harness threads read, drain, or
+/// wait for one operation's completion.
+pub(crate) struct Published {
+    stream: Mutex<Stream>,
+    /// Notified after an append that found a waiter.
+    signal: Condvar,
+}
+
+struct Stream {
+    done: Vec<Completion>,
+    /// Threads parked on `signal`. Counted under the stream mutex, so an
+    /// append that reads zero makes no system call and wakes nobody who
+    /// has not yet looked at the stream.
+    waiters: usize,
+}
+
+impl Published {
+    fn new() -> Published {
+        Published {
+            stream: Mutex::new(Stream {
+                done: Vec::new(),
+                waiters: 0,
+            }),
+            signal: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Stream> {
+        self.stream.lock().expect("completion stream")
+    }
+
+    /// Appends fresh completions and wakes the threads waiting, if any.
+    fn publish(&self, fresh: Vec<Completion>) {
+        let mut stream = self.lock();
+        stream.done.extend(fresh);
+        let wake = stream.waiters > 0;
+        drop(stream);
+        if wake {
+            self.signal.notify_all();
+        }
+    }
+
+    /// The stream so far, in resolution order.
+    pub(crate) fn snapshot(&self) -> Vec<Completion> {
+        self.lock().done.clone()
+    }
+
+    /// Drains the stream.
+    pub(crate) fn take(&self) -> Vec<Completion> {
+        std::mem::take(&mut self.lock().done)
+    }
+
+    /// The published outcome of `op`, if it has resolved. Scans newest
+    /// first: a resolver usually asks for what just completed.
+    pub(crate) fn outcome(&self, op: OpId) -> Option<Result<OpOutput, OpError>> {
+        find(&self.lock().done, op)
+    }
+
+    /// Waits until `op`'s completion is published or `deadline` passes;
+    /// `None` on the deadline. An outcome already published returns at
+    /// once, without parking.
+    pub(crate) fn wait(&self, op: OpId, deadline: Instant) -> Option<Result<OpOutput, OpError>> {
+        let mut stream = self.lock();
+        loop {
+            if let Some(outcome) = find(&stream.done, op) {
+                return Some(outcome);
+            }
+            let left = deadline.checked_duration_since(Instant::now())?;
+            stream.waiters += 1;
+            stream = self
+                .signal
+                .wait_timeout(stream, left)
+                .expect("completion stream wait")
+                .0;
+            stream.waiters -= 1;
+        }
+    }
+}
+
+fn find(done: &[Completion], op: OpId) -> Option<Result<OpOutput, OpError>> {
+    done.iter()
+        .rev()
+        .find(|c| c.op == op)
+        .map(|c| c.outcome.clone())
 }
 
 /// The mutable per-node state a worker owns while driving the node.
@@ -210,7 +296,7 @@ impl Shared {
         }
         let fresh = std::mem::take(&mut st.node.completions);
         if !fresh.is_empty() {
-            self.cells[node].done.lock().extend(fresh);
+            self.cells[node].done.publish(fresh);
         }
         st.node.events.clear();
     }
@@ -304,7 +390,7 @@ impl Sched {
                     inbox: Mutex::new(VecDeque::new()),
                     queued: AtomicBool::new(false),
                     state: Mutex::new(None),
-                    done: Arc::new(PlMutex::new(Vec::new())),
+                    done: Arc::new(Published::new()),
                 })
                 .collect(),
             runq: Mutex::new(VecDeque::new()),
@@ -367,7 +453,7 @@ impl Sched {
     }
 
     /// The per-node published completion streams (shared handles).
-    pub(crate) fn completion_handles(&self) -> Vec<Arc<PlMutex<Vec<Completion>>>> {
+    pub(crate) fn completion_handles(&self) -> Vec<Arc<Published>> {
         self.shared.cells.iter().map(|c| c.done.clone()).collect()
     }
 

@@ -14,6 +14,9 @@
 //!   `P` and then walks the fixed-base table into the *same* accumulator, so
 //!   the result is never split into two points that must be normalised and
 //!   joined.
+//! * **Multi** ([`base_multi_mul`]): `a·G + Σ kᵢ·Pᵢ` interleaves the wNAF
+//!   passes of all the `Pᵢ` over one shared chain of doublings, then walks
+//!   the table the same way — the batch verifier's one pass.
 
 use crate::field::Fe;
 use crate::modarith::fn_order;
@@ -212,23 +215,15 @@ impl Jacobian {
         if k.is_zero() || self.is_infinity() {
             return Jacobian::INFINITY;
         }
-        // odd[i] = (2i + 1)·P.
-        let twice = self.double();
-        let mut odd = [*self; 1 << (WNAF_WIDTH - 2)];
-        for i in 1..odd.len() {
-            odd[i] = odd[i - 1].add(&twice);
-        }
-        let mut acc = Jacobian::INFINITY;
-        for &digit in wnaf(k).iter().rev() {
-            acc = acc.double();
+        let odd = odd_multiples(self);
+        wnaf_chain(&[wnaf(k)], |acc, _, digit| {
             let multiple = &odd[usize::from(digit.unsigned_abs() / 2)];
-            match digit.signum() {
-                1 => acc = acc.add(multiple),
-                -1 => acc = acc.add(&multiple.neg()),
-                _ => {}
+            if digit > 0 {
+                acc.add(multiple)
+            } else {
+                acc.add(&multiple.neg())
             }
-        }
-        acc
+        })
     }
 
     /// Converts to affine coordinates (`None` for infinity); one inversion.
@@ -280,6 +275,46 @@ fn wnaf(k: &U256) -> [i8; 257] {
     }
     digits[256] = carry as i8;
     digits
+}
+
+/// Odd multiples per table of a width-5 wNAF pass.
+const ODD: usize = 1 << (WNAF_WIDTH - 2);
+
+/// `P, 3P, …, 15P`: the multiples a width-5 digit selects.
+fn odd_multiples(p: &Jacobian) -> [Jacobian; ODD] {
+    let twice = p.double();
+    let mut odd = [*p; ODD];
+    for i in 1..ODD {
+        odd[i] = odd[i - 1].add(&twice);
+    }
+    odd
+}
+
+/// The doubling chain of a wNAF pass over one or more scalars' digits:
+/// top digit position down, double the accumulator, then hand it to `add`
+/// with each term's nonzero digit there (`add(acc, term, digit)`). Terms
+/// that share the pass share the doublings, as long as the longest scalar.
+fn wnaf_chain(
+    digits: &[[i8; 257]],
+    mut add: impl FnMut(Jacobian, usize, i8) -> Jacobian,
+) -> Jacobian {
+    let Some(top) = digits
+        .iter()
+        .filter_map(|d| d.iter().rposition(|&x| x != 0))
+        .max()
+    else {
+        return Jacobian::INFINITY;
+    };
+    let mut acc = Jacobian::INFINITY;
+    for i in (0..=top).rev() {
+        acc = acc.double();
+        for (term, d) in digits.iter().enumerate() {
+            if d[i] != 0 {
+                acc = add(acc, term, d[i]);
+            }
+        }
+    }
+    acc
 }
 
 /// Converts points to affine with a single field inversion (Montgomery's
@@ -352,6 +387,33 @@ pub fn base_mul(k: &U256) -> Jacobian {
 /// one accumulator: the wNAF pass over `P`, then the table walk for `G`.
 pub fn base_double_mul(a: &U256, b: &U256, p: &Affine) -> Jacobian {
     base_mul_onto(p.to_jacobian().scalar_mul(b), a)
+}
+
+/// Multi-scalar multiplication `a·G + Σ kᵢ·Pᵢ` (the batch verifier's
+/// sum) into one accumulator: one interleaved wNAF pass over every `Pᵢ`,
+/// then the table walk for `G`. However many terms, there is one chain of
+/// doublings; each term adds its odd multiples (1 doubling, 7 additions)
+/// and about one addition per six bits of its scalar, so a 128-bit scalar
+/// costs half a 256-bit one. All the terms' multiples are normalised with
+/// one shared inversion, so the pass adds them mixed (8M + 3S, not
+/// 12M + 4S).
+pub fn base_multi_mul(a: &U256, terms: &[(U256, Affine)]) -> Jacobian {
+    let odd: Vec<Jacobian> = terms
+        .iter()
+        .flat_map(|(_, p)| odd_multiples(&p.to_jacobian()))
+        .collect();
+    // No odd multiple is infinity: each is (2i + 1)·P with 2i + 1 < n.
+    let odd = batch_to_affine(&odd);
+    let digits: Vec<[i8; 257]> = terms.iter().map(|(k, _)| wnaf(k)).collect();
+    let acc = wnaf_chain(&digits, |acc, term, digit| {
+        let multiple = odd[term * ODD + usize::from(digit.unsigned_abs() / 2)];
+        if digit > 0 {
+            acc.add_affine(&multiple)
+        } else {
+            acc.add_affine(&multiple.neg())
+        }
+    });
+    base_mul_onto(acc, a)
 }
 
 /// The group order as a scalar-context convenience.
@@ -503,6 +565,44 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn multi_mul_matches_the_ladder_on_edge_scalars() {
+        let points: Vec<Affine> = [3u64, 0xdead_beef, 0x1234_5678_9abc]
+            .iter()
+            .map(|&x| base_mul(&U256::from_u64(x)).to_affine().unwrap())
+            .collect();
+        let ladder_sum = |a: &U256, terms: &[(U256, Affine)]| {
+            terms.iter().fold(ladder_mul(&g(), a), |acc, (k, p)| {
+                acc.add(&ladder_mul(&p.to_jacobian(), k))
+            })
+        };
+        let scalars = edge_scalars();
+        for (i, a) in scalars.iter().enumerate() {
+            // No terms at all is the fixed-base walk alone.
+            assert_eq!(base_multi_mul(a, &[]).to_affine(), base_mul(a).to_affine());
+            let terms: Vec<(U256, Affine)> = (0..points.len())
+                .map(|j| (scalars[(i + j + 1) % scalars.len()], points[j]))
+                .collect();
+            assert_eq!(
+                base_multi_mul(a, &terms).to_affine(),
+                ladder_sum(a, &terms).to_affine(),
+                "multi_mul {a}"
+            );
+            assert_eq!(
+                base_multi_mul(a, &terms[..1]).to_affine(),
+                base_double_mul(a, &terms[0].0, &terms[0].1).to_affine()
+            );
+        }
+        // Terms that cancel: k·P + k·(−P) vanishes, leaving a·G.
+        let k = scalars[10];
+        let cancel = [(k, points[1]), (k, points[1].neg())];
+        assert!(base_multi_mul(&U256::ZERO, &cancel).is_infinity());
+        assert_eq!(
+            base_multi_mul(&k, &cancel).to_affine(),
+            base_mul(&k).to_affine()
+        );
     }
 
     #[test]
@@ -674,6 +774,32 @@ mod tests {
                 base_double_mul(&a, &b, &p_affine).to_affine(),
                 ladder_mul(&g(), &a).add(&ladder_mul(&p, &b)).to_affine()
             );
+        }
+
+        #[test]
+        fn prop_multi_mul_matches_the_ladder(
+            a in any::<[u64; 4]>(),
+            // Per term: four scalar limbs, a point seed, and a coin that
+            // halves the scalar's width, as the batch verifier's weights are.
+            terms in proptest::collection::vec(any::<[u64; 6]>(), 0..5),
+        ) {
+            let terms: Vec<(U256, Affine)> = terms
+                .iter()
+                .map(|t| {
+                    let mut k = [t[0], t[1], t[2], t[3]];
+                    if t[5] & 1 == 1 {
+                        k[2] = 0;
+                        k[3] = 0;
+                    }
+                    let p = base_mul(&U256::from_u64(t[4].max(1))).to_affine().unwrap();
+                    (U256 { limbs: k }, p)
+                })
+                .collect();
+            let a = U256 { limbs: a };
+            let expected = terms.iter().fold(ladder_mul(&g(), &a), |acc, (k, p)| {
+                acc.add(&ladder_mul(&p.to_jacobian(), k))
+            });
+            prop_assert_eq!(base_multi_mul(&a, &terms).to_affine(), expected.to_affine());
         }
 
         #[test]

@@ -1,5 +1,7 @@
 //! SHA-256 (FIPS 180-4), HMAC-SHA256 (RFC 2104) and HKDF (RFC 5869).
 
+use std::sync::OnceLock;
+
 /// Incremental SHA-256 hasher.
 #[derive(Clone)]
 pub struct Sha256 {
@@ -154,13 +156,38 @@ pub fn sha256_concat(parts: &[&[u8]]) -> [u8; 32] {
 /// the construction used by BIP-340 and reused here for nonce/challenge
 /// derivation and enclave state digests.
 pub fn tagged_hash(tag: &str, parts: &[&[u8]]) -> [u8; 32] {
-    let tag_digest = sha256(tag.as_bytes());
-    let mut h = Sha256::new();
-    h.update(&tag_digest).update(&tag_digest);
+    let mut h = tagged_prefix(tag);
     for p in parts {
         h.update(p);
     }
     h.finalize()
+}
+
+/// A hasher that has absorbed `SHA256(tag) || SHA256(tag)`: exactly one
+/// block, so the state is a midstate with an empty buffer. The crate's own
+/// tags — every key derivation, signature and verification hashes under
+/// one of them — are prefixed once per process and cloned after that,
+/// which saves two compressions per call; any other tag is prefixed on
+/// the spot.
+pub(crate) fn tagged_prefix(tag: &str) -> Sha256 {
+    fn prefixed(tag: &str) -> Sha256 {
+        let tag_digest = sha256(tag.as_bytes());
+        let mut h = Sha256::new();
+        h.update(&tag_digest).update(&tag_digest);
+        h
+    }
+    static KEYGEN: OnceLock<Sha256> = OnceLock::new();
+    static NONCE: OnceLock<Sha256> = OnceLock::new();
+    static CHALLENGE: OnceLock<Sha256> = OnceLock::new();
+    static BATCH: OnceLock<Sha256> = OnceLock::new();
+    let cached = match tag {
+        "teechain/keygen" => &KEYGEN,
+        "teechain/nonce" => &NONCE,
+        "teechain/challenge" => &CHALLENGE,
+        "teechain/batch" => &BATCH,
+        _ => return prefixed(tag),
+    };
+    cached.get_or_init(|| prefixed(tag)).clone()
 }
 
 /// HMAC-SHA256.
@@ -171,13 +198,12 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
     } else {
         key_block[..key.len()].copy_from_slice(key);
     }
+    let pad = |byte: u8| key_block.map(|b| b ^ byte);
     let mut inner = Sha256::new();
-    let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad).update(data);
+    inner.update(&pad(0x36)).update(data);
     let inner_digest = inner.finalize();
     let mut outer = Sha256::new();
-    let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad).update(&inner_digest);
+    outer.update(&pad(0x5c)).update(&inner_digest);
     outer.finalize()
 }
 
@@ -310,6 +336,32 @@ mod tests {
     #[test]
     fn tagged_hash_separates_domains() {
         assert_ne!(tagged_hash("a", &[b"x"]), tagged_hash("b", &[b"x"]));
+    }
+
+    #[test]
+    fn cached_tag_prefixes_hash_like_the_definition() {
+        let long: Vec<u8> = (0..=255).collect();
+        for tag in [
+            "teechain/keygen",
+            "teechain/nonce",
+            "teechain/challenge",
+            "teechain/batch",
+            "teechain/not-cached",
+        ] {
+            let t = sha256(tag.as_bytes());
+            for parts in [&[][..], &[&b"x"[..], &long[..]][..]] {
+                let mut spelled_out = vec![&t[..], &t[..]];
+                spelled_out.extend_from_slice(parts);
+                // Twice: the first call may fill the cache, the second reads it.
+                for _ in 0..2 {
+                    assert_eq!(
+                        tagged_hash(tag, parts),
+                        sha256_concat(&spelled_out),
+                        "{tag}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -120,20 +120,34 @@ impl Quote {
     /// Verifies the quote against the manufacturer key, checking both the
     /// device endorsement and the quote signature.
     pub fn verify(&self, manufacturer: &PublicKey) -> bool {
-        schnorr::verify(
-            manufacturer,
-            &device_cert_msg(&self.device_pk),
-            &self.device_cert,
-        ) && schnorr::verify(
-            &self.device_pk,
-            &quote_msg(&self.measurement, &self.report_data),
-            &self.sig,
-        )
+        self.signatures(manufacturer)
+            .iter()
+            .all(|(pk, msg, sig)| schnorr::verify(pk, msg, sig))
     }
 
-    /// Verifies the quote and additionally pins the expected measurement —
-    /// the check every Teechain TEE performs before opening a secure
-    /// channel to a peer.
+    /// The quote's two signature checks as `(key, message, signature)`:
+    /// the manufacturer's endorsement of the device key, then the device's
+    /// signature over (measurement, report data). [`Quote::verify`] checks
+    /// them one by one; a verifier with more signatures to check passes
+    /// them to [`schnorr::verify_batch`] with its own.
+    pub fn signatures(&self, manufacturer: &PublicKey) -> [(PublicKey, Vec<u8>, Signature); 2] {
+        [
+            (
+                *manufacturer,
+                device_cert_msg(&self.device_pk),
+                self.device_cert,
+            ),
+            (
+                self.device_pk,
+                quote_msg(&self.measurement, &self.report_data),
+                self.sig,
+            ),
+        ]
+    }
+
+    /// Verifies the quote and additionally pins the expected measurement.
+    /// (A Teechain handshake makes the same checks, with the two
+    /// signatures batched together with its transcript signature.)
     pub fn verify_for(&self, manufacturer: &PublicKey, expected: &Measurement) -> bool {
         self.measurement == *expected && self.verify(manufacturer)
     }
@@ -197,6 +211,22 @@ mod tests {
         let mut q = dev.quote(Measurement::of_program("teechain", 1), [9u8; 64]);
         q.measurement = Measurement::of_program("teechain", 2);
         assert!(!q.verify(&root.public_key()));
+    }
+
+    #[test]
+    fn a_batch_of_the_quote_signatures_agrees_with_verify() {
+        let (root, dev) = setup();
+        let q = dev.quote(Measurement::of_program("teechain", 1), [9u8; 64]);
+        assert!(schnorr::verify_batch(&q.signatures(&root.public_key())));
+        let rogue = TrustRoot::new(99).issue_device(1);
+        let mut forged_cert = q.clone();
+        forged_cert.device_cert = rogue.quote(q.measurement, q.report_data).device_cert;
+        let mut tampered = q.clone();
+        tampered.report_data[0] ^= 1;
+        for bad in [forged_cert, tampered] {
+            assert!(!bad.verify(&root.public_key()));
+            assert!(!schnorr::verify_batch(&bad.signatures(&root.public_key())));
+        }
     }
 
     #[test]
