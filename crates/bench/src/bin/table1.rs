@@ -4,6 +4,11 @@
 //! strategy, with and without 100 ms client-side batching. The Lightning
 //! row uses the lnd figures measured in the paper (see
 //! `teechain_baselines::ln::perf`).
+//!
+//! Every row's throughput and window-1 latency percentiles go into the
+//! artifact's `metrics` as `<row>_tx_s`, `<row>_p50_ms` and
+//! `<row>_p99_ms`; the simulator is deterministic, so CI gates the quick
+//! rows against the committed artifact at a 1 % threshold.
 
 use teechain_bench::harness::Job;
 use teechain_bench::report::{fmt_thousands, BenchJson, Table};
@@ -18,6 +23,7 @@ type Latency = std::collections::BTreeMap<String, Histogram>;
 struct RowResult {
     throughput: f64,
     mean_ms: f64,
+    p50_ms: f64,
     p99_ms: f64,
     op_errors: OpErrors,
     latency: Latency,
@@ -72,6 +78,7 @@ fn run_row(ft: FtMode, batching: bool, seed: u64, trace: bool) -> RowResult {
     RowResult {
         throughput,
         mean_ms: stats.mean_ms,
+        p50_ms: stats.p50_ms,
         p99_ms: stats.p99_ms,
         op_errors,
         latency,
@@ -94,50 +101,69 @@ fn main() {
         fmt_thousands(teechain_baselines::ln::perf::MAX_TX_PER_SEC),
         "387 [420]".into(),
     ]);
-    let rows: Vec<(&str, FtMode, bool)> = if quick {
-        vec![
-            ("Teechain, no fault tolerance", FtMode::None, false),
-            ("Teechain, one replica (IL)", FtMode::Replicas(1), false),
-        ]
-    } else {
-        vec![
-            ("Teechain, no fault tolerance", FtMode::None, false),
-            ("Teechain, one replica (IL)", FtMode::Replicas(1), false),
-            (
-                "Teechain, two replicas (IL & UK)",
-                FtMode::Replicas(2),
-                false,
-            ),
-            (
-                "Teechain, three replicas (IL, US & UK)",
-                FtMode::Replicas(3),
-                false,
-            ),
-            ("Teechain, stable storage", FtMode::StableStorage, false),
-            (
-                "Teechain, batching (no fault tolerance)",
-                FtMode::None,
-                true,
-            ),
-            (
-                "Teechain, batching (two replicas)",
-                FtMode::Replicas(2),
-                true,
-            ),
-            (
-                "Teechain, batching (stable storage)",
-                FtMode::StableStorage,
-                true,
-            ),
-        ]
-    };
+    // (label, metrics key, fault tolerance, batching)
+    let mut rows: Vec<(&str, &str, FtMode, bool)> = vec![
+        ("Teechain, no fault tolerance", "no_ft", FtMode::None, false),
+        (
+            "Teechain, one replica (IL)",
+            "replicas1",
+            FtMode::Replicas(1),
+            false,
+        ),
+        (
+            "Teechain, two replicas (IL & UK)",
+            "replicas2",
+            FtMode::Replicas(2),
+            false,
+        ),
+        (
+            "Teechain, three replicas (IL, US & UK)",
+            "replicas3",
+            FtMode::Replicas(3),
+            false,
+        ),
+        (
+            "Teechain, stable storage",
+            "stable_storage",
+            FtMode::StableStorage,
+            false,
+        ),
+        (
+            "Teechain, batching (no fault tolerance)",
+            "batching_no_ft",
+            FtMode::None,
+            true,
+        ),
+        (
+            "Teechain, batching (two replicas)",
+            "batching_replicas2",
+            FtMode::Replicas(2),
+            true,
+        ),
+        (
+            "Teechain, batching (stable storage)",
+            "batching_stable_storage",
+            FtMode::StableStorage,
+            true,
+        ),
+    ];
+    if quick {
+        rows.truncate(2);
+    }
     let sink = TraceSink::from_args();
     let mut doc = BenchJson::new("table1");
+    doc.metric("quick", if quick { 1u64 } else { 0u64 }).metric(
+        "host_parallelism",
+        std::thread::available_parallelism().map_or(0, |p| p.get()),
+    );
     let mut trace = Vec::new();
-    for (i, (name, ft, batching)) in rows.into_iter().enumerate() {
+    for (i, (name, key, ft, batching)) in rows.into_iter().enumerate() {
         // The first (no-fault-tolerance) row is the one --trace-out records.
         let r = run_row(ft, batching, 1234, sink.active() && i == 0);
         doc.op_errors(&r.op_errors).latency(&r.latency);
+        doc.metric(&format!("{key}_tx_s"), r.throughput)
+            .metric(&format!("{key}_p50_ms"), r.p50_ms)
+            .metric(&format!("{key}_p99_ms"), r.p99_ms);
         if !r.trace.is_empty() {
             trace = r.trace;
         }

@@ -486,6 +486,8 @@ pub struct RunStats {
     pub throughput: f64,
     /// Mean latency (ms).
     pub mean_ms: f64,
+    /// Median latency (ms).
+    pub p50_ms: f64,
     /// 99th-percentile latency (ms).
     pub p99_ms: f64,
     /// Average hops per completed multi-hop payment.
@@ -703,6 +705,7 @@ impl BenchCluster {
             duration_ns,
             throughput,
             mean_ms: lat.mean() / 1e6,
+            p50_ms: lat.p50() as f64 / 1e6,
             p99_ms: lat.p99() as f64 / 1e6,
             avg_hops: if mh > 0 {
                 hops_total as f64 / mh as f64

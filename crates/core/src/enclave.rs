@@ -246,11 +246,11 @@ pub enum Command {
         /// Sealed WAL records from [`Effect::AppendLog`], oldest first.
         log: Vec<Vec<u8>>,
     },
-    /// Pumps the admission layer: expires queued/deferred ops past their
-    /// deadline, drains any unlocked channel with a backlog, and
-    /// re-dispatches messages stashed while the monotonic counter was
-    /// throttled (persistent mode, §6.2). The host calls this at the
-    /// time given by [`HostEvent::PumpAt`].
+    /// Pumps the enclave: sends the ack a chain tail owes, expires
+    /// queued/deferred ops past their deadline, drains any unlocked
+    /// channel with a backlog, and re-dispatches messages stashed while
+    /// the monotonic counter was throttled (persistent mode, §6.2). The
+    /// host calls this at the time given by [`HostEvent::PumpAt`].
     PumpAdmission,
     /// Initiates a cross-chain atomic swap: trades `amount` of our
     /// balance on `channel` for `alt_amount` locked for us on the
@@ -460,9 +460,12 @@ pub enum HostEvent {
     },
     /// This enclave froze (force-freeze tripped or Byzantine suspicion).
     Frozen,
-    /// The admission layer wants a pump: call [`Command::PumpAdmission`]
-    /// at the given time (ns) — a queued-op deadline, or the monotonic
-    /// counter's `ready_at`. Hosts keep the earliest outstanding time.
+    /// The enclave wants a pump: call [`Command::PumpAdmission`] at the
+    /// given time (ns) — a queued-op deadline, the monotonic counter's
+    /// `ready_at`, or, for a chain tail that owes an ack, now (the pump
+    /// then runs after the input already delivered). Hosts keep the
+    /// earliest outstanding time; the node serves the request and does
+    /// not log it.
     PumpAt(u64),
     /// Crash recovery succeeded (answer to [`Command::Recover`]).
     Recovered {
@@ -976,7 +979,7 @@ impl TeechainEnclave {
             ProtocolMsg::MhAbort { route, reason } => self.on_mh_abort(env, from, route, reason),
             ProtocolMsg::RepAssign => self.on_rep_assign(env, peer),
             ProtocolMsg::RepAssignAck { member_key } => self.on_rep_assign_ack(peer, member_key),
-            ProtocolMsg::RepUpdate { seq, deltas } => self.on_rep_update(peer, seq, deltas),
+            ProtocolMsg::RepUpdate { seq, deltas } => self.on_rep_update(env, peer, seq, deltas),
             ProtocolMsg::RepAck { seq } => self.on_rep_ack(peer, seq),
             ProtocolMsg::RepFreeze => self.on_rep_freeze(peer),
             ProtocolMsg::SwapInit {
@@ -1232,6 +1235,11 @@ impl TeechainEnclave {
     #[cfg(test)]
     pub(crate) fn replica_book(&self) -> &DepositBook {
         &self.rep.replica.book
+    }
+
+    /// Replication counters: updates applied, acks sent, acks flushed.
+    pub(crate) fn rep_stats(&self) -> crate::replication::RepStats {
+        self.rep.stats
     }
 
     /// Admission-layer counters: enqueues, deferrals, batch sizes.

@@ -773,6 +773,9 @@ impl TeechainNode {
                     }
                     self.sealed_store = Some(blob);
                 }
+                // A request to schedule a callback, not a notification:
+                // it is served here and kept out of the event log.
+                Effect::Event(HostEvent::PumpAt(at)) => self.schedule_pump(ctx, at),
                 Effect::Event(event) => {
                     self.react(ctx, &event);
                     self.note_event(ctx.now_ns(), event);
@@ -823,10 +826,6 @@ impl TeechainNode {
                 if let Ok(Ok(effects)) = result {
                     self.perform(ctx, effects);
                 }
-            }
-            HostEvent::PumpAt(at) => {
-                let at = *at;
-                self.schedule_pump(ctx, at);
             }
             HostEvent::SwapFundingNeeded {
                 swap,
@@ -1077,6 +1076,11 @@ impl TeechainNode {
         r.counter("node.delivery_errors", self.delivery_errors.len() as u64);
         r.counter("node.throttle.parked", self.throttle_parked);
         r.counter("node.throttle.redispatched", self.throttle_redispatched);
+        if let Some(rep) = self.enclave.program().map(|p| p.rep_stats()) {
+            r.counter("repl.updates_applied", rep.updates_applied);
+            r.counter("repl.acks_sent", rep.acks_sent);
+            r.counter("repl.ack_flushes", rep.ack_flushes);
+        }
         r.counter("swap.phase.init", self.swap_phase_counts[0]);
         r.counter("swap.phase.locked", self.swap_phase_counts[1]);
         r.counter("swap.phase.redeemed", self.swap_phase_counts[2]);

@@ -29,6 +29,26 @@ use teechain_blockchain::Transaction;
 use teechain_crypto::schnorr::{self, Keypair, PublicKey};
 use teechain_tee::EnclaveEnv;
 
+/// Updates a chain tail applies before it must acknowledge them, even
+/// while more input is waiting. Without a bound the tail drains its whole
+/// backlog before acking, which holds back the head's effects for that
+/// long; with one, an ack releases at most this many updates' effects.
+pub const ACK_EVERY: u64 = 64;
+
+/// Per-member replication counters, surfaced through the node registry.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct RepStats {
+    /// Updates applied to this member's replica.
+    pub updates_applied: u64,
+    /// Acknowledgements sealed toward the head: as the tail, one per
+    /// [`ACK_EVERY`] updates or per drained input; in the middle of the
+    /// chain, one per ack forwarded.
+    pub acks_sent: u64,
+    /// Of those, the tail's acks sent because its input drained before
+    /// [`ACK_EVERY`] updates were owed.
+    pub ack_flushes: u64,
+}
+
 /// A transaction awaiting committee co-signatures.
 pub(crate) struct SigCollect {
     /// The partially signed transaction.
@@ -82,6 +102,12 @@ pub(crate) struct Replication {
     pub(crate) replica: DurableState,
     /// Highest update sequence applied to the replica.
     pub applied_seq: u64,
+    /// Updates applied as the chain tail and not yet acknowledged.
+    owed: u64,
+    /// Sequence of the newest of them (what the next ack names).
+    owed_seq: u64,
+    /// Counters for the node registry.
+    pub(crate) stats: RepStats,
 }
 
 impl TeechainEnclave {
@@ -151,6 +177,7 @@ impl TeechainEnclave {
 
     pub(crate) fn on_rep_update(
         &mut self,
+        env: &EnclaveEnv,
         from: Peer,
         seq: u64,
         deltas: Vec<StateDelta>,
@@ -167,18 +194,47 @@ impl TeechainEnclave {
             self.rep.replica.apply(d);
         }
         self.rep.applied_seq = seq;
-        match self.rep.backup {
+        self.rep.stats.updates_applied += 1;
+        if let Some(backup) = self.rep.backup {
             // Forward down the chain; ack upstream only when the tail has
             // applied (handled in on_rep_ack).
-            Some(backup) => {
-                let msg = ProtocolMsg::RepUpdate { seq, deltas };
-                Ok(vec![self.seal_at(backup.slot, &msg)?])
-            }
-            None => {
-                let msg = ProtocolMsg::RepAck { seq };
-                Ok(vec![self.seal_at(from.slot, &msg)?])
-            }
+            let msg = ProtocolMsg::RepUpdate { seq, deltas };
+            return Ok(vec![self.seal_at(backup.slot, &msg)?]);
         }
+        // The tail: the chain is FIFO and the head releases cumulatively,
+        // so one ack for the newest update covers every one before it. It
+        // goes out once `ACK_EVERY` are owed, or when the host calls back
+        // (`cmd_pump_admission`) after the input already delivered to us.
+        self.rep.owed += 1;
+        self.rep.owed_seq = seq;
+        if self.rep.owed >= ACK_EVERY {
+            return Ok(vec![self.seal_owed_ack()?]);
+        }
+        if self.rep.owed == 1 {
+            return Ok(vec![Effect::Event(HostEvent::PumpAt(env.now_ns()))]);
+        }
+        Ok(vec![])
+    }
+
+    /// Seals the ack the tail owes once its input has drained, if it owes
+    /// one.
+    pub(crate) fn flush_ack(&mut self) -> Result<Option<Effect>, ProtocolError> {
+        if self.rep.owed == 0 {
+            return Ok(None);
+        }
+        self.rep.stats.ack_flushes += 1;
+        self.seal_owed_ack().map(Some)
+    }
+
+    /// Acknowledges every update the tail owes with one ack for the newest.
+    fn seal_owed_ack(&mut self) -> Result<Effect, ProtocolError> {
+        let up = self.rep.upstream.ok_or(ProtocolError::ReplicationError)?;
+        self.rep.owed = 0;
+        self.rep.stats.acks_sent += 1;
+        let msg = ProtocolMsg::RepAck {
+            seq: self.rep.owed_seq,
+        };
+        self.seal_at(up.slot, &msg)
     }
 
     pub(crate) fn on_rep_ack(&mut self, from: Peer, seq: u64) -> Outcome {
@@ -187,19 +243,18 @@ impl TeechainEnclave {
         }
         if let Some(up) = self.rep.upstream {
             // Intermediate chain member: pass the ack toward the head.
+            self.rep.stats.acks_sent += 1;
             let msg = ProtocolMsg::RepAck { seq };
             return Ok(vec![self.seal_at(up.slot, &msg)?]);
         }
         // Chain head: release all effects gated at or below `seq`
         // (acks are cumulative because the chain is FIFO).
-        let released: Vec<u64> = self.rep.pending.range(..=seq).map(|(k, _)| *k).collect();
-        let mut out = Vec::new();
-        for k in released {
-            if let Some(effects) = self.rep.pending.remove(&k) {
-                out.extend(effects);
-            }
-        }
-        Ok(out)
+        let kept = seq
+            .checked_add(1)
+            .map(|next| self.rep.pending.split_off(&next))
+            .unwrap_or_default();
+        let released = std::mem::replace(&mut self.rep.pending, kept);
+        Ok(released.into_values().flatten().collect())
     }
 
     pub(crate) fn on_rep_freeze(&mut self, from: Peer) -> Outcome {
@@ -449,3 +504,6 @@ impl TeechainEnclave {
         }
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -114,12 +114,19 @@ impl Sha256 {
     /// Consumes the hasher and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros up to 56 mod 64, then the 64-bit length.
+        // It spills into a second block when the buffer holds > 55 bytes.
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0; 64];
         }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        let block = self.buf;
+        self.compress(&block);
         let mut out = [0u8; 32];
         for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
             chunk.copy_from_slice(&word.to_be_bytes());
@@ -300,6 +307,31 @@ mod tests {
             let mut h = Sha256::new();
             h.update(&data[..split]).update(&data[split..]);
             assert_eq!(h.finalize(), sha256(&data), "split at {split}");
+        }
+    }
+
+    /// Padding written in one step equals padding fed one byte at a time
+    /// through `update`, for every buffer fill: below 56 bytes the length
+    /// fits the last block, from 56 on it takes a second block.
+    #[test]
+    fn one_step_padding_matches_bytewise_padding() {
+        fn bytewise(data: &[u8]) -> [u8; 32] {
+            let mut h = Sha256::new();
+            h.update(data).update(&[0x80]);
+            while h.buf_len != 56 {
+                h.update(&[0]);
+            }
+            h.update(&((data.len() as u64) * 8).to_be_bytes());
+            assert_eq!(h.buf_len, 0);
+            let mut out = [0u8; 32];
+            for (chunk, word) in out.chunks_exact_mut(4).zip(h.state) {
+                chunk.copy_from_slice(&word.to_be_bytes());
+            }
+            out
+        }
+        let data: Vec<u8> = (0..=255).cycle().take(200).collect();
+        for len in 0..=data.len() {
+            assert_eq!(sha256(&data[..len]), bytewise(&data[..len]), "len {len}");
         }
     }
 
