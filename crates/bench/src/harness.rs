@@ -620,7 +620,6 @@ impl BenchCluster {
         for i in 0..self.sim.len() {
             let node = self.sim.node_mut(NodeId(i as u32));
             node.stats = DriverStats::default();
-            node.host.node.events.clear();
             node.host.node.completions.clear();
             node.admit_base = node
                 .host

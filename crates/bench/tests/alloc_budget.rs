@@ -42,9 +42,9 @@ const BUDGET: [AllocCounts; 3] = [
 fn a_direct_payment_stays_within_its_allocation_budget() {
     assert!(installed(), "the counting allocator is not installed");
     let mut crank = PayCrank::new();
-    // Past the point where the nodes' bounded event logs stop growing, so
-    // that no turn pays for a buffer doubling.
-    for _ in 0..2 * teechain::node::EVENT_LOG_CAP {
+    // A few payments first, so that the buffers a payment reuses (the
+    // channel's queue in the op tracker, the session's frame room) exist.
+    for _ in 0..64 {
         crank.pay(1);
     }
     const PAYMENTS: u64 = 256;

@@ -28,6 +28,7 @@ use teechain::driver::CostModel;
 use teechain::live::{LiveCluster, LiveConfig};
 use teechain::testkit::{Cluster, ClusterConfig, ClusterNode, Harness};
 use teechain::types::ChannelId;
+use teechain::DurabilityBackend;
 use teechain_bench::harness::BenchCluster;
 use teechain_bench::report::JsonValue;
 use teechain_bench::trace_out::chrome_trace_json;
@@ -220,6 +221,36 @@ fn multihop_trace_is_single_rooted_sim_seq() {
 #[test]
 fn multihop_trace_is_single_rooted_sim_sharded() {
     sim_causality(EngineKind::Sharded { shards: 8 }, "sim/sharded:8");
+}
+
+/// A payment under committee-chain replication (two backups per node)
+/// forms one causal tree rooted at its op span, tail included: a chain
+/// member flushes its coalesced acks from a pump ecall, and that ecall
+/// descends from the ecall whose `PumpAt` armed the pump.
+#[test]
+fn replicated_payment_trace_is_single_rooted() {
+    let mut c = Cluster::new(ClusterConfig {
+        n: 2,
+        seed: 9,
+        durability: DurabilityBackend::Replication { backups: 2 },
+        ..ClusterConfig::default()
+    });
+    let chan = c.standard_channel(0, 1, "replicated", 500_000, 1);
+    c.set_tracing(true);
+    let p = c.handle(0).pay(chan, 11);
+    let root = span::op_span(p.op.node, p.op.seq);
+    c.wait(p).expect("replicated payment");
+    let events = c.drain_trace();
+    let tree = SpanTree::build(&events);
+    assert!(
+        tree.single_rooted_at(root),
+        "expected a single causal tree rooted at the op span \
+         ({} spans, {} reachable from root)",
+        tree.len(),
+        tree.reachable_from(root).len()
+    );
+    let acks = c.observe().counters["repl.ack_flushes"];
+    assert!(acks > 0, "the traced payment's acks were flushed by a pump");
 }
 
 /// The bench driver's cluster mints its nodes like every other harness,

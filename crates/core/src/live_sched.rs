@@ -298,7 +298,6 @@ impl Shared {
         if !fresh.is_empty() {
             self.cells[node].done.publish(fresh);
         }
-        st.node.events.clear();
     }
 
     /// Worker thread body: pop ready nodes until stop.

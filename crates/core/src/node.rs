@@ -5,17 +5,18 @@
 
 use crate::enclave::{Command, Effect, EnclaveConfig, HostEvent, PeerSlot, TeechainEnclave};
 use crate::msg::WireView;
-use crate::ops::{Completion, OpError, OpId, OpOutput, OpTracker, Progress, Request};
+use crate::ops::{accepted_output, Completion, OpError, OpId, OpTracker, Request};
+use crate::swap::SwapPhase;
 use crate::types::{Deposit, ProtocolError, SwapId};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use teechain_blockchain::{Chain, Transaction};
 use teechain_crypto::schnorr::{PublicKey, Signature};
 use teechain_net::{Ctx, NodeId};
 use teechain_persist::SharedStore;
 use teechain_tee::{DeviceIdentity, Enclave, Measurement};
-use teechain_trace::{span, EventKind, Tracer};
+use teechain_trace::{span, EventKind, Histogram, Tracer};
 use teechain_util::codec::{Decode, Encode, Reader, WireError};
 
 /// Node-to-node wire wrapper: enclave traffic plus host-level committee
@@ -173,14 +174,6 @@ pub struct TeechainNode {
     pub store: Option<SharedStore>,
     /// Launch configuration, kept to rebuild the program on restart.
     pub cfg: EnclaveConfig,
-    /// Events produced by the enclave, in order, with timestamps. This is
-    /// the host's *internal* notification stream (unsolicited events such
-    /// as `VerifyDeposit` callbacks land here); external callers consume
-    /// [`TeechainNode::completions`] instead. Bounded: once the log
-    /// reaches [`EVENT_LOG_CAP`] entries the oldest half is dropped, so a
-    /// long or pathological run keeps recent history without growing RSS
-    /// without bound.
-    pub events: Vec<(u64, HostEvent)>,
     /// Terminal completions of submitted operations, in resolution order.
     /// Exactly one entry per [`TeechainNode::submit_op`] call eventually
     /// appears here; harness layers drain or scan it.
@@ -206,51 +199,62 @@ pub struct TeechainNode {
     /// by default (one branch per instrumentation site); compiled out
     /// entirely without the `trace-record` feature.
     pub tracer: Tracer,
-    /// Operations whose dispatch hit [`ProtocolError::CounterThrottled`],
-    /// awaiting re-dispatch on the next admission pump: a FIFO gate (see
+    /// What the counter refused ([`ProtocolError::CounterThrottled`]),
+    /// awaiting a re-run on the next admission pump: a FIFO gate (see
     /// `pump`).
-    throttled: std::collections::VecDeque<u64>,
+    throttled: VecDeque<Parked>,
     /// Entries into `throttled`: first parks and re-parks alike.
     throttle_parked: u64,
-    /// Re-dispatches the pump issued from `throttled`.
+    /// Re-runs the pump issued from `throttled`.
     throttle_redispatched: u64,
     /// Earliest outstanding pump-timer deadline (0 = none armed). The
     /// enclave asks for pumps via [`HostEvent::PumpAt`]; arming tracks
     /// the earliest request so redundant timers are not set.
     pump_armed_until: u64,
-    /// Outstanding swap timers: token low bits → the action to run when
-    /// the timer fires (a chain-watch tick, or a counter-throttled swap
-    /// command retry).
-    swap_timers: HashMap<u64, SwapTimerAction>,
+    /// The trace cause of the ecall whose [`HostEvent::PumpAt`] armed the
+    /// pump timer: the pump's own ecall descends from it.
+    pump_cause: u64,
+    /// Outstanding swap chain-watch timers: token low bits → the swap to
+    /// tick when the timer fires.
+    swap_timers: HashMap<u64, SwapId>,
     /// Next swap timer sequence number (48-bit token space).
     swap_timer_seq: u64,
     /// Swap phases entered on this node, indexed by phase discriminant
     /// (Init, Locked, Redeemed, Refunded); feeds the metrics registry.
     swap_phase_counts: [u64; 4],
+    /// `SwapResolved` events this node's enclave emitted.
+    swap_resolved: u64,
+    /// When each swap not yet terminal entered `Init` and `Locked`.
+    swap_entered: BTreeMap<SwapId, [Option<u64>; 2]>,
+    /// Swap phase latencies, by [`SWAP_LATENCIES`] name.
+    swap_latency: [Histogram; 3],
 }
 
-/// What a fired swap timer should do.
-enum SwapTimerAction {
-    /// Observe the alternate chain and tick the swap state machine.
-    Tick(SwapId),
-    /// Re-issue a swap command that was counter-throttled.
-    Retry(Command),
+/// An entry of the host's park queue: something the counter refused,
+/// re-run by the pump in FIFO order.
+enum Parked {
+    /// A pending operation, by seq.
+    Op(u64),
+    /// A host reaction (`SwapFunded`, `SwapHtlcVerified`).
+    Reaction(Command),
 }
 
 /// Timer token the node uses for admission-pump wakeups (queued-op
 /// deadlines, counter-throttle expiry, deferred-message drains).
 pub const PUMP_TOKEN: u64 = 0x7EE_C8A1_4E57;
 
-/// Cap on [`TeechainNode::events`]: reaching it drops the oldest half. An
-/// entry is 264 bytes, so the log tops out near 4 MiB per node; under a
-/// simulated load nothing drains it, and it — not protocol state — is what
-/// a long run's resident set measures.
-pub const EVENT_LOG_CAP: usize = 16_384;
+/// The registry histograms of [`TeechainNode::swap_phase_latencies`]:
+/// `Init` to `Locked`, `Locked` to the terminal phase, and end to end.
+const SWAP_LATENCIES: [&str; 3] = [
+    "swap.latency.init_to_locked",
+    "swap.latency.locked_to_terminal",
+    "swap.latency.total",
+];
 
 /// High-16-bit timer-token tag for operation deadline timers (low 48
 /// bits carry the operation sequence number).
 const OP_DEADLINE_TAG: u64 = 0x4F44 << 48;
-/// High-16-bit timer-token tag for swap chain-watch/retry timers (low
+/// High-16-bit timer-token tag for swap chain-watch timers (low
 /// 48 bits carry the swap timer sequence number).
 const SWAP_TIMER_TAG: u64 = 0x5357 << 48;
 /// Mask selecting a token's tag bits.
@@ -273,7 +277,6 @@ impl TeechainNode {
             sealed_store: None,
             store: None,
             cfg,
-            events: Vec::new(),
             completions: Vec::new(),
             ops: OpTracker::default(),
             broadcasts: Vec::new(),
@@ -282,13 +285,17 @@ impl TeechainNode {
             swap_withhold_funding: false,
             delivery_errors: Vec::new(),
             tracer: Tracer::default(),
-            throttled: std::collections::VecDeque::new(),
+            throttled: VecDeque::new(),
             throttle_parked: 0,
             throttle_redispatched: 0,
             pump_armed_until: 0,
+            pump_cause: 0,
             swap_timers: HashMap::new(),
             swap_timer_seq: 0,
             swap_phase_counts: [0; 4],
+            swap_resolved: 0,
+            swap_entered: BTreeMap::new(),
+            swap_latency: Default::default(),
         }
     }
 
@@ -319,33 +326,6 @@ impl TeechainNode {
         self.routes.clear();
     }
 
-    /// Restarts a crashed enclave with a fresh program and replays the
-    /// durable store ([`Command::Recover`]). Fails with
-    /// [`ProtocolError::StaleState`] if the store was rolled back.
-    pub fn recover_from_store(&mut self, ctx: &mut Ctx<'_>) -> Result<(), ProtocolError> {
-        let store = self.store.clone().ok_or(ProtocolError::BadMessage)?;
-        let recovery = store
-            .lock()
-            .recover()
-            .map_err(|_| ProtocolError::BadMessage)?;
-        self.enclave.restart(TeechainEnclave::new(self.cfg.clone()));
-        let outcome = self
-            .enclave
-            .call(
-                ctx.now_ns(),
-                Command::Recover {
-                    snapshot: recovery.snapshot,
-                    log: recovery.log,
-                },
-            )
-            .map_err(|_| ProtocolError::Frozen)?;
-        // Recovery produces host events only — no network I/O — but the
-        // events may ask for swap-check timers, so perform them fully.
-        let effects = outcome?;
-        self.perform(ctx, effects);
-        Ok(())
-    }
-
     /// The standard measurement for this build of the enclave program.
     pub fn measurement() -> Measurement {
         Measurement::of_program("teechain-enclave", 1)
@@ -364,10 +344,8 @@ impl TeechainNode {
             return pk;
         }
         let effects = self
-            .enclave
-            .call(now_ns, Command::GetIdentity)
-            .expect("enclave alive")
-            .expect("GetIdentity is infallible");
+            .ecall(now_ns, Command::GetIdentity)
+            .expect("a live enclave tells its identity");
         for e in &effects {
             if let Effect::Event(HostEvent::Identity(pk)) = e {
                 self.identity = Some(*pk);
@@ -376,17 +354,59 @@ impl TeechainNode {
         self.identity.expect("identity event")
     }
 
-    /// Issues a command to the enclave and performs the resulting effects.
-    pub fn command(&mut self, ctx: &mut Ctx<'_>, cmd: Command) -> Result<(), ProtocolError> {
-        let t = self.trace_ecall_begin(ctx.now_ns());
-        let outcome = self
-            .enclave
-            .call(ctx.now_ns(), cmd)
-            .map_err(|_| ProtocolError::Frozen)?;
-        self.trace_ecall_end(ctx.now_ns(), t);
-        let effects = outcome?;
+    /// The one path into the enclave: records the ecall's trace span, and
+    /// a crashed enclave refuses as [`ProtocolError::Frozen`].
+    fn ecall(&mut self, now_ns: u64, cmd: Command) -> Result<Vec<Effect>, ProtocolError> {
+        let t = self.trace_ecall_begin(now_ns);
+        let outcome = self.enclave.call(now_ns, cmd);
+        self.trace_ecall_end(now_ns, t);
+        outcome.map_err(|_| ProtocolError::Frozen)?
+    }
+
+    /// Issues an operation's command and performs the resulting effects.
+    fn command(&mut self, ctx: &mut Ctx<'_>, cmd: Command) -> Result<(), ProtocolError> {
+        let effects = self.ecall(ctx.now_ns(), cmd)?;
         self.perform(ctx, effects);
         Ok(())
+    }
+
+    /// Issues a host reaction under the host's one refusal policy:
+    /// - the counter refusing `Deliver` or `PumpAdmission` arms the pump,
+    ///   since the enclave kept the input;
+    /// - the counter refusing any other command parks it (at the front of
+    ///   the queue when `front`, for the pump's own re-run);
+    /// - a crashed enclave drops the call;
+    /// - any other refusal goes to [`TeechainNode::delivery_errors`].
+    ///
+    /// Returns the effects for the caller to perform.
+    fn reaction(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        cmd: Command,
+        front: bool,
+    ) -> Result<Vec<Effect>, ProtocolError> {
+        let kept_by_enclave = matches!(cmd, Command::Deliver { .. } | Command::PumpAdmission);
+        let rerun = (!kept_by_enclave).then(|| cmd.clone());
+        let result = self.ecall(ctx.now_ns(), cmd);
+        match (&result, rerun) {
+            (Ok(_), _) => {}
+            (Err(ProtocolError::CounterThrottled { ready_at }), None) => {
+                self.schedule_pump(ctx, *ready_at);
+            }
+            (Err(ProtocolError::CounterThrottled { ready_at }), Some(cmd)) => {
+                self.park(ctx, Parked::Reaction(cmd), *ready_at, front);
+            }
+            (Err(_), _) if self.enclave.is_crashed() => {}
+            (Err(e), _) => self.delivery_errors.push(e.clone()),
+        }
+        result
+    }
+
+    /// A host reaction whose effects are performed at once.
+    fn respond(&mut self, ctx: &mut Ctx<'_>, cmd: Command) {
+        if let Ok(effects) = self.reaction(ctx, cmd, false) {
+            self.perform(ctx, effects);
+        }
     }
 
     /// Handles an incoming network message.
@@ -403,43 +423,17 @@ impl TeechainNode {
         match view {
             NodeWireView::Enclave { at } => {
                 self.trace_wire_recv(ctx.now_ns(), &bytes[at..]);
-                let t = self.trace_ecall_begin(ctx.now_ns());
                 // The buffer that arrived goes in whole: the enclave opens
                 // the message where it lies.
-                let result = self
-                    .enclave
-                    .call(ctx.now_ns(), Command::Deliver { wire: bytes, at });
-                self.trace_ecall_end(ctx.now_ns(), t);
-                match result {
-                    Err(_) => {} // Crashed enclave drops traffic.
-                    Ok(Ok(effects)) => self.perform(ctx, effects),
-                    Ok(Err(ProtocolError::CounterThrottled { ready_at })) => {
-                        // Persistent mode backpressure: the enclave stashed
-                        // the message; pump once the counter is ready.
-                        self.schedule_pump(ctx, ready_at);
-                    }
-                    Ok(Err(e)) => self.delivery_errors.push(e),
-                }
+                self.respond(ctx, Command::Deliver { wire: bytes, at });
             }
             NodeWireView::CoSign(NodeWire::SigRequest { req_id, origin, tx }) => {
                 if self.tracer.enabled() {
                     let s = span::sig_span(req_id, &origin.to_bytes(), 0);
-                    self.tracer.record(
-                        ctx.now_ns(),
-                        EventKind::WireRecv,
-                        s,
-                        0,
-                        bytes.len() as u64,
-                        0,
-                    );
-                    self.tracer.set_cause(s);
+                    self.trace_recv(ctx.now_ns(), s, bytes.len());
                 }
-                let t = self.trace_ecall_begin(ctx.now_ns());
-                let result = self
-                    .enclave
-                    .call(ctx.now_ns(), Command::CoSign { req_id, tx });
-                self.trace_ecall_end(ctx.now_ns(), t);
-                if let Ok(Ok(effects)) = result {
+                let result = self.reaction(ctx, Command::CoSign { req_id, tx }, false);
+                if let Ok(effects) = result {
                     // CoSignResult events answer back to the origin node.
                     for e in effects {
                         if let Effect::Event(HostEvent::CoSignResult {
@@ -457,14 +451,7 @@ impl TeechainNode {
                                 let enc = resp.encode_to_vec();
                                 if self.tracer.enabled() {
                                     let s = span::sig_span(req_id, &origin.to_bytes(), 1);
-                                    self.tracer.record(
-                                        ctx.now_ns(),
-                                        EventKind::WireSend,
-                                        s,
-                                        self.tracer.cause(),
-                                        enc.len() as u64,
-                                        0,
-                                    );
+                                    self.trace(ctx.now_ns(), EventKind::WireSend, s, enc.len());
                                 }
                                 ctx.send(node, enc);
                             }
@@ -480,40 +467,26 @@ impl TeechainNode {
                     // derive the response span from our identity.
                     if let Some(me) = self.identity {
                         let s = span::sig_span(req_id, &me.to_bytes(), 1);
-                        self.tracer.record(
-                            ctx.now_ns(),
-                            EventKind::WireRecv,
-                            s,
-                            0,
-                            bytes.len() as u64,
-                            0,
-                        );
-                        self.tracer.set_cause(s);
+                        self.trace_recv(ctx.now_ns(), s, bytes.len());
                     }
                 }
-                let t = self.trace_ecall_begin(ctx.now_ns());
-                let result = self
-                    .enclave
-                    .call(ctx.now_ns(), Command::AddCoSigs { req_id, sigs });
-                self.trace_ecall_end(ctx.now_ns(), t);
-                if let Ok(Ok(effects)) = result {
-                    self.perform(ctx, effects);
-                }
+                self.respond(ctx, Command::AddCoSigs { req_id, sigs });
             }
             // `parse` locates enclave traffic; it never decodes it.
             NodeWireView::CoSign(NodeWire::Enclave(_)) => {}
         }
     }
 
-    /// Arms (or keeps) a pump timer no later than `at`. Stale timers
-    /// fire harmlessly: the pump is idempotent.
-    fn schedule_pump(&mut self, ctx: &mut Ctx<'_>, at: u64) {
+    /// Arms (or keeps) a pump timer no later than `at`; true if it armed
+    /// one. Stale timers fire harmlessly: the pump is idempotent.
+    fn schedule_pump(&mut self, ctx: &mut Ctx<'_>, at: u64) -> bool {
         if self.pump_armed_until != 0 && self.pump_armed_until <= at {
-            return;
+            return false;
         }
         self.pump_armed_until = at;
         let delay = at.saturating_sub(ctx.now_ns()).max(1);
         ctx.set_timer(delay, PUMP_TOKEN);
+        true
     }
 
     /// Fires node timers: admission pumps and operation deadlines.
@@ -522,17 +495,13 @@ impl TeechainNode {
             let seq = token & !OP_TAG_MASK;
             if let Some(c) = self.ops.cancel(seq, ctx.now_ns()) {
                 self.tracer.set_cause(0); // A deadline firing has no cause.
-                self.trace_completion(ctx.now_ns(), &c);
-                self.completions.push(c);
+                self.push_completion(ctx.now_ns(), c);
             }
             return;
         }
         if token & OP_TAG_MASK == SWAP_TIMER_TAG {
-            let seq = token & !OP_TAG_MASK;
-            match self.swap_timers.remove(&seq) {
-                Some(SwapTimerAction::Tick(swap)) => self.swap_tick(ctx, swap),
-                Some(SwapTimerAction::Retry(cmd)) => self.swap_call(ctx, cmd),
-                None => {}
+            if let Some(swap) = self.swap_timers.remove(&(token & !OP_TAG_MASK)) {
+                self.swap_tick(ctx, swap);
             }
             return;
         }
@@ -543,31 +512,13 @@ impl TeechainNode {
         self.pump(ctx);
     }
 
-    /// Arms a swap timer firing at absolute time `at`.
-    fn arm_swap_timer(&mut self, ctx: &mut Ctx<'_>, at: u64, action: SwapTimerAction) {
+    /// Arms a chain-watch timer for `swap` firing at absolute time `at`.
+    fn arm_swap_timer(&mut self, ctx: &mut Ctx<'_>, at: u64, swap: SwapId) {
         let seq = self.swap_timer_seq;
         self.swap_timer_seq = self.swap_timer_seq.wrapping_add(1) & !OP_TAG_MASK;
-        self.swap_timers.insert(seq, action);
+        self.swap_timers.insert(seq, swap);
         let delay = at.saturating_sub(ctx.now_ns()).max(1);
         ctx.set_timer(delay, SWAP_TIMER_TAG | seq);
-    }
-
-    /// Issues a swap command to the enclave; a counter-throttled
-    /// rejection re-arms the command itself as a retry timer (swap
-    /// commands are host reactions, not tracked operations, so the
-    /// admission pump cannot re-dispatch them).
-    fn swap_call(&mut self, ctx: &mut Ctx<'_>, cmd: Command) {
-        let t = self.trace_ecall_begin(ctx.now_ns());
-        let result = self.enclave.call(ctx.now_ns(), cmd.clone());
-        self.trace_ecall_end(ctx.now_ns(), t);
-        match result {
-            Err(_) => {} // Crashed enclave: recovery re-drives swaps.
-            Ok(Ok(effects)) => self.perform(ctx, effects),
-            Ok(Err(ProtocolError::CounterThrottled { ready_at })) => {
-                self.arm_swap_timer(ctx, ready_at, SwapTimerAction::Retry(cmd));
-            }
-            Ok(Err(e)) => self.delivery_errors.push(e),
-        }
     }
 
     /// Observes the alternate chain on a swap-check timer and feeds the
@@ -596,8 +547,8 @@ impl TeechainNode {
                 // pacing to the harness.
                 let reclaim_pending = !state.initiator
                     && match state.phase {
-                        crate::swap::SwapPhase::Locked => ctx.now_ns() >= state.deadline_ns,
-                        crate::swap::SwapPhase::Refunded => true,
+                        SwapPhase::Locked => ctx.now_ns() >= state.deadline_ns,
+                        SwapPhase::Refunded => true,
                         _ => false,
                     };
                 if reclaim_pending && chain.find_spender(&outpoint).is_none() {
@@ -614,7 +565,7 @@ impl TeechainNode {
                 (preimage, chain.confirmations(&outpoint.txid), confirmed)
             }
         };
-        self.swap_call(
+        self.respond(
             ctx,
             Command::SwapTick {
                 swap,
@@ -627,70 +578,73 @@ impl TeechainNode {
 
     /// Pumps the enclave admission layer (expires deadline-passed queued
     /// ops, drains unlocked channels, re-dispatches counter-stashed
-    /// messages) and then opens the host's throttle queue as a FIFO gate:
-    /// parked operations are re-dispatched in order until the counter
+    /// messages) and then opens the host's park queue as a FIFO gate:
+    /// parked operations and reactions re-run in order until the counter
     /// refuses one again.
     ///
-    /// Stopping there loses nothing. An operation is parked only after
-    /// the counter refused it, and every counter-gated handler checks the
-    /// counter before it mutates anything (the composites resume past
-    /// their completed steps, see `dispatch_op`). So once the counter
-    /// refuses one parked operation, it would refuse each one behind it
-    /// the same way, with no state change: they stay parked untouched
-    /// instead of costing an ecall each per counter window.
+    /// Stopping there loses nothing. Everything parked was refused by the
+    /// counter, and every counter-gated handler checks the counter before
+    /// it mutates anything (a composite parks as the command that remains,
+    /// see `dispatch_op`). So once the counter refuses one, it would refuse
+    /// each one behind it the same way, with no state change: they stay
+    /// parked untouched instead of costing an ecall each per counter
+    /// window.
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
-        self.tracer.set_cause(0); // Timer-driven: the pump ecall is a root.
-        let t = self.trace_ecall_begin(ctx.now_ns());
-        let result = self.enclave.call(ctx.now_ns(), Command::PumpAdmission);
-        self.trace_ecall_end(ctx.now_ns(), t);
+        // The pump ecall descends from the ecall that asked for it.
+        self.tracer.set_cause(std::mem::take(&mut self.pump_cause));
+        let result = self.reaction(ctx, Command::PumpAdmission, false);
         let pump_span = self.tracer.cause();
         match result {
-            Ok(Ok(effects)) => self.perform(ctx, effects),
-            Ok(Err(ProtocolError::CounterThrottled { ready_at })) => {
-                self.schedule_pump(ctx, ready_at);
-                return; // The counter gates the throttled ops too.
-            }
-            _ => {}
+            Ok(effects) => self.perform(ctx, effects),
+            // The counter gates the parked entries too.
+            Err(ProtocolError::CounterThrottled { .. }) => return,
+            Err(_) => {}
         }
-        while let Some(seq) = self.throttled.pop_front() {
-            if !self.ops.is_pending(seq) {
-                continue; // Resolved while parked (deadline): drop it.
-            }
-            if self.tracer.enabled() {
-                // Un-park: the op leaves the host throttle queue,
-                // causally released by this pump.
-                let s = span::op_span(ctx.self_id().0, seq);
-                self.tracer
-                    .record(ctx.now_ns(), EventKind::QueueExit, s, pump_span, 0, 0);
-            }
-            self.throttle_redispatched += 1;
-            if let Some(ready_at) = self.dispatch_op(ctx, seq) {
-                // Back at the head, ahead of everything parked after it.
-                self.park(ctx, seq, ready_at, true);
-                break;
+        while let Some(parked) = self.throttled.pop_front() {
+            let refused = match parked {
+                Parked::Op(seq) => {
+                    if !self.ops.is_pending(seq) {
+                        continue; // Resolved while parked (deadline): drop it.
+                    }
+                    if self.tracer.enabled() {
+                        // Un-park: the op leaves the host park queue,
+                        // causally released by this pump.
+                        let s = span::op_span(ctx.self_id().0, seq);
+                        self.tracer
+                            .record(ctx.now_ns(), EventKind::QueueExit, s, pump_span, 0, 0);
+                    }
+                    self.throttle_redispatched += 1;
+                    self.dispatch_op(ctx, seq, true)
+                }
+                Parked::Reaction(cmd) => {
+                    self.throttle_redispatched += 1;
+                    match self.reaction(ctx, cmd, true) {
+                        Ok(effects) => {
+                            self.perform(ctx, effects);
+                            false
+                        }
+                        Err(e) => matches!(e, ProtocolError::CounterThrottled { .. }),
+                    }
+                }
+            };
+            if refused {
+                break; // Back at the head, ahead of everything parked after it.
             }
         }
     }
 
-    /// Puts a counter-throttled operation on the throttle queue — at the
-    /// front for one the pump re-dispatched, at the back for a new
-    /// submission — and arms a pump for when the counter is ready.
-    fn park(&mut self, ctx: &mut Ctx<'_>, seq: u64, ready_at: u64, front: bool) {
-        if self.tracer.enabled() {
-            let s = span::op_span(ctx.self_id().0, seq);
-            self.tracer.record(
-                ctx.now_ns(),
-                EventKind::QueueEnter,
-                s,
-                self.tracer.cause(),
-                0,
-                0,
-            );
+    /// Puts what the counter refused on the park queue — at the front for
+    /// a re-run by the pump, at the back for a first refusal — and arms a
+    /// pump for when the counter is ready.
+    fn park(&mut self, ctx: &mut Ctx<'_>, parked: Parked, ready_at: u64, front: bool) {
+        if let (true, Parked::Op(seq)) = (self.tracer.enabled(), &parked) {
+            let s = span::op_span(ctx.self_id().0, *seq);
+            self.trace(ctx.now_ns(), EventKind::QueueEnter, s, 0);
         }
         if front {
-            self.throttled.push_front(seq);
+            self.throttled.push_front(parked);
         } else {
-            self.throttled.push_back(seq);
+            self.throttled.push_back(parked);
         }
         self.throttle_parked += 1;
         self.schedule_pump(ctx, ready_at);
@@ -740,17 +694,8 @@ impl TeechainNode {
                             .lock()
                             .append_commit(&blob)
                             .expect("durable WAL append failed; node cannot continue");
-                        if self.tracer.enabled() {
-                            let cause = self.tracer.cause();
-                            self.tracer.record(
-                                ctx.now_ns(),
-                                EventKind::WalAppend,
-                                cause,
-                                cause,
-                                blob.len() as u64,
-                                0,
-                            );
-                        }
+                        let cause = self.tracer.cause();
+                        self.trace(ctx.now_ns(), EventKind::WalAppend, cause, blob.len());
                     }
                 }
                 Effect::Persist(blob) => {
@@ -760,25 +705,24 @@ impl TeechainNode {
                             .install_snapshot(&blob)
                             .expect("durable snapshot install failed; node cannot continue");
                     }
-                    if self.tracer.enabled() {
-                        let cause = self.tracer.cause();
-                        self.tracer.record(
-                            ctx.now_ns(),
-                            EventKind::WalSnapshot,
-                            cause,
-                            cause,
-                            blob.len() as u64,
-                            0,
-                        );
-                    }
+                    let cause = self.tracer.cause();
+                    self.trace(ctx.now_ns(), EventKind::WalSnapshot, cause, blob.len());
                     self.sealed_store = Some(blob);
                 }
-                // A request to schedule a callback, not a notification:
-                // it is served here and kept out of the event log.
-                Effect::Event(HostEvent::PumpAt(at)) => self.schedule_pump(ctx, at),
+                // A request to schedule a callback, not a notification: the
+                // pump it arms runs under the asking ecall's cause.
+                Effect::Event(HostEvent::PumpAt(at)) => {
+                    if self.schedule_pump(ctx, at) {
+                        self.pump_cause = self.tracer.cause();
+                    }
+                }
+                // Each event gets the host's reaction, then may resolve a
+                // pending operation.
                 Effect::Event(event) => {
                     self.react(ctx, &event);
-                    self.note_event(ctx.now_ns(), event);
+                    if let Some(c) = self.ops.observe(&event, ctx.now_ns()) {
+                        self.push_completion(ctx.now_ns(), c);
+                    }
                 }
             }
         }
@@ -813,19 +757,12 @@ impl TeechainNode {
             HostEvent::VerifyDeposit { remote, deposit } => {
                 // The host checks the chain per its own policy and answers.
                 let valid = self.verify_deposit_on_chain(deposit);
-                let outpoint = deposit.outpoint;
-                let remote = *remote;
-                let result = self.enclave.call(
-                    ctx.now_ns(),
-                    Command::DepositVerified {
-                        remote,
-                        outpoint,
-                        valid,
-                    },
-                );
-                if let Ok(Ok(effects)) = result {
-                    self.perform(ctx, effects);
-                }
+                let cmd = Command::DepositVerified {
+                    remote: *remote,
+                    outpoint: deposit.outpoint,
+                    valid,
+                };
+                self.respond(ctx, cmd);
             }
             HostEvent::SwapFundingNeeded {
                 swap,
@@ -846,7 +783,7 @@ impl TeechainNode {
                     }
                 };
                 let swap = *swap;
-                self.swap_call(ctx, Command::SwapFunded { swap, outpoint });
+                self.respond(ctx, Command::SwapFunded { swap, outpoint });
             }
             HostEvent::VerifySwapHtlc {
                 swap,
@@ -870,7 +807,7 @@ impl TeechainNode {
                     (valid, chain.confirmations(&outpoint.txid))
                 };
                 let swap = *swap;
-                self.swap_call(
+                self.respond(
                     ctx,
                     Command::SwapHtlcVerified {
                         swap,
@@ -879,13 +816,11 @@ impl TeechainNode {
                     },
                 );
             }
-            HostEvent::SwapCheckAt { swap, at } => {
-                let (swap, at) = (*swap, *at);
-                self.arm_swap_timer(ctx, at, SwapTimerAction::Tick(swap));
+            HostEvent::SwapCheckAt { swap, at } => self.arm_swap_timer(ctx, *at, *swap),
+            HostEvent::SwapPhaseEntered { swap, phase } => {
+                self.swap_phase(ctx.now_ns(), *swap, *phase);
             }
-            HostEvent::SwapPhaseEntered { phase, .. } => {
-                self.swap_phase_counts[*phase as usize] += 1;
-            }
+            HostEvent::SwapResolved { .. } => self.swap_resolved += 1,
             HostEvent::NeedCoSign { req_id, tx } => {
                 let me = self.identity.expect("identity known by now");
                 for peer in self.committee_peers.clone() {
@@ -901,14 +836,7 @@ impl TeechainNode {
                             // receiver derives the same id from
                             // (req_id, origin).
                             let s = span::sig_span(*req_id, &me.to_bytes(), 0);
-                            self.tracer.record(
-                                ctx.now_ns(),
-                                EventKind::WireSend,
-                                s,
-                                self.tracer.cause(),
-                                enc.len() as u64,
-                                0,
-                            );
+                            self.trace(ctx.now_ns(), EventKind::WireSend, s, enc.len());
                         }
                         ctx.send(node, enc);
                     }
@@ -937,18 +865,33 @@ impl TeechainNode {
         chain.confirmations(&deposit.outpoint.txid) >= self.required_confirmations
     }
 
-    /// Routes a host event through the operation tracker (which may
-    /// resolve a pending operation into a completion), then records it on
-    /// the internal notification stream.
-    fn note_event(&mut self, now_ns: u64, event: HostEvent) {
-        if let Some(c) = self.ops.observe(&event, now_ns) {
-            self.trace_completion(now_ns, &c);
-            self.completions.push(c);
+    /// Counts a swap's phase and times it: `Init` and `Locked` are
+    /// stamped once each, and a terminal phase records the latencies and
+    /// forgets the swap.
+    fn swap_phase(&mut self, now_ns: u64, swap: SwapId, phase: SwapPhase) {
+        self.swap_phase_counts[phase as usize] += 1;
+        let record = |h: &mut Histogram, since: Option<u64>| {
+            if let Some(t) = since {
+                h.record(now_ns.saturating_sub(t));
+            }
+        };
+        match phase {
+            SwapPhase::Init => {
+                self.swap_entered.entry(swap).or_default()[0].get_or_insert(now_ns);
+            }
+            SwapPhase::Locked => {
+                let [init, locked] = self.swap_entered.entry(swap).or_default();
+                if locked.is_none() {
+                    *locked = Some(now_ns);
+                    record(&mut self.swap_latency[0], *init);
+                }
+            }
+            SwapPhase::Redeemed | SwapPhase::Refunded => {
+                let [init, locked] = self.swap_entered.remove(&swap).unwrap_or_default();
+                record(&mut self.swap_latency[1], locked);
+                record(&mut self.swap_latency[2], init);
+            }
         }
-        if self.events.len() >= EVENT_LOG_CAP {
-            self.events.drain(..EVENT_LOG_CAP / 2);
-        }
-        self.events.push((now_ns, event));
     }
 
     // ---- Trace instrumentation (host-side flight recorder) ----
@@ -1022,11 +965,26 @@ impl TeechainNode {
             return;
         };
         if let Ok(WireView::Sealed { from, seq, .. }) = WireView::parse(wire) {
-            let s = span::wire_span(from, &me.to_bytes(), seq);
-            self.tracer
-                .record(now_ns, EventKind::WireRecv, s, 0, wire.len() as u64, 0);
-            self.tracer.set_cause(s);
+            self.trace_recv(
+                now_ns,
+                span::wire_span(from, &me.to_bytes(), seq),
+                wire.len(),
+            );
         }
+    }
+
+    /// Records an inbound frame of `len` bytes with no parent, and makes
+    /// its span the current cause.
+    fn trace_recv(&mut self, now_ns: u64, span: u64, len: usize) {
+        self.tracer
+            .record(now_ns, EventKind::WireRecv, span, 0, len as u64, 0);
+        self.tracer.set_cause(span);
+    }
+
+    /// Records an event about `span` under the current cause.
+    fn trace(&mut self, now_ns: u64, kind: EventKind, span: u64, a: usize) {
+        let cause = self.tracer.cause();
+        self.tracer.record(now_ns, kind, span, cause, a as u64, 0);
     }
 
     /// Records an outbound sealed frame, parented to the emitting ecall.
@@ -1036,31 +994,18 @@ impl TeechainNode {
         }
         if let Ok(WireView::Sealed { from, seq, .. }) = WireView::parse(wire) {
             let s = span::wire_span(from, &to.to_bytes(), seq);
-            self.tracer.record(
-                now_ns,
-                EventKind::WireSend,
-                s,
-                self.tracer.cause(),
-                wire.len() as u64,
-                0,
-            );
+            self.trace(now_ns, EventKind::WireSend, s, wire.len());
         }
     }
 
-    /// Records an operation's terminal completion against its root span.
-    fn trace_completion(&mut self, now_ns: u64, c: &Completion) {
-        if !self.tracer.enabled() {
-            return;
+    /// Records an operation's terminal completion, traced against the
+    /// op's root span.
+    fn push_completion(&mut self, now_ns: u64, c: Completion) {
+        if self.tracer.enabled() {
+            let s = span::op_span(c.op.node, c.op.seq);
+            self.trace(now_ns, EventKind::OpComplete, s, c.outcome.is_ok().into());
         }
-        let s = span::op_span(c.op.node, c.op.seq);
-        self.tracer.record(
-            now_ns,
-            EventKind::OpComplete,
-            s,
-            self.tracer.cause(),
-            c.outcome.is_ok() as u64,
-            0,
-        );
+        self.completions.push(c);
     }
 
     /// Snapshots this node's metrics into a fresh registry: host-level
@@ -1070,7 +1015,6 @@ impl TeechainNode {
     pub fn registry(&self) -> teechain_trace::Registry {
         let mut r = teechain_trace::Registry::new();
         r.counter("node.completions", self.completions.len() as u64);
-        r.counter("node.events", self.events.len() as u64);
         r.counter("node.broadcasts", self.broadcasts.len() as u64);
         r.counter("node.alt_broadcasts", self.alt_broadcasts.len() as u64);
         r.counter("node.delivery_errors", self.delivery_errors.len() as u64);
@@ -1085,6 +1029,7 @@ impl TeechainNode {
         r.counter("swap.phase.locked", self.swap_phase_counts[1]);
         r.counter("swap.phase.redeemed", self.swap_phase_counts[2]);
         r.counter("swap.phase.refunded", self.swap_phase_counts[3]);
+        r.counter("swap.resolved", self.swap_resolved);
         if let Some(p) = self.enclave.program() {
             // Swaps still pending on this node: the "stuck" gauge the
             // bench trend gate asserts is zero at quiescence.
@@ -1112,50 +1057,18 @@ impl TeechainNode {
         r
     }
 
-    /// Per-phase swap latency histograms, computed from this node's host
-    /// event log (`SwapPhaseEntered` timestamps): time from `Init` to
-    /// `Locked`, from `Locked` to the terminal phase, and end to end.
-    /// Sample-exact and mergeable across nodes, like every registry
-    /// histogram.
-    pub fn swap_phase_latencies(
-        &self,
-    ) -> std::collections::BTreeMap<String, teechain_trace::Histogram> {
-        use crate::swap::SwapPhase;
-        let mut entered: std::collections::BTreeMap<SwapId, [Option<u64>; 4]> =
-            std::collections::BTreeMap::new();
-        for (ts, e) in &self.events {
-            if let HostEvent::SwapPhaseEntered { swap, phase } = e {
-                let slots = entered.entry(*swap).or_default();
-                let slot = &mut slots[*phase as usize];
-                if slot.is_none() {
-                    *slot = Some(*ts);
-                }
-            }
-        }
-        let mut out: std::collections::BTreeMap<String, teechain_trace::Histogram> =
-            std::collections::BTreeMap::new();
-        for slots in entered.values() {
-            let init = slots[SwapPhase::Init as usize];
-            let locked = slots[SwapPhase::Locked as usize];
-            let terminal =
-                slots[SwapPhase::Redeemed as usize].or(slots[SwapPhase::Refunded as usize]);
-            if let (Some(a), Some(b)) = (init, locked) {
-                out.entry("swap.latency.init_to_locked".into())
-                    .or_default()
-                    .record(b.saturating_sub(a));
-            }
-            if let (Some(a), Some(b)) = (locked, terminal) {
-                out.entry("swap.latency.locked_to_terminal".into())
-                    .or_default()
-                    .record(b.saturating_sub(a));
-            }
-            if let (Some(a), Some(b)) = (init, terminal) {
-                out.entry("swap.latency.total".into())
-                    .or_default()
-                    .record(b.saturating_sub(a));
-            }
-        }
-        out
+    /// Per-phase swap latency histograms, from the times at which this
+    /// host saw each swap enter a phase (`SwapPhaseEntered`): `Init` to
+    /// `Locked`, `Locked` to the terminal phase, and end to end. Only the
+    /// non-empty ones. Sample-exact and mergeable across nodes, like every
+    /// registry histogram.
+    pub fn swap_phase_latencies(&self) -> BTreeMap<String, Histogram> {
+        SWAP_LATENCIES
+            .iter()
+            .zip(&self.swap_latency)
+            .filter(|(_, h)| !h.is_empty())
+            .map(|(name, h)| (name.to_string(), h.clone()))
+            .collect()
     }
 
     // ---- Correlated operations (the `ops` layer) ----
@@ -1176,7 +1089,7 @@ impl TeechainNode {
     ///   the path RTT.
     ///
     /// When the enclave's monotonic counter is throttled (persistent
-    /// mode), the operation parks on the host's throttle queue and is
+    /// mode), the operation parks on the host's park queue and is
     /// re-dispatched in FIFO order by the admission pump — callers never
     /// see `CounterThrottled`.
     pub fn submit_op(
@@ -1196,98 +1109,91 @@ impl TeechainNode {
             let delay = deadline.saturating_sub(ctx.now_ns()).max(1);
             ctx.set_timer(delay, OP_DEADLINE_TAG | op.seq);
         }
-        if let Some(ready_at) = self.dispatch_op(ctx, op.seq) {
-            self.park(ctx, op.seq, ready_at, false);
-        }
+        self.dispatch_op(ctx, op.seq, false);
         op
     }
 
-    /// Executes (or re-executes, once the counter throttle lifts) a
-    /// pending operation's job and resolves what can be resolved
-    /// synchronously. Returns when the counter is ready again if it
-    /// refused the operation, which the caller then parks.
-    ///
-    /// A composite's first step hands out a key and its last registers
-    /// it; both are counter-gated. When the last one is throttled, what
-    /// the earlier steps produced is kept with the op ([`Progress`]) and
-    /// the re-dispatch starts there: a deposit is minted once, a
-    /// settlement address drawn once.
-    fn dispatch_op(&mut self, ctx: &mut Ctx<'_>, seq: u64) -> Option<u64> {
-        let (req, progress) = self.ops.request(seq)?;
+    /// Executes (or, from the park queue, re-executes) a pending
+    /// operation: runs its host step, issues the command that remains and
+    /// decides — here and nowhere else — whether the op ends now and with
+    /// what. A counter refusal parks the op (at the front of the queue
+    /// when `front`, for the pump's own re-run) and returns true.
+    fn dispatch_op(&mut self, ctx: &mut Ctx<'_>, seq: u64, front: bool) -> bool {
+        let Some(req) = self.ops.request(seq) else {
+            return false;
+        };
         if self.tracer.enabled() {
             // Whatever the dispatch does (ecalls, sends) descends from
             // the operation's root span.
             self.tracer.set_cause(span::op_span(ctx.self_id().0, seq));
         }
-        let result: Result<Option<OpOutput>, ProtocolError> = match req {
-            Request::Cmd(cmd) => self.command(ctx, cmd).map(|()| None),
-            Request::FundDeposit { value, m } => {
-                let minted = match progress {
-                    Some(Progress::Minted(deposit)) => Ok(deposit),
-                    _ => self.mint_committee_deposit(ctx, value, m),
-                };
-                minted.and_then(|deposit| {
-                    let cmd = Command::NewDeposit {
-                        deposit: deposit.clone(),
-                    };
-                    self.gated_step(ctx, seq, cmd, Progress::Minted(deposit.clone()))
-                        .map(|()| Some(OpOutput::DepositFunded(deposit)))
-                })
+        let result = self.host_step(ctx, seq, req).and_then(|cmd| {
+            let accepted = accepted_output(&cmd);
+            self.command(ctx, cmd).map(|()| accepted)
+        });
+        let now = ctx.now_ns();
+        let outcome = match result {
+            Ok(Some(out)) => Ok(out),
+            // The terminal event either already resolved the operation
+            // (it was in this call's own effects) or will arrive over the
+            // network.
+            Ok(None) => return false,
+            // The counter refused it before anything changed.
+            Err(ProtocolError::CounterThrottled { ready_at }) => {
+                self.park(ctx, Parked::Op(seq), ready_at, front);
+                return true;
             }
-            Request::OpenChannel { id, remote } => {
-                let address = match progress {
-                    Some(Progress::Settlement(pk)) => Ok(pk),
-                    _ => self.hand_out(ctx, Command::NewAddress, |e| match e {
-                        HostEvent::NewAddress(pk) => Some(pk),
-                        _ => None,
-                    }),
-                };
-                address.and_then(|my_settlement| {
-                    let cmd = Command::NewChannel {
-                        id,
-                        remote,
-                        my_settlement,
-                    };
-                    self.gated_step(ctx, seq, cmd, Progress::Settlement(my_settlement))
-                        .map(|()| None)
-                })
-            }
-            Request::Recover => self.recover_from_store(ctx).map(|()| None),
+            Err(e) => Err(OpError::Rejected(e)),
         };
-        match result {
-            Ok(output) => {
-                if let Some(out) = output {
-                    self.finish_op(seq, ctx.now_ns(), Ok(out));
-                } else if self.ops.expects_nothing(seq) {
-                    // No asynchronous terminal event: accepted == done.
-                    self.finish_op(seq, ctx.now_ns(), Ok(OpOutput::Done));
-                }
-                // Otherwise the terminal event either already resolved
-                // the operation (it was in this call's own effects) or
-                // will arrive over the network.
-            }
-            // The counter refused it before anything changed: the caller
-            // parks it for the pump.
-            Err(ProtocolError::CounterThrottled { ready_at }) => return Some(ready_at),
-            Err(e) => self.finish_op(seq, ctx.now_ns(), Err(OpError::Rejected(e))),
+        if let Some(c) = self.ops.complete(seq, now, outcome) {
+            self.push_completion(now, c);
         }
-        None
+        false
     }
 
-    /// Runs a composite's last step; if the counter refuses it, records
-    /// `done` (what the steps before it produced) with the op.
-    fn gated_step(
+    /// A request's host part, returning the command that remains. Once a
+    /// composite's host step succeeds the op is rewritten into that
+    /// command, so a re-run after a counter refusal issues only it: a
+    /// deposit is minted once, a settlement address drawn once.
+    fn host_step(
         &mut self,
         ctx: &mut Ctx<'_>,
         seq: u64,
-        cmd: Command,
-        done: Progress,
-    ) -> Result<(), ProtocolError> {
-        let result = self.command(ctx, cmd);
-        if let Err(ProtocolError::CounterThrottled { .. }) = result {
-            self.ops.set_progress(seq, done);
-        }
-        result
+        req: Request,
+    ) -> Result<Command, ProtocolError> {
+        let rest = match req {
+            Request::Cmd(cmd) => return Ok(cmd),
+            Request::Recover => return self.restart_from_store(),
+            Request::FundDeposit { value, m } => Command::NewDeposit {
+                deposit: self.mint_committee_deposit(ctx, value, m)?,
+            },
+            Request::OpenChannel { id, remote } => Command::NewChannel {
+                id,
+                remote,
+                my_settlement: self.hand_out(ctx, Command::NewAddress, |e| match e {
+                    HostEvent::NewAddress(pk) => Some(pk),
+                    _ => None,
+                })?,
+            },
+        };
+        self.ops.rewrite(seq, rest.clone());
+        Ok(rest)
+    }
+
+    /// Restarts a crashed enclave with a fresh program; returns the
+    /// command that replays the durable store into it. The replay fails
+    /// with [`ProtocolError::StaleState`] if the store was rolled back.
+    fn restart_from_store(&mut self) -> Result<Command, ProtocolError> {
+        let store = self.store.clone().ok_or(ProtocolError::BadMessage)?;
+        let recovery = store
+            .lock()
+            .recover()
+            .map_err(|_| ProtocolError::BadMessage)?;
+        self.enclave.restart(TeechainEnclave::new(self.cfg.clone()));
+        Ok(Command::Recover {
+            snapshot: recovery.snapshot,
+            log: recovery.log,
+        })
     }
 
     /// A composite's hand-out step: carries out every effect of the ecall
@@ -1299,22 +1205,12 @@ impl TeechainNode {
         cmd: Command,
         pick: impl Fn(HostEvent) -> Option<T>,
     ) -> Result<T, ProtocolError> {
-        let mut effects = self
-            .enclave
-            .call(ctx.now_ns(), cmd)
-            .map_err(|_| ProtocolError::Frozen)??;
+        let mut effects = self.ecall(ctx.now_ns(), cmd)?;
         let last = effects.pop();
         self.perform(ctx, effects);
         match last {
             Some(Effect::Event(event)) => pick(event).ok_or(ProtocolError::BadMessage),
             _ => Err(ProtocolError::BadMessage),
-        }
-    }
-
-    fn finish_op(&mut self, seq: u64, now_ns: u64, outcome: Result<OpOutput, OpError>) {
-        if let Some(c) = self.ops.complete(seq, now_ns, outcome) {
-            self.trace_completion(now_ns, &c);
-            self.completions.push(c);
         }
     }
 
@@ -1324,8 +1220,7 @@ impl TeechainNode {
     pub fn resolve_dead_op(&mut self, op: OpId, now_ns: u64) -> Option<Completion> {
         let c = self.ops.cancel(op.seq, now_ns)?;
         self.tracer.set_cause(0); // Quiescence resolution has no cause.
-        self.trace_completion(now_ns, &c);
-        self.completions.push(c.clone());
+        self.push_completion(now_ns, c.clone());
         Some(c)
     }
 
@@ -1340,10 +1235,9 @@ impl TeechainNode {
         let dead = self.ops.cancel_all(now_ns);
         let n = dead.len();
         self.tracer.set_cause(0); // Quiescence resolution has no cause.
-        for c in &dead {
-            self.trace_completion(now_ns, c);
+        for c in dead {
+            self.push_completion(now_ns, c);
         }
-        self.completions.extend(dead);
         n
     }
 

@@ -74,7 +74,7 @@ pub enum OpOutput {
     /// Channel fully open on both sides (`Command::NewChannel`).
     ChannelOpen(ChannelId),
     /// A deposit was minted, confirmed and registered (the composite
-    /// fund-deposit operation).
+    /// fund-deposit operation, or `Command::NewDeposit`).
     DepositFunded(Deposit),
     /// The counterparty approved our deposit (`Command::ApproveDeposit`).
     DepositApproved {
@@ -154,7 +154,7 @@ pub enum OpOutput {
     /// successful completions; the payload says which.
     Swap(SwapOutcome),
     /// The command was accepted and has no asynchronous response (e.g.
-    /// `Command::NewDeposit`, `Command::Eject`).
+    /// `Command::Eject`).
     Done,
 }
 
@@ -203,6 +203,12 @@ pub enum OpError {
     /// FIFO (the wire carries no operation ids), so a deadline must
     /// exceed the path round-trip: cancelling a *live* operation leaves
     /// its eventual response to match the next same-key submission.
+    ///
+    /// A timeout means the outcome is unknown, not that the operation
+    /// failed: its effects may have taken hold. A committee chain member
+    /// that settles from its replica (`Command::SettleFromReplica`)
+    /// settles every update it applied, including the updates of payments
+    /// whose ops were reported `Timeout` — their payee is paid on chain.
     Timeout {
         /// Simulated time (ns) at which the operation was declared dead.
         at_ns: u64,
@@ -510,6 +516,17 @@ pub(crate) fn expect_for(cmd: &Command) -> Option<MatchKey> {
     }
 }
 
+/// What an operation completes with as soon as the enclave accepts its
+/// command, or `None` when a terminal event (see [`expect_for`]) completes
+/// it.
+pub(crate) fn accepted_output(cmd: &Command) -> Option<OpOutput> {
+    match cmd {
+        // A funded deposit's last step registers it.
+        Command::NewDeposit { deposit } => Some(OpOutput::DepositFunded(deposit.clone())),
+        _ => expect_for(cmd).is_none().then_some(OpOutput::Done),
+    }
+}
+
 /// Maps a terminal host event to its correlation key and outcome.
 /// Non-terminal events (unsolicited notifications) map to `None`.
 fn outcome_of(event: &HostEvent) -> Option<(MatchKey, Result<OpOutput, OpError>)> {
@@ -654,8 +671,10 @@ fn outcome_of(event: &HostEvent) -> Option<(MatchKey, Result<OpOutput, OpError>)
 /// One operation a node is asked to perform: an enclave [`Command`] or
 /// one of the host-side composites. It is what every harness submits
 /// (through [`TeechainNode::submit_op`](crate::node::TeechainNode::submit_op)),
-/// and what a throttled operation re-executes when the counter lifts (a
-/// composite resumes at its throttled step; nothing before it runs twice).
+/// and what a throttled operation re-executes when the counter lifts. A
+/// composite runs its host step (a mint, an address) and is then rewritten
+/// into the one command that remains, so nothing before a throttle runs
+/// twice.
 #[derive(Clone)]
 pub enum Request {
     /// An enclave command.
@@ -701,21 +720,9 @@ impl Request {
     }
 }
 
-/// What a composite [`Request`] had already done when its counter-gated
-/// step was throttled. The re-dispatch resumes after it, so no step before
-/// the throttle runs twice.
-pub(crate) enum Progress {
-    /// `FundDeposit`: minted on chain; only `NewDeposit` remains.
-    Minted(Deposit),
-    /// `OpenChannel`: the settlement address exists; only `NewChannel`
-    /// remains.
-    Settlement(PublicKey),
-}
-
 struct PendingOp {
     req: Request,
     key: Option<MatchKey>,
-    progress: Option<Progress>,
 }
 
 impl MatchKey {
@@ -771,11 +778,7 @@ impl OpTracker {
         if self.ring.is_empty() {
             self.base = seq;
         }
-        self.ring.push_back(Some(PendingOp {
-            req,
-            key,
-            progress: None,
-        }));
+        self.ring.push_back(Some(PendingOp { req, key }));
         if self.ring.len() > RING_SPAN {
             // The front is pending: it moves aside, and the ring on.
             let front = self.ring.pop_front().flatten().expect("a pending front");
@@ -832,22 +835,19 @@ impl OpTracker {
         self.op(seq).is_some()
     }
 
-    /// The operation's request, and what a throttled earlier dispatch of
-    /// it already did, for (re-)dispatch.
-    pub(crate) fn request(&mut self, seq: u64) -> Option<(Request, Option<Progress>)> {
-        self.op_mut(seq).map(|p| (p.req.clone(), p.progress.take()))
+    /// The operation's request, for (re-)dispatch.
+    pub(crate) fn request(&self, seq: u64) -> Option<Request> {
+        self.op(seq).map(|p| p.req.clone())
     }
 
-    /// Records how far a throttled dispatch of a composite got.
-    pub(crate) fn set_progress(&mut self, seq: u64, progress: Progress) {
+    /// Rewrites a composite whose host step is done into the command that
+    /// remains of it. Its correlation key stays: the command's own key is
+    /// the composite's.
+    pub(crate) fn rewrite(&mut self, seq: u64, cmd: Command) {
         if let Some(p) = self.op_mut(seq) {
-            p.progress = Some(progress);
+            debug_assert_eq!(p.key, expect_for(&cmd));
+            p.req = Request::Cmd(cmd);
         }
-    }
-
-    /// True for a pending operation with no asynchronous terminal event.
-    pub(crate) fn expects_nothing(&self, seq: u64) -> bool {
-        self.op(seq).is_some_and(|p| p.key.is_none())
     }
 
     /// Correlates a host event with the oldest matching pending
@@ -857,14 +857,19 @@ impl OpTracker {
         let seq = self.queues.get_mut(&key)?.pop_front()?;
         self.release_if_done(&key);
         self.take(seq);
-        Some(Completion {
-            op: OpId {
-                node: self.node,
-                seq,
-            },
+        Some(self.completion(seq, now_ns, outcome))
+    }
+
+    fn completion(&self, seq: u64, now_ns: u64, outcome: Result<OpOutput, OpError>) -> Completion {
+        let op = OpId {
+            node: self.node,
+            seq,
+        };
+        Completion {
+            op,
             time_ns: now_ns,
             outcome,
-        })
+        }
     }
 
     /// Terminates a pending operation with an explicit outcome (local
@@ -882,14 +887,7 @@ impl OpTracker {
             }
             self.release_if_done(&k);
         }
-        Some(Completion {
-            op: OpId {
-                node: self.node,
-                seq,
-            },
-            time_ns: now_ns,
-            outcome,
-        })
+        Some(self.completion(seq, now_ns, outcome))
     }
 
     /// Declares a pending operation dead (deadline hit, or quiescence

@@ -1,8 +1,11 @@
 //! Replication, committee and persistence tests (§6).
 
+use std::collections::BTreeMap;
 use teechain::enclave::Command;
-use teechain::ops::{OpError, OpOutput};
+use teechain::ops::{OpError, OpId, OpOutput, Request};
+use teechain::settle;
 use teechain::testkit::{Cluster, ClusterConfig, Harness};
+use teechain::types::{ChannelId, SwapId};
 use teechain::ProtocolError;
 
 #[test]
@@ -10,15 +13,17 @@ fn backup_attachment_builds_committee() {
     let mut c = Cluster::functional(3);
     c.attach_backup(0, 1); // 0 → 1
     c.attach_backup(1, 2); // chain: 0 → 1 → 2
-                           // The head's typed attach completed, and it also learned of the
-                           // second chain member (an unsolicited notification on its stream).
-    let attached = c
-        .node(0)
-        .events
-        .iter()
-        .filter(|(_, e)| matches!(e, teechain::HostEvent::BackupAttached(_)))
-        .count();
-    assert_eq!(attached, 2, "head learns of both chain members");
+                           // The head learned of the second chain member too: a committee it
+                           // draws has a key for itself and one for each member.
+    let spec = match c.exec(0, Command::NewCommitteeAddress { m: 2 }) {
+        OpOutput::Committee(spec) => spec,
+        other => panic!("expected a committee, got {other:?}"),
+    };
+    assert_eq!(
+        spec.member_keys.len(),
+        3,
+        "head learns of both chain members"
+    );
 }
 
 #[test]
@@ -209,22 +214,21 @@ fn settle_from_replica_settles_in_creation_order() {
         let created: Vec<_> = (0..8)
             .map(|k| c.standard_channel(0, 1, &format!("replica-{k}"), 100 + k, 1))
             .collect();
-        c.node_mut(0).enclave.crash();
-        c.exec(2, Command::SettleFromReplica);
-        let order: Vec<_> = c
-            .node(2)
-            .events
+        // Each channel's settlement, in creation order.
+        let expected: Vec<_> = created
             .iter()
-            .filter_map(|(_, e)| match e {
-                teechain::HostEvent::SettlementBroadcast { id, .. } => Some(*id),
-                _ => None,
+            .map(|id| {
+                let p = c.node(2).enclave.program().unwrap();
+                settle::current_settlement_tx(p.replica_channel(id).unwrap()).txid()
             })
             .collect();
-        (created, order)
+        c.node_mut(0).enclave.crash();
+        c.exec(2, Command::SettleFromReplica);
+        (expected, c.node(2).broadcasts.clone())
     };
-    let (created, first) = settled();
-    assert_eq!(first, created);
-    assert_eq!(settled(), (created, first));
+    let (expected, first) = settled();
+    assert_eq!(first, expected);
+    assert_eq!(settled(), (expected, first));
 }
 
 // ---- Persistent storage mode (§6.2) ----
@@ -353,6 +357,114 @@ fn persist_mode_throttled_composites_resume_at_the_gated_step() {
     assert_eq!(c.chain.lock().total_minted(), 1000 + 500);
     c.open_channel(0, 1, "c2");
     assert_eq!(keys(&c), 4);
+}
+
+/// Every `Request` kind, in persistent mode with the counter throttled,
+/// down three paths: a counter refusal and the pump's re-run, dead-op
+/// resolution while parked, and an enclave crash while parked. Each op
+/// gets exactly one completion; a throttled `FundDeposit` mints one UTXO,
+/// and a throttled `OpenChannel` hands out one settlement key.
+#[test]
+fn every_request_kind_completes_once_under_throttling_and_crashes() {
+    let mut c = Cluster::new(ClusterConfig {
+        n: 2,
+        durability: teechain::DurabilityBackend::eager_persist(),
+        ..ClusterConfig::default()
+    });
+    let chan = c.standard_channel(0, 1, "kinds", 10_000, 1);
+    let remote = c.ids[1];
+    let keys = |c: &Cluster| c.node(0).enclave.program().unwrap().book_ref().keys.len();
+    let minted = |c: &Cluster| c.chain.lock().total_minted();
+    let parked = |c: &Cluster| c.node(0).registry().counter_value("node.throttle.parked");
+    // One request of each kind but `Recover`, labelled by `n`; the first
+    // commits and spends the counter window, the rest park behind it.
+    let kinds = |n: u64| -> Vec<Request> {
+        vec![
+            Command::Pay {
+                id: chan,
+                amount: n,
+                count: 1,
+            }
+            .into(),
+            Request::FundDeposit { value: 500, m: 1 },
+            Request::OpenChannel {
+                id: ChannelId::from_label(&format!("kinds-{n}")),
+                remote,
+            },
+            Command::Swap {
+                swap: SwapId::from_label(&format!("kinds-{n}")),
+                channel: chan,
+                amount: 5,
+                alt_amount: 10,
+                timeout_blocks: 5,
+            }
+            .into(),
+        ]
+    };
+    let mut all = Vec::new();
+
+    // A counter refusal and the pump's re-run.
+    let (keys0, minted0, parked0) = (keys(&c), minted(&c), parked(&c));
+    let wave: Vec<OpId> = kinds(1).into_iter().map(|r| c.submit(0, r)).collect();
+    c.settle_network();
+    assert!(parked(&c) - parked0 >= 3, "the wave parks");
+    for op in &wave {
+        let outcome = c.outcome(*op).expect("resolved");
+        assert!(outcome.is_ok(), "{op}: {outcome:?}");
+    }
+    assert_eq!(minted(&c), minted0 + 500, "one deposit minted");
+    assert_eq!(keys(&c), keys0 + 2, "one committee key, one settlement key");
+    all.extend(wave);
+
+    // Dead-op resolution: deadlines inside the counter window resolve the
+    // parked ops, and the pump then skips them.
+    let (keys1, minted1) = (keys(&c), minted(&c));
+    let deadline = Some(c.sim.now_ns() + 1_000_000);
+    let mut wave = kinds(2).into_iter();
+    let first = c.submit(0, wave.next().unwrap());
+    let dead: Vec<OpId> = wave.map(|r| c.submit_request(0, r, deadline)).collect();
+    c.settle_network();
+    assert!(c.outcome(first).expect("resolved").is_ok());
+    for op in &dead {
+        let outcome = c.outcome(*op).expect("resolved");
+        assert!(
+            matches!(outcome, Err(OpError::Timeout { .. })),
+            "{op}: {outcome:?}"
+        );
+    }
+    assert_eq!((keys(&c), minted(&c)), (keys1, minted1), "nothing ran");
+    all.push(first);
+    all.extend(dead);
+
+    // An enclave crash while parked: the parked ops die with the program
+    // and resolve at quiescence; the recovery is an op of its own.
+    let minted2 = minted(&c);
+    let lost: Vec<OpId> = kinds(3).into_iter().map(|r| c.submit(0, r)).collect();
+    c.crash_node(0);
+    c.settle_network();
+    for op in &lost[1..] {
+        let outcome = c.outcome(*op).expect("resolved");
+        assert!(
+            matches!(outcome, Err(OpError::Timeout { .. })),
+            "{op}: {outcome:?}"
+        );
+    }
+    assert_eq!(minted(&c), minted2, "no deposit minted");
+    c.sim.set_offline(c.nid(0), false);
+    let recovery = c.submit(0, Request::Recover);
+    c.settle_network();
+    assert!(c.outcome(recovery).expect("resolved").is_ok());
+    all.extend(lost);
+    all.push(recovery);
+
+    let mut seen: BTreeMap<OpId, usize> = BTreeMap::new();
+    for done in c.completions(0) {
+        *seen.entry(done.op).or_default() += 1;
+    }
+    assert!(seen.values().all(|&n| n == 1), "an op completed twice");
+    for op in &all {
+        assert_eq!(seen.get(op), Some(&1), "{op}");
+    }
 }
 
 #[test]

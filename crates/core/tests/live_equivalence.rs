@@ -128,6 +128,14 @@ fn live_fingerprint(workers: usize) -> Vec<(u32, u64, String)> {
     let live = LiveCluster::over_reactor(cfg).expect("bind reactor listener");
     run_scenario(&mut &live);
     let fp = fingerprint(&live.completion_log());
+    // The hosts time each swap's phases themselves, so the live registry
+    // reports the scenario's swap like the simulator's does.
+    let swaps = live
+        .observe()
+        .hists
+        .get("swap.latency.total")
+        .map_or(0, |h| h.count);
+    assert!(swaps >= 1, "live registry timed {swaps} swaps");
     live.shutdown();
     fp
 }

@@ -36,16 +36,11 @@ fn phase(c: &Cluster, i: usize, swap: &SwapId) -> Option<SwapPhase> {
         .map(|s| s.phase)
 }
 
-/// How many `SwapResolved` events node `i` emitted for `swap` — the
-/// exactly-once observable (the host event log survives crashes).
-fn resolved_count(c: &Cluster, i: usize, swap: &SwapId) -> usize {
-    c.node(i)
-        .events
-        .iter()
-        .filter(
-            |(_, e)| matches!(e, teechain::HostEvent::SwapResolved { swap: s, .. } if s == swap),
-        )
-        .count()
+/// How many swaps node `i`'s enclave resolved (`swap.resolved`) — the
+/// exactly-once observable: the host's counter survives enclave crashes,
+/// and each cluster below drives one swap.
+fn resolved_count(c: &Cluster, i: usize) -> u64 {
+    c.node(i).registry().counter_value("swap.resolved")
 }
 
 /// Steps the simulation in 10 ms increments until `pred` holds, up to
@@ -79,8 +74,8 @@ fn happy_path_redeems_on_both_chains() {
     let swap = SwapId::from_label("happy");
     assert_eq!(phase(&c, 0, &swap), Some(SwapPhase::Redeemed));
     assert_eq!(phase(&c, 1, &swap), Some(SwapPhase::Redeemed));
-    assert_eq!(resolved_count(&c, 0, &swap), 1);
-    assert_eq!(resolved_count(&c, 1, &swap), 1);
+    assert_eq!(resolved_count(&c, 0), 1);
+    assert_eq!(resolved_count(&c, 1), 1);
     // The channel is fully usable afterwards.
     c.pay(0, chan, 100).unwrap();
     assert_eq!(c.balances(0, chan), (650, 350));
@@ -106,8 +101,8 @@ fn secret_withheld_past_timeout_refunds_both_sides() {
     // ...and the responder's alternate-chain funds came back to it.
     assert_eq!(c.chain2.lock().balance_p2pk(&c.ids[0]), 0);
     assert_eq!(c.chain2.lock().balance_p2pk(&c.ids[1]), 500);
-    assert_eq!(resolved_count(&c, 0, &swap), 1);
-    assert_eq!(resolved_count(&c, 1, &swap), 1);
+    assert_eq!(resolved_count(&c, 0), 1);
+    assert_eq!(resolved_count(&c, 1), 1);
     // The channel unfreezes for normal use.
     c.pay(0, chan, 40).unwrap();
     assert_eq!(c.balances(0, chan), (960, 40));
@@ -173,8 +168,8 @@ fn mature_htlc_delivered_late_is_refused_and_both_refund() {
     assert_eq!(c.balances(1, chan), (0, 1_000));
     assert_eq!(c.chain2.lock().balance_p2pk(&c.ids[0]), 0, "no claim");
     assert_eq!(c.chain2.lock().balance_p2pk(&c.ids[1]), 500, "refund");
-    assert_eq!(resolved_count(&c, 0, &swap), 1);
-    assert_eq!(resolved_count(&c, 1, &swap), 1);
+    assert_eq!(resolved_count(&c, 0), 1);
+    assert_eq!(resolved_count(&c, 1), 1);
 }
 
 #[test]
@@ -203,7 +198,7 @@ fn late_funding_after_refund_reclaims_stranded_htlc() {
     assert_eq!(c.chain2.lock().balance_p2pk(&c.ids[1]), 500);
     assert_eq!(c.chain2.lock().utxo_total(), 500);
     assert_eq!(phase(&c, 1, &swap), Some(SwapPhase::Refunded));
-    assert_eq!(resolved_count(&c, 1, &swap), 1);
+    assert_eq!(resolved_count(&c, 1), 1);
     assert_eq!(c.balances(1, chan), (0, 1_000), "no channel movement");
 }
 
@@ -256,7 +251,7 @@ fn remote_settle_request_while_swap_pending_is_rejected() {
     // the settle attempt racing it.
     c.wait(p).unwrap();
     assert!(!phase(&c, 0, &swap).unwrap().pending());
-    assert_eq!(resolved_count(&c, 0, &swap), 1);
+    assert_eq!(resolved_count(&c, 0), 1);
 }
 
 #[test]
@@ -285,8 +280,8 @@ fn crash_at_init_boundary_recovers_and_refunds_exactly_once() {
     assert_eq!(phase(&c, 0, &swap), Some(SwapPhase::Refunded));
     assert_eq!(phase(&c, 1, &swap), Some(SwapPhase::Refunded));
     assert_eq!(c.balances(0, chan), (1_000, 0), "no value moved");
-    assert_eq!(resolved_count(&c, 0, &swap), 1, "exactly-once on 0");
-    assert_eq!(resolved_count(&c, 1, &swap), 1, "exactly-once on 1");
+    assert_eq!(resolved_count(&c, 0), 1, "exactly-once on 0");
+    assert_eq!(resolved_count(&c, 1), 1, "exactly-once on 1");
 }
 
 #[test]
@@ -317,7 +312,7 @@ fn crash_at_locked_boundary_recovers_and_refunds_on_chain() {
     assert_eq!(phase(&c, 1, &swap), Some(SwapPhase::Refunded));
     assert_eq!(c.chain2.lock().balance_p2pk(&c.ids[1]), 500);
     assert_eq!(c.balances(0, chan), (1_000, 0));
-    assert_eq!(resolved_count(&c, 1, &swap), 1, "exactly-once on 1");
+    assert_eq!(resolved_count(&c, 1), 1, "exactly-once on 1");
 }
 
 #[test]
@@ -372,7 +367,7 @@ fn crash_at_redeemed_boundary_responder_learns_secret_from_chain() {
     assert_eq!(phase(&c, 1, &swap), Some(SwapPhase::Redeemed));
     assert_eq!(c.balances(1, chan), (250, 750), "responder credited once");
     assert_eq!(c.balances(0, chan), (750, 250));
-    assert_eq!(resolved_count(&c, 1, &swap), 1, "exactly-once on 1");
+    assert_eq!(resolved_count(&c, 1), 1, "exactly-once on 1");
 }
 
 #[test]
@@ -532,8 +527,8 @@ fn run_schedule(s: &Schedule) -> Result<(), TestCaseError> {
         prop_assert!(refunded == s.alt_amount || c.chain2.lock().utxo_total() == 0 || claimed > 0);
     }
     // Exactly-once resolution on every party that knows the swap.
-    prop_assert!(resolved_count(&c, 0, &swap) <= 1);
-    prop_assert!(resolved_count(&c, 1, &swap) <= 1);
+    prop_assert!(resolved_count(&c, 0) <= 1);
+    prop_assert!(resolved_count(&c, 1) <= 1);
     Ok(())
 }
 
