@@ -32,7 +32,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::ops::{Deref, DerefMut};
 use teechain::driver::SimHost;
 use teechain::enclave::Command;
-use teechain::ops::{Completion, OpError, OpOutput};
+use teechain::ops::{Completion, OpError, OpOutput, Payment};
 use teechain::testkit::{Cluster, ClusterConfig};
 use teechain::types::{ChannelId, ProtocolError, RouteId};
 use teechain_crypto::schnorr::PublicKey;
@@ -200,7 +200,7 @@ impl BenchNode {
             }
             let kind = c.outcome.as_ref().ok().map(OpOutput::kind);
             match c.outcome {
-                Ok(OpOutput::PaymentApplied { count, .. }) => {
+                Ok(OpOutput::PaymentApplied(Payment { count, .. })) => {
                     self.stats.completed += count as u64;
                     self.stats.last_ack = c.time_ns;
                     self.stats.record_latency(
@@ -209,7 +209,7 @@ impl BenchNode {
                     );
                     self.inflight = self.inflight.saturating_sub(count as usize);
                 }
-                Ok(OpOutput::MultihopDelivered { .. }) => {
+                Ok(OpOutput::MultihopDelivered(_)) => {
                     self.stats.completed += 1;
                     self.stats.multihop_completed += 1;
                     self.stats.last_ack = c.time_ns;

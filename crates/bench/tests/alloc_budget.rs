@@ -30,7 +30,7 @@ const BUDGET: [AllocCounts; 3] = [
     },
     AllocCounts {
         allocs: 3,
-        bytes: 822,
+        bytes: 566,
     },
     AllocCounts {
         allocs: 1,

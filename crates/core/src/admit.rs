@@ -50,7 +50,8 @@
 
 use crate::enclave::{Effect, Gate, HostEvent, Outcome, Peer, TeechainEnclave};
 use crate::msg::{ProtocolMsg, StateDelta};
-use crate::types::{ChannelId, ProtocolError};
+use crate::ops::{MatchKey, OpError};
+use crate::types::{ChannelId, ProtocolError, RouteId};
 use std::collections::{BTreeMap, VecDeque};
 use teechain_crypto::schnorr::PublicKey;
 use teechain_tee::EnclaveEnv;
@@ -261,18 +262,26 @@ impl AdmitState {
     }
 }
 
-/// The terminal event of an op queued on channel `id` that never reached
-/// the wire.
+/// The outcome of an op queued on channel `id` that never reached the
+/// wire.
 fn rejected(id: ChannelId, op: QueuedOp, reason: ProtocolError) -> Effect {
-    Effect::Event(match op {
-        QueuedOp::Pay { amount, count } => HostEvent::PaymentRejected {
-            id,
-            amount,
-            count,
-            reason,
-        },
-        QueuedOp::Multihop { route, .. } => HostEvent::MultihopFailed { route, reason },
-    })
+    match op {
+        QueuedOp::Pay { .. } => pay_rejected(id, reason),
+        QueuedOp::Multihop { route, .. } => multihop_failed(route, reason),
+    }
+}
+
+/// A queued payment on channel `id` was dropped without ever reaching the
+/// wire: the channel closed, its admission deadline passed, or the balance
+/// could not cover it at drain time. Nothing was debited or sent.
+fn pay_rejected(id: ChannelId, reason: ProtocolError) -> Effect {
+    Effect::failed(MatchKey::Payment(id), OpError::Rejected(reason))
+}
+
+/// Multi-hop payment `route` failed and was rolled back; `reason` is the
+/// refusing hop's, carried backward along the abort unwind.
+pub(crate) fn multihop_failed(route: RouteId, reason: ProtocolError) -> Effect {
+    Effect::failed(MatchKey::Multihop(route), OpError::Remote(reason))
 }
 
 impl TeechainEnclave {
@@ -513,10 +522,7 @@ impl TeechainEnclave {
                 };
                 match self.pay_multihop_inner(route, hops, channels, amount, entry.deadline_ns) {
                     Ok(effs) => effects.extend(effs),
-                    Err(e) => effects.push(Effect::Event(HostEvent::MultihopFailed {
-                        route,
-                        reason: e,
-                    })),
+                    Err(e) => effects.push(multihop_failed(route, e)),
                 }
             }
         }
@@ -550,12 +556,7 @@ impl TeechainEnclave {
                         q.pop_front();
                     } else if batch.is_empty() {
                         q.pop_front();
-                        effects.push(Effect::Event(HostEvent::PaymentRejected {
-                            id,
-                            amount,
-                            count,
-                            reason: ProtocolError::InsufficientBalance,
-                        }));
+                        effects.push(pay_rejected(id, ProtocolError::InsufficientBalance));
                     } else {
                         break;
                     }
@@ -600,13 +601,8 @@ impl TeechainEnclave {
             Err(e) => {
                 // No session (should not happen for an open channel):
                 // nothing was debited, fail the whole batch.
-                for (amount, count) in batch {
-                    effects.push(Effect::Event(HostEvent::PaymentRejected {
-                        id,
-                        amount,
-                        count,
-                        reason: e.clone(),
-                    }));
+                for _ in batch {
+                    effects.push(pay_rejected(id, e.clone()));
                 }
             }
         }

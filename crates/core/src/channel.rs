@@ -7,6 +7,7 @@ use crate::admit::{
 };
 use crate::enclave::{Effect, HostEvent, Outcome, Peer, TeechainEnclave};
 use crate::msg::{ProtocolMsg, StateDelta};
+use crate::ops::{MatchKey, OpError, OpOutput, Payment, SettleKind};
 use crate::settle;
 use crate::types::{ChannelId, MultihopStage, ProtocolError, RouteId};
 use teechain_blockchain::OutPoint;
@@ -169,6 +170,11 @@ impl Decode for Channel {
     }
 }
 
+/// Channel `id` is open on our side.
+fn opened(id: ChannelId) -> Effect {
+    Effect::done(MatchKey::ChannelOpen(id), OpOutput::ChannelOpen(id))
+}
+
 impl TeechainEnclave {
     pub(crate) fn cmd_new_channel(
         &mut self,
@@ -213,7 +219,7 @@ impl TeechainEnclave {
         chan.is_open = true;
         self.commit(StateDelta::Key(my_settlement, sk.to_bytes()));
         self.commit(StateDelta::Channel(Box::new(chan)));
-        Ok(vec![eff, Effect::Event(HostEvent::ChannelOpen(id))])
+        Ok(vec![eff, opened(id)])
     }
 
     /// Deterministic responder settlement key: derived inside the TEE from
@@ -241,7 +247,7 @@ impl TeechainEnclave {
             c.remote_settlement = settlement;
             c.is_open = true;
         })?;
-        Ok(vec![Effect::Event(HostEvent::ChannelOpen(id))])
+        Ok(vec![opened(id)])
     }
 
     /// Lock-aware channel selection (admission's second tool besides
@@ -413,10 +419,7 @@ impl TeechainEnclave {
                 remote_delta: -(amount as i64),
             },
         );
-        Ok(vec![
-            eff,
-            Effect::Event(HostEvent::PaymentReceived { id, amount, count }),
-        ])
+        Ok(vec![eff])
     }
 
     pub(crate) fn on_pay_ack(
@@ -430,18 +433,22 @@ impl TeechainEnclave {
             return Err(ProtocolError::BadMessage);
         }
         // One wire ack covers a whole drain batch: fan it back out to one
-        // event per merged op, in queue order (the op layer matches
+        // outcome per merged op, in queue order (the op layer matches
         // per-channel FIFO). A missing group (pre-crash send) degrades to
-        // the single aggregate event.
-        let mut acked = self.admit.take_acked(&id, |op| {
-            Effect::Event(HostEvent::PaymentAcked {
-                id: op.id,
-                amount: op.amount,
-                count: op.count,
-            })
-        });
+        // the single aggregate outcome.
+        let paid = |chan, amount, count| {
+            let payment = Payment {
+                chan,
+                amount,
+                count,
+            };
+            Effect::done(MatchKey::Payment(chan), OpOutput::PaymentApplied(payment))
+        };
+        let mut acked = self
+            .admit
+            .take_acked(&id, |op| paid(op.id, op.amount, op.count));
         if acked.is_empty() {
-            acked.push(Effect::Event(HostEvent::PaymentAcked { id, amount, count }));
+            acked.push(paid(id, amount, count));
         }
         Ok(acked)
     }
@@ -451,7 +458,6 @@ impl TeechainEnclave {
         from: Peer,
         id: ChannelId,
         amount: u64,
-        count: u32,
         reason: u8,
     ) -> Outcome {
         let (slot, chan) = self
@@ -472,21 +478,12 @@ impl TeechainEnclave {
             },
         );
         let reason = ProtocolError::from_abort_code(reason);
-        let mut nacked = self.admit.take_acked(&id, |op| {
-            Effect::Event(HostEvent::PaymentNacked {
-                id: op.id,
-                amount: op.amount,
-                count: op.count,
-                reason: reason.clone(),
-            })
-        });
+        // The remote's typed refusal, carried on the wire.
+        let refused =
+            |chan| Effect::failed(MatchKey::Payment(chan), OpError::Remote(reason.clone()));
+        let mut nacked = self.admit.take_acked(&id, |op| refused(op.id));
         if nacked.is_empty() {
-            nacked.push(Effect::Event(HostEvent::PaymentNacked {
-                id,
-                amount,
-                count,
-                reason,
-            }));
+            nacked.push(refused(id));
         }
         Ok(nacked)
     }
@@ -531,7 +528,7 @@ impl TeechainEnclave {
                 // resolves on this notification.
                 let msg = ProtocolMsg::SettleRequest { id };
                 let eff = self.seal_to(&remote, &msg)?;
-                return Ok(vec![eff, Effect::Event(HostEvent::SettledOffChain(id))]);
+                return Ok(vec![eff, Effect::settled(id, SettleKind::OffChain)]);
             }
             let my_deps = chan.my_deps.clone();
             let mut effects = Vec::new();
@@ -586,7 +583,7 @@ impl TeechainEnclave {
             effects.extend(sub);
         }
         // If we had no deposits, the channel is fully neutral on our side.
-        effects.push(Effect::Event(HostEvent::SettledOffChain(id)));
+        effects.push(Effect::settled(id, SettleKind::OffChain));
         Ok(effects)
     }
 

@@ -4,6 +4,7 @@
 
 use crate::enclave::{Effect, HostEvent, Outcome, TeechainEnclave};
 use crate::msg::{ProtocolMsg, StateDelta};
+use crate::ops::{MatchKey, OpOutput, SettleKind};
 use crate::settle;
 use crate::types::{ChannelId, Deposit, ProtocolError};
 use std::collections::{HashMap, HashSet};
@@ -138,6 +139,12 @@ impl DepositBook {
     }
 }
 
+/// Deposit `outpoint` is associated with channel `chan` on our side.
+fn associated(chan: ChannelId, outpoint: OutPoint) -> Effect {
+    let out = OpOutput::DepositAssociated { chan, outpoint };
+    Effect::done(MatchKey::DepositAssociated(chan, outpoint), out)
+}
+
 impl TeechainEnclave {
     pub(crate) fn cmd_new_deposit(&mut self, deposit: Deposit) -> Outcome {
         let key = self.state.book.check_new_mine(&deposit)?.to_bytes();
@@ -220,10 +227,14 @@ impl TeechainEnclave {
     ) -> Outcome {
         self.state.book.require_free(&outpoint)?;
         self.state.book.mark_approved_by(from, outpoint);
-        Ok(vec![Effect::Event(HostEvent::DepositApproved {
+        let approved = OpOutput::DepositApproved {
             remote: from,
             outpoint,
-        })])
+        };
+        Ok(vec![Effect::done(
+            MatchKey::DepositApproved(outpoint),
+            approved,
+        )])
     }
 
     pub(crate) fn cmd_associate(
@@ -271,10 +282,7 @@ impl TeechainEnclave {
             key,
             mine: true,
         });
-        Ok(vec![
-            eff,
-            Effect::Event(HostEvent::DepositAssociated { id, outpoint }),
-        ])
+        Ok(vec![eff, associated(id, outpoint)])
     }
 
     pub(crate) fn on_associate(
@@ -302,10 +310,7 @@ impl TeechainEnclave {
             key,
             mine: false,
         });
-        Ok(vec![Effect::Event(HostEvent::DepositAssociated {
-            id,
-            outpoint,
-        })])
+        Ok(vec![associated(id, outpoint)])
     }
 
     pub(crate) fn cmd_dissociate(
@@ -383,7 +388,7 @@ impl TeechainEnclave {
                 && c.pending_dissoc.is_empty()
         });
         if done && self.commit_channel(id, |c| c.settling = false).is_ok() {
-            effects.push(Effect::Event(HostEvent::SettledOffChain(*id)));
+            effects.push(Effect::settled(*id, SettleKind::OffChain));
         }
     }
 
@@ -408,10 +413,9 @@ impl TeechainEnclave {
             c.my_deps.retain(|d| *d != outpoint);
             c.my_bal -= dep_value;
         })?;
-        let mut effects = vec![Effect::Event(HostEvent::DepositDissociated {
-            id,
-            outpoint,
-        })];
+        let dissociated = OpOutput::DepositDissociated { chan: id, outpoint };
+        let key = MatchKey::DepositDissociated(id, outpoint);
+        let mut effects = vec![Effect::done(key, dissociated)];
         self.maybe_finish_offchain_settle(&id, &mut effects);
         Ok(effects)
     }
@@ -430,20 +434,20 @@ impl TeechainEnclave {
         Ok(vec![eff])
     }
 
-    /// Hands out a fresh blockchain key (Alg. 1 `newAddr`) in the event
+    /// Hands out a fresh blockchain key (Alg. 1 `newAddr`) in the outcome
     /// `announce` makes of its address, committed first. The address goes
     /// out with the key's update, not after the chain's ack, so a
     /// composite can use it at once; any use of the key commits later.
     pub(crate) fn hand_out_key(
         &mut self,
         env: &mut EnclaveEnv,
-        announce: impl FnOnce(PublicKey) -> Result<HostEvent, ProtocolError>,
+        announce: impl FnOnce(PublicKey) -> Result<Effect, ProtocolError>,
     ) -> Outcome {
         let kp = Keypair::from_seed(&env.random_bytes32());
-        let event = announce(kp.pk)?;
+        let announced = announce(kp.pk)?;
         self.commit(StateDelta::Key(kp.pk, kp.sk.to_bytes()));
         let mut effects = self.finalize(env, Vec::new())?;
-        effects.push(Effect::Event(event));
+        effects.push(announced);
         Ok(effects)
     }
 }

@@ -24,6 +24,7 @@ use crate::deposit::{DepositBook, DepositStatus};
 use crate::enclave::{Effect, HostEvent, Outcome, TeechainEnclave};
 use crate::msg::StateDelta;
 use crate::multihop::RouteState;
+use crate::ops::{MatchKey, OpOutput, Recovery};
 use crate::slots::SlotMap;
 use crate::swap::{SwapPhase, SwapState};
 use crate::types::{ChannelId, Deposit, MultihopStage, ProtocolError, RouteId, SwapId};
@@ -421,11 +422,12 @@ impl TeechainEnclave {
         }
         self.commits = applied;
         self.index_new_channels();
-        let mut effects = vec![Effect::Event(HostEvent::Recovered {
+        let recovered = OpOutput::Recovered(Recovery {
             channels: self.state.channels.len(),
             deposits: self.state.book.mine.len() + self.state.book.remote.len(),
             commits: applied,
-        })];
+        });
+        let mut effects = vec![Effect::done(MatchKey::Recovered, recovered)];
         // Re-arm swap timers: a pending swap resumes its chain watch /
         // deadline abort; an initiator whose debit committed (Redeemed)
         // re-drives the idempotent claim broadcast until it confirms —

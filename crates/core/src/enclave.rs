@@ -23,6 +23,7 @@ use crate::deposit::DepositBook;
 use crate::durability::DurabilityBackend;
 use crate::durable::DurableState;
 use crate::msg::{ProtocolMsg, StateDelta, WireView};
+use crate::ops::{MatchKey, OpError, OpOutput, SettleKind, Settlement};
 use crate::replication::{Replication, SigCollect};
 use crate::session::Session;
 use crate::slots::SlotMap;
@@ -66,7 +67,7 @@ impl EnclaveConfig {
 #[derive(Clone)]
 pub enum Command {
     /// Returns this enclave's identity key; as an operation it completes
-    /// with [`OpOutput::Identity`](crate::ops::OpOutput::Identity).
+    /// with [`OpOutput::Identity`].
     GetIdentity,
     /// Initiates a secure session with a remote enclave (identity key
     /// exchanged out-of-band, §4.1).
@@ -87,12 +88,12 @@ pub enum Command {
     },
     /// Generates a fresh blockchain address inside the TEE (Alg. 1
     /// `newAddr`); as an operation it completes with
-    /// [`OpOutput::Address`](crate::ops::OpOutput::Address).
+    /// [`OpOutput::Address`].
     NewAddress,
     /// Builds an m-of-n committee spec for a new deposit: a fresh
     /// per-deposit key plus every chain member's blockchain key (§6.1).
     /// As an operation it completes with
-    /// [`OpOutput::Committee`](crate::ops::OpOutput::Committee).
+    /// [`OpOutput::Committee`].
     NewCommitteeAddress {
         /// Signature threshold `m` (1 ≤ m ≤ chain length + 1).
         m: u8,
@@ -204,16 +205,15 @@ pub enum Command {
     },
     /// Force-freeze read of replicated state (issued on a backup, §6):
     /// freezes the chain; as an operation it completes with the replica
-    /// summary ([`OpOutput::ReplicaState`](crate::ops::OpOutput::ReplicaState)).
+    /// summary ([`OpOutput::ReplicaState`]).
     ReadReplica,
     /// Generates settlement transactions for every replicated channel (the
     /// failover path after the primary crashed).
     SettleFromReplica,
     /// Co-signs a settlement produced elsewhere in our committee, after
     /// verifying it against replicated state (§6.1). As an operation it
-    /// completes with [`OpOutput::CoSigned`](crate::ops::OpOutput::CoSigned);
-    /// the host routes the granted signatures back to the requesting
-    /// node.
+    /// completes with [`OpOutput::CoSigned`]; the host routes the granted
+    /// signatures back to the requesting node.
     CoSign {
         /// Request id to echo.
         req_id: u64,
@@ -255,9 +255,9 @@ pub enum Command {
     /// Initiates a cross-chain atomic swap: trades `amount` of our
     /// balance on `channel` for `alt_amount` locked for us on the
     /// alternate chain behind an HTLC hashed to a secret drawn inside
-    /// this enclave. As an operation it completes with
-    /// [`OpOutput::Swap`](crate::ops::OpOutput::Swap) once the swap
-    /// resolves (redeemed or refunded) — a stuck swap is a protocol bug.
+    /// this enclave. As an operation it completes with [`OpOutput::Swap`]
+    /// once the swap resolves (redeemed or refunded) — a stuck swap is a
+    /// protocol bug.
     Swap {
         /// Host-chosen swap instance id (operation correlation).
         swap: SwapId,
@@ -311,19 +311,12 @@ pub enum Command {
     },
 }
 
-/// Notifications from the enclave to its host.
+/// Requests from the enclave to its host: check the chain, gather
+/// co-signatures, fund or verify a lock, call back at a time, or record a
+/// swap's phase. No operation's outcome travels here: that leaves the
+/// enclave as [`Effect::Done`].
 #[derive(Debug, Clone)]
 pub enum HostEvent {
-    /// Our identity key (answer to [`Command::GetIdentity`]).
-    Identity(PublicKey),
-    /// A fresh in-enclave blockchain address.
-    NewAddress(PublicKey),
-    /// A committee spec for funding a new m-of-n deposit (§6.1).
-    CommitteeAddress(crate::types::CommitteeSpec),
-    /// Secure session established with `0`.
-    SessionEstablished(PublicKey),
-    /// Channel fully open.
-    ChannelOpen(ChannelId),
     /// The host must check that a remote deposit is confirmed on chain and
     /// answer with [`Command::DepositVerified`].
     VerifyDeposit {
@@ -331,103 +324,6 @@ pub enum HostEvent {
         remote: PublicKey,
         /// The deposit to verify.
         deposit: Deposit,
-    },
-    /// A remote approved our deposit; it may now be associated.
-    DepositApproved {
-        /// The counterparty.
-        remote: PublicKey,
-        /// Our deposit.
-        outpoint: teechain_blockchain::OutPoint,
-    },
-    /// Deposit association completed on our side.
-    DepositAssociated {
-        /// Channel.
-        id: ChannelId,
-        /// Deposit.
-        outpoint: teechain_blockchain::OutPoint,
-    },
-    /// Deposit dissociation acknowledged; deposit is free again.
-    DepositDissociated {
-        /// Channel.
-        id: ChannelId,
-        /// Deposit.
-        outpoint: teechain_blockchain::OutPoint,
-    },
-    /// An incoming payment was applied.
-    PaymentReceived {
-        /// Channel.
-        id: ChannelId,
-        /// Amount.
-        amount: u64,
-        /// Batched count.
-        count: u32,
-    },
-    /// Our payment was acknowledged (the paper's latency endpoint).
-    PaymentAcked {
-        /// Channel.
-        id: ChannelId,
-        /// Amount.
-        amount: u64,
-        /// Batched count.
-        count: u32,
-    },
-    /// A payment we sent was refused by the remote (terminal: its
-    /// admission queue was full, expired, or the channel closed there);
-    /// balances were rolled back.
-    PaymentNacked {
-        /// Channel.
-        id: ChannelId,
-        /// Amount rolled back.
-        amount: u64,
-        /// Batched count.
-        count: u32,
-        /// The remote's refusal reason, carried on the wire nack.
-        reason: ProtocolError,
-    },
-    /// A queued payment was dropped without ever reaching the wire
-    /// (terminal): the channel closed, the admission deadline passed, or
-    /// the balance could not cover it at drain time.
-    PaymentRejected {
-        /// Channel.
-        id: ChannelId,
-        /// Amount (never debited).
-        amount: u64,
-        /// Batched count.
-        count: u32,
-        /// Why the op was dropped.
-        reason: ProtocolError,
-    },
-    /// Channel settled cooperatively off-chain; deposits are free.
-    SettledOffChain(ChannelId),
-    /// A settlement transaction is ready and was broadcast.
-    SettlementBroadcast {
-        /// Channel (or route) context.
-        id: ChannelId,
-        /// The settlement txid.
-        txid: teechain_blockchain::TxId,
-    },
-    /// A multi-hop payment completed end-to-end (we are p1).
-    MultihopComplete {
-        /// The route.
-        route: RouteId,
-        /// Amount delivered.
-        amount: u64,
-    },
-    /// A multi-hop payment failed at lock stage and was rolled back.
-    MultihopFailed {
-        /// The route.
-        route: RouteId,
-        /// The refusing hop's failure reason, carried backward along the
-        /// abort unwind so the originator learns *why* (e.g. an
-        /// intermediary's [`ProtocolError::InsufficientBalance`]).
-        reason: ProtocolError,
-    },
-    /// An incoming multi-hop payment credited us (we are pn).
-    MultihopReceived {
-        /// The route.
-        route: RouteId,
-        /// Amount received.
-        amount: u64,
     },
     /// A settlement or a route's τ needs co-signatures from committee
     /// members; the host must gather them (e.g. via node-level
@@ -438,44 +334,12 @@ pub enum HostEvent {
         /// The partially signed transaction.
         tx: teechain_blockchain::Transaction,
     },
-    /// Result of a [`Command::CoSign`].
-    CoSignResult {
-        /// Echoed request id.
-        req_id: u64,
-        /// Signatures granted.
-        sigs: Vec<(u32, Signature)>,
-        /// True if verification failed and signing was refused.
-        refused: bool,
-    },
-    /// A backup attached to us (we are now replicated).
-    BackupAttached(PublicKey),
-    /// Replica summary after a force-freeze read.
-    ReplicaState {
-        /// Number of replicated channels.
-        channels: usize,
-        /// Number of replicated deposits.
-        deposits: usize,
-        /// Replication updates applied.
-        applied_seq: u64,
-    },
-    /// This enclave froze (force-freeze tripped or Byzantine suspicion).
-    Frozen,
     /// The enclave wants a pump: call [`Command::PumpAdmission`] at the
     /// given time (ns) — a queued-op deadline, the monotonic counter's
     /// `ready_at`, or, for a chain tail that owes an ack, now (the pump
     /// then runs after the input already delivered). Hosts keep the
-    /// earliest outstanding time; the node serves the request and does
-    /// not log it.
+    /// earliest outstanding time.
     PumpAt(u64),
-    /// Crash recovery succeeded (answer to [`Command::Recover`]).
-    Recovered {
-        /// Channels restored.
-        channels: usize,
-        /// Deposits restored (own and remote).
-        deposits: usize,
-        /// Durable commits replayed (snapshot counter + WAL records).
-        commits: u64,
-    },
     /// The responder host must fund this HTLC script with `value` on the
     /// alternate chain and answer with [`Command::SwapFunded`].
     SwapFundingNeeded {
@@ -516,15 +380,6 @@ pub enum HostEvent {
         /// The phase just entered.
         phase: SwapPhase,
     },
-    /// A swap resolved — terminal for the initiating operation. Both
-    /// resolutions are successful completions; `redeemed` says which
-    /// branch the two-ledger atomic outcome took.
-    SwapResolved {
-        /// The swap.
-        swap: SwapId,
-        /// True if redeemed on both ledgers, false if refunded on both.
-        redeemed: bool,
-    },
 }
 
 /// A remote enclave's slot in this enclave's peer table: a dense index
@@ -555,8 +410,17 @@ pub enum Effect {
     /// Broadcast a transaction to the *alternate* chain (cross-chain
     /// atomic swaps: HTLC claim and refund spends).
     BroadcastAlt(teechain_blockchain::Transaction),
-    /// Notify the host application.
+    /// A request to the host.
     Event(HostEvent),
+    /// The terminal outcome of the operation waiting on `key`: the host
+    /// completes the oldest pending operation under `key` with it, and
+    /// drops it when none waits (a responder's outcome).
+    Done {
+        /// The operation's correlation key.
+        key: MatchKey,
+        /// Its typed result.
+        outcome: Result<OpOutput, OpError>,
+    },
     /// Persist this sealed full-state snapshot, superseding the WAL so
     /// far — the host should compact (persistent-storage mode, §6.2).
     Persist(Vec<u8>),
@@ -565,6 +429,36 @@ pub enum Effect {
     /// (persistent-storage mode, §6.2). One record carries a whole
     /// group-committed batch of state deltas.
     AppendLog(Vec<u8>),
+}
+
+// Every effect of the payment path is moved through the host by value:
+// an outcome must not make each of them larger.
+const _: () = assert!(std::mem::size_of::<Effect>() <= 256);
+const _: () = assert!(std::mem::size_of::<HostEvent>() <= 256);
+
+impl Effect {
+    /// The operation under `key` succeeded with `out`.
+    pub(crate) fn done(key: MatchKey, out: OpOutput) -> Effect {
+        Effect::Done {
+            key,
+            outcome: Ok(out),
+        }
+    }
+
+    /// The settlement of channel `chan` (zeroed for a deposit release)
+    /// reached `kind`.
+    pub(crate) fn settled(chan: ChannelId, kind: SettleKind) -> Effect {
+        let out = OpOutput::Settled(Settlement { chan, kind });
+        Effect::done(MatchKey::Settle(chan), out)
+    }
+
+    /// The operation under `key` failed with `err`.
+    pub(crate) fn failed(key: MatchKey, err: OpError) -> Effect {
+        Effect::Done {
+            key,
+            outcome: Err(err),
+        }
+    }
 }
 
 /// Result of an ecall.
@@ -956,11 +850,8 @@ impl TeechainEnclave {
             ProtocolMsg::Pay { id, amount, count } => self.on_pay(env, peer, id, amount, count),
             ProtocolMsg::PayAck { id, amount, count } => self.on_pay_ack(peer, id, amount, count),
             ProtocolMsg::PayNack {
-                id,
-                amount,
-                count,
-                reason,
-            } => self.on_pay_nack(peer, id, amount, count, reason),
+                id, amount, reason, ..
+            } => self.on_pay_nack(peer, id, amount, reason),
             ProtocolMsg::SettleRequest { id } => self.on_settle_request(from, id),
             ProtocolMsg::ChannelClosed { id } => self.on_channel_closed(from, id),
             ProtocolMsg::MhLock(m) => self.on_mh_lock(env, from, m),
@@ -1015,11 +906,16 @@ impl TeechainEnclave {
         match cmd {
             Command::GetIdentity => {
                 let kp = self.identity(env);
-                Ok(vec![Effect::Event(HostEvent::Identity(kp.pk))])
+                Ok(vec![Effect::done(
+                    MatchKey::Identity,
+                    OpOutput::Identity(kp.pk),
+                )])
             }
             Command::StartSession { remote } => self.cmd_start_session(env, remote),
             Command::Deliver { wire, at } => self.cmd_deliver(env, wire, at),
-            Command::NewAddress => self.hand_out_key(env, |pk| Ok(HostEvent::NewAddress(pk))),
+            Command::NewAddress => self.hand_out_key(env, |pk| {
+                Ok(Effect::done(MatchKey::Address, OpOutput::Address(pk)))
+            }),
             Command::NewCommitteeAddress { m } => self.cmd_new_committee(env, m),
             Command::NewChannel {
                 id,

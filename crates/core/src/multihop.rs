@@ -17,8 +17,10 @@
 //! structure. This is equivalent (settlements are canonical and
 //! deterministic) and keeps verification exact.
 
+use crate::admit::multihop_failed;
 use crate::enclave::{Effect, HostEvent, Outcome, TeechainEnclave};
 use crate::msg::{MhLock, ProtocolMsg, SettleDigest, StateDelta};
+use crate::ops::{Delivered, MatchKey, OpOutput, SettleKind};
 use crate::replication::CoSigned;
 use crate::settle;
 use crate::types::{ChannelId, MultihopStage, ProtocolError, RouteId};
@@ -611,7 +613,7 @@ impl TeechainEnclave {
         if route.prev_hop() != Some(from) {
             return Err(ProtocolError::BadMessage);
         }
-        let (next, prev, amount) = (route.next_hop(), route.prev_hop(), route.amount);
+        let (next, prev) = (route.next_hop(), route.prev_hop());
         if self.route_stage(&route_id) != MultihopStage::Sign {
             return Err(ProtocolError::BadStage);
         }
@@ -642,10 +644,6 @@ impl TeechainEnclave {
             let prev = prev.expect("pn has a predecessor");
             let msg = ProtocolMsg::MhUpdate { route: route_id };
             effects.push(self.seal_to(&prev, &msg)?);
-            effects.push(Effect::Event(HostEvent::MultihopReceived {
-                route: route_id,
-                amount,
-            }));
         }
         Ok(effects)
     }
@@ -754,10 +752,14 @@ impl TeechainEnclave {
                 let msg = ProtocolMsg::MhRelease { route: route_id };
                 vec![self.seal_to(&prev, &msg)?]
             }
-            None => vec![Effect::Event(HostEvent::MultihopComplete {
-                route: route_id,
-                amount,
-            })],
+            None => {
+                let delivered = Delivered {
+                    route: route_id,
+                    amount,
+                };
+                let out = OpOutput::MultihopDelivered(delivered);
+                vec![Effect::done(MatchKey::Multihop(route_id), out)]
+            }
         };
         // The drain is the tentpole's fast path: an intermediate hop that
         // just released re-admits its deferred locks and queued payments
@@ -805,16 +807,13 @@ impl TeechainEnclave {
             // keeps improving with every round.
             match self.requeue_origination(env, &route) {
                 Some(eff) => vec![eff],
-                None => vec![Effect::Event(HostEvent::MultihopFailed {
-                    route: route_id,
-                    reason: ProtocolError::ChannelLocked,
-                })],
+                None => vec![multihop_failed(route_id, ProtocolError::ChannelLocked)],
             }
         } else {
-            vec![Effect::Event(HostEvent::MultihopFailed {
-                route: route_id,
-                reason: ProtocolError::from_abort_code(reason),
-            })]
+            vec![multihop_failed(
+                route_id,
+                ProtocolError::from_abort_code(reason),
+            )]
         };
         for id in unlocked {
             self.drain_admission(env, id, &mut effects);
@@ -889,10 +888,8 @@ impl TeechainEnclave {
         }
         let mut effects = self.terminate_route(&route_id, &my_channels, settlements);
         if let Some(tau) = tau {
-            effects.push(Effect::Event(HostEvent::SettlementBroadcast {
-                id: ChannelId(route_id.0),
-                txid: tau.txid(),
-            }));
+            let kind = SettleKind::OnChain(tau.txid());
+            effects.push(Effect::settled(ChannelId(route_id.0), kind));
             effects.push(Effect::Broadcast(tau));
         }
         Ok(effects)

@@ -6,10 +6,10 @@ use super::*;
 use crate::enclave::Command;
 use crate::ops::{OpId, OpOutput};
 use crate::settle::SIGN_WORK;
-use crate::testkit::{Cluster, ClusterConfig};
+use crate::testkit::{Cluster, ClusterConfig, Harness};
 use crate::DurabilityBackend;
 use teechain_blockchain::ScriptPubKey;
-use teechain_crypto::schnorr::Keypair;
+use teechain_crypto::schnorr::{self, Keypair};
 use teechain_net::EngineKind;
 use teechain_tee::EnclaveProgram;
 use teechain_util::codec::Encode;
@@ -95,7 +95,7 @@ fn a_three_hop_payment_signs_each_input_once() {
     c.settle_network();
     assert!(matches!(
         c.outcome(op),
-        Some(Ok(OpOutput::MultihopDelivered { .. }))
+        Some(Ok(OpOutput::MultihopDelivered(_)))
     ));
     // (signatures, sighashes): p4, p3 and p2 each sign one input; p1
     // finds every input signed and hashes nothing.
@@ -181,7 +181,7 @@ fn a_three_hop_payment_over_committee_deposits_completes() {
     c.settle_network();
     assert!(matches!(
         c.outcome(op),
-        Some(Ok(OpOutput::MultihopDelivered { .. }))
+        Some(Ok(OpOutput::MultihopDelivered(_)))
     ));
     assert_eq!(c.balances(3, chans[2]), (AMOUNT, 1000 - AMOUNT));
 }
@@ -299,4 +299,88 @@ fn an_eject_ends_the_co_sign_wait() {
         },
     );
     assert_eq!(got.err(), Some(ProtocolError::BadMessage));
+}
+
+/// The committee key of backup node `i`, read out of its compromised
+/// enclave.
+fn member_key(c: &mut Cluster, i: usize) -> Keypair {
+    let (backup, _) = c.node_mut(i).enclave.compromise().expect("running");
+    backup.rep.member.expect("committee member")
+}
+
+/// `key`'s two valid signatures over `msg`: the one [`Keypair::sign`]
+/// makes, and one with another nonce — which only a compromised signer
+/// makes, since an honest one signs deterministically.
+fn sign_twice(key: &Keypair, msg: &[u8; 32]) -> [Signature; 2] {
+    use teechain_crypto::{modarith::fn_order, point::base_mul, sha256::tagged_hash};
+    let f = fn_order();
+    let k = f.from_bytes(&tagged_hash("test/another-nonce", &[msg]));
+    let r = base_mul(&k).to_affine().expect("a nonzero nonce");
+    let e = tagged_hash(
+        "teechain/challenge",
+        &[&r.to_bytes(), &key.pk.to_bytes(), msg],
+    );
+    let x = f.from_bytes(&key.sk.to_bytes());
+    let again = Signature {
+        r,
+        s: f.add(&k, &f.mul(&f.from_bytes(&e), &x)),
+    };
+    let sigs = [key.sign(msg), again];
+    assert!(sigs[0] != sigs[1] && sigs.iter().all(|s| schnorr::verify(&key.pk, msg, s)));
+    sigs
+}
+
+/// A committee member that signs one transaction twice, with two nonces,
+/// counts once toward the threshold, as the chain's multisig counts it.
+/// On 3-of-4 committee deposits the hop's own signature and one member's
+/// two are three signatures from two keys, and the chain refuses them:
+/// the sign pass keeps waiting on τ, and a settlement is not broadcast.
+#[test]
+fn a_member_that_signs_twice_counts_once() {
+    let backups = DurabilityBackend::Replication { backups: 3 };
+    // τ at p3, whose first backup is node 4 + 2 * 3.
+    let (mut c, chans) = line(backups, 3);
+    let (req_id, tau, own) = parked_at_p3(&mut c, &chans);
+    let sighash = tau.sighash();
+    let twice = sign_twice(&member_key(&mut c, 10), &sighash);
+    let script = c
+        .chain
+        .lock()
+        .utxo(&tau.inputs[own].prevout)
+        .unwrap()
+        .script
+        .clone();
+    let mut witness = tau.inputs[own].witness.clone();
+    witness.extend(twice);
+    assert_eq!((witness.len(), script.required_sigs()), (3, 3));
+    assert!(!script.verify_witness_at(&sighash, &witness, u64::MAX));
+    let (p, env) = c.node_mut(2).enclave.compromise().expect("running");
+    let sigs = twice.map(|sig| (own as u32, sig)).to_vec();
+    let got = p.handle(env, Command::AddCoSigs { req_id, sigs });
+    assert!(got.expect("accepted").is_empty(), "τ passed on");
+    assert_eq!(p.sig_collects[&req_id].tx.inputs[own].witness.len(), 2);
+    assert_eq!(
+        p.route_stage(&RouteId::from_label("tau")),
+        MultihopStage::Sign
+    );
+
+    // A settlement at p1, whose first backup is node 4.
+    let (mut c, chans) = line(backups, 3);
+    c.pay(0, chans[0], AMOUNT).unwrap();
+    c.submit(0, Command::Settle { id: chans[0] });
+    let (&req_id, collect) = program(&c, 0)
+        .sig_collects
+        .iter()
+        .next()
+        .expect("co-signing");
+    let mut forged = collect.tx.clone();
+    let twice = sign_twice(&member_key(&mut c, 4), &forged.sighash());
+    forged.inputs[0].witness.extend(twice);
+    assert_eq!(forged.inputs[0].witness.len(), 3);
+    assert!(c.chain.lock().validate(&forged).is_err());
+    let (p, env) = c.node_mut(0).enclave.compromise().expect("running");
+    let sigs = twice.map(|sig| (0, sig)).to_vec();
+    let got = p.handle(env, Command::AddCoSigs { req_id, sigs });
+    assert!(got.expect("accepted").is_empty(), "settlement broadcast");
+    assert!(p.sig_collects.contains_key(&req_id));
 }

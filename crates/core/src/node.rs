@@ -5,9 +5,11 @@
 
 use crate::enclave::{Command, Effect, EnclaveConfig, HostEvent, PeerSlot, TeechainEnclave};
 use crate::msg::WireView;
-use crate::ops::{accepted_output, Completion, OpError, OpId, OpTracker, Request};
+use crate::ops::{
+    accepted_output, Completion, OpError, OpId, OpOutput, OpResult, OpTracker, Request,
+};
 use crate::swap::SwapPhase;
-use crate::types::{Deposit, ProtocolError, SwapId};
+use crate::types::{CommitteeSpec, Deposit, ProtocolError, SwapId};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -347,11 +349,15 @@ impl TeechainNode {
             .ecall(now_ns, Command::GetIdentity)
             .expect("a live enclave tells its identity");
         for e in &effects {
-            if let Effect::Event(HostEvent::Identity(pk)) = e {
+            if let Effect::Done {
+                outcome: Ok(OpOutput::Identity(pk)),
+                ..
+            } = e
+            {
                 self.identity = Some(*pk);
             }
         }
-        self.identity.expect("identity event")
+        self.identity.expect("identity outcome")
     }
 
     /// The one path into the enclave: records the ecall's trace span, and
@@ -434,13 +440,17 @@ impl TeechainNode {
                 }
                 let result = self.reaction(ctx, Command::CoSign { req_id, tx }, false);
                 if let Ok(effects) = result {
-                    // CoSignResult events answer back to the origin node.
+                    // The co-sign outcome answers back to the origin node.
                     for e in effects {
-                        if let Effect::Event(HostEvent::CoSignResult {
-                            req_id,
-                            sigs,
-                            refused,
-                        }) = e
+                        if let Effect::Done {
+                            outcome:
+                                Ok(OpOutput::CoSigned {
+                                    req_id,
+                                    sigs,
+                                    refused,
+                                }),
+                            ..
+                        } = e
                         {
                             if let Some(&node) = self.directory.get(&origin) {
                                 let resp = NodeWire::SigResponse {
@@ -709,18 +719,14 @@ impl TeechainNode {
                     self.trace(ctx.now_ns(), EventKind::WalSnapshot, cause, blob.len());
                     self.sealed_store = Some(blob);
                 }
-                // A request to schedule a callback, not a notification: the
-                // pump it arms runs under the asking ecall's cause.
-                Effect::Event(HostEvent::PumpAt(at)) => {
-                    if self.schedule_pump(ctx, at) {
-                        self.pump_cause = self.tracer.cause();
+                Effect::Event(request) => self.react(ctx, &request),
+                // An outcome completes the oldest operation waiting on its
+                // key, if any.
+                Effect::Done { key, outcome } => {
+                    if let Ok(OpOutput::Swap(_)) = outcome {
+                        self.swap_resolved += 1;
                     }
-                }
-                // Each event gets the host's reaction, then may resolve a
-                // pending operation.
-                Effect::Event(event) => {
-                    self.react(ctx, &event);
-                    if let Some(c) = self.ops.observe(&event, ctx.now_ns()) {
+                    if let Some(c) = self.ops.observe(key, outcome, ctx.now_ns()) {
                         self.push_completion(ctx.now_ns(), c);
                     }
                 }
@@ -751,9 +757,15 @@ impl TeechainNode {
         Some(node)
     }
 
-    /// Automatic host reactions to enclave events.
-    fn react(&mut self, ctx: &mut Ctx<'_>, event: &HostEvent) {
-        match event {
+    /// The host's answers to the enclave's requests.
+    fn react(&mut self, ctx: &mut Ctx<'_>, request: &HostEvent) {
+        match request {
+            // The pump it arms runs under the asking ecall's cause.
+            HostEvent::PumpAt(at) => {
+                if self.schedule_pump(ctx, *at) {
+                    self.pump_cause = self.tracer.cause();
+                }
+            }
             HostEvent::VerifyDeposit { remote, deposit } => {
                 // The host checks the chain per its own policy and answers.
                 let valid = self.verify_deposit_on_chain(deposit);
@@ -820,7 +832,6 @@ impl TeechainNode {
             HostEvent::SwapPhaseEntered { swap, phase } => {
                 self.swap_phase(ctx.now_ns(), *swap, *phase);
             }
-            HostEvent::SwapResolved { .. } => self.swap_resolved += 1,
             HostEvent::NeedCoSign { req_id, tx } => {
                 let me = self.identity.expect("identity known by now");
                 for peer in self.committee_peers.clone() {
@@ -842,7 +853,6 @@ impl TeechainNode {
                     }
                 }
             }
-            _ => {}
         }
     }
 
@@ -1170,10 +1180,7 @@ impl TeechainNode {
             Request::OpenChannel { id, remote } => Command::NewChannel {
                 id,
                 remote,
-                my_settlement: self.hand_out(ctx, Command::NewAddress, |e| match e {
-                    HostEvent::NewAddress(pk) => Some(pk),
-                    _ => None,
-                })?,
+                my_settlement: self.hand_out(ctx, Command::NewAddress)?,
             },
         };
         self.ops.rewrite(seq, rest.clone());
@@ -1197,19 +1204,21 @@ impl TeechainNode {
     }
 
     /// A composite's hand-out step: carries out every effect of the ecall
-    /// (the key's commit) except the last, the address event: `pick` reads
-    /// it, so it cannot be taken for a user-submitted operation's response.
-    fn hand_out<T>(
+    /// (the key's commit) except the last, the address outcome, which it
+    /// reads as a `T`, so it cannot be taken for a user-submitted
+    /// operation's response.
+    fn hand_out<T: OpResult>(
         &mut self,
         ctx: &mut Ctx<'_>,
         cmd: Command,
-        pick: impl Fn(HostEvent) -> Option<T>,
     ) -> Result<T, ProtocolError> {
         let mut effects = self.ecall(ctx.now_ns(), cmd)?;
         let last = effects.pop();
         self.perform(ctx, effects);
         match last {
-            Some(Effect::Event(event)) => pick(event).ok_or(ProtocolError::BadMessage),
+            Some(Effect::Done {
+                outcome: Ok(out), ..
+            }) => T::from_output(out).ok_or(ProtocolError::BadMessage),
             _ => Err(ProtocolError::BadMessage),
         }
     }
@@ -1252,10 +1261,7 @@ impl TeechainNode {
         value: u64,
         m: u8,
     ) -> Result<Deposit, ProtocolError> {
-        let spec = self.hand_out(ctx, Command::NewCommitteeAddress { m }, |e| match e {
-            HostEvent::CommitteeAddress(spec) => Some(spec),
-            _ => None,
-        })?;
+        let spec: CommitteeSpec = self.hand_out(ctx, Command::NewCommitteeAddress { m })?;
         let outpoint = {
             let mut chain = self.chain.lock();
             let script =

@@ -12,26 +12,32 @@
 //!
 //! Layering:
 //!
+//! * The enclave decides what happened: each operation's terminal result
+//!   leaves it as one [`Effect::Done`](crate::enclave::Effect::Done),
+//!   already a [`MatchKey`] and an `OpOutput` or `OpError`. Nothing
+//!   between the enclave and the completion translates it.
 //! * `OpTracker` (crate-internal) lives inside the untrusted host
-//!   ([`crate::node::TeechainNode`]): it correlates terminal
-//!   [`HostEvent`]s with pending operations, turns them into
-//!   completions, and arms deadline/retry timers inside the simulation —
-//!   so completions are ordinary deterministic events that merge
-//!   identically at any shard count.
+//!   ([`crate::node::TeechainNode`]): it matches each outcome with the
+//!   oldest pending operation under its key, turns it into a completion,
+//!   and arms deadline timers inside the simulation — so completions are
+//!   ordinary deterministic events that merge identically at any shard
+//!   count. An outcome no pending operation waits on (a responder's)
+//!   is dropped.
 //! * [`Request`] is the one thing a harness submits, and [`Pending`] the
 //!   typed token it hands back: resolve it with
 //!   [`Harness::wait`](crate::testkit::Harness::wait), which runs the
 //!   cluster until the operation resolves and extracts the typed result.
-//! * `HostEvent` remains only as the host's internal notification stream
-//!   for genuinely unsolicited events (e.g. `VerifyDeposit` callbacks);
-//!   no caller outside `crates/core` touches it.
+//! * The enclave's requests to its host travel apart from outcomes, as
+//!   [`Effect::Event`](crate::enclave::Effect::Event): check a deposit,
+//!   gather co-signatures, call back at a time, … No outcome travels
+//!   with them, and no caller outside `crates/core` touches them.
 
-use crate::enclave::{Command, HostEvent};
+use crate::enclave::Command;
 use crate::swap::SwapOutcome;
 use crate::types::{ChannelId, CommitteeSpec, Deposit, ProtocolError, RouteId, SwapId};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use teechain_blockchain::{OutPoint, TxId};
-use teechain_crypto::schnorr::PublicKey;
+use teechain_crypto::schnorr::{PublicKey, Signature};
 
 /// Identifies one submitted operation, unique across the whole cluster:
 /// the submitting node plus a per-node sequence number.
@@ -99,28 +105,12 @@ pub enum OpOutput {
     },
     /// Our payment was acknowledged by the receiver (`Command::Pay` —
     /// the paper's latency endpoint).
-    PaymentApplied {
-        /// The channel.
-        chan: ChannelId,
-        /// Total amount applied.
-        amount: u64,
-        /// Batched logical payment count.
-        count: u32,
-    },
+    PaymentApplied(Payment),
     /// A multi-hop payment completed end-to-end (`Command::PayMultihop`).
-    MultihopDelivered {
-        /// The route.
-        route: RouteId,
-        /// Amount delivered.
-        amount: u64,
-    },
-    /// Channel settled (`Command::Settle` / `Command::ReleaseDeposit`).
-    Settled {
-        /// The channel (zeroed for a deposit release).
-        chan: ChannelId,
-        /// Off-chain or on-chain terminal state.
-        kind: SettleKind,
-    },
+    MultihopDelivered(Delivered),
+    /// Channel settled (`Command::Settle` / `Command::ReleaseDeposit`; a
+    /// release's channel is zeroed).
+    Settled(Settlement),
     /// A backup TEE joined our committee chain (`Command::AttachBackup`).
     BackupAttached(PublicKey),
     /// Replica summary after a force-freeze read (`Command::ReadReplica`).
@@ -132,23 +122,19 @@ pub enum OpOutput {
         /// Replication updates applied.
         applied_seq: u64,
     },
-    /// Result of a co-sign request (`Command::CoSign`).
+    /// Result of a co-sign request (`Command::CoSign`); the host routes
+    /// the granted signatures back to the requesting node.
     CoSigned {
         /// Echoed request id.
         req_id: u64,
+        /// `(input index, signature)` pairs granted.
+        sigs: Vec<(u32, Signature)>,
         /// True if verification failed and signing was refused.
         refused: bool,
     },
     /// Crash recovery replayed durable state (`Command::Recover` / the
     /// harness-level recover operation).
-    Recovered {
-        /// Channels restored.
-        channels: usize,
-        /// Deposits restored.
-        deposits: usize,
-        /// Durable commits replayed.
-        commits: u64,
-    },
+    Recovered(Recovery),
     /// A cross-chain atomic swap resolved (`Command::Swap`). Both
     /// resolutions — redeemed on both ledgers or refunded on both — are
     /// successful completions; the payload says which.
@@ -172,13 +158,13 @@ impl OpOutput {
             OpOutput::DepositApproved { .. } => "deposit_approved",
             OpOutput::DepositAssociated { .. } => "deposit_associated",
             OpOutput::DepositDissociated { .. } => "deposit_dissociated",
-            OpOutput::PaymentApplied { .. } => "payment",
-            OpOutput::MultihopDelivered { .. } => "multihop",
-            OpOutput::Settled { .. } => "settle",
+            OpOutput::PaymentApplied(_) => "payment",
+            OpOutput::MultihopDelivered(_) => "multihop",
+            OpOutput::Settled(_) => "settle",
             OpOutput::BackupAttached(_) => "backup_attached",
             OpOutput::ReplicaState { .. } => "replica_state",
             OpOutput::CoSigned { .. } => "cosigned",
-            OpOutput::Recovered { .. } => "recovered",
+            OpOutput::Recovered(_) => "recovered",
             OpOutput::Swap(_) => "swap",
             OpOutput::Done => "done",
         }
@@ -311,14 +297,31 @@ impl OpResult for () {
     }
 }
 
-impl OpResult for ChannelId {
-    fn from_output(out: OpOutput) -> Option<Self> {
-        match out {
-            OpOutput::ChannelOpen(id) => Some(id),
-            _ => None,
+/// Implements [`OpResult`] for the payload of a one-field `OpOutput`
+/// variant.
+macro_rules! op_result {
+    ($($payload:ty => $variant:ident),* $(,)?) => {$(
+        impl OpResult for $payload {
+            fn from_output(out: OpOutput) -> Option<Self> {
+                match out {
+                    OpOutput::$variant(v) => Some(v),
+                    _ => None,
+                }
+            }
         }
-    }
+    )*};
 }
+
+op_result!(
+    ChannelId => ChannelOpen,
+    Deposit => DepositFunded,
+    CommitteeSpec => Committee,
+    Payment => PaymentApplied,
+    Delivered => MultihopDelivered,
+    Settlement => Settled,
+    Recovery => Recovered,
+    SwapOutcome => Swap,
+);
 
 impl OpResult for PublicKey {
     fn from_output(out: OpOutput) -> Option<Self> {
@@ -327,24 +330,6 @@ impl OpResult for PublicKey {
             | OpOutput::Address(pk)
             | OpOutput::SessionEstablished(pk)
             | OpOutput::BackupAttached(pk) => Some(pk),
-            _ => None,
-        }
-    }
-}
-
-impl OpResult for Deposit {
-    fn from_output(out: OpOutput) -> Option<Self> {
-        match out {
-            OpOutput::DepositFunded(d) => Some(d),
-            _ => None,
-        }
-    }
-}
-
-impl OpResult for CommitteeSpec {
-    fn from_output(out: OpOutput) -> Option<Self> {
-        match out {
-            OpOutput::Committee(c) => Some(c),
             _ => None,
         }
     }
@@ -361,23 +346,6 @@ pub struct Payment {
     pub count: u32,
 }
 
-impl OpResult for Payment {
-    fn from_output(out: OpOutput) -> Option<Self> {
-        match out {
-            OpOutput::PaymentApplied {
-                chan,
-                amount,
-                count,
-            } => Some(Payment {
-                chan,
-                amount,
-                count,
-            }),
-            _ => None,
-        }
-    }
-}
-
 /// A completed multi-hop payment (`Command::PayMultihop`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Delivered {
@@ -385,15 +353,6 @@ pub struct Delivered {
     pub route: RouteId,
     /// Amount delivered end-to-end.
     pub amount: u64,
-}
-
-impl OpResult for Delivered {
-    fn from_output(out: OpOutput) -> Option<Self> {
-        match out {
-            OpOutput::MultihopDelivered { route, amount } => Some(Delivered { route, amount }),
-            _ => None,
-        }
-    }
 }
 
 /// A completed settlement (`Command::Settle`).
@@ -405,71 +364,53 @@ pub struct Settlement {
     pub kind: SettleKind,
 }
 
-impl OpResult for Settlement {
-    fn from_output(out: OpOutput) -> Option<Self> {
-        match out {
-            OpOutput::Settled { chan, kind } => Some(Settlement { chan, kind }),
-            _ => None,
-        }
-    }
-}
-
 /// A completed crash recovery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Recovery {
     /// Channels restored.
     pub channels: usize,
-    /// Deposits restored.
+    /// Deposits restored (own and remote).
     pub deposits: usize,
-    /// Durable commits replayed.
+    /// Durable commits replayed (snapshot counter + WAL records).
     pub commits: u64,
 }
 
-impl OpResult for Recovery {
-    fn from_output(out: OpOutput) -> Option<Self> {
-        match out {
-            OpOutput::Recovered {
-                channels,
-                deposits,
-                commits,
-            } => Some(Recovery {
-                channels,
-                deposits,
-                commits,
-            }),
-            _ => None,
-        }
-    }
-}
-
-impl OpResult for SwapOutcome {
-    fn from_output(out: OpOutput) -> Option<Self> {
-        match out {
-            OpOutput::Swap(o) => Some(o),
-            _ => None,
-        }
-    }
-}
-
-/// Correlation key a pending operation waits on: the identifying payload
-/// of the terminal [`HostEvent`] its command produces.
+/// The correlation key of an operation: what its command names, and
+/// what the enclave's [`Effect::Done`](crate::enclave::Effect::Done)
+/// carrying its outcome names. Same-key operations resolve FIFO.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum MatchKey {
+pub enum MatchKey {
+    /// `Command::GetIdentity`.
     Identity,
+    /// `Command::NewAddress`.
     Address,
+    /// `Command::NewCommitteeAddress`.
     Committee,
+    /// `Command::StartSession` with this peer.
     Session(PublicKey),
+    /// `Command::NewChannel` of this channel.
     ChannelOpen(ChannelId),
+    /// `Command::ApproveDeposit` of this deposit.
     DepositApproved(OutPoint),
+    /// `Command::AssociateDeposit`.
     DepositAssociated(ChannelId, OutPoint),
+    /// `Command::DissociateDeposit`.
     DepositDissociated(ChannelId, OutPoint),
+    /// `Command::Pay` on this channel.
     Payment(ChannelId),
+    /// `Command::PayMultihop` of this route.
     Multihop(RouteId),
+    /// `Command::Settle` of this channel (zeroed for `ReleaseDeposit`).
     Settle(ChannelId),
+    /// `Command::CoSign` with this request id.
     CoSign(u64),
+    /// `Command::AttachBackup` of this backup.
     BackupAttached(PublicKey),
+    /// `Command::ReadReplica`.
     Replica,
+    /// `Command::Recover`.
     Recovered,
+    /// `Command::Swap` of this swap.
     Swap(SwapId),
 }
 
@@ -525,147 +466,6 @@ pub(crate) fn accepted_output(cmd: &Command) -> Option<OpOutput> {
         Command::NewDeposit { deposit } => Some(OpOutput::DepositFunded(deposit.clone())),
         _ => expect_for(cmd).is_none().then_some(OpOutput::Done),
     }
-}
-
-/// Maps a terminal host event to its correlation key and outcome.
-/// Non-terminal events (unsolicited notifications) map to `None`.
-fn outcome_of(event: &HostEvent) -> Option<(MatchKey, Result<OpOutput, OpError>)> {
-    Some(match event {
-        HostEvent::Identity(pk) => (MatchKey::Identity, Ok(OpOutput::Identity(*pk))),
-        HostEvent::NewAddress(pk) => (MatchKey::Address, Ok(OpOutput::Address(*pk))),
-        HostEvent::CommitteeAddress(spec) => {
-            (MatchKey::Committee, Ok(OpOutput::Committee(spec.clone())))
-        }
-        HostEvent::SessionEstablished(pk) => (
-            MatchKey::Session(*pk),
-            Ok(OpOutput::SessionEstablished(*pk)),
-        ),
-        HostEvent::ChannelOpen(id) => (MatchKey::ChannelOpen(*id), Ok(OpOutput::ChannelOpen(*id))),
-        HostEvent::DepositApproved { remote, outpoint } => (
-            MatchKey::DepositApproved(*outpoint),
-            Ok(OpOutput::DepositApproved {
-                remote: *remote,
-                outpoint: *outpoint,
-            }),
-        ),
-        HostEvent::DepositAssociated { id, outpoint } => (
-            MatchKey::DepositAssociated(*id, *outpoint),
-            Ok(OpOutput::DepositAssociated {
-                chan: *id,
-                outpoint: *outpoint,
-            }),
-        ),
-        HostEvent::DepositDissociated { id, outpoint } => (
-            MatchKey::DepositDissociated(*id, *outpoint),
-            Ok(OpOutput::DepositDissociated {
-                chan: *id,
-                outpoint: *outpoint,
-            }),
-        ),
-        HostEvent::PaymentAcked { id, amount, count } => (
-            MatchKey::Payment(*id),
-            Ok(OpOutput::PaymentApplied {
-                chan: *id,
-                amount: *amount,
-                count: *count,
-            }),
-        ),
-        // A nack is the remote's typed refusal (carried on the wire);
-        // our debit was rolled back.
-        HostEvent::PaymentNacked { id, reason, .. } => {
-            (MatchKey::Payment(*id), Err(OpError::Remote(reason.clone())))
-        }
-        // A rejection is the local admission layer giving up on a queued
-        // payment: deadline expiry, channel closed, or insufficient
-        // balance at drain time. Nothing was ever debited or sent.
-        HostEvent::PaymentRejected { id, reason, .. } => (
-            MatchKey::Payment(*id),
-            Err(OpError::Rejected(reason.clone())),
-        ),
-        HostEvent::SettledOffChain(id) => (
-            MatchKey::Settle(*id),
-            Ok(OpOutput::Settled {
-                chan: *id,
-                kind: SettleKind::OffChain,
-            }),
-        ),
-        HostEvent::SettlementBroadcast { id, txid } => (
-            MatchKey::Settle(*id),
-            Ok(OpOutput::Settled {
-                chan: *id,
-                kind: SettleKind::OnChain(*txid),
-            }),
-        ),
-        HostEvent::MultihopComplete { route, amount } => (
-            MatchKey::Multihop(*route),
-            Ok(OpOutput::MultihopDelivered {
-                route: *route,
-                amount: *amount,
-            }),
-        ),
-        HostEvent::MultihopFailed { route, reason } => (
-            MatchKey::Multihop(*route),
-            Err(OpError::Remote(reason.clone())),
-        ),
-        HostEvent::CoSignResult {
-            req_id, refused, ..
-        } => (
-            MatchKey::CoSign(*req_id),
-            Ok(OpOutput::CoSigned {
-                req_id: *req_id,
-                refused: *refused,
-            }),
-        ),
-        HostEvent::BackupAttached(pk) => (
-            MatchKey::BackupAttached(*pk),
-            Ok(OpOutput::BackupAttached(*pk)),
-        ),
-        HostEvent::ReplicaState {
-            channels,
-            deposits,
-            applied_seq,
-        } => (
-            MatchKey::Replica,
-            Ok(OpOutput::ReplicaState {
-                channels: *channels,
-                deposits: *deposits,
-                applied_seq: *applied_seq,
-            }),
-        ),
-        HostEvent::Recovered {
-            channels,
-            deposits,
-            commits,
-        } => (
-            MatchKey::Recovered,
-            Ok(OpOutput::Recovered {
-                channels: *channels,
-                deposits: *deposits,
-                commits: *commits,
-            }),
-        ),
-        // A swap resolving is terminal for the initiator's operation
-        // (the responder has no local operation; its tracker simply
-        // finds no queue for the key and drops the completion).
-        HostEvent::SwapResolved { swap, redeemed } => (
-            MatchKey::Swap(*swap),
-            Ok(OpOutput::Swap(SwapOutcome {
-                swap: *swap,
-                redeemed: *redeemed,
-            })),
-        ),
-        // Unsolicited notifications: never terminal for an operation.
-        HostEvent::VerifyDeposit { .. }
-        | HostEvent::PaymentReceived { .. }
-        | HostEvent::MultihopReceived { .. }
-        | HostEvent::NeedCoSign { .. }
-        | HostEvent::Frozen
-        | HostEvent::PumpAt(_)
-        | HostEvent::SwapFundingNeeded { .. }
-        | HostEvent::VerifySwapHtlc { .. }
-        | HostEvent::SwapCheckAt { .. }
-        | HostEvent::SwapPhaseEntered { .. } => return None,
-    })
 }
 
 /// One operation a node is asked to perform: an enclave [`Command`] or
@@ -850,10 +650,14 @@ impl OpTracker {
         }
     }
 
-    /// Correlates a host event with the oldest matching pending
-    /// operation; returns its completion.
-    pub(crate) fn observe(&mut self, event: &HostEvent, now_ns: u64) -> Option<Completion> {
-        let (key, outcome) = outcome_of(event)?;
+    /// Completes the oldest pending operation under `key` with the
+    /// enclave's `outcome`; `None` when no operation waits on `key`.
+    pub(crate) fn observe(
+        &mut self,
+        key: MatchKey,
+        outcome: Result<OpOutput, OpError>,
+        now_ns: u64,
+    ) -> Option<Completion> {
         let seq = self.queues.get_mut(&key)?.pop_front()?;
         self.release_if_done(&key);
         self.take(seq);
@@ -924,9 +728,29 @@ pub fn merge_completions(streams: &[&[Completion]]) -> Vec<Completion> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::enclave::Effect;
 
     fn chan(label: &str) -> ChannelId {
         ChannelId::from_label(label)
+    }
+
+    /// What the enclave emits when a payment of 1 on `label` is acked.
+    fn acked(label: &str) -> Effect {
+        let chan = chan(label);
+        let paid = Payment {
+            chan,
+            amount: 1,
+            count: 1,
+        };
+        Effect::done(MatchKey::Payment(chan), OpOutput::PaymentApplied(paid))
+    }
+
+    /// Feeds the tracker an outcome effect, as the host does.
+    fn observe(t: &mut OpTracker, effect: Effect, now: u64) -> Option<Completion> {
+        let Effect::Done { key, outcome } = effect else {
+            panic!("not an outcome: {effect:?}");
+        };
+        t.observe(key, outcome, now)
     }
 
     #[test]
@@ -948,21 +772,12 @@ mod tests {
                 count: 1,
             }),
         );
-        let ack = HostEvent::PaymentAcked {
-            id: chan("c"),
-            amount: 1,
-            count: 1,
-        };
-        let first = t.observe(&ack, 10).expect("matches oldest");
+        let first = observe(&mut t, acked("c"), 10).expect("matches oldest");
         assert_eq!(first.op, a);
         assert!(t.is_pending(b.seq));
-        let nack = HostEvent::PaymentNacked {
-            id: chan("c"),
-            amount: 2,
-            count: 1,
-            reason: ProtocolError::ChannelLocked,
-        };
-        let second = t.observe(&nack, 20).expect("matches next");
+        let nack = OpError::Remote(ProtocolError::ChannelLocked);
+        let nack = Effect::failed(MatchKey::Payment(chan("c")), nack);
+        let second = observe(&mut t, nack, 20).expect("matches next");
         assert_eq!(second.op, b);
         assert_eq!(
             second.outcome,
@@ -982,22 +797,14 @@ mod tests {
                 count: 1,
             }),
         );
-        let other = HostEvent::PaymentAcked {
-            id: chan("other"),
-            amount: 1,
-            count: 1,
+        assert!(observe(&mut t, acked("other"), 5).is_none());
+        // A same-channel outcome under another key (a settlement's).
+        let settled = Settlement {
+            chan: chan("c"),
+            kind: SettleKind::OffChain,
         };
-        assert!(t.observe(&other, 5).is_none());
-        assert!(t
-            .observe(
-                &HostEvent::PaymentReceived {
-                    id: chan("c"),
-                    amount: 1,
-                    count: 1
-                },
-                5
-            )
-            .is_none());
+        let settled = Effect::done(MatchKey::Settle(chan("c")), OpOutput::Settled(settled));
+        assert!(observe(&mut t, settled, 5).is_none());
     }
 
     #[test]
@@ -1010,7 +817,8 @@ mod tests {
         // The stale queue entry is gone: a later Identity op matches.
         let b = t.register(3, Request::Cmd(Command::GetIdentity));
         let pk = teechain_crypto::schnorr::Keypair::from_seed(&[1; 32]).pk;
-        let done = t.observe(&HostEvent::Identity(pk), 101).expect("matches");
+        let identity = Effect::done(MatchKey::Identity, OpOutput::Identity(pk));
+        let done = observe(&mut t, identity, 101).expect("matches");
         assert_eq!(done.op, b);
     }
 
@@ -1025,9 +833,13 @@ mod tests {
                 amount: 1,
             })
         };
-        let done = |k: u8| HostEvent::MultihopComplete {
-            route: RouteId([k; 32]),
-            amount: 1,
+        let done = |k: u8| {
+            let route = RouteId([k; 32]);
+            let delivered = Delivered { route, amount: 1 };
+            Effect::done(
+                MatchKey::Multihop(route),
+                OpOutput::MultihopDelivered(delivered),
+            )
         };
         let (a, b, c) = (
             t.register(0, pay_route(1)),
@@ -1035,13 +847,13 @@ mod tests {
             t.register(0, pay_route(3)),
         );
         // `b` resolves while `a`, older, still pins the ring's front.
-        assert_eq!(t.observe(&done(2), 1).expect("pending").op, b);
+        assert_eq!(observe(&mut t, done(2), 1).expect("pending").op, b);
         assert!(t.is_pending(a.seq) && !t.is_pending(b.seq) && t.is_pending(c.seq));
-        assert_eq!(t.observe(&done(1), 2).expect("pending").op, a);
+        assert_eq!(observe(&mut t, done(1), 2).expect("pending").op, a);
         // A route's queue goes with its op.
         let d = t.register(0, pay_route(4));
         assert_eq!(t.queues.len(), 2);
-        assert!(t.observe(&done(1), 3).is_none());
+        assert!(observe(&mut t, done(1), 3).is_none());
         let dead: Vec<OpId> = t.cancel_all(4).into_iter().map(|c| c.op).collect();
         assert_eq!(dead, vec![c, d]);
         assert!(!t.is_pending(c.seq) && !t.is_pending(d.seq));
@@ -1065,18 +877,13 @@ mod tests {
             amount: 1,
             count: 1,
         });
-        let ack = HostEvent::PaymentAcked {
-            id: chan("c"),
-            amount: 1,
-            count: 1,
-        };
         let mut last = stuck;
         for n in 0..3 * RING_SPAN as u64 {
             last = t.register(0, pay.clone());
             // Every other payment stays in flight across one more submit.
             if n % 2 == 1 {
-                t.observe(&ack, n).expect("pending");
-                t.observe(&ack, n).expect("pending");
+                observe(&mut t, acked("c"), n).expect("pending");
+                observe(&mut t, acked("c"), n).expect("pending");
             }
             assert!(t.ring.len() <= RING_SPAN);
         }

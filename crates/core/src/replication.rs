@@ -22,6 +22,7 @@ use crate::deposit::keypair_in;
 use crate::durable::DurableState;
 use crate::enclave::{Effect, Gate, HostEvent, Outcome, Peer, TeechainEnclave};
 use crate::msg::{ProtocolMsg, SettleDigest, StateDelta};
+use crate::ops::{MatchKey, OpOutput, SettleKind};
 use crate::settle;
 use crate::types::{ChannelId, Deposit, ProtocolError, RouteId};
 use std::collections::BTreeMap;
@@ -55,6 +56,9 @@ pub(crate) struct SigCollect {
     pub tx: Transaction,
     /// What happens once its thresholds are met.
     pub then: CoSigned,
+    /// `(input index, member key)` of every co-signature kept: a member
+    /// counts once per input, however many signatures it sends.
+    pub cosigners: Vec<(u32, PublicKey)>,
 }
 
 /// What a [`SigCollect`] does with its transaction once co-signed.
@@ -157,7 +161,8 @@ impl TeechainEnclave {
             let msg = ProtocolMsg::RepAssignAck { member_key };
             effects.push(self.seal_at(up.slot, &msg)?);
         }
-        effects.push(Effect::Event(HostEvent::BackupAttached(from.pk)));
+        let attached = OpOutput::BackupAttached(from.pk);
+        effects.push(Effect::done(MatchKey::BackupAttached(from.pk), attached));
         Ok(effects)
     }
 
@@ -171,7 +176,7 @@ impl TeechainEnclave {
                 return Err(ProtocolError::ReplicationError);
             }
             let spec = crate::types::CommitteeSpec { m, member_keys };
-            Ok(HostEvent::CommitteeAddress(spec))
+            Ok(Effect::done(MatchKey::Committee, OpOutput::Committee(spec)))
         })
     }
 
@@ -275,7 +280,6 @@ impl TeechainEnclave {
                 effects.push(self.seal_at(peer.slot, &ProtocolMsg::RepFreeze)?);
             }
         }
-        effects.push(Effect::Event(HostEvent::Frozen));
         Ok(effects)
     }
 
@@ -286,11 +290,12 @@ impl TeechainEnclave {
         // Reading a backup breaks the chain: everything freezes (§6).
         let mut effects = self.propagate_freeze(None)?;
         let book = &self.rep.replica.book;
-        effects.push(Effect::Event(HostEvent::ReplicaState {
+        let state = OpOutput::ReplicaState {
             channels: self.rep.replica.channels.len(),
             deposits: book.mine.len() + book.remote.len(),
             applied_seq: self.rep.applied_seq,
-        }));
+        };
+        effects.push(Effect::done(MatchKey::Replica, state));
         Ok(effects)
     }
 
@@ -350,11 +355,12 @@ impl TeechainEnclave {
                 }
             }
         }
-        Ok(vec![Effect::Event(HostEvent::CoSignResult {
+        let signed = OpOutput::CoSigned {
             req_id,
             sigs,
             refused: !valid,
-        })])
+        };
+        Ok(vec![Effect::done(MatchKey::CoSign(req_id), signed)])
     }
 
     pub(crate) fn cmd_add_co_sigs(
@@ -366,44 +372,47 @@ impl TeechainEnclave {
         let Some(collect) = self.sig_collects.get_mut(&req_id) else {
             return Err(ProtocolError::BadMessage);
         };
-        let book = match collect.then {
-            CoSigned::Broadcast { replica: true, .. } => &self.rep.replica.book,
-            _ => &self.state.book,
+        let state = match collect.then {
+            CoSigned::Broadcast { replica: true, .. } => &self.rep.replica,
+            _ => &self.state,
         };
         // The signatures come from the host in the clear: keep only those
         // a committee member of the input's deposit made over this
-        // transaction, so that witness counts (`threshold_met`,
-        // `needs_co_signs`) count real signatures. A member signs
-        // deterministically, so `contains` keeps one per member.
+        // transaction, and at most one per member and input, so that
+        // witness counts (`threshold_met`, `needs_co_signs`) count
+        // distinct signers, as the chain's multisig does. A key we hold
+        // signed here already.
         let sighash = collect.tx.sighash();
         for (idx, sig) in sigs {
             let Some(input) = collect.tx.inputs.get_mut(idx as usize) else {
                 continue;
             };
-            let by_member = book.deposit_of(&input.prevout).is_some_and(|dep| {
-                dep.committee
-                    .member_keys
-                    .iter()
-                    .any(|pk| schnorr::verify(pk, &sighash, &sig))
-            });
-            if by_member && !input.witness.contains(&sig) {
+            let Some(dep) = state.book.deposit_of(&input.prevout) else {
+                continue;
+            };
+            let members = &dep.committee.member_keys;
+            let Some(&pk) = members
+                .iter()
+                .find(|pk| schnorr::verify(pk, &sighash, &sig))
+            else {
+                continue;
+            };
+            let ours = keypair_in(&state.book.keys, &pk).is_some()
+                || self.rep.member.is_some_and(|k| k.pk == pk);
+            if !ours && !collect.cosigners.contains(&(idx, pk)) {
+                collect.cosigners.push((idx, pk));
                 input.witness.push(sig);
             }
         }
-        let SigCollect { tx, then } = &self.sig_collects[&req_id];
+        let SigCollect { tx, then, .. } = &self.sig_collects[&req_id];
         match *then {
             CoSigned::Broadcast { id, .. } => {
-                if !settle::threshold_met(tx, |op| book.deposit_of(op)) {
+                if !settle::threshold_met(tx, |op| state.book.deposit_of(op)) {
                     return Ok(vec![]);
                 }
                 let tx = self.sig_collects.remove(&req_id).expect("present").tx;
-                Ok(vec![
-                    Effect::Event(HostEvent::SettlementBroadcast {
-                        id,
-                        txid: tx.txid(),
-                    }),
-                    Effect::Broadcast(tx),
-                ])
+                let settled = Effect::settled(id, SettleKind::OnChain(tx.txid()));
+                Ok(vec![settled, Effect::Broadcast(tx)])
             }
             CoSigned::SignPass { .. } => {
                 if self.needs_co_signs(tx) {
@@ -419,6 +428,7 @@ impl TeechainEnclave {
                             digests,
                             deposits,
                         },
+                    ..
                 }) = self.sig_collects.remove(&req_id)
                 else {
                     unreachable!("a sign-pass collection")
@@ -447,6 +457,7 @@ impl TeechainEnclave {
         let collect = SigCollect {
             tx: tau.clone(),
             then,
+            cosigners: Vec::new(),
         };
         self.sig_collects.insert(req_id, collect);
         Effect::Event(HostEvent::NeedCoSign { req_id, tx: tau })
@@ -488,16 +499,14 @@ impl TeechainEnclave {
             |op| state.book.deposit_of(op),
         );
         if settle::threshold_met(&tx, |op| state.book.deposit_of(op)) {
-            effects.push(Effect::Event(HostEvent::SettlementBroadcast {
-                id,
-                txid: tx.txid(),
-            }));
+            effects.push(Effect::settled(id, SettleKind::OnChain(tx.txid())));
             effects.push(Effect::Broadcast(tx));
         } else {
             let req_id = self.next_req_id();
             let collect = SigCollect {
                 tx: tx.clone(),
                 then: CoSigned::Broadcast { id, replica },
+                cosigners: Vec::new(),
             };
             self.sig_collects.insert(req_id, collect);
             effects.push(Effect::Event(HostEvent::NeedCoSign { req_id, tx }));

@@ -17,10 +17,11 @@
 //!
 //! The handshake handlers (`StartSession`, `Hello`, `HelloAck`) live here.
 
-use crate::enclave::{Effect, HostEvent, Outcome, PeerSlot, TeechainEnclave};
+use crate::enclave::{Effect, Outcome, PeerSlot, TeechainEnclave};
 use crate::msg::{
     begin_sealed, finish_sealed, CostClass, Handshake, ProtocolMsg, WireMsg, SEALED_HEADER,
 };
+use crate::ops::{MatchKey, OpOutput};
 use crate::types::ProtocolError;
 use teechain_crypto::aead::Aead;
 use teechain_crypto::ecdh;
@@ -214,6 +215,14 @@ pub fn expected_quote_binding(identity: &PublicKey, eph: &PublicKey) -> [u8; 64]
     quote_binding(identity, eph)
 }
 
+/// A secure session with `remote` is established.
+fn established(remote: PublicKey) -> Effect {
+    Effect::done(
+        MatchKey::Session(remote),
+        OpOutput::SessionEstablished(remote),
+    )
+}
+
 impl TeechainEnclave {
     pub(crate) fn cmd_start_session(&mut self, env: &mut EnclaveEnv, remote: PublicKey) -> Outcome {
         let me = self.identity(env);
@@ -221,7 +230,7 @@ impl TeechainEnclave {
         if let Some(s) = known.and_then(Option::as_ref) {
             if s.established {
                 // Idempotent: the session already exists.
-                return Ok(vec![Effect::Event(HostEvent::SessionEstablished(remote))]);
+                return Ok(vec![established(remote)]);
             }
             return Err(ProtocolError::BadMessage); // Handshake in flight.
         }
@@ -256,7 +265,7 @@ impl TeechainEnclave {
                 peer: Some(PeerSlot(slot)),
                 wire: WireMsg::HelloAck(ack).encode_to_vec(),
             },
-            Effect::Event(HostEvent::SessionEstablished(hs.identity)),
+            established(hs.identity),
         ])
     }
 
@@ -279,9 +288,7 @@ impl TeechainEnclave {
             .ok_or(ProtocolError::BadMessage)?;
         let secret = session_secret(&my_eph, &hs.eph);
         self.open_session(Session::derive(&secret, &me.pk, &hs.identity));
-        Ok(vec![Effect::Event(HostEvent::SessionEstablished(
-            hs.identity,
-        ))])
+        Ok(vec![established(hs.identity)])
     }
 
     /// Installs the session of a completed handshake in its peer's slot —

@@ -42,6 +42,7 @@
 
 use crate::enclave::{Effect, Gate, HostEvent, Outcome, TeechainEnclave};
 use crate::msg::{ProtocolMsg, StateDelta};
+use crate::ops::{MatchKey, OpOutput};
 use crate::types::{ChannelId, ProtocolError, SwapId};
 use teechain_blockchain::{OutPoint, ScriptPubKey, Transaction, TxIn, TxOut};
 use teechain_crypto::schnorr::{Keypair, PublicKey};
@@ -239,9 +240,13 @@ fn entered(swap: SwapId, phase: SwapPhase) -> Effect {
     Effect::Event(HostEvent::SwapPhaseEntered { swap, phase })
 }
 
-/// `swap` resolved: terminal for the initiating operation.
+/// `swap` resolved: terminal for the initiating operation (the
+/// responder has none, and its host drops the outcome). Both resolutions
+/// are successful completions; `redeemed` says which branch the
+/// two-ledger atomic outcome took.
 fn resolved(swap: SwapId, redeemed: bool) -> Effect {
-    Effect::Event(HostEvent::SwapResolved { swap, redeemed })
+    let out = OpOutput::Swap(SwapOutcome { swap, redeemed });
+    Effect::done(MatchKey::Swap(swap), out)
 }
 
 /// A chain/deadline check of `swap` at `at` (ns).

@@ -163,6 +163,7 @@ fn byzantine_primary_cannot_inflate_settlement() {
         out,
         OpOutput::CoSigned {
             req_id: 99,
+            sigs: vec![],
             refused: true
         },
         "committee member must refuse the stale settlement"
@@ -277,10 +278,13 @@ fn persist_mode_throttle_is_absorbed_by_the_pump() {
 /// `op|outcome|time_ns` line per payment — as the pump produced it when it
 /// still re-dispatched every parked operation on every counter window,
 /// every time 200 ms later: set-up commits the two keys it hands out
-/// (settlement and deposit address), two more counter windows.
+/// (settlement and deposit address), two more counter windows. The
+/// outcome is `{:?}` of `OpOutput::PaymentApplied(Payment { .. })`;
+/// written as the struct variant it once was, the same log was 14,585
+/// bytes with sha256 `0f09e1dae325…`.
 const BURST_COMPLETIONS: (usize, &str) = (
-    14_585,
-    "0f09e1dae32555bb686526faf608cd9126ebf4fddf098c2759e866725c62c0d9",
+    15_161,
+    "b5c71f7fa4c4f0008945206d111547b1348ab2e80039bcad4228224d9be85b74",
 );
 
 /// A 64-payment burst against a 100 ms counter: each window commits one

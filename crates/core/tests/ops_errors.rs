@@ -4,9 +4,10 @@
 //! discrete-event engine at one shard and at two.
 
 use teechain::enclave::Command;
-use teechain::ops::{OpError, Payment};
+use teechain::ops::{OpError, OpOutput, Payment, Request};
 use teechain::testkit::{Cluster, ClusterConfig, Harness};
-use teechain::{ChannelId, ProtocolError};
+use teechain::{ChannelId, DurabilityBackend, PersistPolicy, ProtocolError, RouteId, SwapId};
+use teechain_blockchain::Transaction;
 use teechain_net::EngineKind;
 
 /// Runs `f` against a functional cluster at one shard and at two, so
@@ -178,4 +179,163 @@ fn completion_history_is_engine_shard_invariant() {
     for shards in [2, 4] {
         assert_eq!(run(shards), base, "sharded:{shards} diverged");
     }
+}
+
+/// Submits `req` on node `i`, runs the network to quiescence and checks
+/// that the operation completed exactly once, successfully, with an
+/// output of `kind` (an `OpOutput::kind` label). An outcome the enclave
+/// emitted under the wrong key would leave the operation pending until
+/// quiescence, and so end it with `Timeout`.
+fn completes_once_as(c: &mut Cluster, i: usize, req: impl Into<Request>, kind: &str) -> OpOutput {
+    let op = c.submit(i, req);
+    c.settle_network();
+    let done: Vec<_> = c.completions(i).iter().filter(|d| d.op == op).collect();
+    assert_eq!(done.len(), 1, "{kind}: {done:?}");
+    match &done[0].outcome {
+        Ok(out) if out.kind() == kind => out.clone(),
+        other => panic!("{kind}: completed with {other:?}"),
+    }
+}
+
+/// Every command with an asynchronous outcome completes exactly once,
+/// with the `OpOutput` its rustdoc names, and never with `Timeout`: the
+/// outcome the enclave emits carries the key the command registered.
+/// One step per keyed command, in an order that gives each what it needs.
+#[test]
+fn every_keyed_command_completes_once_with_its_output() {
+    let mut c = Cluster::functional(4);
+    let ids = c.ids.clone();
+    let chan = ChannelId::from_label("keyed");
+    let OpOutput::Address(address) = completes_once_as(&mut c, 0, Command::NewAddress, "address")
+    else {
+        unreachable!("checked by kind")
+    };
+    let [first, second, free] = [0; 3].map(|_| c.fund_deposit(0, 500, 1).outpoint);
+    let next = c.standard_channel(1, 2, "keyed-next", 500, 1);
+    c.connect(2, 3);
+    let steps: Vec<(usize, Command, &str)> = vec![
+        (0, Command::GetIdentity, "identity"),
+        (0, Command::NewCommitteeAddress { m: 1 }, "committee"),
+        (0, Command::StartSession { remote: ids[1] }, "session"),
+        (
+            0,
+            Command::NewChannel {
+                id: chan,
+                remote: ids[1],
+                my_settlement: address,
+            },
+            "channel_open",
+        ),
+        (
+            0,
+            Command::ApproveDeposit {
+                remote: ids[1],
+                outpoint: first,
+            },
+            "deposit_approved",
+        ),
+        (
+            0,
+            Command::AssociateDeposit {
+                id: chan,
+                outpoint: first,
+            },
+            "deposit_associated",
+        ),
+        (
+            0,
+            Command::ApproveDeposit {
+                remote: ids[1],
+                outpoint: second,
+            },
+            "deposit_approved",
+        ),
+        (
+            0,
+            Command::AssociateDeposit {
+                id: chan,
+                outpoint: second,
+            },
+            "deposit_associated",
+        ),
+        (
+            0,
+            Command::Pay {
+                id: chan,
+                amount: 100,
+                count: 1,
+            },
+            "payment",
+        ),
+        (
+            0,
+            Command::PayMultihop {
+                route: RouteId::from_label("keyed"),
+                hops: ids[..3].to_vec(),
+                channels: vec![chan, next],
+                amount: 50,
+            },
+            "multihop",
+        ),
+        (
+            0,
+            Command::Swap {
+                swap: SwapId::from_label("keyed"),
+                channel: chan,
+                amount: 100,
+                alt_amount: 200,
+                timeout_blocks: 5,
+            },
+            "swap",
+        ),
+        (
+            0,
+            Command::DissociateDeposit {
+                id: chan,
+                outpoint: second,
+            },
+            "deposit_dissociated",
+        ),
+        (0, Command::Settle { id: chan }, "settle"),
+        (
+            0,
+            Command::ReleaseDeposit {
+                outpoint: free,
+                to: address,
+            },
+            "settle",
+        ),
+        (
+            2,
+            Command::AttachBackup { backup: ids[3] },
+            "backup_attached",
+        ),
+        // A transaction the replica does not hold is refused: still a
+        // `CoSigned` output.
+        (
+            3,
+            Command::CoSign {
+                req_id: 7,
+                tx: Transaction {
+                    inputs: vec![],
+                    outputs: vec![],
+                },
+            },
+            "cosigned",
+        ),
+        // Reading the replica freezes the chain: last.
+        (3, Command::ReadReplica, "replica_state"),
+    ];
+    for (i, cmd, kind) in steps {
+        completes_once_as(&mut c, i, cmd, kind);
+    }
+    // `Command::Recover`, in persistent mode.
+    let mut p = Cluster::new(ClusterConfig {
+        n: 2,
+        durability: DurabilityBackend::Persist(PersistPolicy { snapshot_every: 4 }),
+        ..ClusterConfig::default()
+    });
+    p.standard_channel(0, 1, "keyed", 500, 1);
+    p.crash_node(1);
+    completes_once_as(&mut p, 1, Request::Recover, "recovered");
 }
