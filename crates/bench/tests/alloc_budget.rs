@@ -26,15 +26,15 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const BUDGET: [AllocCounts; 3] = [
     AllocCounts {
         allocs: 3,
-        bytes: 566,
+        bytes: 486,
     },
     AllocCounts {
         allocs: 3,
-        bytes: 566,
+        bytes: 486,
     },
     AllocCounts {
         allocs: 1,
-        bytes: 256,
+        bytes: 176,
     },
 ];
 

@@ -288,18 +288,20 @@ impl TeechainEnclave {
     // ---- Admission pump (queues, deferred messages, counter stash) ----
 
     /// The host-timer entry point of the admission layer. Sends the ack a
-    /// chain tail owes (the host calls back once the input delivered
-    /// before the request is drained), expires overdue queued/deferred
-    /// entries, then — if the monotonic counter permits committing —
-    /// drains any unlocked channel with a backlog and re-dispatches
-    /// counter-stashed messages as one group commit.
+    /// chain tail owes, or the forward a middle member owes (the host
+    /// calls back once the input delivered before the request is
+    /// drained), expires overdue queued/deferred entries, then — if the
+    /// monotonic counter permits committing — drains any unlocked channel
+    /// with a backlog and re-dispatches counter-stashed messages as one
+    /// group commit.
     pub(crate) fn cmd_pump_admission(&mut self, env: &mut EnclaveEnv) -> Outcome {
         if self.frozen {
             // A frozen enclave keeps its queues; ops resolve at the host
-            // (dead-op resolution), not here. A frozen tail acks nothing.
+            // (dead-op resolution), not here. A frozen chain member acks
+            // and forwards nothing.
             return Ok(vec![]);
         }
-        let mut effects: Vec<Effect> = self.flush_ack()?.into_iter().collect();
+        let mut effects: Vec<Effect> = self.flush_owed()?.into_iter().collect();
         self.expire_admissions(env, &mut effects);
         match self.pass(env, Gate::Exit) {
             Ok(()) => {

@@ -454,7 +454,7 @@ impl TeechainEnclave {
                     .map(|s| {
                         Effect::Event(HostEvent::SwapFundingNeeded {
                             swap: s.id,
-                            script: s.htlc_script(&me),
+                            script: Box::new(s.htlc_script(&me)),
                             value: s.alt_amount,
                         })
                     }),

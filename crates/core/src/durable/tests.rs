@@ -334,7 +334,7 @@ impl Replicas {
                 }
             }
             if replica != self.last {
-                let seq = backup.rep.applied_seq;
+                let seq = backup.rep.next_seq - 1;
                 if let Some(sent) = self.sent.get(&seq) {
                     assert_eq!(&replica, sent, "update {seq} applied");
                 }

@@ -246,11 +246,12 @@ pub enum Command {
         /// Sealed WAL records from [`Effect::AppendLog`], oldest first.
         log: Vec<Vec<u8>>,
     },
-    /// Pumps the enclave: sends the ack a chain tail owes, expires
-    /// queued/deferred ops past their deadline, drains any unlocked
-    /// channel with a backlog, and re-dispatches messages stashed while
-    /// the monotonic counter was throttled (persistent mode, §6.2). The
-    /// host calls this at the time given by [`HostEvent::PumpAt`].
+    /// Pumps the enclave: sends the ack a chain tail or the forward a
+    /// middle chain member owes, expires queued/deferred ops past their
+    /// deadline, drains any unlocked channel with a backlog, and
+    /// re-dispatches messages stashed while the monotonic counter was
+    /// throttled (persistent mode, §6.2). The host calls this at the time
+    /// given by [`HostEvent::PumpAt`].
     PumpAdmission,
     /// Initiates a cross-chain atomic swap: trades `amount` of our
     /// balance on `channel` for `alt_amount` locked for us on the
@@ -336,17 +337,18 @@ pub enum HostEvent {
     },
     /// The enclave wants a pump: call [`Command::PumpAdmission`] at the
     /// given time (ns) — a queued-op deadline, the monotonic counter's
-    /// `ready_at`, or, for a chain tail that owes an ack, now (the pump
-    /// then runs after the input already delivered). Hosts keep the
-    /// earliest outstanding time.
+    /// `ready_at`, or, for a chain member that owes an ack or a forward,
+    /// now (the pump then runs after the input already delivered). Hosts
+    /// keep the earliest outstanding time.
     PumpAt(u64),
     /// The responder host must fund this HTLC script with `value` on the
     /// alternate chain and answer with [`Command::SwapFunded`].
     SwapFundingNeeded {
         /// The swap.
         swap: SwapId,
-        /// The HTLC script to fund.
-        script: teechain_blockchain::ScriptPubKey,
+        /// The HTLC script to fund (boxed: it would set the size of every
+        /// effect).
+        script: Box<teechain_blockchain::ScriptPubKey>,
         /// The value to lock.
         value: u64,
     },
@@ -360,8 +362,8 @@ pub enum HostEvent {
         swap: SwapId,
         /// Where the counterparty claims to have funded it.
         outpoint: teechain_blockchain::OutPoint,
-        /// The script the output must carry.
-        script: teechain_blockchain::ScriptPubKey,
+        /// The script the output must carry (boxed, as above).
+        script: Box<teechain_blockchain::ScriptPubKey>,
         /// The value the output must carry.
         value: u64,
     },
@@ -432,9 +434,10 @@ pub enum Effect {
 }
 
 // Every effect of the payment path is moved through the host by value:
-// an outcome must not make each of them larger.
-const _: () = assert!(std::mem::size_of::<Effect>() <= 256);
-const _: () = assert!(std::mem::size_of::<HostEvent>() <= 256);
+// an outcome or a rare request must not make each of them larger. These
+// are the sizes on a 64-bit target; `Effect::Done` sets the first.
+const _: () = assert!(std::mem::size_of::<Effect>() <= 176);
+const _: () = assert!(std::mem::size_of::<HostEvent>() <= 144);
 
 impl Effect {
     /// The operation under `key` succeeded with `out`.

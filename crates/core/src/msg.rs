@@ -617,11 +617,13 @@ pub enum ProtocolMsg {
         /// The backup's committee (blockchain) public key.
         member_key: PublicKey,
     },
-    /// A state update propagating down the chain.
+    /// A state update propagating down the chain: from the head, one
+    /// commit; from a middle member, every head update after the last one
+    /// it forwarded, up to `seq`.
     RepUpdate {
-        /// Update sequence number.
+        /// Sequence number of the newest head update it carries.
         seq: u64,
-        /// The mutations.
+        /// The mutations, in order.
         deltas: Vec<StateDelta>,
     },
     /// Acknowledgement that `seq` reached the chain tail.

@@ -791,7 +791,7 @@ impl TeechainNode {
                     let mut chain = self.chain2.lock();
                     match chain.find_utxo_by_script(script, *value) {
                         Some(existing) => existing,
-                        None => chain.mint(script.clone(), *value),
+                        None => chain.mint((**script).clone(), *value),
                     }
                 };
                 let swap = *swap;
@@ -815,7 +815,7 @@ impl TeechainNode {
                     let chain = self.chain2.lock();
                     let valid = chain
                         .utxo(outpoint)
-                        .is_some_and(|out| out.value == *value && out.script == *script);
+                        .is_some_and(|out| out.value == *value && out.script == **script);
                     (valid, chain.confirmations(&outpoint.txid))
                 };
                 let swap = *swap;
@@ -1034,6 +1034,8 @@ impl TeechainNode {
             r.counter("repl.updates_applied", rep.updates_applied);
             r.counter("repl.acks_sent", rep.acks_sent);
             r.counter("repl.ack_flushes", rep.ack_flushes);
+            r.counter("repl.forwards_sent", rep.forwards_sent);
+            r.counter("repl.forward_flushes", rep.forward_flushes);
         }
         r.counter("swap.phase.init", self.swap_phase_counts[0]);
         r.counter("swap.phase.locked", self.swap_phase_counts[1]);

@@ -30,24 +30,33 @@ use teechain_blockchain::Transaction;
 use teechain_crypto::schnorr::{self, Keypair, PublicKey};
 use teechain_tee::EnclaveEnv;
 
-/// Updates a chain tail applies before it must acknowledge them, even
-/// while more input is waiting. Without a bound the tail drains its whole
-/// backlog before acking, which holds back the head's effects for that
-/// long; with one, an ack releases at most this many updates' effects.
+/// Head updates a chain member below the head applies before it must pass
+/// them on, even while more input is waiting: the tail acknowledges them,
+/// a middle member forwards them to its backup as one update. Without a
+/// bound a member drains its whole backlog first, which holds back the
+/// head's effects for that long; with one, an ack releases, and a forward
+/// carries, at most this many head updates.
 pub const ACK_EVERY: u64 = 64;
 
 /// Per-member replication counters, surfaced through the node registry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct RepStats {
-    /// Updates applied to this member's replica.
+    /// Head updates applied to this member's replica: a forwarded update
+    /// counts every head update it covers.
     pub updates_applied: u64,
     /// Acknowledgements sealed toward the head: as the tail, one per
-    /// [`ACK_EVERY`] updates or per drained input; in the middle of the
-    /// chain, one per ack forwarded.
+    /// [`ACK_EVERY`] head updates or per drained input; in the middle of
+    /// the chain, one per ack forwarded.
     pub acks_sent: u64,
     /// Of those, the tail's acks sent because its input drained before
     /// [`ACK_EVERY`] updates were owed.
     pub ack_flushes: u64,
+    /// Updates a middle member sealed to its backup: one per
+    /// [`ACK_EVERY`] head updates or per drained input.
+    pub forwards_sent: u64,
+    /// Of those, the forwards sent because its input drained before
+    /// [`ACK_EVERY`] head updates were owed.
+    pub forward_flushes: u64,
 }
 
 /// A transaction awaiting committee co-signatures.
@@ -104,12 +113,17 @@ pub(crate) struct Replication {
     /// Replica of our upstream's durable state, changed only by
     /// [`DurableState::apply`] of the updates it sends.
     pub(crate) replica: DurableState,
-    /// Highest update sequence applied to the replica.
-    pub applied_seq: u64,
-    /// Updates applied as the chain tail and not yet acknowledged.
+    /// The head update sequence the replica expects next: it covers every
+    /// one below.
+    pub next_seq: u64,
+    /// Head updates applied and not yet passed on: acknowledged, as the
+    /// tail, or forwarded, in the middle of the chain.
     owed: u64,
-    /// Sequence of the newest of them (what the next ack names).
+    /// Sequence of the newest of them (what the next ack or forward
+    /// names).
     owed_seq: u64,
+    /// A middle member's deltas of the owed updates, in order.
+    owed_deltas: Vec<StateDelta>,
     /// Counters for the node registry.
     pub(crate) stats: RepStats,
 }
@@ -198,48 +212,64 @@ impl TeechainEnclave {
         for d in &deltas {
             self.rep.replica.apply(d);
         }
-        self.rep.applied_seq = seq;
-        self.rep.stats.updates_applied += 1;
-        if let Some(backup) = self.rep.backup {
-            // Forward down the chain; ack upstream only when the tail has
-            // applied (handled in on_rep_ack).
-            let msg = ProtocolMsg::RepUpdate { seq, deltas };
-            return Ok(vec![self.seal_at(backup.slot, &msg)?]);
+        // Sequences are consecutive from the head, so an update names
+        // every head update since the one before it.
+        let covered = seq + 1 - self.rep.next_seq;
+        self.rep.next_seq = seq + 1;
+        self.rep.stats.updates_applied += covered;
+        // The chain is FIFO and the head releases cumulatively, so one
+        // message for the newest update covers every one before it: the
+        // tail owes one ack, a middle member one forward of all their
+        // deltas. It goes out once `ACK_EVERY` head updates are owed, or
+        // when the host calls back (`cmd_pump_admission`) after the input
+        // already delivered to us.
+        if self.rep.backup.is_some() {
+            // The first owed update's vector is kept, not copied.
+            if self.rep.owed_deltas.is_empty() {
+                self.rep.owed_deltas = deltas;
+            } else {
+                self.rep.owed_deltas.extend(deltas);
+            }
         }
-        // The tail: the chain is FIFO and the head releases cumulatively,
-        // so one ack for the newest update covers every one before it. It
-        // goes out once `ACK_EVERY` are owed, or when the host calls back
-        // (`cmd_pump_admission`) after the input already delivered to us.
-        self.rep.owed += 1;
+        self.rep.owed += covered;
         self.rep.owed_seq = seq;
         if self.rep.owed >= ACK_EVERY {
-            return Ok(vec![self.seal_owed_ack()?]);
+            return Ok(vec![self.seal_owed()?]);
         }
-        if self.rep.owed == 1 {
+        if self.rep.owed == covered {
             return Ok(vec![Effect::Event(HostEvent::PumpAt(env.now_ns()))]);
         }
         Ok(vec![])
     }
 
-    /// Seals the ack the tail owes once its input has drained, if it owes
-    /// one.
-    pub(crate) fn flush_ack(&mut self) -> Result<Option<Effect>, ProtocolError> {
+    /// Seals what this member owes once its input has drained, if it owes
+    /// anything.
+    pub(crate) fn flush_owed(&mut self) -> Result<Option<Effect>, ProtocolError> {
         if self.rep.owed == 0 {
             return Ok(None);
         }
-        self.rep.stats.ack_flushes += 1;
-        self.seal_owed_ack().map(Some)
+        if self.rep.backup.is_some() {
+            self.rep.stats.forward_flushes += 1;
+        } else {
+            self.rep.stats.ack_flushes += 1;
+        }
+        self.seal_owed().map(Some)
     }
 
-    /// Acknowledges every update the tail owes with one ack for the newest.
-    fn seal_owed_ack(&mut self) -> Result<Effect, ProtocolError> {
-        let up = self.rep.upstream.ok_or(ProtocolError::ReplicationError)?;
+    /// Passes every owed update on with one message for the newest: a
+    /// middle member forwards their deltas to its backup, the tail
+    /// acknowledges them upstream.
+    fn seal_owed(&mut self) -> Result<Effect, ProtocolError> {
         self.rep.owed = 0;
+        let seq = self.rep.owed_seq;
+        if let Some(backup) = self.rep.backup {
+            self.rep.stats.forwards_sent += 1;
+            let deltas = std::mem::take(&mut self.rep.owed_deltas);
+            return self.seal_at(backup.slot, &ProtocolMsg::RepUpdate { seq, deltas });
+        }
+        let up = self.rep.upstream.ok_or(ProtocolError::ReplicationError)?;
         self.rep.stats.acks_sent += 1;
-        let msg = ProtocolMsg::RepAck {
-            seq: self.rep.owed_seq,
-        };
-        self.seal_at(up.slot, &msg)
+        self.seal_at(up.slot, &ProtocolMsg::RepAck { seq })
     }
 
     pub(crate) fn on_rep_ack(&mut self, from: Peer, seq: u64) -> Outcome {
@@ -293,7 +323,7 @@ impl TeechainEnclave {
         let state = OpOutput::ReplicaState {
             channels: self.rep.replica.channels.len(),
             deposits: book.mine.len() + book.remote.len(),
-            applied_seq: self.rep.applied_seq,
+            applied_seq: self.rep.next_seq.saturating_sub(1),
         };
         effects.push(Effect::done(MatchKey::Replica, state));
         Ok(effects)

@@ -1,7 +1,8 @@
-//! Cumulative acks on two-backup committee chains: bursts around the ack
+//! Cumulative acks and forwards on committee chains: bursts around the
 //! bound complete exactly once and leave every replica equal to its
-//! primary; a tail that crashes while it owes acks keeps the head's
-//! effects held; and a surviving member still settles on chain.
+//! primary; a tail that crashes while it owes acks, or a middle member
+//! that crashes while it owes forwards, keeps the head's effects held;
+//! and a surviving member still settles on chain.
 
 use super::*;
 use crate::durability::DurabilityBackend;
@@ -11,12 +12,17 @@ use crate::testkit::{Cluster, ClusterConfig, Harness};
 use std::collections::BTreeMap;
 
 /// Two primaries with two backups each: 0 → 2 → 3 and 1 → 4 → 5.
+const PAYER_MIDDLE: usize = 2;
 const PAYER_TAIL: usize = 3;
 const BACKUPS: [(usize, usize); 4] = [(2, 0), (3, 0), (4, 1), (5, 1)];
 
 fn chained_pair() -> (Cluster, ChannelId) {
+    chained_pair_with(2)
+}
+
+fn chained_pair_with(backups: usize) -> (Cluster, ChannelId) {
     let mut c = Cluster::new(ClusterConfig {
-        durability: DurabilityBackend::Replication { backups: 2 },
+        durability: DurabilityBackend::Replication { backups },
         ..ClusterConfig::default()
     });
     let chan = c.standard_channel(0, 1, "acks", 1_000_000, 2);
@@ -68,20 +74,31 @@ fn bursts_around_the_ack_bound_complete_once_and_replicate() {
         // per `ACK_EVERY` updates, plus one for the rest once drained.
         let acks = rep_stats(&c, PAYER_TAIL).acks_sent - before[PAYER_TAIL].acks_sent;
         assert_eq!(acks, burst.div_ceil(ACK_EVERY), "burst {burst}");
+        // It reaches the middle member at one instant too, which forwards
+        // it the same way.
+        let forwards =
+            rep_stats(&c, PAYER_MIDDLE).forwards_sent - before[PAYER_MIDDLE].forwards_sent;
+        assert_eq!(forwards, burst.div_ceil(ACK_EVERY), "burst {burst}");
     }
 }
 
 /// Runs the network until the payer's tail has applied `k` more updates
 /// than `base`, and no further.
 fn run_until_tail_applied(c: &mut Cluster, base: u64, k: u64) {
+    run_until_applied(c, PAYER_TAIL, base, k);
+}
+
+/// Runs the network until `member` has applied `k` more updates than
+/// `base`, and no further.
+fn run_until_applied(c: &mut Cluster, member: usize, base: u64, k: u64) {
     for _ in 0..1_000 {
-        if rep_stats(c, PAYER_TAIL).updates_applied >= base + k {
+        if rep_stats(c, member).updates_applied >= base + k {
             return;
         }
         let t = c.sim.now_ns() + 1;
         c.sim.run_until(t);
     }
-    panic!("the tail never applied the burst");
+    panic!("member {member} never applied the burst");
 }
 
 #[test]
@@ -108,6 +125,68 @@ fn a_tail_crashed_while_owing_acks_holds_the_heads_effects() {
             "{:?}",
             done.outcome
         );
+    }
+}
+
+#[test]
+fn a_middle_member_crashed_while_owing_forwards_holds_the_heads_effects() {
+    let (mut c, chan) = chained_pair();
+    let middle = rep_stats(&c, PAYER_MIDDLE);
+    let tail = rep_stats(&c, PAYER_TAIL);
+    c.node_mut(0).completions.clear();
+    submit_burst(&mut c, chan, 10);
+    run_until_applied(&mut c, PAYER_MIDDLE, middle.updates_applied, 10);
+    assert_eq!(
+        rep_stats(&c, PAYER_MIDDLE).forwards_sent,
+        middle.forwards_sent,
+        "the middle member owes its forwards"
+    );
+    assert_eq!(rep_stats(&c, PAYER_TAIL), tail, "the tail saw nothing");
+    c.crash_node(PAYER_MIDDLE);
+    c.settle_network();
+    // The updates never reached the tail, so no ack released a `Pay`:
+    // the payee saw nothing, and every payment was declared dead at
+    // quiescence.
+    assert_eq!(rep_stats(&c, PAYER_TAIL), tail);
+    assert_eq!(c.balances(1, chan), (0, 1_000_000));
+    assert_eq!(c.node(0).completions.len(), 10);
+    for done in &c.node(0).completions {
+        assert!(
+            matches!(done.outcome, Err(OpError::Timeout { .. })),
+            "{:?}",
+            done.outcome
+        );
+    }
+}
+
+#[test]
+fn three_backup_chains_forward_coalesced_at_both_middle_members() {
+    // 0 → 2 → 3 → 4 and 1 → 5 → 6 → 7.
+    const BACKUPS3: [(usize, usize); 6] = [(2, 0), (3, 0), (4, 0), (5, 1), (6, 1), (7, 1)];
+    for burst in [ACK_EVERY + 1, 200] {
+        let (mut c, chan) = chained_pair_with(3);
+        let before: Vec<RepStats> = (0..8).map(|i| rep_stats(&c, i)).collect();
+        c.node_mut(0).completions.clear();
+        let ops = submit_burst(&mut c, chan, burst);
+        c.settle_network();
+        assert_eq!(c.node(0).completions.len(), ops.len(), "burst {burst}");
+        assert!(c.node(0).completions.iter().all(|d| d.outcome.is_ok()));
+        assert_eq!(c.balances(0, chan), (1_000_000 - burst, burst));
+        for (backup, primary) in BACKUPS3 {
+            let want = c.balances(primary, chan);
+            let replica = c.node(backup).enclave.program().unwrap();
+            let got = replica.replica_channel(&chan).unwrap();
+            assert_eq!((got.my_bal, got.remote_bal), want, "backup {backup}");
+            let applied = rep_stats(&c, backup).updates_applied - before[backup].updates_applied;
+            assert_eq!(applied, burst, "backup {backup}: one update per payment");
+        }
+        // The second middle member gets the first's forwards, each
+        // covering up to `ACK_EVERY` head updates, and passes each on.
+        let sent = |i: usize, f: fn(&RepStats) -> u64| f(&rep_stats(&c, i)) - f(&before[i]);
+        let want = burst.div_ceil(ACK_EVERY);
+        assert_eq!(sent(2, |s| s.forwards_sent), want, "burst {burst}");
+        assert_eq!(sent(3, |s| s.forwards_sent), want, "burst {burst}");
+        assert_eq!(sent(4, |s| s.acks_sent), want, "burst {burst}");
     }
 }
 

@@ -417,7 +417,7 @@ impl TeechainEnclave {
             entered(swap, SwapPhase::Init),
             Effect::Event(HostEvent::SwapFundingNeeded {
                 swap,
-                script,
+                script: Box::new(script),
                 value: alt_amount,
             }),
             check_at(swap, deadline_ns),
@@ -494,7 +494,7 @@ impl TeechainEnclave {
             Effect::Event(HostEvent::VerifySwapHtlc {
                 swap,
                 outpoint,
-                script,
+                script: Box::new(script),
                 value,
             }),
         ])
