@@ -2,7 +2,7 @@
 
 use teechain_crypto::schnorr::{self, PublicKey, Signature};
 use teechain_crypto::sha256::sha256;
-use teechain_util::codec::{Decode, Encode, Reader, WireError};
+use teechain_util::codec::WireError;
 
 /// The condition under which a transaction output may be spent.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -169,76 +169,28 @@ impl ScriptPubKey {
     }
 }
 
-impl Encode for ScriptPubKey {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ScriptPubKey::P2pk(pk) => {
-                0u8.encode(out);
-                pk.encode(out);
-            }
-            ScriptPubKey::Multisig { m, keys } => {
-                1u8.encode(out);
-                m.encode(out);
-                keys.encode(out);
-            }
-            ScriptPubKey::Revocable {
-                owner,
-                delay_blocks,
-                revocation,
-            } => {
-                2u8.encode(out);
-                owner.encode(out);
-                delay_blocks.encode(out);
-                revocation.encode(out);
-            }
-            ScriptPubKey::Htlc {
-                hash,
-                claim_key,
-                refund_key,
-                timeout_blocks,
-            } => {
-                3u8.encode(out);
-                hash.encode(out);
-                claim_key.encode(out);
-                refund_key.encode(out);
-                timeout_blocks.encode(out);
-            }
+/// A multisig threshold must be met by the keys it names: `1..=keys.len()`.
+fn check_threshold(script: &ScriptPubKey) -> Result<(), WireError> {
+    match script {
+        ScriptPubKey::Multisig { m, keys } if *m == 0 || *m as usize > keys.len() => {
+            Err(WireError::InvalidValue("multisig threshold"))
         }
+        _ => Ok(()),
     }
 }
 
-impl Decode for ScriptPubKey {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.read::<u8>()? {
-            0 => Ok(ScriptPubKey::P2pk(r.read()?)),
-            1 => {
-                let m: u8 = r.read()?;
-                let keys: Vec<PublicKey> = r.read()?;
-                if m == 0 || (m as usize) > keys.len() {
-                    return Err(WireError::InvalidValue("multisig threshold"));
-                }
-                Ok(ScriptPubKey::Multisig { m, keys })
-            }
-            2 => Ok(ScriptPubKey::Revocable {
-                owner: r.read()?,
-                delay_blocks: r.read()?,
-                revocation: r.read()?,
-            }),
-            3 => Ok(ScriptPubKey::Htlc {
-                hash: r.read()?,
-                claim_key: r.read()?,
-                refund_key: r.read()?,
-                timeout_blocks: r.read()?,
-            }),
-            _ => Err(WireError::InvalidValue("script tag")),
-        }
-    }
-}
+teechain_util::impl_wire_enum!(ScriptPubKey, "script tag", check = check_threshold {
+    P2pk = 0 (pk),
+    Multisig = 1 { m, keys },
+    Revocable = 2 { owner, delay_blocks, revocation },
+    Htlc = 3 { hash, claim_key, refund_key, timeout_blocks },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use teechain_crypto::schnorr::Keypair;
+    use teechain_util::codec::{Decode, Encode};
 
     fn kp(seed: u8) -> Keypair {
         Keypair::from_seed(&[seed; 32])
@@ -252,6 +204,23 @@ mod tests {
         assert!(script.verify_witness(&sighash, &[k.sign(&sighash)]));
         assert!(!script.verify_witness(&sighash, &[kp(2).sign(&sighash)]));
         assert!(!script.verify_witness(&sighash, &[]));
+    }
+
+    #[test]
+    fn a_multisig_threshold_its_keys_cannot_meet_is_refused_on_decode() {
+        let keys = vec![kp(1).pk, kp(2).pk];
+        for (m, ok) in [(0, false), (1, true), (2, true), (3, false)] {
+            let script = ScriptPubKey::Multisig {
+                m,
+                keys: keys.clone(),
+            };
+            let decoded = ScriptPubKey::decode_exact(&script.encode_to_vec());
+            if ok {
+                assert_eq!(decoded, Ok(script));
+            } else {
+                assert_eq!(decoded, Err(WireError::InvalidValue("multisig threshold")));
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::script::ScriptPubKey;
 use teechain_crypto::schnorr::{sign, Keypair, Signature};
 use teechain_crypto::sha256::sha256;
-use teechain_util::codec::{Decode, Encode, Reader, WireError};
+use teechain_util::codec::Encode;
 use teechain_util::hex;
 
 /// A transaction identifier: the SHA-256 of the transaction with witnesses
@@ -25,17 +25,7 @@ impl std::fmt::Display for TxId {
     }
 }
 
-impl Encode for TxId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-}
-
-impl Decode for TxId {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(TxId(r.read()?))
-    }
-}
+teechain_util::impl_wire_struct!(TxId { 0 });
 
 /// A reference to a transaction output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -181,6 +171,7 @@ impl Transaction {
 mod tests {
     use super::*;
     use teechain_crypto::schnorr::{Keypair, PublicKey};
+    use teechain_util::codec::Decode;
     use teechain_util::rng::Xoshiro256;
 
     fn kp(seed: u8) -> Keypair {

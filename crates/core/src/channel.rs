@@ -13,7 +13,6 @@ use crate::types::{ChannelId, MultihopStage, ProtocolError, RouteId};
 use teechain_blockchain::OutPoint;
 use teechain_crypto::schnorr::{PrivateKey, PublicKey};
 use teechain_tee::EnclaveEnv;
-use teechain_util::codec::{Decode, Encode, Reader, WireError};
 
 /// The state of one bidirectional payment channel, as held inside a TEE.
 #[derive(Debug, Clone)]
@@ -130,45 +129,22 @@ impl Channel {
 
 // Wire form: `route: Option<RouteId>` and `stage` included so replicas see
 // multi-hop context; `pending_dissoc` included for exact failover.
-impl Encode for Channel {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.remote.encode(out);
-        self.my_settlement.encode(out);
-        self.remote_settlement.encode(out);
-        self.is_open.encode(out);
-        self.my_bal.encode(out);
-        self.remote_bal.encode(out);
-        self.my_deps.encode(out);
-        self.remote_deps.encode(out);
-        self.stage.encode(out);
-        self.route.encode(out);
-        self.pending_dissoc.encode(out);
-        self.closed.encode(out);
-        self.settling.encode(out);
-    }
-}
-
-impl Decode for Channel {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Channel {
-            id: r.read()?,
-            remote: r.read()?,
-            my_settlement: r.read()?,
-            remote_settlement: r.read()?,
-            is_open: r.read()?,
-            my_bal: r.read()?,
-            remote_bal: r.read()?,
-            my_deps: r.read()?,
-            remote_deps: r.read()?,
-            stage: r.read()?,
-            route: r.read()?,
-            pending_dissoc: r.read()?,
-            closed: r.read()?,
-            settling: r.read()?,
-        })
-    }
-}
+teechain_util::impl_wire_struct!(Channel {
+    id,
+    remote,
+    my_settlement,
+    remote_settlement,
+    is_open,
+    my_bal,
+    remote_bal,
+    my_deps,
+    remote_deps,
+    stage,
+    route,
+    pending_dissoc,
+    closed,
+    settling,
+});
 
 /// Channel `id` is open on our side.
 fn opened(id: ChannelId) -> Effect {
@@ -606,6 +582,7 @@ mod tests {
     use super::*;
     use teechain_blockchain::TxId;
     use teechain_crypto::schnorr::Keypair;
+    use teechain_util::codec::{Decode, Encode};
 
     fn chan() -> Channel {
         let r = Keypair::from_seed(&[1; 32]).pk;

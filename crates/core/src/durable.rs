@@ -183,6 +183,7 @@ impl DurableState {
     /// Appends the canonical image: channels in slot (creation) order,
     /// deposits by outpoint, keys by public key, swaps and routes by id —
     /// one state, one image.
+    // Hand-written: a versioned image of maps in canonical order, not one value.
     pub(crate) fn encode_image(&self, out: &mut Vec<u8>) {
         (self.channels.len() as u32).encode(out);
         self.channels.values().for_each(|c| c.encode(out));
@@ -215,6 +216,7 @@ impl DurableState {
     /// Reads what [`Self::encode_image`] wrote, for an image of the given
     /// version: v4 has routes, v3 swaps, v2 the deposit book with
     /// statuses; the legacy format (`version` 0) predates all three.
+    // Hand-written: reads every image version ever written, which one list cannot.
     pub(crate) fn read_image(r: &mut Reader<'_>, version: u8) -> Result<Self, ProtocolError> {
         let bad = |_| ProtocolError::BadMessage;
         let mut state = DurableState::default();

@@ -207,6 +207,85 @@ fn a_channel_carries_its_deposits_statuses() {
     assert_eq!(loaded.digest(), state.digest());
 }
 
+/// Every truncation of a state image is refused, and every single-bit flip
+/// of one loads or is refused with a typed error: the host hands the
+/// enclave these bytes, so none may panic it. The image holds every table:
+/// a channel, our deposits associated, free and spent, a remote deposit,
+/// a key, a route and a swap.
+#[test]
+fn a_truncated_or_bit_flipped_image_is_loaded_or_refused_never_a_panic() {
+    let id = ChannelId::from_label("hostile");
+    let (associated, free, spent) = (deposit(1, 11), deposit(2, 12), deposit(3, 13));
+    let mut chan = Channel::new(id, pk(1), pk(2), pk(3));
+    chan.my_deps = vec![associated.outpoint];
+    let key = Keypair::from_seed(&[9; 32]);
+    let cfg = Cluster::functional(1).node(0).cfg.clone();
+    let mut enclave = TeechainEnclave::new(cfg.clone());
+    let mut deltas: Vec<_> = [&associated, &free, &spent]
+        .map(|dep| StateDelta::Deposit {
+            dep: dep.clone(),
+            key: None,
+            mine: true,
+        })
+        .into();
+    deltas.extend([
+        StateDelta::RemoveDeposit(spent.outpoint),
+        StateDelta::Deposit {
+            dep: deposit(4, 14),
+            key: None,
+            mine: false,
+        },
+        StateDelta::Channel(Box::new(chan)),
+        StateDelta::Key(key.pk, key.sk.to_bytes()),
+        StateDelta::Route(Box::new(RouteState {
+            id: RouteId([5; 32]),
+            amount: 7,
+            hops: vec![pk(4), pk(1)],
+            channels: vec![id],
+            pos: 1,
+            tau: None,
+            digests: Vec::new(),
+            pre_balances: [(id, (1, 2))].into_iter().collect(),
+            deadline_ns: 3,
+        })),
+        StateDelta::Swap(Box::new(SwapState {
+            id: SwapId([6; 32]),
+            channel: id,
+            remote: pk(1),
+            initiator: false,
+            amount: 1,
+            alt_amount: 2,
+            hash: [7; 32],
+            secret: Some([8; 32]),
+            timeout_blocks: 3,
+            htlc_outpoint: Some(free.outpoint),
+            deadline_ns: 4,
+            phase: crate::swap::SwapPhase::Locked,
+        })),
+    ]);
+    for delta in &deltas {
+        enclave.state.apply(delta);
+    }
+    let image = enclave.state_image();
+    let load = |bytes: &[u8]| TeechainEnclave::new(cfg.clone()).load_state_image(bytes);
+    assert_eq!(load(&image), Ok(()));
+    for len in 0..image.len() {
+        assert_eq!(
+            load(&image[..len]),
+            Err(ProtocolError::BadMessage),
+            "cut at {len}"
+        );
+    }
+    for bit in 0..image.len() * 8 {
+        let mut bad = image.clone();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        assert!(
+            matches!(load(&bad), Ok(()) | Err(ProtocolError::BadMessage)),
+            "bit {bit}"
+        );
+    }
+}
+
 /// Steps the simulator one event and records, for every node, the digest
 /// its durable state had right after each commit it made.
 fn step(c: &mut Cluster, seen: &mut [BTreeMap<u64, [u8; 32]>]) -> bool {

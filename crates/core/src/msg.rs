@@ -21,7 +21,7 @@ use crate::types::{ChannelId, Deposit, MultihopStage, RouteId, SwapId};
 use teechain_blockchain::{OutPoint, Transaction, TxId};
 use teechain_crypto::schnorr::{PublicKey, Signature};
 use teechain_tee::Quote;
-use teechain_util::codec::{Decode, Encode, Reader, WireError};
+use teechain_util::codec::{Encode, Reader, WireError};
 
 /// A network-visible message.
 #[derive(Debug, Clone)]
@@ -114,48 +114,11 @@ teechain_util::impl_wire_struct!(Handshake {
     sig,
 });
 
-impl Encode for WireMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            WireMsg::Hello(h) => {
-                0u8.encode(out);
-                h.encode(out);
-            }
-            WireMsg::HelloAck(h) => {
-                1u8.encode(out);
-                h.encode(out);
-            }
-            WireMsg::Sealed {
-                from,
-                seq,
-                class,
-                ct,
-            } => {
-                2u8.encode(out);
-                from.encode(out);
-                seq.encode(out);
-                class.encode(out);
-                ct.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for WireMsg {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.read::<u8>()? {
-            0 => WireMsg::Hello(r.read()?),
-            1 => WireMsg::HelloAck(r.read()?),
-            2 => WireMsg::Sealed {
-                from: r.read()?,
-                seq: r.read()?,
-                class: r.read()?,
-                ct: r.read()?,
-            },
-            _ => return Err(WireError::InvalidValue("wire tag")),
-        })
-    }
-}
+teechain_util::impl_wire_enum!(WireMsg, "wire tag" {
+    Hello = 0 (h),
+    HelloAck = 1 (h),
+    Sealed = 2 { from, seq, class, ct },
+});
 
 /// Bytes of an encoded [`WireMsg::Sealed`] in front of its ciphertext: the
 /// tag, `from`, `seq`, `class` and the ciphertext's `u32` length.
@@ -165,6 +128,7 @@ pub(crate) const SEALED_HEADER: usize = 1 + 64 + 8 + 1 + 4;
 /// front of the ciphertext, which the caller appends before it calls
 /// [`finish_sealed`]. The session seals into this buffer, so an envelope is
 /// never built as a value and then encoded.
+// Hand-written: the session seals into the frame, and the codec encodes values.
 pub(crate) fn begin_sealed(out: &mut Vec<u8>, from: &[u8; 64], seq: u64, class: u8) {
     debug_assert!(out.is_empty());
     out.push(2);
@@ -175,6 +139,7 @@ pub(crate) fn begin_sealed(out: &mut Vec<u8>, from: &[u8; 64], seq: u64, class: 
 }
 
 /// Writes the length of the ciphertext now behind the header into it.
+// Hand-written: patches a length in place, which no value encoding does.
 pub(crate) fn finish_sealed(out: &mut [u8]) {
     let ct_len = (out.len() - SEALED_HEADER) as u32;
     out[SEALED_HEADER - 4..SEALED_HEADER].copy_from_slice(&ct_len.to_le_bytes());
@@ -209,6 +174,7 @@ pub(crate) enum WireView<'a> {
 }
 
 impl<'a> WireView<'a> {
+    // Hand-written: borrows the ciphertext where it lies instead of copying it out.
     pub(crate) fn parse(bytes: &'a [u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(bytes);
         let view = match r.read::<u8>()? {
@@ -305,116 +271,21 @@ pub enum StateDelta {
     RouteSigned(RouteId, Transaction, Vec<SettleDigest>),
 }
 
-impl Encode for StateDelta {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            StateDelta::Channel(c) => {
-                0u8.encode(out);
-                c.as_ref().encode(out);
-            }
-            StateDelta::Pay {
-                id,
-                my_delta,
-                remote_delta,
-            } => {
-                1u8.encode(out);
-                id.encode(out);
-                my_delta.encode(out);
-                remote_delta.encode(out);
-            }
-            StateDelta::Stage { id, stage } => {
-                2u8.encode(out);
-                id.encode(out);
-                stage.encode(out);
-            }
-            StateDelta::Deposit { dep, key, mine } => {
-                3u8.encode(out);
-                dep.encode(out);
-                key.encode(out);
-                mine.encode(out);
-            }
-            StateDelta::RemoveDeposit(op) => {
-                4u8.encode(out);
-                op.encode(out);
-            }
-            StateDelta::Tau { route, tau } => {
-                5u8.encode(out);
-                route.encode(out);
-                tau.encode(out);
-            }
-            StateDelta::CloseChannel(id) => {
-                6u8.encode(out);
-                id.encode(out);
-            }
-            StateDelta::Swap(s) => {
-                7u8.encode(out);
-                s.as_ref().encode(out);
-            }
-            StateDelta::Route(route) => {
-                8u8.encode(out);
-                route.as_ref().encode(out);
-            }
-            StateDelta::RouteStage { route, stage } => {
-                9u8.encode(out);
-                route.encode(out);
-                stage.encode(out);
-            }
-            StateDelta::Key(pk, sk) => {
-                10u8.encode(out);
-                pk.encode(out);
-                sk.encode(out);
-            }
-            StateDelta::DestroyKey(pk) => {
-                11u8.encode(out);
-                pk.encode(out);
-            }
-            StateDelta::RouteSigned(route, tau, digests) => {
-                12u8.encode(out);
-                route.encode(out);
-                tau.encode(out);
-                digests.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for StateDelta {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.read::<u8>()? {
-            0 => StateDelta::Channel(Box::new(r.read()?)),
-            1 => StateDelta::Pay {
-                id: r.read()?,
-                my_delta: r.read()?,
-                remote_delta: r.read()?,
-            },
-            2 => StateDelta::Stage {
-                id: r.read()?,
-                stage: r.read()?,
-            },
-            3 => StateDelta::Deposit {
-                dep: r.read()?,
-                key: r.read()?,
-                mine: r.read()?,
-            },
-            4 => StateDelta::RemoveDeposit(r.read()?),
-            5 => StateDelta::Tau {
-                route: r.read()?,
-                tau: r.read()?,
-            },
-            6 => StateDelta::CloseChannel(r.read()?),
-            7 => StateDelta::Swap(Box::new(r.read()?)),
-            8 => StateDelta::Route(Box::new(r.read()?)),
-            9 => StateDelta::RouteStage {
-                route: r.read()?,
-                stage: r.read()?,
-            },
-            10 => StateDelta::Key(r.read()?, r.read()?),
-            11 => StateDelta::DestroyKey(r.read()?),
-            12 => StateDelta::RouteSigned(r.read()?, r.read()?, r.read()?),
-            _ => return Err(WireError::InvalidValue("delta tag")),
-        })
-    }
-}
+teechain_util::impl_wire_enum!(StateDelta, "delta tag" {
+    Channel = 0 (c),
+    Pay = 1 { id, my_delta, remote_delta },
+    Stage = 2 { id, stage },
+    Deposit = 3 { dep, key, mine },
+    RemoveDeposit = 4 (op),
+    Tau = 5 { route, tau },
+    CloseChannel = 6 (id),
+    Swap = 7 (s),
+    Route = 8 (route),
+    RouteStage = 9 { route, stage },
+    Key = 10 (pk, sk),
+    DestroyKey = 11 (pk),
+    RouteSigned = 12 (route, tau, digests),
+});
 
 /// A settlement digest entry shared along a multi-hop route: the txid of a
 /// channel's settlement at pre- or post-payment state. Confirmed
@@ -693,194 +564,44 @@ pub enum ProtocolMsg {
     },
 }
 
-macro_rules! tagged {
-    ($out:ident, $tag:expr, $($v:expr),*) => {{
-        ($tag as u8).encode($out);
-        $($v.encode($out);)*
-    }};
-}
-
-impl Encode for ProtocolMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        use ProtocolMsg::*;
-        match self {
-            NewChannel { id, settlement } => tagged!(out, 0, id, settlement),
-            NewChannelAck { id, settlement } => tagged!(out, 1, id, settlement),
-            ApproveDeposit { deposit } => tagged!(out, 2, deposit),
-            DepositApproved { outpoint } => tagged!(out, 3, outpoint),
-            AssociateDeposit { id, deposit, key } => tagged!(out, 4, id, deposit, key),
-            DissociateDeposit { id, outpoint } => tagged!(out, 5, id, outpoint),
-            DissociateAck { id, outpoint } => tagged!(out, 6, id, outpoint),
-            Pay { id, amount, count } => tagged!(out, 7, id, amount, count),
-            PayAck { id, amount, count } => tagged!(out, 8, id, amount, count),
-            SettleRequest { id } => tagged!(out, 9, id),
-            ChannelClosed { id } => tagged!(out, 10, id),
-            MhLock(m) => tagged!(out, 11, m),
-            MhSign {
-                route,
-                tau,
-                digests,
-                deposits,
-            } => tagged!(out, 12, route, tau, digests, deposits),
-            MhPreUpdate { route, witnesses } => tagged!(out, 13, route, witnesses),
-            MhUpdate { route } => tagged!(out, 14, route),
-            MhPostUpdate { route } => tagged!(out, 15, route),
-            MhRelease { route } => tagged!(out, 16, route),
-            RepAssign => tagged!(out, 17,),
-            RepAssignAck { member_key } => tagged!(out, 18, member_key),
-            RepUpdate { seq, deltas } => tagged!(out, 19, seq, deltas),
-            RepAck { seq } => tagged!(out, 20, seq),
-            RepFreeze => tagged!(out, 21,),
-            SigRequest { req_id, tx } => tagged!(out, 22, req_id, tx),
-            SigResponse {
-                req_id,
-                sigs,
-                refused,
-            } => tagged!(out, 23, req_id, sigs, refused),
-            PayNack {
-                id,
-                amount,
-                count,
-                reason,
-            } => tagged!(out, 24, id, amount, count, reason),
-            MhAbort { route, reason } => tagged!(out, 25, route, reason),
-            SwapInit {
-                swap,
-                channel,
-                amount,
-                alt_amount,
-                hash,
-                timeout_blocks,
-            } => tagged!(
-                out,
-                26,
-                swap,
-                channel,
-                amount,
-                alt_amount,
-                hash,
-                timeout_blocks
-            ),
-            SwapLocked { swap, outpoint } => tagged!(out, 27, swap, outpoint),
-            SwapSecret { swap, secret } => tagged!(out, 28, swap, secret),
-            SwapNack { swap, reason } => tagged!(out, 29, swap, reason),
-        }
-    }
-}
-
-impl Decode for ProtocolMsg {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        use ProtocolMsg::*;
-        Ok(match r.read::<u8>()? {
-            0 => NewChannel {
-                id: r.read()?,
-                settlement: r.read()?,
-            },
-            1 => NewChannelAck {
-                id: r.read()?,
-                settlement: r.read()?,
-            },
-            2 => ApproveDeposit { deposit: r.read()? },
-            3 => DepositApproved {
-                outpoint: r.read()?,
-            },
-            4 => AssociateDeposit {
-                id: r.read()?,
-                deposit: r.read()?,
-                key: r.read()?,
-            },
-            5 => DissociateDeposit {
-                id: r.read()?,
-                outpoint: r.read()?,
-            },
-            6 => DissociateAck {
-                id: r.read()?,
-                outpoint: r.read()?,
-            },
-            7 => Pay {
-                id: r.read()?,
-                amount: r.read()?,
-                count: r.read()?,
-            },
-            8 => PayAck {
-                id: r.read()?,
-                amount: r.read()?,
-                count: r.read()?,
-            },
-            9 => SettleRequest { id: r.read()? },
-            10 => ChannelClosed { id: r.read()? },
-            11 => MhLock(r.read()?),
-            12 => MhSign {
-                route: r.read()?,
-                tau: r.read()?,
-                digests: r.read()?,
-                deposits: r.read()?,
-            },
-            13 => MhPreUpdate {
-                route: r.read()?,
-                witnesses: r.read()?,
-            },
-            14 => MhUpdate { route: r.read()? },
-            15 => MhPostUpdate { route: r.read()? },
-            16 => MhRelease { route: r.read()? },
-            17 => RepAssign,
-            18 => RepAssignAck {
-                member_key: r.read()?,
-            },
-            19 => RepUpdate {
-                seq: r.read()?,
-                deltas: r.read()?,
-            },
-            20 => RepAck { seq: r.read()? },
-            21 => RepFreeze,
-            22 => SigRequest {
-                req_id: r.read()?,
-                tx: r.read()?,
-            },
-            23 => SigResponse {
-                req_id: r.read()?,
-                sigs: r.read()?,
-                refused: r.read()?,
-            },
-            24 => PayNack {
-                id: r.read()?,
-                amount: r.read()?,
-                count: r.read()?,
-                reason: r.read()?,
-            },
-            25 => MhAbort {
-                route: r.read()?,
-                reason: r.read()?,
-            },
-            26 => SwapInit {
-                swap: r.read()?,
-                channel: r.read()?,
-                amount: r.read()?,
-                alt_amount: r.read()?,
-                hash: r.read()?,
-                timeout_blocks: r.read()?,
-            },
-            27 => SwapLocked {
-                swap: r.read()?,
-                outpoint: r.read()?,
-            },
-            28 => SwapSecret {
-                swap: r.read()?,
-                secret: r.read()?,
-            },
-            29 => SwapNack {
-                swap: r.read()?,
-                reason: r.read()?,
-            },
-            _ => return Err(WireError::InvalidValue("protocol tag")),
-        })
-    }
-}
+teechain_util::impl_wire_enum!(ProtocolMsg, "protocol tag" {
+    NewChannel = 0 { id, settlement },
+    NewChannelAck = 1 { id, settlement },
+    ApproveDeposit = 2 { deposit },
+    DepositApproved = 3 { outpoint },
+    AssociateDeposit = 4 { id, deposit, key },
+    DissociateDeposit = 5 { id, outpoint },
+    DissociateAck = 6 { id, outpoint },
+    Pay = 7 { id, amount, count },
+    PayAck = 8 { id, amount, count },
+    SettleRequest = 9 { id },
+    ChannelClosed = 10 { id },
+    MhLock = 11 (m),
+    MhSign = 12 { route, tau, digests, deposits },
+    MhPreUpdate = 13 { route, witnesses },
+    MhUpdate = 14 { route },
+    MhPostUpdate = 15 { route },
+    MhRelease = 16 { route },
+    RepAssign = 17,
+    RepAssignAck = 18 { member_key },
+    RepUpdate = 19 { seq, deltas },
+    RepAck = 20 { seq },
+    RepFreeze = 21,
+    SigRequest = 22 { req_id, tx },
+    SigResponse = 23 { req_id, sigs, refused },
+    PayNack = 24 { id, amount, count, reason },
+    MhAbort = 25 { route, reason },
+    SwapInit = 26 { swap, channel, amount, alt_amount, hash, timeout_blocks },
+    SwapLocked = 27 { swap, outpoint },
+    SwapSecret = 28 { swap, secret },
+    SwapNack = 29 { swap, reason },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use teechain_crypto::schnorr::Keypair;
+    use teechain_util::codec::Decode;
 
     #[test]
     fn protocol_msg_roundtrip() {

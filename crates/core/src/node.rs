@@ -48,51 +48,11 @@ pub enum NodeWire {
     },
 }
 
-impl Encode for NodeWire {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            NodeWire::Enclave(b) => {
-                0u8.encode(out);
-                b.encode(out);
-            }
-            NodeWire::SigRequest { req_id, origin, tx } => {
-                1u8.encode(out);
-                req_id.encode(out);
-                origin.encode(out);
-                tx.encode(out);
-            }
-            NodeWire::SigResponse {
-                req_id,
-                sigs,
-                refused,
-            } => {
-                2u8.encode(out);
-                req_id.encode(out);
-                sigs.encode(out);
-                refused.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for NodeWire {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.read::<u8>()? {
-            0 => NodeWire::Enclave(r.read()?),
-            1 => NodeWire::SigRequest {
-                req_id: r.read()?,
-                origin: r.read()?,
-                tx: r.read()?,
-            },
-            2 => NodeWire::SigResponse {
-                req_id: r.read()?,
-                sigs: r.read()?,
-                refused: r.read()?,
-            },
-            _ => return Err(WireError::InvalidValue("node wire tag")),
-        })
-    }
-}
+teechain_util::impl_wire_enum!(NodeWire, "node wire tag" {
+    Enclave = 0 (wire),
+    SigRequest = 1 { req_id, origin, tx },
+    SigResponse = 2 { req_id, sigs, refused },
+});
 
 /// Length of the host's envelope around an enclave message: the
 /// [`NodeWire::Enclave`] tag and the message's `u32` length.
@@ -101,6 +61,7 @@ const ENVELOPE: usize = 1 + 4;
 /// [`NodeWire::Enclave`]`(wire).encode_to_vec()` without the second buffer:
 /// the envelope goes in front of the message where it is (a sealed frame
 /// arrives with the room to spare).
+// Hand-written: prepends the envelope in place instead of encoding into a new buffer.
 fn enclave_frame(mut wire: Vec<u8>) -> Vec<u8> {
     let mut envelope = [0u8; ENVELOPE];
     envelope[1..].copy_from_slice(&(wire.len() as u32).to_le_bytes());
@@ -124,6 +85,7 @@ pub(crate) enum NodeWireView {
 }
 
 impl NodeWireView {
+    // Hand-written: locates enclave traffic in the frame instead of copying it out.
     pub(crate) fn parse(frame: &[u8]) -> Result<Self, WireError> {
         if frame.first() != Some(&0) {
             return NodeWire::decode_exact(frame).map(NodeWireView::CoSign);

@@ -48,7 +48,6 @@ use teechain_blockchain::{OutPoint, ScriptPubKey, Transaction, TxIn, TxOut};
 use teechain_crypto::schnorr::{Keypair, PublicKey};
 use teechain_crypto::sha256::sha256;
 use teechain_tee::EnclaveEnv;
-use teechain_util::codec::{Decode, Encode, Reader, WireError};
 
 /// Where a swap stands. Phases only ever advance: `Init → Locked →`
 /// exactly one of `{Redeemed, Refunded}` (Init may also jump straight to
@@ -82,29 +81,12 @@ impl SwapPhase {
     }
 }
 
-impl Encode for SwapPhase {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            SwapPhase::Init => 0,
-            SwapPhase::Locked => 1,
-            SwapPhase::Redeemed => 2,
-            SwapPhase::Refunded => 3,
-        };
-        tag.encode(out);
-    }
-}
-
-impl Decode for SwapPhase {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.read::<u8>()? {
-            0 => SwapPhase::Init,
-            1 => SwapPhase::Locked,
-            2 => SwapPhase::Redeemed,
-            3 => SwapPhase::Refunded,
-            _ => return Err(WireError::InvalidValue("swap phase")),
-        })
-    }
-}
+teechain_util::impl_wire_enum!(SwapPhase, "swap phase" {
+    Init = 0,
+    Locked = 1,
+    Redeemed = 2,
+    Refunded = 3,
+});
 
 /// Full per-swap enclave state. Snapshotted into the sealed state image
 /// and replayed from [`StateDelta::Swap`](crate::msg::StateDelta) WAL
@@ -734,6 +716,7 @@ impl TeechainEnclave {
 mod tests {
     use super::*;
     use teechain_crypto::sha256::sha256;
+    use teechain_util::codec::{Decode, Encode};
 
     #[test]
     fn swap_state_roundtrip() {

@@ -2,7 +2,6 @@
 
 use teechain_blockchain::OutPoint;
 use teechain_crypto::schnorr::PublicKey;
-use teechain_util::codec::{Decode, Encode, Reader, WireError};
 use teechain_util::hex;
 
 /// Identifies a payment channel. Chosen by the opening party; must be
@@ -25,17 +24,7 @@ impl ChannelId {
     }
 }
 
-impl Encode for ChannelId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-}
-
-impl Decode for ChannelId {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ChannelId(r.read()?))
-    }
-}
+teechain_util::impl_wire_struct!(ChannelId { 0 });
 
 /// Identifies a multi-hop payment route instance. The `Ord` impl is the
 /// admission layer's wait-die priority: route ids are totally ordered,
@@ -54,17 +43,7 @@ impl RouteId {
     }
 }
 
-impl Encode for RouteId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-}
-
-impl Decode for RouteId {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(RouteId(r.read()?))
-    }
-}
+teechain_util::impl_wire_struct!(RouteId { 0 });
 
 /// Identifies a cross-chain atomic swap instance (see [`crate::swap`]).
 /// Chosen by the initiating host (like [`RouteId`] for multi-hop routes)
@@ -88,17 +67,7 @@ impl SwapId {
     }
 }
 
-impl Encode for SwapId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-}
-
-impl Decode for SwapId {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(SwapId(r.read()?))
-    }
-}
+teechain_util::impl_wire_struct!(SwapId { 0 });
 
 /// The committee configuration of a deposit: the deposit pays into an
 /// `m`-of-`members.len()` multisignature address over the committee TEEs'
@@ -169,37 +138,16 @@ pub enum MultihopStage {
     Terminated,
 }
 
-impl Encode for MultihopStage {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            MultihopStage::Idle => 0,
-            MultihopStage::Lock => 1,
-            MultihopStage::Sign => 2,
-            MultihopStage::PreUpdate => 3,
-            MultihopStage::Update => 4,
-            MultihopStage::PostUpdate => 5,
-            MultihopStage::Release => 6,
-            MultihopStage::Terminated => 7,
-        };
-        tag.encode(out);
-    }
-}
-
-impl Decode for MultihopStage {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.read::<u8>()? {
-            0 => MultihopStage::Idle,
-            1 => MultihopStage::Lock,
-            2 => MultihopStage::Sign,
-            3 => MultihopStage::PreUpdate,
-            4 => MultihopStage::Update,
-            5 => MultihopStage::PostUpdate,
-            6 => MultihopStage::Release,
-            7 => MultihopStage::Terminated,
-            _ => return Err(WireError::InvalidValue("multihop stage")),
-        })
-    }
-}
+teechain_util::impl_wire_enum!(MultihopStage, "multihop stage" {
+    Idle = 0,
+    Lock = 1,
+    Sign = 2,
+    PreUpdate = 3,
+    Update = 4,
+    PostUpdate = 5,
+    Release = 6,
+    Terminated = 7,
+});
 
 /// Protocol-level failures surfaced to the host.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -370,6 +318,7 @@ impl std::error::Error for ProtocolError {}
 mod tests {
     use super::*;
     use teechain_crypto::schnorr::Keypair;
+    use teechain_util::codec::{Decode, Encode};
 
     #[test]
     fn channel_id_deterministic() {

@@ -8,6 +8,7 @@ use crate::schnorr::{PublicKey, Signature};
 use crate::u256::U256;
 use teechain_util::codec::{Decode, Encode, Reader, WireError};
 
+// Hand-written: big-endian, unlike every integer the codec writes.
 impl Encode for U256 {
     fn encode(&self, out: &mut Vec<u8>) {
         self.to_be_bytes().encode(out);
@@ -26,6 +27,7 @@ impl Encode for PublicKey {
     }
 }
 
+// Hand-written: refuses bytes that are not a point on the curve.
 impl Decode for PublicKey {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let bytes = r.read::<[u8; 64]>()?;
@@ -39,6 +41,7 @@ impl Encode for Signature {
     }
 }
 
+// Hand-written: refuses a non-canonical signature.
 impl Decode for Signature {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let bytes = r.read::<[u8; 96]>()?;
@@ -54,6 +57,7 @@ impl Encode for Affine {
     }
 }
 
+// Hand-written: refuses bytes that are not a point on the curve.
 impl Decode for Affine {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let bytes = r.read::<[u8; 64]>()?;

@@ -10,7 +10,7 @@
 //! reassembly — partial frames survive short reads, read timeouts and
 //! `WouldBlock` returns from nonblocking sockets.
 
-use teechain_util::codec::{Decode, Encode, Reader as WireReader, WireError};
+use teechain_util::codec::{Decode, Encode, WireError};
 
 /// Upper bound on a single frame body; anything larger is junk (the
 /// biggest legitimate protocol message is a sealed snapshot, well under
@@ -25,21 +25,7 @@ pub(crate) struct Frame {
     pub(crate) payload: Vec<u8>,
 }
 
-impl Encode for Frame {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.from.encode(out);
-        self.payload.encode(out);
-    }
-}
-
-impl Decode for Frame {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Frame {
-            from: r.read()?,
-            payload: r.read()?,
-        })
-    }
-}
+teechain_util::impl_wire_struct!(Frame { from, payload });
 
 /// One multiplexed wire frame (the [`ReactorNet`](super::ReactorNet)
 /// body): the [`Frame`] fields plus the destination, because a pooled
@@ -50,23 +36,7 @@ pub(crate) struct MuxFrame {
     pub(crate) payload: Vec<u8>,
 }
 
-impl Encode for MuxFrame {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.from.encode(out);
-        self.to.encode(out);
-        self.payload.encode(out);
-    }
-}
-
-impl Decode for MuxFrame {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(MuxFrame {
-            from: r.read()?,
-            to: r.read()?,
-            payload: r.read()?,
-        })
-    }
-}
+teechain_util::impl_wire_struct!(MuxFrame { from, to, payload });
 
 /// Appends the length-prefixed encoding of `body` to `out` (one
 /// syscall-sized buffer instead of two small writes).

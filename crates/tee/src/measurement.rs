@@ -1,7 +1,6 @@
 //! Enclave measurements: the identity of the *code* running in a TEE.
 
 use teechain_crypto::sha256::tagged_hash;
-use teechain_util::codec::{Decode, Encode, Reader, WireError};
 use teechain_util::hex;
 
 /// A digest identifying an enclave program (SGX's `MRENCLAVE`).
@@ -26,17 +25,7 @@ impl Measurement {
     }
 }
 
-impl Encode for Measurement {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-}
-
-impl Decode for Measurement {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Measurement(r.read()?))
-    }
-}
+teechain_util::impl_wire_struct!(Measurement { 0 });
 
 #[cfg(test)]
 mod tests {

@@ -136,6 +136,7 @@ fn prealloc<T>(len: usize, remaining: usize) -> usize {
     len.min(remaining / std::mem::size_of::<T>().max(1))
 }
 
+// The primitives, by hand: every derived codec is made of these.
 macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Encode for $t {
@@ -292,18 +293,89 @@ impl<K: Decode + Ord, V: Decode> Decode for BTreeMap<K, V> {
     }
 }
 
-/// Implements `Encode`/`Decode` for a struct field-by-field.
+impl<T: Encode> Encode for Box<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+}
+
+impl<T: Decode> Decode for Box<T> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Box::new(r.read()?))
+    }
+}
+
+/// Implements `Encode`/`Decode` for a struct field-by-field, in the order
+/// listed. A field is a name or a tuple index, so a newtype is
+/// `impl_wire_struct!(TxId { 0 })`.
 #[macro_export]
 macro_rules! impl_wire_struct {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
+    ($ty:ty { $($field:tt),+ $(,)? }) => {
         impl $crate::codec::Encode for $ty {
             fn encode(&self, out: &mut Vec<u8>) {
-                $(self.$field.encode(out);)+
+                $($crate::codec::Encode::encode(&self.$field, out);)+
             }
         }
         impl $crate::codec::Decode for $ty {
             fn decode(r: &mut $crate::codec::Reader<'_>) -> Result<Self, $crate::codec::WireError> {
                 Ok(Self { $($field: r.read()?),+ })
+            }
+        }
+    };
+}
+
+/// Implements `Encode`/`Decode` for a tagged enum from one list of its
+/// variants and their wire tags:
+///
+/// ```ignore
+/// impl_wire_enum!(Shape, "shape tag" {
+///     Empty = 0,
+///     Square = 1 (side),
+///     Rect = 2 { w, h },
+/// });
+/// ```
+///
+/// A value encodes as its `u8` tag followed by its fields in the order
+/// listed; each tuple field is given a name, which is only a binding. An
+/// unknown tag decodes to `WireError::InvalidValue` with the given string.
+/// `check = f` after the string runs `f(&value) -> Result<(), WireError>`
+/// on every decoded value, for a rule the field types do not hold
+/// themselves. The compiler keeps the list whole: a missing variant is a
+/// non-exhaustive `match`, a missing field an unmentioned one (E0027), and a
+/// repeated tag an unreachable pattern. `Type::TAGS` lists the tags, so a
+/// test can try every byte that is not one.
+#[macro_export]
+macro_rules! impl_wire_enum {
+    ($ty:ty, $what:literal $(, check = $check:path)? {
+        $($variant:ident = $tag:literal $(($($a:ident),+))? $({ $($f:ident),+ $(,)? })?),+ $(,)?
+    }) => {
+        impl $ty {
+            /// The wire tag of every variant, in the order declared.
+            pub const TAGS: &[u8] = &[$($tag),+];
+        }
+        impl $crate::codec::Encode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(Self::$variant $(($($a),+))? $({ $($f),+ })? => {
+                        out.push($tag);
+                        $($($crate::codec::Encode::encode($a, out);)+)?
+                        $($($crate::codec::Encode::encode($f, out);)+)?
+                    })+
+                }
+            }
+        }
+        impl $crate::codec::Decode for $ty {
+            fn decode(r: &mut $crate::codec::Reader<'_>) -> Result<Self, $crate::codec::WireError> {
+                let value = match r.read::<u8>()? {
+                    $($tag => {
+                        $($(let $a = r.read()?;)+)?
+                        $($(let $f = r.read()?;)+)?
+                        Self::$variant $(($($a),+))? $({ $($f),+ })?
+                    })+
+                    _ => return Err($crate::codec::WireError::InvalidValue($what)),
+                };
+                $($check(&value)?;)?
+                Ok(value)
             }
         }
     };
@@ -405,6 +477,53 @@ mod tests {
         assert_eq!(
             Reader::new(&buf[..3]).take_prefixed(),
             Err(WireError::UnexpectedEof)
+        );
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Empty,
+        Square(u8),
+        Rect { w: u8, h: u16 },
+    }
+
+    fn not_empty_square(s: &Shape) -> Result<(), WireError> {
+        match s {
+            Shape::Square(0) => Err(WireError::InvalidValue("empty square")),
+            _ => Ok(()),
+        }
+    }
+
+    crate::impl_wire_enum!(Shape, "shape tag", check = not_empty_square {
+        Empty = 0,
+        Square = 5 (side),
+        Rect = 2 { h, w },
+    });
+
+    #[test]
+    fn a_wire_enum_is_its_tag_then_its_fields_in_the_order_listed() {
+        assert_eq!(Shape::TAGS, &[0, 5, 2]);
+        for (shape, bytes) in [
+            (Shape::Empty, vec![0]),
+            (Shape::Square(9), vec![5, 9]),
+            (Shape::Rect { w: 1, h: 0x0302 }, vec![2, 2, 3, 1]),
+        ] {
+            assert_eq!(shape.encode_to_vec(), bytes);
+            assert_eq!(Shape::decode_exact(&bytes), Ok(shape));
+        }
+        assert_eq!(
+            Shape::decode_exact(&[1]),
+            Err(WireError::InvalidValue("shape tag"))
+        );
+        assert_eq!(
+            Shape::decode_exact(&[5, 0]),
+            Err(WireError::InvalidValue("empty square"))
+        );
+        assert_eq!(Shape::decode_exact(&[2, 2]), Err(WireError::UnexpectedEof));
+        let boxed = Box::new(Shape::Square(4));
+        assert_eq!(
+            Box::<Shape>::decode_exact(&boxed.encode_to_vec()),
+            Ok(boxed)
         );
     }
 
