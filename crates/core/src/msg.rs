@@ -128,7 +128,7 @@ pub(crate) const SEALED_HEADER: usize = 1 + 64 + 8 + 1 + 4;
 /// front of the ciphertext, which the caller appends before it calls
 /// [`finish_sealed`]. The session seals into this buffer, so an envelope is
 /// never built as a value and then encoded.
-// Hand-written: the session seals into the frame, and the codec encodes values.
+// Hand-written: the session seals into this buffer, so no value exists to encode.
 pub(crate) fn begin_sealed(out: &mut Vec<u8>, from: &[u8; 64], seq: u64, class: u8) {
     debug_assert!(out.is_empty());
     out.push(2);
@@ -139,7 +139,7 @@ pub(crate) fn begin_sealed(out: &mut Vec<u8>, from: &[u8; 64], seq: u64, class: 
 }
 
 /// Writes the length of the ciphertext now behind the header into it.
-// Hand-written: patches a length in place, which no value encoding does.
+// Hand-written: patches the length in place once the ciphertext is sealed.
 pub(crate) fn finish_sealed(out: &mut [u8]) {
     let ct_len = (out.len() - SEALED_HEADER) as u32;
     out[SEALED_HEADER - 4..SEALED_HEADER].copy_from_slice(&ct_len.to_le_bytes());
