@@ -63,6 +63,54 @@ fn a_direct_payment_stays_within_its_allocation_budget() {
     }
 }
 
+/// Allocations and bytes per delivery that a payee's host says has more
+/// input queued behind it: the payee applies the payment and holds its
+/// ack, so the turn seals and sends nothing. The first such delivery of a
+/// burst asks for a pump (the `Effect` that carries the request and the
+/// `Vec` in which `drive_input` hands back the timer); the burst's other
+/// held deliveries share it and allocate nothing.
+const HELD_DELIVER_BUDGET: [(&str, AllocCounts); 2] = [
+    (
+        "first held delivery",
+        AllocCounts {
+            allocs: 2,
+            bytes: 304,
+        },
+    ),
+    (
+        "held delivery",
+        AllocCounts {
+            allocs: 0,
+            bytes: 0,
+        },
+    ),
+];
+
+#[test]
+fn a_held_delivery_stays_within_its_allocation_budget() {
+    assert!(installed(), "the counting allocator is not installed");
+    let mut crank = PayCrank::new();
+    for _ in 0..4 {
+        crank.held_deliveries(16);
+    }
+    const BURSTS: u64 = 32;
+    let mut heap = [(AllocCounts::default(), 0u64); 2];
+    for _ in 0..BURSTS {
+        for (i, turn) in crank.held_deliveries(16).into_iter().enumerate() {
+            let (sum, turns) = &mut heap[usize::from(i > 0)];
+            sum.allocs += turn.heap.allocs;
+            sum.bytes += turn.heap.bytes;
+            *turns += 1;
+        }
+    }
+    for ((heap, turns), (name, budget)) in heap.into_iter().zip(HELD_DELIVER_BUDGET) {
+        assert!(
+            heap.allocs <= budget.allocs * turns && heap.bytes <= budget.bytes * turns,
+            "{name}: {heap:?} over {turns} turns, budget {budget:?} each"
+        );
+    }
+}
+
 #[test]
 fn a_length_claim_allocates_no_more_than_the_input_it_came_with() {
     assert!(installed(), "the counting allocator is not installed");

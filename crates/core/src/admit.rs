@@ -234,6 +234,60 @@ impl AdmitState {
         out
     }
 
+    /// Takes the ops behind the oldest outstanding wire `Pay`s on `wire`
+    /// that one cumulative `PayAck` of `(amount, count)` covers — whole
+    /// runs, oldest first, until their counts sum to `count` — and turns
+    /// each into an event. What the record does not cover (sends from
+    /// before a crash) becomes one more event, for the channel as a whole.
+    /// Refuses, taking nothing, an ack whose count ends inside a run or
+    /// whose amounts do not sum to `amount`.
+    pub(crate) fn take_acked_through<T>(
+        &mut self,
+        wire: &ChannelId,
+        amount: u64,
+        count: u32,
+        event: impl Fn(AckEntry) -> T,
+    ) -> Result<Vec<T>, ProtocolError> {
+        let rest = |amount, count| AckEntry {
+            id: *wire,
+            amount,
+            count,
+            more: false,
+        };
+        let q = match self.inflight.get_mut(wire) {
+            Some(q) if !q.is_empty() && count > 0 => q,
+            _ => return Ok(vec![event(rest(amount, count))]),
+        };
+        let (mut taken, mut sum_amount, mut sum_count) = (0, 0u64, 0u64);
+        let (mut run_amount, mut run_count) = (0u64, 0u64);
+        for (i, entry) in q.iter().enumerate() {
+            run_amount += entry.amount;
+            run_count += u64::from(entry.count);
+            if entry.more {
+                continue;
+            }
+            if sum_count + run_count > u64::from(count) {
+                return Err(ProtocolError::BadMessage);
+            }
+            taken = i + 1;
+            sum_amount += std::mem::take(&mut run_amount);
+            sum_count += std::mem::take(&mut run_count);
+            if sum_count == u64::from(count) {
+                break;
+            }
+        }
+        let uncovered = sum_count < u64::from(count);
+        let rest = match (amount.checked_sub(sum_amount), uncovered) {
+            (Some(0), false) => None,
+            (Some(left), true) => Some(rest(left, count - sum_count as u32)),
+            _ => return Err(ProtocolError::BadMessage),
+        };
+        // Sized by hand: `collect` rounds a short run up to four.
+        let mut out = Vec::with_capacity(taken + usize::from(uncovered));
+        out.extend(q.drain(..taken).chain(rest).map(event));
+        Ok(out)
+    }
+
     /// Earliest future wake time across all queued and deferred entries,
     /// if any — the time the host should pump admission next. A queued
     /// entry still inside its backoff wakes at `ready_ns`; everything
@@ -392,19 +446,24 @@ impl TeechainEnclave {
 
     /// Answers a deferred inbound message backward with a typed refusal,
     /// so the sender's op completes instead of hanging.
-    fn refuse_deferred(
+    pub(crate) fn refuse_deferred(
         &mut self,
         d: DeferredMsg,
         reason: ProtocolError,
         effects: &mut Vec<Effect>,
     ) {
         let refusal = match d.msg {
-            ProtocolMsg::Pay { id, amount, count } => ProtocolMsg::PayNack {
-                id,
-                amount,
-                count,
-                reason: reason.abort_code(),
-            },
+            ProtocolMsg::Pay { id, amount, count } => {
+                // The ack owed for the pays applied before this one goes
+                // first.
+                effects.extend(self.seal_owed_ack_of(&id));
+                ProtocolMsg::PayNack {
+                    id,
+                    amount,
+                    count,
+                    reason: reason.abort_code(),
+                }
+            }
             ProtocolMsg::MhLock(m) => ProtocolMsg::MhAbort {
                 route: m.route,
                 reason: reason.abort_code(),

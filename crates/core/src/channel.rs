@@ -8,6 +8,7 @@ use crate::admit::{
 use crate::enclave::{Effect, HostEvent, Outcome, Peer, TeechainEnclave};
 use crate::msg::{ProtocolMsg, StateDelta};
 use crate::ops::{MatchKey, OpError, OpOutput, Payment, SettleKind};
+use crate::replication::ACK_EVERY;
 use crate::settle;
 use crate::types::{ChannelId, MultihopStage, ProtocolError, RouteId};
 use teechain_blockchain::OutPoint;
@@ -145,6 +146,73 @@ teechain_util::impl_wire_struct!(Channel {
     closed,
     settling,
 });
+
+/// The acknowledgements a payee owes for the `Pay`s it applied, by channel
+/// slot. A payee acknowledges cumulatively: one `PayAck` covers every
+/// `Pay` applied on its channel since the last, and it is sealed once the
+/// host says no more input is queued (`Command::Deliver::more`), once
+/// [`ACK_EVERY`] `Pay`s are owed on the channel, or just before a
+/// `PayNack` or a settlement message on the channel, which must not
+/// overtake it. Only what is already queued is coalesced: no payment
+/// waits for input that has not arrived.
+#[derive(Default)]
+pub(crate) struct OwedAcks {
+    /// `by_slot[s]`: what is owed on the channel in slot `s`.
+    by_slot: Vec<Owed>,
+    /// The slots that began to owe since the last flush, in that order
+    /// (one may have been sealed since, or be listed twice).
+    dirty: Vec<u32>,
+    /// Slots that owe something now.
+    owing: usize,
+    /// A pump was requested for what is owed now.
+    armed: bool,
+    /// This ecall's handler sealed an ack.
+    pub(crate) sealed_in_handler: bool,
+    /// Counters for the node registry.
+    pub(crate) stats: PayStats,
+}
+
+/// What one channel owes: the sums of the `Pay`s applied and not yet
+/// acknowledged, and how many wire `Pay`s they were.
+#[derive(Default, Clone, Copy)]
+struct Owed {
+    amount: u64,
+    count: u32,
+    pays: u64,
+}
+
+/// Payment-acknowledgement counters, surfaced through the node registry.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct PayStats {
+    /// `PayAck`s sealed, each covering every `Pay` owed on its channel.
+    pub acks_sent: u64,
+    /// Of those, the acks sealed because the input drained: at an ecall
+    /// that was not a delivery with more input queued behind it.
+    pub ack_flushes: u64,
+}
+
+impl OwedAcks {
+    /// Requests a pump at `now` when a delivery with more input behind it
+    /// leaves acks owed and none is requested yet: the next input may be
+    /// no ecall (a deadline timer, an observation).
+    pub(crate) fn arm_pump(&mut self, keep: bool, now: u64) -> Option<Effect> {
+        if !keep || self.owing == 0 || self.armed {
+            return None;
+        }
+        self.armed = true;
+        Some(Effect::Event(HostEvent::PumpAt(now)))
+    }
+
+    /// Drops what the channel in `slot` owes, unsealed.
+    pub(crate) fn forget(&mut self, slot: u32) {
+        if let Some(owed) = self.by_slot.get_mut(slot as usize) {
+            if std::mem::take(owed).pays > 0 {
+                self.owing -= 1;
+                self.armed &= self.owing > 0;
+            }
+        }
+    }
+}
 
 /// Channel `id` is open on our side.
 fn opened(id: ChannelId) -> Effect {
@@ -359,18 +427,38 @@ impl TeechainEnclave {
         if chan.locked() {
             // The channel was locked for a multi-hop payment after the
             // peer sent this pay (racing in the other direction). Defer
-            // the decrypted message; the unlock drain re-delivers it. A
-            // full deferral queue falls back to the old nack-and-rollback.
+            // the decrypted message; the unlock drain re-delivers it.
+            let mut effects = Vec::new();
             let dq = self.admit.deferred.entry(id).or_default();
             if dq.len() >= ADMIT_QUEUE_CAP {
-                let msg = ProtocolMsg::PayNack {
-                    id,
-                    amount,
-                    count,
-                    reason: ProtocolError::ChannelLocked.abort_code(),
-                };
-                return Ok(vec![self.seal_at(from.slot, &msg)?]);
+                // A full deferral queue refuses the oldest `Pay` it holds
+                // and defers this one: the payer matches refusals to its
+                // sends in order, so a nack for this pay would overtake
+                // the deferred ones. Only a queue of multihop locks
+                // refuses this pay itself.
+                match dq
+                    .iter()
+                    .position(|d| matches!(d.msg, ProtocolMsg::Pay { .. }))
+                {
+                    Some(oldest) => {
+                        let d = dq.remove(oldest).expect("a position in the queue");
+                        self.refuse_deferred(d, ProtocolError::ChannelLocked, &mut effects);
+                    }
+                    None => {
+                        let msg = ProtocolMsg::PayNack {
+                            id,
+                            amount,
+                            count,
+                            reason: ProtocolError::ChannelLocked.abort_code(),
+                        };
+                        // The ack owed for earlier pays goes first.
+                        effects.extend(self.seal_owed_ack(slot));
+                        effects.push(self.seal_at(from.slot, &msg)?);
+                        return Ok(effects);
+                    }
+                }
             }
+            let dq = self.admit.deferred.entry(id).or_default();
             let deadline_ns = env.now_ns() + DEFER_DEADLINE_NS;
             dq.push_back(DeferredMsg {
                 from: from.pk,
@@ -380,13 +468,12 @@ impl TeechainEnclave {
             let depth = dq.len();
             self.admit.stats.deferred += 1;
             self.admit.stats.note_defer_depth(depth);
-            return Ok(vec![Effect::Event(HostEvent::PumpAt(deadline_ns))]);
+            effects.push(Effect::Event(HostEvent::PumpAt(deadline_ns)));
+            return Ok(effects);
         }
         if chan.remote_bal < amount {
             return Err(ProtocolError::BadMessage); // Peer violated protocol.
         }
-        let ack = ProtocolMsg::PayAck { id, amount, count };
-        let eff = self.seal_at(from.slot, &ack)?;
         self.commit_at(
             slot,
             StateDelta::Pay {
@@ -395,7 +482,110 @@ impl TeechainEnclave {
                 remote_delta: -(amount as i64),
             },
         );
-        Ok(vec![eff])
+        // The payment is applied; its ack is owed (see `OwedAcks`).
+        Ok(self.owe_pay_ack(slot, amount, count).into_iter().collect())
+    }
+
+    /// Adds an applied `Pay` to what the channel in `slot` owes, and seals
+    /// the ack at once when [`ACK_EVERY`] `Pay`s are owed (or the sums
+    /// would overflow, which seals the ack owed so far first).
+    fn owe_pay_ack(&mut self, slot: u32, amount: u64, count: u32) -> Option<Effect> {
+        let i = slot as usize;
+        if self.acks.by_slot.len() <= i {
+            self.acks.by_slot.resize(i + 1, Owed::default());
+        }
+        let owed = self.acks.by_slot[i];
+        let early = if owed.count.checked_add(count).is_none() {
+            self.seal_owed_ack(slot)
+        } else {
+            None
+        };
+        let owed = &mut self.acks.by_slot[i];
+        if owed.pays == 0 {
+            self.acks.owing += 1;
+            self.acks.dirty.push(slot);
+        }
+        owed.amount += amount;
+        owed.count += count;
+        owed.pays += 1;
+        if owed.pays >= ACK_EVERY {
+            return self.seal_owed_ack(slot);
+        }
+        early
+    }
+
+    /// Seals the ack owed on the channel in `slot`, if any: one `PayAck`
+    /// for the sums of every `Pay` owed there.
+    pub(crate) fn seal_owed_ack(&mut self, slot: u32) -> Option<Effect> {
+        let owed = std::mem::take(self.acks.by_slot.get_mut(slot as usize)?);
+        if owed.pays == 0 {
+            return None;
+        }
+        self.acks.owing -= 1;
+        if self.acks.owing == 0 {
+            self.acks.armed = false;
+        }
+        let id = self.state.channels.at(slot)?.id;
+        let ack = ProtocolMsg::PayAck {
+            id,
+            amount: owed.amount,
+            count: owed.count,
+        };
+        // No session (a restart since the pay): the payer's ops time out.
+        let eff = self.seal_at(self.chan_peers[slot as usize], &ack).ok()?;
+        self.acks.stats.acks_sent += 1;
+        self.acks.sealed_in_handler = true;
+        Some(eff)
+    }
+
+    /// Seals the ack owed on channel `id`, if any.
+    pub(crate) fn seal_owed_ack_of(&mut self, id: &ChannelId) -> Option<Effect> {
+        let slot = self.state.channels.slot(id)?;
+        self.seal_owed_ack(slot)
+    }
+
+    /// Runs after every handler: unless more input is queued behind a
+    /// delivery (`keep`), seals every ack still owed, one per channel.
+    /// In replication mode an ack leaves only once the chain acknowledged
+    /// every `Pay` it covers (Alg. 3 line 24). An ecall that commits holds
+    /// it with its own update (`finalize`); one that commits nothing adds
+    /// it to the newest update still unacknowledged — with the rest of its
+    /// output when its handler sealed an ack too, so that nothing sealed
+    /// after that ack overtakes it. `send_seq` is the replication sequence
+    /// the ecall began at: a handler that ran `finalize` itself (the pump)
+    /// has committed, and its output is no longer held.
+    pub(crate) fn release_pay_acks(
+        &mut self,
+        effects: &mut Vec<Effect>,
+        keep: bool,
+        send_seq: u64,
+    ) {
+        let hold =
+            self.rep.backup.is_some() && self.rep.staged.is_empty() && !self.rep.pending.is_empty();
+        if hold && self.acks.sealed_in_handler && self.rep.send_seq == send_seq {
+            if let Some(newest) = self.rep.pending.last_entry() {
+                newest.into_mut().append(effects);
+            }
+        }
+        if keep {
+            return;
+        }
+        if !hold {
+            // Sized by hand: a payee's one ack must not round the output
+            // up to four effects.
+            effects.reserve_exact(self.acks.owing);
+        }
+        for i in 0..self.acks.dirty.len() {
+            let Some(ack) = self.seal_owed_ack(self.acks.dirty[i]) else {
+                continue;
+            };
+            self.acks.stats.ack_flushes += 1;
+            match self.rep.pending.last_entry() {
+                Some(newest) if hold => newest.into_mut().push(ack),
+                _ => effects.push(ack),
+            }
+        }
+        self.acks.dirty.clear();
     }
 
     pub(crate) fn on_pay_ack(
@@ -408,25 +598,19 @@ impl TeechainEnclave {
         if self.chan(&id)?.remote != from.pk {
             return Err(ProtocolError::BadMessage);
         }
-        // One wire ack covers a whole drain batch: fan it back out to one
+        // One cumulative ack covers every wire `Pay` the payee applied
+        // since its last, each a whole drain batch: fan it back out to one
         // outcome per merged op, in queue order (the op layer matches
-        // per-channel FIFO). A missing group (pre-crash send) degrades to
-        // the single aggregate outcome.
-        let paid = |chan, amount, count| {
+        // per-channel FIFO). What no group records (pre-crash sends)
+        // degrades to a single aggregate outcome.
+        self.admit.take_acked_through(&id, amount, count, |op| {
             let payment = Payment {
-                chan,
-                amount,
-                count,
+                chan: op.id,
+                amount: op.amount,
+                count: op.count,
             };
-            Effect::done(MatchKey::Payment(chan), OpOutput::PaymentApplied(payment))
-        };
-        let mut acked = self
-            .admit
-            .take_acked(&id, |op| paid(op.id, op.amount, op.count));
-        if acked.is_empty() {
-            acked.push(paid(id, amount, count));
-        }
-        Ok(acked)
+            Effect::done(MatchKey::Payment(op.id), OpOutput::PaymentApplied(payment))
+        })
     }
 
     pub(crate) fn on_pay_nack(
@@ -479,6 +663,8 @@ impl TeechainEnclave {
         if self.swap_pending_on(&id) {
             return Err(ProtocolError::SwapPending);
         }
+        // The ack owed on the channel goes out before anything settling it.
+        let ack = self.seal_owed_ack_of(&id);
         let chan = self.state.channels.get(&id).expect("checked");
         let remote = chan.remote;
         // Off-chain termination (Alg. 1 line 106): if balances are neutral
@@ -504,10 +690,11 @@ impl TeechainEnclave {
                 // resolves on this notification.
                 let msg = ProtocolMsg::SettleRequest { id };
                 let eff = self.seal_to(&remote, &msg)?;
-                return Ok(vec![eff, Effect::settled(id, SettleKind::OffChain)]);
+                let settled = Effect::settled(id, SettleKind::OffChain);
+                return Ok(ack.into_iter().chain([eff, settled]).collect());
             }
             let my_deps = chan.my_deps.clone();
-            let mut effects = Vec::new();
+            let mut effects: Vec<Effect> = ack.into_iter().collect();
             for &outpoint in &my_deps {
                 let msg = ProtocolMsg::DissociateDeposit { id, outpoint };
                 effects.push(self.seal_to(&remote, &msg)?);
@@ -526,7 +713,7 @@ impl TeechainEnclave {
         // On-chain settlement.
         let tx = settle::current_settlement_tx(chan);
         self.commit(StateDelta::CloseChannel(id));
-        let mut effects = Vec::new();
+        let mut effects: Vec<Effect> = ack.into_iter().collect();
         // Defensive: settle rejects locked channels, so the admission
         // queues are empty in practice — but flush so nothing can linger
         // behind a closed channel.

@@ -18,7 +18,7 @@
 //! `crate::durable`.
 
 use crate::admit::AdmitState;
-use crate::channel::Channel;
+use crate::channel::{Channel, OwedAcks};
 use crate::deposit::DepositBook;
 use crate::durability::DurabilityBackend;
 use crate::durable::DurableState;
@@ -85,6 +85,16 @@ pub enum Command {
         /// [`WireMsg`](crate::msg::WireMsg) starts; it runs to the end of
         /// the buffer.
         at: usize,
+        /// The host's word that another input for this node is queued
+        /// behind this one, due now ([`teechain_net::Ctx::more_input`]).
+        /// A payee then keeps the acknowledgements of the payments it
+        /// applies owed, and seals them as one cumulative `PayAck` per
+        /// channel at the next ecall that is not such a delivery, or once
+        /// [`ACK_EVERY`](crate::replication::ACK_EVERY) `Pay`s are owed
+        /// on a channel. A pump it requests covers a next input that is
+        /// not an ecall. A host that lies only delays acknowledgements:
+        /// false on every delivery acknowledges each payment alone.
+        more: bool,
     },
     /// Generates a fresh blockchain address inside the TEE (Alg. 1
     /// `newAddr`); as an operation it completes with
@@ -640,6 +650,9 @@ pub struct TeechainEnclave {
     /// fan-out bookkeeping for batched payments. Volatile (§6.2): queued
     /// ops that never committed simply vanish on crash.
     pub(crate) admit: AdmitState,
+    /// Acknowledgements owed for applied `Pay`s, per channel. Volatile:
+    /// a crash loses them, and the payer's operations time out.
+    pub(crate) acks: OwedAcks,
 }
 
 impl TeechainEnclave {
@@ -661,6 +674,7 @@ impl TeechainEnclave {
             pending_msgs: std::collections::VecDeque::new(),
             commits: 0,
             admit: AdmitState::default(),
+            acks: OwedAcks::default(),
         }
     }
 
@@ -915,7 +929,7 @@ impl TeechainEnclave {
                 )])
             }
             Command::StartSession { remote } => self.cmd_start_session(env, remote),
-            Command::Deliver { wire, at } => self.cmd_deliver(env, wire, at),
+            Command::Deliver { wire, at, .. } => self.cmd_deliver(env, wire, at),
             Command::NewAddress => self.hand_out_key(env, |pk| {
                 Ok(Effect::done(MatchKey::Address, OpOutput::Address(pk)))
             }),
@@ -986,11 +1000,24 @@ impl EnclaveProgram for TeechainEnclave {
         debug_assert!(self.rep.staged.is_empty(), "staged deltas leaked");
         self.rep.staged.clear();
         self.counter_open = false;
+        self.acks.sealed_in_handler = false;
+        // Only a delivery with more input queued behind it keeps the
+        // payment acknowledgements owed (see `Command::Deliver::more`).
+        let keep_acks = matches!(cmd, Command::Deliver { more: true, .. });
+        let send_seq = self.rep.send_seq;
         let result = self
             .pass(env, Gate::of(&cmd))
             .and_then(|()| self.dispatch_command(env, cmd));
         match result {
-            Ok(effects) => self.finalize(env, effects),
+            Ok(mut effects) => {
+                self.release_pay_acks(&mut effects, keep_acks, send_seq);
+                let mut out = self.finalize(env, effects)?;
+                if let Some(pump) = self.acks.arm_pump(keep_acks, env.now_ns()) {
+                    out.reserve_exact(1);
+                    out.push(pump);
+                }
+                Ok(out)
+            }
             Err(e) => {
                 self.rep.staged.clear();
                 Err(e)
@@ -1139,6 +1166,11 @@ impl TeechainEnclave {
     /// Replication counters: updates applied, acks sent, acks flushed.
     pub(crate) fn rep_stats(&self) -> crate::replication::RepStats {
         self.rep.stats
+    }
+
+    /// Payment-acknowledgement counters: acks sealed, acks flushed.
+    pub(crate) fn pay_stats(&self) -> crate::channel::PayStats {
+        self.acks.stats
     }
 
     /// Admission-layer counters: enqueues, deferrals, batch sizes.

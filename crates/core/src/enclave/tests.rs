@@ -241,7 +241,7 @@ proptest! {
                 Step::Probe(i, j) => {
                     let from = if j == 3 || j == i { stranger } else { c.ids[j] };
                     let wire = forged_frame(from);
-                    let got = c.op_now(i, Command::Deliver { wire, at: 0 });
+                    let got = c.op_now(i, Command::Deliver { wire, at: 0, more: false });
                     let want = if from != stranger && m.sessions[i].contains(&j) {
                         ProtocolError::BadMessage
                     } else {
@@ -323,6 +323,7 @@ impl GateFixture {
                 Command::Deliver {
                     wire: forged_frame(peer),
                     at: 0,
+                    more: false,
                 },
                 Gate::Own,
             ),
@@ -669,11 +670,23 @@ fn every_command_and_message_passes_exactly_its_gate() {
     }
     for ((msg, want), wire) in msgs.iter().zip(wires) {
         let what = format!("{msg:?}");
-        f.check(&what, Command::Deliver { wire, at: 0 }, *want);
+        f.check(
+            &what,
+            Command::Deliver {
+                wire,
+                at: 0,
+                more: false,
+            },
+            *want,
+        );
     }
     f.check(
         "Hello",
-        Command::Deliver { wire: hello, at: 0 },
+        Command::Deliver {
+            wire: hello,
+            at: 0,
+            more: false,
+        },
         Gate::Unfrozen,
     );
 
@@ -691,7 +704,15 @@ fn every_command_and_message_passes_exactly_its_gate() {
         }
         for ((msg, _), wire) in msgs.iter().zip(wires) {
             let what = format!("{msg:?}");
-            f.check(&what, Command::Deliver { wire, at: 0 }, Gate::Exit);
+            f.check(
+                &what,
+                Command::Deliver {
+                    wire,
+                    at: 0,
+                    more: false,
+                },
+                Gate::Exit,
+            );
         }
     }
 }

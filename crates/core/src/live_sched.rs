@@ -3,7 +3,7 @@
 //!
 //! Every node is a [`Cell`] — an inbox, a ready flag and the node state —
 //! and `W` workers pop ready nodes from one shared run queue, drain a
-//! bounded batch of their inputs through the [`drive`] bridge, and move
+//! bounded batch of their inputs through the [`drive_input`] bridge, and move
 //! on. Total thread count is `W + 2` (workers + the reactor poller + one
 //! timer thread) regardless of node count.
 //!
@@ -20,7 +20,15 @@
 //! * **Timers** — one *shared* wall-clock timer heap for the whole
 //!   cluster, serviced by a dedicated thread that sleeps until the
 //!   earliest deadline and re-enqueues the owning node when it fires —
-//!   the live analogue of the engine's global timer queue.
+//!   the live analogue of the engine's global timer queue. A timer of at
+//!   most 1 ns (a pump the node asks for "after the input already
+//!   delivered") skips the heap and goes straight into the node's own
+//!   inbox, behind the input queued there: the simulator's 1 ns pump.
+//!
+//! Each input is handled with the hint of whether more input is still
+//! queued in the inbox behind it ([`drive_input`]), a timer alone at the
+//! back not counting; a payee holds its payment acknowledgements while it
+//! is true.
 //!
 //! Exclusivity: a cell's `queued` flag guarantees a node is in the run
 //! queue at most once, and its state mutex guarantees at most one worker
@@ -39,7 +47,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use teechain_net::live::drive;
+use teechain_net::live::drive_input;
 use teechain_net::live::reactor::{ReactorHandle, ReactorNet, ReactorTx, POOL};
 use teechain_net::{NodeAction, NodeId, TransportTx};
 use teechain_util::rng::Xoshiro256;
@@ -209,10 +217,18 @@ impl Shared {
             let mut slot = cell.state.lock().expect("node state");
             if let Some(st) = slot.as_mut() {
                 for _ in 0..TURN_BUDGET {
-                    let Some(input) = cell.inbox.lock().expect("inbox").pop_front() else {
-                        break;
+                    let (input, more) = {
+                        let mut inbox = cell.inbox.lock().expect("inbox");
+                        let Some(input) = inbox.pop_front() else {
+                            break;
+                        };
+                        // A timer alone at the back is no input to hold
+                        // work for: it is the pump a held delivery asked
+                        // for, which the simulator runs 1 ns later.
+                        let timer = matches!(inbox.back(), Some(Input::TimerFired(_)));
+                        (input, inbox.len() > usize::from(timer))
                     };
-                    self.dispatch(node, st, input);
+                    self.dispatch(node, st, input, more);
                 }
             }
         }
@@ -224,22 +240,25 @@ impl Shared {
         }
     }
 
-    /// Executes one input on the node through the [`drive`] bridge and
-    /// performs the emitted actions (real sends, shared-heap timers).
-    fn dispatch(&self, node: usize, st: &mut NodeState, input: Input) {
+    /// Executes one input on the node through the [`drive_input`] bridge,
+    /// `more` saying whether another is queued behind it, and performs
+    /// the emitted actions (real sends, timers).
+    fn dispatch(&self, node: usize, st: &mut NodeState, input: Input, more: bool) {
         let now = self.now_ns();
         let id = NodeId(node as u32);
         let actions = match input {
             Input::Net(from, msg) => {
-                let ((), actions) = drive(&mut st.node, id, now, &mut st.rng, |n, ctx| {
-                    n.handle_wire(ctx, from, msg)
-                });
+                let ((), actions) =
+                    drive_input(&mut st.node, id, now, more, &mut st.rng, |n, ctx| {
+                        n.handle_wire(ctx, from, msg)
+                    });
                 actions
             }
             Input::TimerFired(token) => {
-                let ((), actions) = drive(&mut st.node, id, now, &mut st.rng, |n, ctx| {
-                    n.handle_timer(ctx, token)
-                });
+                let ((), actions) =
+                    drive_input(&mut st.node, id, now, more, &mut st.rng, |n, ctx| {
+                        n.handle_timer(ctx, token)
+                    });
                 actions
             }
             Input::Req(req) => match req {
@@ -248,9 +267,10 @@ impl Shared {
                     deadline_ns,
                     reply,
                 } => {
-                    let (op, actions) = drive(&mut st.node, id, now, &mut st.rng, |n, ctx| {
-                        n.submit_op(ctx, req, deadline_ns)
-                    });
+                    let (op, actions) =
+                        drive_input(&mut st.node, id, now, more, &mut st.rng, |n, ctx| {
+                            n.submit_op(ctx, req, deadline_ns)
+                        });
                     let _ = reply.send(op);
                     actions
                 }
@@ -282,6 +302,11 @@ impl Shared {
                     // full NIC queue. Dead-peer errors drop traffic like
                     // the simulator's offline handling.
                     let _ = st.tx.send(to, msg);
+                }
+                // Due at once: behind the input already queued, like the
+                // simulator's 1 ns pump, without the timer thread.
+                NodeAction::Timer { delay_ns, token } if delay_ns <= 1 => {
+                    self.enqueue(node, Input::TimerFired(token));
                 }
                 NodeAction::Timer { delay_ns, token } => {
                     self.timers.lock().expect("timer heap").push(Reverse((

@@ -393,7 +393,15 @@ impl TeechainNode {
                 self.trace_wire_recv(ctx.now_ns(), &bytes[at..]);
                 // The buffer that arrived goes in whole: the enclave opens
                 // the message where it lies.
-                self.respond(ctx, Command::Deliver { wire: bytes, at });
+                let more = ctx.more_input();
+                self.respond(
+                    ctx,
+                    Command::Deliver {
+                        wire: bytes,
+                        at,
+                        more,
+                    },
+                );
             }
             NodeWireView::CoSign(NodeWire::SigRequest { req_id, origin, tx }) => {
                 if self.tracer.enabled() {
@@ -998,6 +1006,10 @@ impl TeechainNode {
             r.counter("repl.ack_flushes", rep.ack_flushes);
             r.counter("repl.forwards_sent", rep.forwards_sent);
             r.counter("repl.forward_flushes", rep.forward_flushes);
+        }
+        if let Some(pay) = self.enclave.program().map(|p| p.pay_stats()) {
+            r.counter("pay.acks_sent", pay.acks_sent);
+            r.counter("pay.ack_flushes", pay.ack_flushes);
         }
         r.counter("swap.phase.init", self.swap_phase_counts[0]);
         r.counter("swap.phase.locked", self.swap_phase_counts[1]);

@@ -22,7 +22,7 @@ use crate::msg::{
     begin_sealed, finish_sealed, CostClass, Handshake, ProtocolMsg, WireMsg, SEALED_HEADER,
 };
 use crate::ops::{MatchKey, OpOutput};
-use crate::types::ProtocolError;
+use crate::types::{ChannelId, ProtocolError};
 use teechain_crypto::aead::Aead;
 use teechain_crypto::ecdh;
 use teechain_crypto::schnorr::{self, Keypair, PrivateKey, PublicKey};
@@ -294,9 +294,28 @@ impl TeechainEnclave {
     /// Installs the session of a completed handshake in its peer's slot —
     /// a re-handshake replaces the old session there, so every channel of
     /// the peer keeps pointing at it. Returns the slot.
+    ///
+    /// Nothing sealed under an old session opens under the new one, so
+    /// the payments in flight with the peer (a crash on either side lost
+    /// them) are forgotten: the payer's ack fan-out and the payee's owed
+    /// acks. Their operations resolve at the host, as dead.
     fn open_session(&mut self, mut session: Session) -> u32 {
         session.established = true;
-        self.peers.insert(session.remote.to_bytes(), Some(session))
+        let remote = session.remote;
+        let slot = self.peers.insert(remote.to_bytes(), Some(session));
+        let stale: Vec<(u32, ChannelId)> = self
+            .state
+            .channels
+            .values()
+            .enumerate()
+            .filter(|(_, c)| c.remote == remote)
+            .map(|(s, c)| (s as u32, c.id))
+            .collect();
+        for (chan_slot, id) in stale {
+            self.admit.inflight.remove(&id);
+            self.acks.forget(chan_slot);
+        }
+        slot
     }
 }
 

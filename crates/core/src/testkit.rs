@@ -44,13 +44,15 @@ use crate::ops::{
 use crate::swap::SwapOutcome;
 use crate::types::{ChannelId, Deposit, RouteId, SwapId};
 use parking_lot::Mutex;
-use std::borrow::BorrowMut;
+use std::borrow::{Borrow, BorrowMut};
 use std::sync::Arc;
 use teechain_blockchain::{Chain, OutPoint};
 use teechain_crypto::schnorr::PublicKey;
-use teechain_net::{AnyEngine, EngineKind, LinkSpec, NodeId, SimNode};
+use teechain_net::live::drive_input;
+use teechain_net::{AnyEngine, Ctx, EngineKind, LinkSpec, NodeAction, NodeId, SimNode};
 use teechain_persist::{PersistentStore, SharedStore};
 use teechain_tee::TrustRoot;
+use teechain_util::rng::Xoshiro256;
 
 /// Configuration for a [`Cluster`].
 #[derive(Clone)]
@@ -165,6 +167,57 @@ pub trait ClusterNode: SimNode + Send + From<SimHost> + BorrowMut<SimHost> {}
 
 impl<N: SimNode + Send + From<SimHost> + BorrowMut<SimHost>> ClusterNode for N {}
 
+/// A [`SimHost`] whose host passes its own input hint
+/// ([`Ctx::more_input`]) with every message instead of the engine's: a
+/// host that lies, for tests holding the enclave to "a wrong hint only
+/// delays acknowledgements". With `more` unset it passes the engine's.
+pub struct HintedHost {
+    /// The wrapped host.
+    pub host: SimHost,
+    /// The hint passed with every message; `None` passes the engine's.
+    pub more: Option<bool>,
+}
+
+impl From<SimHost> for HintedHost {
+    fn from(host: SimHost) -> Self {
+        HintedHost { host, more: None }
+    }
+}
+
+impl Borrow<SimHost> for HintedHost {
+    fn borrow(&self) -> &SimHost {
+        &self.host
+    }
+}
+
+impl BorrowMut<SimHost> for HintedHost {
+    fn borrow_mut(&mut self) -> &mut SimHost {
+        &mut self.host
+    }
+}
+
+impl SimNode for HintedHost {
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Vec<u8>) {
+        let more = self.more.unwrap_or(ctx.more_input());
+        let (id, now) = (ctx.self_id(), ctx.now_ns());
+        let ((), actions) = drive_input(&mut self.host, id, now, more, ctx.rng(), |h, c| {
+            h.on_message(c, from, msg)
+        });
+        // In order, as the engine would have applied them.
+        for action in actions {
+            match action {
+                NodeAction::Send { to, msg } => ctx.send(to, msg),
+                NodeAction::Timer { delay_ns, token } => ctx.set_timer(delay_ns, token),
+                NodeAction::Busy { ns } => ctx.busy(ns),
+            }
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        self.host.on_timer(ctx, token);
+    }
+}
+
 /// A running cluster of Teechain nodes on the simulated network, each
 /// hosted as an `N` (a plain [`SimHost`] unless a driver wraps it).
 pub struct Cluster<N = SimHost> {
@@ -256,6 +309,24 @@ impl<N: ClusterNode> Cluster<N> {
     pub fn node_mut(&mut self, i: usize) -> &mut TeechainNode {
         let host: &mut SimHost = self.sim.node_mut(NodeId(i as u32)).borrow_mut();
         &mut host.node
+    }
+
+    /// Runs `f` on node `i` outside the engine, the way a host would:
+    /// through [`drive_input`] at the engine's current time, with `more`
+    /// as the node's input hint ([`Ctx::more_input`]). Returns `f`'s
+    /// result and the actions the node emitted, which the caller performs,
+    /// reorders or drops itself — for tests that play the host, a lying
+    /// one included.
+    pub fn drive_node<R>(
+        &mut self,
+        i: usize,
+        more: bool,
+        f: impl FnOnce(&mut TeechainNode, &mut Ctx<'_>) -> R,
+    ) -> (R, Vec<NodeAction>) {
+        let now = self.sim.now_ns();
+        // The node draws nothing from its stream; any seed will do.
+        let mut rng = Xoshiro256::new(i as u64);
+        drive_input(self.node_mut(i), NodeId(i as u32), now, more, &mut rng, f)
     }
 
     // ---- Operation submission and resolution ----

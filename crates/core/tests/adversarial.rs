@@ -1,10 +1,14 @@
-//! Adversarial inputs: malformed wire bytes, cross-session replay, and
-//! the §5.2 temporary-channel lifecycle.
+//! Adversarial inputs: malformed wire bytes, cross-session replay, the
+//! §5.2 temporary-channel lifecycle, and a host that lies about queued
+//! input.
 
 use proptest::prelude::*;
 use teechain::enclave::Command;
-use teechain::ops::{OpError, SettleKind};
-use teechain::testkit::{Cluster, Harness};
+use teechain::ops::{OpError, OpOutput, SettleKind};
+use teechain::replication::ACK_EVERY;
+use teechain::testkit::{Cluster, ClusterConfig, Harness, HintedHost};
+use teechain::ChannelId;
+use teechain_net::NodeId;
 
 #[test]
 fn junk_wire_bytes_never_panic() {
@@ -13,7 +17,14 @@ fn junk_wire_bytes_never_panic() {
     // Deliver assorted garbage straight into the enclave.
     for len in [0usize, 1, 2, 16, 64, 300] {
         let junk: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
-        let _ = c.op_now(0, Command::Deliver { wire: junk, at: 0 });
+        let _ = c.op_now(
+            0,
+            Command::Deliver {
+                wire: junk,
+                at: 0,
+                more: false,
+            },
+        );
     }
     // The enclave still works.
     let chan = c.standard_channel(0, 1, "after-junk", 100, 1);
@@ -63,6 +74,7 @@ fn cross_session_replay_rejected() {
             Command::Deliver {
                 wire: msg_for_b,
                 at: 0,
+                more: false,
             },
         )
         .unwrap_err();
@@ -105,6 +117,7 @@ fn duplicate_delivery_rejected_once_consumed() {
         Command::Deliver {
             wire: msg_for_b.clone(),
             at: 0,
+            more: false,
         },
     )
     .unwrap();
@@ -114,6 +127,7 @@ fn duplicate_delivery_rejected_once_consumed() {
             Command::Deliver {
                 wire: msg_for_b,
                 at: 0,
+                more: false,
             },
         )
         .unwrap_err();
@@ -155,7 +169,16 @@ fn hostile_sealed_headers_are_typed_errors_and_change_nothing() {
             .expect("payment message")
     };
     let rejected = |c: &mut Cluster, wire: Vec<u8>, at: usize| {
-        let err = c.op_now(1, Command::Deliver { wire, at }).unwrap_err();
+        let err = c
+            .op_now(
+                1,
+                Command::Deliver {
+                    wire,
+                    at,
+                    more: false,
+                },
+            )
+            .unwrap_err();
         err.protocol_error().cloned().expect("a typed rejection")
     };
     use teechain::ProtocolError::{BadMessage, NoSession};
@@ -196,6 +219,7 @@ fn hostile_sealed_headers_are_typed_errors_and_change_nothing() {
         Command::Deliver {
             wire: framed,
             at: 7,
+            more: false,
         },
     )
     .unwrap();
@@ -230,6 +254,68 @@ fn temporary_channel_merge_cycle() {
     assert_eq!(p.book_ref().free_deposits().len(), 1);
 }
 
+/// A 200-payment burst from node 0 to node 1, whose host passes `more`
+/// with every message (`None`: the engine's own hint). Returns each op's
+/// outcome, both views of the channel, and the payee's `(acks sealed, of
+/// them flushed)`.
+#[allow(clippy::type_complexity)]
+fn burst_under_hint(
+    more: Option<bool>,
+) -> (Vec<Result<OpOutput, OpError>>, [(u64, u64); 2], (u64, u64)) {
+    const BURST: u64 = 200;
+    let mut c: Cluster<HintedHost> = Cluster::build(ClusterConfig::default(), None);
+    let chan: ChannelId = c.standard_channel(0, 1, "hint", 1_000_000, 1);
+    c.node_mut(0).completions.clear();
+    c.sim.node_mut(NodeId(1)).more = more;
+    let counter = |c: &Cluster<HintedHost>, name: &str| {
+        let snap = c.node(1).registry().snapshot();
+        snap.counters.get(name).copied().unwrap_or(0)
+    };
+    let before = (counter(&c, "pay.acks_sent"), counter(&c, "pay.ack_flushes"));
+    for _ in 0..BURST {
+        c.submit(
+            0,
+            Command::Pay {
+                id: chan,
+                amount: 1,
+                count: 1,
+            },
+        );
+    }
+    c.settle_network();
+    let mut done = c.node(0).completions.clone();
+    done.sort_by_key(|d| d.op.seq);
+    assert_eq!(done.len() as u64, BURST);
+    assert!(c.node(1).delivery_errors.is_empty());
+    let acks = (
+        counter(&c, "pay.acks_sent") - before.0,
+        counter(&c, "pay.ack_flushes") - before.1,
+    );
+    let outcomes = done.into_iter().map(|d| d.outcome).collect();
+    (outcomes, [c.balances(0, chan), c.balances(1, chan)], acks)
+}
+
+#[test]
+fn a_host_lying_about_queued_input_only_delays_acks() {
+    let (outcomes, balances, acks) = burst_under_hint(None);
+    assert!(outcomes.iter().all(|o| o.is_ok()), "{outcomes:?}");
+    assert_eq!(balances, [(1_000_000 - 200, 200), (200, 1_000_000 - 200)]);
+    // Honest: one ack per `ACK_EVERY` payments, the rest once drained.
+    assert_eq!(acks, (200u64.div_ceil(ACK_EVERY), 1));
+    // "More input" on every message: the same acks, the rest sealed by
+    // the pump the first held delivery asked for.
+    let always = burst_under_hint(Some(true));
+    assert_eq!(always.2, (200u64.div_ceil(ACK_EVERY), 1));
+    // "No more input" on every message: one ack per payment, as before
+    // acks were cumulative.
+    let never = burst_under_hint(Some(false));
+    assert_eq!(never.2, (200, 200));
+    for (name, run) in [("always", always), ("never", never)] {
+        assert_eq!(run.0, outcomes, "{name}: completions");
+        assert_eq!(run.1, balances, "{name}: balances");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -258,7 +344,7 @@ proptest! {
         let idx = flip_at % wire.len();
         wire[idx] ^= xor;
         let before = c.balances(1, chan);
-        let result = c.op_now(1, Command::Deliver { wire, at: 0 });
+        let result = c.op_now(1, Command::Deliver { wire, at: 0, more: false });
         // Either rejected outright, or (if only the cost-class byte was
         // flipped, which is outside the AEAD) accepted identically — but
         // never a divergent state.

@@ -72,6 +72,7 @@ pub(crate) enum Action {
 pub struct Ctx<'a> {
     pub(crate) now: u64,
     pub(crate) self_id: NodeId,
+    pub(crate) more: bool,
     pub(crate) actions: &'a mut Vec<Action>,
     pub(crate) rng: &'a mut Xoshiro256,
 }
@@ -85,6 +86,19 @@ impl Ctx<'_> {
     /// This node's id.
     pub fn self_id(&self) -> NodeId {
         self.self_id
+    }
+
+    /// True when another input for this node is due at the current
+    /// instant, behind the one being handled: an event deferred in its
+    /// inbox, or another message or timer queued for it at `now`. A node
+    /// may hold back work it can batch with that input (Teechain's payee
+    /// acknowledges the payments it was delivered cumulatively), and must
+    /// still finish it when the hint is false. The engine answers from the
+    /// node's own queued events, so the hint is the same at every shard
+    /// count; a live runtime reads its inbox, and the
+    /// [`live::drive`](crate::live::drive) bridge says false.
+    pub fn more_input(&self) -> bool {
+        self.more
     }
 
     /// Sends `msg` to `to`; it will be delivered after the link delay.
@@ -263,11 +277,13 @@ mod testutil {
     use crate::link::LinkSpec;
     use crate::MS;
 
-    /// Echoes messages, records receipts and timers, optionally burns
-    /// CPU.
+    /// Echoes messages, records receipts, timers and the input hint of
+    /// each, optionally burns CPU.
     pub(super) struct Echo {
         pub(super) received: Vec<(u64, NodeId, Vec<u8>)>,
         pub(super) timers: Vec<(u64, u64)>,
+        /// [`Ctx::more_input`] at every message and timer, in order.
+        pub(super) hints: Vec<bool>,
         pub(super) echo: bool,
         pub(super) cost_ns: u64,
     }
@@ -277,6 +293,7 @@ mod testutil {
             Echo {
                 received: Vec::new(),
                 timers: Vec::new(),
+                hints: Vec::new(),
                 echo,
                 cost_ns: 0,
             }
@@ -286,6 +303,7 @@ mod testutil {
     impl SimNode for Echo {
         fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Vec<u8>) {
             self.received.push((ctx.now_ns(), from, msg.clone()));
+            self.hints.push(ctx.more_input());
             if self.cost_ns > 0 {
                 ctx.busy(self.cost_ns);
             }
@@ -296,6 +314,7 @@ mod testutil {
 
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
             self.timers.push((ctx.now_ns(), token));
+            self.hints.push(ctx.more_input());
         }
     }
 

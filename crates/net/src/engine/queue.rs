@@ -61,10 +61,6 @@ impl LaneQueue {
         self.heap.push(ev);
     }
 
-    pub(crate) fn extend(&mut self, evs: impl IntoIterator<Item = Ev>) {
-        self.heap.extend(evs);
-    }
-
     /// Earliest queued event time, if any.
     pub(crate) fn next_time(&self) -> Option<u64> {
         self.heap.peek().map(|ev| ev.key.time)

@@ -103,7 +103,8 @@
 use super::queue::{Ev, LaneKey, LaneQueue};
 use super::{Action, Ctx, EngineKind, EventKind, NodeId, SimNode, SimStats};
 use crate::link::LinkSpec;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use teechain_util::rng::{SplitMix64, Xoshiro256};
@@ -240,6 +241,10 @@ struct Slot<N> {
     oseq: u64,
     busy_until: u64,
     inbox: VecDeque<EventKind>,
+    /// Times of the messages and timers queued for this node in its
+    /// shard's heap (wakes excluded), earliest first: what
+    /// [`Ctx::more_input`] reads.
+    due: BinaryHeap<Reverse<u64>>,
     wake_scheduled: bool,
     offline: bool,
     /// Last scheduled arrival per destination, sorted by destination:
@@ -259,6 +264,7 @@ impl<N> Slot<N> {
             oseq: 0,
             busy_until: 0,
             inbox: VecDeque::new(),
+            due: BinaryHeap::new(),
             wake_scheduled: false,
             offline: false,
             last_arrival: Vec::new(),
@@ -293,10 +299,20 @@ impl<N: SimNode> Shard<N> {
     fn route(&mut self, ev: Ev) {
         let dst = ev.kind.target().0 as usize % self.num_shards;
         if dst == self.index {
-            self.queue.push(ev);
+            self.enqueue(ev);
         } else {
             self.outbound[dst].push(ev);
         }
+    }
+
+    /// Queues an event for one of this shard's nodes, noting a message's
+    /// or a timer's time in the node's `due` record.
+    fn enqueue(&mut self, ev: Ev) {
+        if !matches!(ev.kind, EventKind::Wake { .. }) {
+            let local = self.local(ev.kind.target());
+            self.slots[local].due.push(Reverse(ev.key.time));
+        }
+        self.queue.push(ev);
     }
 
     /// Applies (and drains) a handler's actions on behalf of `from` at
@@ -355,7 +371,7 @@ impl<N: SimNode> Shard<N> {
                     };
                     slot.oseq += 1;
                     // A timer always targets its own node — same shard.
-                    self.queue.push(Ev {
+                    self.enqueue(Ev {
                         key,
                         kind: EventKind::Timer { node: from, token },
                     });
@@ -382,9 +398,11 @@ impl<N: SimNode> Shard<N> {
         let local = self.local(id);
         let r = {
             let slot = &mut self.slots[local];
+            let more = !slot.inbox.is_empty() || slot.due.peek() == Some(&Reverse(now));
             let mut ctx = Ctx {
                 now,
                 self_id: id,
+                more,
                 actions: &mut actions,
                 rng: &mut slot.rng,
             };
@@ -447,6 +465,12 @@ impl<N: SimNode> Shard<N> {
             self.now = self.now.max(ev.key.time);
             let node = ev.kind.target();
             let local = self.local(node);
+            if !matches!(ev.kind, EventKind::Wake { .. }) {
+                // A node's events leave the heap in time order, so this
+                // one is the earliest its record holds.
+                let due = self.slots[local].due.pop();
+                debug_assert_eq!(due, Some(Reverse(ev.key.time)));
+            }
             if self.slots[local].offline {
                 // The machine is down: in-flight traffic and timers die.
                 if let EventKind::Wake { .. } = ev.kind {
@@ -662,7 +686,9 @@ impl<N: SimNode + Send> ShardedEngine<N> {
                     continue;
                 }
                 let mut evs = std::mem::take(&mut self.shards[src].outbound[dst]);
-                self.shards[dst].queue.extend(evs.drain(..));
+                for ev in evs.drain(..) {
+                    self.shards[dst].enqueue(ev);
+                }
                 self.shards[src].outbound[dst] = evs;
             }
         }
@@ -1170,6 +1196,63 @@ mod tests {
         // Every node is still reachable: the echo came back.
         assert_eq!(sim.node(NodeId(1)).received.len(), 1);
         assert_eq!(sim.node(NodeId(0)).received[0].0, 2 * MS);
+    }
+
+    #[test]
+    fn input_hint_marks_inputs_queued_behind_at_the_same_instant() {
+        for shards in [1, 2] {
+            let mut sim = two_nodes(0, shards);
+            sim.call(NodeId(0), |_, ctx| {
+                ctx.send(NodeId(1), b"a".to_vec());
+                ctx.send(NodeId(1), b"b".to_vec());
+                ctx.send(NodeId(1), b"c".to_vec());
+                ctx.set_timer(5, 1);
+            });
+            sim.run_to_idle(100);
+            // Three messages land at the same instant: the first two have
+            // another behind them. The echoes reach node 0 together too.
+            assert_eq!(
+                sim.node(NodeId(1)).hints,
+                [true, true, false],
+                "{shards} shards"
+            );
+            assert_eq!(sim.node(NodeId(0)).hints, [true, true, false, false]);
+        }
+    }
+
+    #[test]
+    fn repartition_leaves_the_input_hints_unchanged() {
+        // Bursts over ideal links and a busy node: same-instant arrivals
+        // and deferred inboxes, so hints both ways. A repartitioned
+        // continuation reads every hint the unconverted run read.
+        let continue_at = |from: usize, to: Option<usize>| {
+            let nodes = (0..5).map(|i| Echo::new(i % 2 == 1)).collect();
+            let mut sim = engine(from, nodes, LinkSpec::ideal(), 13);
+            sim.node_mut(NodeId(3)).cost_ns = 3;
+            sim.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), b"setup".to_vec()));
+            sim.run_to_idle(100);
+            if let Some(to) = to {
+                sim.repartition(EngineKind::Sharded { shards: to });
+            }
+            for i in 0..5u32 {
+                sim.call(NodeId(i), |_, ctx| {
+                    for k in 0..4u8 {
+                        ctx.send(NodeId((i + 2) % 5), vec![k]);
+                    }
+                    ctx.set_timer(2, u64::from(i));
+                });
+            }
+            sim.run_until(40);
+            (0..5u32)
+                .map(|i| sim.node(NodeId(i)).hints.clone())
+                .collect::<Vec<_>>()
+        };
+        let base = continue_at(1, None);
+        let all: Vec<bool> = base.iter().flatten().copied().collect();
+        assert!(all.contains(&true) && all.contains(&false), "{base:?}");
+        for (from, to) in [(1, 2), (1, 3), (1, 5), (3, 1)] {
+            assert_eq!(continue_at(from, Some(to)), base, "{from} → {to} shards");
+        }
     }
 
     #[test]

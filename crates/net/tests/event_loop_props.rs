@@ -11,7 +11,8 @@
 //! 3. conservation — every sent message is either delivered or counted
 //!    dropped by crash fault injection;
 //! 4. reference order — the engine's full receipt trace and counters are
-//!    bit-for-bit those of the reference engine, at 1 and at 3 shards.
+//!    bit-for-bit those of the reference engine, at 1 and at 3 shards,
+//!    and so is the input hint (`Ctx::more_input`) of every event.
 
 mod reference;
 
@@ -21,9 +22,11 @@ use teechain_net::{AnyEngine, Ctx, EngineKind, LinkSpec, NodeId, SimNode, SimSta
 
 const NODES: u32 = 4;
 
-/// Records receipts; charges a fixed CPU cost per message.
+/// Records receipts with their input hints; charges a fixed CPU cost
+/// per message.
 struct Recorder {
     received: Vec<(u64, u32, u32)>,
+    hints: Vec<bool>,
     cost_ns: u64,
 }
 
@@ -31,6 +34,7 @@ impl SimNode for Recorder {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Vec<u8>) {
         let seq = u32::from_le_bytes([msg[0], msg[1], msg[2], msg[3]]);
         self.received.push((ctx.now_ns(), from.0, seq));
+        self.hints.push(ctx.more_input());
         if self.cost_ns > 0 {
             ctx.busy(self.cost_ns);
         }
@@ -120,15 +124,18 @@ fn recorders(costs: &[u64]) -> Vec<Recorder> {
         .iter()
         .map(|&cost_ns| Recorder {
             received: Vec::new(),
+            hints: Vec::new(),
             cost_ns,
         })
         .collect()
 }
 
-/// Replays `ops` on `sim`, then runs it to idle. Returns every node's
-/// receipt trace, the counters and the number of messages sent.
-#[allow(clippy::type_complexity)]
-fn run_case(mut sim: impl Sim<Recorder>, ops: &[Op]) -> (Vec<Vec<(u64, u32, u32)>>, SimStats, u64) {
+/// Every node's receipt trace, its input hints, the counters and the
+/// number of messages sent.
+type Case = (Vec<Vec<(u64, u32, u32)>>, Vec<Vec<bool>>, SimStats, u64);
+
+/// Replays `ops` on `sim`, then runs it to idle.
+fn run_case(mut sim: impl Sim<Recorder>, ops: &[Op]) -> Case {
     let mut next_seq = vec![0u32; (NODES * NODES) as usize];
     let (mut sent, mut now) = (0u64, 0u64);
     for op in ops {
@@ -150,8 +157,9 @@ fn run_case(mut sim: impl Sim<Recorder>, ops: &[Op]) -> (Vec<Vec<(u64, u32, u32)
             }
         }
     }
-    let (traces, stats) = sim.finish(|n| n.received.clone());
-    (traces, stats, sent)
+    let (nodes, stats) = sim.finish(|n| (n.received.clone(), n.hints.clone()));
+    let (traces, hints) = nodes.into_iter().unzip();
+    (traces, hints, stats, sent)
 }
 
 fn check_invariants(
@@ -210,16 +218,17 @@ proptest! {
     ) {
         let link = link(latency_ms, jitter_pct);
         let reference = run_case(RefEngine::new(recorders(&costs), link, 0xfeed), &ops);
-        check_invariants("reference", &reference.0, &reference.1, reference.2, &costs)?;
+        check_invariants("reference", &reference.0, &reference.2, reference.3, &costs)?;
 
         for shards in [1, 3] {
             let kind = EngineKind::Sharded { shards };
             let run = run_case(AnyEngine::new(kind, recorders(&costs), link, 0xfeed), &ops);
             let label = kind.to_string();
-            check_invariants(&label, &run.0, &run.1, run.2, &costs)?;
-            // (4) Reference order, trace-exact.
+            check_invariants(&label, &run.0, &run.2, run.3, &costs)?;
+            // (4) Reference order, trace-exact, hint for hint.
             prop_assert!(run.0 == reference.0, "{label} traces diverged from the reference");
-            prop_assert!(run.1 == reference.1, "{label} stats diverged from the reference");
+            prop_assert!(run.1 == reference.1, "{label} hints diverged from the reference");
+            prop_assert!(run.2 == reference.2, "{label} stats diverged from the reference");
         }
     }
 }
@@ -230,13 +239,15 @@ proptest! {
 struct Gossip {
     id: u32,
     cost_ns: u64,
-    /// `(time, from, hops left)`; timers log `from = u32::MAX`.
-    log: Vec<(u64, u32, u8)>,
+    /// `(time, from, hops left, input hint)`; timers log
+    /// `from = u32::MAX`.
+    log: Vec<(u64, u32, u8, bool)>,
 }
 
 impl SimNode for Gossip {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Vec<u8>) {
-        self.log.push((ctx.now_ns(), from.0, msg[0]));
+        self.log
+            .push((ctx.now_ns(), from.0, msg[0], ctx.more_input()));
         ctx.busy(self.cost_ns);
         let to = ctx.rng().next_below(NODES as u64) as u32;
         if msg[0] > 0 && to != self.id {
@@ -245,7 +256,8 @@ impl SimNode for Gossip {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        self.log.push((ctx.now_ns(), u32::MAX, token as u8));
+        self.log
+            .push((ctx.now_ns(), u32::MAX, token as u8, ctx.more_input()));
         if token > 0 {
             ctx.send(NodeId((self.id + 1) % NODES), vec![3]);
             ctx.set_timer(2 * MS, token - 1);
@@ -254,7 +266,7 @@ impl SimNode for Gossip {
 }
 
 #[allow(clippy::type_complexity)]
-fn gossip(mut sim: impl Sim<Gossip>) -> (Vec<Vec<(u64, u32, u8)>>, SimStats) {
+fn gossip(mut sim: impl Sim<Gossip>) -> (Vec<Vec<(u64, u32, u8, bool)>>, SimStats) {
     for i in 0..NODES {
         sim.call(NodeId(i), |_, ctx| {
             ctx.set_timer((i as u64 + 1) * MS, 5);
@@ -296,6 +308,10 @@ fn gossip_matches_reference_engine() {
         let reference = gossip(RefEngine::new(nodes(), link, 7));
         assert!(reference.1.dropped > 0, "the crash dropped traffic");
         assert!(reference.1.events > 100, "{:?}", reference.1);
+        if link == LinkSpec::ideal() {
+            let hinted = reference.0.iter().flatten().filter(|e| e.3).count();
+            assert!(hinted > 0, "same-instant inputs were hinted");
+        }
         for shards in [1, 3] {
             let kind = EngineKind::Sharded { shards };
             let run = gossip(AnyEngine::new(kind, nodes(), link, 7));

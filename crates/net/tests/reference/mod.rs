@@ -6,12 +6,14 @@
 //! its sender is free, takes the link's sampled delay (at least 1 ns,
 //! jitter from the sender's RNG lane) and never overtakes an earlier one
 //! to the same node; traffic and timers reaching an offline node are
-//! dropped, and going offline discards the inbox. Not modelled: per-link
-//! overrides and `SimNode::on_start`.
+//! dropped, and going offline discards the inbox. A handler's
+//! `Ctx::more_input` is true when the node's inbox holds an event, or the
+//! queue holds another message or timer for it at the current instant.
+//! Not modelled: per-link overrides and `SimNode::on_start`.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use teechain_net::live::{drive, NodeAction};
+use teechain_net::live::{drive_input, NodeAction};
 use teechain_net::{Ctx, LinkSpec, NodeId, SimNode, SimStats};
 use teechain_util::rng::{SplitMix64, Xoshiro256};
 
@@ -74,9 +76,21 @@ impl<N: SimNode> RefEngine<N> {
         self.heap.push(Reverse((key, target, event)));
     }
 
+    /// Another input for `id` is due now: one waits in its inbox, or a
+    /// message or timer for it is queued at `now`.
+    fn more_input(&self, id: NodeId) -> bool {
+        !self.slots[id.0 as usize].inbox.is_empty()
+            || self
+                .heap
+                .iter()
+                .any(|Reverse(((time, ..), target, event))| {
+                    *time == self.now && *target == id && !matches!(event, Event::Wake)
+                })
+    }
+
     pub fn call<R>(&mut self, id: NodeId, f: impl FnOnce(&mut N, &mut Ctx<'_>) -> R) -> R {
-        let (i, now) = (id.0 as usize, self.now);
-        let (r, actions) = drive(&mut self.nodes[i], id, now, &mut self.rngs[i], f);
+        let (i, now, more) = (id.0 as usize, self.now, self.more_input(id));
+        let (r, actions) = drive_input(&mut self.nodes[i], id, now, more, &mut self.rngs[i], f);
         for action in actions {
             let slot = &mut self.slots[i];
             match action {
