@@ -103,6 +103,37 @@ pub fn fig3_pair(ft: FtMode, seed: u64) -> (BenchCluster, ChannelId) {
     (cluster, chan)
 }
 
+/// A one-burst run on a two-node channel shaped like the repo
+/// benchmark's simulator workloads: free CPU, ideal links, one shard,
+/// `durability` on both nodes and an `m`-of-n deposit (`sim_pay`: no
+/// fault tolerance, 1; `sim_repl`: two backups each, 2). Submits `burst`
+/// payments of 1 from node 0, runs them to quiescence, and returns the
+/// engine's `(events, messages)` over the burst.
+pub fn sim_burst(durability: teechain::DurabilityBackend, m: u8, burst: u64) -> (u64, u64) {
+    let mut c = Cluster::new(ClusterConfig {
+        durability,
+        engine: teechain_net::EngineKind::Seq,
+        ..ClusterConfig::default()
+    });
+    let id = c.standard_channel(0, 1, "sim-burst", 1 << 40, m);
+    c.node_mut(0).completions.clear();
+    let pay = Command::Pay {
+        id,
+        amount: 1,
+        count: 1,
+    };
+    let before = c.sim.stats();
+    for _ in 0..burst {
+        c.submit(0, pay.clone());
+    }
+    c.settle_network();
+    let done = &c.node(0).completions;
+    assert!(done.len() as u64 == burst && done.iter().all(|d| d.outcome.is_ok()));
+    let after = c.sim.stats();
+    let events = after.events - before.events;
+    (events, after.messages - before.messages)
+}
+
 /// Builds the §7.3 multi-hop chain over `hops` channels with `backups`
 /// committee members per node, on transatlantic links (UK→US→IL→UK…).
 /// Node layout: 0..=hops are path nodes; backups follow.

@@ -124,21 +124,21 @@ impl PayCrank {
 
     /// A burst of `k` payments of 1 (at least two), delivered to the payee
     /// as one run of queued input: every delivery but the last passes
-    /// "more input", so the payee holds its ack, and the last one sends a
-    /// single ack for the burst. Returns the cost of each held delivery.
-    /// Panics unless the held deliveries send nothing, one ack completes
-    /// the whole burst, and at most one pump is asked for.
+    /// "more messages", so the payee holds its ack, and the last one sends
+    /// a single ack for the burst. Returns the cost of each held delivery.
+    /// Panics unless the held deliveries send nothing, no delivery sets a
+    /// timer, and one ack completes the whole burst.
     pub fn held_deliveries(&mut self, k: usize) -> Vec<TurnCost> {
         assert!((2..=64).contains(&k), "a burst under the ack bound");
         self.now_ns += 1_000;
         let pays: Vec<Vec<u8>> = (0..k).map(|_| self.submit(1).1).collect();
-        let (mut held, mut pumps) = (Vec::with_capacity(k - 1), Vec::new());
+        let mut held = Vec::with_capacity(k - 1);
         let mut ack = None;
         for (i, pay) in pays.into_iter().enumerate() {
             let more = i + 1 < k;
             let (cost, mut sent, timers) =
                 self.turn(1, more, |n, ctx| n.handle_wire(ctx, NodeId(0), pay));
-            pumps.extend(timers);
+            assert!(timers.is_empty(), "a delivery sets no timer: {timers:?}");
             if more {
                 assert!(sent.is_empty(), "a held delivery sends nothing");
                 held.push(cost);
@@ -146,12 +146,6 @@ impl PayCrank {
                 ack = sent.pop();
                 assert!(sent.is_empty(), "the last delivery sends one frame");
             }
-        }
-        assert!(pumps.len() <= 1, "one pump per burst: {pumps:?}");
-        // The pump the first held delivery asked for finds nothing owed.
-        for token in pumps {
-            let (_, sent, _) = self.turn(1, false, |n, ctx| n.handle_timer(ctx, token));
-            assert!(sent.is_empty(), "the pump sends nothing");
         }
         self.complete(ack.expect("the last delivery sends the ack"), k);
         held

@@ -8,7 +8,7 @@
 use teechain::replication::ACK_EVERY;
 use teechain::testkit::ClusterConfig;
 use teechain_bench::harness::{BenchCluster, Job, RunStats};
-use teechain_bench::scenarios::{fig3_pair, FtMode};
+use teechain_bench::scenarios::{fig3_pair, sim_burst, FtMode};
 
 const PAYMENTS: u64 = 2_000;
 
@@ -86,4 +86,13 @@ fn table1_no_ft_latency_load_acks_every_payment_alone() {
     let acks = payee_acks(&mut cluster, |c| stats = Some(run_payments(c, chan, 1)));
     assert_eq!(wire_pays(&stats.unwrap()), PAYMENTS);
     assert_eq!(acks, (PAYMENTS, PAYMENTS));
+}
+
+#[test]
+fn a_burst_on_the_sim_pay_shape_processes_one_event_per_message() {
+    // Every delivery but the last is held, and the last releases the
+    // ack: no timer joins the messages.
+    let (events, messages) = sim_burst(teechain::DurabilityBackend::None, 1, 64);
+    assert_eq!(messages, 64 + 1, "64 pays and one ack");
+    assert_eq!(events, messages);
 }

@@ -5,7 +5,7 @@
 
 use teechain::replication::ACK_EVERY;
 use teechain_bench::harness::{BenchCluster, Job};
-use teechain_bench::scenarios::{fig3_pair, FtMode};
+use teechain_bench::scenarios::{fig3_pair, sim_burst, FtMode};
 
 const PAYMENTS: u64 = 2_000;
 
@@ -79,4 +79,13 @@ fn unbatched_two_replicas_forward_and_ack_at_most_every_bound() {
     for (&(member, _), got) in members.iter().zip(counts) {
         assert_coalesced(member, got);
     }
+}
+
+#[test]
+fn a_burst_on_the_sim_repl_shape_processes_one_event_per_message() {
+    // Each chain member releases what it owes at the message that drains
+    // its input: no timer joins the messages.
+    let backups = teechain::DurabilityBackend::Replication { backups: 2 };
+    let (events, messages) = sim_burst(backups, 2, 64);
+    assert_eq!(events, messages);
 }

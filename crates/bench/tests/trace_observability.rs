@@ -225,8 +225,8 @@ fn multihop_trace_is_single_rooted_sim_sharded() {
 
 /// A payment under committee-chain replication (two backups per node)
 /// forms one causal tree rooted at its op span, tail included: a chain
-/// member flushes its coalesced acks from a pump ecall, and that ecall
-/// descends from the ecall whose `PumpAt` armed the pump.
+/// member flushes its coalesced acks in the ecall of the delivery that
+/// drained its input, which descends from the update's wire frame.
 #[test]
 fn replicated_payment_trace_is_single_rooted() {
     let mut c = Cluster::new(ClusterConfig {
@@ -250,7 +250,10 @@ fn replicated_payment_trace_is_single_rooted() {
         tree.reachable_from(root).len()
     );
     let acks = c.observe().counters["repl.ack_flushes"];
-    assert!(acks > 0, "the traced payment's acks were flushed by a pump");
+    assert!(
+        acks > 0,
+        "the traced payment's acks were flushed at a drained input"
+    );
 }
 
 /// The bench driver's cluster mints its nodes like every other harness,

@@ -341,21 +341,17 @@ pub(crate) fn multihop_failed(route: RouteId, reason: ProtocolError) -> Effect {
 impl TeechainEnclave {
     // ---- Admission pump (queues, deferred messages, counter stash) ----
 
-    /// The host-timer entry point of the admission layer. Sends the ack a
-    /// chain tail owes, or the forward a middle member owes (the host
-    /// calls back once the input delivered before the request is
-    /// drained), expires overdue queued/deferred entries, then — if the
-    /// monotonic counter permits committing — drains any unlocked channel
-    /// with a backlog and re-dispatches counter-stashed messages as one
-    /// group commit.
+    /// The host-timer entry point of the admission layer. Expires overdue
+    /// queued/deferred entries, then — if the monotonic counter permits
+    /// committing — drains any unlocked channel with a backlog and
+    /// re-dispatches counter-stashed messages as one group commit.
     pub(crate) fn cmd_pump_admission(&mut self, env: &mut EnclaveEnv) -> Outcome {
         if self.frozen {
             // A frozen enclave keeps its queues; ops resolve at the host
-            // (dead-op resolution), not here. A frozen chain member acks
-            // and forwards nothing.
+            // (dead-op resolution), not here.
             return Ok(vec![]);
         }
-        let mut effects: Vec<Effect> = self.flush_owed()?.into_iter().collect();
+        let mut effects = Vec::new();
         self.expire_admissions(env, &mut effects);
         match self.pass(env, Gate::Exit) {
             Ok(()) => {

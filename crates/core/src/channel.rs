@@ -149,8 +149,9 @@ teechain_util::impl_wire_struct!(Channel {
 
 /// The acknowledgements a payee owes for the `Pay`s it applied, by channel
 /// slot. A payee acknowledges cumulatively: one `PayAck` covers every
-/// `Pay` applied on its channel since the last, and it is sealed once the
-/// host says no more input is queued (`Command::Deliver::more`), once
+/// `Pay` applied on its channel since the last, and it is sealed at the
+/// first ecall that is not a delivery with more messages queued behind it
+/// (`Command::Deliver::more`), once
 /// [`ACK_EVERY`] `Pay`s are owed on the channel, or just before a
 /// `PayNack` or a settlement message on the channel, which must not
 /// overtake it. Only what is already queued is coalesced: no payment
@@ -164,8 +165,6 @@ pub(crate) struct OwedAcks {
     dirty: Vec<u32>,
     /// Slots that owe something now.
     owing: usize,
-    /// A pump was requested for what is owed now.
-    armed: bool,
     /// This ecall's handler sealed an ack.
     pub(crate) sealed_in_handler: bool,
     /// Counters for the node registry.
@@ -187,20 +186,15 @@ pub(crate) struct PayStats {
     /// `PayAck`s sealed, each covering every `Pay` owed on its channel.
     pub acks_sent: u64,
     /// Of those, the acks sealed because the input drained: at an ecall
-    /// that was not a delivery with more input queued behind it.
+    /// that was not a delivery with more messages queued behind it.
     pub ack_flushes: u64,
 }
 
 impl OwedAcks {
-    /// Requests a pump at `now` when a delivery with more input behind it
-    /// leaves acks owed and none is requested yet: the next input may be
-    /// no ecall (a deadline timer, an observation).
-    pub(crate) fn arm_pump(&mut self, keep: bool, now: u64) -> Option<Effect> {
-        if !keep || self.owing == 0 || self.armed {
-            return None;
-        }
-        self.armed = true;
-        Some(Effect::Event(HostEvent::PumpAt(now)))
+    /// Slots listed as having begun to owe since the last flush.
+    #[cfg(test)]
+    pub(crate) fn dirty_len(&self) -> usize {
+        self.dirty.len()
     }
 
     /// Drops what the channel in `slot` owes, unsealed.
@@ -208,7 +202,6 @@ impl OwedAcks {
         if let Some(owed) = self.by_slot.get_mut(slot as usize) {
             if std::mem::take(owed).pays > 0 {
                 self.owing -= 1;
-                self.armed &= self.owing > 0;
             }
         }
     }
@@ -522,9 +515,6 @@ impl TeechainEnclave {
             return None;
         }
         self.acks.owing -= 1;
-        if self.acks.owing == 0 {
-            self.acks.armed = false;
-        }
         let id = self.state.channels.at(slot)?.id;
         let ack = ProtocolMsg::PayAck {
             id,
@@ -544,8 +534,9 @@ impl TeechainEnclave {
         self.seal_owed_ack(slot)
     }
 
-    /// Runs after every handler: unless more input is queued behind a
-    /// delivery (`keep`), seals every ack still owed, one per channel.
+    /// Runs after every handler: unless more messages are queued behind a
+    /// delivery, or the enclave is frozen (`keep`), seals every ack still
+    /// owed, one per channel.
     /// In replication mode an ack leaves only once the chain acknowledged
     /// every `Pay` it covers (Alg. 3 line 24). An ecall that commits holds
     /// it with its own update (`finalize`); one that commits nothing adds

@@ -119,7 +119,9 @@ impl SimNode for SimHost {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Vec<u8>) {
         // One parse serves the charge and the delivery.
         let Ok(view) = NodeWireView::parse(&msg) else {
-            return; // Garbage from the network: free, and dropped.
+            // Garbage from the network: free, and dropped.
+            self.node.message_done(ctx);
+            return;
         };
         let cost = self.cost_of(&msg, &view);
         if cost > 0 {

@@ -85,15 +85,19 @@ pub enum Command {
         /// [`WireMsg`](crate::msg::WireMsg) starts; it runs to the end of
         /// the buffer.
         at: usize,
-        /// The host's word that another input for this node is queued
-        /// behind this one, due now ([`teechain_net::Ctx::more_input`]).
-        /// A payee then keeps the acknowledgements of the payments it
-        /// applies owed, and seals them as one cumulative `PayAck` per
-        /// channel at the next ecall that is not such a delivery, or once
-        /// [`ACK_EVERY`](crate::replication::ACK_EVERY) `Pay`s are owed
-        /// on a channel. A pump it requests covers a next input that is
-        /// not an ecall. A host that lies only delays acknowledgements:
-        /// false on every delivery acknowledges each payment alone.
+        /// The host's word that another message for this node is queued
+        /// behind this one, due now
+        /// ([`teechain_net::Ctx::more_messages`]). The enclave then keeps
+        /// what it owes for its queued input: a payee the acknowledgements
+        /// of the payments it applies, a committee chain member the
+        /// updates it applies. It releases them, as one cumulative
+        /// `PayAck` per channel and one ack or forward of the chain, at
+        /// the next ecall that is not such a delivery, or once
+        /// [`ACK_EVERY`](crate::replication::ACK_EVERY) are owed. The
+        /// message behind makes that ecall, or its host pumps
+        /// ([`Command::PumpAdmission`]) when it does not. A host that lies
+        /// only delays what is owed: false on every delivery passes each
+        /// payment and update on alone.
         more: bool,
     },
     /// Generates a fresh blockchain address inside the TEE (Alg. 1
@@ -256,12 +260,13 @@ pub enum Command {
         /// Sealed WAL records from [`Effect::AppendLog`], oldest first.
         log: Vec<Vec<u8>>,
     },
-    /// Pumps the enclave: sends the ack a chain tail or the forward a
-    /// middle chain member owes, expires queued/deferred ops past their
+    /// Pumps the enclave: expires queued/deferred ops past their
     /// deadline, drains any unlocked channel with a backlog, and
     /// re-dispatches messages stashed while the monotonic counter was
     /// throttled (persistent mode, §6.2). The host calls this at the time
-    /// given by [`HostEvent::PumpAt`].
+    /// given by [`HostEvent::PumpAt`]. Like every ecall but a
+    /// [`Command::Deliver`] with `more`, it also releases what the enclave
+    /// owes for its input.
     PumpAdmission,
     /// Initiates a cross-chain atomic swap: trades `amount` of our
     /// balance on `channel` for `alt_amount` locked for us on the
@@ -346,10 +351,9 @@ pub enum HostEvent {
         tx: teechain_blockchain::Transaction,
     },
     /// The enclave wants a pump: call [`Command::PumpAdmission`] at the
-    /// given time (ns) — a queued-op deadline, the monotonic counter's
-    /// `ready_at`, or, for a chain member that owes an ack or a forward,
-    /// now (the pump then runs after the input already delivered). Hosts
-    /// keep the earliest outstanding time.
+    /// given time (ns) — a queued-op deadline, a contention backoff or
+    /// the monotonic counter's `ready_at`, each in the future. Hosts keep
+    /// the earliest outstanding time.
     PumpAt(u64),
     /// The responder host must fund this HTLC script with `value` on the
     /// alternate chain and answer with [`Command::SwapFunded`].
@@ -887,7 +891,7 @@ impl TeechainEnclave {
             ProtocolMsg::MhAbort { route, reason } => self.on_mh_abort(env, from, route, reason),
             ProtocolMsg::RepAssign => self.on_rep_assign(env, peer),
             ProtocolMsg::RepAssignAck { member_key } => self.on_rep_assign_ack(peer, member_key),
-            ProtocolMsg::RepUpdate { seq, deltas } => self.on_rep_update(env, peer, seq, deltas),
+            ProtocolMsg::RepUpdate { seq, deltas } => self.on_rep_update(peer, seq, deltas),
             ProtocolMsg::RepAck { seq } => self.on_rep_ack(peer, seq),
             ProtocolMsg::RepFreeze => self.on_rep_freeze(peer),
             ProtocolMsg::SwapInit {
@@ -1001,22 +1005,22 @@ impl EnclaveProgram for TeechainEnclave {
         self.rep.staged.clear();
         self.counter_open = false;
         self.acks.sealed_in_handler = false;
-        // Only a delivery with more input queued behind it keeps the
-        // payment acknowledgements owed (see `Command::Deliver::more`).
-        let keep_acks = matches!(cmd, Command::Deliver { more: true, .. });
+        // Only a delivery with more messages queued behind it keeps what
+        // a payee or a chain member owes (see `Command::Deliver::more`).
+        let keep = matches!(cmd, Command::Deliver { more: true, .. });
         let send_seq = self.rep.send_seq;
         let result = self
             .pass(env, Gate::of(&cmd))
             .and_then(|()| self.dispatch_command(env, cmd));
         match result {
             Ok(mut effects) => {
-                self.release_pay_acks(&mut effects, keep_acks, send_seq);
-                let mut out = self.finalize(env, effects)?;
-                if let Some(pump) = self.acks.arm_pump(keep_acks, env.now_ns()) {
-                    out.reserve_exact(1);
-                    out.push(pump);
+                // A frozen enclave releases nothing.
+                let keep = keep || self.frozen;
+                self.release_pay_acks(&mut effects, keep, send_seq);
+                if !keep {
+                    effects.extend(self.flush_owed());
                 }
-                Ok(out)
+                self.finalize(env, effects)
             }
             Err(e) => {
                 self.rep.staged.clear();

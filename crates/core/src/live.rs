@@ -32,10 +32,8 @@
 //! same [`Ctx`](teechain_net::Ctx) surface the engines do, its input hint
 //! read off the inbox, but returns the emitted actions; the scheduler then
 //! performs them for real — sends go out on the transport, timers land in
-//! one cluster-wide heap keyed by monotonic wall-clock nanoseconds (a
-//! timer of at most 1 ns in the node's own inbox), and CPU `Busy`
-//! accounting is dropped
-//! (live handlers burn real CPU). Time is nanoseconds since the cluster
+//! one cluster-wide heap keyed by monotonic wall-clock nanoseconds, and
+//! CPU `Busy` accounting is dropped (live handlers burn real CPU). Time is nanoseconds since the cluster
 //! epoch, so in-protocol deadlines and retry timers behave exactly as in
 //! simulation, just against a real clock.
 //!

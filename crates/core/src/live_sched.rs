@@ -20,15 +20,13 @@
 //! * **Timers** — one *shared* wall-clock timer heap for the whole
 //!   cluster, serviced by a dedicated thread that sleeps until the
 //!   earliest deadline and re-enqueues the owning node when it fires —
-//!   the live analogue of the engine's global timer queue. A timer of at
-//!   most 1 ns (a pump the node asks for "after the input already
-//!   delivered") skips the heap and goes straight into the node's own
-//!   inbox, behind the input queued there: the simulator's 1 ns pump.
+//!   the live analogue of the engine's global timer queue.
 //!
-//! Each input is handled with the hint of whether more input is still
-//! queued in the inbox behind it ([`drive_input`]), a timer alone at the
-//! back not counting; a payee holds its payment acknowledgements while it
-//! is true.
+//! Each input is handled with the hint of whether a network message is
+//! still queued in the inbox behind it ([`drive_input`]), counted under
+//! the inbox lock as the engine counts a node's queued messages; a payee
+//! holds its payment acknowledgements, and a chain member its updates,
+//! while it is true.
 //!
 //! Exclusivity: a cell's `queued` flag guarantees a node is in the run
 //! queue at most once, and its state mutex guarantees at most one worker
@@ -65,7 +63,7 @@ const TIMER_IDLE: Duration = Duration::from_millis(25);
 struct Cell {
     /// Unified input queue: network frames, harness requests, timer
     /// fires.
-    inbox: Mutex<VecDeque<Input>>,
+    inbox: Mutex<Inbox>,
     /// True while the node is in the run queue (or being drained):
     /// guarantees at most one run-queue entry per node.
     queued: AtomicBool,
@@ -74,6 +72,27 @@ struct Cell {
     state: Mutex<Option<NodeState>>,
     /// Published completion stream (shared with the harness).
     done: Arc<Published>,
+}
+
+/// A node's queued input, and how many of the entries are messages.
+#[derive(Default)]
+struct Inbox {
+    queue: VecDeque<Input>,
+    /// The [`Input::Net`] entries in `queue`: what the input hint reads.
+    messages: usize,
+}
+
+impl Inbox {
+    fn push(&mut self, input: Input) {
+        self.messages += usize::from(matches!(input, Input::Net(..)));
+        self.queue.push_back(input);
+    }
+
+    fn pop(&mut self) -> Option<Input> {
+        let input = self.queue.pop_front()?;
+        self.messages -= usize::from(matches!(input, Input::Net(..)));
+        Some(input)
+    }
 }
 
 /// A node's published completion stream and its completion signal. The
@@ -193,11 +212,7 @@ impl Shared {
 
     /// Queues `input` for `node` and marks it ready.
     fn enqueue(&self, node: usize, input: Input) {
-        self.cells[node]
-            .inbox
-            .lock()
-            .expect("inbox")
-            .push_back(input);
+        self.cells[node].inbox.lock().expect("inbox").push(input);
         self.mark_ready(node);
     }
 
@@ -219,14 +234,10 @@ impl Shared {
                 for _ in 0..TURN_BUDGET {
                     let (input, more) = {
                         let mut inbox = cell.inbox.lock().expect("inbox");
-                        let Some(input) = inbox.pop_front() else {
+                        let Some(input) = inbox.pop() else {
                             break;
                         };
-                        // A timer alone at the back is no input to hold
-                        // work for: it is the pump a held delivery asked
-                        // for, which the simulator runs 1 ns later.
-                        let timer = matches!(inbox.back(), Some(Input::TimerFired(_)));
-                        (input, inbox.len() > usize::from(timer))
+                        (input, inbox.messages > 0)
                     };
                     self.dispatch(node, st, input, more);
                 }
@@ -235,13 +246,13 @@ impl Shared {
         // Clear-then-recheck: an enqueue racing this clear either saw
         // `queued == true` (we re-queue below) or set it itself.
         cell.queued.store(false, Ordering::Release);
-        if !cell.inbox.lock().expect("inbox").is_empty() {
+        if !cell.inbox.lock().expect("inbox").queue.is_empty() {
             self.mark_ready(node);
         }
     }
 
     /// Executes one input on the node through the [`drive_input`] bridge,
-    /// `more` saying whether another is queued behind it, and performs
+    /// `more` saying whether a message is queued behind it, and performs
     /// the emitted actions (real sends, timers).
     fn dispatch(&self, node: usize, st: &mut NodeState, input: Input, more: bool) {
         let now = self.now_ns();
@@ -302,11 +313,6 @@ impl Shared {
                     // full NIC queue. Dead-peer errors drop traffic like
                     // the simulator's offline handling.
                     let _ = st.tx.send(to, msg);
-                }
-                // Due at once: behind the input already queued, like the
-                // simulator's 1 ns pump, without the timer thread.
-                NodeAction::Timer { delay_ns, token } if delay_ns <= 1 => {
-                    self.enqueue(node, Input::TimerFired(token));
                 }
                 NodeAction::Timer { delay_ns, token } => {
                     self.timers.lock().expect("timer heap").push(Reverse((
@@ -411,7 +417,7 @@ impl Sched {
         let shared = Arc::new(Shared {
             cells: (0..n)
                 .map(|_| Cell {
-                    inbox: Mutex::new(VecDeque::new()),
+                    inbox: Mutex::new(Inbox::default()),
                     queued: AtomicBool::new(false),
                     state: Mutex::new(None),
                     done: Arc::new(Published::new()),

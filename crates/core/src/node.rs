@@ -178,6 +178,10 @@ pub struct TeechainNode {
     /// The trace cause of the ecall whose [`HostEvent::PumpAt`] armed the
     /// pump timer: the pump's own ecall descends from it.
     pump_cause: u64,
+    /// The last successful ecall was a [`Command::Deliver`] with `more`:
+    /// the enclave may hold what it owes for its input until its next
+    /// ecall (see [`TeechainNode::message_done`]).
+    enclave_holds: bool,
     /// Outstanding swap chain-watch timers: token low bits → the swap to
     /// tick when the timer fires.
     swap_timers: HashMap<u64, SwapId>,
@@ -254,6 +258,7 @@ impl TeechainNode {
             throttle_redispatched: 0,
             pump_armed_until: 0,
             pump_cause: 0,
+            enclave_holds: false,
             swap_timers: HashMap::new(),
             swap_timer_seq: 0,
             swap_phase_counts: [0; 4],
@@ -283,6 +288,7 @@ impl TeechainNode {
         // pending and resolve as dead at quiescence.
         self.throttled.clear();
         self.pump_armed_until = 0;
+        self.enclave_holds = false;
         // Armed swap timers target the dead program; recovery re-arms
         // fresh checks for every swap that still needs driving.
         self.swap_timers.clear();
@@ -325,10 +331,13 @@ impl TeechainNode {
     /// The one path into the enclave: records the ecall's trace span, and
     /// a crashed enclave refuses as [`ProtocolError::Frozen`].
     fn ecall(&mut self, now_ns: u64, cmd: Command) -> Result<Vec<Effect>, ProtocolError> {
+        let holds = matches!(cmd, Command::Deliver { more: true, .. });
         let t = self.trace_ecall_begin(now_ns);
         let outcome = self.enclave.call(now_ns, cmd);
         self.trace_ecall_end(now_ns, t);
-        outcome.map_err(|_| ProtocolError::Frozen)?
+        let effects = outcome.map_err(|_| ProtocolError::Frozen)??;
+        self.enclave_holds = holds;
+        Ok(effects)
     }
 
     /// Issues an operation's command and performs the resulting effects.
@@ -379,10 +388,22 @@ impl TeechainNode {
 
     /// Handles an incoming network message.
     pub fn handle_wire(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, bytes: Vec<u8>) {
-        let Ok(view) = NodeWireView::parse(&bytes) else {
-            return; // Garbage from the network: drop.
-        };
-        self.handle_frame(ctx, bytes, view);
+        match NodeWireView::parse(&bytes) {
+            Ok(view) => self.handle_frame(ctx, bytes, view),
+            // Garbage from the network: dropped.
+            Err(_) => self.message_done(ctx),
+        }
+    }
+
+    /// Ends the handling of a message. When no other message for this
+    /// node is queued and the enclave may still hold what it owes for its
+    /// input (this message made no successful ecall: it did not parse, or
+    /// the enclave refused it), the host pumps the enclave at once, which
+    /// releases it.
+    pub(crate) fn message_done(&mut self, ctx: &mut Ctx<'_>) {
+        if self.enclave_holds && !ctx.more_messages() {
+            self.respond(ctx, Command::PumpAdmission);
+        }
     }
 
     /// [`TeechainNode::handle_wire`] for a frame the caller has already
@@ -393,7 +414,7 @@ impl TeechainNode {
                 self.trace_wire_recv(ctx.now_ns(), &bytes[at..]);
                 // The buffer that arrived goes in whole: the enclave opens
                 // the message where it lies.
-                let more = ctx.more_input();
+                let more = ctx.more_messages();
                 self.respond(
                     ctx,
                     Command::Deliver {
@@ -455,6 +476,7 @@ impl TeechainNode {
             // `parse` locates enclave traffic; it never decodes it.
             NodeWireView::CoSign(NodeWire::Enclave(_)) => {}
         }
+        self.message_done(ctx);
     }
 
     /// Arms (or keeps) a pump timer no later than `at`; true if it armed
@@ -1370,6 +1392,51 @@ mod tests {
                 enclave_frame(wire.clone()),
                 NodeWire::Enclave(wire).encode_to_vec()
             );
+        }
+    }
+
+    /// The entries `node` keeps per operation: its op tracker's, and its
+    /// enclave's ack fan-out, owed-ack list and held replication output.
+    fn per_op_entries(node: &TeechainNode) -> [usize; 4] {
+        let p = node.enclave.program().expect("running");
+        let inflight = p.admit.inflight.values().map(VecDeque::len).sum();
+        [
+            node.ops.entries(),
+            inflight,
+            p.acks.dirty_len(),
+            p.rep.pending.len(),
+        ]
+    }
+
+    #[test]
+    fn per_op_tables_are_empty_at_quiescence_after_many_bursts() {
+        use crate::testkit::{Cluster, ClusterConfig};
+        use crate::DurabilityBackend;
+        const BURSTS: usize = 200;
+        let replicated = DurabilityBackend::Replication { backups: 2 };
+        for durability in [DurabilityBackend::None, replicated] {
+            let mut c = Cluster::new(ClusterConfig {
+                durability,
+                ..ClusterConfig::default()
+            });
+            let id = c.standard_channel(0, 1, "tables", 1 << 40, 1);
+            for _ in 0..BURSTS {
+                for _ in 0..64 {
+                    let pay = Command::Pay {
+                        id,
+                        amount: 1,
+                        count: 1,
+                    };
+                    c.submit(0, pay);
+                }
+                c.settle_network();
+                c.node_mut(0).completions.clear();
+            }
+            assert_eq!(c.balances(1, id).0, BURSTS as u64 * 64);
+            for i in [0, 1] {
+                let entries = per_op_entries(c.node(i));
+                assert_eq!(entries, [0; 4], "node {i}, {durability:?}");
+            }
         }
     }
 }

@@ -630,6 +630,14 @@ impl OpTracker {
         }
     }
 
+    /// Entries the tracker holds for operations: ring slots, stragglers
+    /// and queued seqs. None once every operation resolved.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> usize {
+        let queued: usize = self.queues.values().map(VecDeque::len).sum();
+        self.ring.len() + self.stragglers.len() + queued
+    }
+
     /// True while the operation awaits its terminal outcome.
     pub(crate) fn is_pending(&self, seq: u64) -> bool {
         self.op(seq).is_some()

@@ -196,7 +196,6 @@ impl TeechainEnclave {
 
     pub(crate) fn on_rep_update(
         &mut self,
-        env: &EnclaveEnv,
         from: Peer,
         seq: u64,
         deltas: Vec<StateDelta>,
@@ -221,8 +220,8 @@ impl TeechainEnclave {
         // message for the newest update covers every one before it: the
         // tail owes one ack, a middle member one forward of all their
         // deltas. It goes out once `ACK_EVERY` head updates are owed, or
-        // when the host calls back (`cmd_pump_admission`) after the input
-        // already delivered to us.
+        // at the first ecall that is not a delivery with more messages
+        // queued behind it (`Command::Deliver::more`).
         if self.rep.backup.is_some() {
             // The first owed update's vector is kept, not copied.
             if self.rep.owed_deltas.is_empty() {
@@ -236,24 +235,22 @@ impl TeechainEnclave {
         if self.rep.owed >= ACK_EVERY {
             return Ok(vec![self.seal_owed()?]);
         }
-        if self.rep.owed == covered {
-            return Ok(vec![Effect::Event(HostEvent::PumpAt(env.now_ns()))]);
-        }
         Ok(vec![])
     }
 
     /// Seals what this member owes once its input has drained, if it owes
-    /// anything.
-    pub(crate) fn flush_owed(&mut self) -> Result<Option<Effect>, ProtocolError> {
+    /// anything. A member that cannot seal it (no session) drops it: the
+    /// head's effects stay held, as if the message were lost.
+    pub(crate) fn flush_owed(&mut self) -> Option<Effect> {
         if self.rep.owed == 0 {
-            return Ok(None);
+            return None;
         }
         if self.rep.backup.is_some() {
             self.rep.stats.forward_flushes += 1;
         } else {
             self.rep.stats.ack_flushes += 1;
         }
-        self.seal_owed().map(Some)
+        self.seal_owed().ok()
     }
 
     /// Passes every owed update on with one message for the newest: a

@@ -2,14 +2,18 @@
 //! bound complete exactly once and leave every replica equal to its
 //! primary; a tail that crashes while it owes acks, or a middle member
 //! that crashes while it owes forwards, keeps the head's effects held;
-//! and a surviving member still settles on chain.
+//! and a surviving member still settles on chain. A member owes past its
+//! input only while its host says more messages are queued, so the
+//! crash tests give the member a host that always says so
+//! ([`HintedHost`]).
 
 use super::*;
 use crate::durability::DurabilityBackend;
 use crate::enclave::Command;
 use crate::ops::OpError;
-use crate::testkit::{Cluster, ClusterConfig, Harness};
+use crate::testkit::{Cluster, ClusterConfig, ClusterNode, Harness, HintedHost};
 use std::collections::BTreeMap;
+use teechain_net::NodeId;
 
 /// Two primaries with two backups each: 0 → 2 → 3 and 1 → 4 → 5.
 const PAYER_MIDDLE: usize = 2;
@@ -20,21 +24,30 @@ fn chained_pair() -> (Cluster, ChannelId) {
     chained_pair_with(2)
 }
 
-fn chained_pair_with(backups: usize) -> (Cluster, ChannelId) {
-    let mut c = Cluster::new(ClusterConfig {
-        durability: DurabilityBackend::Replication { backups },
-        ..ClusterConfig::default()
-    });
+fn chained_pair_with<N: ClusterNode>(backups: usize) -> (Cluster<N>, ChannelId) {
+    let mut c = Cluster::build(
+        ClusterConfig {
+            durability: DurabilityBackend::Replication { backups },
+            ..ClusterConfig::default()
+        },
+        None,
+    );
     let chan = c.standard_channel(0, 1, "acks", 1_000_000, 2);
     (c, chan)
 }
 
-fn rep_stats(c: &Cluster, i: usize) -> RepStats {
+/// Makes `member`'s host say "more messages" with every message from now
+/// on: the member holds what it applies past its input.
+fn always_more(c: &mut Cluster<HintedHost>, member: usize) {
+    c.sim.node_mut(NodeId(member as u32)).more = Some(true);
+}
+
+fn rep_stats<N: ClusterNode>(c: &Cluster<N>, i: usize) -> RepStats {
     c.node(i).enclave.program().expect("running").rep_stats()
 }
 
 /// Submits `k` payments of 1 from node 0 without running the network.
-fn submit_burst(c: &mut Cluster, chan: ChannelId, k: u64) -> Vec<u64> {
+fn submit_burst<N: ClusterNode>(c: &mut Cluster<N>, chan: ChannelId, k: u64) -> Vec<u64> {
     let pay = Command::Pay {
         id: chan,
         amount: 1,
@@ -84,13 +97,13 @@ fn bursts_around_the_ack_bound_complete_once_and_replicate() {
 
 /// Runs the network until the payer's tail has applied `k` more updates
 /// than `base`, and no further.
-fn run_until_tail_applied(c: &mut Cluster, base: u64, k: u64) {
+fn run_until_tail_applied<N: ClusterNode>(c: &mut Cluster<N>, base: u64, k: u64) {
     run_until_applied(c, PAYER_TAIL, base, k);
 }
 
 /// Runs the network until `member` has applied `k` more updates than
 /// `base`, and no further.
-fn run_until_applied(c: &mut Cluster, member: usize, base: u64, k: u64) {
+fn run_until_applied<N: ClusterNode>(c: &mut Cluster<N>, member: usize, base: u64, k: u64) {
     for _ in 0..1_000 {
         if rep_stats(c, member).updates_applied >= base + k {
             return;
@@ -103,7 +116,8 @@ fn run_until_applied(c: &mut Cluster, member: usize, base: u64, k: u64) {
 
 #[test]
 fn a_tail_crashed_while_owing_acks_holds_the_heads_effects() {
-    let (mut c, chan) = chained_pair();
+    let (mut c, chan) = chained_pair_with(2);
+    always_more(&mut c, PAYER_TAIL);
     let base = rep_stats(&c, PAYER_TAIL);
     c.node_mut(0).completions.clear();
     submit_burst(&mut c, chan, 10);
@@ -130,7 +144,8 @@ fn a_tail_crashed_while_owing_acks_holds_the_heads_effects() {
 
 #[test]
 fn a_middle_member_crashed_while_owing_forwards_holds_the_heads_effects() {
-    let (mut c, chan) = chained_pair();
+    let (mut c, chan) = chained_pair_with(2);
+    always_more(&mut c, PAYER_MIDDLE);
     let middle = rep_stats(&c, PAYER_MIDDLE);
     let tail = rep_stats(&c, PAYER_TAIL);
     c.node_mut(0).completions.clear();
@@ -164,7 +179,7 @@ fn three_backup_chains_forward_coalesced_at_both_middle_members() {
     // 0 → 2 → 3 → 4 and 1 → 5 → 6 → 7.
     const BACKUPS3: [(usize, usize); 6] = [(2, 0), (3, 0), (4, 0), (5, 1), (6, 1), (7, 1)];
     for burst in [ACK_EVERY + 1, 200] {
-        let (mut c, chan) = chained_pair_with(3);
+        let (mut c, chan): (Cluster, _) = chained_pair_with(3);
         let before: Vec<RepStats> = (0..8).map(|i| rep_stats(&c, i)).collect();
         c.node_mut(0).completions.clear();
         let ops = submit_burst(&mut c, chan, burst);
@@ -192,8 +207,9 @@ fn three_backup_chains_forward_coalesced_at_both_middle_members() {
 
 #[test]
 fn a_surviving_member_settles_every_acknowledged_payment() {
-    let (mut c, chan) = chained_pair();
+    let (mut c, chan) = chained_pair_with(2);
     c.pay(0, chan, 150).unwrap(); // Acknowledged by the whole chain.
+    always_more(&mut c, PAYER_TAIL);
     let base = rep_stats(&c, PAYER_TAIL).updates_applied;
     submit_burst(&mut c, chan, 10);
     run_until_tail_applied(&mut c, base, 10);

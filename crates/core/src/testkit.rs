@@ -168,9 +168,10 @@ pub trait ClusterNode: SimNode + Send + From<SimHost> + BorrowMut<SimHost> {}
 impl<N: SimNode + Send + From<SimHost> + BorrowMut<SimHost>> ClusterNode for N {}
 
 /// A [`SimHost`] whose host passes its own input hint
-/// ([`Ctx::more_input`]) with every message instead of the engine's: a
+/// ([`Ctx::more_messages`]) with every message instead of the engine's: a
 /// host that lies, for tests holding the enclave to "a wrong hint only
-/// delays acknowledgements". With `more` unset it passes the engine's.
+/// delays what it owes", or one that holds a node's acks or chain updates
+/// owed past its input. With `more` unset it passes the engine's.
 pub struct HintedHost {
     /// The wrapped host.
     pub host: SimHost,
@@ -198,7 +199,7 @@ impl BorrowMut<SimHost> for HintedHost {
 
 impl SimNode for HintedHost {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Vec<u8>) {
-        let more = self.more.unwrap_or(ctx.more_input());
+        let more = self.more.unwrap_or(ctx.more_messages());
         let (id, now) = (ctx.self_id(), ctx.now_ns());
         let ((), actions) = drive_input(&mut self.host, id, now, more, ctx.rng(), |h, c| {
             h.on_message(c, from, msg)
@@ -313,7 +314,7 @@ impl<N: ClusterNode> Cluster<N> {
 
     /// Runs `f` on node `i` outside the engine, the way a host would:
     /// through [`drive_input`] at the engine's current time, with `more`
-    /// as the node's input hint ([`Ctx::more_input`]). Returns `f`'s
+    /// as the node's input hint ([`Ctx::more_messages`]). Returns `f`'s
     /// result and the actions the node emitted, which the caller performs,
     /// reorders or drops itself — for tests that play the host, a lying
     /// one included.

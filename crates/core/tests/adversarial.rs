@@ -255,13 +255,19 @@ fn temporary_channel_merge_cycle() {
 }
 
 /// A 200-payment burst from node 0 to node 1, whose host passes `more`
-/// with every message (`None`: the engine's own hint). Returns each op's
-/// outcome, both views of the channel, and the payee's `(acks sealed, of
-/// them flushed)`.
+/// with every message (`None`: the engine's own hint), then one other
+/// ecall at the payee. Returns each op's outcome, both views of the
+/// channel, the payee's `(acks sealed, of them flushed)`, and how many of
+/// those acks the other ecall sealed.
 #[allow(clippy::type_complexity)]
 fn burst_under_hint(
     more: Option<bool>,
-) -> (Vec<Result<OpOutput, OpError>>, [(u64, u64); 2], (u64, u64)) {
+) -> (
+    Vec<Result<OpOutput, OpError>>,
+    [(u64, u64); 2],
+    (u64, u64),
+    u64,
+) {
     const BURST: u64 = 200;
     let mut c: Cluster<HintedHost> = Cluster::build(ClusterConfig::default(), None);
     let chan: ChannelId = c.standard_channel(0, 1, "hint", 1_000_000, 1);
@@ -282,6 +288,13 @@ fn burst_under_hint(
             },
         );
     }
+    // Quiescence declares pending ops dead, so the other ecall comes
+    // first: a host that always says "more" leaves the acks past the last
+    // bound owed until the payee's next ecall of another kind.
+    c.sim.run_to_idle(u64::MAX);
+    let sealed = counter(&c, "pay.acks_sent");
+    c.submit(1, Command::GetIdentity);
+    let held = counter(&c, "pay.acks_sent") - sealed;
     c.settle_network();
     let mut done = c.node(0).completions.clone();
     done.sort_by_key(|d| d.op.seq);
@@ -292,24 +305,26 @@ fn burst_under_hint(
         counter(&c, "pay.ack_flushes") - before.1,
     );
     let outcomes = done.into_iter().map(|d| d.outcome).collect();
-    (outcomes, [c.balances(0, chan), c.balances(1, chan)], acks)
+    let balances = [c.balances(0, chan), c.balances(1, chan)];
+    (outcomes, balances, acks, held)
 }
 
 #[test]
 fn a_host_lying_about_queued_input_only_delays_acks() {
-    let (outcomes, balances, acks) = burst_under_hint(None);
+    let (outcomes, balances, acks, held) = burst_under_hint(None);
     assert!(outcomes.iter().all(|o| o.is_ok()), "{outcomes:?}");
     assert_eq!(balances, [(1_000_000 - 200, 200), (200, 1_000_000 - 200)]);
     // Honest: one ack per `ACK_EVERY` payments, the rest once drained.
-    assert_eq!(acks, (200u64.div_ceil(ACK_EVERY), 1));
-    // "More input" on every message: the same acks, the rest sealed by
-    // the pump the first held delivery asked for.
+    assert_eq!((acks, held), ((200u64.div_ceil(ACK_EVERY), 1), 0));
+    // "More messages" on every message: an ack at each bound, and the
+    // last 8 payments' sealed at the payee's next other ecall.
     let always = burst_under_hint(Some(true));
-    assert_eq!(always.2, (200u64.div_ceil(ACK_EVERY), 1));
-    // "No more input" on every message: one ack per payment, as before
-    // acks were cumulative.
+    assert_eq!(200 / ACK_EVERY, 3);
+    assert_eq!((always.2, always.3), ((4, 1), 1));
+    // "No more messages" on every message: one ack per payment, as
+    // before acks were cumulative.
     let never = burst_under_hint(Some(false));
-    assert_eq!(never.2, (200, 200));
+    assert_eq!((never.2, never.3), ((200, 200), 0));
     for (name, run) in [("always", always), ("never", never)] {
         assert_eq!(run.0, outcomes, "{name}: completions");
         assert_eq!(run.1, balances, "{name}: balances");

@@ -4,7 +4,9 @@
 //! acks are owed (a multihop locked the channel midway through a burst)
 //! does not overtake them, nor does a settlement; and a replicated
 //! payee's acks wait for its chain, so a tail that crashed while the
-//! acks were owed keeps them in.
+//! acks were owed keeps them in. Only a host that says more messages are
+//! queued leaves a node owing past its input, so that test gives the tail
+//! a host that always says so ([`HintedHost`]).
 
 use std::collections::BTreeMap;
 use teechain::enclave::Command;
@@ -200,8 +202,8 @@ fn a_settlement_in_the_same_instant_as_owed_acks_goes_after_them() {
 fn a_payee_tail_crashed_while_acks_are_owed_holds_them() {
     // The payee's host passes the engine's hint, so the last delivery
     // seals the ack and holds it with its own update; or says "more
-    // input" with every message, so the pump seals it in an ecall that
-    // commits nothing, and it joins the newest update still held.
+    // messages" with every message, so the payee's next other ecall seals
+    // it, commits nothing, and adds it to the newest update still held.
     for more in [None, Some(true)] {
         tail_crash_holds_the_acks(more);
     }
@@ -219,6 +221,7 @@ fn tail_crash_holds_the_acks(more: Option<bool>) {
     let chan = c.standard_channel(0, 1, "held", FUNDS, 2);
     c.node_mut(0).completions.clear();
     c.sim.node_mut(NodeId(1)).more = more;
+    c.sim.node_mut(NodeId(PAYEE_TAIL as u32)).more = Some(true);
     let base = counter(&c, PAYEE_TAIL, "repl.updates_applied");
     let tail_acks = counter(&c, PAYEE_TAIL, "repl.acks_sent");
     for _ in 0..BURST {
@@ -240,6 +243,10 @@ fn tail_crash_holds_the_acks(more: Option<bool>) {
         "{more:?}"
     );
     assert_eq!(counter(&c, PAYEE_TAIL, "repl.acks_sent"), tail_acks);
+    if more == Some(true) {
+        assert_eq!(counter(&c, 1, "pay.acks_sent"), 0, "the ack is owed");
+        c.submit(1, Command::GetIdentity);
+    }
     assert_eq!(
         counter(&c, 1, "pay.acks_sent"),
         1,
@@ -258,4 +265,73 @@ fn tail_crash_holds_the_acks(more: Option<bool>) {
             done.outcome
         );
     }
+}
+
+/// The frames of `k` payments of 1 the payer seals, driven by hand.
+fn pays_by_hand(c: &mut Cluster, chan: ChannelId, k: u64) -> Vec<Vec<u8>> {
+    (0..k)
+        .flat_map(|_| {
+            let (_, actions) = c.drive_node(0, false, |n, ctx| {
+                n.submit_op(ctx, pay(chan, 1), None);
+            });
+            sent(actions).into_iter().map(|(_, msg)| msg)
+        })
+        .collect()
+}
+
+#[test]
+fn a_held_run_whose_last_message_makes_no_ecall_still_releases_the_ack() {
+    // The run's last message reaches no successful ecall: it does not
+    // parse, or the enclave refuses it (a replayed `Pay`). Its host pumps
+    // the enclave at once, which seals the owed ack in the same turn.
+    const BURST: u64 = 3;
+    for last in ["unparseable", "refused"] {
+        let mut c = Cluster::functional(2);
+        let chan = c.standard_channel(0, 1, "no-ecall", FUNDS, 1);
+        c.node_mut(0).completions.clear();
+        let pays = pays_by_hand(&mut c, chan, BURST);
+        let last_frame = match last {
+            "unparseable" => Vec::new(),
+            _ => pays[0].clone(),
+        };
+        for msg in pays {
+            let (_, actions) = c.drive_node(1, true, |n, ctx| n.handle_wire(ctx, NodeId(0), msg));
+            assert!(sent(actions).is_empty(), "{last}: the acks are owed");
+        }
+        let (_, actions) =
+            c.drive_node(1, false, |n, ctx| n.handle_wire(ctx, NodeId(0), last_frame));
+        let refused = usize::from(last == "refused");
+        assert_eq!(c.node(1).delivery_errors.len(), refused, "{last}");
+        let frames = sent(actions);
+        assert_eq!(frames.len(), 1, "{last}: the ack");
+        let (to, ack) = frames.into_iter().next().unwrap();
+        assert_eq!(to, NodeId(0));
+        c.drive_node(0, false, |n, ctx| n.handle_wire(ctx, NodeId(1), ack));
+        let done = completed_once(&c, 0);
+        assert_eq!(done.len() as u64, BURST, "{last}");
+        assert!(done.values().all(|o| applied(o) == Some(1)), "{last}");
+    }
+}
+
+#[test]
+fn garbage_behind_a_burst_releases_the_ack_at_its_arrival() {
+    // Through the simulator's own host: the garbage follows the burst on
+    // the same link, so it reaches the payee at the same instant, last.
+    const BURST: u64 = 3;
+    let mut c = Cluster::functional(2);
+    let chan = c.standard_channel(0, 1, "garbage", FUNDS, 1);
+    c.node_mut(0).completions.clear();
+    let acks = counter(&c, 1, "pay.acks_sent");
+    for _ in 0..BURST {
+        c.submit(0, pay(chan, 1));
+    }
+    c.sim
+        .call(NodeId(0), |_, ctx| ctx.send(NodeId(1), Vec::new()));
+    let arrival = c.sim.now_ns() + 1;
+    c.sim.run_until(arrival);
+    assert_eq!(counter(&c, 1, "pay.acks_sent") - acks, 1);
+    c.settle_network();
+    let done = completed_once(&c, 0);
+    assert_eq!(done.len() as u64, BURST);
+    assert!(done.values().all(|o| applied(o) == Some(1)));
 }

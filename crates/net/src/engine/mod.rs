@@ -88,16 +88,18 @@ impl Ctx<'_> {
         self.self_id
     }
 
-    /// True when another input for this node is due at the current
-    /// instant, behind the one being handled: an event deferred in its
-    /// inbox, or another message or timer queued for it at `now`. A node
-    /// may hold back work it can batch with that input (Teechain's payee
+    /// True when another **message** for this node is queued at the
+    /// current instant, behind the event being handled: one deferred in
+    /// its inbox, or one due at `now`. Timers do not count. A node may
+    /// hold back work it can batch with that message (Teechain's payee
     /// acknowledges the payments it was delivered cumulatively), and must
-    /// still finish it when the hint is false. The engine answers from the
-    /// node's own queued events, so the hint is the same at every shard
-    /// count; a live runtime reads its inbox, and the
+    /// finish it by the time it handles a message with the hint false; a
+    /// message always follows a true hint, so no timer is needed for
+    /// that. The engine answers from the node's own queued messages, so
+    /// the hint is the same at every shard count; a live runtime counts
+    /// the messages in its inbox, and the
     /// [`live::drive`](crate::live::drive) bridge says false.
-    pub fn more_input(&self) -> bool {
+    pub fn more_messages(&self) -> bool {
         self.more
     }
 
@@ -282,7 +284,7 @@ mod testutil {
     pub(super) struct Echo {
         pub(super) received: Vec<(u64, NodeId, Vec<u8>)>,
         pub(super) timers: Vec<(u64, u64)>,
-        /// [`Ctx::more_input`] at every message and timer, in order.
+        /// [`Ctx::more_messages`] at every message and timer, in order.
         pub(super) hints: Vec<bool>,
         pub(super) echo: bool,
         pub(super) cost_ns: u64,
@@ -303,7 +305,7 @@ mod testutil {
     impl SimNode for Echo {
         fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Vec<u8>) {
             self.received.push((ctx.now_ns(), from, msg.clone()));
-            self.hints.push(ctx.more_input());
+            self.hints.push(ctx.more_messages());
             if self.cost_ns > 0 {
                 ctx.busy(self.cost_ns);
             }
@@ -314,7 +316,7 @@ mod testutil {
 
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
             self.timers.push((ctx.now_ns(), token));
-            self.hints.push(ctx.more_input());
+            self.hints.push(ctx.more_messages());
         }
     }
 

@@ -241,9 +241,11 @@ struct Slot<N> {
     oseq: u64,
     busy_until: u64,
     inbox: VecDeque<EventKind>,
-    /// Times of the messages and timers queued for this node in its
-    /// shard's heap (wakes excluded), earliest first: what
-    /// [`Ctx::more_input`] reads.
+    /// Messages among the events deferred in `inbox`.
+    inbox_msgs: usize,
+    /// Times of the messages queued for this node in its shard's heap,
+    /// earliest first. With `inbox_msgs`, what [`Ctx::more_messages`]
+    /// reads.
     due: BinaryHeap<Reverse<u64>>,
     wake_scheduled: bool,
     offline: bool,
@@ -264,6 +266,7 @@ impl<N> Slot<N> {
             oseq: 0,
             busy_until: 0,
             inbox: VecDeque::new(),
+            inbox_msgs: 0,
             due: BinaryHeap::new(),
             wake_scheduled: false,
             offline: false,
@@ -306,9 +309,9 @@ impl<N: SimNode> Shard<N> {
     }
 
     /// Queues an event for one of this shard's nodes, noting a message's
-    /// or a timer's time in the node's `due` record.
+    /// time in the node's `due` record.
     fn enqueue(&mut self, ev: Ev) {
-        if !matches!(ev.kind, EventKind::Wake { .. }) {
+        if let EventKind::Deliver { .. } = ev.kind {
             let local = self.local(ev.kind.target());
             self.slots[local].due.push(Reverse(ev.key.time));
         }
@@ -398,7 +401,7 @@ impl<N: SimNode> Shard<N> {
         let local = self.local(id);
         let r = {
             let slot = &mut self.slots[local];
-            let more = !slot.inbox.is_empty() || slot.due.peek() == Some(&Reverse(now));
+            let more = slot.inbox_msgs > 0 || slot.due.peek() == Some(&Reverse(now));
             let mut ctx = Ctx {
                 now,
                 self_id: id,
@@ -465,8 +468,8 @@ impl<N: SimNode> Shard<N> {
             self.now = self.now.max(ev.key.time);
             let node = ev.kind.target();
             let local = self.local(node);
-            if !matches!(ev.kind, EventKind::Wake { .. }) {
-                // A node's events leave the heap in time order, so this
+            if let EventKind::Deliver { .. } = ev.kind {
+                // A node's messages leave the heap in time order, so this
                 // one is the earliest its record holds.
                 let due = self.slots[local].due.pop();
                 debug_assert_eq!(due, Some(Reverse(ev.key.time)));
@@ -486,6 +489,8 @@ impl<N: SimNode> Shard<N> {
                     // Busy period was extended after the wake was set.
                     self.ensure_wake(node);
                 } else if let Some(deferred) = self.slots[local].inbox.pop_front() {
+                    let slot = &mut self.slots[local];
+                    slot.inbox_msgs -= usize::from(matches!(deferred, EventKind::Deliver { .. }));
                     self.dispatch(deferred, links);
                     self.ensure_wake(node);
                 }
@@ -494,8 +499,10 @@ impl<N: SimNode> Shard<N> {
             // A busy node defers the event into its inbox (single-server
             // queue); a free node with a non-empty inbox must also defer
             // to preserve per-connection FIFO.
-            if self.slots[local].busy_until > self.now || !self.slots[local].inbox.is_empty() {
-                self.slots[local].inbox.push_back(ev.kind);
+            let slot = &mut self.slots[local];
+            if slot.busy_until > self.now || !slot.inbox.is_empty() {
+                slot.inbox_msgs += usize::from(matches!(ev.kind, EventKind::Deliver { .. }));
+                slot.inbox.push_back(ev.kind);
                 self.ensure_wake(node);
                 continue;
             }
@@ -616,6 +623,7 @@ impl<N: SimNode + Send> ShardedEngine<N> {
         if offline {
             shard.stats.dropped += shard.slots[local].inbox.len() as u64;
             shard.slots[local].inbox.clear();
+            shard.slots[local].inbox_msgs = 0;
         }
         shard.slots[local].offline = offline;
     }
@@ -1210,13 +1218,40 @@ mod tests {
             });
             sim.run_to_idle(100);
             // Three messages land at the same instant: the first two have
-            // another behind them. The echoes reach node 0 together too.
+            // another behind them. The echoes reach node 0 together too;
+            // the timer comes later.
             assert_eq!(
                 sim.node(NodeId(1)).hints,
                 [true, true, false],
                 "{shards} shards"
             );
             assert_eq!(sim.node(NodeId(0)).hints, [true, true, false, false]);
+        }
+    }
+
+    #[test]
+    fn input_hint_counts_messages_not_timers() {
+        for shards in [1, 2] {
+            // A timer due at the instant a message arrives is no message.
+            let mut sim = two_nodes(0, shards);
+            sim.call(NodeId(1), |_, ctx| ctx.set_timer(MIN_DELAY_NS, 7));
+            sim.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), b"a".to_vec()));
+            sim.run_to_idle(100);
+            let one = sim.node(NodeId(1));
+            assert_eq!(one.received[0].0, one.timers[0].0, "the same instant");
+            assert_eq!(one.hints, [false, false], "{shards} shards");
+            // A message deferred in a busy node's inbox is one, whenever
+            // it arrived.
+            let mut sim = two_nodes(0, shards);
+            sim.node_mut(NodeId(1)).cost_ns = 100;
+            for msg in [b"a", b"b", b"c"] {
+                let t = sim.now_ns();
+                sim.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), msg.to_vec()));
+                sim.run_until(t + 10);
+            }
+            sim.run_to_idle(100);
+            let hints = &sim.node(NodeId(1)).hints;
+            assert_eq!(hints, &[false, true, false], "{shards} shards");
         }
     }
 

@@ -172,7 +172,7 @@ pub enum NodeAction {
 /// sharded engine's lanes), and the returned [`NodeAction`]s are the
 /// sends, timers and busy-accounting the handler produced, in order.
 ///
-/// The handler's [`Ctx::more_input`] reads false: every call stands
+/// The handler's [`Ctx::more_messages`] reads false: every call stands
 /// alone. A loop draining a queue of inputs passes its own hint with
 /// [`drive_input`].
 pub fn drive<N, R>(
@@ -185,14 +185,14 @@ pub fn drive<N, R>(
     drive_input(node, self_id, now_ns, false, rng, f)
 }
 
-/// [`drive`] for one input taken off a queue: `more_input` is what the
-/// handler's [`Ctx::more_input`] reads — true when another input for the
-/// node is already queued behind this one.
+/// [`drive`] for one input taken off a queue: `more` is what the
+/// handler's [`Ctx::more_messages`] reads — true when another message
+/// for the node is already queued behind this one.
 pub fn drive_input<N, R>(
     node: &mut N,
     self_id: NodeId,
     now_ns: u64,
-    more_input: bool,
+    more: bool,
     rng: &mut Xoshiro256,
     f: impl FnOnce(&mut N, &mut Ctx<'_>) -> R,
 ) -> (R, Vec<NodeAction>) {
@@ -201,7 +201,7 @@ pub fn drive_input<N, R>(
         let mut ctx = Ctx {
             now: now_ns,
             self_id,
-            more: more_input,
+            more,
             actions: &mut actions,
             rng,
         };
@@ -229,7 +229,7 @@ mod tests {
         let (out, actions) = drive(&mut node, NodeId(3), 42, &mut rng, |_, ctx| {
             assert_eq!(ctx.now_ns(), 42);
             assert_eq!(ctx.self_id(), NodeId(3));
-            assert!(!ctx.more_input());
+            assert!(!ctx.more_messages());
             ctx.busy(10);
             ctx.send(NodeId(1), b"hi".to_vec());
             ctx.set_timer(5, 77);
@@ -257,7 +257,7 @@ mod tests {
         let mut rng = Xoshiro256::new(1);
         for more in [false, true] {
             let (seen, _) = drive_input(&mut (), NodeId(0), 0, more, &mut rng, |_, ctx| {
-                ctx.more_input()
+                ctx.more_messages()
             });
             assert_eq!(seen, more);
         }

@@ -12,7 +12,7 @@
 //!    dropped by crash fault injection;
 //! 4. reference order — the engine's full receipt trace and counters are
 //!    bit-for-bit those of the reference engine, at 1 and at 3 shards,
-//!    and so is the input hint (`Ctx::more_input`) of every event.
+//!    and so is the input hint (`Ctx::more_messages`) of every event.
 
 mod reference;
 
@@ -34,7 +34,7 @@ impl SimNode for Recorder {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Vec<u8>) {
         let seq = u32::from_le_bytes([msg[0], msg[1], msg[2], msg[3]]);
         self.received.push((ctx.now_ns(), from.0, seq));
-        self.hints.push(ctx.more_input());
+        self.hints.push(ctx.more_messages());
         if self.cost_ns > 0 {
             ctx.busy(self.cost_ns);
         }
@@ -247,7 +247,7 @@ struct Gossip {
 impl SimNode for Gossip {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Vec<u8>) {
         self.log
-            .push((ctx.now_ns(), from.0, msg[0], ctx.more_input()));
+            .push((ctx.now_ns(), from.0, msg[0], ctx.more_messages()));
         ctx.busy(self.cost_ns);
         let to = ctx.rng().next_below(NODES as u64) as u32;
         if msg[0] > 0 && to != self.id {
@@ -257,7 +257,7 @@ impl SimNode for Gossip {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         self.log
-            .push((ctx.now_ns(), u32::MAX, token as u8, ctx.more_input()));
+            .push((ctx.now_ns(), u32::MAX, token as u8, ctx.more_messages()));
         if token > 0 {
             ctx.send(NodeId((self.id + 1) % NODES), vec![3]);
             ctx.set_timer(2 * MS, token - 1);

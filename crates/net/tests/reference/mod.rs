@@ -7,8 +7,9 @@
 //! jitter from the sender's RNG lane) and never overtakes an earlier one
 //! to the same node; traffic and timers reaching an offline node are
 //! dropped, and going offline discards the inbox. A handler's
-//! `Ctx::more_input` is true when the node's inbox holds an event, or the
-//! queue holds another message or timer for it at the current instant.
+//! `Ctx::more_messages` is true when the node's inbox holds a message, or
+//! the queue holds another message for it at the current instant; timers
+//! do not count.
 //! Not modelled: per-link overrides and `SimNode::on_start`.
 
 use std::cmp::Reverse;
@@ -76,20 +77,21 @@ impl<N: SimNode> RefEngine<N> {
         self.heap.push(Reverse((key, target, event)));
     }
 
-    /// Another input for `id` is due now: one waits in its inbox, or a
-    /// message or timer for it is queued at `now`.
-    fn more_input(&self, id: NodeId) -> bool {
-        !self.slots[id.0 as usize].inbox.is_empty()
+    /// Another message for `id` is due now: one waits in its inbox, or
+    /// one is queued for it at `now`.
+    fn more_messages(&self, id: NodeId) -> bool {
+        let message = |event: &Event| matches!(event, Event::Deliver(..));
+        self.slots[id.0 as usize].inbox.iter().any(message)
             || self
                 .heap
                 .iter()
                 .any(|Reverse(((time, ..), target, event))| {
-                    *time == self.now && *target == id && !matches!(event, Event::Wake)
+                    *time == self.now && *target == id && message(event)
                 })
     }
 
     pub fn call<R>(&mut self, id: NodeId, f: impl FnOnce(&mut N, &mut Ctx<'_>) -> R) -> R {
-        let (i, now, more) = (id.0 as usize, self.now, self.more_input(id));
+        let (i, now, more) = (id.0 as usize, self.now, self.more_messages(id));
         let (r, actions) = drive_input(&mut self.nodes[i], id, now, more, &mut self.rngs[i], f);
         for action in actions {
             let slot = &mut self.slots[i];

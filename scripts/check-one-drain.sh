@@ -1,0 +1,29 @@
+#!/usr/bin/env bash
+# Fails when crates/core/src builds a `HostEvent::PumpAt` from the current
+# time: its argument calls `now_ns()` or names a `now` binding. A node
+# learns that its queued input has drained from one signal, the input
+# hint (`Command::Deliver::more`); what a payee or a chain member owes is
+# released by the next ecall that is not a delivery with more messages
+# behind it, so no enclave asks its host to wake it at `now`. Every pump
+# it asks for is a deadline, a backoff or the counter's `ready_at`, all
+# in the future.
+#
+# Usage: scripts/check-one-drain.sh
+set -euo pipefail
+cd "$(dirname "$0")/.."
+found=$(find crates/core/src -name '*.rs' -print0 | xargs -0 perl -0777 -ne '
+  my $args = qr/(?<pa>\((?:[^()]++|(?&pa))*\))/;
+  # Line comments may quote the old request; only code counts.
+  (my $code = $_) =~ s{//[^\n]*}{}g;
+  while ($code =~ /\bPumpAt\s*$args/g) {
+    my ($at, $arg) = ($-[0], $+{pa});
+    next unless $arg =~ /\bnow_ns\s*\(|\bnow\b/;
+    my $line = 1 + (substr($code, 0, $at) =~ tr/\n//);
+    print "$ARGV:$line: PumpAt$arg asks for a pump at the current time\n";
+  }
+')
+if [ -n "$found" ]; then
+  echo "$found" >&2
+  exit 1
+fi
+echo "no enclave asks for a pump at the current time; the input hint is the one drain signal"
