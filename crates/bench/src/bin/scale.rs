@@ -17,12 +17,31 @@
 //! JSON artifact so a single-core CI runner's numbers are not mistaken
 //! for a scaling regression.
 
+use std::path::Path;
 use std::time::Instant;
 use teechain_bench::report::{fmt_thousands, BenchJson, JsonValue, Table};
 use teechain_bench::scenarios::{build_sparse_network, scale_jobs, wan_100ms};
 use teechain_bench::trace_out::TraceSink;
 use teechain_net::topology::HubSpoke;
 use teechain_net::{EngineKind, Histogram};
+
+/// The artifact this run rewrites, read before any work. It keeps one
+/// overlay row per node count, the committed 100k-node row among them,
+/// so a run that found none would write the artifact without them: the
+/// run stops instead.
+fn prior_artifact(path: &Path) -> JsonValue {
+    let text = std::fs::read_to_string(path).ok();
+    if let Some(doc) = text.and_then(|t| JsonValue::parse(&t).ok()) {
+        return doc;
+    }
+    eprintln!(
+        "scale: no readable {} to keep the other overlay rows from (the \
+         n100000 row among them); run from the repo root, set \
+         TEECHAIN_BENCH_DIR to it, or copy the committed BENCH_scale.json there",
+        path.display()
+    );
+    std::process::exit(2);
+}
 
 fn arg_val(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
@@ -72,6 +91,7 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(128);
     let seed = 77;
+    let prior = prior_artifact(&BenchJson::new("scale").path());
     let parallelism = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
@@ -314,12 +334,8 @@ fn main() {
         ("completed_total".into(), completed_total.into()),
         ("channel_locked_total".into(), locked_total.into()),
     ]);
-    let prior = std::fs::read_to_string(doc.path())
-        .ok()
-        .and_then(|t| JsonValue::parse(&t).ok());
     let mut overlays: Vec<(String, JsonValue)> = prior
-        .as_ref()
-        .and_then(|d| d.get("metrics"))
+        .get("metrics")
         .and_then(|m| m.get("overlays"))
         .and_then(|o| match o {
             JsonValue::Obj(fields) => Some(fields.clone()),
@@ -337,7 +353,6 @@ fn main() {
         // of the committed artifact (the CI-regenerable quick baseline)
         // untouched — this is how the 100k-node row lands without
         // replacing the trend-gate anchors.
-        let prior = prior.expect("--row-only needs an existing BENCH_scale.json");
         let JsonValue::Obj(mut top) = prior else {
             panic!("BENCH_scale.json is not an object");
         };

@@ -9,7 +9,7 @@
 //! everything else in the evaluation *emerges* from the protocol.
 
 use crate::msg::{CostClass, WireView};
-use crate::node::{NodeWireView, TeechainNode};
+use crate::node::{enclave_at, TeechainNode};
 use teechain_net::{Ctx, NodeId, SimNode};
 
 /// Per-message-class CPU service times (nanoseconds).
@@ -37,10 +37,9 @@ pub struct CostModel {
     /// Handshake messages: remote attestation verification dominates
     /// (≈1.3 s, which is what makes channel creation ≈2.8 s in Table 2).
     pub attestation_ns: u64,
-    /// Other control messages (deposit and channel management).
+    /// Other control messages (deposit and channel management, committee
+    /// co-signing).
     pub mgmt_ns: u64,
-    /// Committee signing requests (verification + signature generation).
-    pub signing_ns: u64,
 }
 
 impl Default for CostModel {
@@ -53,7 +52,6 @@ impl Default for CostModel {
             multihop_ns: 30_000,
             attestation_ns: 1_300_000_000,
             mgmt_ns: 100_000,
-            signing_ns: 400_000,
         }
     }
 }
@@ -70,7 +68,6 @@ impl CostModel {
             multihop_ns: 0,
             attestation_ns: 0,
             mgmt_ns: 0,
-            signing_ns: 0,
         }
     }
 
@@ -99,18 +96,13 @@ impl SimHost {
         SimHost { node, costs }
     }
 
-    /// The CPU cost of an incoming frame, read off its headers.
-    fn cost_of(&self, frame: &[u8], view: &NodeWireView) -> u64 {
-        match view {
-            NodeWireView::Enclave { at } => match WireView::parse(&frame[*at..]) {
-                Ok(WireView::Sealed { class, .. }) => {
-                    self.costs.for_class(CostClass::from_byte(class))
-                }
-                // Handshake messages carry attestation verification.
-                Ok(_) => self.costs.attestation_ns,
-                Err(_) => 0,
-            },
-            NodeWireView::CoSign(_) => self.costs.signing_ns,
+    /// The CPU cost of an enclave message, read off its headers.
+    fn cost_of(&self, msg: &[u8]) -> u64 {
+        match WireView::parse(msg) {
+            Ok(WireView::Sealed { class, .. }) => self.costs.for_class(CostClass::from_byte(class)),
+            // Handshake messages carry attestation verification.
+            Ok(_) => self.costs.attestation_ns,
+            Err(_) => 0,
         }
     }
 }
@@ -118,16 +110,16 @@ impl SimHost {
 impl SimNode for SimHost {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Vec<u8>) {
         // One parse serves the charge and the delivery.
-        let Ok(view) = NodeWireView::parse(&msg) else {
+        let Ok(at) = enclave_at(&msg) else {
             // Garbage from the network: free, and dropped.
             self.node.message_done(ctx);
             return;
         };
-        let cost = self.cost_of(&msg, &view);
+        let cost = self.cost_of(&msg[at..]);
         if cost > 0 {
             ctx.busy(cost);
         }
-        self.node.handle_frame(ctx, msg, view);
+        self.node.handle_frame(ctx, msg, at);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {

@@ -30,7 +30,7 @@ use crate::slots::SlotMap;
 use crate::swap::{SwapPhase, SwapState};
 use crate::types::{ChannelId, Deposit, ProtocolError, RouteId, SwapId};
 use std::collections::HashMap;
-use teechain_crypto::schnorr::{Keypair, PrivateKey, PublicKey, Signature};
+use teechain_crypto::schnorr::{Keypair, PrivateKey, PublicKey};
 use teechain_tee::{EnclaveEnv, EnclaveProgram, Measurement};
 use teechain_util::codec::Encode;
 
@@ -224,25 +224,6 @@ pub enum Command {
     /// Generates settlement transactions for every replicated channel (the
     /// failover path after the primary crashed).
     SettleFromReplica,
-    /// Co-signs a settlement produced elsewhere in our committee, after
-    /// verifying it against replicated state (§6.1). As an operation it
-    /// completes with [`OpOutput::CoSigned`]; the host routes the granted
-    /// signatures back to the requesting node.
-    CoSign {
-        /// Request id to echo.
-        req_id: u64,
-        /// The transaction to co-sign.
-        tx: teechain_blockchain::Transaction,
-    },
-    /// Merges co-signatures collected by the host into a pending
-    /// settlement, which it broadcasts when thresholds are met, or into a
-    /// route's τ, whose sign pass then continues.
-    AddCoSigs {
-        /// The request id from [`HostEvent::NeedCoSign`].
-        req_id: u64,
-        /// `(input index, signature)` pairs from one member.
-        sigs: Vec<(u32, Signature)>,
-    },
     /// Restores state from a sealed blob after a crash (§6.2).
     RestoreSealed {
         /// Blob previously emitted via [`Effect::Persist`].
@@ -327,10 +308,10 @@ pub enum Command {
     },
 }
 
-/// Requests from the enclave to its host: check the chain, gather
-/// co-signatures, fund or verify a lock, call back at a time, or record a
-/// swap's phase. No operation's outcome travels here: that leaves the
-/// enclave as [`Effect::Done`].
+/// Requests from the enclave to its host: check the chain, fund or
+/// verify a lock, call back at a time, or record a swap's phase. No
+/// operation's outcome travels here: that leaves the enclave as
+/// [`Effect::Done`].
 #[derive(Debug, Clone)]
 pub enum HostEvent {
     /// The host must check that a remote deposit is confirmed on chain and
@@ -340,15 +321,6 @@ pub enum HostEvent {
         remote: PublicKey,
         /// The deposit to verify.
         deposit: Deposit,
-    },
-    /// A settlement or a route's τ needs co-signatures from committee
-    /// members; the host must gather them (e.g. via node-level
-    /// `SigRequest`s) and answer with [`Command::AddCoSigs`].
-    NeedCoSign {
-        /// Request id.
-        req_id: u64,
-        /// The partially signed transaction.
-        tx: teechain_blockchain::Transaction,
     },
     /// The enclave wants a pump: call [`Command::PumpAdmission`] at the
     /// given time (ns) — a queued-op deadline, a contention backoff or
@@ -503,8 +475,9 @@ pub(crate) enum Gate {
     /// tick pass this row themselves before they commit.
     Exit,
     /// No gate, or the handler gates itself: `Deliver`, `PumpAdmission`
-    /// and `SwapTick` re-arm instead of failing, and `AddCoSigs` passes
-    /// `Mutating` only when it continues a route's sign pass.
+    /// and `SwapTick` re-arm instead of failing, and a `SigResponse` at
+    /// its origin passes `Mutating` only when it continues a route's sign
+    /// pass.
     Own,
 }
 
@@ -537,8 +510,6 @@ impl Gate {
             | Command::GetIdentity
             | Command::Recover { .. }
             | Command::RestoreSealed { .. }
-            | Command::CoSign { .. }
-            | Command::AddCoSigs { .. }
             | Command::ReadReplica
             | Command::SettleFromReplica => Gate::Own,
         }
@@ -768,8 +739,11 @@ impl TeechainEnclave {
 
     /// Seals `msg` for `remote` into a `Send` effect: one look-up of the
     /// identity. A handler that knows the peer's slot seals with
-    /// [`Self::seal_at`].
-    pub(crate) fn seal_to(
+    /// [`Self::seal_at`]. Public for compromised-TEE modelling: an
+    /// attacker holding a compromised enclave's memory
+    /// ([`teechain_tee::Enclave::compromise`]) seals what it likes under
+    /// its sessions, and §6.1's committee guard must hold against that.
+    pub fn seal_to(
         &mut self,
         remote: &PublicKey,
         msg: &ProtocolMsg,
@@ -914,11 +888,15 @@ impl TeechainEnclave {
             ProtocolMsg::SwapLocked { swap, outpoint } => self.on_swap_locked(from, swap, outpoint),
             ProtocolMsg::SwapSecret { swap, secret } => self.on_swap_secret(from, swap, secret),
             ProtocolMsg::SwapNack { swap, reason } => self.on_swap_nack(from, swap, reason),
-            ProtocolMsg::SigRequest { .. } | ProtocolMsg::SigResponse { .. } => {
-                // Signing traffic is routed at the host layer (it carries
-                // no secrets); enclaves serve it via Command::CoSign.
-                Err(ProtocolError::BadMessage)
+            ProtocolMsg::SigRequest { req_id, hops, tx } => {
+                self.on_sig_request(peer, req_id, hops, tx)
             }
+            ProtocolMsg::SigResponse {
+                req_id,
+                hops,
+                sigs,
+                refused,
+            } => self.on_sig_response(env, peer, req_id, hops, sigs, refused),
         }
     }
 
@@ -968,8 +946,6 @@ impl TeechainEnclave {
             Command::AttachBackup { backup } => self.cmd_attach_backup(backup),
             Command::ReadReplica => self.cmd_read_replica(),
             Command::SettleFromReplica => self.cmd_settle_from_replica(),
-            Command::CoSign { req_id, tx } => self.cmd_co_sign(req_id, tx),
-            Command::AddCoSigs { req_id, sigs } => self.cmd_add_co_sigs(env, req_id, sigs),
             Command::RestoreSealed { blob } => self.cmd_restore_sealed(env, blob),
             Command::Recover { snapshot, log } => self.cmd_recover(env, snapshot, log),
             Command::PumpAdmission => self.cmd_pump_admission(env),
@@ -1024,6 +1000,7 @@ impl EnclaveProgram for TeechainEnclave {
             }
             Err(e) => {
                 self.rep.staged.clear();
+                self.rep.asks.clear();
                 Err(e)
             }
         }
@@ -1070,7 +1047,27 @@ impl TeechainEnclave {
         self.dispatch_protocol(env, from, msg)
     }
 
-    pub(crate) fn finalize(&mut self, env: &mut EnclaveEnv, mut effects: Vec<Effect>) -> Outcome {
+    /// Commits what the ecall staged, then seals the co-sign requests it
+    /// opened to our backup: behind the update, and not held with the
+    /// effects, since the chain itself answers them. A request that
+    /// cannot be sealed is dropped, and its collection waits.
+    pub(crate) fn finalize(&mut self, env: &mut EnclaveEnv, effects: Vec<Effect>) -> Outcome {
+        let asks = std::mem::take(&mut self.rep.asks);
+        let mut effects = self.commit_staged(env, effects)?;
+        if let Some(backup) = self.rep.backup {
+            for (req_id, tx) in asks {
+                let msg = ProtocolMsg::SigRequest {
+                    req_id,
+                    hops: 0,
+                    tx,
+                };
+                effects.extend(self.seal_at(backup.slot, &msg).ok());
+            }
+        }
+        Ok(effects)
+    }
+
+    fn commit_staged(&mut self, env: &mut EnclaveEnv, mut effects: Vec<Effect>) -> Outcome {
         if self.rep.staged.is_empty() {
             return Ok(effects);
         }

@@ -387,20 +387,6 @@ impl GateFixture {
             (Command::AttachBackup { backup: peer }, Gate::Unfrozen),
             (Command::ReadReplica, Gate::Own),
             (Command::SettleFromReplica, Gate::Own),
-            (
-                Command::CoSign {
-                    req_id: 1,
-                    tx: empty.clone(),
-                },
-                Gate::Own,
-            ),
-            (
-                Command::AddCoSigs {
-                    req_id: 1,
-                    sigs: vec![],
-                },
-                Gate::Own,
-            ),
             (Command::RestoreSealed { blob: vec![] }, Gate::Own),
             (
                 Command::Recover {
@@ -560,10 +546,18 @@ impl GateFixture {
             ),
             (ProtocolMsg::RepAck { seq: 1 }, Gate::Own),
             (ProtocolMsg::RepFreeze, Gate::Own),
-            (ProtocolMsg::SigRequest { req_id: 1, tx: tau }, Gate::Own),
+            (
+                ProtocolMsg::SigRequest {
+                    req_id: 1,
+                    hops: 0,
+                    tx: tau,
+                },
+                Gate::Own,
+            ),
             (
                 ProtocolMsg::SigResponse {
                     req_id: 1,
+                    hops: 0,
                     sigs: vec![],
                     refused: false,
                 },

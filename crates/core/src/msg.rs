@@ -504,20 +504,27 @@ pub enum ProtocolMsg {
     },
     /// Force-freeze: stop accepting updates (a backup was read, §6).
     RepFreeze,
-    /// Request partial signatures over a settlement transaction.
+    /// Asks the committee chain to co-sign a settlement, a route's τ or
+    /// a release; it walks down the chain until its thresholds are met.
     SigRequest {
-        /// Request id (matches the response).
+        /// The origin's request id (matches the response).
         req_id: u64,
-        /// The transaction to co-sign.
+        /// Forwards so far: 0 from the origin, one more per member that
+        /// passed it on.
+        hops: u8,
+        /// The transaction, with every signature added so far.
         tx: Transaction,
     },
-    /// Partial signatures from a committee member.
+    /// The committee's answer, retracing the request's path upstream.
     SigResponse {
-        /// Request id.
+        /// The origin's request id.
         req_id: u64,
+        /// Relays left before the origin: the request's count where it
+        /// was answered, one less per member that relayed it.
+        hops: u8,
         /// `(input index, signature)` pairs.
         sigs: Vec<(u32, Signature)>,
-        /// True if the member refused (state mismatch — Byzantine guard).
+        /// True if a member refused (state mismatch — Byzantine guard).
         refused: bool,
     },
 
@@ -587,8 +594,8 @@ teechain_util::impl_wire_enum!(ProtocolMsg, "protocol tag" {
     RepUpdate = 19 { seq, deltas },
     RepAck = 20 { seq },
     RepFreeze = 21,
-    SigRequest = 22 { req_id, tx },
-    SigResponse = 23 { req_id, sigs, refused },
+    SigRequest = 22 { req_id, hops, tx },
+    SigResponse = 23 { req_id, hops, sigs, refused },
     PayNack = 24 { id, amount, count, reason },
     MhAbort = 25 { route, reason },
     SwapInit = 26 { swap, channel, amount, alt_amount, hash, timeout_blocks },

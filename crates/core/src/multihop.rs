@@ -480,10 +480,14 @@ impl TeechainEnclave {
             route.digests = m.digests.clone();
             self.commit(StateDelta::Route(Box::new(route)));
             self.set_route_stage(&m.route, MultihopStage::Sign);
-            if self.needs_co_signs(&tau) {
-                return Ok(vec![
-                    self.request_co_signs(m.route, tau, m.digests, m.deposits)
-                ]);
+            if settle::needs_co_signs(&self.state.book, &tau) {
+                let then = CoSigned::SignPass {
+                    route: m.route,
+                    digests: m.digests,
+                    deposits: m.deposits,
+                };
+                self.ask_committee(tau, then);
+                return Ok(vec![]);
             }
             let msg = ProtocolMsg::MhSign {
                 route: m.route,
@@ -516,26 +520,14 @@ impl TeechainEnclave {
         self.pass_signed_tau(route_id, tau, digests, deposits)
     }
 
-    /// True if τ spends one of our own deposits with fewer witnesses than
-    /// its committee threshold: the committee co-signs (§6.1) before τ
-    /// moves on, since no other hop holds a committee member's key.
-    pub(crate) fn needs_co_signs(&self, tau: &Transaction) -> bool {
-        tau.inputs.iter().any(|input| {
-            self.state
-                .book
-                .mine
-                .get(&input.prevout)
-                .is_some_and(|(dep, _)| input.witness.len() < dep.committee.m as usize)
-        })
-    }
-
     /// Commits τ, signed by this hop (and, once co-signed, its
     /// committee), and passes it on in the sign pass: backward to the
     /// previous hop, or from p1, once every input carries its threshold,
     /// forward as the PreUpdate's witnesses. While τ spends one of our
     /// deposits short of its threshold, the pass waits for the committee
-    /// instead ([`Self::request_co_signs`]); `on_mh_lock` makes the same
-    /// choice for pn, whose route is new.
+    /// instead ([`Self::ask_committee`]): no other hop holds a committee
+    /// member's key. `on_mh_lock` makes the same choice for pn, whose
+    /// route is new.
     pub(crate) fn pass_signed_tau(
         &mut self,
         route_id: RouteId,
@@ -544,7 +536,7 @@ impl TeechainEnclave {
         deposits: Vec<crate::types::Deposit>,
     ) -> Outcome {
         let route = self.route(&route_id)?;
-        let co_sign = self.needs_co_signs(&tau);
+        let co_sign = settle::needs_co_signs(&self.state.book, &tau);
         // p1: τ must now be fully signed — verify before distributing.
         // Deposits of other hops' channels are known via the metadata
         // accumulated during lock.
@@ -565,7 +557,13 @@ impl TeechainEnclave {
         ));
         self.set_route_stage(&route_id, MultihopStage::Sign);
         if co_sign {
-            return Ok(vec![self.request_co_signs(route_id, tau, digests, deposits)]);
+            let then = CoSigned::SignPass {
+                route: route_id,
+                digests,
+                deposits,
+            };
+            self.ask_committee(tau, then);
+            return Ok(vec![]);
         }
         if let Some(prev) = prev {
             let msg = ProtocolMsg::MhSign {

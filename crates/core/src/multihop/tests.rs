@@ -215,8 +215,27 @@ fn backup_sig(c: &mut Cluster, tau: &Transaction) -> Signature {
         .sign(&tau.sighash())
 }
 
+/// Delivers `sigs` to the chain head `p` as the `SigResponse` its backup
+/// answers co-sign request `req_id` with.
+fn answer(
+    p: &mut TeechainEnclave,
+    env: &mut EnclaveEnv,
+    req_id: u64,
+    sigs: Vec<(u32, Signature)>,
+) -> Outcome {
+    let backup = p.rep.backup.expect("a backup");
+    let msg = ProtocolMsg::SigResponse {
+        req_id,
+        hops: 0,
+        sigs,
+        refused: false,
+    };
+    let effects = p.dispatch_protocol(env, backup, msg)?;
+    p.finalize(env, effects)
+}
+
 /// A frozen hop refuses to continue a sign pass its committee co-signed:
-/// continuing commits, so `AddCoSigs` passes the `Mutating` gate first.
+/// continuing commits, so the answer passes the `Mutating` gate first.
 #[test]
 fn a_frozen_hop_does_not_continue_the_sign_pass() {
     let (mut c, chans) = line(DurabilityBackend::Replication { backups: 2 }, 2);
@@ -225,20 +244,13 @@ fn a_frozen_hop_does_not_continue_the_sign_pass() {
     let (p, env) = c.node_mut(2).enclave.compromise().expect("running");
     p.frozen = true;
     let before = p.durable_digest();
-    let got = p.handle(
-        env,
-        Command::AddCoSigs {
-            req_id,
-            sigs: vec![(own as u32, sig)],
-        },
-    );
+    let got = answer(p, env, req_id, vec![(own as u32, sig)]);
     assert_eq!(got.err(), Some(ProtocolError::Frozen));
     assert_eq!(p.durable_digest(), before);
     assert!(p.sig_collects.contains_key(&req_id));
 }
 
-/// Co-signatures reach the enclave from the host in the clear. One that
-/// no committee member made over τ is dropped: it neither moves the sign
+/// A co-signature that no committee member made over τ is dropped: it neither moves the sign
 /// pass on nor ends the wait, and the real co-signature still does.
 #[test]
 fn a_forged_co_signature_does_not_advance_the_sign_pass() {
@@ -251,13 +263,7 @@ fn a_forged_co_signature_does_not_advance_the_sign_pass() {
     let (p, env) = c.node_mut(2).enclave.compromise().expect("running");
     let before = p.durable_digest();
     let forged = vec![(own as u32, outsider), (own as u32, other_msg)];
-    let got = p.handle(
-        env,
-        Command::AddCoSigs {
-            req_id,
-            sigs: forged,
-        },
-    );
+    let got = answer(p, env, req_id, forged);
     assert!(got.expect("accepted").is_empty());
     assert_eq!(p.durable_digest(), before);
     assert_eq!(p.sig_collects[&req_id].tx, tau);
@@ -265,20 +271,14 @@ fn a_forged_co_signature_does_not_advance_the_sign_pass() {
         p.route_stage(&RouteId::from_label("tau")),
         MultihopStage::Sign
     );
-    let got = p.handle(
-        env,
-        Command::AddCoSigs {
-            req_id,
-            sigs: vec![(own as u32, member)],
-        },
-    );
+    let got = answer(p, env, req_id, vec![(own as u32, member)]);
     assert!(!got.expect("continues").is_empty());
     assert!(!p.sig_collects.contains_key(&req_id));
     assert_ne!(p.durable_digest(), before);
 }
 
 /// Ejecting while the sign pass waits for co-signatures ends the wait: a
-/// late `AddCoSigs` finds nothing to continue.
+/// late answer finds nothing to continue.
 #[test]
 fn an_eject_ends_the_co_sign_wait() {
     let (mut c, chans) = line(DurabilityBackend::Replication { backups: 2 }, 2);
@@ -291,13 +291,7 @@ fn an_eject_ends_the_co_sign_wait() {
         .sig_collects
         .values()
         .any(|c| matches!(c.then, CoSigned::SignPass { .. })));
-    let got = p.handle(
-        env,
-        Command::AddCoSigs {
-            req_id,
-            sigs: vec![(own as u32, sig)],
-        },
-    );
+    let got = answer(p, env, req_id, vec![(own as u32, sig)]);
     assert_eq!(got.err(), Some(ProtocolError::BadMessage));
 }
 
@@ -356,7 +350,7 @@ fn a_member_that_signs_twice_counts_once() {
     assert!(!script.verify_witness_at(&sighash, &witness, u64::MAX));
     let (p, env) = c.node_mut(2).enclave.compromise().expect("running");
     let sigs = twice.map(|sig| (own as u32, sig)).to_vec();
-    let got = p.handle(env, Command::AddCoSigs { req_id, sigs });
+    let got = answer(p, env, req_id, sigs);
     assert!(got.expect("accepted").is_empty(), "τ passed on");
     assert_eq!(p.sig_collects[&req_id].tx.inputs[own].witness.len(), 2);
     assert_eq!(
@@ -380,7 +374,7 @@ fn a_member_that_signs_twice_counts_once() {
     assert!(c.chain.lock().validate(&forged).is_err());
     let (p, env) = c.node_mut(0).enclave.compromise().expect("running");
     let sigs = twice.map(|sig| (0, sig)).to_vec();
-    let got = p.handle(env, Command::AddCoSigs { req_id, sigs });
+    let got = answer(p, env, req_id, sigs);
     assert!(got.expect("accepted").is_empty(), "settlement broadcast");
     assert!(p.sig_collects.contains_key(&req_id));
 }

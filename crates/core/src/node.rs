@@ -1,7 +1,7 @@
 //! The untrusted host: wraps a Teechain enclave, performs network and
-//! blockchain I/O, stores sealed blobs, and coordinates committee
-//! co-signing. Nothing here is trusted — a malicious host can only delay
-//! or drop traffic, which the protocol tolerates by construction.
+//! blockchain I/O, and stores sealed blobs. Nothing here is trusted — a
+//! malicious host can only delay or drop traffic, which the protocol
+//! tolerates by construction.
 
 use crate::enclave::{Command, Effect, EnclaveConfig, HostEvent, PeerSlot, TeechainEnclave};
 use crate::msg::WireView;
@@ -13,45 +13,23 @@ use crate::types::{CommitteeSpec, Deposit, ProtocolError, SwapId};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
-use teechain_blockchain::{Chain, Transaction};
-use teechain_crypto::schnorr::{PublicKey, Signature};
+use teechain_blockchain::Chain;
+use teechain_crypto::schnorr::PublicKey;
 use teechain_net::{Ctx, NodeId};
 use teechain_persist::SharedStore;
 use teechain_tee::{DeviceIdentity, Enclave, Measurement};
 use teechain_trace::{span, EventKind, Histogram, Tracer};
-use teechain_util::codec::{Decode, Encode, Reader, WireError};
+use teechain_util::codec::{Reader, WireError};
 
-/// Node-to-node wire wrapper: enclave traffic plus host-level committee
-/// signing coordination (signatures are not confidential; only
-/// authenticity matters, and that is enforced *inside* the enclave by
-/// checking the transaction against replicated state).
+/// Node-to-node wire wrapper around enclave traffic. Everything nodes
+/// exchange, committee co-signing included, is sealed enclave to enclave.
 pub enum NodeWire {
     /// Enclave-to-enclave message (encoded [`crate::msg::WireMsg`]).
     Enclave(Vec<u8>),
-    /// Co-signing request for a settlement.
-    SigRequest {
-        /// Correlates response with request at the origin.
-        req_id: u64,
-        /// The origin enclave identity (route the response back).
-        origin: PublicKey,
-        /// The transaction to co-sign.
-        tx: Transaction,
-    },
-    /// Co-signing response.
-    SigResponse {
-        /// Correlates with the request.
-        req_id: u64,
-        /// Granted signatures.
-        sigs: Vec<(u32, Signature)>,
-        /// True if the member refused.
-        refused: bool,
-    },
 }
 
 teechain_util::impl_wire_enum!(NodeWire, "node wire tag" {
     Enclave = 0 (wire),
-    SigRequest = 1 { req_id, origin, tx },
-    SigResponse = 2 { req_id, sigs, refused },
 });
 
 /// Length of the host's envelope around an enclave message: the
@@ -69,34 +47,23 @@ fn enclave_frame(mut wire: Vec<u8>) -> Vec<u8> {
     wire
 }
 
-/// A received frame read where it lies: enclave traffic — all of it but
-/// the co-signing of a settlement — is located, not copied out; the two
-/// co-signing messages are decoded. `parse` accepts exactly the frames
-/// [`NodeWire::decode_exact`] accepts.
-pub(crate) enum NodeWireView {
-    /// [`NodeWire::Enclave`]: the encoded [`crate::msg::WireMsg`] runs from
-    /// offset `at` to the end of the frame.
-    Enclave {
-        /// Where the enclave message starts.
-        at: usize,
-    },
-    /// [`NodeWire::SigRequest`] or [`NodeWire::SigResponse`], decoded.
-    CoSign(NodeWire),
-}
-
-impl NodeWireView {
-    // Hand-written: locates enclave traffic in the frame instead of copying it out.
-    pub(crate) fn parse(frame: &[u8]) -> Result<Self, WireError> {
-        if frame.first() != Some(&0) {
-            return NodeWire::decode_exact(frame).map(NodeWireView::CoSign);
-        }
-        let mut r = Reader::new(&frame[1..]);
-        r.take_prefixed()?;
-        if r.remaining() != 0 {
-            return Err(WireError::TrailingBytes);
-        }
-        Ok(NodeWireView::Enclave { at: ENVELOPE })
+/// Locates the enclave message in a received frame, where it lies: the
+/// encoded [`crate::msg::WireMsg`] runs from the returned offset to the end
+/// of the frame. Accepts exactly the frames [`NodeWire::decode_exact`]
+/// accepts.
+// Hand-written: locates enclave traffic in the frame instead of copying it out.
+pub(crate) fn enclave_at(frame: &[u8]) -> Result<usize, WireError> {
+    match frame.first() {
+        Some(0) => {}
+        Some(_) => return Err(WireError::InvalidValue("node wire tag")),
+        None => return Err(WireError::UnexpectedEof),
     }
+    let mut r = Reader::new(&frame[1..]);
+    r.take_prefixed()?;
+    if r.remaining() != 0 {
+        return Err(WireError::TrailingBytes);
+    }
+    Ok(ENVELOPE)
 }
 
 /// A shared handle to the simulated blockchain.
@@ -126,8 +93,6 @@ pub struct TeechainNode {
     /// Confirmations this host requires before approving a deposit
     /// (the per-participant security parameter of §4.1).
     pub required_confirmations: u64,
-    /// Committee peers to ask for co-signatures (our chain members).
-    pub committee_peers: Vec<PublicKey>,
     /// Host-side sealed storage: the latest full snapshot (persistent
     /// mode). Kept alongside [`TeechainNode::store`] for direct
     /// snapshot-only restores via [`Command::RestoreSealed`].
@@ -241,7 +206,6 @@ impl TeechainNode {
             chain,
             chain2: Arc::new(Mutex::new(Chain::new())),
             required_confirmations: 1,
-            committee_peers: Vec::new(),
             sealed_store: None,
             store: None,
             cfg,
@@ -388,8 +352,8 @@ impl TeechainNode {
 
     /// Handles an incoming network message.
     pub fn handle_wire(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, bytes: Vec<u8>) {
-        match NodeWireView::parse(&bytes) {
-            Ok(view) => self.handle_frame(ctx, bytes, view),
+        match enclave_at(&bytes) {
+            Ok(at) => self.handle_frame(ctx, bytes, at),
             // Garbage from the network: dropped.
             Err(_) => self.message_done(ctx),
         }
@@ -406,76 +370,22 @@ impl TeechainNode {
         }
     }
 
-    /// [`TeechainNode::handle_wire`] for a frame the caller has already
-    /// parsed (the simulator host reads the cost class off the same view).
-    pub(crate) fn handle_frame(&mut self, ctx: &mut Ctx<'_>, bytes: Vec<u8>, view: NodeWireView) {
-        match view {
-            NodeWireView::Enclave { at } => {
-                self.trace_wire_recv(ctx.now_ns(), &bytes[at..]);
-                // The buffer that arrived goes in whole: the enclave opens
-                // the message where it lies.
-                let more = ctx.more_messages();
-                self.respond(
-                    ctx,
-                    Command::Deliver {
-                        wire: bytes,
-                        at,
-                        more,
-                    },
-                );
-            }
-            NodeWireView::CoSign(NodeWire::SigRequest { req_id, origin, tx }) => {
-                if self.tracer.enabled() {
-                    let s = span::sig_span(req_id, &origin.to_bytes(), 0);
-                    self.trace_recv(ctx.now_ns(), s, bytes.len());
-                }
-                let result = self.reaction(ctx, Command::CoSign { req_id, tx }, false);
-                if let Ok(effects) = result {
-                    // The co-sign outcome answers back to the origin node.
-                    for e in effects {
-                        if let Effect::Done {
-                            outcome:
-                                Ok(OpOutput::CoSigned {
-                                    req_id,
-                                    sigs,
-                                    refused,
-                                }),
-                            ..
-                        } = e
-                        {
-                            if let Some(&node) = self.directory.get(&origin) {
-                                let resp = NodeWire::SigResponse {
-                                    req_id,
-                                    sigs,
-                                    refused,
-                                };
-                                let enc = resp.encode_to_vec();
-                                if self.tracer.enabled() {
-                                    let s = span::sig_span(req_id, &origin.to_bytes(), 1);
-                                    self.trace(ctx.now_ns(), EventKind::WireSend, s, enc.len());
-                                }
-                                ctx.send(node, enc);
-                            }
-                        } else {
-                            self.perform(ctx, vec![e]);
-                        }
-                    }
-                }
-            }
-            NodeWireView::CoSign(NodeWire::SigResponse { req_id, sigs, .. }) => {
-                if self.tracer.enabled() {
-                    // We are the origin the request named, so both ends
-                    // derive the response span from our identity.
-                    if let Some(me) = self.identity {
-                        let s = span::sig_span(req_id, &me.to_bytes(), 1);
-                        self.trace_recv(ctx.now_ns(), s, bytes.len());
-                    }
-                }
-                self.respond(ctx, Command::AddCoSigs { req_id, sigs });
-            }
-            // `parse` locates enclave traffic; it never decodes it.
-            NodeWireView::CoSign(NodeWire::Enclave(_)) => {}
-        }
+    /// [`TeechainNode::handle_wire`] for a frame whose enclave message the
+    /// caller has located at `at` (the simulator host reads the cost class
+    /// there).
+    pub(crate) fn handle_frame(&mut self, ctx: &mut Ctx<'_>, bytes: Vec<u8>, at: usize) {
+        self.trace_wire_recv(ctx.now_ns(), &bytes[at..]);
+        // The buffer that arrived goes in whole: the enclave opens the
+        // message where it lies.
+        let more = ctx.more_messages();
+        self.respond(
+            ctx,
+            Command::Deliver {
+                wire: bytes,
+                at,
+                more,
+            },
+        );
         self.message_done(ctx);
     }
 
@@ -824,27 +734,6 @@ impl TeechainNode {
             HostEvent::SwapPhaseEntered { swap, phase } => {
                 self.swap_phase(ctx.now_ns(), *swap, *phase);
             }
-            HostEvent::NeedCoSign { req_id, tx } => {
-                let me = self.identity.expect("identity known by now");
-                for peer in self.committee_peers.clone() {
-                    if let Some(&node) = self.directory.get(&peer) {
-                        let req = NodeWire::SigRequest {
-                            req_id: *req_id,
-                            origin: me,
-                            tx: tx.clone(),
-                        };
-                        let enc = req.encode_to_vec();
-                        if self.tracer.enabled() {
-                            // One span for the whole fan-out: every
-                            // receiver derives the same id from
-                            // (req_id, origin).
-                            let s = span::sig_span(*req_id, &me.to_bytes(), 0);
-                            self.trace(ctx.now_ns(), EventKind::WireSend, s, enc.len());
-                        }
-                        ctx.send(node, enc);
-                    }
-                }
-            }
         }
     }
 
@@ -1028,6 +917,7 @@ impl TeechainNode {
             r.counter("repl.ack_flushes", rep.ack_flushes);
             r.counter("repl.forwards_sent", rep.forwards_sent);
             r.counter("repl.forward_flushes", rep.forward_flushes);
+            r.counter("repl.sigs_refused", rep.sigs_refused);
         }
         if let Some(pay) = self.enclave.program().map(|p| p.pay_stats()) {
             r.counter("pay.acks_sent", pay.acks_sent);
@@ -1285,55 +1175,25 @@ mod tests {
     use crate::msg::ProtocolMsg;
     use crate::session::Session;
     use crate::types::ChannelId;
-    use teechain_blockchain::{OutPoint, ScriptPubKey, TxId, TxIn, TxOut};
     use teechain_crypto::schnorr::Keypair;
+    use teechain_util::codec::{Decode, Encode};
 
-    /// One encoded frame of each `NodeWire` variant.
-    fn one_of_each_node_wire() -> Vec<Vec<u8>> {
-        let kp = Keypair::from_seed(&[5; 32]);
-        let mut tx = Transaction {
-            inputs: vec![TxIn::spend(OutPoint {
-                txid: TxId([9; 32]),
-                vout: 1,
-            })],
-            outputs: vec![TxOut {
-                value: 3,
-                script: ScriptPubKey::P2pk(kp.pk),
-            }],
-        };
-        tx.sign_input(0, &kp);
+    /// Encoded `NodeWire` frames: enclave messages of several lengths.
+    fn node_wire_frames() -> Vec<Vec<u8>> {
         vec![
             NodeWire::Enclave((0..100).collect()).encode_to_vec(),
             NodeWire::Enclave(vec![]).encode_to_vec(),
-            NodeWire::SigRequest {
-                req_id: 7,
-                origin: kp.pk,
-                tx,
-            }
-            .encode_to_vec(),
-            NodeWire::SigResponse {
-                req_id: 7,
-                sigs: vec![(0, kp.sign(b"a")), (4, kp.sign(b"b"))],
-                refused: false,
-            }
-            .encode_to_vec(),
         ]
     }
 
     /// The view of `frame`, rendered as the owned message it stands for.
     fn view_as_owned(frame: &[u8]) -> Result<NodeWire, WireError> {
-        Ok(match NodeWireView::parse(frame)? {
-            NodeWireView::Enclave { at } => NodeWire::Enclave(frame[at..].to_vec()),
-            NodeWireView::CoSign(msg) => {
-                assert!(!matches!(msg, NodeWire::Enclave(_)));
-                msg
-            }
-        })
+        enclave_at(frame).map(|at| NodeWire::Enclave(frame[at..].to_vec()))
     }
 
     #[test]
     fn the_view_reads_what_the_decoder_decodes() {
-        for frame in one_of_each_node_wire() {
+        for frame in node_wire_frames() {
             assert_eq!(view_as_owned(&frame).unwrap().encode_to_vec(), frame);
             assert_eq!(
                 NodeWire::decode_exact(&frame).unwrap().encode_to_vec(),
@@ -1341,12 +1201,12 @@ mod tests {
             );
             for len in 0..frame.len() {
                 assert!(NodeWire::decode_exact(&frame[..len]).is_err());
-                assert!(NodeWireView::parse(&frame[..len]).is_err(), "cut at {len}");
+                assert!(enclave_at(&frame[..len]).is_err(), "cut at {len}");
             }
             let mut longer = frame.clone();
             longer.push(0);
             assert!(NodeWire::decode_exact(&longer).is_err());
-            assert!(NodeWireView::parse(&longer).is_err());
+            assert!(enclave_at(&longer).is_err());
             // Every bit of the tag and of the envelope's length field.
             for bit in 0..8 * ENVELOPE {
                 let mut bad = frame.clone();
@@ -1358,10 +1218,10 @@ mod tests {
                 }
             }
         }
-        assert!(NodeWireView::parse(&[]).is_err());
-        assert!(NodeWireView::parse(&[0]).is_err());
-        assert!(NodeWireView::parse(&[0, 0xff, 0xff, 0xff, 0xff, 1]).is_err());
-        assert!(NodeWireView::parse(&[3; 64]).is_err());
+        assert!(enclave_at(&[]).is_err());
+        assert!(enclave_at(&[0]).is_err());
+        assert!(enclave_at(&[0, 0xff, 0xff, 0xff, 0xff, 1]).is_err());
+        assert!(enclave_at(&[3; 64]).is_err());
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::swap::SwapOutcome;
 use crate::types::{ChannelId, CommitteeSpec, Deposit, ProtocolError, RouteId, SwapId};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use teechain_blockchain::{OutPoint, TxId};
-use teechain_crypto::schnorr::{PublicKey, Signature};
+use teechain_crypto::schnorr::PublicKey;
 
 /// Identifies one submitted operation, unique across the whole cluster:
 /// the submitting node plus a per-node sequence number.
@@ -122,16 +122,6 @@ pub enum OpOutput {
         /// Replication updates applied.
         applied_seq: u64,
     },
-    /// Result of a co-sign request (`Command::CoSign`); the host routes
-    /// the granted signatures back to the requesting node.
-    CoSigned {
-        /// Echoed request id.
-        req_id: u64,
-        /// `(input index, signature)` pairs granted.
-        sigs: Vec<(u32, Signature)>,
-        /// True if verification failed and signing was refused.
-        refused: bool,
-    },
     /// Crash recovery replayed durable state (`Command::Recover` / the
     /// harness-level recover operation).
     Recovered(Recovery),
@@ -163,7 +153,6 @@ impl OpOutput {
             OpOutput::Settled(_) => "settle",
             OpOutput::BackupAttached(_) => "backup_attached",
             OpOutput::ReplicaState { .. } => "replica_state",
-            OpOutput::CoSigned { .. } => "cosigned",
             OpOutput::Recovered(_) => "recovered",
             OpOutput::Swap(_) => "swap",
             OpOutput::Done => "done",
@@ -402,8 +391,6 @@ pub enum MatchKey {
     Multihop(RouteId),
     /// `Command::Settle` of this channel (zeroed for `ReleaseDeposit`).
     Settle(ChannelId),
-    /// `Command::CoSign` with this request id.
-    CoSign(u64),
     /// `Command::AttachBackup` of this backup.
     BackupAttached(PublicKey),
     /// `Command::ReadReplica`.
@@ -439,7 +426,6 @@ pub(crate) fn expect_for(cmd: &Command) -> Option<MatchKey> {
         Command::ReleaseDeposit { .. } => Some(MatchKey::Settle(ChannelId([0; 32]))),
         Command::AttachBackup { backup } => Some(MatchKey::BackupAttached(*backup)),
         Command::ReadReplica => Some(MatchKey::Replica),
-        Command::CoSign { req_id, .. } => Some(MatchKey::CoSign(*req_id)),
         Command::Recover { .. } => Some(MatchKey::Recovered),
         Command::Swap { swap, .. } => Some(MatchKey::Swap(*swap)),
         Command::NewDeposit { .. }
@@ -448,7 +434,6 @@ pub(crate) fn expect_for(cmd: &Command) -> Option<MatchKey> {
         | Command::Eject { .. }
         | Command::EjectWithPopt { .. }
         | Command::SettleFromReplica
-        | Command::AddCoSigs { .. }
         | Command::RestoreSealed { .. }
         | Command::PumpAdmission
         | Command::SwapFunded { .. }

@@ -15,19 +15,22 @@
 //!
 //! *Committees*: each backup contributes a blockchain key; deposits pay
 //! into m-of-n multisig addresses over those keys, so spending requires m
-//! committee signatures — tolerating up to `m-1` compromised TEEs.
+//! committee signatures — tolerating up to `m-1` compromised TEEs. The
+//! chain co-signs over its own sealed sessions: a request walks down from
+//! its origin, each member signs what matches its replica, and the answer
+//! retraces the walk.
 
 use crate::channel::Channel;
-use crate::deposit::keypair_in;
+use crate::deposit::{keypair_in, DepositBook};
 use crate::durable::DurableState;
-use crate::enclave::{Effect, Gate, HostEvent, Outcome, Peer, TeechainEnclave};
+use crate::enclave::{Effect, Gate, Outcome, Peer, TeechainEnclave};
 use crate::msg::{ProtocolMsg, SettleDigest, StateDelta};
 use crate::ops::{MatchKey, OpOutput, SettleKind};
 use crate::settle;
 use crate::types::{ChannelId, Deposit, ProtocolError, RouteId};
 use std::collections::BTreeMap;
 use teechain_blockchain::Transaction;
-use teechain_crypto::schnorr::{self, Keypair, PublicKey};
+use teechain_crypto::schnorr::{self, Keypair, PublicKey, Signature};
 use teechain_tee::EnclaveEnv;
 
 /// Head updates a chain member below the head applies before it must pass
@@ -57,6 +60,9 @@ pub(crate) struct RepStats {
     /// Of those, the forwards sent because its input drained before
     /// [`ACK_EVERY`] head updates were owed.
     pub forward_flushes: u64,
+    /// Co-sign requests this member refused: they matched nothing in its
+    /// replica.
+    pub sigs_refused: u64,
 }
 
 /// A transaction awaiting committee co-signatures.
@@ -110,6 +116,10 @@ pub(crate) struct Replication {
     pub pending: BTreeMap<u64, Vec<Effect>>,
     /// Deltas staged by the currently executing handler.
     pub staged: Vec<StateDelta>,
+    /// Co-sign requests the currently executing handler opened, by
+    /// request id: sealed to the backup behind its update
+    /// ([`TeechainEnclave::finalize`]).
+    pub asks: Vec<(u64, Transaction)>,
     /// Replica of our upstream's durable state, changed only by
     /// [`DurableState::apply`] of the updates it sends.
     pub(crate) replica: DurableState,
@@ -330,10 +340,8 @@ impl TeechainEnclave {
         if self.rep.upstream.is_none() {
             return Err(ProtocolError::ReplicationError);
         }
-        if !self.frozen {
-            // Settling from a replica is a read: it must freeze first.
-            let _ = self.propagate_freeze(None)?;
-        }
+        // Settling from a replica is a read: it must freeze first.
+        let mut effects = self.propagate_freeze(None)?;
         // Slot order is the upstream's creation order, so two runs of one
         // schedule settle — and number co-sign requests — identically.
         let channels: Vec<Channel> = self
@@ -344,7 +352,6 @@ impl TeechainEnclave {
             .filter(|c| !c.closed)
             .cloned()
             .collect();
-        let mut effects = Vec::new();
         for chan in channels {
             let tx = settle::current_settlement_tx(&chan);
             self.finish_settlement(chan.id, tx, true, &mut effects);
@@ -352,49 +359,96 @@ impl TeechainEnclave {
         Ok(effects)
     }
 
-    pub(crate) fn cmd_co_sign(&mut self, req_id: u64, tx: Transaction) -> Outcome {
-        // Byzantine guard (§6.1): only sign settlements that exactly match
-        // replicated state — a compromised primary cannot obtain committee
-        // signatures for a stale or inflated settlement.
-        let txid = tx.txid();
+    /// A co-sign request from our upstream peer. We sign only what
+    /// matches our replica (the Byzantine guard of §6.1: a compromised
+    /// primary gets no committee signature for a stale or inflated
+    /// settlement), then answer upstream once every input spending one of
+    /// the replica's deposits meets its threshold or we are the tail, and
+    /// otherwise pass the request on to our backup, behind whatever
+    /// updates we still owe it.
+    pub(crate) fn on_sig_request(
+        &mut self,
+        from: Peer,
+        req_id: u64,
+        hops: u8,
+        mut tx: Transaction,
+    ) -> Outcome {
+        if self.rep.upstream != Some(from) {
+            return Err(ProtocolError::ReplicationError);
+        }
         let replica = &self.rep.replica;
-        // (1) Current settlement of a replicated channel, (2) a
-        // replicated multi-hop intermediate settlement τ, or (3) release
-        // of a deposit that is free in the replica.
-        let valid = replica
-            .channels
-            .values()
-            .any(|c| settle::current_settlement_tx(c).txid() == txid)
-            || replica
-                .routes
-                .values()
-                .any(|r| r.tau.as_ref().is_some_and(|t| t.txid() == txid))
-            || (tx.inputs.len() == 1 && replica.book.require_free(&tx.inputs[0].prevout).is_ok());
-        let sighash = tx.sighash();
-        let mut sigs = Vec::new();
-        for (idx, input) in tx.inputs.iter().enumerate().filter(|_| valid) {
-            let Some(dep) = replica.book.deposit_of(&input.prevout) else {
-                continue;
+        if !matches_replica(replica, &tx) {
+            self.rep.stats.sigs_refused += 1;
+            let msg = ProtocolMsg::SigResponse {
+                req_id,
+                hops,
+                sigs: Vec::new(),
+                refused: true,
             };
-            for member in &dep.committee.member_keys {
-                if let Some(key) = self.signer(replica, member) {
-                    sigs.push((idx as u32, teechain_crypto::schnorr::sign(&key, &sighash)));
+            return Ok(vec![self.seal_at(from.slot, &msg)?]);
+        }
+        settle::sign_inputs(
+            &mut tx,
+            |pk| self.signer(replica, pk),
+            |op| replica.book.deposit_of(op),
+        );
+        match self.rep.backup.zip(hops.checked_add(1)) {
+            Some((backup, hops)) if settle::needs_co_signs(&replica.book, &tx) => {
+                let mut effects = Vec::new();
+                if self.rep.owed > 0 && !self.frozen {
+                    effects.push(self.seal_owed()?);
                 }
+                let msg = ProtocolMsg::SigRequest { req_id, hops, tx };
+                effects.push(self.seal_at(backup.slot, &msg)?);
+                Ok(effects)
+            }
+            _ => {
+                let msg = ProtocolMsg::SigResponse {
+                    req_id,
+                    hops,
+                    sigs: committee_witnesses(&replica.book, &tx),
+                    refused: false,
+                };
+                Ok(vec![self.seal_at(from.slot, &msg)?])
             }
         }
-        let signed = OpOutput::CoSigned {
-            req_id,
-            sigs,
-            refused: !valid,
-        };
-        Ok(vec![Effect::done(MatchKey::CoSign(req_id), signed)])
     }
 
-    pub(crate) fn cmd_add_co_sigs(
+    /// A co-sign answer from our backup: relayed upstream until its count
+    /// reaches 0, at the request's origin, which merges its signatures.
+    pub(crate) fn on_sig_response(
+        &mut self,
+        env: &mut EnclaveEnv,
+        from: Peer,
+        req_id: u64,
+        hops: u8,
+        sigs: Vec<(u32, Signature)>,
+        refused: bool,
+    ) -> Outcome {
+        if self.rep.backup != Some(from) {
+            return Err(ProtocolError::ReplicationError);
+        }
+        let Some(hops) = hops.checked_sub(1) else {
+            return self.merge_co_sigs(env, req_id, sigs);
+        };
+        let up = self.rep.upstream.ok_or(ProtocolError::ReplicationError)?;
+        let msg = ProtocolMsg::SigResponse {
+            req_id,
+            hops,
+            sigs,
+            refused,
+        };
+        Ok(vec![self.seal_at(up.slot, &msg)?])
+    }
+
+    /// Merges a committee's co-signatures into a pending settlement, which
+    /// it broadcasts when thresholds are met, or into a route's τ, whose
+    /// sign pass then continues.
+    fn merge_co_sigs(
         &mut self,
         env: &mut EnclaveEnv,
         req_id: u64,
-        sigs: Vec<(u32, teechain_crypto::schnorr::Signature)>,
+        sigs: Vec<(u32, Signature)>,
     ) -> Outcome {
         let Some(collect) = self.sig_collects.get_mut(&req_id) else {
             return Err(ProtocolError::BadMessage);
@@ -403,12 +457,11 @@ impl TeechainEnclave {
             CoSigned::Broadcast { replica: true, .. } => &self.rep.replica,
             _ => &self.state,
         };
-        // The signatures come from the host in the clear: keep only those
-        // a committee member of the input's deposit made over this
-        // transaction, and at most one per member and input, so that
-        // witness counts (`threshold_met`, `needs_co_signs`) count
-        // distinct signers, as the chain's multisig does. A key we hold
-        // signed here already.
+        // Keep only the signatures a committee member of the input's
+        // deposit made over this transaction, and at most one per member
+        // and input, so that witness counts (`threshold_met`,
+        // `needs_co_signs`) count distinct signers, as the chain's
+        // multisig does. A key we hold signed here already.
         let sighash = collect.tx.sighash();
         for (idx, sig) in sigs {
             let Some(input) = collect.tx.inputs.get_mut(idx as usize) else {
@@ -442,7 +495,7 @@ impl TeechainEnclave {
                 Ok(vec![settled, Effect::Broadcast(tx)])
             }
             CoSigned::SignPass { .. } => {
-                if self.needs_co_signs(tx) {
+                if settle::needs_co_signs(&self.state.book, tx) {
                     return Ok(vec![]);
                 }
                 // The sign pass commits: this is a step of the protocol.
@@ -465,29 +518,19 @@ impl TeechainEnclave {
         }
     }
 
-    /// Asks the host to gather committee co-signatures on a route's τ,
-    /// which this hop signed and committed; the sign pass continues once
-    /// every input spending one of our deposits meets its threshold.
-    pub(crate) fn request_co_signs(
-        &mut self,
-        route: RouteId,
-        tau: Transaction,
-        digests: Vec<SettleDigest>,
-        deposits: Vec<Deposit>,
-    ) -> Effect {
+    /// Opens a co-sign collection for `tx` and asks the committee chain
+    /// for its signatures. The request goes to our backup behind this
+    /// ecall's replication update, so every member it reaches holds the
+    /// state it is checked against.
+    pub(crate) fn ask_committee(&mut self, tx: Transaction, then: CoSigned) {
         let req_id = self.next_req_id();
-        let then = CoSigned::SignPass {
-            route,
-            digests,
-            deposits,
-        };
+        self.rep.asks.push((req_id, tx.clone()));
         let collect = SigCollect {
-            tx: tau.clone(),
+            tx,
             then,
             cosigners: Vec::new(),
         };
         self.sig_collects.insert(req_id, collect);
-        Effect::Event(HostEvent::NeedCoSign { req_id, tx: tau })
     }
 
     fn next_req_id(&mut self) -> u64 {
@@ -503,8 +546,7 @@ impl TeechainEnclave {
 
     /// Finishes a settlement of our own state, or of the replica: signs
     /// with every key we hold; broadcasts if thresholds are met, otherwise
-    /// opens a co-sign collection and asks the host to gather committee
-    /// signatures.
+    /// asks the committee chain to co-sign.
     pub(crate) fn finish_settlement(
         &mut self,
         id: ChannelId,
@@ -529,16 +571,38 @@ impl TeechainEnclave {
             effects.push(Effect::settled(id, SettleKind::OnChain(tx.txid())));
             effects.push(Effect::Broadcast(tx));
         } else {
-            let req_id = self.next_req_id();
-            let collect = SigCollect {
-                tx: tx.clone(),
-                then: CoSigned::Broadcast { id, replica },
-                cosigners: Vec::new(),
-            };
-            self.sig_collects.insert(req_id, collect);
-            effects.push(Effect::Event(HostEvent::NeedCoSign { req_id, tx }));
+            self.ask_committee(tx, CoSigned::Broadcast { id, replica });
         }
     }
+}
+
+/// True if `tx` is one a committee member may co-sign (§6.1): the current
+/// settlement of a replicated channel, a replicated multi-hop
+/// intermediate settlement τ, or the release of a deposit that is free in
+/// the replica.
+fn matches_replica(replica: &DurableState, tx: &Transaction) -> bool {
+    let txid = tx.txid();
+    replica
+        .channels
+        .values()
+        .any(|c| settle::current_settlement_tx(c).txid() == txid)
+        || replica
+            .routes
+            .values()
+            .any(|r| r.tau.as_ref().is_some_and(|t| t.txid() == txid))
+        || (tx.inputs.len() == 1 && replica.book.require_free(&tx.inputs[0].prevout).is_ok())
+}
+
+/// Every witness on an input of `tx` that spends one of `book`'s own
+/// deposits: what its committee signed. The origin's merge drops the
+/// ones it made itself.
+fn committee_witnesses(book: &DepositBook, tx: &Transaction) -> Vec<(u32, Signature)> {
+    tx.inputs
+        .iter()
+        .enumerate()
+        .filter(|(_, input)| book.mine.contains_key(&input.prevout))
+        .flat_map(|(idx, input)| input.witness.iter().map(move |sig| (idx as u32, *sig)))
+        .collect()
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@ use crate::ops::OpError;
 use crate::testkit::{Cluster, ClusterConfig, ClusterNode, Harness, HintedHost};
 use std::collections::BTreeMap;
 use teechain_net::NodeId;
+use teechain_tee::EnclaveProgram;
 
 /// Two primaries with two backups each: 0 → 2 → 3 and 1 → 4 → 5.
 const PAYER_MIDDLE: usize = 2;
@@ -227,4 +228,70 @@ fn a_surviving_member_settles_every_acknowledged_payment() {
     assert_eq!(settled.my_bal, 1_000_000 - 160);
     assert_eq!(c.chain_balance(&settled.my_settlement), settled.my_bal);
     assert_eq!(c.chain_balance(&settled.remote_settlement), 160);
+}
+
+/// Seals `msg` from node `from` to node `to` over their session and
+/// delivers it there: the outcome, and whether `to`'s durable state moved.
+fn deliver_from<N: ClusterNode>(
+    c: &mut Cluster<N>,
+    from: usize,
+    to: usize,
+    msg: &ProtocolMsg,
+) -> (Outcome, bool) {
+    let to_id = c.ids[to];
+    let (p, _) = c.node_mut(from).enclave.compromise().expect("running");
+    let Ok(Effect::Send { wire, .. }) = p.seal_to(&to_id, msg) else {
+        panic!("a sealed frame");
+    };
+    let (p, env) = c.node_mut(to).enclave.compromise().expect("running");
+    let before = p.durable_digest();
+    let deliver = Command::Deliver {
+        wire,
+        at: 0,
+        more: false,
+    };
+    let got = p.handle(env, deliver);
+    (got, p.durable_digest() != before)
+}
+
+/// Co-sign traffic travels the chain only: a request from a peer that is
+/// not the member's upstream, and an answer from a peer that is not its
+/// backup, are refused with a typed error and change nothing, even when
+/// they carry what the chain itself would have sent.
+#[test]
+fn co_sign_traffic_from_off_the_chain_is_refused() {
+    let (mut c, chan) = chained_pair();
+    c.pay(0, chan, 5).unwrap();
+    // A request from below: the tail is the middle member's backup.
+    let replica = c.node(PAYER_MIDDLE).enclave.program().unwrap();
+    let tx = settle::current_settlement_tx(replica.replica_channel(&chan).unwrap());
+    let ask = ProtocolMsg::SigRequest {
+        req_id: 1,
+        hops: 0,
+        tx,
+    };
+    let (got, moved) = deliver_from(&mut c, PAYER_TAIL, PAYER_MIDDLE, &ask);
+    assert_eq!(got.err(), Some(ProtocolError::ReplicationError));
+    assert!(!moved);
+    assert_eq!(rep_stats(&c, PAYER_MIDDLE).sigs_refused, 0);
+
+    // An answer from beside: the head's channel peer, carrying the
+    // signature the head's first backup would send.
+    c.submit(0, Command::Settle { id: chan });
+    let head = c.node(0).enclave.program().unwrap();
+    let (&req_id, collect) = head.sig_collects.iter().next().expect("asking");
+    let (tx, sighash) = (collect.tx.clone(), collect.tx.sighash());
+    let (member, _) = c.node_mut(PAYER_MIDDLE).enclave.compromise().unwrap();
+    let sig = member.rep.member.expect("committee key").sign(&sighash);
+    let answer = ProtocolMsg::SigResponse {
+        req_id,
+        hops: 0,
+        sigs: vec![(0, sig)],
+        refused: false,
+    };
+    let (got, moved) = deliver_from(&mut c, 1, 0, &answer);
+    assert_eq!(got.err(), Some(ProtocolError::ReplicationError));
+    assert!(!moved);
+    let head = c.node(0).enclave.program().unwrap();
+    assert_eq!(head.sig_collects[&req_id].tx, tx);
 }

@@ -554,6 +554,7 @@ mod tests {
             // Longer than the reservation: the frame grows while it encodes.
             ProtocolMsg::SigResponse {
                 req_id: 1,
+                hops: 0,
                 sigs: vec![(3, Keypair::from_seed(&[8; 32]).sign(b"x")); 4],
                 refused: false,
             },

@@ -151,6 +151,17 @@ pub fn threshold_met<'a>(
     })
 }
 
+/// True if `tx` spends one of `book`'s own deposits with fewer witnesses
+/// than its committee threshold: only the committee's other members can
+/// sign it further (§6.1).
+pub(crate) fn needs_co_signs(book: &DepositBook, tx: &Transaction) -> bool {
+    tx.inputs.iter().any(|input| {
+        book.mine
+            .get(&input.prevout)
+            .is_some_and(|(dep, _)| input.witness.len() < dep.committee.m as usize)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

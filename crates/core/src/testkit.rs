@@ -476,9 +476,6 @@ impl<N: ClusterNode> Cluster<N> {
         self.connect(tail, backup);
         let p = self.handle(tail).attach_backup(backup);
         self.wait(p).expect("attach backup failed");
-        // The host remembers its committee peers for co-sign fan-out.
-        let backup_id = self.ids[backup];
-        self.node_mut(tail).committee_peers.push(backup_id);
     }
 
     /// Crashes node `i`: its enclave loses all volatile state and the

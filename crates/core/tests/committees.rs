@@ -39,7 +39,9 @@ fn settle_on_chain<N: ClusterNode>(
     chan: ChannelId,
     split: [u64; 2],
 ) -> Result<(), String> {
-    let s = c.settle_channel(i, chan).map_err(|e| format!("settle: {e:?}"))?;
+    let s = c
+        .settle_channel(i, chan)
+        .map_err(|e| format!("settle: {e:?}"))?;
     if !matches!(s.kind, SettleKind::OnChain(_)) {
         return Err(format!("settled {:?}", s.kind));
     }
@@ -95,7 +97,10 @@ fn every_m_of_n_settles_and_routes() {
             }
         }
     }
-    assert!(failed.is_empty(), "(backups, m) cells that failed: {failed:#?}");
+    assert!(
+        failed.is_empty(),
+        "(backups, m) cells that failed: {failed:#?}"
+    );
 }
 
 /// After the head crashes, its first backup settles from its replica at

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use teechain::enclave::Command;
+use teechain::msg::ProtocolMsg;
 use teechain::ops::{OpError, OpId, OpOutput, Request};
 use teechain::settle;
 use teechain::testkit::{Cluster, ClusterConfig, Harness};
@@ -151,21 +152,36 @@ fn byzantine_primary_cannot_inflate_settlement() {
         teechain::settle::current_settlement_tx(&stale)
     };
     // The attacker asks the committee member to co-sign the stale
-    // settlement directly; the refusal is the operation's typed output.
-    let out = c.exec(
-        2,
-        Command::CoSign {
+    // settlement over the head's session with it, as the head asks; the
+    // member refuses, and says so in its registry.
+    let member = c.ids[2];
+    let wire = {
+        let (program, _env) = c.node_mut(0).enclave.compromise().unwrap();
+        let ask = ProtocolMsg::SigRequest {
             req_id: 99,
+            hops: 0,
             tx: forged_tx.clone(),
+        };
+        match program.seal_to(&member, &ask) {
+            Ok(teechain::Effect::Send { wire, .. }) => wire,
+            other => panic!("a sealed request, got {other:?}"),
+        }
+    };
+    let refused = |c: &Cluster| c.node(2).registry().counter_value("repl.sigs_refused");
+    assert_eq!(refused(&c), 0);
+    c.op_now(
+        2,
+        Command::Deliver {
+            wire,
+            at: 0,
+            more: false,
         },
-    );
+    )
+    .expect("delivered");
+    c.settle_network();
     assert_eq!(
-        out,
-        OpOutput::CoSigned {
-            req_id: 99,
-            sigs: vec![],
-            refused: true
-        },
+        refused(&c),
+        1,
         "committee member must refuse the stale settlement"
     );
     // And the chain rejects the forged tx outright (1 of 2 signatures).
@@ -177,6 +193,11 @@ fn byzantine_primary_cannot_inflate_settlement() {
         c.chain.lock().submit(tx)
     };
     assert!(submit.is_err(), "chain must reject sub-threshold witness");
+    c.mine(1);
+    assert!(
+        c.chain.lock().utxo(&dep.outpoint).is_some(),
+        "never settled"
+    );
 }
 
 #[test]

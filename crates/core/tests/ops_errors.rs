@@ -7,7 +7,6 @@ use teechain::enclave::Command;
 use teechain::ops::{OpError, OpOutput, Payment, Request};
 use teechain::testkit::{Cluster, ClusterConfig, Harness};
 use teechain::{ChannelId, DurabilityBackend, PersistPolicy, ProtocolError, RouteId, SwapId};
-use teechain_blockchain::Transaction;
 use teechain_net::EngineKind;
 
 /// Runs `f` against a functional cluster at one shard and at two, so
@@ -309,19 +308,6 @@ fn every_keyed_command_completes_once_with_its_output() {
             2,
             Command::AttachBackup { backup: ids[3] },
             "backup_attached",
-        ),
-        // A transaction the replica does not hold is refused: still a
-        // `CoSigned` output.
-        (
-            3,
-            Command::CoSign {
-                req_id: 7,
-                tx: Transaction {
-                    inputs: vec![],
-                    outputs: vec![],
-                },
-            },
-            "cosigned",
         ),
         // Reading the replica freezes the chain: last.
         (3, Command::ReadReplica, "replica_state"),

@@ -279,10 +279,12 @@ fn protocol_msgs() -> Vec<ProtocolMsg> {
         RepFreeze,
         SigRequest {
             req_id: 11,
+            hops: 2,
             tx: tau(),
         },
         SigResponse {
             req_id: 11,
+            hops: 1,
             sigs: vec![(0, sig(8))],
             refused: false,
         },
@@ -403,19 +405,7 @@ fn golden_values() -> Vec<Golden> {
             ct: (0..61).collect(),
         },
     ];
-    let node = vec![
-        NodeWire::Enclave(vec![1, 2, 3]),
-        NodeWire::SigRequest {
-            req_id: 12,
-            origin: pk(1),
-            tx: tau(),
-        },
-        NodeWire::SigResponse {
-            req_id: 12,
-            sigs: vec![(0, sig(2)), (3, sig(3))],
-            refused: true,
-        },
-    ];
+    let node = vec![NodeWire::Enclave(vec![1, 2, 3])];
     let scripts = vec![
         ScriptPubKey::P2pk(pk(1)),
         ScriptPubKey::Multisig {
@@ -535,8 +525,8 @@ ProtocolMsg 18 65 925aac27c86282d165ef3eb37253e51f467f7c997dd2240a90551bf766d012
 ProtocolMsg 19 2375 b022a3c91de911184f27c157f0f43eb80652a88e150e2c3b5f5ee07f714e0201
 ProtocolMsg 20 9 b06712f37e026d00c786e4888ec5c3c64442d08209a85a17a3f246c86e07b1f3
 ProtocolMsg 21 1 2f0fd1e89b8de1d57292742ec380ea47066e307ad645f5bc3adad8a06ff58608
-ProtocolMsg 22 230 26121e0d26dae7f3271bd4e510caca8b95c3e50af9a23f6aab4e49a674b8bffd
-ProtocolMsg 23 114 a902d6b491f39fe52786e344ccea22eea23469487e5b5b64e8b635838ba80b1e
+ProtocolMsg 22 231 7c5df2b831fbc9fb761cab6f70866d585820140e6081be73e7cf8ad53787522a
+ProtocolMsg 23 115 7833c17f57ac6739e18bf0193de5a1c63faa26234e1dce271cf2a24ee0d62363
 ProtocolMsg 24 46 c5c3a02d935f5145bc167ccbcd4e6b2468246af8235e35f0389eb5cf450cd740
 ProtocolMsg 25 34 f621e4564f899895c1a0d31869c8fcf398ad913df5765b42eab5874276a5b46d
 ProtocolMsg 26 121 c99e2e70241ac9d36f5429641ecb270ec53f176273848f6984d035cf09d97b44
@@ -560,8 +550,6 @@ WireMsg 0 577 abd7193c3e06cc699910155561b27eaeb1ed8135f406643f6caec6bf2b6f51ba
 WireMsg 1 577 92caeb38defefe0c0dfe2a781c61f2c05e2c6676c4d8f781aa3e9a8d34e32caf
 WireMsg 2 139 23d5b48ea636e0917cb6cccda15ae37a8d2b1f1afecf2d60301e83412b59e6c2
 NodeWire 0 8 6d1e1e5327877a72512121431132b2abaea4f0aab1fd0a43192ccbcd793e32a2
-NodeWire 1 294 abf36df62e6e5546c1411856539190e601b4ffedf138187716b0b87f89ff04a3
-NodeWire 2 214 1fcdb661c396e62f9fd3ae6286b2a833992f8e16e896acf9a716600579191a9b
 ScriptPubKey 0 65 0a462318174bb034be229c38622a8a97e3995d58bc7a22d63b9a0d3d9a7c7a97
 ScriptPubKey 1 198 78a277944ea9fa7530b25f0f20eb3f7a02217e5da1cd4eb5092976f217b2ca78
 ScriptPubKey 2 137 bb1e96be114a951cf28dfc1cc2095e61e8b47dd54f2296e6037bf57f4ae11993

@@ -57,16 +57,6 @@ pub fn wire_span(from_pk: &[u8; 64], to_pk: &[u8; 64], seq: u64) -> u64 {
     span_id(b'w', &key)
 }
 
-/// Span of a co-signing exchange leg (`dir` 0 = request, 1 = response),
-/// keyed by the request id and the origin's public key.
-pub fn sig_span(req_id: u64, origin_pk: &[u8; 64], dir: u8) -> u64 {
-    let mut key = [0u8; 73];
-    key[..8].copy_from_slice(&req_id.to_le_bytes());
-    key[8..72].copy_from_slice(origin_pk);
-    key[72] = dir;
-    span_id(b's', &key)
-}
-
 /// Span grouping all hops of one multihop route.
 pub fn route_span(route_id: u64) -> u64 {
     span_id(b'r', &route_id.to_le_bytes())
@@ -192,7 +182,6 @@ mod tests {
         let a = [0u8; 64];
         let b = [1u8; 64];
         assert_ne!(wire_span(&a, &b, 5), wire_span(&b, &a, 5));
-        assert_ne!(sig_span(9, &a, 0), sig_span(9, &a, 1));
         for id in [op_span(0, 0), route_span(0), ecall_span(0, 0)] {
             assert_ne!(id, 0);
         }

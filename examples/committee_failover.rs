@@ -5,8 +5,9 @@
 //! Run with: `cargo run --example committee_failover`
 
 use teechain::enclave::Command;
-use teechain::ops::OpOutput;
+use teechain::msg::ProtocolMsg;
 use teechain::testkit::{Cluster, Harness};
+use teechain::Effect;
 
 fn main() {
     // Alice (0) pays Bob (1); Alice's TEE is replicated to a committee
@@ -36,17 +37,35 @@ fn main() {
         stale.remote_bal = 0;
         teechain::settle::current_settlement_tx(&stale)
     };
-    // The co-sign operation's typed output carries the verdict.
-    let verdict = net.exec(
-        2,
-        Command::CoSign {
+    // The attacker asks the committee member to co-sign it over the
+    // enclave's session, exactly as the head asks; the member checks it
+    // against its replica and refuses.
+    let member = net.ids[2];
+    let wire = {
+        let (program, _) = net.node_mut(0).enclave.compromise().unwrap();
+        let ask = ProtocolMsg::SigRequest {
             req_id: 1,
+            hops: 0,
             tx: forged.clone(),
+        };
+        match program.seal_to(&member, &ask) {
+            Ok(Effect::Send { wire, .. }) => wire,
+            other => panic!("a sealed request, got {other:?}"),
+        }
+    };
+    net.op_now(
+        2,
+        Command::Deliver {
+            wire,
+            at: 0,
+            more: false,
         },
-    );
-    let refused = matches!(verdict, OpOutput::CoSigned { refused: true, .. });
-    println!("committee member refused stale settlement: {refused}");
-    assert!(refused);
+    )
+    .expect("delivered");
+    net.settle_network();
+    let refused = net.node(2).registry().counter_value("repl.sigs_refused");
+    println!("co-sign requests the committee member refused: {refused}");
+    assert_eq!(refused, 1);
     assert!(
         net.chain.lock().submit(forged).is_err(),
         "1 of 2 signatures cannot spend the deposit"
