@@ -4,9 +4,10 @@
 //! a chain built with nothing but `attach_backup` settles at every m.
 
 use teechain::enclave::Command;
+use teechain::msg::ProtocolMsg;
 use teechain::testkit::{Cluster, ClusterConfig, ClusterNode, Harness, HintedHost};
 use teechain::{ChannelId, DurabilityBackend, SettleKind};
-use teechain_crypto::schnorr::PublicKey;
+use teechain_crypto::schnorr::{Keypair, PublicKey};
 use teechain_net::NodeId;
 
 const FUNDS: u64 = 1000;
@@ -146,4 +147,80 @@ fn a_member_owing_forwards_passes_them_on_before_the_request() {
     c.submit(0, pay);
     settle_on_chain(&mut c, 0, chan, [FUNDS - PAID, PAID]).unwrap();
     assert_eq!(c.node(3).registry().counter_value("repl.sigs_refused"), 0);
+}
+
+/// The owner of an m-of-(1 + backups) deposit releases it to a fresh
+/// address; once mined, the address holds the deposit's value.
+fn owner_releases(backups: usize, m: u8) -> Result<(), String> {
+    let mut c = Cluster::functional(1 + backups);
+    chain_by_handle(&mut c, 1, backups);
+    let dep = c.fund_deposit(0, FUNDS, m);
+    let to = Keypair::from_seed(&[0x5e; 32]).pk;
+    let release = Command::ReleaseDeposit {
+        outpoint: dep.outpoint,
+        to,
+    };
+    c.op(0, release).map_err(|e| format!("release: {e:?}"))?;
+    c.mine(1);
+    match c.chain_balance(&to) {
+        FUNDS => Ok(()),
+        got => Err(format!("the address holds {got}, not {FUNDS}")),
+    }
+}
+
+/// Every m from 1 to n = 1 + backups, for chains of one and two backups:
+/// the chain's members co-sign the release their replicas recorded.
+#[test]
+fn every_m_of_n_releases_a_deposit() {
+    let mut failed = Vec::new();
+    for backups in 1..=2usize {
+        for m in 1..=1 + backups as u8 {
+            if let Err(e) = owner_releases(backups, m) {
+                failed.push(format!("release ({backups}, {m}): {e}"));
+            }
+        }
+    }
+    assert!(
+        failed.is_empty(),
+        "(backups, m) cells that failed: {failed:#?}"
+    );
+}
+
+/// A compromised head asks its backup to co-sign the release of a deposit
+/// that the backup's replica shows associated with a channel: the member
+/// refuses, counts it, and the deposit stays unspent.
+#[test]
+fn a_member_refuses_to_release_an_associated_deposit() {
+    let mut c = Cluster::functional(3);
+    c.attach_backup(0, 2);
+    c.connect(0, 1);
+    let chan = c.open_channel(0, 1, "held");
+    let dep = c.fund_deposit(0, FUNDS, 2);
+    c.approve_and_associate(0, 1, chan, &dep);
+    let member = c.ids[2];
+    let wire = {
+        let (program, _env) = c.node_mut(0).enclave.compromise().unwrap();
+        let to = Keypair::from_seed(&[0x5e; 32]).pk;
+        let ask = ProtocolMsg::SigRequest {
+            req_id: 7,
+            hops: 0,
+            tx: teechain::settle::release_tx(&dep, to),
+        };
+        match program.seal_to(&member, &ask) {
+            Ok(teechain::Effect::Send { wire, .. }) => wire,
+            other => panic!("a sealed request, got {other:?}"),
+        }
+    };
+    let refused = |c: &Cluster| c.node(2).registry().counter_value("repl.sigs_refused");
+    assert_eq!(refused(&c), 0);
+    let deliver = Command::Deliver {
+        wire,
+        at: 0,
+        more: false,
+    };
+    c.op_now(2, deliver).expect("delivered");
+    c.settle_network();
+    assert_eq!(refused(&c), 1, "the member must refuse the release");
+    c.mine(1);
+    assert!(c.chain.lock().utxo(&dep.outpoint).is_some(), "never spent");
 }
