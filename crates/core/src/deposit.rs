@@ -8,7 +8,7 @@ use crate::ops::{MatchKey, OpOutput, SettleKind};
 use crate::settle;
 use crate::types::{ChannelId, Deposit, ProtocolError};
 use std::collections::{HashMap, HashSet};
-use teechain_blockchain::OutPoint;
+use teechain_blockchain::{OutPoint, TxId};
 use teechain_crypto::schnorr::{Keypair, PrivateKey, PublicKey};
 use teechain_tee::EnclaveEnv;
 
@@ -19,8 +19,11 @@ pub enum DepositStatus {
     Free,
     /// Associated with a channel.
     Associated(crate::types::ChannelId),
-    /// Released or spent; kept for audit.
+    /// Spent by its channel's settlement; kept for audit.
     Spent,
+    /// Released by the transaction with this id (witnesses excluded):
+    /// the one release a committee member co-signs for it.
+    Released(TxId),
 }
 
 /// All deposit state held by one enclave.
@@ -162,7 +165,12 @@ impl TeechainEnclave {
         to: PublicKey,
     ) -> Outcome {
         let tx = settle::release_tx(self.state.book.require_free(&outpoint)?, to);
-        self.commit(StateDelta::RemoveDeposit(outpoint));
+        // The chain's replicas record this release, and their members
+        // co-sign it and nothing else of this deposit.
+        self.commit(StateDelta::ReleaseDeposit {
+            op: outpoint,
+            txid: tx.txid(),
+        });
         let mut effects = Vec::new();
         // Release uses the same signing/co-signing path as settlements.
         self.finish_settlement(ChannelId([0; 32]), tx, false, &mut effects);
@@ -458,7 +466,6 @@ mod tests {
     use crate::channel::Channel;
     use crate::durable::DurableState;
     use crate::types::CommitteeSpec;
-    use teechain_blockchain::TxId;
 
     fn op(n: u8) -> OutPoint {
         OutPoint {
@@ -497,8 +504,9 @@ mod tests {
         let d = dep(&mut state, 1, 100);
         new_deposit(&mut state, &d).unwrap();
         assert!(state.book.require_free(&op(1)).is_ok());
-        // A channel listing the deposit holds it; leaving the channel
-        // frees it, and releasing it spends it.
+        // A channel listing the deposit holds it, and a release of it then
+        // changes nothing; leaving the channel frees it, and releasing it
+        // records the release.
         let pk = Keypair::from_seed(&[2; 32]).pk;
         let mut chan = Channel::new(ChannelId::from_label("c"), pk, pk, pk);
         chan.my_deps = vec![op(1)];
@@ -507,10 +515,18 @@ mod tests {
             state.book.require_free(&op(1)),
             Err(ProtocolError::BadDeposit)
         );
+        let release = StateDelta::ReleaseDeposit {
+            op: op(1),
+            txid: TxId([1; 32]),
+        };
+        let status = |state: &DurableState| state.book.get_mine(&op(1)).map(|(_, s)| *s);
+        state.apply(&release);
+        assert_eq!(status(&state), Some(DepositStatus::Associated(chan.id)));
         chan.my_deps.clear();
         state.apply(&StateDelta::Channel(Box::new(chan)));
         assert!(state.book.require_free(&op(1)).is_ok());
-        state.apply(&StateDelta::RemoveDeposit(op(1)));
+        state.apply(&release);
+        assert_eq!(status(&state), Some(DepositStatus::Released(TxId([1; 32]))));
         assert!(state.book.require_free(&op(1)).is_err());
     }
 

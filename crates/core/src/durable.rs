@@ -29,9 +29,14 @@ use crate::slots::SlotMap;
 use crate::swap::{SwapPhase, SwapState};
 use crate::types::{ChannelId, Deposit, MultihopStage, ProtocolError, RouteId, SwapId};
 use std::collections::BTreeMap;
+use teechain_blockchain::TxId;
 use teechain_crypto::schnorr::{Keypair, PrivateKey};
 use teechain_tee::EnclaveEnv;
 use teechain_util::codec::{Encode, Reader};
+
+/// A deposit status in the state image: its tag, and the channel holding
+/// the deposit or the id of the transaction that released it.
+type ImageStatus = (u8, Option<[u8; 32]>);
 
 /// Everything one treasury must not lose; see the module docs.
 #[derive(Default)]
@@ -77,8 +82,12 @@ impl DurableState {
                     self.book.remote.insert(dep.outpoint, dep.clone());
                 }
             }
-            StateDelta::RemoveDeposit(op) => {
-                self.book.set_status(op, DepositStatus::Spent);
+            StateDelta::ReleaseDeposit { op, txid } => {
+                // Only a free deposit is released: a replica never records
+                // the release of a deposit a channel holds.
+                if let Some((_, status @ DepositStatus::Free)) = self.book.mine.get_mut(op) {
+                    *status = DepositStatus::Released(*txid);
+                }
                 self.book.remote.remove(op);
             }
             StateDelta::Tau { route, tau } => {
@@ -194,8 +203,9 @@ impl DurableState {
             d.encode(out);
             match status {
                 DepositStatus::Free => (0u8, None),
-                DepositStatus::Associated(id) => (1u8, Some(*id)),
+                DepositStatus::Associated(id) => (1u8, Some(id.0)),
                 DepositStatus::Spent => (2u8, None),
+                DepositStatus::Released(txid) => (3u8, Some(txid.0)),
             }
             .encode(out);
         }
@@ -225,11 +235,12 @@ impl DurableState {
             state.channels.insert(c.id, c);
         }
         let (mine, remote): (Vec<(Deposit, DepositStatus)>, Vec<Deposit>) = if version >= 2 {
-            let mine: Vec<(Deposit, (u8, Option<ChannelId>))> = r.read().map_err(bad)?;
+            let mine: Vec<(Deposit, ImageStatus)> = r.read().map_err(bad)?;
             let mine = mine.into_iter().map(|(dep, tag)| {
                 let status = match tag {
-                    (1, Some(id)) => DepositStatus::Associated(id),
+                    (1, Some(id)) => DepositStatus::Associated(ChannelId(id)),
                     (2, _) => DepositStatus::Spent,
+                    (3, Some(txid)) => DepositStatus::Released(TxId(txid)),
                     _ => DepositStatus::Free,
                 };
                 (dep, status)

@@ -116,7 +116,10 @@ fn every_delta_kind_changes_the_state() {
         },
         StateDelta::DestroyKey(key.pk),
         StateDelta::Key(key.pk, key.sk.to_bytes()),
-        StateDelta::RemoveDeposit(theirs.outpoint),
+        StateDelta::ReleaseDeposit {
+            op: theirs.outpoint,
+            txid: TxId([9; 32]),
+        },
         StateDelta::Swap(Box::new(swap)),
         StateDelta::CloseChannel(id),
     ];
@@ -210,18 +213,18 @@ fn a_channel_carries_its_deposits_statuses() {
 /// Every truncation of a state image is refused, and every single-bit flip
 /// of one loads or is refused with a typed error: the host hands the
 /// enclave these bytes, so none may panic it. The image holds every table:
-/// a channel, our deposits associated, free and spent, a remote deposit,
+/// a channel, our deposits associated, free and released, a remote deposit,
 /// a key, a route and a swap.
 #[test]
 fn a_truncated_or_bit_flipped_image_is_loaded_or_refused_never_a_panic() {
     let id = ChannelId::from_label("hostile");
-    let (associated, free, spent) = (deposit(1, 11), deposit(2, 12), deposit(3, 13));
+    let (associated, free, released) = (deposit(1, 11), deposit(2, 12), deposit(3, 13));
     let mut chan = Channel::new(id, pk(1), pk(2), pk(3));
     chan.my_deps = vec![associated.outpoint];
     let key = Keypair::from_seed(&[9; 32]);
     let cfg = Cluster::functional(1).node(0).cfg.clone();
     let mut enclave = TeechainEnclave::new(cfg.clone());
-    let mut deltas: Vec<_> = [&associated, &free, &spent]
+    let mut deltas: Vec<_> = [&associated, &free, &released]
         .map(|dep| StateDelta::Deposit {
             dep: dep.clone(),
             key: None,
@@ -229,7 +232,10 @@ fn a_truncated_or_bit_flipped_image_is_loaded_or_refused_never_a_panic() {
         })
         .into();
     deltas.extend([
-        StateDelta::RemoveDeposit(spent.outpoint),
+        StateDelta::ReleaseDeposit {
+            op: released.outpoint,
+            txid: TxId([3; 32]),
+        },
         StateDelta::Deposit {
             dep: deposit(4, 14),
             key: None,

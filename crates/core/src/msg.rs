@@ -235,8 +235,14 @@ pub enum StateDelta {
         /// remote side of the book.
         mine: bool,
     },
-    /// Release a deposit: our own is marked spent, a remote one dropped.
-    RemoveDeposit(OutPoint),
+    /// Release a deposit by the transaction `txid`: our own, if free, is
+    /// marked released by it; a remote one is dropped.
+    ReleaseDeposit {
+        /// The deposit.
+        op: OutPoint,
+        /// The releasing transaction's id (witnesses excluded).
+        txid: TxId,
+    },
     /// Store or clear a route's intermediate settlement transaction τ.
     Tau {
         /// The route.
@@ -276,7 +282,7 @@ teechain_util::impl_wire_enum!(StateDelta, "delta tag" {
     Pay = 1 { id, my_delta, remote_delta },
     Stage = 2 { id, stage },
     Deposit = 3 { dep, key, mine },
-    RemoveDeposit = 4 (op),
+    ReleaseDeposit = 4 { op, txid },
     Tau = 5 { route, tau },
     CloseChannel = 6 (id),
     Swap = 7 (s),

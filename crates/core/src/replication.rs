@@ -21,7 +21,7 @@
 //! retraces the walk.
 
 use crate::channel::Channel;
-use crate::deposit::{keypair_in, DepositBook};
+use crate::deposit::{keypair_in, DepositBook, DepositStatus};
 use crate::durable::DurableState;
 use crate::enclave::{Effect, Gate, Outcome, Peer, TeechainEnclave};
 use crate::msg::{ProtocolMsg, SettleDigest, StateDelta};
@@ -578,8 +578,8 @@ impl TeechainEnclave {
 
 /// True if `tx` is one a committee member may co-sign (§6.1): the current
 /// settlement of a replicated channel, a replicated multi-hop
-/// intermediate settlement τ, or the release of a deposit that is free in
-/// the replica.
+/// intermediate settlement τ, or the release of a deposit that the
+/// replica recorded, by this very transaction.
 fn matches_replica(replica: &DurableState, tx: &Transaction) -> bool {
     let txid = tx.txid();
     replica
@@ -590,7 +590,9 @@ fn matches_replica(replica: &DurableState, tx: &Transaction) -> bool {
             .routes
             .values()
             .any(|r| r.tau.as_ref().is_some_and(|t| t.txid() == txid))
-        || (tx.inputs.len() == 1 && replica.book.require_free(&tx.inputs[0].prevout).is_ok())
+        || tx.inputs.len() == 1
+            && matches!(replica.book.get_mine(&tx.inputs[0].prevout),
+                Some((_, DepositStatus::Released(id))) if *id == txid)
 }
 
 /// Every witness on an input of `tx` that spends one of `book`'s own

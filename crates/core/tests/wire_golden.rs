@@ -375,7 +375,10 @@ fn state_deltas() -> Vec<StateDelta> {
             key: Some([3; 32]),
             mine: true,
         },
-        StateDelta::RemoveDeposit(outpoint()),
+        StateDelta::ReleaseDeposit {
+            op: outpoint(),
+            txid: TxId([0x33; 32]),
+        },
         StateDelta::Tau {
             route,
             tau: Some(tau()),
@@ -446,7 +449,7 @@ fn golden_values() -> Vec<Golden> {
 
 /// The v4 durable state image of node 1 of a line 0 — 1 — 2, read from its
 /// last sealed snapshot: two channels, its own deposits free, associated
-/// and spent, a remote deposit, keys, a redeemed swap and a multi-hop route
+/// and released, a remote deposit, keys, a redeemed swap and a multi-hop route
 /// held at `Lock` (node 2 is down, so the route goes no further).
 fn state_image() -> Vec<u8> {
     let mut c = Cluster::new(ClusterConfig {
@@ -457,11 +460,11 @@ fn state_image() -> Vec<u8> {
     let c01 = c.standard_channel(0, 1, "golden-01", 1_000, 1);
     let c12 = c.standard_channel(1, 2, "golden-12", 1_000, 1);
     let free = c.fund_deposit(1, 300, 1);
-    let spent = c.fund_deposit(1, 200, 1);
+    let released = c.fund_deposit(1, 200, 1);
     c.op(
         1,
         Command::ReleaseDeposit {
-            outpoint: spent.outpoint,
+            outpoint: released.outpoint,
             to: pk(9),
         },
     )
@@ -488,7 +491,8 @@ fn state_image() -> Vec<u8> {
         let p = c.node(1).enclave.program().unwrap();
         let status = |op| p.book_ref().get_mine(op).map(|(_, s)| *s);
         assert_eq!(status(&free.outpoint), Some(Free));
-        assert_eq!(status(&spent.outpoint), Some(Spent));
+        let release = teechain::settle::release_tx(&released, pk(9)).txid();
+        assert_eq!(status(&released.outpoint), Some(Released(release)));
         let own = p.channel(&c12).unwrap().my_deps[0];
         assert_eq!(status(&own), Some(Associated(c12)));
         assert!(p.swap_state(&SwapId::from_label("golden")).is_some());
@@ -522,7 +526,7 @@ ProtocolMsg 15 33 a0726ae38b04b1513d1e1b33adf8e6fc1aa526eda278312a28379ef8533e7e
 ProtocolMsg 16 33 8f1aa3c1a9b3df156a6faa1fad2d2edd9eb362159ec3d73cf4091b2b8c36c8e4
 ProtocolMsg 17 1 4a64a107f0cb32536e5bce6c98c393db21cca7f4ea187ba8c4dca8b51d4ea80a
 ProtocolMsg 18 65 925aac27c86282d165ef3eb37253e51f467f7c997dd2240a90551bf766d0126b
-ProtocolMsg 19 2375 b022a3c91de911184f27c157f0f43eb80652a88e150e2c3b5f5ee07f714e0201
+ProtocolMsg 19 2407 0bcfec84f383fa8424a7a016c9f89493a962577ecc505ecb00af541263b8f6f4
 ProtocolMsg 20 9 b06712f37e026d00c786e4888ec5c3c64442d08209a85a17a3f246c86e07b1f3
 ProtocolMsg 21 1 2f0fd1e89b8de1d57292742ec380ea47066e307ad645f5bc3adad8a06ff58608
 ProtocolMsg 22 231 7c5df2b831fbc9fb761cab6f70866d585820140e6081be73e7cf8ad53787522a
@@ -537,7 +541,7 @@ StateDelta 0 362 1020cab871619afa15397064f695ac18670a5f25fd4549730d8a2fc34be315a
 StateDelta 1 49 616ed21e7b30aee115f34727742bf0bed64897683cdd16d9cc6f8c38b7bcb846
 StateDelta 2 34 943f98af96b7715d2a4024336dbc871f37fd8cc145204d93ce09faddc4ceded5
 StateDelta 3 212 98a232263e64a1b8e600f9b9b22f0635b0ba0f27742556077859e18c4ca69792
-StateDelta 4 37 6b02db947126fb552873f193a8de6205ad3e83201cfb597bd0de2ba9b13f5b6a
+StateDelta 4 69 30d8b3f650321df8403420f860e3e1aefc08c143e265a6f23c014229bfdbc356
 StateDelta 5 255 7836a723f517281a4e57ca8dc8f0687e70a4db14c61dd08a2dd021ea0948d2ed
 StateDelta 6 33 2e2e725ad1256009e19f6eb90e9c70b98712c19e206a3f233103547fee084729
 StateDelta 7 265 7ce16aea66e87b9ea4e65f1dd19d21ad95f65ac926f7175fdd42eb97f6d6f037
@@ -570,8 +574,8 @@ SwapPhase 3 1 084fed08b978af4d7d196a7446a86b58009e636b611db16211b65a9aadff29c5
 
 /// `(length, sha256)` of [`state_image`] at the parent commit.
 const GOLDEN_IMAGE: (usize, &str) = (
-    2075,
-    "77ca526ce88f9bdaf743145303f3b223c94f9a1d4cc507ae836c7e418bc17db3",
+    2107,
+    "c9af3cc7b79acf12a9285a6658fc9f698ee0225e1044fe57244500433203de92",
 );
 
 #[test]
