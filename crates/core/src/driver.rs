@@ -9,7 +9,7 @@
 //! everything else in the evaluation *emerges* from the protocol.
 
 use crate::msg::{CostClass, WireView};
-use crate::node::{enclave_at, TeechainNode};
+use crate::node::TeechainNode;
 use teechain_net::{Ctx, NodeId, SimNode};
 
 /// Per-message-class CPU service times (nanoseconds).
@@ -96,7 +96,8 @@ impl SimHost {
         SimHost { node, costs }
     }
 
-    /// The CPU cost of an enclave message, read off its headers.
+    /// The CPU cost of an enclave message, read off its headers; garbage
+    /// is free.
     fn cost_of(&self, msg: &[u8]) -> u64 {
         match WireView::parse(msg) {
             Ok(WireView::Sealed { class, .. }) => self.costs.for_class(CostClass::from_byte(class)),
@@ -108,18 +109,12 @@ impl SimHost {
 }
 
 impl SimNode for SimHost {
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Vec<u8>) {
-        // One parse serves the charge and the delivery.
-        let Ok(at) = enclave_at(&msg) else {
-            // Garbage from the network: free, and dropped.
-            self.node.message_done(ctx);
-            return;
-        };
-        let cost = self.cost_of(&msg[at..]);
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Vec<u8>) {
+        let cost = self.cost_of(&msg);
         if cost > 0 {
             ctx.busy(cost);
         }
-        self.node.handle_frame(ctx, msg, at);
+        self.node.handle_wire(ctx, from, msg);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {

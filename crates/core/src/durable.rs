@@ -17,7 +17,7 @@
 //! digests of the canonical image. The identity key is not part of it: a
 //! primary holds its own and never replicates it.
 //!
-//! The sealed state image, `RestoreSealed` and `Recover` live here too.
+//! The sealed state image and `Recover` live here too.
 
 use crate::channel::Channel;
 use crate::deposit::{DepositBook, DepositStatus};
@@ -329,21 +329,6 @@ impl TeechainEnclave {
         self.state = DurableState::read_image(&mut r, version)?;
         self.index_new_channels();
         Ok(())
-    }
-
-    pub(crate) fn cmd_restore_sealed(&mut self, env: &mut EnclaveEnv, blob: Vec<u8>) -> Outcome {
-        // The counter value proves freshness: the blob must carry the
-        // current hardware counter value, or it is a stale (rolled-back)
-        // state and is rejected. This path restores a snapshot alone; if
-        // WAL records were appended after it, use [`Command::Recover`].
-        let id = self.ensure_counter(env);
-        let min = env.read_counter(id);
-        let (counter, state) = env
-            .unseal(min, &blob)
-            .map_err(|_| ProtocolError::BadMessage)?;
-        self.load_state_image(&state)?;
-        self.commits = counter;
-        Ok(vec![])
     }
 
     pub(crate) fn cmd_recover(

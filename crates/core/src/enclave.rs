@@ -77,14 +77,11 @@ pub enum Command {
     },
     /// Delivers a raw network message.
     Deliver {
-        /// The buffer that arrived from the network. The enclave opens a
-        /// sealed message where it lies in it, so the host hands the buffer
-        /// over instead of cutting its own envelope off a copy.
+        /// The buffer that arrived from the network, as it arrived: an
+        /// encoded [`WireMsg`](crate::msg::WireMsg), which the enclave
+        /// opens where it lies. Anything else is refused with
+        /// [`ProtocolError::BadMessage`].
         wire: Vec<u8>,
-        /// Offset in `wire` at which the encoded
-        /// [`WireMsg`](crate::msg::WireMsg) starts; it runs to the end of
-        /// the buffer.
-        at: usize,
         /// The host's word that another message for this node is queued
         /// behind this one, due now
         /// ([`teechain_net::Ctx::more_messages`]). The enclave then keeps
@@ -224,11 +221,6 @@ pub enum Command {
     /// Generates settlement transactions for every replicated channel (the
     /// failover path after the primary crashed).
     SettleFromReplica,
-    /// Restores state from a sealed blob after a crash (§6.2).
-    RestoreSealed {
-        /// Blob previously emitted via [`Effect::Persist`].
-        blob: Vec<u8>,
-    },
     /// Full crash recovery from durable storage (§6.2): the latest
     /// sealed snapshot (if any) plus every sealed WAL record appended
     /// after it, oldest first. The enclave verifies that commit counters
@@ -509,7 +501,6 @@ impl Gate {
             | Command::SwapTick { .. }
             | Command::GetIdentity
             | Command::Recover { .. }
-            | Command::RestoreSealed { .. }
             | Command::ReadReplica
             | Command::SettleFromReplica => Gate::Own,
         }
@@ -911,7 +902,7 @@ impl TeechainEnclave {
                 )])
             }
             Command::StartSession { remote } => self.cmd_start_session(env, remote),
-            Command::Deliver { wire, at, .. } => self.cmd_deliver(env, wire, at),
+            Command::Deliver { wire, .. } => self.cmd_deliver(env, wire),
             Command::NewAddress => self.hand_out_key(env, |pk| {
                 Ok(Effect::done(MatchKey::Address, OpOutput::Address(pk)))
             }),
@@ -946,7 +937,6 @@ impl TeechainEnclave {
             Command::AttachBackup { backup } => self.cmd_attach_backup(backup),
             Command::ReadReplica => self.cmd_read_replica(),
             Command::SettleFromReplica => self.cmd_settle_from_replica(),
-            Command::RestoreSealed { blob } => self.cmd_restore_sealed(env, blob),
             Command::Recover { snapshot, log } => self.cmd_recover(env, snapshot, log),
             Command::PumpAdmission => self.cmd_pump_admission(env),
             Command::Swap {
@@ -1008,9 +998,8 @@ impl EnclaveProgram for TeechainEnclave {
 }
 
 impl TeechainEnclave {
-    fn cmd_deliver(&mut self, env: &mut EnclaveEnv, mut wire: Vec<u8>, at: usize) -> Outcome {
-        let bytes = wire.get_mut(at..).ok_or(ProtocolError::BadMessage)?;
-        let (from, seq, ct) = match WireView::parse(bytes).map_err(|_| ProtocolError::BadMessage)? {
+    fn cmd_deliver(&mut self, env: &mut EnclaveEnv, mut wire: Vec<u8>) -> Outcome {
+        let (from, seq, ct) = match WireView::parse(&wire).map_err(|_| ProtocolError::BadMessage)? {
             WireView::Hello(hs) => {
                 self.pass(env, Gate::Unfrozen)?;
                 return self.on_hello(env, *hs);
@@ -1024,7 +1013,7 @@ impl TeechainEnclave {
         // the session it authenticates under says.
         let slot = self.peers.slot(from).ok_or(ProtocolError::NoSession)?;
         let session = established(&mut self.peers, slot)?;
-        let msg = session.open_in_place(seq, &mut bytes[ct])?;
+        let msg = session.open_in_place(seq, &mut wire[ct])?;
         let from = Peer {
             pk: session.remote,
             slot,

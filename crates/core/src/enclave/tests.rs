@@ -241,7 +241,7 @@ proptest! {
                 Step::Probe(i, j) => {
                     let from = if j == 3 || j == i { stranger } else { c.ids[j] };
                     let wire = forged_frame(from);
-                    let got = c.op_now(i, Command::Deliver { wire, at: 0, more: false });
+                    let got = c.op_now(i, Command::Deliver { wire, more: false });
                     let want = if from != stranger && m.sessions[i].contains(&j) {
                         ProtocolError::BadMessage
                     } else {
@@ -322,7 +322,6 @@ impl GateFixture {
             (
                 Command::Deliver {
                     wire: forged_frame(peer),
-                    at: 0,
                     more: false,
                 },
                 Gate::Own,
@@ -387,7 +386,6 @@ impl GateFixture {
             (Command::AttachBackup { backup: peer }, Gate::Unfrozen),
             (Command::ReadReplica, Gate::Own),
             (Command::SettleFromReplica, Gate::Own),
-            (Command::RestoreSealed { blob: vec![] }, Gate::Own),
             (
                 Command::Recover {
                     snapshot: None,
@@ -664,21 +662,12 @@ fn every_command_and_message_passes_exactly_its_gate() {
     }
     for ((msg, want), wire) in msgs.iter().zip(wires) {
         let what = format!("{msg:?}");
-        f.check(
-            &what,
-            Command::Deliver {
-                wire,
-                at: 0,
-                more: false,
-            },
-            *want,
-        );
+        f.check(&what, Command::Deliver { wire, more: false }, *want);
     }
     f.check(
         "Hello",
         Command::Deliver {
             wire: hello,
-            at: 0,
             more: false,
         },
         Gate::Unfrozen,
@@ -698,15 +687,7 @@ fn every_command_and_message_passes_exactly_its_gate() {
         }
         for ((msg, _), wire) in msgs.iter().zip(wires) {
             let what = format!("{msg:?}");
-            f.check(
-                &what,
-                Command::Deliver {
-                    wire,
-                    at: 0,
-                    more: false,
-                },
-                Gate::Exit,
-            );
+            f.check(&what, Command::Deliver { wire, more: false }, Gate::Exit);
         }
     }
 }

@@ -19,52 +19,6 @@ use teechain_net::{Ctx, NodeId};
 use teechain_persist::SharedStore;
 use teechain_tee::{DeviceIdentity, Enclave, Measurement};
 use teechain_trace::{span, EventKind, Histogram, Tracer};
-use teechain_util::codec::{Reader, WireError};
-
-/// Node-to-node wire wrapper around enclave traffic. Everything nodes
-/// exchange, committee co-signing included, is sealed enclave to enclave.
-pub enum NodeWire {
-    /// Enclave-to-enclave message (encoded [`crate::msg::WireMsg`]).
-    Enclave(Vec<u8>),
-}
-
-teechain_util::impl_wire_enum!(NodeWire, "node wire tag" {
-    Enclave = 0 (wire),
-});
-
-/// Length of the host's envelope around an enclave message: the
-/// [`NodeWire::Enclave`] tag and the message's `u32` length.
-const ENVELOPE: usize = 1 + 4;
-
-/// [`NodeWire::Enclave`]`(wire).encode_to_vec()` without the second buffer:
-/// the envelope goes in front of the message where it is (a sealed frame
-/// arrives with the room to spare).
-// Hand-written: prepends the envelope in place instead of encoding into a new buffer.
-fn enclave_frame(mut wire: Vec<u8>) -> Vec<u8> {
-    let mut envelope = [0u8; ENVELOPE];
-    envelope[1..].copy_from_slice(&(wire.len() as u32).to_le_bytes());
-    wire.splice(..0, envelope);
-    wire
-}
-
-/// Locates the enclave message in a received frame, where it lies: the
-/// encoded [`crate::msg::WireMsg`] runs from the returned offset to the end
-/// of the frame. Accepts exactly the frames [`NodeWire::decode_exact`]
-/// accepts.
-// Hand-written: locates enclave traffic in the frame instead of copying it out.
-pub(crate) fn enclave_at(frame: &[u8]) -> Result<usize, WireError> {
-    match frame.first() {
-        Some(0) => {}
-        Some(_) => return Err(WireError::InvalidValue("node wire tag")),
-        None => return Err(WireError::UnexpectedEof),
-    }
-    let mut r = Reader::new(&frame[1..]);
-    r.take_prefixed()?;
-    if r.remaining() != 0 {
-        return Err(WireError::TrailingBytes);
-    }
-    Ok(ENVELOPE)
-}
 
 /// A shared handle to the simulated blockchain.
 pub type SharedChain = Arc<Mutex<Chain>>;
@@ -93,10 +47,6 @@ pub struct TeechainNode {
     /// Confirmations this host requires before approving a deposit
     /// (the per-participant security parameter of §4.1).
     pub required_confirmations: u64,
-    /// Host-side sealed storage: the latest full snapshot (persistent
-    /// mode). Kept alongside [`TeechainNode::store`] for direct
-    /// snapshot-only restores via [`Command::RestoreSealed`].
-    pub sealed_store: Option<Vec<u8>>,
     /// Durable WAL + snapshot storage (persistent mode). Owned jointly
     /// with the harness: it models the disk, so it survives enclave and
     /// host crashes.
@@ -206,7 +156,6 @@ impl TeechainNode {
             chain,
             chain2: Arc::new(Mutex::new(Chain::new())),
             required_confirmations: 1,
-            sealed_store: None,
             store: None,
             cfg,
             completions: Vec::new(),
@@ -350,43 +299,25 @@ impl TeechainNode {
         }
     }
 
-    /// Handles an incoming network message.
-    pub fn handle_wire(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, bytes: Vec<u8>) {
-        match enclave_at(&bytes) {
-            Ok(at) => self.handle_frame(ctx, bytes, at),
-            // Garbage from the network: dropped.
-            Err(_) => self.message_done(ctx),
-        }
+    /// Handles an incoming network message. The buffer that arrived goes
+    /// to the enclave as it is: the enclave opens a sealed message where it
+    /// lies, and refuses anything else.
+    pub fn handle_wire(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, wire: Vec<u8>) {
+        self.trace_wire_recv(ctx.now_ns(), &wire);
+        let more = ctx.more_messages();
+        self.respond(ctx, Command::Deliver { wire, more });
+        self.message_done(ctx);
     }
 
     /// Ends the handling of a message. When no other message for this
     /// node is queued and the enclave may still hold what it owes for its
-    /// input (this message made no successful ecall: it did not parse, or
-    /// the enclave refused it), the host pumps the enclave at once, which
+    /// input (this message made no successful ecall: the enclave refused
+    /// it, garbage included), the host pumps the enclave at once, which
     /// releases it.
-    pub(crate) fn message_done(&mut self, ctx: &mut Ctx<'_>) {
+    fn message_done(&mut self, ctx: &mut Ctx<'_>) {
         if self.enclave_holds && !ctx.more_messages() {
             self.respond(ctx, Command::PumpAdmission);
         }
-    }
-
-    /// [`TeechainNode::handle_wire`] for a frame whose enclave message the
-    /// caller has located at `at` (the simulator host reads the cost class
-    /// there).
-    pub(crate) fn handle_frame(&mut self, ctx: &mut Ctx<'_>, bytes: Vec<u8>, at: usize) {
-        self.trace_wire_recv(ctx.now_ns(), &bytes[at..]);
-        // The buffer that arrived goes in whole: the enclave opens the
-        // message where it lies.
-        let more = ctx.more_messages();
-        self.respond(
-            ctx,
-            Command::Deliver {
-                wire: bytes,
-                at,
-                more,
-            },
-        );
-        self.message_done(ctx);
     }
 
     /// Arms (or keeps) a pump timer no later than `at`; true if it armed
@@ -563,14 +494,14 @@ impl TeechainNode {
     }
 
     /// Carries out enclave effects: sends, broadcasts, chain checks,
-    /// co-sign fan-out, persistence, event collection.
+    /// persistence, event collection.
     pub fn perform(&mut self, ctx: &mut Ctx<'_>, effects: Vec<Effect>) {
         for effect in effects {
             match effect {
                 Effect::Send { to, peer, wire } => {
                     if let Some(node) = self.route(&to, peer) {
                         self.trace_wire_send(ctx.now_ns(), &to, &wire);
-                        ctx.send(node, enclave_frame(wire));
+                        ctx.send(node, wire);
                     }
                 }
                 Effect::Broadcast(tx) => {
@@ -619,7 +550,6 @@ impl TeechainNode {
                     }
                     let cause = self.tracer.cause();
                     self.trace(ctx.now_ns(), EventKind::WalSnapshot, cause, blob.len());
-                    self.sealed_store = Some(blob);
                 }
                 Effect::Event(request) => self.react(ctx, &request),
                 // An outcome completes the oldest operation waiting on its
@@ -1172,88 +1102,6 @@ impl TeechainNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::ProtocolMsg;
-    use crate::session::Session;
-    use crate::types::ChannelId;
-    use teechain_crypto::schnorr::Keypair;
-    use teechain_util::codec::{Decode, Encode};
-
-    /// Encoded `NodeWire` frames: enclave messages of several lengths.
-    fn node_wire_frames() -> Vec<Vec<u8>> {
-        vec![
-            NodeWire::Enclave((0..100).collect()).encode_to_vec(),
-            NodeWire::Enclave(vec![]).encode_to_vec(),
-        ]
-    }
-
-    /// The view of `frame`, rendered as the owned message it stands for.
-    fn view_as_owned(frame: &[u8]) -> Result<NodeWire, WireError> {
-        enclave_at(frame).map(|at| NodeWire::Enclave(frame[at..].to_vec()))
-    }
-
-    #[test]
-    fn the_view_reads_what_the_decoder_decodes() {
-        for frame in node_wire_frames() {
-            assert_eq!(view_as_owned(&frame).unwrap().encode_to_vec(), frame);
-            assert_eq!(
-                NodeWire::decode_exact(&frame).unwrap().encode_to_vec(),
-                frame
-            );
-            for len in 0..frame.len() {
-                assert!(NodeWire::decode_exact(&frame[..len]).is_err());
-                assert!(enclave_at(&frame[..len]).is_err(), "cut at {len}");
-            }
-            let mut longer = frame.clone();
-            longer.push(0);
-            assert!(NodeWire::decode_exact(&longer).is_err());
-            assert!(enclave_at(&longer).is_err());
-            // Every bit of the tag and of the envelope's length field.
-            for bit in 0..8 * ENVELOPE {
-                let mut bad = frame.clone();
-                bad[bit / 8] ^= 1 << (bit % 8);
-                let (owned, viewed) = (NodeWire::decode_exact(&bad), view_as_owned(&bad));
-                assert_eq!(owned.is_ok(), viewed.is_ok(), "bit {bit}");
-                if let (Ok(o), Ok(v)) = (owned, viewed) {
-                    assert_eq!(o.encode_to_vec(), v.encode_to_vec());
-                }
-            }
-        }
-        assert!(enclave_at(&[]).is_err());
-        assert!(enclave_at(&[0]).is_err());
-        assert!(enclave_at(&[0, 0xff, 0xff, 0xff, 0xff, 1]).is_err());
-        assert!(enclave_at(&[3; 64]).is_err());
-    }
-
-    #[test]
-    fn the_envelope_goes_around_a_sealed_frame_where_it_is() {
-        let (a, b) = (
-            Keypair::from_seed(&[1; 32]).pk,
-            Keypair::from_seed(&[2; 32]).pk,
-        );
-        let mut session = Session::derive(&[9; 32], &a, &b);
-        let pay = ProtocolMsg::Pay {
-            id: ChannelId::from_label("frame"),
-            amount: u64::MAX,
-            count: u32::MAX,
-        };
-        let wire = session.seal_frame(&a, &pay);
-        let (expect, buffer) = (
-            NodeWire::Enclave(wire.clone()).encode_to_vec(),
-            wire.as_ptr(),
-        );
-        let frame = enclave_frame(wire);
-        assert_eq!(frame, expect);
-        // A payment's frame was allocated with the envelope's room to
-        // spare: same buffer, shifted, not a second one.
-        assert_eq!(frame.as_ptr(), buffer);
-        // Any other message is wrapped the same way, room or no room.
-        for wire in [vec![], vec![1], (0..=255).collect::<Vec<u8>>()] {
-            assert_eq!(
-                enclave_frame(wire.clone()),
-                NodeWire::Enclave(wire).encode_to_vec()
-            );
-        }
-    }
 
     /// The entries `node` keeps per operation: its op tracker's, and its
     /// enclave's ack fan-out, owed-ack list and held replication output.

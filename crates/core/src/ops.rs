@@ -434,7 +434,6 @@ pub(crate) fn expect_for(cmd: &Command) -> Option<MatchKey> {
         | Command::Eject { .. }
         | Command::EjectWithPopt { .. }
         | Command::SettleFromReplica
-        | Command::RestoreSealed { .. }
         | Command::PumpAdmission
         | Command::SwapFunded { .. }
         | Command::SwapHtlcVerified { .. }

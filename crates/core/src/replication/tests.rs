@@ -245,11 +245,7 @@ fn deliver_from<N: ClusterNode>(
     };
     let (p, env) = c.node_mut(to).enclave.compromise().expect("running");
     let before = p.durable_digest();
-    let deliver = Command::Deliver {
-        wire,
-        at: 0,
-        more: false,
-    };
+    let deliver = Command::Deliver { wire, more: false };
     let got = p.handle(env, deliver);
     (got, p.durable_digest() != before)
 }

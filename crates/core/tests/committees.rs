@@ -213,11 +213,7 @@ fn a_member_refuses_to_release_an_associated_deposit() {
     };
     let refused = |c: &Cluster| c.node(2).registry().counter_value("repl.sigs_refused");
     assert_eq!(refused(&c), 0);
-    let deliver = Command::Deliver {
-        wire,
-        at: 0,
-        more: false,
-    };
+    let deliver = Command::Deliver { wire, more: false };
     c.op_now(2, deliver).expect("delivered");
     c.settle_network();
     assert_eq!(refused(&c), 1, "the member must refuse the release");

@@ -169,15 +169,8 @@ fn byzantine_primary_cannot_inflate_settlement() {
     };
     let refused = |c: &Cluster| c.node(2).registry().counter_value("repl.sigs_refused");
     assert_eq!(refused(&c), 0);
-    c.op_now(
-        2,
-        Command::Deliver {
-            wire,
-            at: 0,
-            more: false,
-        },
-    )
-    .expect("delivered");
+    c.op_now(2, Command::Deliver { wire, more: false })
+        .expect("delivered");
     c.settle_network();
     assert_eq!(
         refused(&c),
@@ -502,8 +495,17 @@ fn persist_mode_emits_sealed_blobs_and_restores() {
     let chan = c.standard_channel(0, 1, "c1", 1000, 1);
     c.pay(0, chan, 50).unwrap();
     c.settle_network();
-    let blob = c.node(0).sealed_store.clone().expect("sealed blob stored");
-    // Crash and restore.
+    // Eager persistence seals a snapshot at every commit, so no WAL record
+    // follows it in the store.
+    let stored = c
+        .store(0)
+        .expect("a durable store")
+        .lock()
+        .recover()
+        .unwrap();
+    assert!(stored.log.is_empty());
+    let blob = stored.snapshot.expect("sealed blob stored");
+    // Crash and restore from the snapshot alone.
     c.node_mut(0).enclave.crash();
     let cfg = teechain::EnclaveConfig {
         trust_root: c.root.public_key(),
@@ -513,7 +515,13 @@ fn persist_mode_emits_sealed_blobs_and_restores() {
     c.node_mut(0)
         .enclave
         .restart(teechain::TeechainEnclave::new(cfg));
-    c.exec(0, Command::RestoreSealed { blob });
+    c.exec(
+        0,
+        Command::Recover {
+            snapshot: Some(blob),
+            log: vec![],
+        },
+    );
     // The restored enclave can settle the channel unilaterally.
     let my_settle = {
         let p = c.node(0).enclave.program().unwrap();
@@ -526,7 +534,7 @@ fn persist_mode_emits_sealed_blobs_and_restores() {
 
 #[test]
 fn stale_sealed_blob_rejected() {
-    // Roll-back attack: restore an *old* sealed blob after newer state
+    // Roll-back attack: put *old* sealed storage back after newer state
     // was sealed. The hardware counter exposes the staleness.
     let mut c = Cluster::new(ClusterConfig {
         n: 2,
@@ -536,23 +544,23 @@ fn stale_sealed_blob_rejected() {
     let chan = c.standard_channel(0, 1, "c1", 1000, 1);
     c.pay(0, chan, 50).unwrap();
     c.settle_network();
-    let old_blob = c.node(0).sealed_store.clone().unwrap();
+    let store = c.store(0).expect("a durable store");
+    let (old_snapshot, old_log) = store.lock().raw_dump().unwrap();
     // Advance simulated time past the counter throttle, then pay again.
     let nid = c.nid(0);
     c.sim.call(nid, |_, ctx| ctx.set_timer(200_000_000, 1));
     c.settle_network();
     c.pay(0, chan, 50).unwrap();
     c.settle_network();
-    // Crash; attacker restores the older blob.
-    c.node_mut(0).enclave.crash();
-    let cfg = teechain::EnclaveConfig {
-        trust_root: c.root.public_key(),
-        measurement: teechain::TeechainNode::measurement(),
-        durability: teechain::DurabilityBackend::eager_persist(),
-    };
-    c.node_mut(0)
-        .enclave
-        .restart(teechain::TeechainEnclave::new(cfg));
-    let result = c.op(0, Command::RestoreSealed { blob: old_blob });
-    assert!(result.is_err(), "stale blob must be rejected");
+    // Crash; the attacker puts the older storage back before recovery.
+    c.crash_node(0);
+    store.lock().restore_raw(old_snapshot, old_log).unwrap();
+    let result = c.recover_node(0);
+    assert!(
+        matches!(
+            result.unwrap_err().protocol_error(),
+            Some(teechain::ProtocolError::StaleState { found, expected }) if found < expected
+        ),
+        "stale blob must be rejected"
+    );
 }

@@ -281,9 +281,10 @@ fn pays_by_hand(c: &mut Cluster, chan: ChannelId, k: u64) -> Vec<Vec<u8>> {
 
 #[test]
 fn a_held_run_whose_last_message_makes_no_ecall_still_releases_the_ack() {
-    // The run's last message reaches no successful ecall: it does not
-    // parse, or the enclave refuses it (a replayed `Pay`). Its host pumps
-    // the enclave at once, which seals the owed ack in the same turn.
+    // The run's last message reaches no successful ecall: the enclave
+    // refuses it, whether it does not parse or is a replayed `Pay`. Its
+    // host pumps the enclave at once, which seals the owed ack in the same
+    // turn.
     const BURST: u64 = 3;
     for last in ["unparseable", "refused"] {
         let mut c = Cluster::functional(2);
@@ -300,8 +301,7 @@ fn a_held_run_whose_last_message_makes_no_ecall_still_releases_the_ack() {
         }
         let (_, actions) =
             c.drive_node(1, false, |n, ctx| n.handle_wire(ctx, NodeId(0), last_frame));
-        let refused = usize::from(last == "refused");
-        assert_eq!(c.node(1).delivery_errors.len(), refused, "{last}");
+        assert_eq!(c.node(1).delivery_errors.len(), 1, "{last}");
         let frames = sent(actions);
         assert_eq!(frames.len(), 1, "{last}: the ack");
         let (to, ack) = frames.into_iter().next().unwrap();

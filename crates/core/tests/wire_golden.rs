@@ -1,16 +1,17 @@
 //! The bytes on the wire and in sealed state, pinned.
 //!
 //! Three frames — a `Pay`, a `RepUpdate` and an `MhLock` — sealed under a
-//! fixed session and wrapped the way a node wraps them, captured from the
-//! tree *before* the codec grew its byte-slice path and the session learned
-//! to seal into the frame (`node::tests` pins the node's own envelope to
-//! `NodeWire::Enclave`'s encoding). Every simulator count that is compared bit for
-//! bit across commits (`net.engine.bytes_per_tx`, the WAL and snapshot
-//! sizes) rests on these not moving.
+//! fixed session, as a node sends them: the encoded `WireMsg::Sealed` and
+//! nothing around it. They were captured from the tree *before* the codec
+//! grew its byte-slice path and the session learned to seal into the frame,
+//! and each is the frame captured then less the host envelope that used to
+//! go in front (a tag byte and a `u32` length). Every simulator count that
+//! is compared bit for bit across commits (`net.engine.bytes_per_tx`, the
+//! WAL and snapshot sizes) rests on these not moving.
 //!
 //! Beside them, one encoded value of every variant of every tagged enum on
 //! the wire or in sealed state (`ProtocolMsg`, `StateDelta`, `WireMsg`,
-//! `NodeWire`, `ScriptPubKey`, `MultihopStage`, `SwapPhase`) and one v4
+//! `ScriptPubKey`, `MultihopStage`, `SwapPhase`) and one v4
 //! durable state image, captured before the enum codecs were generated from
 //! one declaration each. Every truncation and every single-bit flip of each
 //! value decodes to a value or a typed `WireError`, never a panic.
@@ -19,7 +20,6 @@ use teechain::channel::Channel;
 use teechain::enclave::Command;
 use teechain::msg::{Handshake, MhLock, ProtocolMsg, SettleDigest, StateDelta, WireMsg};
 use teechain::multihop::RouteState;
-use teechain::node::NodeWire;
 use teechain::session::Session;
 use teechain::testkit::{Cluster, ClusterConfig, Harness};
 use teechain::{ChannelId, CommitteeSpec, Deposit, RouteId};
@@ -85,22 +85,23 @@ fn messages() -> [ProtocolMsg; 3] {
     ]
 }
 
-/// `(length, sha256)` of each frame at the parent commit, and the `Pay`
-/// frame in full.
+/// `(length, sha256)` of each frame.
 const GOLDEN: [(usize, &str); 3] = [
     (
-        144,
-        "8d8586cc27c8fcf589d37e8ed75e27c0b784685f07d050d3a630f434a1e78d3d",
+        139,
+        "8de4e267fd2beacdc31d6d113c57204e8aa503e7a6b6403eb2767bba0db47719",
     ),
     (
-        161,
-        "8c6d4f694c4d11173c8ced27954d4bb9cf6a10b3a3ce5f9c1d8ee7349faff762",
+        156,
+        "34801896c000ae8632ea01f7db0baf0320adaa3de78590f18b255a9ad0843bf2",
     ),
     (
-        843,
-        "8484d8639faa0104765cabe98778699e77a0850a7aee8ea864763d121417e68e",
+        838,
+        "dc90282cc877f63856fab9ba256bfae719b30279c3d89758db9ab14ec8e34020",
     ),
 ];
+/// The `Pay` frame in full as it was captured, behind the host envelope a
+/// frame then carried: tag 0 and the length, 139 (`008b000000`).
 const GOLDEN_PAY_FRAME: &str = "\
     008b0000000206fe3f96a67b3600a85e09e226d2f1fde12849e787d72af81b9bed8824e32014cb4c\
     a8755ac786a79bc5e9fe8fc1c0bb537131e929f7a6b756201e87c5b236d50000000000000000013d\
@@ -114,20 +115,18 @@ fn frames_are_bit_identical_to_the_parent_commit() {
     let mut tx_in_place = Session::derive(&[9; 32], &a, &b);
     let mut rx = Session::derive(&[9; 32], &b, &a);
     for (msg, (len, digest)) in messages().iter().zip(GOLDEN) {
-        let frame = NodeWire::Enclave(tx.seal(&a, msg).encode_to_vec()).encode_to_vec();
-        // The path a node takes: sealed into the frame, then enveloped.
-        let wire = tx_in_place.seal_frame(&a, msg);
-        assert_eq!(NodeWire::Enclave(wire).encode_to_vec(), frame);
+        let frame = tx.seal(&a, msg).encode_to_vec();
+        // The path a node takes: sealed into the frame, sent as it is.
+        assert_eq!(tx_in_place.seal_frame(&a, msg), frame);
         assert_eq!(frame.len(), len);
         assert_eq!(hex::encode(&sha256(&frame)), digest);
         if matches!(msg, ProtocolMsg::Pay { .. }) {
-            assert_eq!(hex::encode(&frame), GOLDEN_PAY_FRAME);
+            let (envelope, sealed) = GOLDEN_PAY_FRAME.split_at(10);
+            assert_eq!(envelope, "008b000000");
+            assert_eq!(hex::encode(&frame), sealed);
         }
         // And the receiving side reads back what was sent.
-        let Ok(NodeWire::Enclave(wire)) = NodeWire::decode_exact(&frame) else {
-            panic!("not an enclave frame");
-        };
-        let Ok(WireMsg::Sealed { from, seq, ct, .. }) = WireMsg::decode_exact(&wire) else {
+        let Ok(WireMsg::Sealed { from, seq, ct, .. }) = WireMsg::decode_exact(&frame) else {
             panic!("not a sealed message");
         };
         assert_eq!(from, a);
@@ -408,7 +407,6 @@ fn golden_values() -> Vec<Golden> {
             ct: (0..61).collect(),
         },
     ];
-    let node = vec![NodeWire::Enclave(vec![1, 2, 3])];
     let scripts = vec![
         ScriptPubKey::P2pk(pk(1)),
         ScriptPubKey::Multisig {
@@ -440,7 +438,6 @@ fn golden_values() -> Vec<Golden> {
     let mut all = of("ProtocolMsg", protocol_msgs());
     all.extend(of("StateDelta", state_deltas()));
     all.extend(of("WireMsg", wire));
-    all.extend(of("NodeWire", node));
     all.extend(of("ScriptPubKey", scripts));
     all.extend(of("MultihopStage", stages));
     all.extend(of("SwapPhase", phases));
@@ -553,7 +550,6 @@ StateDelta 12 291 227c4e200939688c0ab4f5034ccce302087a36b95f063b9faec19121ece004
 WireMsg 0 577 abd7193c3e06cc699910155561b27eaeb1ed8135f406643f6caec6bf2b6f51ba
 WireMsg 1 577 92caeb38defefe0c0dfe2a781c61f2c05e2c6676c4d8f781aa3e9a8d34e32caf
 WireMsg 2 139 23d5b48ea636e0917cb6cccda15ae37a8d2b1f1afecf2d60301e83412b59e6c2
-NodeWire 0 8 6d1e1e5327877a72512121431132b2abaea4f0aab1fd0a43192ccbcd793e32a2
 ScriptPubKey 0 65 0a462318174bb034be229c38622a8a97e3995d58bc7a22d63b9a0d3d9a7c7a97
 ScriptPubKey 1 198 78a277944ea9fa7530b25f0f20eb3f7a02217e5da1cd4eb5092976f217b2ca78
 ScriptPubKey 2 137 bb1e96be114a951cf28dfc1cc2095e61e8b47dd54f2296e6037bf57f4ae11993

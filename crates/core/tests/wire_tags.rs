@@ -4,7 +4,6 @@
 //! (`impl_wire_enum!`'s `TAGS`), so a variant added there is covered here.
 
 use teechain::msg::{ProtocolMsg, StateDelta, WireMsg};
-use teechain::node::NodeWire;
 use teechain::{MultihopStage, SwapPhase};
 use teechain_blockchain::ScriptPubKey;
 use teechain_util::codec::{Decode, WireError};
@@ -29,9 +28,6 @@ fn a_tag_outside_an_enums_declaration_is_its_typed_error() {
     every_other_byte_is_refused::<ProtocolMsg>(ProtocolMsg::TAGS, "protocol tag");
     every_other_byte_is_refused::<StateDelta>(StateDelta::TAGS, "delta tag");
     every_other_byte_is_refused::<WireMsg>(WireMsg::TAGS, "wire tag");
-    // Sealed enclave traffic only: the host's co-sign tags 1 and 2 are gone.
-    assert_eq!(NodeWire::TAGS, [0]);
-    every_other_byte_is_refused::<NodeWire>(NodeWire::TAGS, "node wire tag");
     every_other_byte_is_refused::<ScriptPubKey>(ScriptPubKey::TAGS, "script tag");
     every_other_byte_is_refused::<MultihopStage>(MultihopStage::TAGS, "multihop stage");
     every_other_byte_is_refused::<SwapPhase>(SwapPhase::TAGS, "swap phase");

@@ -53,15 +53,8 @@ fn main() {
             other => panic!("a sealed request, got {other:?}"),
         }
     };
-    net.op_now(
-        2,
-        Command::Deliver {
-            wire,
-            at: 0,
-            more: false,
-        },
-    )
-    .expect("delivered");
+    net.op_now(2, Command::Deliver { wire, more: false })
+        .expect("delivered");
     net.settle_network();
     let refused = net.node(2).registry().counter_value("repl.sigs_refused");
     println!("co-sign requests the committee member refused: {refused}");
