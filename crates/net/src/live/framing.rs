@@ -88,6 +88,8 @@ impl FrameBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use teechain_util::hex;
 
     #[test]
     fn mux_frame_roundtrip() {
@@ -127,5 +129,150 @@ mod tests {
         let mut fb = FrameBuffer::new();
         fb.extend(&u32::MAX.to_le_bytes());
         assert!(fb.next_frame::<MuxFrame>().is_err());
+    }
+
+    /// Two sealed enclave frames as a node sends them, a `Pay` and a
+    /// `RepUpdate` (the first two frames `crates/core/tests/wire_golden.rs`
+    /// pins): the payloads the reactor carries. Its frame length is the
+    /// only delimiter in front of the enclave.
+    const SEALED: [&str; 2] = [
+        "\
+        0206fe3f96a67b3600a85e09e226d2f1fde12849e787d72af81b9bed8824e32014cb4ca8755ac786\
+        a79bc5e9fe8fc1c0bb537131e929f7a6b756201e87c5b236d50000000000000000013d00000083de\
+        726aa196d563df4857b074f5f94038ba651f03d5d5bc8d92fb1f18150c2bc3566efd4997dd783542\
+        1e731cd20dcb51d1287f6585c0a6701b6091e8",
+        "\
+        0206fe3f96a67b3600a85e09e226d2f1fde12849e787d72af81b9bed8824e32014cb4ca8755ac786\
+        a79bc5e9fe8fc1c0bb537131e929f7a6b756201e87c5b236d50100000000000000024e00000040a5\
+        07f7b875cccd9287a2a4534ce9298e9546302f0599b702649ff60a21b8d6e28f523039a194f478d0\
+        da5a4aba29a9c727f1bdff53ff3fd6e1d3dbd3ac2d0baf8ee15cf1574e27823b3d0f10a0",
+    ];
+
+    /// A stream of `picks.len()` multiplexed frames, each carrying the
+    /// sealed frame `picks[i] % 2` between nodes drawn from it too: the
+    /// frames and their encoding, back to back.
+    fn stream(picks: &[u32]) -> (Vec<MuxFrame>, Vec<u8>) {
+        let sealed = SEALED.map(|h| hex::decode(h).expect("hex"));
+        let frames: Vec<MuxFrame> = picks
+            .iter()
+            .map(|&p| MuxFrame {
+                from: p >> 8,
+                to: p >> 20,
+                payload: sealed[p as usize % 2].clone(),
+            })
+            .collect();
+        let mut wire = Vec::new();
+        frames.iter().for_each(|f| encode_frame(f, &mut wire));
+        (frames, wire)
+    }
+
+    fn parts(f: &MuxFrame) -> (u32, u32, &[u8]) {
+        (f.from, f.to, &f.payload)
+    }
+
+    /// Pops every complete frame; returns them and the answer that ended
+    /// the run (`Ok(None)` or an error).
+    fn drain(fb: &mut FrameBuffer) -> (Vec<MuxFrame>, Result<(), WireError>) {
+        let mut out = Vec::new();
+        loop {
+            match fb.next_frame::<MuxFrame>() {
+                Ok(Some(f)) => out.push(f),
+                Ok(None) => return (out, Ok(())),
+                Err(e) => return (out, Err(e)),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The stream as sent, split into chunks at any points, yields
+        /// exactly the frames that were sent, and nothing is left over.
+        #[test]
+        fn a_stream_split_anywhere_yields_the_frames_sent(
+            picks in proptest::collection::vec(any::<u32>(), 1..6),
+            cuts in proptest::collection::vec(any::<usize>(), 0..8),
+        ) {
+            let (sent, wire) = stream(&picks);
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (wire.len() + 1)).collect();
+            cuts.push(wire.len());
+            cuts.sort_unstable();
+            let (mut fb, mut got, mut at) = (FrameBuffer::new(), Vec::new(), 0);
+            for cut in cuts {
+                fb.extend(&wire[at..cut]);
+                at = cut;
+                let (frames, end) = drain(&mut fb);
+                prop_assert!(end.is_ok(), "a genuine stream is refused: {end:?}");
+                got.extend(frames);
+            }
+            prop_assert!(got.iter().map(parts).eq(sent.iter().map(parts)));
+            prop_assert!(fb.buf.is_empty());
+        }
+
+        /// A stream cut anywhere yields the frames wholly before the cut,
+        /// then waits for more.
+        #[test]
+        fn a_truncated_stream_yields_its_whole_frames_then_waits(
+            picks in proptest::collection::vec(any::<u32>(), 1..6),
+            cut in any::<usize>(),
+        ) {
+            let (sent, wire) = stream(&picks);
+            let cut = cut % wire.len();
+            let mut fb = FrameBuffer::new();
+            fb.extend(&wire[..cut]);
+            let (got, end) = drain(&mut fb);
+            prop_assert!(end.is_ok(), "cut at {cut}: {end:?}");
+            let whole = sent.iter().scan(0, |end, f| {
+                *end += 4 + f.encode_to_vec().len();
+                Some(*end)
+            });
+            let before = whole.take_while(|&end| end <= cut).count();
+            prop_assert!(got.iter().map(parts).eq(sent[..before].iter().map(parts)));
+        }
+
+        /// Any single-bit flip ends in a wait or a typed error, never a
+        /// panic; the frames before the flipped one come out as sent.
+        #[test]
+        fn a_flipped_bit_is_waited_on_or_refused_never_a_panic(
+            picks in proptest::collection::vec(any::<u32>(), 1..6),
+            bit in any::<usize>(),
+        ) {
+            let (sent, mut wire) = stream(&picks);
+            let bit = bit % (wire.len() * 8);
+            wire[bit / 8] ^= 1 << (bit % 8);
+            let mut fb = FrameBuffer::new();
+            fb.extend(&wire);
+            let (got, _) = drain(&mut fb);
+            let intact = sent.iter().scan(0, |end, f| {
+                *end += 4 + f.encode_to_vec().len();
+                Some(*end)
+            });
+            let before = intact.take_while(|&end| end <= bit / 8).count();
+            prop_assert!(got.len() <= sent.len());
+            prop_assert!(got.iter().take(before).map(parts).eq(sent[..before].iter().map(parts)));
+        }
+
+        /// A first frame whose length prefix claims anything up to
+        /// `MAX_FRAME + 1` but its true length is waited on or refused:
+        /// it never yields a frame, and past `MAX_FRAME` it is an error.
+        #[test]
+        fn a_false_length_claim_is_waited_on_or_refused(
+            picks in proptest::collection::vec(any::<u32>(), 1..6),
+            claim in 0u32..MAX_FRAME + 2,
+        ) {
+            let (_, mut wire) = stream(&picks);
+            let true_len = u32::from_le_bytes(wire[..4].try_into().expect("4 bytes"));
+            prop_assume!(claim != true_len);
+            for claim in [claim, MAX_FRAME + 1] {
+                wire[..4].copy_from_slice(&claim.to_le_bytes());
+                let mut fb = FrameBuffer::new();
+                fb.extend(&wire);
+                let first = fb.next_frame::<MuxFrame>();
+                prop_assert!(matches!(first, Ok(None) | Err(_)), "claim {claim}");
+                if claim > MAX_FRAME {
+                    prop_assert!(first.is_err(), "claim {claim} past MAX_FRAME");
+                }
+            }
+        }
     }
 }
