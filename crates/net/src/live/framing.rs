@@ -166,6 +166,16 @@ mod tests {
         (frames, wire)
     }
 
+    /// How many of `sent`'s frames end at or before byte `at` of their
+    /// stream.
+    fn whole_before(sent: &[MuxFrame], at: usize) -> usize {
+        let ends = sent.iter().scan(0, |end, f| {
+            *end += 4 + f.encode_to_vec().len();
+            Some(*end)
+        });
+        ends.take_while(|&end| end <= at).count()
+    }
+
     fn parts(f: &MuxFrame) -> (u32, u32, &[u8]) {
         (f.from, f.to, &f.payload)
     }
@@ -222,11 +232,7 @@ mod tests {
             fb.extend(&wire[..cut]);
             let (got, end) = drain(&mut fb);
             prop_assert!(end.is_ok(), "cut at {cut}: {end:?}");
-            let whole = sent.iter().scan(0, |end, f| {
-                *end += 4 + f.encode_to_vec().len();
-                Some(*end)
-            });
-            let before = whole.take_while(|&end| end <= cut).count();
+            let before = whole_before(&sent, cut);
             prop_assert!(got.iter().map(parts).eq(sent[..before].iter().map(parts)));
         }
 
@@ -243,11 +249,7 @@ mod tests {
             let mut fb = FrameBuffer::new();
             fb.extend(&wire);
             let (got, _) = drain(&mut fb);
-            let intact = sent.iter().scan(0, |end, f| {
-                *end += 4 + f.encode_to_vec().len();
-                Some(*end)
-            });
-            let before = intact.take_while(|&end| end <= bit / 8).count();
+            let before = whole_before(&sent, bit / 8);
             prop_assert!(got.len() <= sent.len());
             prop_assert!(got.iter().take(before).map(parts).eq(sent[..before].iter().map(parts)));
         }
