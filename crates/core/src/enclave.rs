@@ -730,7 +730,7 @@ impl TeechainEnclave {
 
     /// Seals `msg` for `remote` into a `Send` effect: one look-up of the
     /// identity. A handler that knows the peer's slot seals with
-    /// [`Self::seal_at`]. Public for compromised-TEE modelling: an
+    /// `seal_at`. Public for compromised-TEE modelling: an
     /// attacker holding a compromised enclave's memory
     /// ([`teechain_tee::Enclave::compromise`]) seals what it likes under
     /// its sessions, and §6.1's committee guard must hold against that.
