@@ -25,7 +25,7 @@ use teechain::{DurabilityBackend, PersistPolicy};
 use teechain_bench::harness::BenchCluster;
 use teechain_bench::report::{fmt_thousands, BenchJson, Table};
 use teechain_bench::scenarios::wan_100ms;
-use teechain_net::{Histogram, NodeId};
+use teechain_net::Histogram;
 
 /// One durability configuration's results.
 struct Row {
@@ -59,11 +59,7 @@ fn run_config(
         .map(|p| c.standard_channel(2 * p, 2 * p + 1, &format!("swap-bench-{p}"), 10_000, 1))
         .collect();
     // The griefing responder: withholds HTLC funding on every round.
-    c.sim
-        .node_mut(NodeId((pairs * 2 - 1) as u32))
-        .host
-        .node
-        .swap_withhold_funding = true;
+    c.node_mut(pairs * 2 - 1).swap_withhold_funding = true;
     let t0 = c.sim.now_ns();
     let (mut redeemed, mut refunded) = (0u64, 0u64);
     for r in 0..rounds {
@@ -101,13 +97,7 @@ fn run_config(
     let snap = c.observe();
     let stuck = snap.gauges.get("swap.pending").copied().unwrap_or(0);
     for i in 0..c.sim.len() {
-        for (name, h) in c
-            .sim
-            .node(NodeId(i as u32))
-            .host
-            .node
-            .swap_phase_latencies()
-        {
+        for (name, h) in c.node(i).swap_phase_latencies() {
             lat.entry(name).or_default().merge(&h);
         }
     }

@@ -5,17 +5,25 @@
 //! row uses the lnd figures measured in the paper (see
 //! `teechain_baselines::ln::perf`).
 //!
+//! The unbatched rows model a client that issues each payment as its own
+//! request, as the paper's did: their hosts pass no input hint
+//! (`Command::Deliver::more` is always false), so every payee acks, and
+//! every chain head replicates, each payment alone. The rows labelled
+//! "input hint" pass the engine's hint instead, so that a payee and a
+//! chain head coalesce the payments already queued at them.
+//!
 //! Every row's throughput and window-1 latency percentiles go into the
 //! artifact's `metrics` as `<row>_tx_s`, `<row>_p50_ms` and
 //! `<row>_p99_ms`; the simulator is deterministic, so CI gates the quick
 //! rows (no fault tolerance, one and two replicas) against the committed
 //! artifact at a 1 % threshold in both directions.
 
-use teechain_bench::harness::Job;
+use teechain::ChannelId;
+use teechain_bench::harness::{BenchCluster, Job};
 use teechain_bench::report::{fmt_thousands, BenchJson, Table};
 use teechain_bench::scenarios::{fig3_pair, FtMode};
 use teechain_bench::trace_out::TraceSink;
-use teechain_net::Histogram;
+use teechain_net::{Histogram, NodeId};
 use teechain_trace::TraceEvent;
 
 type OpErrors = std::collections::BTreeMap<String, u64>;
@@ -31,9 +39,21 @@ struct RowResult {
     trace: Vec<TraceEvent>,
 }
 
-fn run_row(ft: FtMode, batching: bool, seed: u64, trace: bool) -> RowResult {
-    // Throughput: a large pipelined load.
+/// The pair of Fig. 3 under `ft`; without `hint` its hosts pass no input
+/// hint.
+fn pair(ft: FtMode, hint: bool, seed: u64) -> (BenchCluster, ChannelId) {
     let (mut cluster, chan) = fig3_pair(ft, seed);
+    if !hint {
+        for i in 0..cluster.sim.len() {
+            cluster.sim.node_mut(NodeId(i as u32)).host.more = Some(false);
+        }
+    }
+    (cluster, chan)
+}
+
+fn run_row(ft: FtMode, batching: bool, hint: bool, seed: u64, trace: bool) -> RowResult {
+    // Throughput: a large pipelined load.
+    let (mut cluster, chan) = pair(ft, hint, seed);
     let payments = match (ft, batching) {
         (FtMode::StableStorage, false) => 60,
         (FtMode::StableStorage, true) => 60_000,
@@ -56,7 +76,7 @@ fn run_row(ft: FtMode, batching: bool, seed: u64, trace: bool) -> RowResult {
     // Latency: a sequential (window = 1) run on a fresh cluster. This is
     // the run `--trace-out` records: window 1 keeps the flight recording
     // readable (one full round trip at a time).
-    let (mut cluster, chan) = fig3_pair(ft, seed + 1);
+    let (mut cluster, chan) = pair(ft, hint, seed + 1);
     if trace {
         cluster.set_tracing(true);
     }
@@ -102,13 +122,20 @@ fn main() {
         fmt_thousands(teechain_baselines::ln::perf::MAX_TX_PER_SEC),
         "387 [420]".into(),
     ]);
-    // (label, metrics key, fault tolerance, batching)
-    let mut rows: Vec<(&str, &str, FtMode, bool)> = vec![
-        ("Teechain, no fault tolerance", "no_ft", FtMode::None, false),
+    // (label, metrics key, fault tolerance, batching, input hint)
+    let mut rows: Vec<(&str, &str, FtMode, bool, bool)> = vec![
+        (
+            "Teechain, no fault tolerance",
+            "no_ft",
+            FtMode::None,
+            false,
+            false,
+        ),
         (
             "Teechain, one replica (IL)",
             "replicas1",
             FtMode::Replicas(1),
+            false,
             false,
         ),
         (
@@ -116,11 +143,13 @@ fn main() {
             "replicas2",
             FtMode::Replicas(2),
             false,
+            false,
         ),
         (
             "Teechain, three replicas (IL, US & UK)",
             "replicas3",
             FtMode::Replicas(3),
+            false,
             false,
         ),
         (
@@ -128,11 +157,13 @@ fn main() {
             "stable_storage",
             FtMode::StableStorage,
             false,
+            false,
         ),
         (
             "Teechain, batching (no fault tolerance)",
             "batching_no_ft",
             FtMode::None,
+            true,
             true,
         ),
         (
@@ -140,11 +171,27 @@ fn main() {
             "batching_replicas2",
             FtMode::Replicas(2),
             true,
+            true,
         ),
         (
             "Teechain, batching (stable storage)",
             "batching_stable_storage",
             FtMode::StableStorage,
+            true,
+            true,
+        ),
+        (
+            "Teechain, one replica (IL), input hint",
+            "replicas1_hinted",
+            FtMode::Replicas(1),
+            false,
+            true,
+        ),
+        (
+            "Teechain, two replicas (IL & UK), input hint",
+            "replicas2_hinted",
+            FtMode::Replicas(2),
+            false,
             true,
         ),
     ];
@@ -159,9 +206,9 @@ fn main() {
         std::thread::available_parallelism().map_or(0, |p| p.get()),
     );
     let mut trace = Vec::new();
-    for (i, (name, key, ft, batching)) in rows.into_iter().enumerate() {
+    for (i, (name, key, ft, batching, hint)) in rows.into_iter().enumerate() {
         // The first (no-fault-tolerance) row is the one --trace-out records.
-        let r = run_row(ft, batching, 1234, sink.active() && i == 0);
+        let r = run_row(ft, batching, hint, 1234, sink.active() && i == 0);
         doc.op_errors(&r.op_errors).latency(&r.latency);
         doc.metric(&format!("{key}_tx_s"), r.throughput)
             .metric(&format!("{key}_p50_ms"), r.p50_ms)

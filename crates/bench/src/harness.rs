@@ -33,7 +33,7 @@ use std::ops::{Deref, DerefMut};
 use teechain::driver::SimHost;
 use teechain::enclave::Command;
 use teechain::ops::{Completion, OpError, OpOutput, Payment};
-use teechain::testkit::{Cluster, ClusterConfig};
+use teechain::testkit::{Cluster, ClusterConfig, HintedHost};
 use teechain::types::{ChannelId, ProtocolError, RouteId};
 use teechain_crypto::schnorr::PublicKey;
 use teechain_net::{Ctx, Histogram, NodeId, SimNode};
@@ -122,8 +122,10 @@ struct Flight {
 
 /// A simulator node: Teechain host + workload driver.
 pub struct BenchNode {
-    /// The wrapped host (public for setup).
-    pub host: SimHost,
+    /// The wrapped host (public for setup). It passes the engine's input
+    /// hint unless told otherwise: Table 1's unbatched rows pass none
+    /// (`more: Some(false)`).
+    pub host: HintedHost,
     jobs: VecDeque<Job>,
     /// Failed jobs awaiting their backoff timer: `(job, first_issue)`.
     retry_bucket: VecDeque<(Job, u64)>,
@@ -151,7 +153,7 @@ pub struct BenchNode {
 impl From<SimHost> for BenchNode {
     fn from(host: SimHost) -> Self {
         BenchNode {
-            host,
+            host: host.into(),
             jobs: VecDeque::new(),
             retry_bucket: VecDeque::new(),
             window: 1,
@@ -169,13 +171,13 @@ impl From<SimHost> for BenchNode {
 
 impl Borrow<SimHost> for BenchNode {
     fn borrow(&self) -> &SimHost {
-        &self.host
+        &self.host.host
     }
 }
 
 impl BorrowMut<SimHost> for BenchNode {
     fn borrow_mut(&mut self) -> &mut SimHost {
-        &mut self.host
+        &mut self.host.host
     }
 }
 
@@ -190,9 +192,9 @@ impl BenchNode {
         if self.flights.is_empty() {
             return;
         }
-        for c in std::mem::take(&mut self.host.node.completions) {
+        for c in std::mem::take(&mut self.host.host.node.completions) {
             let Some(flight) = self.flights.remove(&c.op.seq) else {
-                self.host.node.completions.push(c);
+                self.host.host.node.completions.push(c);
                 continue;
             };
             if self.record_completions {
@@ -332,8 +334,8 @@ impl BenchNode {
         let first_issue = first_issue.unwrap_or_else(|| ctx.now_ns());
         match job {
             Job::Direct { chan, amount } => {
-                ctx.busy(self.host.costs.logical_ns);
-                let op = self.host.node.submit_op(
+                ctx.busy(self.host.host.costs.logical_ns);
+                let op = self.host.host.node.submit_op(
                     ctx,
                     Command::Pay {
                         id: chan,
@@ -357,11 +359,11 @@ impl BenchNode {
                 next_path,
                 amount,
             } => {
-                ctx.busy(self.host.costs.logical_ns);
+                ctx.busy(self.host.host.costs.logical_ns);
                 let idx = next_path.min(paths.len() - 1);
                 let (hops, channels) = paths[idx].clone();
                 let route = self.next_route_id(ctx, first_issue);
-                let op = self.host.node.submit_op(
+                let op = self.host.host.node.submit_op(
                     ctx,
                     Command::PayMultihop {
                         route,
@@ -397,7 +399,7 @@ impl BenchNode {
         // How many logical payments the client generated this interval:
         // bounded by the per-payment generation cost (the CPU model).
         let capacity = interval
-            .checked_div(self.host.costs.logical_ns)
+            .checked_div(self.host.host.costs.logical_ns)
             .unwrap_or(u32::MAX as u64);
         let mut count = 0u32;
         let mut amount = 0u64;
@@ -415,7 +417,7 @@ impl BenchNode {
             }
         }
         if count > 0 {
-            ctx.busy(self.host.costs.logical_ns * count as u64);
+            ctx.busy(self.host.host.costs.logical_ns * count as u64);
             // Average queueing delay inside the batch is interval/2.
             let effective_send = ctx.now_ns().saturating_sub(interval / 2);
             if self.stats.first_issue.is_none() {
@@ -424,7 +426,7 @@ impl BenchNode {
             // Counter throttling (stable storage) is re-dispatched by the
             // node's admission pump at `ready_at` — the merged operation
             // simply stays in flight until the whole batch group-commits.
-            let op = self.host.node.submit_op(
+            let op = self.host.host.node.submit_op(
                 ctx,
                 Command::Pay {
                     id: chan,
@@ -606,7 +608,7 @@ impl BenchCluster {
     pub fn completion_log(&self) -> Vec<Completion> {
         let streams: Vec<&[Completion]> = (0..self.sim.len())
             .map(|i| self.sim.node(NodeId(i as u32)))
-            .flat_map(|n| [n.completion_log.as_slice(), &n.host.node.completions])
+            .flat_map(|n| [n.completion_log.as_slice(), &n.host.host.node.completions])
             .collect();
         teechain::ops::merge_completions(&streams)
     }
@@ -620,8 +622,9 @@ impl BenchCluster {
         for i in 0..self.sim.len() {
             let node = self.sim.node_mut(NodeId(i as u32));
             node.stats = DriverStats::default();
-            node.host.node.completions.clear();
+            node.host.host.node.completions.clear();
             node.admit_base = node
+                .host
                 .host
                 .node
                 .enclave
@@ -671,7 +674,14 @@ impl BenchCluster {
             hops_total += node.stats.hops_total;
             mh += node.stats.multihop_completed;
             lat.merge(&node.stats.latencies);
-            if let Some(a) = node.host.node.enclave.program().map(|p| p.admit_stats()) {
+            if let Some(a) = node
+                .host
+                .host
+                .node
+                .enclave
+                .program()
+                .map(|p| p.admit_stats())
+            {
                 let base = &node.admit_base;
                 queued += a.enqueued - base.enqueued;
                 deferred += a.deferred - base.deferred;

@@ -75,10 +75,7 @@ fn run_at(shards: usize) -> Fingerprint {
             let from = key.0 .0 as usize;
             if idx == 0 {
                 net.cluster
-                    .sim
-                    .node_mut(key.1)
-                    .host
-                    .node
+                    .node_mut(key.1 .0 as usize)
                     .swap_withhold_funding = true;
             }
             net.cluster.submit(
@@ -100,13 +97,7 @@ fn run_at(shards: usize) -> Fingerprint {
     }
     let mut swap_phases = Vec::new();
     for i in 0..net.cluster.sim.len() {
-        let r = net
-            .cluster
-            .sim
-            .node(teechain_net::NodeId(i as u32))
-            .host
-            .node
-            .registry();
+        let r = net.cluster.node(i).registry();
         swap_phases.push((
             r.counter_value("swap.phase.init"),
             r.counter_value("swap.phase.locked"),
@@ -127,10 +118,7 @@ fn run_at(shards: usize) -> Fingerprint {
             for node in [key.0, key.1] {
                 let c = net
                     .cluster
-                    .sim
-                    .node(node)
-                    .host
-                    .node
+                    .node(node.0 as usize)
                     .enclave
                     .program()
                     .and_then(|p| p.channel(chan))

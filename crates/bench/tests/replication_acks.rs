@@ -1,55 +1,94 @@
-//! The committee chain's cumulative acks and forwards on Table 1's
-//! unbatched configurations: every payment still leaves the head as its
-//! own update, while the tail acknowledges, and a middle member forwards,
-//! at most every `ACK_EVERY`-th head update plus once per drained input.
+//! The committee chain on Table 1's pipelined load, with the engine's
+//! input hint: the payer's head commits each payment as its own update,
+//! while the payee's head holds a run of queued `Pay`s and commits it as
+//! one; the tail acknowledges, and a middle member forwards, at most every
+//! `ACK_EVERY`-th head update plus once per drained input. Every payment
+//! completes, no node refuses a message, and every replica ends equal to
+//! its primary.
 
 use teechain::replication::ACK_EVERY;
 use teechain_bench::harness::{BenchCluster, Job};
 use teechain_bench::scenarios::{fig3_pair, sim_burst, FtMode};
+use teechain_util::codec::Encode;
 
 const PAYMENTS: u64 = 2_000;
 
-/// `(updates applied, sent, flushes)` of node `i`, with `sent` and
-/// `flushes` the named counters.
-fn rep_counts(cluster: &BenchCluster, i: usize, sent: &str, flushes: &str) -> (u64, u64, u64) {
-    let snap = cluster.node(i).registry().snapshot();
-    let get = |k: &str| snap.counters.get(k).copied().unwrap_or(0);
-    (get("repl.updates_applied"), get(sent), get(flushes))
+/// `[updates applied, sent, flushes, head updates]` of member `i`: `sent`
+/// and `flushes` are the named counters, and the head updates are those
+/// its `primary` sent.
+fn rep_counts(
+    cluster: &BenchCluster,
+    (i, primary): (usize, usize),
+    sent: &str,
+    flushes: &str,
+) -> [u64; 4] {
+    let get = |i: usize, k: &str| {
+        let snap = cluster.node(i).registry().snapshot();
+        snap.counters.get(k).copied().unwrap_or(0)
+    };
+    [
+        get(i, "repl.updates_applied"),
+        get(i, sent),
+        get(i, flushes),
+        get(primary, "repl.updates_sent"),
+    ]
 }
+
+/// A member's `(node, primary)` and the names of its sent and flush
+/// counters.
+type Member = ((usize, usize), (&'static str, &'static str));
 
 const ACKS: (&str, &str) = ("repl.acks_sent", "repl.ack_flushes");
 const FORWARDS: (&str, &str) = ("repl.forwards_sent", "repl.forward_flushes");
 
-/// Runs Table 1's throughput load, shorter: one pipelined load with an
-/// unbounded window, so chain members have a backlog to drain. Returns
-/// each `(member, counters)`'s counts over the load.
-fn table1_load(ft: FtMode, members: &[(usize, (&str, &str))]) -> Vec<(u64, u64, u64)> {
-    let (mut cluster, chan) = fig3_pair(ft, 1234);
-    let jobs = (0..PAYMENTS)
+/// Runs Table 1's throughput load of `payments` on `cluster`: one
+/// pipelined load with an unbounded window, so chain members have a
+/// backlog to drain. Every payment completes and no node refuses a
+/// message.
+fn table1_load(cluster: &mut BenchCluster, chan: teechain::ChannelId, payments: u64) {
+    let jobs = (0..payments)
         .map(|_| Job::Direct { chan, amount: 1 })
         .collect();
+    cluster.load(0, jobs, 1_000_000);
+    let stats = cluster.run(300_000_000);
+    assert_eq!(stats.completed, payments);
+    for i in 0..cluster.sim.len() {
+        let errors = &cluster.node(i).delivery_errors;
+        assert!(errors.is_empty(), "node {i}: {errors:?}");
+    }
+}
+
+/// Each `(member, primary)`'s counts over Table 1's load.
+fn member_counts(ft: FtMode, members: &[Member]) -> Vec<[u64; 4]> {
+    let (mut cluster, chan) = fig3_pair(ft, 1234);
     let counts = |cluster: &BenchCluster| -> Vec<_> {
         members
             .iter()
-            .map(|&(i, (sent, flushes))| rep_counts(cluster, i, sent, flushes))
+            .map(|&(m, (sent, flushes))| rep_counts(cluster, m, sent, flushes))
             .collect()
     };
     let before = counts(&cluster);
-    cluster.load(0, jobs, 1_000_000);
-    let stats = cluster.run(300_000_000);
-    assert_eq!(stats.completed, PAYMENTS);
+    table1_load(&mut cluster, chan, PAYMENTS);
     counts(&cluster)
         .into_iter()
         .zip(before)
-        .map(|((a, s, f), (a0, s0, f0))| (a - a0, s - s0, f - f0))
+        .map(|(a, b)| [0, 1, 2, 3].map(|k| a[k] - b[k]))
         .collect()
 }
 
-/// Each payment commits once at each end, so each member applies one
-/// head update per payment; no message covers more than the bound, and
-/// every other one is a drained input.
-fn assert_coalesced(member: usize, (applied, sent, flushes): (u64, u64, u64)) {
-    assert_eq!(applied, PAYMENTS, "member {member}: one update per payment");
+/// The payer's head commits each payment as its own update, and the
+/// payee's head each run of `Pay`s it holds as one, so a member applies
+/// what its head sent; no message covers more than the bound, and every
+/// other one is a drained input.
+fn assert_coalesced((member, primary): (usize, usize), [applied, sent, flushes, head]: [u64; 4]) {
+    assert_eq!(applied, head, "member {member}: every head update");
+    match primary {
+        0 => assert_eq!(applied, PAYMENTS, "member {member}: one per payment"),
+        _ => assert!(
+            (PAYMENTS.div_ceil(ACK_EVERY)..PAYMENTS / 8).contains(&applied),
+            "member {member}: {applied} updates for {PAYMENTS} payments"
+        ),
+    }
     assert!(
         sent * ACK_EVERY >= applied,
         "member {member}: {sent} sent for {applied} updates"
@@ -64,8 +103,8 @@ fn assert_coalesced(member: usize, (applied, sent, flushes): (u64, u64, u64)) {
 #[test]
 fn unbatched_one_replica_sends_every_payment_and_acks_at_most_every_bound() {
     // Chains: payer 0 → tail 2, payee 1 → tail 3.
-    let members = [(2, ACKS), (3, ACKS)];
-    let counts = table1_load(FtMode::Replicas(1), &members);
+    let members = [((2, 0), ACKS), ((3, 1), ACKS)];
+    let counts = member_counts(FtMode::Replicas(1), &members);
     for (&(member, _), got) in members.iter().zip(counts) {
         assert_coalesced(member, got);
     }
@@ -74,10 +113,40 @@ fn unbatched_one_replica_sends_every_payment_and_acks_at_most_every_bound() {
 #[test]
 fn unbatched_two_replicas_forward_and_ack_at_most_every_bound() {
     // Chains: payer 0 → 2 → tail 3, payee 1 → 4 → tail 5.
-    let members = [(2, FORWARDS), (3, ACKS), (4, FORWARDS), (5, ACKS)];
-    let counts = table1_load(FtMode::Replicas(2), &members);
+    let members = [
+        ((2, 0), FORWARDS),
+        ((3, 0), ACKS),
+        ((4, 1), FORWARDS),
+        ((5, 1), ACKS),
+    ];
+    let counts = member_counts(FtMode::Replicas(2), &members);
     for (&(member, _), got) in members.iter().zip(counts) {
         assert_coalesced(member, got);
+    }
+}
+
+/// Table 1's full replicated load (30,000 payments) with the hint on:
+/// every payment completes, no node refuses a message, and every replica
+/// of the channel ends equal to its primary's. An acknowledgement that a
+/// chain ack released must leave at once: held again behind the head's
+/// next update, the acks after it overtake it, the payer refuses them as
+/// out of order, and payments never complete.
+#[test]
+fn the_pipelined_load_completes_and_leaves_every_replica_equal_to_its_primary() {
+    for backups in [1, 2] {
+        let (mut cluster, chan) = fig3_pair(FtMode::Replicas(backups), 1234);
+        table1_load(&mut cluster, chan, 30_000);
+        let image = |c: &teechain::channel::Channel| c.encode_to_vec();
+        for primary in [0, 1] {
+            let p = cluster.node(primary).enclave.program().unwrap();
+            let want = image(p.channel(&chan).unwrap());
+            let first = 2 + primary * backups;
+            for member in first..first + backups {
+                let m = cluster.node(member).enclave.program().unwrap();
+                let got = image(m.replica_channel(&chan).unwrap());
+                assert_eq!(got, want, "{backups} backups: member {member}");
+            }
+        }
     }
 }
 

@@ -280,6 +280,40 @@ impl DurableState {
     }
 }
 
+impl StateDelta {
+    /// Folds `next`, the delta committed right after this one, into it
+    /// when both are payments on one channel and the sums fit: applying
+    /// the fold is applying both. True if it did (as
+    /// [`Vec::dedup_by`] takes it, `next` first).
+    pub(crate) fn absorb(next: &mut StateDelta, kept: &mut StateDelta) -> bool {
+        let (
+            StateDelta::Pay {
+                id,
+                my_delta,
+                remote_delta,
+            },
+            StateDelta::Pay {
+                id: kept_id,
+                my_delta: kept_my,
+                remote_delta: kept_remote,
+            },
+        ) = (next, kept)
+        else {
+            return false;
+        };
+        let sums = kept_my
+            .checked_add(*my_delta)
+            .zip(kept_remote.checked_add(*remote_delta));
+        match sums {
+            Some((my, remote)) if id == kept_id => {
+                (*kept_my, *kept_remote) = (my, remote);
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
 /// Version tag of the durable state-image format (the legacy format has
 /// no tag; its first byte is the 0/1 of an `Option`). V2 holds the deposit
 /// book with statuses, v3 appends the atomic-swap table, and v4 the

@@ -24,7 +24,7 @@ use crate::durability::DurabilityBackend;
 use crate::durable::DurableState;
 use crate::msg::{ProtocolMsg, StateDelta, WireView};
 use crate::ops::{MatchKey, OpError, OpOutput, SettleKind, Settlement};
-use crate::replication::{Replication, SigCollect};
+use crate::replication::{Replication, SigCollect, ACK_EVERY};
 use crate::session::Session;
 use crate::slots::SlotMap;
 use crate::swap::{SwapPhase, SwapState};
@@ -87,10 +87,11 @@ pub enum Command {
         /// ([`teechain_net::Ctx::more_messages`]). The enclave then keeps
         /// what it owes for its queued input: a payee the acknowledgements
         /// of the payments it applies, a committee chain member the
-        /// updates it applies. It releases them, as one cumulative
-        /// `PayAck` per channel and one ack or forward of the chain, at
-        /// the next ecall that is not such a delivery, or once
-        /// [`ACK_EVERY`](crate::replication::ACK_EVERY) are owed. The
+        /// updates it applies, and a chain head the deltas of a delivery
+        /// that produced no output. It releases them, as one cumulative
+        /// `PayAck` per channel, one ack or forward of the chain and one
+        /// head update, at the next ecall that is not such a delivery, or
+        /// once [`ACK_EVERY`] are owed. The
         /// message behind makes that ecall, or its host pumps
         /// ([`Command::PumpAdmission`]) when it does not. A host that lies
         /// only delays what is owed: false on every delivery passes each
@@ -972,28 +973,66 @@ impl EnclaveProgram for TeechainEnclave {
         self.counter_open = false;
         self.acks.sealed_in_handler = false;
         // Only a delivery with more messages queued behind it keeps what
-        // a payee or a chain member owes (see `Command::Deliver::more`).
-        let keep = matches!(cmd, Command::Deliver { more: true, .. });
-        let send_seq = self.rep.send_seq;
+        // a payee or a chain member owes, or a chain head's update (see
+        // `Command::Deliver::more`).
+        let more = matches!(cmd, Command::Deliver { more: true, .. });
+        // A chain head's held deltas go first in what this ecall commits.
+        let held = self.rep.held.len();
+        std::mem::swap(&mut self.rep.staged, &mut self.rep.held);
+        let mut send_seq = self.rep.send_seq;
         let result = self
             .pass(env, Gate::of(&cmd))
             .and_then(|()| self.dispatch_command(env, cmd));
-        match result {
-            Ok(mut effects) => {
-                // A frozen enclave releases nothing.
-                let keep = keep || self.frozen;
-                self.release_pay_acks(&mut effects, keep, send_seq);
-                if !keep {
-                    effects.extend(self.flush_owed());
-                }
-                self.finalize(env, effects)
-            }
+        let mut effects = match result {
+            Ok(effects) => effects,
             Err(e) => {
+                // A refusal drops what it staged, never what was held
+                // before it (unless its handler committed that already).
+                self.rep.staged.truncate(held);
+                if self.rep.send_seq == send_seq {
+                    std::mem::swap(&mut self.rep.staged, &mut self.rep.held);
+                }
                 self.rep.staged.clear();
                 self.rep.asks.clear();
-                Err(e)
+                return Err(e);
+            }
+        };
+        // A chain head holds the deltas of a delivery with more messages
+        // behind it that produced no output, up to `ACK_EVERY` of them:
+        // one update then carries the whole run.
+        let silent = effects.is_empty() && self.rep.asks.is_empty() && !self.acks.sealed_in_handler;
+        if more && silent && self.rep.backup.is_some() {
+            self.rep.held_runs += u64::from(self.rep.staged.len() > held);
+            if self.rep.held_runs < ACK_EVERY {
+                self.rep.staged.dedup_by(StateDelta::absorb);
+                std::mem::swap(&mut self.rep.staged, &mut self.rep.held);
+                return Ok(effects);
             }
         }
+        self.rep.held_runs = 0;
+        let mut update = Vec::new();
+        if held > 0 && self.rep.staged.len() == held && self.rep.send_seq == send_seq {
+            // The ecall committed nothing itself: the held deltas go as
+            // their own update, and its output (what a `RepAck` released)
+            // is not held behind them.
+            update = self.commit_staged(env, Vec::new())?;
+            send_seq = self.rep.send_seq;
+        } else if held > 0 {
+            self.rep.staged.dedup_by(StateDelta::absorb);
+        }
+        // A frozen enclave releases nothing.
+        let keep = more || self.frozen;
+        self.release_pay_acks(&mut effects, keep, send_seq);
+        if !keep {
+            effects.extend(self.flush_owed());
+        }
+        let mut effects = self.finalize(env, effects)?;
+        if !update.is_empty() {
+            // The update first: a co-sign request sealed to the backup
+            // after it must not overtake it.
+            effects.splice(..0, update);
+        }
+        Ok(effects)
     }
 }
 
@@ -1099,6 +1138,7 @@ impl TeechainEnclave {
             // visible effects until the chain acknowledges the update.
             let seq = self.rep.send_seq;
             self.rep.send_seq += 1;
+            self.rep.stats.updates_sent += 1;
             self.rep.pending.insert(seq, effects);
             let deltas = std::mem::take(&mut self.rep.staged);
             let send = self.seal_at(backup.slot, &ProtocolMsg::RepUpdate { seq, deltas })?;

@@ -842,6 +842,7 @@ impl TeechainNode {
         r.counter("node.throttle.parked", self.throttle_parked);
         r.counter("node.throttle.redispatched", self.throttle_redispatched);
         if let Some(rep) = self.enclave.program().map(|p| p.rep_stats()) {
+            r.counter("repl.updates_sent", rep.updates_sent);
             r.counter("repl.updates_applied", rep.updates_applied);
             r.counter("repl.acks_sent", rep.acks_sent);
             r.counter("repl.ack_flushes", rep.ack_flushes);

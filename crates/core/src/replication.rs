@@ -8,6 +8,16 @@
 //! backup's replica is a `DurableState` that the deltas change through
 //! the same `apply` the primary ran.
 //!
+//! *Coalescing*: the chain passes on only what is already queued, on one
+//! signal, the host's input hint (`Command::Deliver::more`). The head
+//! holds the deltas of a delivery with more messages behind it that
+//! produced no output, folding consecutive payments on one channel, and
+//! commits them as one update at its next ecall of another kind, or the
+//! [`ACK_EVERY`]-th held one; a command commits at once. Below the head,
+//! the tail acknowledges, and a middle member forwards, every update it
+//! applied with one message, at most [`ACK_EVERY`] head updates apart. The
+//! one place all of it is released is `TeechainEnclave::handle`.
+//!
 //! *Force-freeze*: reading state from a backup (failover) freezes the whole
 //! chain — every member stops accepting updates, so the primary cannot
 //! continue executing payments against a state the backup has already
@@ -38,12 +48,16 @@ use teechain_tee::EnclaveEnv;
 /// a middle member forwards them to its backup as one update. Without a
 /// bound a member drains its whole backlog first, which holds back the
 /// head's effects for that long; with one, an ack releases, and a forward
-/// carries, at most this many head updates.
+/// carries, at most this many head updates. The head itself holds the
+/// deltas of at most this many deliveries before it commits them.
 pub const ACK_EVERY: u64 = 64;
 
 /// Per-member replication counters, surfaced through the node registry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct RepStats {
+    /// Updates this node sealed to its backup as a chain head: one per
+    /// ecall that commits, where a run of held deliveries is one.
+    pub updates_sent: u64,
     /// Head updates applied to this member's replica: a forwarded update
     /// counts every head update it covers.
     pub updates_applied: u64,
@@ -116,6 +130,16 @@ pub(crate) struct Replication {
     pub pending: BTreeMap<u64, Vec<Effect>>,
     /// Deltas staged by the currently executing handler.
     pub staged: Vec<StateDelta>,
+    /// A chain head's deltas not yet committed: those of deliveries with
+    /// more messages queued behind them that produced no output, with
+    /// consecutive payments on one channel folded into one. The next
+    /// ecall that is not such a delivery, or the [`ACK_EVERY`]-th held
+    /// one, commits them first in its update; only
+    /// `TeechainEnclave::handle` takes them
+    /// (`scripts/check-one-drain.sh`).
+    pub(crate) held: Vec<StateDelta>,
+    /// Deliveries whose deltas `held` keeps.
+    pub(crate) held_runs: u64,
     /// Co-sign requests the currently executing handler opened, by
     /// request id: sealed to the backup behind its update
     /// ([`TeechainEnclave::finalize`]).

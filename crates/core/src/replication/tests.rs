@@ -1,24 +1,30 @@
-//! Cumulative acks and forwards on committee chains: bursts around the
-//! bound complete exactly once and leave every replica equal to its
-//! primary; a tail that crashes while it owes acks, or a middle member
-//! that crashes while it owes forwards, keeps the head's effects held;
-//! and a surviving member still settles on chain. A member owes past its
-//! input only while its host says more messages are queued, so the
-//! crash tests give the member a host that always says so
-//! ([`HintedHost`]).
+//! Cumulative acks and forwards on committee chains, and the head's held
+//! updates: bursts around the bound complete exactly once and leave every
+//! replica equal to its primary; a tail that crashes while it owes acks,
+//! or a middle member that crashes while it owes forwards, keeps the
+//! head's effects held; a surviving member still settles on chain; a
+//! payee head that crashes while it holds deltas acknowledges none of
+//! them; and any mix of input hints ends in the state of the run without
+//! hints. A node owes past its input only while its host says more
+//! messages are queued, so the crash tests give it a host that always
+//! says so ([`HintedHost`]).
 
 use super::*;
+use crate::deposit::DepositStatus;
 use crate::durability::DurabilityBackend;
 use crate::enclave::Command;
 use crate::ops::OpError;
 use crate::testkit::{Cluster, ClusterConfig, ClusterNode, Harness, HintedHost};
+use proptest::prelude::*;
 use std::collections::BTreeMap;
+use teechain_blockchain::OutPoint;
 use teechain_net::NodeId;
 use teechain_tee::EnclaveProgram;
 
 /// Two primaries with two backups each: 0 → 2 → 3 and 1 → 4 → 5.
 const PAYER_MIDDLE: usize = 2;
 const PAYER_TAIL: usize = 3;
+const PAYEE_MIDDLE: usize = 4;
 const BACKUPS: [(usize, usize); 4] = [(2, 0), (3, 0), (4, 1), (5, 1)];
 
 fn chained_pair() -> (Cluster, ChannelId) {
@@ -57,6 +63,19 @@ fn submit_burst<N: ClusterNode>(c: &mut Cluster<N>, chan: ChannelId, k: u64) -> 
     (0..k).map(|_| c.submit(0, pay.clone()).seq).collect()
 }
 
+/// Head updates a backup of `primary` applies for a burst of `burst`
+/// payments from node 0: the payer's head commits each payment as its own
+/// update. Its chain acknowledges them `ACK_EVERY` at a time, and each ack
+/// releases that many `Pay`s, which reach the payee's head as one run of
+/// queued messages; the head holds the run's deltas and commits them as
+/// one update.
+fn head_updates(primary: usize, burst: u64) -> u64 {
+    match primary {
+        0 => burst,
+        _ => burst.div_ceil(ACK_EVERY),
+    }
+}
+
 #[test]
 fn bursts_around_the_ack_bound_complete_once_and_replicate() {
     for burst in [1, ACK_EVERY - 1, ACK_EVERY, ACK_EVERY + 1, 200] {
@@ -82,7 +101,7 @@ fn bursts_around_the_ack_bound_complete_once_and_replicate() {
             let got = replica.replica_channel(&chan).unwrap();
             assert_eq!((got.my_bal, got.remote_bal), want, "backup {backup}");
             let applied = rep_stats(&c, backup).updates_applied - before[backup].updates_applied;
-            assert_eq!(applied, burst, "backup {backup}: one update per payment");
+            assert_eq!(applied, head_updates(primary, burst), "backup {backup}");
         }
         // The payer's whole burst reaches its tail at one instant: one ack
         // per `ACK_EVERY` updates, plus one for the rest once drained.
@@ -194,7 +213,7 @@ fn three_backup_chains_forward_coalesced_at_both_middle_members() {
             let got = replica.replica_channel(&chan).unwrap();
             assert_eq!((got.my_bal, got.remote_bal), want, "backup {backup}");
             let applied = rep_stats(&c, backup).updates_applied - before[backup].updates_applied;
-            assert_eq!(applied, burst, "backup {backup}: one update per payment");
+            assert_eq!(applied, head_updates(primary, burst), "backup {backup}");
         }
         // The second middle member gets the first's forwards, each
         // covering up to `ACK_EVERY` head updates, and passes each on.
@@ -290,4 +309,128 @@ fn co_sign_traffic_from_off_the_chain_is_refused() {
     assert!(!moved);
     let head = c.node(0).enclave.program().unwrap();
     assert_eq!(head.sig_collects[&req_id].tx, tx);
+}
+
+#[test]
+fn a_payee_head_crashed_while_holding_deltas_acknowledges_none_of_them() {
+    let (mut c, chan): (Cluster<HintedHost>, _) = chained_pair_with(2);
+    c.pay(0, chan, 150).unwrap(); // Acknowledged by both chains.
+    always_more(&mut c, 1);
+    let head = rep_stats(&c, 1);
+    let acks = c.node(1).enclave.program().unwrap().pay_stats().acks_sent;
+    c.node_mut(0).completions.clear();
+    submit_burst(&mut c, chan, 10);
+    for _ in 0..1_000 {
+        if c.balances(1, chan).0 == 160 {
+            break;
+        }
+        let t = c.sim.now_ns() + 1;
+        c.sim.run_until(t);
+    }
+    // The payee applied the burst, and holds its deltas: no update went
+    // down its chain, and it owes the ack.
+    assert_eq!(c.balances(1, chan), (160, 1_000_000 - 160));
+    let p = c.node(1).enclave.program().unwrap();
+    assert!(!p.rep.held.is_empty(), "the head holds the run");
+    assert_eq!(rep_stats(&c, 1), head, "no update left the head");
+    assert_eq!(p.pay_stats().acks_sent, acks, "the ack is owed");
+    c.crash_node(1);
+    c.settle_network();
+    // No `PayAck` for the held `Pay`s left: every payment timed out.
+    assert_eq!(c.node(0).completions.len(), 10);
+    for done in &c.node(0).completions {
+        assert!(
+            matches!(done.outcome, Err(OpError::Timeout { .. })),
+            "{:?}",
+            done.outcome
+        );
+    }
+    // The payee's backup settles the last balances its chain
+    // acknowledged, and the settlement pays out the whole deposit. The
+    // deposit is the payer's, so its committee must co-sign: the
+    // settlement waits for those signatures.
+    c.exec(PAYEE_MIDDLE, Command::SettleFromReplica);
+    let member = c.node(PAYEE_MIDDLE).enclave.program().unwrap();
+    let settled = member.replica_channel(&chan).unwrap();
+    assert_eq!((settled.my_bal, settled.remote_bal), (150, 1_000_000 - 150));
+    let [collect] = member.sig_collects.values().collect::<Vec<_>>()[..] else {
+        panic!("one settlement asking for co-signatures");
+    };
+    let want = settle::current_settlement_tx(settled);
+    assert_eq!(collect.tx.outputs, want.outputs);
+    let paid: u64 = want.outputs.iter().map(|o| o.value).sum();
+    assert_eq!(paid, 1_000_000);
+}
+
+/// A primary's or a backup's view of the channel: balances and the
+/// statuses of the deposits it holds.
+type View = ((u64, u64), Vec<(OutPoint, DepositStatus)>);
+
+/// Runs `bursts` of payments of 1 (`true`: node 0 pays node 1) over two
+/// chains of two backups, each node's host passing `hints[i]` as its
+/// input hint, and every node making one more ecall that is not a
+/// delivery after the network idles, until nothing moves. Returns every
+/// primary's and backup's view at quiescence.
+fn views_after(bursts: &[(bool, u64)], hints: &[Option<bool>]) -> Vec<View> {
+    let (mut c, chan): (Cluster<HintedHost>, _) = chained_pair_with(2);
+    c.pay(0, chan, 1_000).unwrap();
+    for (i, &more) in hints.iter().enumerate() {
+        c.sim.node_mut(NodeId(i as u32)).more = more;
+    }
+    for &(forward, k) in bursts {
+        let pay = Command::Pay {
+            id: chan,
+            amount: 1,
+            count: 1,
+        };
+        for _ in 0..k {
+            c.submit(usize::from(!forward), pay.clone());
+        }
+        c.sim.run_to_idle(u64::MAX);
+        // A host that always says "more" holds what its node owes until
+        // the node's next other ecall.
+        for _ in 0..16 {
+            for i in 0..hints.len() {
+                c.submit(i, Command::GetIdentity);
+            }
+            if c.sim.run_to_idle(u64::MAX) == 0 {
+                break;
+            }
+        }
+    }
+    let statuses = |book: &crate::deposit::DepositBook| {
+        let mut s: Vec<_> = book.mine.iter().map(|(op, (_, st))| (*op, *st)).collect();
+        s.sort_by_key(|(op, _)| *op);
+        s
+    };
+    let mut views = Vec::new();
+    for i in 0..hints.len() {
+        let p = c.node(i).enclave.program().unwrap();
+        let (chan, book) = match p.rep.upstream {
+            None => (p.channel(&chan), p.book_ref()),
+            Some(_) => (p.replica_channel(&chan), p.replica_book()),
+        };
+        let chan = chan.expect("the channel");
+        views.push(((chan.my_bal, chan.remote_bal), statuses(book)));
+    }
+    views
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Whatever hint each host passes (always "more", never, or the
+    /// engine's), every primary and every backup ends a run of bursts
+    /// with the balances and deposit statuses of the run without hints.
+    #[test]
+    fn prop_any_hint_pattern_reaches_the_hintless_state(
+        bursts in proptest::collection::vec(0u64..300, 1..4),
+        hints in proptest::collection::vec(0usize..3, 6),
+    ) {
+        // Bursts of 1 to 150, from node 0 (below 150) or node 1.
+        let bursts: Vec<_> = bursts.iter().map(|&b| (b < 150, b % 150 + 1)).collect();
+        let hints: Vec<_> = hints.iter().map(|&h| [Some(true), Some(false), None][h]).collect();
+        let want = views_after(&bursts, &[Some(false); 6]);
+        prop_assert_eq!(views_after(&bursts, &hints), want);
+    }
 }

@@ -199,7 +199,9 @@ impl BorrowMut<SimHost> for HintedHost {
 
 impl SimNode for HintedHost {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Vec<u8>) {
-        let more = self.more.unwrap_or(ctx.more_messages());
+        let Some(more) = self.more else {
+            return self.host.on_message(ctx, from, msg);
+        };
         let (id, now) = (ctx.self_id(), ctx.now_ns());
         let ((), actions) = drive_input(&mut self.host, id, now, more, ctx.rng(), |h, c| {
             h.on_message(c, from, msg)

@@ -201,12 +201,25 @@ fn a_settlement_in_the_same_instant_as_owed_acks_goes_after_them() {
 #[test]
 fn a_payee_tail_crashed_while_acks_are_owed_holds_them() {
     // The payee's host passes the engine's hint, so the last delivery
-    // seals the ack and holds it with its own update; or says "more
-    // messages" with every message, so the payee's next other ecall seals
-    // it, commits nothing, and adds it to the newest update still held.
+    // commits the run as one update, seals the ack and holds it with that
+    // update; or says "more messages" with every message, so the payee
+    // holds the run and owes the ack until its next other ecall, which
+    // commits the run as its own update and adds the ack to it.
     for more in [None, Some(true)] {
         tail_crash_holds_the_acks(more);
     }
+}
+
+/// Runs the network one nanosecond at a time until `done` holds.
+fn run_until<N: ClusterNode>(c: &mut Cluster<N>, done: impl Fn(&Cluster<N>) -> bool) {
+    for _ in 0..1_000 {
+        if done(c) {
+            return;
+        }
+        let t = c.sim.now_ns() + 1;
+        c.sim.run_until(t);
+    }
+    panic!("the network never got there");
 }
 
 fn tail_crash_holds_the_acks(more: Option<bool>) {
@@ -227,26 +240,29 @@ fn tail_crash_holds_the_acks(more: Option<bool>) {
     for _ in 0..BURST {
         c.submit(0, pay(chan, 1));
     }
-    // Run until the payee's tail has applied the burst's updates, and
-    // no further: the tail owes its chain ack, so the payee's cumulative
-    // `PayAck` is still held.
-    for _ in 0..1_000 {
-        if counter(&c, PAYEE_TAIL, "repl.updates_applied") >= base + BURST {
-            break;
-        }
-        let t = c.sim.now_ns() + 1;
-        c.sim.run_until(t);
-    }
-    assert_eq!(
-        counter(&c, PAYEE_TAIL, "repl.updates_applied"),
-        base + BURST,
-        "{more:?}"
-    );
-    assert_eq!(counter(&c, PAYEE_TAIL, "repl.acks_sent"), tail_acks);
+    // Run until the payee has applied the burst.
+    run_until(&mut c, |c| c.balances(1, chan).0 == BURST);
     if more == Some(true) {
+        // The payee's head holds the run's deltas and owes its ack: its
+        // next other ecall commits them as one update, seals the ack and
+        // holds it with that update.
         assert_eq!(counter(&c, 1, "pay.acks_sent"), 0, "the ack is owed");
+        let applied = counter(&c, PAYEE_TAIL, "repl.updates_applied");
+        assert_eq!(applied, base, "the head holds the run");
         c.submit(1, Command::GetIdentity);
     }
+    // Run until the payee's tail has applied the run's one head update,
+    // and no further: the tail owes its chain ack, so the payee's
+    // cumulative `PayAck` is still held.
+    run_until(&mut c, |c| {
+        counter(c, PAYEE_TAIL, "repl.updates_applied") > base
+    });
+    assert_eq!(
+        counter(&c, PAYEE_TAIL, "repl.updates_applied"),
+        base + 1,
+        "{more:?}: the run is one head update"
+    );
+    assert_eq!(counter(&c, PAYEE_TAIL, "repl.acks_sent"), tail_acks);
     assert_eq!(
         counter(&c, 1, "pay.acks_sent"),
         1,
