@@ -6,13 +6,14 @@
 //! Methodology: the topology is built at one shard (setup is inherently
 //! serial harness work: handshakes, deposits, channel funding), then
 //! re-partitioned (`ShardedEngine::repartition`) to the shard count under
-//! test and loaded with the job mix. Every timed run starts from a fresh
-//! build, so it is the same deterministic run each time: a shard count's
-//! wall clock is the minimum over `--reps` repetitions (5 with `--quick`,
-//! whose runs last a fifth of a second, 1 otherwise), and the run stops
-//! if two repetitions process different event or completion counts. The
-//! comparison metrics are completed operations and events per wall-clock
-//! second.
+//! test and loaded with the job mix. With `--quick`, whose runs last a
+//! fifth of a second, every timed run starts from a fresh build, so it is
+//! the same deterministic run each time: a shard count's wall clock is
+//! the minimum over 5 repetitions, and the run stops if two repetitions
+//! process different event or completion counts. A full run builds once
+//! and measures every shard count on that cluster, each from the balances
+//! the run before it left behind. The comparison metrics are completed
+//! operations and events per wall-clock second.
 //!
 //! Real speedup needs real cores: `host_parallelism` is recorded in the
 //! JSON artifact so a single-core CI runner's numbers are not mistaken
@@ -125,11 +126,9 @@ fn main() {
         parallelism
     );
 
-    let reps: usize = arg_val("--reps")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if quick { 5 } else { 1 })
-        .max(1);
+    let reps = if quick { 5 } else { 1 };
     let mut setup_s = 0.0;
+    let mut built = None;
 
     // The one-shard row is the baseline every other row is compared to.
     let mut kinds = vec![EngineKind::Sharded { shards: 1 }];
@@ -146,14 +145,18 @@ fn main() {
         let label = kind.to_string();
         let mut best: Option<ConfigRun> = None;
         for rep in 0..reps {
-            let t0 = Instant::now();
-            let mut net = build_sparse_network(&hs, wan_100ms(), seed, temp_channels);
-            if k == 0 && rep == 0 {
-                setup_s = t0.elapsed().as_secs_f64();
-                println!("setup ({}): {setup_s:.1}s", net.cluster.sim.kind());
+            if quick || built.is_none() {
+                let t0 = Instant::now();
+                let net = build_sparse_network(&hs, wan_100ms(), seed, temp_channels);
+                if k == 0 && rep == 0 {
+                    setup_s = t0.elapsed().as_secs_f64();
+                    println!("setup ({}): {setup_s:.1}s", net.cluster.sim.kind());
+                }
+                built = Some(net);
             }
+            let net = built.as_mut().expect("built above");
             net.cluster.sim.repartition(kind);
-            for (i, j) in scale_jobs(&net, &hs, payments, seed) {
+            for (i, j) in scale_jobs(net, &hs, payments, seed) {
                 net.cluster.load(i, j, window);
             }
             // --trace-out records the last (most-sharded) configuration:

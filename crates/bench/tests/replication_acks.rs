@@ -1,7 +1,8 @@
-//! The committee chain on Table 1's pipelined load, with the engine's
-//! input hint: the payer's head commits each payment as its own update,
-//! while the payee's head holds a run of queued `Pay`s and commits it as
-//! one; the tail acknowledges, and a middle member forwards, at most every
+//! The committee chain on Table 1's pipelined load. With no input hint,
+//! as Table 1's unbatched rows run, both heads send every payment as its
+//! own update. With the engine's hint, the payer's head still does, while
+//! the payee's head holds a run of queued `Pay`s and commits it as one;
+//! the tail acknowledges, and a middle member forwards, at most every
 //! `ACK_EVERY`-th head update plus once per drained input. Every payment
 //! completes, no node refuses a message, and every replica ends equal to
 //! its primary.
@@ -9,6 +10,7 @@
 use teechain::replication::ACK_EVERY;
 use teechain_bench::harness::{BenchCluster, Job};
 use teechain_bench::scenarios::{fig3_pair, sim_burst, FtMode};
+use teechain_net::NodeId;
 use teechain_util::codec::Encode;
 
 const PAYMENTS: u64 = 2_000;
@@ -58,9 +60,13 @@ fn table1_load(cluster: &mut BenchCluster, chan: teechain::ChannelId, payments: 
     }
 }
 
-/// Each `(member, primary)`'s counts over Table 1's load.
-fn member_counts(ft: FtMode, members: &[Member]) -> Vec<[u64; 4]> {
+/// Each `(member, primary)`'s counts over Table 1's load, every node's
+/// host passing `more` as its input hint (`None`: the engine's).
+fn member_counts(ft: FtMode, members: &[Member], more: Option<bool>) -> Vec<[u64; 4]> {
     let (mut cluster, chan) = fig3_pair(ft, 1234);
+    for i in 0..cluster.sim.len() {
+        cluster.sim.node_mut(NodeId(i as u32)).host.more = more;
+    }
     let counts = |cluster: &BenchCluster| -> Vec<_> {
         members
             .iter()
@@ -100,14 +106,29 @@ fn assert_coalesced((member, primary): (usize, usize), [applied, sent, flushes, 
     assert!(sent < applied, "member {member}: nothing coalesced");
 }
 
+/// Runs Table 1's load on `members`' chains twice. With no input hint
+/// every member applies one head update per payment, the model Table 1's
+/// unbatched rows measure; with the engine's hint the chains coalesce as
+/// [`assert_coalesced`] says.
+fn check_chains(ft: FtMode, members: &[Member]) {
+    for (&(member, _), [applied, .., head]) in
+        members.iter().zip(member_counts(ft, members, Some(false)))
+    {
+        assert_eq!(
+            (applied, head),
+            (PAYMENTS, PAYMENTS),
+            "member {member:?}, no hint: one update per payment"
+        );
+    }
+    for (&(member, _), got) in members.iter().zip(member_counts(ft, members, None)) {
+        assert_coalesced(member, got);
+    }
+}
+
 #[test]
 fn unbatched_one_replica_sends_every_payment_and_acks_at_most_every_bound() {
     // Chains: payer 0 → tail 2, payee 1 → tail 3.
-    let members = [((2, 0), ACKS), ((3, 1), ACKS)];
-    let counts = member_counts(FtMode::Replicas(1), &members);
-    for (&(member, _), got) in members.iter().zip(counts) {
-        assert_coalesced(member, got);
-    }
+    check_chains(FtMode::Replicas(1), &[((2, 0), ACKS), ((3, 1), ACKS)]);
 }
 
 #[test]
@@ -119,10 +140,7 @@ fn unbatched_two_replicas_forward_and_ack_at_most_every_bound() {
         ((4, 1), FORWARDS),
         ((5, 1), ACKS),
     ];
-    let counts = member_counts(FtMode::Replicas(2), &members);
-    for (&(member, _), got) in members.iter().zip(counts) {
-        assert_coalesced(member, got);
-    }
+    check_chains(FtMode::Replicas(2), &members);
 }
 
 /// Table 1's full replicated load (30,000 payments) with the hint on:

@@ -979,43 +979,69 @@ impl EnclaveProgram for TeechainEnclave {
         // A chain head's held deltas go first in what this ecall commits.
         let held = self.rep.held.len();
         std::mem::swap(&mut self.rep.staged, &mut self.rep.held);
-        let mut send_seq = self.rep.send_seq;
+        let send_seq = self.rep.send_seq;
         let result = self
             .pass(env, Gate::of(&cmd))
             .and_then(|()| self.dispatch_command(env, cmd));
-        let mut effects = match result {
-            Ok(effects) => effects,
-            Err(e) => {
-                // A refusal drops what it staged, never what was held
-                // before it (unless its handler committed that already).
-                self.rep.staged.truncate(held);
-                if self.rep.send_seq == send_seq {
+        if let Ok(effects) = &result {
+            // A chain head holds the deltas of a delivery with more
+            // messages behind it that produced no output, up to
+            // `ACK_EVERY` of them: one update then carries the whole run.
+            let silent =
+                effects.is_empty() && self.rep.asks.is_empty() && !self.acks.sealed_in_handler;
+            if more && silent && self.rep.backup.is_some() {
+                self.rep.held_runs += u64::from(self.rep.staged.len() > held);
+                if self.rep.held_runs < ACK_EVERY {
+                    self.rep.staged.dedup_by(StateDelta::absorb);
                     std::mem::swap(&mut self.rep.staged, &mut self.rep.held);
+                    return result;
                 }
-                self.rep.staged.clear();
-                self.rep.asks.clear();
-                return Err(e);
             }
-        };
-        // A chain head holds the deltas of a delivery with more messages
-        // behind it that produced no output, up to `ACK_EVERY` of them:
-        // one update then carries the whole run.
-        let silent = effects.is_empty() && self.rep.asks.is_empty() && !self.acks.sealed_in_handler;
-        if more && silent && self.rep.backup.is_some() {
-            self.rep.held_runs += u64::from(self.rep.staged.len() > held);
-            if self.rep.held_runs < ACK_EVERY {
-                self.rep.staged.dedup_by(StateDelta::absorb);
-                std::mem::swap(&mut self.rep.staged, &mut self.rep.held);
-                return Ok(effects);
-            }
+            self.rep.held_runs = 0;
         }
-        self.rep.held_runs = 0;
+        let result =
+            result.and_then(|effects| self.commit_and_release(env, effects, more, held, send_seq));
+        if result.is_err() {
+            // A failed ecall drops what it staged and the co-sign requests
+            // it opened, never what was held before it (unless an update
+            // took that already).
+            self.rep.staged.truncate(held);
+            if self.rep.send_seq == send_seq {
+                std::mem::swap(&mut self.rep.staged, &mut self.rep.held);
+            }
+            self.rep.staged.clear();
+            self.rep.asks.clear();
+        }
+        result
+    }
+}
+
+impl TeechainEnclave {
+    /// Commits what a handled ecall staged, behind the `held` deltas taken
+    /// at its start, and releases what the input hint lets go.
+    fn commit_and_release(
+        &mut self,
+        env: &mut EnclaveEnv,
+        mut effects: Vec<Effect>,
+        more: bool,
+        held: usize,
+        mut send_seq: u64,
+    ) -> Outcome {
         let mut update = Vec::new();
         if held > 0 && self.rep.staged.len() == held && self.rep.send_seq == send_seq {
             // The ecall committed nothing itself: the held deltas go as
             // their own update, and its output (what a `RepAck` released)
-            // is not held behind them.
-            update = self.commit_staged(env, Vec::new())?;
+            // is not held behind them. If that update cannot be sealed,
+            // the output waits behind it, as a committing ecall's would.
+            update = match self.commit_staged(env, Vec::new()) {
+                Ok(update) => update,
+                Err(e) => {
+                    if let Some(entry) = self.rep.pending.last_entry() {
+                        entry.into_mut().append(&mut effects);
+                    }
+                    return Err(e);
+                }
+            };
             send_seq = self.rep.send_seq;
         } else if held > 0 {
             self.rep.staged.dedup_by(StateDelta::absorb);
@@ -1034,9 +1060,7 @@ impl EnclaveProgram for TeechainEnclave {
         }
         Ok(effects)
     }
-}
 
-impl TeechainEnclave {
     fn cmd_deliver(&mut self, env: &mut EnclaveEnv, mut wire: Vec<u8>) -> Outcome {
         let (from, seq, ct) = match WireView::parse(&wire).map_err(|_| ProtocolError::BadMessage)? {
             WireView::Hello(hs) => {

@@ -4,7 +4,7 @@
 //! or a middle member that crashes while it owes forwards, keeps the
 //! head's effects held; a surviving member still settles on chain; a
 //! payee head that crashes while it holds deltas acknowledges none of
-//! them; and any mix of input hints ends in the state of the run without
+//! them, and one that cannot seal them loses no output; and any mix of input hints ends in the state of the run without
 //! hints. A node owes past its input only while its host says more
 //! messages are queued, so the crash tests give it a host that always
 //! says so ([`HintedHost`]).
@@ -311,6 +311,51 @@ fn co_sign_traffic_from_off_the_chain_is_refused() {
     assert_eq!(head.sig_collects[&req_id].tx, tx);
 }
 
+/// Runs the network a nanosecond at a time until the payee's balance on
+/// `chan` reads `bal`.
+fn run_until_payee_has<N: ClusterNode>(c: &mut Cluster<N>, chan: ChannelId, bal: u64) {
+    for _ in 0..1_000 {
+        if c.balances(1, chan).0 == bal {
+            return;
+        }
+        let t = c.sim.now_ns() + 1;
+        c.sim.run_until(t);
+    }
+}
+
+/// A head whose session to its backup is gone fails the ecall that would
+/// commit its held deltas, and leaves nothing behind for a later ecall:
+/// no staged delta, no co-sign request. The ecall's output is not
+/// dropped: it waits behind the update that could not be sealed, as a
+/// committing ecall's output does.
+#[test]
+fn a_head_that_cannot_seal_its_held_update_keeps_the_ecalls_output() {
+    let (mut c, chan): (Cluster<HintedHost>, _) = chained_pair_with(1);
+    c.pay(0, chan, 150).unwrap();
+    always_more(&mut c, 1);
+    submit_burst(&mut c, chan, 10);
+    run_until_payee_has(&mut c, chan, 160);
+    let (p, env) = c.node_mut(1).enclave.compromise().expect("running");
+    assert!(!p.rep.held.is_empty(), "the head holds the run");
+    let backup = p.rep.backup.expect("a backup").slot;
+    let session = p.peers.at_mut(backup).and_then(Option::as_mut).unwrap();
+    session.established = false;
+    let got = p.handle(env, Command::GetIdentity);
+    assert_eq!(got.err(), Some(ProtocolError::NoSession));
+    assert!(p.rep.staged.is_empty() && p.rep.asks.is_empty());
+    let (_, waiting) = p.rep.pending.last_key_value().expect("the update's entry");
+    assert!(
+        matches!(
+            waiting[..],
+            [Effect::Done {
+                key: MatchKey::Identity,
+                ..
+            }]
+        ),
+        "{waiting:?}"
+    );
+}
+
 #[test]
 fn a_payee_head_crashed_while_holding_deltas_acknowledges_none_of_them() {
     let (mut c, chan): (Cluster<HintedHost>, _) = chained_pair_with(2);
@@ -320,13 +365,7 @@ fn a_payee_head_crashed_while_holding_deltas_acknowledges_none_of_them() {
     let acks = c.node(1).enclave.program().unwrap().pay_stats().acks_sent;
     c.node_mut(0).completions.clear();
     submit_burst(&mut c, chan, 10);
-    for _ in 0..1_000 {
-        if c.balances(1, chan).0 == 160 {
-            break;
-        }
-        let t = c.sim.now_ns() + 1;
-        c.sim.run_until(t);
-    }
+    run_until_payee_has(&mut c, chan, 160);
     // The payee applied the burst, and holds its deltas: no update went
     // down its chain, and it owes the ack.
     assert_eq!(c.balances(1, chan), (160, 1_000_000 - 160));
