@@ -1,8 +1,9 @@
 //! The committee chain on Table 1's pipelined load. With no input hint,
 //! as Table 1's unbatched rows run, both heads send every payment as its
-//! own update. With the engine's hint, the payer's head still does, while
-//! the payee's head holds a run of queued `Pay`s and commits it as one;
-//! the tail acknowledges, and a middle member forwards, at most every
+//! own update. With the engine's hint, the payer's head still does, but
+//! seals the payments one chain ack releases as one wire `Pay`, while the
+//! payee's head holds a run of queued `Pay`s and commits it as one; the
+//! tail acknowledges, and a middle member forwards, at most every
 //! `ACK_EVERY`-th head update plus once per drained input. Every payment
 //! completes, no node refuses a message, and every replica ends equal to
 //! its primary.
@@ -15,15 +16,15 @@ use teechain_util::codec::Encode;
 
 const PAYMENTS: u64 = 2_000;
 
-/// `[updates applied, sent, flushes, head updates]` of member `i`: `sent`
-/// and `flushes` are the named counters, and the head updates are those
-/// its `primary` sent.
+/// `[updates applied, sent, flushes, wire Pays, head updates]` of member
+/// `i`: `sent` and `flushes` are the named counters, the wire `Pay`s those
+/// the payer sealed, and the head updates those its `primary` sent.
 fn rep_counts(
     cluster: &BenchCluster,
     (i, primary): (usize, usize),
     sent: &str,
     flushes: &str,
-) -> [u64; 4] {
+) -> [u64; 5] {
     let get = |i: usize, k: &str| {
         let snap = cluster.node(i).registry().snapshot();
         snap.counters.get(k).copied().unwrap_or(0)
@@ -32,6 +33,7 @@ fn rep_counts(
         get(i, "repl.updates_applied"),
         get(i, sent),
         get(i, flushes),
+        get(0, "pay.pays_sent"),
         get(primary, "repl.updates_sent"),
     ]
 }
@@ -62,7 +64,7 @@ fn table1_load(cluster: &mut BenchCluster, chan: teechain::ChannelId, payments: 
 
 /// Each `(member, primary)`'s counts over Table 1's load, every node's
 /// host passing `more` as its input hint (`None`: the engine's).
-fn member_counts(ft: FtMode, members: &[Member], more: Option<bool>) -> Vec<[u64; 4]> {
+fn member_counts(ft: FtMode, members: &[Member], more: Option<bool>) -> Vec<[u64; 5]> {
     let (mut cluster, chan) = fig3_pair(ft, 1234);
     for i in 0..cluster.sim.len() {
         cluster.sim.node_mut(NodeId(i as u32)).host.more = more;
@@ -78,21 +80,29 @@ fn member_counts(ft: FtMode, members: &[Member], more: Option<bool>) -> Vec<[u64
     counts(&cluster)
         .into_iter()
         .zip(before)
-        .map(|(a, b)| [0, 1, 2, 3].map(|k| a[k] - b[k]))
+        .map(|(a, b)| [0, 1, 2, 3, 4].map(|k| a[k] - b[k]))
         .collect()
 }
 
-/// The payer's head commits each payment as its own update, and the
-/// payee's head each run of `Pay`s it holds as one, so a member applies
-/// what its head sent; no message covers more than the bound, and every
-/// other one is a drained input.
-fn assert_coalesced((member, primary): (usize, usize), [applied, sent, flushes, head]: [u64; 4]) {
+/// The payer's head commits each payment as its own update and seals
+/// what one chain ack releases as one wire `Pay`, and the payee's head
+/// commits each run of up to `ACK_EVERY` `Pay`s it holds as one update,
+/// so a member applies what its head sent; no message covers more than
+/// the bound, and every other one is a drained input. `ACK_EVERY` bounds
+/// messages and updates, not payments: the payee's chain applies at
+/// least one update per `ACK_EVERY` wire `Pay`s, which may carry many
+/// payments each.
+fn assert_coalesced(
+    (member, primary): (usize, usize),
+    [applied, sent, flushes, pays, head]: [u64; 5],
+) {
     assert_eq!(applied, head, "member {member}: every head update");
+    assert!(pays < PAYMENTS, "{pays} wire Pays for {PAYMENTS} payments");
     match primary {
         0 => assert_eq!(applied, PAYMENTS, "member {member}: one per payment"),
         _ => assert!(
-            (PAYMENTS.div_ceil(ACK_EVERY)..PAYMENTS / 8).contains(&applied),
-            "member {member}: {applied} updates for {PAYMENTS} payments"
+            (pays.div_ceil(ACK_EVERY)..PAYMENTS / 8).contains(&applied),
+            "member {member}: {applied} updates for {pays} wire Pays"
         ),
     }
     assert!(

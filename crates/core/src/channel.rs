@@ -5,7 +5,7 @@ use crate::admit::{
     AckEntry, DeferredMsg, QueueEntry, QueuedOp, ADMIT_DEADLINE_NS, ADMIT_QUEUE_CAP,
     DEFER_DEADLINE_NS,
 };
-use crate::enclave::{Effect, HostEvent, Outcome, Peer, TeechainEnclave};
+use crate::enclave::{established, Effect, HostEvent, Outcome, Peer, TeechainEnclave};
 use crate::msg::{ProtocolMsg, StateDelta};
 use crate::ops::{MatchKey, OpError, OpOutput, Payment, SettleKind};
 use crate::replication::ACK_EVERY;
@@ -180,9 +180,13 @@ struct Owed {
     pays: u64,
 }
 
-/// Payment-acknowledgement counters, surfaced through the node registry.
+/// Payment counters, surfaced through the node registry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct PayStats {
+    /// Wire `Pay`s sealed: one per submit or admission batch, except at a
+    /// chain head, where one carries every consecutive payment on its
+    /// channel that one chain ack released (see [`OwedPay`]).
+    pub pays_sent: u64,
     /// `PayAck`s sealed, each covering every `Pay` owed on its channel.
     pub acks_sent: u64,
     /// Of those, the acks sealed because the input drained: at an ecall
@@ -205,6 +209,94 @@ impl OwedAcks {
             }
         }
     }
+}
+
+/// An outbound payment a chain head owes: committed, and not yet sealed.
+/// A `Pay` is visible, so it may leave only once the chain acknowledged
+/// the update that carries its delta (Alg. 3 line 24); until then it
+/// waits unsealed on its ecall's pending entry
+/// ([`Gated`](crate::replication::Gated)), and the ack that releases the
+/// entry seals each run of consecutive pays on one channel as one wire
+/// `Pay` for their sums. Session order stays send order by one rule in
+/// `TeechainEnclave::seal_at`: before anything else is sealed to a peer
+/// that is owed pays, those pays are sealed first, each run into the
+/// entry it waits on, so a run only ever joins pays after which nothing
+/// was sealed to that peer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OwedPay {
+    /// Where its ecall's output stood when the handler made it: a pay
+    /// sealed early in that same ecall goes there.
+    pub(crate) at: usize,
+    /// The wire channel's slot.
+    pub(crate) slot: u32,
+    /// The peer slot of its counterparty.
+    pub(crate) peer: u32,
+    /// The op it carries (`more` is set when it is sealed).
+    pub(crate) op: AckEntry,
+}
+
+/// A chain head's owed pays that no pending entry holds yet, and the
+/// counts of all of them.
+#[derive(Default)]
+pub(crate) struct OwedPays {
+    /// The pays the current ecall made, in order; its commit moves them
+    /// to its pending entry.
+    pub(crate) staged: Vec<OwedPay>,
+    /// Those of them sealed early, each with the position in the ecall's
+    /// output it goes to.
+    pub(crate) presealed: Vec<(usize, Effect)>,
+    /// `by_peer[s]`: the pays owed to the peer in slot `s`, staged or
+    /// pending.
+    by_peer: Vec<u32>,
+    /// Their sum.
+    total: usize,
+}
+
+impl OwedPays {
+    /// True if a pay is owed to the peer in `slot`: one count check when
+    /// nothing is owed at all.
+    pub(crate) fn owed_to(&self, slot: u32) -> bool {
+        self.total > 0 && self.by_peer.get(slot as usize).is_some_and(|&n| n > 0)
+    }
+
+    /// True if the current ecall made no pay.
+    pub(crate) fn none_staged(&self) -> bool {
+        self.staged.is_empty() && self.presealed.is_empty()
+    }
+
+    fn owe(&mut self, pay: OwedPay) {
+        let i = pay.peer as usize;
+        if self.by_peer.len() <= i {
+            self.by_peer.resize(i + 1, 0);
+        }
+        self.by_peer[i] += 1;
+        self.total += 1;
+        self.staged.push(pay);
+    }
+
+    /// Counts `pays` as no longer owed.
+    pub(crate) fn settled(&mut self, pays: &[OwedPay]) {
+        for pay in pays {
+            self.by_peer[pay.peer as usize] -= 1;
+        }
+        self.total -= pays.len();
+    }
+
+    /// Drops what a failed ecall made.
+    pub(crate) fn drop_staged(&mut self) {
+        let staged = std::mem::take(&mut self.staged);
+        self.settled(&staged);
+        self.presealed.clear();
+    }
+}
+
+/// Takes the pays owed to the peer in `slot` out of `pays`, in order.
+pub(crate) fn take_owed_to(pays: &mut Vec<OwedPay>, slot: u32) -> Vec<OwedPay> {
+    let (to, rest) = std::mem::take(pays)
+        .into_iter()
+        .partition(|p| p.peer == slot);
+    *pays = rest;
+    to
 }
 
 /// Channel `id` is open on our side.
@@ -371,34 +463,98 @@ impl TeechainEnclave {
         if chan.my_bal < amount {
             return Err(ProtocolError::InsufficientBalance);
         }
+        let peer = self.chan_peers[slot as usize];
+        let op = AckEntry {
+            id,
+            amount,
+            count,
+            more: false,
+        };
+        let debit = StateDelta::Pay {
+            id: wire,
+            my_delta: -(amount as i64),
+            remote_delta: amount as i64,
+        };
+        if self.rep.backup.is_some() {
+            // A chain head owes the `Pay` until the chain acknowledges
+            // this update (see `OwedPay`); it needs the session all the
+            // same.
+            established(&mut self.peers, peer)?;
+            self.commit_at(slot, debit);
+            self.owe_pay(0, slot, op);
+            return Ok(Vec::new());
+        }
         let msg = ProtocolMsg::Pay {
             id: wire,
             amount,
             count,
         };
-        let eff = self.seal_at(self.chan_peers[slot as usize], &msg)?;
-        self.commit_at(
-            slot,
-            StateDelta::Pay {
-                id: wire,
-                my_delta: -(amount as i64),
-                remote_delta: amount as i64,
-            },
-        );
+        let eff = self.seal_at(peer, &msg)?;
+        self.commit_at(slot, debit);
         // Every outbound wire `Pay` registers an ack fan-out group so
         // `PayAck`/`PayNack` resolve ops strictly in send order, keyed by
         // the channel each op was submitted on.
-        self.admit
-            .inflight
-            .entry(wire)
-            .or_default()
-            .push_back(AckEntry {
-                id,
-                amount,
-                count,
-                more: false,
-            });
+        self.acks.stats.pays_sent += 1;
+        self.admit.inflight.entry(wire).or_default().push_back(op);
         Ok(vec![eff])
+    }
+
+    /// Records a payment of this ecall as owed, unsealed, on the channel in
+    /// `slot`; `at` is the length of the handler's output so far.
+    pub(crate) fn owe_pay(&mut self, at: usize, slot: u32, op: AckEntry) {
+        let peer = self.chan_peers[slot as usize];
+        self.rep.owed_pays.owe(OwedPay { at, slot, peer, op });
+    }
+
+    /// Seals `pays`, owed in this order, as wire `Pay`s: each run of
+    /// consecutive pays on one channel becomes one `Pay` for their sums
+    /// (a run ends where a sum would overflow), and only then do its ops
+    /// join `admit.inflight`, every one but the run's last marked `more`,
+    /// so a `PayNack` fails them all and a cumulative `PayAck` counts
+    /// them all. `out` takes each `Pay` with its run's first `at`. Owed
+    /// pays are sealed only by the release in `on_rep_ack` and the
+    /// pre-seal in `seal_at` (`scripts/check-one-drain.sh`). A `Pay` that
+    /// cannot be sealed (the session is gone) is dropped, and its ops
+    /// time out.
+    pub(crate) fn seal_owed_pays(
+        &mut self,
+        pays: Vec<OwedPay>,
+        mut out: impl FnMut(usize, Effect),
+    ) {
+        self.rep.owed_pays.settled(&pays);
+        let mut from = 0;
+        while let Some(first) = pays.get(from) {
+            let (mut amount, mut count, mut to) = (first.op.amount, first.op.count, from + 1);
+            while let Some(next) = pays.get(to).filter(|p| p.slot == first.slot) {
+                let (Some(a), Some(c)) = (
+                    amount.checked_add(next.op.amount),
+                    count.checked_add(next.op.count),
+                ) else {
+                    break;
+                };
+                (amount, count, to) = (a, c, to + 1);
+            }
+            let run = &pays[from..to];
+            from = to;
+            let Some(id) = self.state.channels.at(first.slot).map(|c| c.id) else {
+                continue;
+            };
+            let msg = ProtocolMsg::Pay { id, amount, count };
+            let Ok(eff) = self.seal_frame(first.peer, &msg) else {
+                continue;
+            };
+            self.acks.stats.pays_sent += 1;
+            let last = run.len() - 1;
+            self.admit
+                .inflight
+                .entry(id)
+                .or_default()
+                .extend(run.iter().enumerate().map(|(i, p)| AckEntry {
+                    more: i < last,
+                    ..p.op
+                }));
+            out(first.at, eff);
+        }
     }
 
     pub(crate) fn on_pay(
@@ -555,7 +711,7 @@ impl TeechainEnclave {
             self.rep.backup.is_some() && self.rep.staged.is_empty() && !self.rep.pending.is_empty();
         if hold && self.acks.sealed_in_handler && self.rep.send_seq == send_seq {
             if let Some(newest) = self.rep.pending.last_entry() {
-                newest.into_mut().append(effects);
+                newest.into_mut().effects.append(effects);
             }
         }
         if keep {
@@ -572,7 +728,7 @@ impl TeechainEnclave {
             };
             self.acks.stats.ack_flushes += 1;
             match self.rep.pending.last_entry() {
-                Some(newest) if hold => newest.into_mut().push(ack),
+                Some(newest) if hold => newest.into_mut().effects.push(ack),
                 _ => effects.push(ack),
             }
         }

@@ -18,13 +18,13 @@
 //! `crate::durable`.
 
 use crate::admit::AdmitState;
-use crate::channel::{Channel, OwedAcks};
+use crate::channel::{self, Channel, OwedAcks};
 use crate::deposit::DepositBook;
 use crate::durability::DurabilityBackend;
 use crate::durable::DurableState;
 use crate::msg::{ProtocolMsg, StateDelta, WireView};
 use crate::ops::{MatchKey, OpError, OpOutput, SettleKind, Settlement};
-use crate::replication::{Replication, SigCollect, ACK_EVERY};
+use crate::replication::{Gated, Replication, SigCollect, ACK_EVERY};
 use crate::session::Session;
 use crate::slots::SlotMap;
 use crate::swap::{SwapPhase, SwapState};
@@ -576,7 +576,7 @@ pub(crate) struct Peer {
 }
 
 /// The established session with the peer in `slot`.
-fn established(peers: &mut PeerTable, slot: u32) -> Result<&mut Session, ProtocolError> {
+pub(crate) fn established(peers: &mut PeerTable, slot: u32) -> Result<&mut Session, ProtocolError> {
     match peers.at_mut(slot).and_then(Option::as_mut) {
         Some(s) if s.established => Ok(s),
         _ => Err(ProtocolError::NoSession),
@@ -747,8 +747,33 @@ impl TeechainEnclave {
         self.seal_at(slot, msg)
     }
 
-    /// Seals `msg` for the peer in `slot` into a `Send` effect.
+    /// Seals `msg` for the peer in `slot` into a `Send` effect. The pays
+    /// a chain head owes that peer are sealed first, each run into the
+    /// pending entry it waits on (or, made by this ecall, to its place in
+    /// the ecall's output): a session's sequence order is its send order,
+    /// and an owed pay goes out no later than what is sealed after it.
     pub(crate) fn seal_at(
+        &mut self,
+        slot: u32,
+        msg: &ProtocolMsg,
+    ) -> Result<Effect, ProtocolError> {
+        if self.rep.owed_pays.owed_to(slot) {
+            let mut pending = std::mem::take(&mut self.rep.pending);
+            for entry in pending.values_mut() {
+                let pays = channel::take_owed_to(&mut entry.owed_pays, slot);
+                self.seal_owed_pays(pays, |_, pay| entry.effects.push(pay));
+            }
+            self.rep.pending = pending;
+            let pays = channel::take_owed_to(&mut self.rep.owed_pays.staged, slot);
+            let mut presealed = std::mem::take(&mut self.rep.owed_pays.presealed);
+            self.seal_owed_pays(pays, |at, pay| presealed.push((at, pay)));
+            self.rep.owed_pays.presealed = presealed;
+        }
+        self.seal_frame(slot, msg)
+    }
+
+    /// Seals `msg` for the peer in `slot`, whatever is owed to it.
+    pub(crate) fn seal_frame(
         &mut self,
         slot: u32,
         msg: &ProtocolMsg,
@@ -987,8 +1012,10 @@ impl EnclaveProgram for TeechainEnclave {
             // A chain head holds the deltas of a delivery with more
             // messages behind it that produced no output, up to
             // `ACK_EVERY` of them: one update then carries the whole run.
-            let silent =
-                effects.is_empty() && self.rep.asks.is_empty() && !self.acks.sealed_in_handler;
+            let silent = effects.is_empty()
+                && self.rep.asks.is_empty()
+                && !self.acks.sealed_in_handler
+                && self.rep.owed_pays.none_staged();
             if more && silent && self.rep.backup.is_some() {
                 self.rep.held_runs += u64::from(self.rep.staged.len() > held);
                 if self.rep.held_runs < ACK_EVERY {
@@ -1011,6 +1038,7 @@ impl EnclaveProgram for TeechainEnclave {
             }
             self.rep.staged.clear();
             self.rep.asks.clear();
+            self.rep.owed_pays.drop_staged();
         }
         result
     }
@@ -1037,7 +1065,7 @@ impl TeechainEnclave {
                 Ok(update) => update,
                 Err(e) => {
                     if let Some(entry) = self.rep.pending.last_entry() {
-                        entry.into_mut().append(&mut effects);
+                        entry.into_mut().effects.append(&mut effects);
                     }
                     return Err(e);
                 }
@@ -1163,11 +1191,22 @@ impl TeechainEnclave {
             let seq = self.rep.send_seq;
             self.rep.send_seq += 1;
             self.rep.stats.updates_sent += 1;
-            self.rep.pending.insert(seq, effects);
+            // Pays this ecall sealed early go where it made them.
+            let mut presealed = std::mem::take(&mut self.rep.owed_pays.presealed);
+            presealed.sort_by_key(|&(at, _)| at);
+            for (i, (at, pay)) in presealed.into_iter().enumerate() {
+                effects.insert((at + i).min(effects.len()), pay);
+            }
+            let owed_pays = std::mem::take(&mut self.rep.owed_pays.staged);
+            self.rep.pending.insert(seq, Gated { effects, owed_pays });
             let deltas = std::mem::take(&mut self.rep.staged);
             let send = self.seal_at(backup.slot, &ProtocolMsg::RepUpdate { seq, deltas })?;
             Ok(durable.into_iter().chain([send]).collect())
         } else {
+            debug_assert!(
+                self.rep.owed_pays.none_staged(),
+                "owed pays without a backup"
+            );
             self.rep.staged.clear();
             effects.splice(..0, durable);
             Ok(effects)

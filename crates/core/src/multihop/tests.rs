@@ -4,7 +4,7 @@
 
 use super::*;
 use crate::enclave::Command;
-use crate::ops::{OpId, OpOutput};
+use crate::ops::{MatchKey, OpError, OpId, OpOutput};
 use crate::settle::SIGN_WORK;
 use crate::testkit::{Cluster, ClusterConfig, Harness};
 use crate::DurabilityBackend;
@@ -328,7 +328,8 @@ fn sign_twice(key: &Keypair, msg: &[u8; 32]) -> [Signature; 2] {
 /// counts once toward the threshold, as the chain's multisig counts it.
 /// On 3-of-4 committee deposits the hop's own signature and one member's
 /// two are three signatures from two keys, and the chain refuses them:
-/// the sign pass keeps waiting on τ, and a settlement is not broadcast.
+/// the sign pass keeps waiting on τ, and a settlement, whose request the
+/// chain answers once, fails instead of being broadcast.
 #[test]
 fn a_member_that_signs_twice_counts_once() {
     let backups = DurabilityBackend::Replication { backups: 3 };
@@ -374,7 +375,18 @@ fn a_member_that_signs_twice_counts_once() {
     assert!(c.chain.lock().validate(&forged).is_err());
     let (p, env) = c.node_mut(0).enclave.compromise().expect("running");
     let sigs = twice.map(|sig| (0, sig)).to_vec();
-    let got = answer(p, env, req_id, sigs);
-    assert!(got.expect("accepted").is_empty(), "settlement broadcast");
-    assert!(p.sig_collects.contains_key(&req_id));
+    let got = answer(p, env, req_id, sigs).expect("accepted");
+    // The chain's one answer left the settlement short: it fails, typed,
+    // and nothing is broadcast.
+    assert!(
+        matches!(
+            got[..],
+            [Effect::Done {
+                key: MatchKey::Settle(id),
+                outcome: Err(OpError::Remote(ProtocolError::ReplicationError)),
+            }] if id == chans[0]
+        ),
+        "{got:?}"
+    );
+    assert!(!p.sig_collects.contains_key(&req_id));
 }

@@ -851,6 +851,7 @@ impl TeechainNode {
             r.counter("repl.sigs_refused", rep.sigs_refused);
         }
         if let Some(pay) = self.enclave.program().map(|p| p.pay_stats()) {
+            r.counter("pay.pays_sent", pay.pays_sent);
             r.counter("pay.acks_sent", pay.acks_sent);
             r.counter("pay.ack_flushes", pay.ack_flushes);
         }

@@ -18,6 +18,15 @@
 //! applied with one message, at most [`ACK_EVERY`] head updates apart. The
 //! one place all of it is released is `TeechainEnclave::handle`.
 //!
+//! *Owed pays*: a head's outbound payments are not sealed when made. Each
+//! waits, unsealed, on its ecall's pending entry (`Gated`), and the
+//! chain ack that releases the entry seals each run of consecutive
+//! payments on one channel as one wire `Pay` (`on_rep_ack`). So no
+//! payment waits longer than it did sealed, and one ack's worth leaves
+//! as one message per channel. Before anything else is sealed to a peer
+//! that is owed pays, `TeechainEnclave::seal_at` seals those pays first,
+//! which keeps each session's sequence order its send order.
+//!
 //! *Force-freeze*: reading state from a backup (failover) freezes the whole
 //! chain — every member stops accepting updates, so the primary cannot
 //! continue executing payments against a state the backup has already
@@ -30,12 +39,12 @@
 //! its origin, each member signs what matches its replica, and the answer
 //! retraces the walk.
 
-use crate::channel::Channel;
+use crate::channel::{Channel, OwedPay, OwedPays};
 use crate::deposit::{keypair_in, DepositBook, DepositStatus};
 use crate::durable::DurableState;
 use crate::enclave::{Effect, Gate, Outcome, Peer, TeechainEnclave};
 use crate::msg::{ProtocolMsg, SettleDigest, StateDelta};
-use crate::ops::{MatchKey, OpOutput, SettleKind};
+use crate::ops::{MatchKey, OpError, OpOutput, SettleKind};
 use crate::settle;
 use crate::types::{ChannelId, Deposit, ProtocolError, RouteId};
 use std::collections::BTreeMap;
@@ -111,6 +120,17 @@ pub(crate) enum CoSigned {
     },
 }
 
+/// What one head update holds back until the chain acknowledges it:
+/// its ecall's sealed output, in order, and the payments it owes, not yet
+/// sealed ([`OwedPay`]).
+#[derive(Debug, Default)]
+pub(crate) struct Gated {
+    /// The ecall's output, sealed.
+    pub(crate) effects: Vec<Effect>,
+    /// Its outbound payments, in order.
+    pub(crate) owed_pays: Vec<OwedPay>,
+}
+
 /// Replication role state for one enclave.
 #[derive(Default)]
 pub(crate) struct Replication {
@@ -126,8 +146,12 @@ pub(crate) struct Replication {
     pub member: Option<Keypair>,
     /// Next update sequence to send downstream.
     pub send_seq: u64,
-    /// Effects gated on downstream acknowledgement, keyed by sequence.
-    pub pending: BTreeMap<u64, Vec<Effect>>,
+    /// What each head update holds back until the chain acknowledges it,
+    /// keyed by sequence.
+    pub pending: BTreeMap<u64, Gated>,
+    /// A chain head's owed pays that no pending entry holds yet, and the
+    /// counts of all of them.
+    pub(crate) owed_pays: OwedPays,
     /// Deltas staged by the currently executing handler.
     pub staged: Vec<StateDelta>,
     /// A chain head's deltas not yet committed: those of deliveries with
@@ -314,13 +338,21 @@ impl TeechainEnclave {
             return Ok(vec![self.seal_at(up.slot, &msg)?]);
         }
         // Chain head: release all effects gated at or below `seq`
-        // (acks are cumulative because the chain is FIFO).
+        // (acks are cumulative because the chain is FIFO), then the pays
+        // they owe, each run on one channel as one `Pay`: nothing was
+        // sealed to a peer after a pay still owed to it.
         let kept = seq
             .checked_add(1)
             .map(|next| self.rep.pending.split_off(&next))
             .unwrap_or_default();
         let released = std::mem::replace(&mut self.rep.pending, kept);
-        Ok(released.into_values().flatten().collect())
+        let (mut effects, mut pays) = (Vec::new(), Vec::new());
+        for mut entry in released.into_values() {
+            effects.append(&mut entry.effects);
+            pays.append(&mut entry.owed_pays);
+        }
+        self.seal_owed_pays(pays, |_, pay| effects.push(pay));
+        Ok(effects)
     }
 
     pub(crate) fn on_rep_freeze(&mut self, from: Peer) -> Outcome {
@@ -512,7 +544,12 @@ impl TeechainEnclave {
         match *then {
             CoSigned::Broadcast { id, .. } => {
                 if !settle::threshold_met(tx, |op| state.book.deposit_of(op)) {
-                    return Ok(vec![]);
+                    // The request walked the whole chain and this is its
+                    // one answer: nothing more will come, so the
+                    // settlement fails instead of waiting forever.
+                    self.sig_collects.remove(&req_id);
+                    let short = OpError::Remote(ProtocolError::ReplicationError);
+                    return Ok(vec![Effect::failed(MatchKey::Settle(id), short)]);
                 }
                 let tx = self.sig_collects.remove(&req_id).expect("present").tx;
                 let settled = Effect::settled(id, SettleKind::OnChain(tx.txid()));
@@ -520,6 +557,8 @@ impl TeechainEnclave {
             }
             CoSigned::SignPass { .. } => {
                 if settle::needs_co_signs(&self.state.book, tx) {
+                    // A short sign pass keeps waiting, as it always has:
+                    // ejecting the route ends it (`terminate_route`).
                     return Ok(vec![]);
                 }
                 // The sign pass commits: this is a step of the protocol.

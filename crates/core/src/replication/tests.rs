@@ -18,13 +18,14 @@ use crate::testkit::{Cluster, ClusterConfig, ClusterNode, Harness, HintedHost};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use teechain_blockchain::OutPoint;
-use teechain_net::NodeId;
+use teechain_net::{NodeAction, NodeId};
 use teechain_tee::EnclaveProgram;
 
 /// Two primaries with two backups each: 0 → 2 → 3 and 1 → 4 → 5.
 const PAYER_MIDDLE: usize = 2;
 const PAYER_TAIL: usize = 3;
 const PAYEE_MIDDLE: usize = 4;
+const PAYEE_TAIL: usize = 5;
 const BACKUPS: [(usize, usize); 4] = [(2, 0), (3, 0), (4, 1), (5, 1)];
 
 fn chained_pair() -> (Cluster, ChannelId) {
@@ -66,13 +67,15 @@ fn submit_burst<N: ClusterNode>(c: &mut Cluster<N>, chan: ChannelId, k: u64) -> 
 /// Head updates a backup of `primary` applies for a burst of `burst`
 /// payments from node 0: the payer's head commits each payment as its own
 /// update. Its chain acknowledges them `ACK_EVERY` at a time, and each ack
-/// releases that many `Pay`s, which reach the payee's head as one run of
-/// queued messages; the head holds the run's deltas and commits them as
-/// one update.
+/// releases that many payments as one wire `Pay`. Those `Pay`s reach the
+/// payee's head as one run of queued messages; the head holds the run's
+/// deltas and commits up to `ACK_EVERY` of them as one update. So
+/// `ACK_EVERY` bounds messages and updates, not payments: the payee's
+/// chain applies one update for every `ACK_EVERY` wire `Pay`s.
 fn head_updates(primary: usize, burst: u64) -> u64 {
     match primary {
         0 => burst,
-        _ => burst.div_ceil(ACK_EVERY),
+        _ => burst.div_ceil(ACK_EVERY).div_ceil(ACK_EVERY),
     }
 }
 
@@ -346,7 +349,7 @@ fn a_head_that_cannot_seal_its_held_update_keeps_the_ecalls_output() {
     let (_, waiting) = p.rep.pending.last_key_value().expect("the update's entry");
     assert!(
         matches!(
-            waiting[..],
+            waiting.effects[..],
             [Effect::Done {
                 key: MatchKey::Identity,
                 ..
@@ -384,46 +387,285 @@ fn a_payee_head_crashed_while_holding_deltas_acknowledges_none_of_them() {
             done.outcome
         );
     }
-    // The payee's backup settles the last balances its chain
-    // acknowledged, and the settlement pays out the whole deposit. The
-    // deposit is the payer's, so its committee must co-sign: the
-    // settlement waits for those signatures.
-    c.exec(PAYEE_MIDDLE, Command::SettleFromReplica);
+    // The payee's backup holds the last balances its chain acknowledged,
+    // and their settlement would pay out the whole deposit. The deposit
+    // is the payer's, so only its committee can co-sign: the request
+    // walks the payee's chain, comes back once, short, and the
+    // settlement fails with a typed error instead of waiting forever.
+    let (p, env) = c.node_mut(PAYEE_MIDDLE).enclave.compromise().unwrap();
+    let asked = p.handle(env, Command::SettleFromReplica).expect("accepted");
+    let answered = hand_over(&mut c, asked, PAYEE_TAIL);
+    let outcomes: Vec<_> = hand_over(&mut c, answered, PAYEE_MIDDLE)
+        .into_iter()
+        .filter_map(|e| match e {
+            Effect::Done { key, outcome } => Some((key, outcome)),
+            _ => None,
+        })
+        .collect();
+    let short = Err(OpError::Remote(ProtocolError::ReplicationError));
+    assert_eq!(outcomes, [(MatchKey::Settle(chan), short)]);
     let member = c.node(PAYEE_MIDDLE).enclave.program().unwrap();
+    assert!(member.sig_collects.is_empty(), "nothing waits");
     let settled = member.replica_channel(&chan).unwrap();
     assert_eq!((settled.my_bal, settled.remote_bal), (150, 1_000_000 - 150));
-    let [collect] = member.sig_collects.values().collect::<Vec<_>>()[..] else {
-        panic!("one settlement asking for co-signatures");
-    };
     let want = settle::current_settlement_tx(settled);
-    assert_eq!(collect.tx.outputs, want.outputs);
     let paid: u64 = want.outputs.iter().map(|o| o.value).sum();
     assert_eq!(paid, 1_000_000);
+}
+
+/// Hands every frame in `effects` addressed to node `to` over to it, in
+/// order, as its host would; returns what it answered.
+fn hand_over<N: ClusterNode>(c: &mut Cluster<N>, effects: Vec<Effect>, to: usize) -> Vec<Effect> {
+    let to_id = c.ids[to];
+    let (p, env) = c.node_mut(to).enclave.compromise().expect("running");
+    let mut out = Vec::new();
+    for effect in effects {
+        if let Effect::Send { to, wire, .. } = effect {
+            if to == to_id {
+                let deliver = Command::Deliver { wire, more: false };
+                out.extend(p.handle(env, deliver).expect("accepted"));
+            }
+        }
+    }
+    out
+}
+
+fn pay_stats<N: ClusterNode>(c: &Cluster<N>, i: usize) -> crate::channel::PayStats {
+    c.node(i).enclave.program().expect("running").pay_stats()
+}
+
+/// The payer's head seals what one chain ack releases as one wire `Pay`
+/// per channel: its chain acknowledges a burst `ACK_EVERY` updates at a
+/// time, so a burst of `k` leaves as `k / ACK_EVERY` rounded up `Pay`s.
+/// The payee's cumulative `PayAck`s fan back out to one completion per
+/// op, in submission order.
+#[test]
+fn a_payer_head_seals_one_pay_per_channel_per_release() {
+    for burst in [1, ACK_EVERY - 1, ACK_EVERY, ACK_EVERY + 1, 200] {
+        let (mut c, chan) = chained_pair();
+        let (before, tail) = (pay_stats(&c, 0), rep_stats(&c, PAYER_TAIL));
+        c.node_mut(0).completions.clear();
+        let ops = submit_burst(&mut c, chan, burst);
+        c.settle_network();
+        let releases = rep_stats(&c, PAYER_TAIL).acks_sent - tail.acks_sent;
+        assert_eq!(releases, burst.div_ceil(ACK_EVERY), "burst {burst}");
+        let sent = pay_stats(&c, 0).pays_sent - before.pays_sent;
+        assert_eq!(sent, releases, "burst {burst}: one Pay per release");
+        let done: Vec<u64> = c.node(0).completions.iter().map(|d| d.op.seq).collect();
+        assert_eq!(done, ops, "burst {burst}: once each, in submission order");
+        assert!(c.node(0).completions.iter().all(|d| d.outcome.is_ok()));
+        assert!((0..6).all(|i| c.node(i).delivery_errors.is_empty()));
+        assert_eq!(c.balances(1, chan), (burst, 1_000_000 - burst));
+    }
+}
+
+/// Payments on two channels to one peer never merge with each other, and
+/// leave in the order the release holds them: a burst that switches
+/// channel twice is three `Pay`s, each run its own.
+#[test]
+fn pays_on_two_channels_to_one_peer_stay_apart_and_in_order() {
+    let (mut c, a) = chained_pair();
+    let b = c.standard_channel(0, 1, "acks-b", 1_000_000, 2);
+    let (before, tail) = (pay_stats(&c, 0), rep_stats(&c, PAYER_TAIL));
+    c.node_mut(0).completions.clear();
+    let pay = |id| Command::Pay {
+        id,
+        amount: 1,
+        count: 1,
+    };
+    let ops: Vec<(ChannelId, u64)> = [a, a, a, b, b, a]
+        .into_iter()
+        .map(|id| (id, c.submit(0, pay(id)).seq))
+        .collect();
+    c.settle_network();
+    assert_eq!(rep_stats(&c, PAYER_TAIL).acks_sent - tail.acks_sent, 1);
+    assert_eq!(pay_stats(&c, 0).pays_sent - before.pays_sent, 3);
+    // Each channel's ops complete once each, in submission order.
+    for chan in [a, b] {
+        let on = |seq: &u64| ops.contains(&(chan, *seq));
+        let done: Vec<u64> = c.node(0).completions.iter().map(|d| d.op.seq).collect();
+        let want: Vec<u64> = ops.iter().map(|&(_, seq)| seq).filter(on).collect();
+        assert_eq!(done.into_iter().filter(on).collect::<Vec<_>>(), want);
+    }
+    assert_eq!(c.node(0).completions.len(), ops.len());
+    assert!(c.node(0).completions.iter().all(|d| d.outcome.is_ok()));
+    assert!((0..6).all(|i| c.node(i).delivery_errors.is_empty()));
+    assert_eq!(c.balances(1, a), (4, 1_000_000 - 4));
+    assert_eq!(c.balances(1, b), (2, 1_000_000 - 2));
+
+    // The order: the payer's tail holds its ack, so the burst waits; an
+    // ack sealed by hand as its middle member releases it, and the
+    // `Pay`s that leave reach the payee one at a time.
+    let (mut c, a): (Cluster<HintedHost>, _) = chained_pair_with(2);
+    let b = c.standard_channel(0, 1, "acks-b", 1_000_000, 2);
+    always_more(&mut c, PAYER_TAIL);
+    let base = rep_stats(&c, PAYER_TAIL).updates_applied;
+    for (id, amount) in [(a, 1), (a, 2), (a, 3), (b, 10), (b, 20), (a, 100)] {
+        let count = 1;
+        c.submit(0, Command::Pay { id, amount, count });
+    }
+    run_until_tail_applied(&mut c, base, 6);
+    let seq = c.node(0).enclave.program().unwrap().rep.send_seq - 1;
+    let payer = c.ids[0];
+    let (member, _) = c.node_mut(PAYER_MIDDLE).enclave.compromise().unwrap();
+    let Ok(Effect::Send { wire, .. }) = member.seal_to(&payer, &ProtocolMsg::RepAck { seq }) else {
+        panic!("a sealed frame");
+    };
+    let from = NodeId(PAYER_MIDDLE as u32);
+    let (_, actions) = c.drive_node(0, false, |n, ctx| n.handle_wire(ctx, from, wire));
+    let mut seen = Vec::new();
+    for action in actions {
+        if let NodeAction::Send { to: NodeId(1), msg } = action {
+            c.drive_node(1, false, |n, ctx| n.handle_wire(ctx, NodeId(0), msg));
+            seen.push((c.balances(1, a).0, c.balances(1, b).0));
+        }
+    }
+    assert_eq!(seen, [(6, 0), (6, 30), (106, 30)]);
+}
+
+/// A head that owes its peer acks and makes a payment to it in one ecall
+/// seals the payment first, and sends it first: the acks are sealed
+/// after the handler, so the payment, made before them, goes before them
+/// in the ecall's output.
+#[test]
+fn a_pay_made_while_acks_are_owed_to_its_peer_goes_before_them() {
+    let (mut c, chan): (Cluster<HintedHost>, _) = chained_pair_with(2);
+    c.pay(0, chan, 150).unwrap();
+    always_more(&mut c, 0);
+    let acks = pay_stats(&c, 0).acks_sent;
+    let back = Command::Pay {
+        id: chan,
+        amount: 1,
+        count: 1,
+    };
+    let ops: Vec<_> = (0..5).map(|_| c.submit(1, back.clone())).collect();
+    for _ in 0..1_000 {
+        if c.balances(0, chan).0 == 1_000_000 - 145 {
+            break;
+        }
+        let t = c.sim.now_ns() + 1;
+        c.sim.run_until(t);
+    }
+    assert_eq!(c.balances(0, chan).0, 1_000_000 - 145);
+    assert_eq!(pay_stats(&c, 0).acks_sent, acks, "the acks are owed");
+    let pay = c.submit(0, back.clone());
+    c.settle_network();
+    assert!((0..6).all(|i| c.node(i).delivery_errors.is_empty()));
+    for op in ops.into_iter().chain([pay]) {
+        assert!(matches!(c.outcome(op), Some(Ok(_))), "{:?}", c.outcome(op));
+    }
+    assert_eq!(c.balances(1, chan), (146, 1_000_000 - 146));
+}
+
+/// A `PayNack` of a merged `Pay` fails every op the `Pay` carried and
+/// rolls the whole sum back. The payee's host holds its ack, and a
+/// compromised payee enclave refuses the `Pay` instead.
+#[test]
+fn a_nack_of_a_merged_pay_fails_every_op_it_carried() {
+    const BURST: u64 = 10;
+    let (mut c, chan): (Cluster<HintedHost>, _) = chained_pair_with(2);
+    always_more(&mut c, 1);
+    let before = pay_stats(&c, 0);
+    c.node_mut(0).completions.clear();
+    let ops = submit_burst(&mut c, chan, BURST);
+    run_until_payee_has(&mut c, chan, BURST);
+    assert_eq!(pay_stats(&c, 0).pays_sent - before.pays_sent, 1);
+    let nack = ProtocolMsg::PayNack {
+        id: chan,
+        amount: BURST,
+        count: BURST as u32,
+        reason: ProtocolError::ChannelLocked.abort_code(),
+    };
+    let payer = c.ids[0];
+    let (p, _) = c.node_mut(1).enclave.compromise().expect("running");
+    let Ok(Effect::Send { wire, .. }) = p.seal_to(&payer, &nack) else {
+        panic!("a sealed frame");
+    };
+    c.crash_node(1);
+    c.sim.call(NodeId(0), |h, ctx| {
+        h.host.node.handle_wire(ctx, NodeId(1), wire)
+    });
+    c.settle_network();
+    let done: Vec<u64> = c.node(0).completions.iter().map(|d| d.op.seq).collect();
+    assert_eq!(done, ops, "once each, in submission order");
+    for d in &c.node(0).completions {
+        let refused = Err(OpError::Remote(ProtocolError::ChannelLocked));
+        assert_eq!(d.outcome, refused);
+    }
+    assert_eq!(c.balances(0, chan), (1_000_000, 0), "the sum rolled back");
+}
+
+/// A payer head that crashes while its owed `Pay`s wait for the chain's
+/// ack sends none of them: the payee is not credited and the ops time
+/// out. Its backup settles every update it applied, the unacknowledged
+/// payments included, and the settlement conserves value.
+#[test]
+fn a_payer_head_crashed_while_owing_pays_sends_none_of_them() {
+    let (mut c, chan): (Cluster<HintedHost>, _) = chained_pair_with(2);
+    c.pay(0, chan, 150).unwrap(); // Acknowledged by both chains.
+    always_more(&mut c, PAYER_TAIL);
+    let (pays, tail) = (pay_stats(&c, 0), rep_stats(&c, PAYER_TAIL));
+    c.node_mut(0).completions.clear();
+    submit_burst(&mut c, chan, 10);
+    run_until_tail_applied(&mut c, tail.updates_applied, 10);
+    let p = c.node(0).enclave.program().unwrap();
+    let owed: usize = p.rep.pending.values().map(|e| e.owed_pays.len()).sum();
+    assert_eq!(owed, 10, "the pays wait, unsealed");
+    assert_eq!(pay_stats(&c, 0), pays, "no Pay left");
+    c.crash_node(0);
+    c.settle_network();
+    assert_eq!(c.balances(1, chan), (150, 1_000_000 - 150));
+    assert_eq!(c.node(0).completions.len(), 10);
+    for done in &c.node(0).completions {
+        assert!(
+            matches!(done.outcome, Err(OpError::Timeout { .. })),
+            "{:?}",
+            done.outcome
+        );
+    }
+    c.exec(PAYER_MIDDLE, Command::SettleFromReplica);
+    c.mine(1);
+    let member = c.node(PAYER_MIDDLE).enclave.program().unwrap();
+    let settled = member.replica_channel(&chan).unwrap().clone();
+    assert_eq!(settled.remote_bal, 160);
+    let (mine, theirs) = (
+        c.chain_balance(&settled.my_settlement),
+        c.chain_balance(&settled.remote_settlement),
+    );
+    assert_eq!((mine, theirs), (1_000_000 - 160, 160));
 }
 
 /// A primary's or a backup's view of the channel: balances and the
 /// statuses of the deposits it holds.
 type View = ((u64, u64), Vec<(OutPoint, DepositStatus)>);
 
-/// Runs `bursts` of payments of 1 (`true`: node 0 pays node 1) over two
-/// chains of two backups, each node's host passing `hints[i]` as its
-/// input hint, and every node making one more ecall that is not a
-/// delivery after the network idles, until nothing moves. Returns every
-/// primary's and backup's view at quiescence.
-fn views_after(bursts: &[(bool, u64)], hints: &[Option<bool>]) -> Vec<View> {
+/// Runs `rounds` of payments of 1 over two chains of two backups: in
+/// each, node 0 submits `.0` payments to node 1 and node 1 submits `.1`
+/// back, interleaved, and the network runs until idle. Each node's host
+/// passes `hints[i]` as its input hint, and after each round every node
+/// makes one more ecall that is not a delivery after the network idles,
+/// until nothing moves. Every delivered message must open, and every
+/// payment complete exactly once, successfully. Returns every primary's
+/// and backup's view at quiescence.
+fn views_after(rounds: &[(u64, u64)], hints: &[Option<bool>]) -> Vec<View> {
     let (mut c, chan): (Cluster<HintedHost>, _) = chained_pair_with(2);
     c.pay(0, chan, 1_000).unwrap();
     for (i, &more) in hints.iter().enumerate() {
         c.sim.node_mut(NodeId(i as u32)).more = more;
     }
-    for &(forward, k) in bursts {
-        let pay = Command::Pay {
-            id: chan,
-            amount: 1,
-            count: 1,
-        };
-        for _ in 0..k {
-            c.submit(usize::from(!forward), pay.clone());
+    let pay = Command::Pay {
+        id: chan,
+        amount: 1,
+        count: 1,
+    };
+    let mut ops = BTreeMap::new();
+    for &(there, back) in rounds {
+        for k in 0..there.max(back) {
+            for (from, n) in [(0, there), (1, back)] {
+                if k < n {
+                    ops.insert(c.submit(from, pay.clone()), 0);
+                }
+            }
         }
         c.sim.run_to_idle(u64::MAX);
         // A host that always says "more" holds what its node owes until
@@ -437,6 +679,17 @@ fn views_after(bursts: &[(bool, u64)], hints: &[Option<bool>]) -> Vec<View> {
             }
         }
     }
+    for i in 0..hints.len() {
+        let errors = &c.node(i).delivery_errors;
+        assert!(errors.is_empty(), "node {i}: {errors:?}");
+    }
+    for done in c.completion_log() {
+        if let Some(n) = ops.get_mut(&done.op) {
+            assert!(done.outcome.is_ok(), "{:?}", done.outcome);
+            *n += 1;
+        }
+    }
+    assert!(ops.values().all(|&n| n == 1), "every payment once: {ops:?}");
     let statuses = |book: &crate::deposit::DepositBook| {
         let mut s: Vec<_> = book.mine.iter().map(|(op, (_, st))| (*op, *st)).collect();
         s.sort_by_key(|(op, _)| *op);
@@ -467,9 +720,30 @@ proptest! {
         hints in proptest::collection::vec(0usize..3, 6),
     ) {
         // Bursts of 1 to 150, from node 0 (below 150) or node 1.
-        let bursts: Vec<_> = bursts.iter().map(|&b| (b < 150, b % 150 + 1)).collect();
+        let bursts: Vec<_> = bursts
+            .iter()
+            .map(|&b| if b < 150 { (b % 150 + 1, 0) } else { (0, b % 150 + 1) })
+            .collect();
         let hints: Vec<_> = hints.iter().map(|&h| [Some(true), Some(false), None][h]).collect();
         let want = views_after(&bursts, &[Some(false); 6]);
         prop_assert_eq!(views_after(&bursts, &hints), want);
+    }
+
+    /// Two chained heads paying each other at once, each owing the other
+    /// pays and acks: whatever hint each host passes, every delivered
+    /// message opens (sequence order is send order), every payment
+    /// completes exactly once, and every primary and backup ends in the
+    /// state of the run without hints. This checks per-object state at
+    /// quiescence, not linearizability.
+    #[test]
+    fn prop_two_way_bursts_between_chained_heads_keep_session_order(
+        rounds in proptest::collection::vec(0u64..150 * 150, 1..4),
+        hints in proptest::collection::vec(0usize..3, 6),
+    ) {
+        // 0 to 149 payments each way in every round.
+        let rounds: Vec<_> = rounds.iter().map(|&r| (r / 150, r % 150)).collect();
+        let hints: Vec<_> = hints.iter().map(|&h| [Some(true), Some(false), None][h]).collect();
+        let want = views_after(&rounds, &[Some(false); 6]);
+        prop_assert_eq!(views_after(&rounds, &hints), want);
     }
 }

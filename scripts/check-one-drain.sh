@@ -37,9 +37,46 @@ held=$(find crates/core/src -name '*.rs' -print0 | xargs -0 perl -0777 -ne '
     print "$ARGV:$line: the held deltas are taken outside TeechainEnclave::handle\n";
   }
 ')
-if [ -n "$found$held" ]; then
-  printf '%s\n' "$found" "$held" | grep . >&2
+# A chain head's owed pays (`owed_pays` on its pending entries and on the
+# ecall's staging) are sealed only where a chain ack releases them
+# (`on_rep_ack`) and where something else is about to be sealed to their
+# peer (`seal_at`), by `seal_owed_pays`. They leave their lists only
+# there, at their own ecall's commit (`commit_staged`, which moves them to
+# the ecall's pending entry) and in a failed ecall (`handle`, which drops
+# its own); elsewhere a list may be pushed to, counted or asked.
+pays=$(find crates/core/src -name '*.rs' -print0 | xargs -0 perl -0777 -ne '
+  (my $code = $_) =~ s{//[^\n]*}{}g;
+  my $body = qr/(?<br>\{(?:[^{}]++|(?&br))*\})/;
+  # Function bodies where owed pays may leave their lists, and whether
+  # they may seal them too. A body is blanked out with its newlines kept,
+  # so line numbers still hold; a call it may not make is kept.
+  my %allowed = (
+    "crates/core/src/replication.rs" => { on_rep_ack => 1 },
+    "crates/core/src/enclave.rs" => { seal_at => 1, commit_staged => 0, handle => 0 },
+  );
+  my $fns = $allowed{$ARGV} || {};
+  for my $fn (sort keys %$fns) {
+    next unless $code =~ /\bfn\s+$fn\s*\([^)]*\)[^{;]*$body/;
+    my ($from, $len) = ($-[1], $+[1] - $-[1]);
+    (my $kept = substr($code, $from, $len)) =~ s/\bseal_owed_pays\b/\x00/g;
+    $kept =~ tr/\n\x00//cd;
+    $kept =~ s/\x00/seal_owed_pays(/g unless $fns->{$fn};
+    $kept =~ tr/\x00//d;
+    substr($code, $from, $len) = $kept;
+  }
+  while ($code =~ /(?<!fn )\bseal_owed_pays\s*\(/g) {
+    my $line = 1 + (substr($code, 0, $-[0]) =~ tr/\n//);
+    print "$ARGV:$line: owed pays are sealed outside on_rep_ack and seal_at\n";
+  }
+  while ($code =~ /\.owed_pays\b(?!\s*\.\s*(?:len|is_empty|owe|owed_to|none_staged|settled)\s*\()/g) {
+    my $line = 1 + (substr($code, 0, $-[0]) =~ tr/\n//);
+    print "$ARGV:$line: owed pays leave their lists outside their release, pre-seal or commit\n";
+  }
+')
+if [ -n "$found$held$pays" ]; then
+  printf '%s\n' "$found" "$held" "$pays" | grep . >&2
   exit 1
 fi
 echo "no enclave asks for a pump at the current time; the input hint is the one drain signal"
 echo "only TeechainEnclave::handle takes the chain head's held deltas"
+echo "only on_rep_ack and seal_at seal a chain head's owed pays"
