@@ -117,11 +117,12 @@ fn assert_coalesced(
 }
 
 /// Runs Table 1's load on `members`' chains twice. With no input hint
-/// every member applies one head update per payment, the model Table 1's
-/// unbatched rows measure; with the engine's hint the chains coalesce as
+/// every member applies one head update per payment and the payer seals
+/// one wire `Pay` per payment, the model Table 1's unbatched rows
+/// measure; with the engine's hint the chains coalesce as
 /// [`assert_coalesced`] says.
 fn check_chains(ft: FtMode, members: &[Member]) {
-    for (&(member, _), [applied, .., head]) in
+    for (&(member, _), [applied, _, _, pays, head]) in
         members.iter().zip(member_counts(ft, members, Some(false)))
     {
         assert_eq!(
@@ -129,6 +130,7 @@ fn check_chains(ft: FtMode, members: &[Member]) {
             (PAYMENTS, PAYMENTS),
             "member {member:?}, no hint: one update per payment"
         );
+        assert_eq!(pays, PAYMENTS, "no hint: one wire Pay per payment");
     }
     for (&(member, _), got) in members.iter().zip(member_counts(ft, members, None)) {
         assert_coalesced(member, got);

@@ -589,8 +589,7 @@ impl TeechainEnclave {
     /// Pops the longest prefix of consecutive queued payments the current
     /// balance covers and applies them as ONE payment: one staged delta,
     /// one wire `Pay` carrying the summed amount/count, one ack fan-out
-    /// group (at a chain head, owed pays that the release seals as one).
-    /// This is the batch the group commit amortizes. A front
+    /// group. This is the batch the group commit amortizes. A front
     /// payment that does not fit even alone is rejected (terminal) so the
     /// queue cannot head-of-line block behind it.
     fn apply_pay_batch(&mut self, id: ChannelId, effects: &mut Vec<Effect>) {
@@ -630,13 +629,7 @@ impl TeechainEnclave {
             amount: total,
             count: total_count,
         };
-        // A chain head owes the `Pay` until the chain acknowledges this
-        // update (`channel::OwedPay`); it needs the session all the same.
-        let sealed = match self.rep.backup {
-            Some(_) => self.session_peer(&remote).map(|_| None),
-            None => self.seal_to(&remote, &msg).map(Some),
-        };
-        match sealed {
+        match self.seal_to(&remote, &msg) {
             Ok(eff) => {
                 self.commit(StateDelta::Pay {
                     id,
@@ -644,25 +637,23 @@ impl TeechainEnclave {
                     remote_delta: total as i64,
                 });
                 self.admit.stats.record_batch(batch.len() as u64);
-                let last = batch.len() - 1;
-                let ops = batch
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(amount, count))| AckEntry {
-                        id,
-                        amount,
-                        count,
-                        more: i < last,
-                    });
-                let Some(eff) = eff else {
-                    let slot = self.state.channels.slot(&id).expect("the channel paid");
-                    for op in ops {
-                        self.owe_pay(effects.len(), slot, op);
-                    }
-                    return;
-                };
                 self.acks.stats.pays_sent += 1;
-                self.admit.inflight.entry(id).or_default().extend(ops);
+                let last = batch.len() - 1;
+                self.admit
+                    .inflight
+                    .entry(id)
+                    .or_default()
+                    .extend(
+                        batch
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &(amount, count))| AckEntry {
+                                id,
+                                amount,
+                                count,
+                                more: i < last,
+                            }),
+                    );
                 effects.push(eff);
             }
             Err(e) => {

@@ -183,9 +183,9 @@ struct Owed {
 /// Payment counters, surfaced through the node registry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct PayStats {
-    /// Wire `Pay`s sealed: one per submit or admission batch, except at a
-    /// chain head, where one carries every consecutive payment on its
-    /// channel that one chain ack released (see [`OwedPay`]).
+    /// Wire `Pay`s sealed: one per submit or admission batch, except a
+    /// chain head's submits: there one carries every consecutive payment
+    /// on its channel that one chain ack released (see [`OwedPay`]).
     pub pays_sent: u64,
     /// `PayAck`s sealed, each covering every `Pay` owed on its channel.
     pub acks_sent: u64,
@@ -224,9 +224,6 @@ impl OwedAcks {
 /// was sealed to that peer.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct OwedPay {
-    /// Where its ecall's output stood when the handler made it: a pay
-    /// sealed early in that same ecall goes there.
-    pub(crate) at: usize,
     /// The wire channel's slot.
     pub(crate) slot: u32,
     /// The peer slot of its counterparty.
@@ -242,9 +239,10 @@ pub(crate) struct OwedPays {
     /// The pays the current ecall made, in order; its commit moves them
     /// to its pending entry.
     pub(crate) staged: Vec<OwedPay>,
-    /// Those of them sealed early, each with the position in the ecall's
-    /// output it goes to.
-    pub(crate) presealed: Vec<(usize, Effect)>,
+    /// Those of them sealed early, in order. `cmd_pay`, which makes them,
+    /// outputs nothing before its pay, so they go first in the ecall's
+    /// output.
+    pub(crate) presealed: Vec<Effect>,
     /// `by_peer[s]`: the pays owed to the peer in slot `s`, staged or
     /// pending.
     by_peer: Vec<u32>,
@@ -481,7 +479,7 @@ impl TeechainEnclave {
             // same.
             established(&mut self.peers, peer)?;
             self.commit_at(slot, debit);
-            self.owe_pay(0, slot, op);
+            self.rep.owed_pays.owe(OwedPay { slot, peer, op });
             return Ok(Vec::new());
         }
         let msg = ProtocolMsg::Pay {
@@ -499,28 +497,17 @@ impl TeechainEnclave {
         Ok(vec![eff])
     }
 
-    /// Records a payment of this ecall as owed, unsealed, on the channel in
-    /// `slot`; `at` is the length of the handler's output so far.
-    pub(crate) fn owe_pay(&mut self, at: usize, slot: u32, op: AckEntry) {
-        let peer = self.chan_peers[slot as usize];
-        self.rep.owed_pays.owe(OwedPay { at, slot, peer, op });
-    }
-
     /// Seals `pays`, owed in this order, as wire `Pay`s: each run of
     /// consecutive pays on one channel becomes one `Pay` for their sums
     /// (a run ends where a sum would overflow), and only then do its ops
     /// join `admit.inflight`, every one but the run's last marked `more`,
     /// so a `PayNack` fails them all and a cumulative `PayAck` counts
-    /// them all. `out` takes each `Pay` with its run's first `at`. Owed
+    /// them all. `out` takes each `Pay`. Owed
     /// pays are sealed only by the release in `on_rep_ack` and the
     /// pre-seal in `seal_at` (`scripts/check-one-drain.sh`). A `Pay` that
     /// cannot be sealed (the session is gone) is dropped, and its ops
     /// time out.
-    pub(crate) fn seal_owed_pays(
-        &mut self,
-        pays: Vec<OwedPay>,
-        mut out: impl FnMut(usize, Effect),
-    ) {
+    pub(crate) fn seal_owed_pays(&mut self, pays: Vec<OwedPay>, mut out: impl FnMut(Effect)) {
         self.rep.owed_pays.settled(&pays);
         let mut from = 0;
         while let Some(first) = pays.get(from) {
@@ -553,7 +540,7 @@ impl TeechainEnclave {
                     more: i < last,
                     ..p.op
                 }));
-            out(first.at, eff);
+            out(eff);
         }
     }
 

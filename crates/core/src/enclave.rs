@@ -749,8 +749,8 @@ impl TeechainEnclave {
 
     /// Seals `msg` for the peer in `slot` into a `Send` effect. The pays
     /// a chain head owes that peer are sealed first, each run into the
-    /// pending entry it waits on (or, made by this ecall, to its place in
-    /// the ecall's output): a session's sequence order is its send order,
+    /// pending entry it waits on (or, made by this ecall, to the front of
+    /// its output): a session's sequence order is its send order,
     /// and an owed pay goes out no later than what is sealed after it.
     pub(crate) fn seal_at(
         &mut self,
@@ -761,12 +761,12 @@ impl TeechainEnclave {
             let mut pending = std::mem::take(&mut self.rep.pending);
             for entry in pending.values_mut() {
                 let pays = channel::take_owed_to(&mut entry.owed_pays, slot);
-                self.seal_owed_pays(pays, |_, pay| entry.effects.push(pay));
+                self.seal_owed_pays(pays, |pay| entry.effects.push(pay));
             }
             self.rep.pending = pending;
             let pays = channel::take_owed_to(&mut self.rep.owed_pays.staged, slot);
             let mut presealed = std::mem::take(&mut self.rep.owed_pays.presealed);
-            self.seal_owed_pays(pays, |at, pay| presealed.push((at, pay)));
+            self.seal_owed_pays(pays, |pay| presealed.push(pay));
             self.rep.owed_pays.presealed = presealed;
         }
         self.seal_frame(slot, msg)
@@ -1012,10 +1012,8 @@ impl EnclaveProgram for TeechainEnclave {
             // A chain head holds the deltas of a delivery with more
             // messages behind it that produced no output, up to
             // `ACK_EVERY` of them: one update then carries the whole run.
-            let silent = effects.is_empty()
-                && self.rep.asks.is_empty()
-                && !self.acks.sealed_in_handler
-                && self.rep.owed_pays.none_staged();
+            let silent =
+                effects.is_empty() && self.rep.asks.is_empty() && !self.acks.sealed_in_handler;
             if more && silent && self.rep.backup.is_some() {
                 self.rep.held_runs += u64::from(self.rep.staged.len() > held);
                 if self.rep.held_runs < ACK_EVERY {
@@ -1191,12 +1189,8 @@ impl TeechainEnclave {
             let seq = self.rep.send_seq;
             self.rep.send_seq += 1;
             self.rep.stats.updates_sent += 1;
-            // Pays this ecall sealed early go where it made them.
-            let mut presealed = std::mem::take(&mut self.rep.owed_pays.presealed);
-            presealed.sort_by_key(|&(at, _)| at);
-            for (i, (at, pay)) in presealed.into_iter().enumerate() {
-                effects.insert((at + i).min(effects.len()), pay);
-            }
+            // The pay this ecall sealed early goes first, where it made it.
+            effects.splice(..0, std::mem::take(&mut self.rep.owed_pays.presealed));
             let owed_pays = std::mem::take(&mut self.rep.owed_pays.staged);
             self.rep.pending.insert(seq, Gated { effects, owed_pays });
             let deltas = std::mem::take(&mut self.rep.staged);

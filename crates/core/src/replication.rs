@@ -18,7 +18,7 @@
 //! applied with one message, at most [`ACK_EVERY`] head updates apart. The
 //! one place all of it is released is `TeechainEnclave::handle`.
 //!
-//! *Owed pays*: a head's outbound payments are not sealed when made. Each
+//! *Owed pays*: a head's submitted payments are not sealed when made. Each
 //! waits, unsealed, on its ecall's pending entry (`Gated`), and the
 //! chain ack that releases the entry seals each run of consecutive
 //! payments on one channel as one wire `Pay` (`on_rep_ack`). So no
@@ -351,7 +351,7 @@ impl TeechainEnclave {
             effects.append(&mut entry.effects);
             pays.append(&mut entry.owed_pays);
         }
-        self.seal_owed_pays(pays, |_, pay| effects.push(pay));
+        self.seal_owed_pays(pays, |pay| effects.push(pay));
         Ok(effects)
     }
 

@@ -387,13 +387,22 @@ fn a_payee_head_crashed_while_holding_deltas_acknowledges_none_of_them() {
             done.outcome
         );
     }
-    // The payee's backup holds the last balances its chain acknowledged,
-    // and their settlement would pay out the whole deposit. The deposit
-    // is the payer's, so only its committee can co-sign: the request
-    // walks the payee's chain, comes back once, short, and the
-    // settlement fails with a typed error instead of waiting forever.
+    // The payee's backup settles the last balances its chain
+    // acknowledged, and the settlement pays out the whole deposit.
     let (p, env) = c.node_mut(PAYEE_MIDDLE).enclave.compromise().unwrap();
     let asked = p.handle(env, Command::SettleFromReplica).expect("accepted");
+    let settled = p.replica_channel(&chan).unwrap();
+    assert_eq!((settled.my_bal, settled.remote_bal), (150, 1_000_000 - 150));
+    let [collect] = p.sig_collects.values().collect::<Vec<_>>()[..] else {
+        panic!("one settlement asking for co-signatures");
+    };
+    let want = settle::current_settlement_tx(settled);
+    assert_eq!(collect.tx.outputs, want.outputs);
+    let paid: u64 = want.outputs.iter().map(|o| o.value).sum();
+    assert_eq!(paid, 1_000_000);
+    // The deposit is the payer's, so only its committee can co-sign: the
+    // request walks the payee's chain, comes back once, short, and the
+    // settlement fails with a typed error instead of waiting forever.
     let answered = hand_over(&mut c, asked, PAYEE_TAIL);
     let outcomes: Vec<_> = hand_over(&mut c, answered, PAYEE_MIDDLE)
         .into_iter()
@@ -406,11 +415,6 @@ fn a_payee_head_crashed_while_holding_deltas_acknowledges_none_of_them() {
     assert_eq!(outcomes, [(MatchKey::Settle(chan), short)]);
     let member = c.node(PAYEE_MIDDLE).enclave.program().unwrap();
     assert!(member.sig_collects.is_empty(), "nothing waits");
-    let settled = member.replica_channel(&chan).unwrap();
-    assert_eq!((settled.my_bal, settled.remote_bal), (150, 1_000_000 - 150));
-    let want = settle::current_settlement_tx(settled);
-    let paid: u64 = want.outputs.iter().map(|o| o.value).sum();
-    assert_eq!(paid, 1_000_000);
 }
 
 /// Hands every frame in `effects` addressed to node `to` over to it, in
