@@ -38,6 +38,11 @@
 //!   `PayAck`/`PayNack` fans back out to one event per op in submission
 //!   order (the `OpTracker` matches per-channel FIFO).
 //!
+//! Queued multihop originations share routes: the drain starts the
+//! longest run of ready originations on one identical path that the
+//! balance covers as ONE route of their sum (`shared` records its
+//! members), and the origin ends every member of a route on its own.
+//!
 //! All of this state is volatile by design: it never enters the sealed
 //! state image or the WAL. After a crash, queued-but-uncommitted ops are
 //! simply gone — the host resolves them as dead (`Timeout`), and replay
@@ -50,7 +55,7 @@
 
 use crate::enclave::{Effect, Gate, HostEvent, Outcome, Peer, TeechainEnclave};
 use crate::msg::{ProtocolMsg, StateDelta};
-use crate::ops::{MatchKey, OpError};
+use crate::ops::{Delivered, MatchKey, OpError, OpOutput};
 use crate::types::{ChannelId, ProtocolError, RouteId};
 use std::collections::{BTreeMap, VecDeque};
 use teechain_crypto::schnorr::PublicKey;
@@ -81,18 +86,24 @@ pub const DEFER_DEADLINE_NS: u64 = 10_000_000_000;
 pub enum QueuedOp {
     /// Single-channel payment: amount and logical payment count.
     Pay { amount: u64, count: u32 },
-    /// Multihop origination to re-run once our outgoing channel unlocks.
+    /// Multihop origination to re-run once our outgoing channel unlocks:
+    /// one origination, or the members of a shared route keyed `route`
+    /// with `amount` their sum (`AdmitState::shared`).
     Multihop {
         route: crate::types::RouteId,
         hops: Vec<PublicKey>,
         channels: Vec<ChannelId>,
         amount: u64,
+        /// Split out of a shared route whose sum a hop could not cover:
+        /// it runs on a route of its own.
+        alone: bool,
     },
 }
 
 /// Queue entry: the op plus its admission deadline.
 pub struct QueueEntry {
     pub op: QueuedOp,
+    /// The earliest admission deadline of what the entry carries.
     pub deadline_ns: u64,
     /// Earliest time the drain may run this entry (0 = immediately).
     /// Used for the in-enclave backoff of a multihop origination that
@@ -116,9 +127,10 @@ pub struct AdmitStats {
     pub enqueued: u64,
     /// Inbound messages deferred instead of nacked.
     pub deferred: u64,
-    /// Drain batches committed (each = one WAL record).
+    /// Drain batches started: runs of queued payments sent as one wire
+    /// `Pay`, and runs of queued multihop originations sent as one route.
     pub batches: u64,
-    /// Total payments applied through batches.
+    /// Total operations started through batches.
     pub batched_payments: u64,
     /// Largest single batch.
     pub max_batch: u64,
@@ -145,7 +157,7 @@ pub struct AdmitStats {
 }
 
 impl AdmitStats {
-    /// Records a committed drain batch of `n` payments.
+    /// Records a drain batch of `n` operations.
     pub fn record_batch(&mut self, n: u64) {
         if n == 0 {
             return;
@@ -191,6 +203,18 @@ pub struct AckEntry {
     pub more: bool,
 }
 
+/// One multihop origination carried by a route it shares with others
+/// queued on the identical path.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Member {
+    /// The origination's own route id, which keys its outcome.
+    pub(crate) route: RouteId,
+    /// Its own amount.
+    pub(crate) amount: u64,
+    /// Its own admission deadline (absolute ns).
+    pub(crate) deadline_ns: u64,
+}
+
 /// Per-enclave admission state. Volatile: never sealed, never replayed.
 ///
 /// The per-channel maps are `BTreeMap`s, not `HashMap`s: the admission
@@ -208,6 +232,10 @@ pub struct AdmitState {
     /// Ack fan-out per *wire* channel: the front run of entries matches
     /// the oldest outstanding outbound wire `Pay`.
     pub inflight: BTreeMap<ChannelId, VecDeque<AckEntry>>,
+    /// The originations each shared route carries, oldest first, keyed
+    /// by the route (its first member's id) while it is queued or in
+    /// flight. A route absent here carries one origination: itself.
+    pub(crate) shared: BTreeMap<RouteId, Vec<Member>>,
     /// Counters for benches and tests.
     pub stats: AdmitStats,
 }
@@ -316,15 +344,6 @@ impl AdmitState {
     }
 }
 
-/// The outcome of an op queued on channel `id` that never reached the
-/// wire.
-fn rejected(id: ChannelId, op: QueuedOp, reason: ProtocolError) -> Effect {
-    match op {
-        QueuedOp::Pay { .. } => pay_rejected(id, reason),
-        QueuedOp::Multihop { route, .. } => multihop_failed(route, reason),
-    }
-}
-
 /// A queued payment on channel `id` was dropped without ever reaching the
 /// wire: the channel closed, its admission deadline passed, or the balance
 /// could not cover it at drain time. Nothing was debited or sent.
@@ -336,6 +355,41 @@ fn pay_rejected(id: ChannelId, reason: ProtocolError) -> Effect {
 /// refusing hop's, carried backward along the abort unwind.
 pub(crate) fn multihop_failed(route: RouteId, reason: ProtocolError) -> Effect {
     Effect::failed(MatchKey::Multihop(route), OpError::Remote(reason))
+}
+
+/// Ends `members` with `outcome`: one effect per member, keyed by its own
+/// id and carrying its own amount. Every path on which the origin ends
+/// originations goes through here, so a shared route's members complete
+/// exactly as many times as they were submitted.
+pub(crate) fn end_members(
+    members: impl IntoIterator<Item = Member>,
+    outcome: &Result<(), ProtocolError>,
+    effects: &mut Vec<Effect>,
+) {
+    effects.extend(members.into_iter().map(|m| match outcome {
+        Ok(()) => Effect::done(
+            MatchKey::Multihop(m.route),
+            OpOutput::MultihopDelivered(Delivered {
+                route: m.route,
+                amount: m.amount,
+            }),
+        ),
+        Err(e) => multihop_failed(m.route, e.clone()),
+    }));
+}
+
+/// Fails with `ChannelLocked` every member whose deadline is at or before
+/// `cutoff`, and returns how many it failed.
+pub(crate) fn fail_late(members: &mut Vec<Member>, cutoff: u64, effects: &mut Vec<Effect>) -> u64 {
+    let late: Vec<Member> = members
+        .extract_if(.., |m| m.deadline_ns <= cutoff)
+        .collect();
+    end_members(
+        late.iter().copied(),
+        &Err(ProtocolError::ChannelLocked),
+        effects,
+    );
+    late.len() as u64
 }
 
 impl TeechainEnclave {
@@ -416,10 +470,13 @@ impl TeechainEnclave {
                 while i < q.len() && q[i].deadline_ns > now {
                     i += 1;
                 }
-                (i < q.len()).then(|| q.remove(i).unwrap())
+                q.remove(i)
             }) {
-                self.admit.stats.expired += 1;
-                effects.push(rejected(id, entry.op, ProtocolError::ChannelLocked));
+                if let Some(rest) = self.expire_entry(id, entry, now, effects) {
+                    let q = self.admit.queues.get_mut(&id).expect("scanned");
+                    q.insert(i, rest);
+                    i += 1;
+                }
             }
         }
         let ids: Vec<ChannelId> = self.admit.deferred.keys().copied().collect();
@@ -438,6 +495,118 @@ impl TeechainEnclave {
         }
         self.admit.queues.retain(|_, q| !q.is_empty());
         self.admit.deferred.retain(|_, q| !q.is_empty());
+    }
+
+    /// Fails what an overdue queued `entry` on channel `id` carries past
+    /// its deadline at `now`, and returns the entry that carries the rest:
+    /// a shared route's members expire one by one.
+    fn expire_entry(
+        &mut self,
+        id: ChannelId,
+        entry: QueueEntry,
+        now: u64,
+        effects: &mut Vec<Effect>,
+    ) -> Option<QueueEntry> {
+        let QueuedOp::Multihop {
+            route,
+            hops,
+            channels,
+            amount,
+            alone,
+        } = entry.op
+        else {
+            self.admit.stats.expired += 1;
+            effects.push(pay_rejected(id, ProtocolError::ChannelLocked));
+            return None;
+        };
+        let mut members = self.take_members(route, amount, entry.deadline_ns);
+        self.admit.stats.expired += fail_late(&mut members, now, effects);
+        self.shared_entry(members, hops, channels, alone, entry.ready_ns)
+    }
+
+    /// The originations route `route` carries: the members of a shared
+    /// route, taken out of `shared`, or else the route itself.
+    pub(crate) fn take_members(
+        &mut self,
+        route: RouteId,
+        amount: u64,
+        deadline_ns: u64,
+    ) -> Vec<Member> {
+        self.admit.shared.remove(&route).unwrap_or_else(|| {
+            vec![Member {
+                route,
+                amount,
+                deadline_ns,
+            }]
+        })
+    }
+
+    /// Ends every origination route `route` carries with `outcome`
+    /// ([`end_members`]).
+    pub(crate) fn end_route(
+        &mut self,
+        route: RouteId,
+        amount: u64,
+        outcome: Result<(), ProtocolError>,
+        effects: &mut Vec<Effect>,
+    ) {
+        end_members(self.take_members(route, amount, 0), &outcome, effects);
+    }
+
+    /// The queue entry that carries `members` on one route keyed by the
+    /// first of them, with their summed amount and earliest deadline, and
+    /// records a route of more than one member in `shared`. `None` when
+    /// no member is left.
+    pub(crate) fn shared_entry(
+        &mut self,
+        members: Vec<Member>,
+        hops: Vec<PublicKey>,
+        channels: Vec<ChannelId>,
+        alone: bool,
+        ready_ns: u64,
+    ) -> Option<QueueEntry> {
+        let route = members.first()?.route;
+        let amount = members.iter().map(|m| m.amount).sum();
+        let deadline_ns = members.iter().map(|m| m.deadline_ns).min()?;
+        if members.len() > 1 {
+            self.admit.shared.insert(route, members);
+        }
+        Some(QueueEntry {
+            op: QueuedOp::Multihop {
+                route,
+                hops,
+                channels,
+                amount,
+                alone,
+            },
+            deadline_ns,
+            ready_ns,
+        })
+    }
+
+    /// Puts `members` back at the front of their first channel's queue,
+    /// oldest first, as entries that run alone: a hop could not cover
+    /// their sum, so each ends as it would have unbatched.
+    pub(crate) fn split_shared(
+        &mut self,
+        members: Vec<Member>,
+        hops: &[PublicKey],
+        channels: &[ChannelId],
+    ) {
+        let q = self.admit.queues.entry(channels[0]).or_default();
+        for m in members.into_iter().rev() {
+            q.push_front(QueueEntry {
+                op: QueuedOp::Multihop {
+                    route: m.route,
+                    hops: hops.to_vec(),
+                    channels: channels.to_vec(),
+                    amount: m.amount,
+                    alone: true,
+                },
+                deadline_ns: m.deadline_ns,
+                ready_ns: 0,
+            });
+        }
     }
 
     /// Answers a deferred inbound message backward with a typed refusal,
@@ -562,28 +731,83 @@ impl TeechainEnclave {
                 if self.reserved_for_older(id, route) {
                     break;
                 }
-                let entry = self
-                    .admit
-                    .queues
-                    .get_mut(&id)
-                    .and_then(|q| q.pop_front())
-                    .expect("front checked");
-                let QueuedOp::Multihop {
-                    route,
-                    hops,
-                    channels,
-                    amount,
-                } = entry.op
-                else {
-                    unreachable!("front checked as multihop");
-                };
-                match self.pay_multihop_inner(route, hops, channels, amount, entry.deadline_ns) {
-                    Ok(effs) => effects.extend(effs),
-                    Err(e) => effects.push(multihop_failed(route, e)),
-                }
+                self.start_shared_route(now, id, effects);
             }
         }
         self.admit.queues.retain(|_, q| !q.is_empty());
+    }
+
+    /// Pops the multihop origination at the front of `id`'s queue and the
+    /// longest run of ready originations behind it on the identical path
+    /// whose sum the balance covers, and starts them as ONE route of the
+    /// sum, the front's: its id (so its wait-die age) and its deadline.
+    /// A route of more than one member is recorded in `shared`. A shared
+    /// front the balance no longer covers splits back into entries that
+    /// run alone instead.
+    fn start_shared_route(&mut self, now: u64, id: ChannelId, effects: &mut Vec<Effect>) {
+        let my_bal = self.state.channels.get(&id).map_or(0, |c| c.my_bal);
+        let Some(entry) = self.admit.queues.get_mut(&id).and_then(|q| q.pop_front()) else {
+            return;
+        };
+        let QueuedOp::Multihop {
+            route,
+            hops,
+            channels,
+            amount,
+            alone,
+        } = entry.op
+        else {
+            unreachable!("front checked as multihop");
+        };
+        let mut members = self.take_members(route, amount, entry.deadline_ns);
+        if members.len() > 1 && amount > my_bal {
+            self.split_shared(members, &hops, &channels);
+            return;
+        }
+        let mut total = amount;
+        while let Some(next) = self
+            .admit
+            .queues
+            .get(&id)
+            .and_then(|q| q.front())
+            .filter(|_| !alone)
+        {
+            let QueuedOp::Multihop {
+                route: r,
+                hops: h,
+                channels: ch,
+                amount: a,
+                alone: false,
+            } = &next.op
+            else {
+                break;
+            };
+            if next.ready_ns > now
+                || *h != hops
+                || *ch != channels
+                || self.state.routes.contains_key(r)
+            {
+                break;
+            }
+            let Some(sum) = total.checked_add(*a).filter(|sum| *sum <= my_bal) else {
+                break;
+            };
+            let (r, a, deadline_ns) = (*r, *a, next.deadline_ns);
+            self.admit.queues.get_mut(&id).expect("peeked").pop_front();
+            total = sum;
+            members.extend(self.take_members(r, a, deadline_ns));
+        }
+        let n = members.len() as u64;
+        if n > 1 {
+            self.admit.shared.insert(route, members);
+        }
+        match self.pay_multihop_inner(route, hops, channels, total, entry.deadline_ns) {
+            Ok(effs) => {
+                self.admit.stats.record_batch(n);
+                effects.extend(effs);
+            }
+            Err(e) => self.end_route(route, total, Err(e), effects),
+        }
     }
 
     /// Pops the longest prefix of consecutive queued payments the current
@@ -677,7 +901,12 @@ impl TeechainEnclave {
         if let Some(q) = self.admit.queues.remove(&id) {
             for entry in q {
                 self.admit.stats.flushed += 1;
-                effects.push(rejected(id, entry.op, reason.clone()));
+                match entry.op {
+                    QueuedOp::Pay { .. } => effects.push(pay_rejected(id, reason.clone())),
+                    QueuedOp::Multihop { route, amount, .. } => {
+                        self.end_route(route, amount, Err(reason.clone()), effects)
+                    }
+                }
             }
         }
         if let Some(dq) = self.admit.deferred.remove(&id) {

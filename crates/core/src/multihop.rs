@@ -17,10 +17,9 @@
 //! structure. This is equivalent (settlements are canonical and
 //! deterministic) and keeps verification exact.
 
-use crate::admit::multihop_failed;
 use crate::enclave::{Effect, HostEvent, Outcome, TeechainEnclave};
 use crate::msg::{MhLock, ProtocolMsg, SettleDigest, StateDelta};
-use crate::ops::{Delivered, MatchKey, OpOutput, SettleKind};
+use crate::ops::SettleKind;
 use crate::replication::CoSigned;
 use crate::settle;
 use crate::types::{ChannelId, MultihopStage, ProtocolError, RouteId};
@@ -192,7 +191,13 @@ impl TeechainEnclave {
             return Err(ProtocolError::BadStage);
         }
         let me = self.identity(env).pk;
-        if hops[0] != me || self.state.routes.contains_key(&route_id) {
+        // A member of a shared route, queued or in flight, holds its id
+        // as a live route does.
+        let member = |m: &crate::admit::Member| m.route == route_id;
+        if hops[0] != me
+            || self.state.routes.contains_key(&route_id)
+            || self.admit.shared.values().flatten().any(member)
+        {
             return Err(ProtocolError::BadStage);
         }
         // Admission: if our outgoing channel is busy with another route
@@ -228,6 +233,7 @@ impl TeechainEnclave {
                     hops,
                     channels,
                     amount,
+                    alone: false,
                 },
                 deadline_ns,
                 ready_ns: 0,
@@ -751,12 +757,9 @@ impl TeechainEnclave {
                 vec![self.seal_to(&prev, &msg)?]
             }
             None => {
-                let delivered = Delivered {
-                    route: route_id,
-                    amount,
-                };
-                let out = OpOutput::MultihopDelivered(delivered);
-                vec![Effect::done(MatchKey::Multihop(route_id), out)]
+                let mut effects = Vec::new();
+                self.end_route(route_id, amount, Ok(()), &mut effects);
+                effects
             }
         };
         // The drain is the tentpole's fast path: an intermediate hop that
@@ -795,23 +798,27 @@ impl TeechainEnclave {
                 reason,
             };
             vec![self.seal_to(&route.prev_hop().expect("pos > 0"), &msg)?]
-        } else if ProtocolError::from_abort_code(reason) == ProtocolError::ChannelLocked {
-            // The origin's in-enclave retry: a downstream hop lost the
-            // wait-die comparison, which is contention, not failure. Park
-            // the origination back on our outgoing channel's queue with a
-            // short deterministic backoff; the op stays pending and the
-            // host never sees a ChannelLocked completion. The route id is
-            // kept, so the payment's wait-die age (and thus its priority)
-            // keeps improving with every round.
-            match self.requeue_origination(env, &route) {
-                Some(eff) => vec![eff],
-                None => vec![multihop_failed(route_id, ProtocolError::ChannelLocked)],
-            }
         } else {
-            vec![multihop_failed(
-                route_id,
-                ProtocolError::from_abort_code(reason),
-            )]
+            let mut effects = Vec::new();
+            match ProtocolError::from_abort_code(reason) {
+                // The origin's in-enclave retry: a downstream hop lost the
+                // wait-die comparison, which is contention, not failure.
+                // Park the originations back on our outgoing channel's
+                // queue with a short deterministic backoff; the ops stay
+                // pending and the host never sees a ChannelLocked
+                // completion. The route id is kept, so the payment's
+                // wait-die age (and thus its priority) keeps improving
+                // with every round, and a shared route keeps its members.
+                ProtocolError::ChannelLocked => self.requeue_origination(env, &route, &mut effects),
+                // A hop could not cover a shared route's sum, which it
+                // may have covered member by member: each runs alone.
+                ProtocolError::InsufficientBalance if self.admit.shared.contains_key(&route_id) => {
+                    let members = self.take_members(route_id, route.amount, route.deadline_ns);
+                    self.split_shared(members, &route.hops, &route.channels);
+                }
+                e => self.end_route(route_id, route.amount, Err(e), &mut effects),
+            }
+            effects
         };
         for id in unlocked {
             self.drain_admission(env, id, &mut effects);
@@ -819,42 +826,43 @@ impl TeechainEnclave {
         Ok(effects)
     }
 
-    /// Re-queues an aborted origination (contention only) on its first
-    /// channel with a deterministic ~100–200 ms backoff. Returns the
-    /// `PumpAt` effect to arm the retry, or `None` when the queue is
-    /// full or the origination's admission deadline has passed — the
-    /// cases that surface `ChannelLocked` to the caller. The deadline is
-    /// the one fixed at first admission, NOT refreshed per round: a
-    /// payment that cannot win its locks within the admission window
-    /// must fail visibly rather than orbit the queue forever.
-    fn requeue_origination(&mut self, env: &EnclaveEnv, route: &RouteState) -> Option<Effect> {
-        let first = *route.channels.first()?;
+    /// Re-queues the originations of an aborted route (contention only)
+    /// on its first channel with a deterministic ~100–200 ms backoff, and
+    /// arms the retry with a `PumpAt`. An origination whose admission
+    /// deadline comes before the retry fails with `ChannelLocked`, and so
+    /// does every one when the queue is full. The deadline is the one
+    /// fixed at first admission, NOT refreshed per round: a payment that
+    /// cannot win its locks within the admission window must fail
+    /// visibly rather than orbit the queue forever.
+    fn requeue_origination(
+        &mut self,
+        env: &EnclaveEnv,
+        route: &RouteState,
+        effects: &mut Vec<Effect>,
+    ) {
         // Deterministic jitter from the route id spreads synchronized
         // losers without an RNG in the enclave.
         let jitter = u64::from(route.id.0[19]) % 100 * 1_000_000;
         let ready_ns = env.now_ns() + 100_000_000 + jitter;
-        if ready_ns >= route.deadline_ns {
-            return None;
-        }
-        let q = self.admit.queues.entry(first).or_default();
-        if q.len() >= crate::admit::ADMIT_QUEUE_CAP {
-            return None;
-        }
-        q.push_back(crate::admit::QueueEntry {
-            op: crate::admit::QueuedOp::Multihop {
-                route: route.id,
-                hops: route.hops.clone(),
-                channels: route.channels.clone(),
-                amount: route.amount,
-            },
-            deadline_ns: route.deadline_ns,
-            ready_ns,
-        });
+        let mut members = self.take_members(route.id, route.amount, route.deadline_ns);
+        let full = self
+            .admit
+            .queues
+            .get(&route.channels[0])
+            .is_some_and(|q| q.len() >= crate::admit::ADMIT_QUEUE_CAP);
+        let cutoff = if full { u64::MAX } else { ready_ns };
+        crate::admit::fail_late(&mut members, cutoff, effects);
+        let (hops, channels) = (route.hops.clone(), route.channels.clone());
+        let Some(entry) = self.shared_entry(members, hops, channels, false, ready_ns) else {
+            return;
+        };
+        let q = self.admit.queues.entry(route.channels[0]).or_default();
+        q.push_back(entry);
         let depth = q.len();
         self.admit.stats.enqueued += 1;
         self.admit.stats.requeued += 1;
         self.admit.stats.note_queue_depth(depth);
-        Some(Effect::Event(HostEvent::PumpAt(ready_ns)))
+        effects.push(Effect::Event(HostEvent::PumpAt(ready_ns)));
     }
 
     // ---- Eject and PoPT (Alg. 2 lines 60–72) ----
@@ -903,6 +911,8 @@ impl TeechainEnclave {
         settlements: Vec<(ChannelId, Transaction)>,
     ) -> Vec<Effect> {
         self.set_route_stage(route_id, MultihopStage::Terminated);
+        // Its members' ops, like a route's own, are left to the host.
+        self.admit.shared.remove(route_id);
         // A sign pass still waiting for co-signatures ends here too.
         self.sig_collects.retain(
             |_, c| !matches!(c.then, CoSigned::SignPass { route, .. } if route == *route_id),

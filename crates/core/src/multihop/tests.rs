@@ -8,6 +8,7 @@ use crate::ops::{MatchKey, OpError, OpId, OpOutput};
 use crate::settle::SIGN_WORK;
 use crate::testkit::{Cluster, ClusterConfig, Harness};
 use crate::DurabilityBackend;
+use proptest::prelude::*;
 use teechain_blockchain::ScriptPubKey;
 use teechain_crypto::schnorr::{self, Keypair};
 use teechain_net::EngineKind;
@@ -21,6 +22,11 @@ const AMOUNT: u64 = 100;
 /// left end under an `m`-of-n committee. One shard, so every enclave runs
 /// on the test's thread and [`SIGN_WORK`] sees all of it.
 fn line(durability: DurabilityBackend, m: u8) -> (Cluster, Vec<ChannelId>) {
+    funded_line(durability, m, [1000; 3])
+}
+
+/// The same line, channel `i` funded with `funds[i]`.
+fn funded_line(durability: DurabilityBackend, m: u8, funds: [u64; 3]) -> (Cluster, Vec<ChannelId>) {
     let mut c = Cluster::new(ClusterConfig {
         n: 4,
         durability,
@@ -28,7 +34,7 @@ fn line(durability: DurabilityBackend, m: u8) -> (Cluster, Vec<ChannelId>) {
         ..ClusterConfig::default()
     });
     let chans = (0..3)
-        .map(|i| c.standard_channel(i, i + 1, &format!("tau-{i}"), 1000, m))
+        .map(|i| c.standard_channel(i, i + 1, &format!("tau-{i}"), funds[i], m))
         .collect();
     (c, chans)
 }
@@ -389,4 +395,302 @@ fn a_member_that_signs_twice_counts_once() {
         "{got:?}"
     );
     assert!(!p.sig_collects.contains_key(&req_id));
+}
+
+// ---- Queued multihops on one path share one route ----
+
+/// Submits at p1, without running the network, a payment of `amount`
+/// from p1 over `hops` hops, routed by id `label`.
+fn pay_over(c: &mut Cluster, chans: &[ChannelId], hops: usize, label: &str, amount: u64) -> OpId {
+    c.submit(
+        0,
+        Command::PayMultihop {
+            route: RouteId::from_label(label),
+            hops: c.ids[..=hops].to_vec(),
+            channels: chans[..hops].to_vec(),
+            amount,
+        },
+    )
+}
+
+/// What each of p1's `ops` ended with: the amount it delivered, or its
+/// failure. Panics unless each completed exactly once, and a delivery
+/// names its own route.
+fn ended_once(c: &Cluster, ops: &[(OpId, &str)]) -> Vec<Result<u64, OpError>> {
+    ops.iter()
+        .map(|&(op, label)| {
+            let done: Vec<_> = c.completions(0).iter().filter(|d| d.op == op).collect();
+            assert_eq!(done.len(), 1, "{label} completed {} times", done.len());
+            match &done[0].outcome {
+                Ok(OpOutput::MultihopDelivered(d)) => {
+                    assert_eq!(d.route, RouteId::from_label(label));
+                    Ok(d.amount)
+                }
+                Ok(other) => panic!("{label} completed with {other:?}"),
+                Err(e) => Err(e.clone()),
+            }
+        })
+        .collect()
+}
+
+/// Both ends' balances of every channel of the line.
+fn hop_balances(c: &Cluster, chans: &[ChannelId]) -> Vec<[(u64, u64); 2]> {
+    (0..3)
+        .map(|i| [c.balances(i, chans[i]), c.balances(i + 1, chans[i])])
+        .collect()
+}
+
+/// What a run of payments left behind.
+struct Ran {
+    /// Each payment's end: `Some(amount)` delivered, `None` failed.
+    ends: Vec<Option<u64>>,
+    /// Every hop's balances.
+    balances: Vec<[(u64, u64); 2]>,
+    /// The most payments one route carried.
+    max_batch: u64,
+}
+
+/// Runs `pays` (hops, amount) from p1 over a line funded with `funds`,
+/// as one burst or one payment per `settle_network`.
+fn run_pays(funds: [u64; 3], pays: &[(usize, u64)], burst: bool) -> Ran {
+    let (mut c, chans) = funded_line(DurabilityBackend::None, 1, funds);
+    let labels: Vec<String> = (0..pays.len()).map(|k| format!("pay-{k}")).collect();
+    let mut ops = Vec::new();
+    for (&(hops, amount), label) in pays.iter().zip(&labels) {
+        ops.push((
+            pay_over(&mut c, &chans, hops, label, amount),
+            label.as_str(),
+        ));
+        if !burst {
+            c.settle_network();
+        }
+    }
+    c.settle_network();
+    Ran {
+        ends: ended_once(&c, &ops).into_iter().map(Result::ok).collect(),
+        balances: hop_balances(&c, &chans),
+        max_batch: program(&c, 0).admit.stats.max_batch,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// 1–12 multihops of 1–8 from p1, most to p4 and about one in six to
+    /// p3 (a different path, which ends a shared run), end the same
+    /// whether they arrive as one burst, which the drain shares out, or
+    /// one at a time: the same payments are delivered, each exactly
+    /// once, and every hop holds the same balances. p1 and p2 cannot
+    /// cover every burst, so some payments fail, at p1 or at p2.
+    #[test]
+    fn prop_a_burst_ends_as_one_payment_at_a_time(
+        pays in proptest::collection::vec(0u64..48, 1..13),
+    ) {
+        let pays: Vec<(usize, u64)> = pays
+            .iter()
+            .map(|&p| (if p < 8 { 2 } else { 3 }, p % 8 + 1))
+            .collect();
+        let funds = [60, 40, 1000];
+        let burst = run_pays(funds, &pays, true);
+        let one = run_pays(funds, &pays, false);
+        prop_assert_eq!(one.max_batch, 0);
+        prop_assert_eq!(burst.ends, one.ends);
+        prop_assert_eq!(burst.balances, one.balances);
+    }
+}
+
+/// p2 covers each queued payment but not their sum: the shared route
+/// aborts at p2, splits back into payments that run alone, and each ends
+/// as it does unbatched — the first two delivered, the third refused.
+#[test]
+fn a_hop_that_cannot_cover_the_sum_ends_each_member_as_unbatched() {
+    let pays = [(3, 4), (3, 3), (3, 3), (3, 3)];
+    let funds = [1000, 10, 1000];
+    let burst = run_pays(funds, &pays, true);
+    assert_eq!(
+        burst.max_batch, 3,
+        "the three queued payments shared a route"
+    );
+    assert_eq!(burst.ends, [Some(4), Some(3), Some(3), None]);
+    let one = run_pays(funds, &pays, false);
+    assert_eq!((burst.ends, burst.balances), (one.ends, one.balances));
+}
+
+/// A shared route that loses wait-die at p2 is re-queued whole, and the
+/// drain that restarts it extends it with the payments queued behind
+/// it: every member is delivered exactly once, with its own amount.
+#[test]
+fn a_requeued_shared_route_is_extended_and_every_member_completes_once() {
+    let (mut c, chans) = line(DurabilityBackend::None, 1);
+    // p2's own route over c1 holds it for twelve messages; its id is the
+    // oldest, so routes arriving at p2 meanwhile abort.
+    let older = c.submit(
+        1,
+        Command::PayMultihop {
+            route: RouteId([0; 32]),
+            hops: c.ids[1..4].to_vec(),
+            channels: chans[1..].to_vec(),
+            amount: 50,
+        },
+    );
+    // A one-hop route holds c0 for six, while three payments queue.
+    let mut ops = vec![(pay_over(&mut c, &chans, 1, "hold-0", 1), "hold-0")];
+    for (k, label) in ["a-1", "a-2", "a-3"].into_iter().enumerate() {
+        ops.push((pay_over(&mut c, &chans, 3, label, k as u64 + 2), label));
+    }
+    while program(&c, 0).admit.stats.requeued == 0 {
+        assert_eq!(c.sim.run_to_idle(1), 1, "no route was re-queued");
+    }
+    let shared = RouteId::from_label("a-1");
+    assert_eq!(program(&c, 0).admit.shared[&shared].len(), 3);
+    // While it backs off, c0 is held again and two more payments queue
+    // behind it.
+    ops.push((pay_over(&mut c, &chans, 1, "hold-1", 1), "hold-1"));
+    for (k, label) in ["a-4", "a-5"].into_iter().enumerate() {
+        ops.push((pay_over(&mut c, &chans, 3, label, k as u64 + 5), label));
+    }
+    c.settle_network();
+    let ends = ended_once(&c, &ops);
+    assert_eq!(ends, [1, 2, 3, 4, 1, 5, 6].map(Ok));
+    assert!(matches!(
+        c.outcome(older),
+        Some(Ok(OpOutput::MultihopDelivered(_)))
+    ));
+    let stats = &program(&c, 0).admit.stats;
+    assert_eq!((stats.requeued, stats.max_batch), (1, 5));
+    assert!(program(&c, 0).admit.shared.is_empty());
+    assert_eq!(c.balances(3, chans[2]), (50 + 20, 1000 - 70));
+}
+
+/// Runs a burst of four 3-hop payments until the three queued behind the
+/// first share a route at p1 that has reached `stage`. Returns the
+/// operations and the shared route's id.
+fn shared_in_flight(
+    c: &mut Cluster,
+    chans: &[ChannelId],
+    stage: MultihopStage,
+) -> (Vec<(OpId, &'static str)>, RouteId) {
+    let ops: Vec<_> = [("b-1", 10), ("b-2", 20), ("b-3", 30), ("b-4", 40)]
+        .into_iter()
+        .map(|(label, amount)| (pay_over(c, chans, 3, label, amount), label))
+        .collect();
+    let route = RouteId::from_label("b-2");
+    while program(c, 0).route_stage(&route) != stage {
+        assert_eq!(c.sim.run_to_idle(1), 1, "the shared route stalled");
+    }
+    assert_eq!(program(c, 0).admit.shared[&route].len(), 3);
+    (ops, route)
+}
+
+/// A payment that names a member of a shared route in flight is refused
+/// as one naming a live route is, and changes nothing.
+#[test]
+fn a_payment_reusing_a_members_id_is_refused() {
+    let (mut c, chans) = line(DurabilityBackend::None, 1);
+    let (ops, _) = shared_in_flight(&mut c, &chans, MultihopStage::Lock);
+    let before = program(&c, 0).durable_digest();
+    let got = c.op_now(
+        0,
+        Command::PayMultihop {
+            route: RouteId::from_label("b-3"),
+            hops: c.ids[..4].to_vec(),
+            channels: chans.clone(),
+            amount: 1,
+        },
+    );
+    assert_eq!(got.err(), Some(OpError::Rejected(ProtocolError::BadStage)));
+    assert_eq!(program(&c, 0).durable_digest(), before);
+    c.settle_network();
+    assert_eq!(ended_once(&c, &ops), [10, 20, 30, 40].map(Ok));
+}
+
+/// p1 crashes in persist mode while a shared route holds τ: each member
+/// resolves once, as dead, and the recovered p1 ejects with τ, which the
+/// chain accepts and which settles every channel of the path with the
+/// members' sum paid.
+#[test]
+fn a_crash_mid_shared_route_resolves_each_member_once_and_ejects_the_sum() {
+    let persist = DurabilityBackend::Persist(crate::PersistPolicy {
+        snapshot_every: 1000,
+    });
+    let (mut c, chans) = line(persist, 1);
+    let (ops, route) = shared_in_flight(&mut c, &chans, MultihopStage::PreUpdate);
+    c.crash_node(0);
+    c.settle_network();
+    let ends = ended_once(&c, &ops);
+    assert_eq!(ends[0], Ok(10));
+    for (end, (_, label)) in ends.iter().zip(&ops).skip(1) {
+        assert!(
+            matches!(end, Err(OpError::Timeout { .. })),
+            "{label}: {end:?}"
+        );
+    }
+    c.recover_node(0).unwrap();
+    let tau = tau_at(&c, 0, &route).0.expect("p1 holds τ");
+    c.chain.lock().validate(&tau).expect("the chain accepts τ");
+    let settlements: Vec<_> = (0..3)
+        .map(|i| {
+            let left = program(&c, i).channel(&chans[i]).unwrap();
+            (left.my_settlement, left.remote_settlement)
+        })
+        .collect();
+    c.op_now(0, Command::Eject { route }).unwrap();
+    c.mine(1);
+    // The first payment (10) was delivered before the crash; τ moves the
+    // members' 20 + 30 + 40 on top of it, on every channel.
+    for (payer, payee) in settlements {
+        assert_eq!(c.chain_balance(&payer), 1000 - 100);
+        assert_eq!(c.chain_balance(&payee), 100);
+    }
+    // The recovery and the eject completed no member a second time.
+    ended_once(&c, &ops);
+}
+
+/// A queued shared route expires member by member: only the member past
+/// its own deadline fails, and the entry that carries the rest is keyed
+/// by the oldest remaining member, with their sum and earliest deadline.
+#[test]
+fn a_queued_shared_route_expires_member_by_member() {
+    let (mut c, chans) = line(DurabilityBackend::None, 1);
+    // Hold c0, so the pump expires the queue and drains nothing.
+    pay_over(&mut c, &chans, 1, "hold", 1);
+    let hops = c.ids[..4].to_vec();
+    let (p, env) = c.node_mut(0).enclave.compromise().expect("running");
+    let now = env.now_ns();
+    let member = |label, amount, deadline_ns| crate::admit::Member {
+        route: RouteId::from_label(label),
+        amount,
+        deadline_ns,
+    };
+    let members = vec![
+        member("m-1", 1, now - 1),
+        member("m-2", 2, now + 2_000),
+        member("m-3", 3, now + 1_000),
+    ];
+    let entry = p
+        .shared_entry(members, hops, chans.clone(), false, 0)
+        .unwrap();
+    assert_eq!(entry.deadline_ns, now - 1);
+    p.admit.queues.entry(chans[0]).or_default().push_back(entry);
+    let got = p.cmd_pump_admission(env).expect("pumped");
+    let failed: Vec<_> = got
+        .iter()
+        .filter_map(|e| match e {
+            Effect::Done { key, outcome } => Some((*key, outcome.clone())),
+            _ => None,
+        })
+        .collect();
+    let locked = Err(OpError::Remote(ProtocolError::ChannelLocked));
+    assert_eq!(
+        failed,
+        [(MatchKey::Multihop(RouteId::from_label("m-1")), locked)]
+    );
+    assert_eq!(p.admit.stats.expired, 1);
+    let rest = &p.admit.queues[&chans[0]][0];
+    assert_eq!(rest.deadline_ns, now + 1_000);
+    let crate::admit::QueuedOp::Multihop { route, amount, .. } = rest.op else {
+        panic!("a multihop entry");
+    };
+    assert_eq!((route, amount), (RouteId::from_label("m-2"), 5));
+    assert_eq!(p.admit.shared[&route].len(), 2);
 }

@@ -39,7 +39,7 @@ pub enum EventKind {
     QueueExit = 7,
     /// `a` inbound messages were deferred behind a locked channel.
     AdmitDefer = 8,
-    /// `a` admission drain batches committed, applying `b` payments.
+    /// `a` admission drain batches started, carrying `b` operations.
     AdmitBatch = 9,
     /// `a` ops were rerouted over an unlocked sibling channel.
     AdmitReroute = 10,
